@@ -15,12 +15,14 @@
 // snapshot instead of paying the multi-second build per run.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/system_config.hh"
@@ -94,17 +96,19 @@ const workload::SimDb& bench_db(int cores, int bw_shares = 1) {
   return *it->second;
 }
 
-/// A representative mix: cache-sensitive, streaming and CPU-bound apps.
+/// A representative mix: cache-sensitive, streaming and CPU-bound apps, each
+/// in phase `phase` (clamped to the app's last phase).
 std::vector<rm::CounterSnapshot> bench_snapshots(const workload::SimDb& db,
-                                                 int cores) {
+                                                 int cores, int phase = 0) {
   static const char* const kApps[] = {"mcf", "libquantum", "bwaves",
                                       "xalancbmk", "omnetpp", "perlbench",
                                       "hmmer", "gobmk"};
   std::vector<rm::CounterSnapshot> snaps;
   const workload::Setting base = workload::baseline_setting(db.system());
   for (int k = 0; k < cores; ++k) {
+    const int app = db.suite().index_of(kApps[k % 8]);
     snaps.push_back(rmsim::make_snapshot(
-        db, db.suite().index_of(kApps[k % 8]), 0, base));
+        db, app, std::min(phase, db.num_phases(app) - 1), base));
   }
   return snaps;
 }
@@ -119,10 +123,12 @@ void report_allocs(benchmark::State& state, std::uint64_t before) {
 /// ResourceManager::invoke at a given (policy, core count, bandwidth-share
 /// count). The manager is warmed up with one invocation per core before
 /// measurement, so the steady state (every per-core curve cached, workspaces
-/// at capacity) is measured. bw_shares=1 is the classic ways-only problem;
-/// bw_shares>1 runs the 2-D (ways x shares) DP, which is required to stay
-/// allocation-free too and within a small constant factor of the 1-D cost
-/// (the share axis is deliberately narrow - see arch::bw_config_for_shares).
+/// at capacity) is measured. The counters never change, so for RM1-RM3 this
+/// is the clean path: every call replays the invoking core's cached cell
+/// and skips the global DP (BM_RmInvokeDirty measures the dirty-leaf path).
+/// bw_shares=1 is the classic ways-only problem; bw_shares>1 runs the 2-D
+/// (ways x shares) DP, which is required to stay allocation-free too (the
+/// share axis is deliberately narrow - see arch::bw_config_for_shares).
 void BM_RmInvoke(benchmark::State& state) {
   const auto policy = static_cast<rm::RmPolicy>(state.range(0));
   const int cores = static_cast<int>(state.range(1));
@@ -154,6 +160,53 @@ BENCHMARK(BM_RmInvoke)
                    {2, 4, 8, 16},
                    {1}})
     // The 2-D configurations: 4 cores x 4 bandwidth shares per core.
+    ->ArgsProduct({{static_cast<long>(rm::RmPolicy::Rm1),
+                    static_cast<long>(rm::RmPolicy::Rm2),
+                    static_cast<long>(rm::RmPolicy::Rm3)},
+                   {4},
+                   {4}})
+    ->ArgNames({"policy", "cores", "bw_shares"});
+
+/// The dirty-leaf path: like BM_RmInvoke, but every invocation first swaps
+/// the invoking core's counters between two phases of its app, so each call
+/// recomputes (or, with the memo, replays) that core's curve and recombines
+/// its root path in the global tree. BM_RmInvoke re-invokes unchanged
+/// counters and so measures the clean path (same-cell replay, no DP).
+void BM_RmInvokeDirty(benchmark::State& state) {
+  const auto policy = static_cast<rm::RmPolicy>(state.range(0));
+  const int cores = static_cast<int>(state.range(1));
+  const int bw_shares = static_cast<int>(state.range(2));
+  const workload::SimDb& db = bench_db(cores, bw_shares);
+  rm::RmConfig cfg;
+  cfg.policy = policy;
+  cfg.model = rm::PerfModelKind::Model3;
+  rm::ResourceManager manager(cfg, db.system(), db.power());
+  auto snaps = bench_snapshots(db, cores);
+  auto alt = bench_snapshots(db, cores, 1);
+  // Two warm-up laps visit both cells of every core, so the curve memo (on
+  // from 8 cores) and every buffer are populated before measurement.
+  for (int lap = 0; lap < 2; ++lap) {
+    for (int k = 0; k < cores; ++k) {
+      std::swap(snaps[static_cast<std::size_t>(k)], alt[static_cast<std::size_t>(k)]);
+      benchmark::DoNotOptimize(manager.invoke(k, snaps));
+    }
+  }
+
+  int core = 0;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    std::swap(snaps[static_cast<std::size_t>(core)], alt[static_cast<std::size_t>(core)]);
+    benchmark::DoNotOptimize(manager.invoke(core, snaps));
+    core = (core + 1) % cores;
+  }
+  report_allocs(state, before);
+}
+BENCHMARK(BM_RmInvokeDirty)
+    ->ArgsProduct({{static_cast<long>(rm::RmPolicy::Rm1),
+                    static_cast<long>(rm::RmPolicy::Rm2),
+                    static_cast<long>(rm::RmPolicy::Rm3)},
+                   {2, 4, 8, 16},
+                   {1}})
     ->ArgsProduct({{static_cast<long>(rm::RmPolicy::Rm1),
                     static_cast<long>(rm::RmPolicy::Rm2),
                     static_cast<long>(rm::RmPolicy::Rm3)},

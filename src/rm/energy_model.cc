@@ -27,9 +27,8 @@ double OnlineEnergyModel::estimate(const CounterSnapshot& snap,
                                    double predicted_time_s) const {
   if (opt_.perfect) {
     QOSRM_CHECK_MSG(snap.oracle.valid(), "perfect energy model needs oracle ref");
-    const power::IntervalEnergy e =
-        snap.oracle.db->energy(snap.oracle.app, snap.oracle.phase, target);
-    return e.total_j();
+    return snap.oracle.db->total_joules(snap.oracle.app, snap.oracle.phase,
+                                        target);
   }
 
   const arch::OperatingPoint vf = arch::VfTable::point(target.f_idx);

@@ -65,40 +65,62 @@ __attribute__((target("avx2"))) void combine_row_avx2(double ea,
 
 }  // namespace
 
-void GlobalOptWorkspace::clear_nodes() {
-  // clear() keeps capacity: after one call per problem shape, nothing in the
-  // reduction allocates.
-  lo_.clear();
-  size_.clear();
-  b_lo_.clear();
-  b_size_.clear();
-  energy_off_.clear();
-  leaf_energy_.clear();
-  first_core_.clear();
-  last_core_.clear();
-  left_.clear();
-  right_.clear();
-  energy_.clear();
-  level_.clear();
-  next_.clear();
+void GlobalOptWorkspace::build_tree(int leaves) {
+  // assign()/push_back keep capacity: a workspace that has seen a leaf count
+  // once rebuilds its tree without allocating.
+  lo_.assign(static_cast<std::size_t>(leaves), 0);
+  size_.assign(static_cast<std::size_t>(leaves), 0);
+  b_lo_.assign(static_cast<std::size_t>(leaves), 0);
+  b_size_.assign(static_cast<std::size_t>(leaves), 0);
+  leaves_.assign(static_cast<std::size_t>(leaves), 1);
+  left_.assign(static_cast<std::size_t>(leaves), -1);
+  right_.assign(static_cast<std::size_t>(leaves), -1);
+  // Interior nodes in reduction order: adjacent pairs of each level, an odd
+  // node carried to the next. feas_idx_ doubles as the level scratch here.
+  std::vector<int>& level = feas_idx_;
+  level.clear();
+  for (int i = 0; i < leaves; ++i) level.push_back(i);
+  while (level.size() > 1) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
+      const auto a = static_cast<std::size_t>(level[i]);
+      const auto b = static_cast<std::size_t>(level[i + 1]);
+      level[kept++] = static_cast<int>(lo_.size());
+      lo_.push_back(0);
+      size_.push_back(0);
+      b_lo_.push_back(0);
+      b_size_.push_back(0);
+      leaves_.push_back(leaves_[a] + leaves_[b]);
+      left_.push_back(static_cast<int>(a));
+      right_.push_back(static_cast<int>(b));
+    }
+    if (level.size() % 2 == 1) level[kept++] = level.back();
+    level.resize(kept);
+  }
+  energy_off_.assign(num_nodes(), 0);
+  leaf_energy_.assign(num_nodes(), nullptr);
+  pair_ops_.assign(num_nodes(), 0);
+  dirty_.assign(num_nodes(), 1);
+  cap_ways_ = 0;
+  cap_shares_ = 0;
+  valid_ = false;
 }
 
-int GlobalOptWorkspace::push_node(int lo, int size, int b_lo, int b_size,
-                                  std::size_t energy_off,
-                                  const double* leaf_energy, int first_core,
-                                  int last_core, int left, int right) {
-  const int idx = static_cast<int>(num_nodes());
-  lo_.push_back(lo);
-  size_.push_back(size);
-  b_lo_.push_back(b_lo);
-  b_size_.push_back(b_size);
-  energy_off_.push_back(energy_off);
-  leaf_energy_.push_back(leaf_energy);
-  first_core_.push_back(first_core);
-  last_core_.push_back(last_core);
-  left_.push_back(left);
-  right_.push_back(right);
-  return idx;
+void GlobalOptWorkspace::layout(int ways, int shares) {
+  // A node over k leaves of at most `ways` x `shares` cells spans at most
+  // k(ways-1)+1 x k(shares-1)+1 cells. The root needs no slot.
+  cap_ways_ = ways;
+  cap_shares_ = shares;
+  std::size_t off = 0;
+  const auto leaves = static_cast<std::size_t>(num_leaves());
+  for (std::size_t i = leaves; i + 1 < num_nodes(); ++i) {
+    const auto k = static_cast<std::size_t>(leaves_[i]);
+    energy_off_[i] = off;
+    off += (k * static_cast<std::size_t>(ways - 1) + 1) *
+           (k * static_cast<std::size_t>(shares - 1) + 1);
+  }
+  energy_.resize(off);
+  valid_ = false;
 }
 
 namespace {
@@ -118,23 +140,23 @@ void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
                                     int total_ways, int total_shares,
                                     GlobalOptWorkspace& ws,
                                     GlobalOptResult& out, std::uint64_t* ops) {
-  optimize_into(curves, total_ways, total_shares, ws, out, ops,
-                simd::active_level());
+  reduce(curves, total_ways, total_shares, {}, ws, out, ops,
+         simd::active_level());
 }
 
 void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
                                     int total_ways, GlobalOptWorkspace& ws,
                                     GlobalOptResult& out, std::uint64_t* ops) {
-  optimize_into(curves, total_ways, default_total_shares(curves), ws, out, ops,
-                simd::active_level());
+  reduce(curves, total_ways, default_total_shares(curves), {}, ws, out, ops,
+         simd::active_level());
 }
 
 void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
                                     int total_ways, GlobalOptWorkspace& ws,
                                     GlobalOptResult& out, std::uint64_t* ops,
                                     simd::Level level) {
-  optimize_into(curves, total_ways, default_total_shares(curves), ws, out, ops,
-                level);
+  reduce(curves, total_ways, default_total_shares(curves), {}, ws, out, ops,
+         level);
 }
 
 void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
@@ -142,6 +164,171 @@ void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
                                     GlobalOptWorkspace& ws,
                                     GlobalOptResult& out, std::uint64_t* ops,
                                     simd::Level level) {
+  reduce(curves, total_ways, total_shares, {}, ws, out, ops, level);
+}
+
+void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
+                                    int total_ways, int total_shares,
+                                    std::span<const std::uint8_t> dirty,
+                                    GlobalOptWorkspace& ws,
+                                    GlobalOptResult& out, std::uint64_t* ops,
+                                    simd::Level level) {
+  QOSRM_CHECK(dirty.size() == curves.size());
+  reduce(curves, total_ways, total_shares, dirty, ws, out, ops, level);
+}
+
+std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
+                                       int total_ways, int total_shares,
+                                       bool vectorized) {
+  const auto ai = static_cast<std::size_t>(ws.left_[i]);
+  const auto bi = static_cast<std::size_t>(ws.right_[i]);
+  const int a_lo = ws.lo_[ai];
+  const int a_size = ws.size_[ai];
+  const int a_b_lo = ws.b_lo_[ai];
+  const int a_b_size = ws.b_size_[ai];
+  const int b_lo = ws.lo_[bi];
+  const int b_size = ws.size_[bi];
+  const int b_b_lo = ws.b_lo_[bi];
+  const int b_b_size = ws.b_size_[bi];
+
+  const int n_lo = a_lo + b_lo;
+  const int n_size = a_size + b_size - 1;
+  const int n_b_lo = a_b_lo + b_b_lo;
+  const int n_b_size = a_b_size + b_b_size - 1;
+  ws.lo_[i] = n_lo;
+  ws.size_[i] = n_size;
+  ws.b_lo_[i] = n_b_lo;
+  ws.b_size_[i] = n_b_size;
+
+  // The root combine produces a surface that is only ever read at one cell
+  // (total_ways, total_shares), so it evaluates just that cell - an O(a+b)
+  // scan instead of the O(a*b) row sweep. The cell is accumulated over the
+  // same pairs in the same ia-ascending strict-less order, so its value and
+  // argmin are bit-identical to the full sweep's. The charged op count stays
+  // the full feasible-pair product: ops are the MODEL of the RM's work
+  // (paper Section III-E) and must not depend on which cells an
+  // implementation can prove dead, exactly as they must not depend on the
+  // SIMD width.
+  const bool root_combine = static_cast<int>(i) == ws.root();
+  const double* ea_arr = ws.surface(ai);
+  const double* eb_arr = ws.surface(bi);
+  double* ne = nullptr;
+  if (!root_combine) {
+    ne = ws.energy_.data() + ws.energy_off_[i];
+    std::fill(ne, ne + static_cast<std::size_t>(n_size) * static_cast<std::size_t>(n_b_size),
+              kInf);
+  }
+
+  // Compact the right child's feasible cells once, in storage order
+  // (b-row-major, ascending w - so the pair visit order, and thus the
+  // first-split tie-breaking, matches the plain quadruple loop). A cell's
+  // stored index is its CONTRIBUTION to the output flat index,
+  // ibb * n_size + ib: because n_size = a_size + b_size - 1, the w parts of
+  // any (left, right) pair can never carry into the b-row term, so
+  // out_flat = left_contribution + right_contribution. The scalar kernel
+  // consumes the compacted arrays; the vector kernel runs dense over each
+  // child b-row (clipped to its feasible span) and only needs the total
+  // count. With a single b-row everything reduces exactly to the 1-D
+  // compaction.
+  ws.feas_idx_.clear();
+  ws.feas_val_.clear();
+  ws.feas_row_first_.clear();
+  ws.feas_row_last_.clear();
+  const bool compact_b = !vectorized && !root_combine;
+  std::uint64_t n_feas_b = 0;
+  for (int ibb = 0; ibb < b_b_size; ++ibb) {
+    const double* eb_row = eb_arr + static_cast<std::size_t>(ibb) *
+                                        static_cast<std::size_t>(b_size);
+    int row_first = b_size;  // feasible span of this b-row: the dense
+    int row_last = -1;       // kernel clips to it (infinite prefix/suffix
+                             // entries can never win a strict-less)
+    for (int ib = 0; ib < b_size; ++ib) {
+      const double eb = eb_row[ib];
+      if (std::isinf(eb)) continue;
+      ++n_feas_b;
+      row_first = row_first == b_size ? ib : row_first;
+      row_last = ib;
+      if (compact_b) {
+        ws.feas_idx_.push_back(ibb * n_size + ib);
+        ws.feas_val_.push_back(eb);
+      }
+    }
+    ws.feas_row_first_.push_back(row_first == b_size ? -1 : row_first);
+    ws.feas_row_last_.push_back(row_last);
+  }
+
+  // One op = one feasible-pair DP step, counted uniformly whichever side an
+  // infeasible entry is on (accumulated in bulk per feasible cell) and
+  // independent of how many lanes a kernel call covers.
+  std::uint64_t feas_a = 0;
+  if (root_combine) {
+    // Only the (total_ways, total_shares) cell of the root surface is
+    // observable: evaluate it directly (and count the feasible left cells
+    // for the op charge). Out-of-range targets leave the value infinite,
+    // which the feasibility check reports just like the full sweep would.
+    const int target_w = total_ways - n_lo;
+    const int target_b = total_shares - n_b_lo;
+    double best = kInf;
+    for (int iba = 0; iba < a_b_size; ++iba) {
+      const double* ea_row = ea_arr + static_cast<std::size_t>(iba) *
+                                          static_cast<std::size_t>(a_size);
+      for (int ia = 0; ia < a_size; ++ia) {
+        const double ea = ea_row[ia];
+        if (std::isinf(ea)) continue;
+        ++feas_a;
+        const int ibb = target_b - iba;
+        if (ibb < 0 || ibb >= b_b_size) continue;
+        const int ib = target_w - ia;
+        if (ib < 0 || ib >= b_size) continue;
+        const double v =
+            ea + eb_arr[static_cast<std::size_t>(ibb) *
+                            static_cast<std::size_t>(b_size) +
+                        static_cast<std::size_t>(ib)];
+        if (v < best) best = v;
+      }
+    }
+    const bool in_range =
+        target_w >= 0 && target_w < n_size && target_b >= 0 && target_b < n_b_size;
+    ws.root_value_ = in_range ? best : kInf;
+  } else if (n_feas_b > 0) {
+    for (int iba = 0; iba < a_b_size; ++iba) {
+      const double* ea_row = ea_arr + static_cast<std::size_t>(iba) *
+                                          static_cast<std::size_t>(a_size);
+      for (int ia = 0; ia < a_size; ++ia) {
+        const double ea = ea_row[ia];
+        if (std::isinf(ea)) continue;
+        ++feas_a;
+        // Output flat index: left contribution iba * n_size + ia plus the
+        // right cell's stored contribution (no w carry, see above).
+        const int ca = iba * n_size + ia;
+        if (vectorized) {
+#ifdef QOSRM_SIMD_HAVE_AVX2
+          for (int ibb = 0; ibb < b_b_size; ++ibb) {
+            const int row_first = ws.feas_row_first_[static_cast<std::size_t>(ibb)];
+            if (row_first < 0) continue;  // all-infeasible b-row
+            const int row_last = ws.feas_row_last_[static_cast<std::size_t>(ibb)];
+            combine_row_avx2(ea,
+                             eb_arr + static_cast<std::size_t>(ibb) *
+                                          static_cast<std::size_t>(b_size) +
+                                 row_first,
+                             row_last - row_first + 1,
+                             ne + ca + ibb * n_size + row_first);
+          }
+#endif
+        } else {
+          combine_row_scalar(ea, ws.feas_idx_, ws.feas_val_, ne + ca);
+        }
+      }
+    }
+  }
+  return feas_a * n_feas_b;
+}
+
+void GlobalOptimizer::reduce(std::span<const EnergyCurveView> curves,
+                             int total_ways, int total_shares,
+                             std::span<const std::uint8_t> dirty,
+                             GlobalOptWorkspace& ws, GlobalOptResult& out,
+                             std::uint64_t* ops, simd::Level level) {
   QOSRM_CHECK(!curves.empty());
   const bool vectorized = level == simd::Level::Avx2;
 #ifndef QOSRM_SIMD_HAVE_AVX2
@@ -149,215 +336,99 @@ void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
                   "AVX2 dispatch requested but the kernel was not compiled");
 #endif
 
+  const int n = static_cast<int>(curves.size());
+  if (n != ws.num_leaves()) ws.build_tree(n);
+  int max_ways = 0;
+  int max_shares = 0;
+  for (const EnergyCurveView& c : curves) {
+    QOSRM_CHECK(!c.energy.empty());
+    QOSRM_CHECK(c.num_shares >= 1);
+    QOSRM_CHECK(static_cast<int>(c.energy.size()) % c.num_shares == 0);
+    max_ways = std::max(max_ways, c.num_ways());
+    max_shares = std::max(max_shares, c.num_shares);
+  }
+  if (max_ways > ws.cap_ways_ || max_shares > ws.cap_shares_) {
+    ws.layout(std::max(max_ways, ws.cap_ways_), std::max(max_shares, ws.cap_shares_));
+  }
+
+  // Leaves view the input surfaces directly - no copy. A leaf is dirty when
+  // the caller says so, when its shape changed, or when the tree holds no
+  // complete reduction yet.
+  const bool all_dirty = dirty.empty() || !ws.valid_;
+  for (std::size_t i = 0; i < curves.size(); ++i) {
+    const EnergyCurveView& c = curves[i];
+    const bool reshaped = ws.lo_[i] != c.min_ways || ws.size_[i] != c.num_ways() ||
+                          ws.b_lo_[i] != c.min_shares || ws.b_size_[i] != c.num_shares;
+    ws.lo_[i] = c.min_ways;
+    ws.size_[i] = c.num_ways();
+    ws.b_lo_[i] = c.min_shares;
+    ws.b_size_[i] = c.num_shares;
+    ws.leaf_energy_[i] = c.energy.data();
+    ws.dirty_[i] = all_dirty || reshaped || dirty[i] != 0;
+  }
+  for (std::size_t i = curves.size(); i < ws.num_nodes(); ++i) {
+    ws.dirty_[i] = ws.dirty_[static_cast<std::size_t>(ws.left_[i])] |
+                   ws.dirty_[static_cast<std::size_t>(ws.right_[i])];
+  }
+  const auto root = static_cast<std::size_t>(ws.root());
+  // A new budget only moves the root's target cell.
+  if (total_ways != ws.total_ways_ || total_shares != ws.total_shares_) {
+    ws.dirty_[root] = 1;
+    ws.total_ways_ = total_ways;
+    ws.total_shares_ = total_shares;
+  }
+
+  ws.last_recombined_ = 0;
+  if (ws.dirty_[root] != 0) {
+    // Recombine the dirty interior nodes bottom-up (children precede their
+    // parent in node order), then re-derive the result.
+    ws.total_ops_ = 0;
+    for (std::size_t i = curves.size(); i < ws.num_nodes(); ++i) {
+      if (ws.dirty_[i] != 0) {
+        ws.pair_ops_[i] = combine(ws, i, total_ways, total_shares, vectorized);
+        ++ws.last_recombined_;
+      }
+      ws.total_ops_ += ws.pair_ops_[i];
+    }
+    extract(ws, total_ways, total_shares);
+    ws.valid_ = true;
+  }
+  if (ops != nullptr) *ops += ws.total_ops_;
+  const GlobalOptResult& r = ws.result_;
+  out.feasible = r.feasible;
+  out.total_energy = r.total_energy;
+  out.ways.assign(r.ways.begin(), r.ways.end());
+  out.shares.assign(r.shares.begin(), r.shares.end());
+}
+
+void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
+                              int total_shares) {
+  GlobalOptResult& out = ws.result_;
   out.feasible = false;
   out.total_energy = 0.0;
   out.ways.clear();
   out.shares.clear();
 
-  ws.clear_nodes();
-
-  // Leaves view the input surfaces directly - no copy.
-  for (std::size_t i = 0; i < curves.size(); ++i) {
-    QOSRM_CHECK(!curves[i].energy.empty());
-    QOSRM_CHECK(curves[i].num_shares >= 1);
-    QOSRM_CHECK(static_cast<int>(curves[i].energy.size()) %
-                    curves[i].num_shares ==
-                0);
-    const int core = static_cast<int>(i);
-    ws.level_.push_back(ws.push_node(
-        curves[i].min_ways, curves[i].num_ways(), curves[i].min_shares,
-        curves[i].num_shares, 0, curves[i].energy.data(), core, core, -1, -1));
-  }
-
-  // Reduce adjacent pairs until one curve remains.
-  std::uint64_t steps = 0;
-  while (ws.level_.size() > 1) {
-    // The root combine produces a curve that is only ever read at one index
-    // (total_ways; see below), so it evaluates just that output cell - an
-    // O(a+b) scan instead of the O(a*b) row sweep. The cell is accumulated
-    // over the same pairs in the same ia-ascending strict-less order, so its
-    // value and argmin are bit-identical to the full sweep's. The charged op
-    // count stays the full feasible-pair product: ops are the MODEL of the
-    // RM's work (paper Section III-E) and must not depend on which cells an
-    // implementation can prove dead, exactly as they must not depend on the
-    // SIMD width.
-    const bool root_combine = ws.level_.size() == 2;
-    ws.next_.clear();
-    for (std::size_t i = 0; i + 1 < ws.level_.size(); i += 2) {
-      const auto ai = static_cast<std::size_t>(ws.level_[i]);
-      const auto bi = static_cast<std::size_t>(ws.level_[i + 1]);
-      // Child metadata by value: the push_node below may relocate the SoA
-      // metadata arrays.
-      const int a_lo = ws.lo_[ai];
-      const int a_size = ws.size_[ai];
-      const int a_b_lo = ws.b_lo_[ai];
-      const int a_b_size = ws.b_size_[ai];
-      const std::size_t a_energy_off = ws.energy_off_[ai];
-      const double* a_leaf = ws.leaf_energy_[ai];
-      const int b_lo = ws.lo_[bi];
-      const int b_size = ws.size_[bi];
-      const int b_b_lo = ws.b_lo_[bi];
-      const int b_b_size = ws.b_size_[bi];
-      const std::size_t b_energy_off = ws.energy_off_[bi];
-      const double* b_leaf = ws.leaf_energy_[bi];
-
-      const int n_lo = a_lo + b_lo;
-      const int n_size = a_size + b_size - 1;
-      const int n_b_lo = a_b_lo + b_b_lo;
-      const int n_b_size = a_b_size + b_b_size - 1;
-      const std::size_t energy_off = ws.energy_.size();
-      ws.energy_.resize(energy_off + static_cast<std::size_t>(n_size) *
-                                         static_cast<std::size_t>(n_b_size),
-                        kInf);
-
-      // Pointers taken after the resize (which may relocate on warmup).
-      const double* ea_arr =
-          a_leaf != nullptr ? a_leaf : ws.energy_.data() + a_energy_off;
-      const double* eb_arr =
-          b_leaf != nullptr ? b_leaf : ws.energy_.data() + b_energy_off;
-      double* ne = ws.energy_.data() + energy_off;
-
-      // Compact the right child's feasible cells once, in storage order
-      // (b-row-major, ascending w - so the pair visit order, and thus the
-      // first-split tie-breaking, matches the plain quadruple loop). A
-      // cell's stored index is its CONTRIBUTION to the output flat index,
-      // ibb * n_size + ib: because n_size = a_size + b_size - 1, the w parts
-      // of any (left, right) pair can never carry into the b-row term, so
-      // out_flat = left_contribution + right_contribution. The scalar kernel
-      // consumes the compacted arrays; the vector kernel runs dense over
-      // each child b-row (clipped to its feasible span) and only needs the
-      // total count. With a single b-row everything reduces exactly to the
-      // 1-D compaction.
-      ws.feas_idx_.clear();
-      ws.feas_val_.clear();
-      ws.feas_row_first_.clear();
-      ws.feas_row_last_.clear();
-      const bool compact_b = !vectorized && !root_combine;
-      std::uint64_t n_feas_b = 0;
-      for (int ibb = 0; ibb < b_b_size; ++ibb) {
-        const double* eb_row = eb_arr + static_cast<std::size_t>(ibb) *
-                                            static_cast<std::size_t>(b_size);
-        int row_first = b_size;  // feasible span of this b-row: the dense
-        int row_last = -1;       // kernel clips to it (infinite prefix/suffix
-                                 // entries can never win a strict-less)
-        for (int ib = 0; ib < b_size; ++ib) {
-          const double eb = eb_row[ib];
-          if (std::isinf(eb)) continue;
-          ++n_feas_b;
-          row_first = row_first == b_size ? ib : row_first;
-          row_last = ib;
-          if (compact_b) {
-            ws.feas_idx_.push_back(ibb * n_size + ib);
-            ws.feas_val_.push_back(eb);
-          }
-        }
-        ws.feas_row_first_.push_back(row_first == b_size ? -1 : row_first);
-        ws.feas_row_last_.push_back(row_last);
-      }
-
-      // One op = one feasible-pair DP step, counted uniformly whichever side
-      // an infeasible entry is on (accumulated in bulk per feasible cell) and
-      // independent of how many lanes a kernel call covers.
-      std::uint64_t feas_a = 0;
-      if (root_combine) {
-        // Only the (total_ways, total_shares) cell of the root surface is
-        // observable: evaluate it directly (and count the feasible left
-        // cells for the op charge). Out-of-range targets leave the surface
-        // infinite, which the feasibility check below reports just like the
-        // full sweep would.
-        const int target_w = total_ways - n_lo;
-        const int target_b = total_shares - n_b_lo;
-        double best = kInf;
-        for (int iba = 0; iba < a_b_size; ++iba) {
-          const double* ea_row = ea_arr + static_cast<std::size_t>(iba) *
-                                              static_cast<std::size_t>(a_size);
-          for (int ia = 0; ia < a_size; ++ia) {
-            const double ea = ea_row[ia];
-            if (std::isinf(ea)) continue;
-            ++feas_a;
-            const int ibb = target_b - iba;
-            if (ibb < 0 || ibb >= b_b_size) continue;
-            const int ib = target_w - ia;
-            if (ib < 0 || ib >= b_size) continue;
-            const double v =
-                ea + eb_arr[static_cast<std::size_t>(ibb) *
-                                static_cast<std::size_t>(b_size) +
-                            static_cast<std::size_t>(ib)];
-            if (v < best) best = v;
-          }
-        }
-        if (target_w >= 0 && target_w < n_size && target_b >= 0 &&
-            target_b < n_b_size) {
-          ne[static_cast<std::size_t>(target_b) *
-                 static_cast<std::size_t>(n_size) +
-             static_cast<std::size_t>(target_w)] = best;
-        }
-      } else if (n_feas_b > 0) {
-        for (int iba = 0; iba < a_b_size; ++iba) {
-          const double* ea_row = ea_arr + static_cast<std::size_t>(iba) *
-                                              static_cast<std::size_t>(a_size);
-          for (int ia = 0; ia < a_size; ++ia) {
-            const double ea = ea_row[ia];
-            if (std::isinf(ea)) continue;
-            ++feas_a;
-            // Output flat index: left contribution iba * n_size + ia plus
-            // the right cell's stored contribution (no w carry, see above).
-            const int ca = iba * n_size + ia;
-            if (vectorized) {
-#ifdef QOSRM_SIMD_HAVE_AVX2
-              for (int ibb = 0; ibb < b_b_size; ++ibb) {
-                const int row_first =
-                    ws.feas_row_first_[static_cast<std::size_t>(ibb)];
-                if (row_first < 0) continue;  // all-infeasible b-row
-                const int row_last =
-                    ws.feas_row_last_[static_cast<std::size_t>(ibb)];
-                combine_row_avx2(
-                    ea,
-                    eb_arr + static_cast<std::size_t>(ibb) *
-                                 static_cast<std::size_t>(b_size) +
-                        row_first,
-                    row_last - row_first + 1,
-                    ne + ca + ibb * n_size + row_first);
-              }
-#endif
-            } else {
-              combine_row_scalar(ea, ws.feas_idx_, ws.feas_val_, ne + ca);
-            }
-          }
-        }
-      }
-      steps += feas_a * n_feas_b;
-
-      ws.next_.push_back(ws.push_node(n_lo, n_size, n_b_lo, n_b_size,
-                                      energy_off, nullptr, ws.first_core_[ai],
-                                      ws.last_core_[bi], static_cast<int>(ai),
-                                      static_cast<int>(bi)));
-    }
-    if (ws.level_.size() % 2 == 1) ws.next_.push_back(ws.level_.back());
-    std::swap(ws.level_, ws.next_);
-  }
-  if (ops != nullptr) *ops += steps;
-
-  const auto root = static_cast<std::size_t>(ws.level_.front());
+  const auto root = static_cast<std::size_t>(ws.root());
   const int root_lo = ws.lo_[root];
   const int root_hi = root_lo + ws.size_[root] - 1;
   const int root_b_lo = ws.b_lo_[root];
   const int root_b_hi = root_b_lo + ws.b_size_[root] - 1;
   if (total_ways < root_lo || total_ways > root_hi) return;
   if (total_shares < root_b_lo || total_shares > root_b_hi) return;
-  const std::size_t root_cell =
-      static_cast<std::size_t>(total_shares - root_b_lo) *
-          static_cast<std::size_t>(ws.size_[root]) +
-      static_cast<std::size_t>(total_ways - root_lo);
-  const double e = ws.leaf_energy_[root] != nullptr
-                       ? ws.leaf_energy_[root][root_cell]
-                       : ws.energy_[ws.energy_off_[root] + root_cell];
+  const double e =
+      ws.left_[root] >= 0
+          ? ws.root_value_
+          : ws.leaf_energy_[root][static_cast<std::size_t>(total_shares - root_b_lo) *
+                                      static_cast<std::size_t>(ws.size_[root]) +
+                                  static_cast<std::size_t>(total_ways - root_lo)];
   if (std::isinf(e)) return;
 
+  const auto n = static_cast<std::size_t>(ws.num_leaves());
   out.feasible = true;
   out.total_energy = e;
-  out.ways.assign(curves.size(), 0);
-  out.shares.assign(curves.size(), 0);
+  out.ways.assign(n, 0);
+  out.shares.assign(n, 0);
 
   // Backtrack the argmin splits down the reduction (depth is log2(cores), so
   // plain recursion over node indices needs no scratch). The forward pass
@@ -368,24 +439,19 @@ void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
   // bit-for-bit. The strict-less forward sweep keeps the FIRST pair
   // attaining the final minimum, and the sums are the same IEEE double
   // additions, so the recovered split is identical to a recorded one. Cost:
-  // log2(cores) surface scans per invocation - versus an index blend in
-  // every kernel step.
+  // log2(cores) surface scans per recombining call - versus an index blend
+  // in every kernel step.
   const auto backtrack = [&ws, &out](auto&& self, std::size_t idx, int total_w,
                                      int total_b, double value) -> void {
-    if (ws.left_[idx] < 0) {  // leaf
-      const auto core = static_cast<std::size_t>(ws.first_core_[idx]);
-      out.ways[core] = total_w;
-      out.shares[core] = total_b;
+    if (ws.left_[idx] < 0) {  // leaf: node index == core
+      out.ways[idx] = total_w;
+      out.shares[idx] = total_b;
       return;
     }
     const auto ai = static_cast<std::size_t>(ws.left_[idx]);
     const auto bi = static_cast<std::size_t>(ws.right_[idx]);
-    const double* ea_arr = ws.leaf_energy_[ai] != nullptr
-                               ? ws.leaf_energy_[ai]
-                               : ws.energy_.data() + ws.energy_off_[ai];
-    const double* eb_arr = ws.leaf_energy_[bi] != nullptr
-                               ? ws.leaf_energy_[bi]
-                               : ws.energy_.data() + ws.energy_off_[bi];
+    const double* ea_arr = ws.surface(ai);
+    const double* eb_arr = ws.surface(bi);
     const int a_size = ws.size_[ai];
     const int b_size = ws.size_[bi];
     const int a_b_size = ws.b_size_[ai];

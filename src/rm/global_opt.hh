@@ -17,12 +17,14 @@
 // performs bit-identically the same operations in the same order (pinned by
 // the randomized 1-D-oracle equivalence tests).
 //
-// The reduction runs over flat, reusable structure-of-arrays buffers
-// (GlobalOptWorkspace) so the per-interval-boundary invocation path performs
-// no heap allocation once the workspace has warmed up, and the O(n^2 * W)
-// feasible-pair inner loop dispatches to an AVX2 kernel where available
-// (common/simd.hh; the scalar fallback is pinned bit-identical by the
-// randomized equivalence tests). See the README performance section.
+// The reduction runs over a persistent combine tree in flat, reusable
+// structure-of-arrays buffers (GlobalOptWorkspace): an incremental call
+// recombines only the root paths of the leaves that changed, the
+// per-interval-boundary invocation path performs no heap allocation once
+// the workspace has warmed up, and the O(n^2 * W) feasible-pair inner loop
+// dispatches to an AVX2 kernel where available (common/simd.hh; the scalar
+// fallback is pinned bit-identical by the randomized equivalence tests).
+// See the README performance section.
 #ifndef QOSRM_RM_GLOBAL_OPT_HH
 #define QOSRM_RM_GLOBAL_OPT_HH
 
@@ -81,11 +83,24 @@ struct GlobalOptResult {
   std::vector<int> shares;  ///< chosen bandwidth shares per core (ways-sized)
 };
 
-/// Reusable scratch of the pairwise reduction in structure-of-arrays layout:
-/// per-node metadata lives in parallel flat vectors (index i addresses one
-/// reduction node across all of them) and the combined energy rows share one
-/// dense pool, so the inner loop streams over contiguous doubles - the
-/// layout the vectorized kernel consumes directly.
+/// Persistent state of the pairwise reduction: a combine tree whose nodes
+/// keep their surfaces across calls, in structure-of-arrays layout (index i
+/// addresses one node across all the parallel vectors). Leaves are nodes
+/// [0, n) and view the caller's surfaces directly; interior nodes [n, 2n-1)
+/// are numbered in reduction order (adjacent pairs per level, an odd node
+/// carried up), so both children of a node precede it and the last node is
+/// the root.
+///
+/// Every interior node owns a fixed-capacity slice of one dense pool, sized
+/// for the widest leaf surfaces seen so far, and caches its combined surface
+/// and the feasible-pair op count of its combine. A leaf whose surface or
+/// shape changed - an idle core becoming active, say - therefore only
+/// invalidates its ancestors: an incremental optimize_into() recombines
+/// log2(n) nodes instead of n-1, and a call with no dirty leaf reuses the
+/// previous result outright. The combined surfaces are pure functions of
+/// the leaves below them, so the result and op count are bit-identical to a
+/// from-scratch reduction.
+///
 /// Every container keeps its capacity across calls, so a workspace that has
 /// seen a problem shape once makes optimize_into() allocation-free. Not
 /// thread-safe; use one workspace per thread.
@@ -93,41 +108,53 @@ class GlobalOptWorkspace {
  public:
   GlobalOptWorkspace() = default;
 
+  /// Interior nodes the last optimize_into() recombined: n-1 from scratch,
+  /// 0 when no leaf was dirty.
+  [[nodiscard]] int last_recombined() const noexcept { return last_recombined_; }
+
  private:
   friend class GlobalOptimizer;
 
-  // --- node metadata, SoA: entry i describes one reduction node ------------
-  // A node covers cores [first_core_[i], last_core_[i]], total ways
-  // [lo_[i], lo_[i] + size_[i]) and total bandwidth shares
-  // [b_lo_[i], b_lo_[i] + b_size_[i]); its surface is b-major with
-  // contiguous w-rows of length size_[i] (flat extent size_ * b_size_).
-  // Leaves view the caller's surface directly (leaf_energy_[i] != nullptr);
-  // combined nodes own the pool slice energy_[energy_off_[i], +extent).
-  // left_[i] < 0 marks a leaf.
+  // --- node metadata, SoA ----------------------------------------------------
+  // A node covers total ways [lo_[i], lo_[i] + size_[i]) and total bandwidth
+  // shares [b_lo_[i], b_lo_[i] + b_size_[i]); its surface is b-major with
+  // contiguous w-rows of length size_[i]. Leaves read leaf_energy_[i] (the
+  // caller's storage, refreshed every call); the other nodes own the pool
+  // slice energy_[energy_off_[i], +extent). The root stores no surface: only
+  // its target cell is observable, kept in root_value_.
   //
   // The forward pass stores VALUES only - no argmin lanes. Backtracking
   // recovers each split by re-scanning the children for the first (ascending
   // wa) feasible pair whose sum equals the node's value bit-for-bit, which
   // is exactly the argmin a strict-less forward sweep would have recorded.
   // That halves the kernel's stores and drops the int32 blend path entirely,
-  // at the cost of log2(cores) O(row) scans - executed once per invocation
-  // instead of once per cell.
+  // at the cost of log2(cores) O(row) scans - executed once per recombining
+  // call instead of once per cell.
   std::vector<int> lo_;
   std::vector<int> size_;
   std::vector<int> b_lo_;
   std::vector<int> b_size_;
+  std::vector<int> leaves_;  ///< leaf count of the subtree (slot sizing)
+  std::vector<int> left_;    ///< child node indices; -1 marks a leaf
+  std::vector<int> right_;
   std::vector<std::size_t> energy_off_;
   std::vector<const double*> leaf_energy_;
-  std::vector<int> first_core_;
-  std::vector<int> last_core_;
-  std::vector<int> left_;  ///< child node indices; -1 marks a leaf
-  std::vector<int> right_;
+  std::vector<std::uint64_t> pair_ops_;  ///< feasible pairs of the combine
+  std::vector<std::uint8_t> dirty_;      ///< per-call recombination flags
 
   // --- dense pool the combine kernels write --------------------------------
   std::vector<double> energy_;
+  int cap_ways_ = 0;    ///< leaf ways extent the pool slots are sized for
+  int cap_shares_ = 0;  ///< leaf share extent the pool slots are sized for
 
-  std::vector<int> level_;  ///< node indices of the current reduction level
-  std::vector<int> next_;   ///< node indices of the next reduction level
+  // --- the last reduction's outcome (reused when no leaf is dirty) ---------
+  bool valid_ = false;  ///< the tree holds a complete reduction
+  int total_ways_ = 0;
+  int total_shares_ = 0;
+  double root_value_ = 0.0;
+  std::uint64_t total_ops_ = 0;
+  int last_recombined_ = 0;
+  GlobalOptResult result_;
 
   /// Per-combine compaction of the right child's feasible cells (parallel
   /// contribution-offset/value arrays; a cell's stored offset is its
@@ -144,11 +171,18 @@ class GlobalOptWorkspace {
   std::vector<int> feas_row_last_;   ///< w index (-1 for an all-infeasible row)
 
   [[nodiscard]] std::size_t num_nodes() const noexcept { return lo_.size(); }
-  void clear_nodes();
-  /// Appends one node's metadata across the parallel arrays; returns its index.
-  int push_node(int lo, int size, int b_lo, int b_size, std::size_t energy_off,
-                const double* leaf_energy, int first_core, int last_core,
-                int left, int right);
+  [[nodiscard]] int num_leaves() const noexcept {
+    return static_cast<int>((num_nodes() + 1) / 2);
+  }
+  [[nodiscard]] int root() const noexcept { return static_cast<int>(num_nodes()) - 1; }
+  /// Rebuilds the tree topology for `leaves` leaves (drops every surface).
+  void build_tree(int leaves);
+  /// Re-sizes the pool slots for leaf surfaces up to ways x shares.
+  void layout(int ways, int shares);
+  /// Surface storage of node i (a leaf's caller surface or its pool slot).
+  [[nodiscard]] const double* surface(std::size_t i) const noexcept {
+    return leaf_energy_[i] != nullptr ? leaf_energy_[i] : energy_.data() + energy_off_[i];
+  }
 };
 
 class GlobalOptimizer {
@@ -187,6 +221,21 @@ class GlobalOptimizer {
                             int total_ways, GlobalOptWorkspace& ws,
                             GlobalOptResult& out, std::uint64_t* ops = nullptr);
 
+  /// Incremental reduction over the persistent tree in `ws`: recombines only
+  /// the ancestors of leaves with dirty[i] != 0 (or whose shape changed
+  /// since the last call on `ws`), and with no dirty leaf reuses the last
+  /// result. A leaf whose surface changed MUST be flagged; its storage may
+  /// move freely. Results and ops are bit-identical to the from-scratch
+  /// overloads - which are this reduction with every leaf dirty - and `ops`
+  /// is still charged the full feasible-pair count of every combine, clean
+  /// or not (it models the paper's RM, not this host's work).
+  static void optimize_into(std::span<const EnergyCurveView> curves,
+                            int total_ways, int total_shares,
+                            std::span<const std::uint8_t> dirty,
+                            GlobalOptWorkspace& ws, GlobalOptResult& out,
+                            std::uint64_t* ops = nullptr,
+                            simd::Level level = simd::active_level());
+
   /// Explicit-dispatch variant for the equivalence tests and A/B benches.
   /// Requesting Avx2 when the kernel is unavailable aborts.
   static void optimize_into(std::span<const EnergyCurveView> curves,
@@ -208,6 +257,21 @@ class GlobalOptimizer {
   /// Ways-only exhaustive reference (share budget = sum of lowest shares).
   [[nodiscard]] static GlobalOptResult brute_force(std::span<const EnergyCurve> curves,
                                                    int total_ways);
+
+ private:
+  /// The one reduction loop behind every optimize_into(); an empty `dirty`
+  /// marks every leaf dirty.
+  static void reduce(std::span<const EnergyCurveView> curves, int total_ways,
+                     int total_shares, std::span<const std::uint8_t> dirty,
+                     GlobalOptWorkspace& ws, GlobalOptResult& out,
+                     std::uint64_t* ops, simd::Level level);
+  /// Recombines interior node i from its children; returns its feasible-pair
+  /// op count.
+  static std::uint64_t combine(GlobalOptWorkspace& ws, std::size_t i,
+                               int total_ways, int total_shares,
+                               bool vectorized);
+  /// Reads the root's target cell and backtracks the splits into ws.result_.
+  static void extract(GlobalOptWorkspace& ws, int total_ways, int total_shares);
 };
 
 }  // namespace qosrm::rm

@@ -44,8 +44,7 @@ double PerfModel::predict_mem_time(const CounterSnapshot& snap,
       return snap.atd_leading_at(target.c, target.w) * l_mem;
     case PerfModelKind::Perfect: {
       QOSRM_CHECK_MSG(snap.oracle.valid(), "perfect model needs an oracle ref");
-      return snap.oracle.db->timing(snap.oracle.app, snap.oracle.phase, target)
-          .mem_seconds;
+      return snap.oracle.db->mem_seconds(snap.oracle.app, snap.oracle.phase, target);
     }
   }
   return 0.0;
@@ -55,8 +54,8 @@ double PerfModel::predict_time(const CounterSnapshot& snap,
                                const workload::Setting& target) const {
   if (kind_ == PerfModelKind::Perfect) {
     QOSRM_CHECK_MSG(snap.oracle.valid(), "perfect model needs an oracle ref");
-    return snap.oracle.db->timing(snap.oracle.app, snap.oracle.phase, target)
-        .total_seconds;
+    return snap.oracle.db->total_seconds(snap.oracle.app, snap.oracle.phase,
+                                         target);
   }
 
   const double d_cur =

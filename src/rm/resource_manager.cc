@@ -1,5 +1,8 @@
 #include "rm/resource_manager.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/check.hh"
 
 namespace qosrm::rm {
@@ -34,6 +37,8 @@ ResourceManager::ResourceManager(const RmConfig& config,
   ws_.curve_energy.resize(static_cast<std::size_t>(system.cores));
   ws_.views.reserve(static_cast<std::size_t>(system.cores));
   ws_.idle_energy.assign(1, 0.0);
+  ws_.leaf_active.assign(static_cast<std::size_t>(system.cores), 0);
+  ws_.leaf_dirty.assign(static_cast<std::size_t>(system.cores), 1);
   // Auto: memoize from 8 cores up, where the per-boundary local work (and
   // the number of boundaries revisiting the same evaluation cell) makes the
   // table pay for its footprint. Below that, the slot array would cost more
@@ -100,6 +105,7 @@ const RmDecision& ResourceManager::invoke(
   QOSRM_CHECK_MSG(active[static_cast<std::size_t>(invoking_core)] != 0,
                   "RM invoked on behalf of an inactive core");
 
+  ++stats_.invocations;
   RmDecision& decision = ws_.decision;
   decision.ops = 0;
   decision.feasible = true;
@@ -117,42 +123,70 @@ const RmDecision& ResourceManager::invoke(
   // Recomputed curves are flattened into the workspace's per-core E*(w)
   // array once; cached cores keep theirs, so no curve is copied on the
   // steady path. Inactive cores drop their cache (their counters describe
-  // an app that has departed) and take no part in the local step.
+  // an app that has departed) and take no part in the local step. A core's
+  // global-tree leaf is dirtied only when its occupancy flips or its
+  // flattened row changes bitwise.
   for (int core = 0; core < system_.cores; ++core) {
-    CoreCache& cache = cached_[static_cast<std::size_t>(core)];
-    if (active[static_cast<std::size_t>(core)] == 0) {
+    const auto k = static_cast<std::size_t>(core);
+    CoreCache& cache = cached_[k];
+    const std::uint8_t occupied = active[k] != 0 ? 1 : 0;
+    if (ws_.leaf_active[k] != occupied) {
+      ws_.leaf_active[k] = occupied;
+      ws_.leaf_dirty[k] = 1;
+    }
+    if (active[k] == 0) {
       cache.valid = false;
       continue;
     }
     const bool fresh = core == invoking_core;
     if (!fresh && cache.valid) continue;
-    // Interval-outcome memo: a keyed snapshot's local optimization is a pure
-    // function of its evaluation cell, so a previously seen cell replays the
-    // stored result - charging exactly the ops a fresh run would have, which
-    // keeps the decision (and the modeled RM overhead) bit-identical with
-    // the memo on or off.
-    const CounterSnapshot& snap = snapshots[static_cast<std::size_t>(core)];
+    const CounterSnapshot& snap = snapshots[k];
+    // Same-cell replay: a keyed snapshot's local optimization is a pure
+    // function of its evaluation cell, so fresh counters of the cell the
+    // cached curve came from reproduce that curve (and its row) exactly.
+    // Charge the ops its computation charged; nothing else changes.
+    const bool keyed = snap.memo_key >= 0 && !snap.oracle.valid();
+    if (cache.valid && keyed && snap.memo_key == cache.memo_key &&
+        snap.memo_db == cache.memo_db) {
+      decision.ops += cache.ops;  // only the invoking core reaches here
+      ++stats_.cell_replays;
+      continue;
+    }
+    // Interval-outcome memo: a previously seen cell replays the stored
+    // result - charging exactly the ops a fresh run would have, which keeps
+    // the decision (and the modeled RM overhead) bit-identical with the
+    // memo on or off.
     std::int32_t* slot = memo_slot(snap);
     if (slot != nullptr && *slot >= 0) {
       const MemoEntry& entry = memo_entries_[static_cast<std::size_t>(*slot)];
       cache.local = entry.local;  // vector assign reuses the cache's storage
-      if (fresh) decision.ops += entry.ops;
+      cache.ops = entry.ops;
+      ++stats_.memo_hits;
     } else {
-      std::uint64_t local_ops = 0;
-      local_.optimize_into(snap, cache.local, &local_ops);
-      if (fresh) decision.ops += local_ops;
+      cache.ops = 0;
+      local_.optimize_into(snap, cache.local, &cache.ops);
+      ++stats_.local_runs;
       if (slot != nullptr) {
         *slot = static_cast<std::int32_t>(memo_entries_.size());
-        memo_entries_.push_back({cache.local, local_ops});
+        memo_entries_.push_back({cache.local, cache.ops});
       }
     }
+    if (fresh) decision.ops += cache.ops;
     cache.valid = true;
-    std::vector<double>& energy = ws_.curve_energy[static_cast<std::size_t>(core)];
-    energy.resize(cache.local.choices.size());
-    for (std::size_t i = 0; i < cache.local.choices.size(); ++i) {
+    cache.memo_key = keyed ? snap.memo_key : -1;
+    cache.memo_db = snap.memo_db;
+    std::vector<double>& energy = ws_.curve_energy[k];
+    const std::size_t cells = cache.local.choices.size();
+    bool changed = energy.size() != cells;
+    energy.resize(cells);
+    for (std::size_t i = 0; i < cells; ++i) {
       const WayChoice& c = cache.local.choices[i];
-      energy[i] = c.feasible ? c.energy_j : kInfeasibleEnergy;
+      const double e = c.feasible ? c.energy_j : kInfeasibleEnergy;
+      changed = changed || std::bit_cast<std::uint64_t>(e) !=
+                               std::bit_cast<std::uint64_t>(energy[i]);
+      energy[i] = e;
     }
+    if (changed) ws_.leaf_dirty[k] = 1;
   }
 
   ws_.views.clear();
@@ -176,8 +210,12 @@ const RmDecision& ResourceManager::invoke(
 
   GlobalOptResult& global = ws_.global_result;
   GlobalOptimizer::optimize_into(ws_.views, system_.total_ways(),
-                                 system_.total_shares(), ws_.global, global,
-                                 &decision.ops);
+                                 system_.total_shares(), ws_.leaf_dirty,
+                                 ws_.global, global, &decision.ops);
+  std::fill(ws_.leaf_dirty.begin(), ws_.leaf_dirty.end(), std::uint8_t{0});
+  const int recombined = ws_.global.last_recombined();
+  stats_.nodes_recombined += static_cast<std::uint64_t>(recombined);
+  if (recombined == 0) ++stats_.dp_skips;
   if (!global.feasible) {
     // Should not happen (the baseline allocation is always feasible), but
     // fall back to the baseline setting defensively.

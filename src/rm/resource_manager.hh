@@ -21,6 +21,11 @@
 // LOCAL optimization for that core from its fresh counters, combines the
 // resulting energy curve with the cached curves of the other cores in the
 // GLOBAL optimization, and returns the full system setting {w*, f*, c*}.
+// Work whose inputs did not change is skipped on the host: fresh counters of
+// the evaluation cell a core's curve was computed for replay that curve, and
+// the global step recombines only the tree nodes above cores whose curve
+// changed bitwise or whose occupancy flipped. The decision and the modeled
+// op charge are exactly those of a from-scratch invocation.
 #ifndef QOSRM_RM_RESOURCE_MANAGER_HH
 #define QOSRM_RM_RESOURCE_MANAGER_HH
 
@@ -79,16 +84,35 @@ struct RmDecision {
   bool feasible = true;   ///< false -> fell back to the baseline setting
 };
 
+/// Host-side work counters of one ResourceManager, accumulated over its
+/// lifetime (reset() keeps them). They count what this implementation
+/// actually executed; the modeled ops charged in RmDecision::ops stay the
+/// full paper Section III-E count whatever was skipped.
+struct RmInvokeStats {
+  std::uint64_t invocations = 0;       ///< invoke() calls
+  std::uint64_t local_runs = 0;        ///< LocalOptimizer executions
+  std::uint64_t cell_replays = 0;      ///< fresh snapshots of the cached cell
+  std::uint64_t memo_hits = 0;         ///< curves served by the outcome memo
+  std::uint64_t dp_skips = 0;          ///< global steps that recombined no node
+  std::uint64_t nodes_recombined = 0;  ///< combine-tree nodes recomputed
+};
+
 /// Reusable scratch of the invocation path: per-core flat energy curves, the
-/// global optimizer's reduction buffers and the decision handed back to the
-/// caller. Owned by the ResourceManager; every buffer keeps its capacity
-/// across boundaries, so steady-state invoke() performs no heap allocation.
+/// global optimizer's persistent combine tree and the decision handed back
+/// to the caller. Owned by the ResourceManager; every buffer keeps its
+/// capacity across boundaries, so steady-state invoke() performs no heap
+/// allocation.
 struct RmWorkspace {
   std::vector<std::vector<double>> curve_energy;  ///< per-core E*(w), flat
   std::vector<EnergyCurveView> views;             ///< spans over curve_energy
   /// Length-1 zero-energy curve presented for inactive cores: it pins them
   /// to llc.min_ways in the global optimization without contributing energy.
   std::vector<double> idle_energy;
+  /// Per-core global-tree leaf state: whether the leaf currently holds the
+  /// core's curve (1) or the idle cell (0), and whether it changed since the
+  /// last global step.
+  std::vector<std::uint8_t> leaf_active;
+  std::vector<std::uint8_t> leaf_dirty;
   GlobalOptWorkspace global;
   GlobalOptResult global_result;
   BaselineWorkspace baseline;  ///< UCP / FCP / ClassPart inputs + result
@@ -127,6 +151,9 @@ class ResourceManager {
   /// Whether the interval-outcome memo is active for this instance.
   [[nodiscard]] bool memo_enabled() const noexcept { return memo_on_; }
 
+  /// Host-side work counters (read-only; see RmInvokeStats).
+  [[nodiscard]] const RmInvokeStats& stats() const noexcept { return stats_; }
+
   [[nodiscard]] const RmConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const arch::SystemConfig& system() const noexcept { return system_; }
   [[nodiscard]] const PerfModel& perf_model() const noexcept { return perf_; }
@@ -147,9 +174,16 @@ class ResourceManager {
 
   /// Per-core curve cache. `valid` replaces the previous std::optional so
   /// reset() can invalidate without releasing the LocalOptResult storage.
+  /// `memo_key`/`memo_db` name the evaluation cell `local` was computed for
+  /// (memo_key < 0 for unkeyed or oracle-backed counters, which never
+  /// match) and `ops` what that computation charged, so a fresh snapshot of
+  /// the same cell replays the curve without recomputing or copying it.
   struct CoreCache {
     bool valid = false;
     LocalOptResult local;
+    std::int64_t memo_key = -1;
+    const workload::SimDb* memo_db = nullptr;
+    std::uint64_t ops = 0;
   };
 
   /// One memoized interval outcome: the local-optimization result of a
@@ -181,6 +215,7 @@ class ResourceManager {
   /// (not bool) so a std::span can view the storage.
   std::vector<std::uint8_t> all_active_;
   RmWorkspace ws_;
+  RmInvokeStats stats_;
 };
 
 }  // namespace qosrm::rm

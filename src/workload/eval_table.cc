@@ -40,11 +40,7 @@ EvalTable::EvalTable(const SpecSuite& suite, const arch::SystemConfig& system,
                                 static_cast<std::size_t>(arch::VfTable::kNumPoints) *
                                 static_cast<std::size_t>(g.num_shares) *
                                 static_cast<std::size_t>(g.max_ways);
-      g.timing.resize(cells);
-      g.energy.resize(cells);
       g.total_s.resize(cells);
-      g.mem_s.resize(cells);
-      g.core_j.resize(cells);
       g.total_j.resize(cells);
       g.key_off = key_space_;
       key_space_ += static_cast<std::int64_t>(cells);
@@ -67,22 +63,18 @@ EvalTable::EvalTable(const SpecSuite& suite, const arch::SystemConfig& system,
               const arch::IntervalTiming t = arch::evaluate_interval(
                   chars, st.memory_truth(c, w, l_eff), c,
                   arch::VfTable::frequency_hz(f));
-              g.timing[idx] = t;
               const power::IntervalEnergy e = power.interval_energy(
                   c, arch::VfTable::point(f), t, st.interval_instructions,
                   st.dram_accesses(w));
-              g.energy[idx] = e;
-              // SoA companions: copies of the struct fields, so every scalar
-              // accessor is bit-identical to the struct lookup.
+              // The struct fields the hot loops read, bit-identical to the
+              // structs SimDb::timing()/energy() rebuild.
               g.total_s[idx] = t.total_seconds;
-              g.mem_s[idx] = t.mem_seconds;
-              g.core_j[idx] = e.core_j();
               g.total_j[idx] = e.total_j();
             }
           }
         }
       }
-      g.baseline_time_s = g.timing[flat_index(g, base)].total_seconds;
+      g.baseline_time_s = g.total_s[flat_index(g, base)];
     }
 
     // Per-app aggregates, accumulated in the same phase order (and with the
@@ -144,25 +136,9 @@ std::size_t EvalTable::row_offset(const PhaseGrid& g, arch::CoreSize c,
          static_cast<std::size_t>(g.max_ways);
 }
 
-const arch::IntervalTiming& EvalTable::timing(int app, int phase,
-                                              const Setting& s) const {
-  const PhaseGrid& g = grid(app, phase);
-  return g.timing[flat_index(g, s)];
-}
-
 double EvalTable::total_seconds(int app, int phase, const Setting& s) const {
   const PhaseGrid& g = grid(app, phase);
   return g.total_s[flat_index(g, s)];
-}
-
-double EvalTable::mem_seconds(int app, int phase, const Setting& s) const {
-  const PhaseGrid& g = grid(app, phase);
-  return g.mem_s[flat_index(g, s)];
-}
-
-double EvalTable::core_joules(int app, int phase, const Setting& s) const {
-  const PhaseGrid& g = grid(app, phase);
-  return g.core_j[flat_index(g, s)];
 }
 
 double EvalTable::total_joules(int app, int phase, const Setting& s) const {
@@ -178,24 +154,10 @@ std::span<const double> EvalTable::total_seconds_row(int app, int phase,
           static_cast<std::size_t>(g.max_ways)};
 }
 
-std::span<const double> EvalTable::mem_seconds_row(int app, int phase,
-                                                   arch::CoreSize c,
-                                                   int f_idx, int b) const {
-  const PhaseGrid& g = grid(app, phase);
-  return {g.mem_s.data() + row_offset(g, c, f_idx, b),
-          static_cast<std::size_t>(g.max_ways)};
-}
-
 std::int64_t EvalTable::interval_key(int app, int phase,
                                      const Setting& s) const {
   const PhaseGrid& g = grid(app, phase);
   return g.key_off + static_cast<std::int64_t>(flat_index(g, s));
-}
-
-const power::IntervalEnergy& EvalTable::energy(int app, int phase,
-                                               const Setting& s) const {
-  const PhaseGrid& g = grid(app, phase);
-  return g.energy[flat_index(g, s)];
 }
 
 double EvalTable::baseline_time(int app, int phase) const {

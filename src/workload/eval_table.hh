@@ -10,9 +10,13 @@
 // the QoS evaluator are array lookups instead of repeated
 // evaluate_interval/memory_truth calls.
 //
-// Every stored value is produced by exactly the calls the pre-table SimDb
-// made on demand, in the same order, so lookups are bit-identical to direct
-// evaluation (tests enforce this over the full grid).
+// Only the two scalars read once per simulated interval or per oracle
+// probe are stored: the interval time and the total energy (16 B per
+// cell). Everything else - the full IntervalTiming/IntervalEnergy structs,
+// read once per counter snapshot - SimDb rebuilds on demand. Every stored
+// value is produced by exactly the calls SimDb::timing()/energy() make, so
+// lookups are bit-identical to direct evaluation (tests enforce this over
+// the full grid).
 #ifndef QOSRM_WORKLOAD_EVAL_TABLE_HH
 #define QOSRM_WORKLOAD_EVAL_TABLE_HH
 
@@ -61,36 +65,23 @@ class EvalTable {
   EvalTable() = default;
 
   /// Densely evaluates timing/energy for every (app, phase) in `stats` over
-  /// the full (core size x VF point x way) grid, and precomputes the
-  /// per-phase baseline times and per-app MPKI/MLP aggregates.
+  /// the full (core size x VF point x share x way) grid, keeping the time
+  /// and energy columns, and precomputes the per-phase baseline times and
+  /// per-app MPKI/MLP aggregates.
   EvalTable(const SpecSuite& suite, const arch::SystemConfig& system,
             const power::PowerModel& power,
             const std::vector<std::vector<PhaseStats>>& stats);
 
-  /// Ground-truth interval timing of (app, phase) at setting s (lookup).
-  [[nodiscard]] const arch::IntervalTiming& timing(int app, int phase,
-                                                   const Setting& s) const;
-
-  /// Ground-truth interval energy at setting s (lookup).
-  [[nodiscard]] const power::IntervalEnergy& energy(int app, int phase,
-                                                    const Setting& s) const;
-
   // --- batched / scalar SoA accessors --------------------------------------
-  // The dense grids additionally keep the hot aggregate of each cell
-  // (total/memory seconds, core/total joules) in flat structure-of-arrays
-  // companions filled from exactly the structs above, so single-field
-  // consumers (the interval simulators' start-of-interval accounting, the
-  // QoS evaluator's t_act sweep, the perfect model's oracle scans) read one
-  // contiguous double instead of copying a multi-field struct per query.
-  // Values are bit-identical to the struct fields by construction.
+  // The dense grids keep the hot aggregates of each cell (total seconds,
+  // total joules) as flat structure-of-arrays columns, so the interval
+  // simulators' start-of-interval accounting, the QoS evaluator's t_act
+  // sweep and the perfect model's oracle scans read one contiguous double
+  // per query.
 
-  /// timing(...).total_seconds without the struct copy.
+  /// Interval wall-clock time (IntervalTiming::total_seconds).
   [[nodiscard]] double total_seconds(int app, int phase, const Setting& s) const;
-  /// timing(...).mem_seconds without the struct copy.
-  [[nodiscard]] double mem_seconds(int app, int phase, const Setting& s) const;
-  /// energy(...).core_j() without the struct copy.
-  [[nodiscard]] double core_joules(int app, int phase, const Setting& s) const;
-  /// energy(...).total_j() without the struct copy.
+  /// Core + memory energy (IntervalEnergy::total_j()).
   [[nodiscard]] double total_joules(int app, int phase, const Setting& s) const;
 
   /// Contiguous w-row of interval wall-clock times at fixed (c, f_idx, b):
@@ -102,12 +93,6 @@ class EvalTable {
                                                           arch::CoreSize c,
                                                           int f_idx,
                                                           int b = 1) const;
-  /// Contiguous w-row of interval memory stall times at fixed (c, f_idx, b).
-  [[nodiscard]] std::span<const double> mem_seconds_row(int app, int phase,
-                                                        arch::CoreSize c,
-                                                        int f_idx,
-                                                        int b = 1) const;
-
   // --- dense interval keys -------------------------------------------------
   // Every (app, phase, setting) cell of this table has a unique dense key in
   // [0, interval_key_space()), suitable for flat-array memoization of
@@ -147,12 +132,7 @@ class EvalTable {
     int num_shares = 1;    ///< extent of the b axis
     double baseline_time_s = 0.0;
     std::int64_t key_off = 0;  ///< cumulative cell offset (interval keys)
-    std::vector<arch::IntervalTiming> timing;
-    std::vector<power::IntervalEnergy> energy;
-    // SoA companions of the structs above (same flat indexing).
     std::vector<double> total_s;
-    std::vector<double> mem_s;
-    std::vector<double> core_j;
     std::vector<double> total_j;
   };
 

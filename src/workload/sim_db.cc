@@ -1,5 +1,6 @@
 #include "workload/sim_db.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.hh"
@@ -66,6 +67,26 @@ const PhaseStats& SimDb::stats(int app, int phase) const {
   const auto& per_app = stats_[static_cast<std::size_t>(app)];
   QOSRM_CHECK(phase >= 0 && phase < static_cast<int>(per_app.size()));
   return per_app[static_cast<std::size_t>(phase)];
+}
+
+arch::IntervalTiming SimDb::timing(int app, int phase, const Setting& s) const {
+  const PhaseStats& st = stats(app, phase);
+  QOSRM_CHECK(s.f_idx >= 0 && s.f_idx < arch::VfTable::kNumPoints);
+  const int w = std::clamp(s.w, 1, st.max_ways());
+  const int b = std::clamp(s.b, system_.bw.min_shares, system_.bw.max_shares);
+  const double l_eff =
+      system_.mem_latency_s * arch::bw_latency_scale(system_.bw, b);
+  return arch::evaluate_interval(st.characteristics(),
+                                 st.memory_truth(s.c, w, l_eff), s.c,
+                                 arch::VfTable::frequency_hz(s.f_idx));
+}
+
+power::IntervalEnergy SimDb::energy(int app, int phase, const Setting& s) const {
+  const PhaseStats& st = stats(app, phase);
+  const int w = std::clamp(s.w, 1, st.max_ways());
+  return power_.interval_energy(s.c, arch::VfTable::point(s.f_idx),
+                                timing(app, phase, s), st.interval_instructions,
+                                st.dram_accesses(w));
 }
 
 int SimDb::num_phases(int app) const {

@@ -6,10 +6,11 @@
 //
 //   * characterization - one PhaseStats per (app, phase), produced by the
 //     trace-driven cache substrate (the expensive part, parallel build);
-//   * materialized evaluation - an EvalTable holding IntervalTiming and
-//     IntervalEnergy densely precomputed over the full finite
-//     (core size x VF point x way) grid, plus baseline-time/MPKI/MLP
-//     aggregates, so every timing()/energy() query is an array lookup.
+//   * materialized evaluation - an EvalTable holding the interval time and
+//     total energy densely precomputed over the full finite
+//     (core size x VF point x share x way) grid, plus baseline-time/MPKI/MLP
+//     aggregates, so the per-interval queries are array lookups; the full
+//     timing()/energy() structs are rebuilt on demand.
 //
 // The characterization is serializable: workload/db_io.hh saves it to a
 // versioned binary snapshot and restores it in milliseconds (the table is
@@ -58,31 +59,30 @@ class SimDb {
   [[nodiscard]] const PhaseStats& stats(int app, int phase) const;
   [[nodiscard]] int num_phases(int app) const;
 
-  /// Ground-truth interval timing of (app, phase) at setting s.
+  /// Ground-truth interval timing of (app, phase) at setting s, rebuilt on
+  /// demand with the evaluation table's exact calls (w and b clamp to the
+  /// grid like the table lookups do).
   [[nodiscard]] arch::IntervalTiming timing(int app, int phase,
-                                            const Setting& s) const {
-    return table_.timing(app, phase, s);
-  }
+                                            const Setting& s) const;
 
-  /// Ground-truth interval energy (core + memory; uncore is system-level).
+  /// Ground-truth interval energy (core + memory; uncore is system-level),
+  /// rebuilt on demand like timing().
   [[nodiscard]] power::IntervalEnergy energy(int app, int phase,
-                                             const Setting& s) const {
-    return table_.energy(app, phase, s);
-  }
+                                             const Setting& s) const;
 
   /// timing(...).total_seconds without the struct copy (SoA lookup).
   [[nodiscard]] double total_seconds(int app, int phase, const Setting& s) const {
     return table_.total_seconds(app, phase, s);
   }
 
-  /// timing(...).mem_seconds without the struct copy (SoA lookup).
+  /// timing(...).mem_seconds (rebuilt on demand).
   [[nodiscard]] double mem_seconds(int app, int phase, const Setting& s) const {
-    return table_.mem_seconds(app, phase, s);
+    return timing(app, phase, s).mem_seconds;
   }
 
-  /// energy(...).core_j() without the struct copy (SoA lookup).
+  /// energy(...).core_j() (rebuilt on demand).
   [[nodiscard]] double core_joules(int app, int phase, const Setting& s) const {
-    return table_.core_joules(app, phase, s);
+    return energy(app, phase, s).core_j();
   }
 
   /// energy(...).total_j() without the struct copy (SoA lookup).
@@ -97,14 +97,6 @@ class SimDb {
                                                           int f_idx,
                                                           int b = 1) const {
     return table_.total_seconds_row(app, phase, c, f_idx, b);
-  }
-
-  /// Contiguous w-row of interval memory stall times at fixed (c, f_idx, b).
-  [[nodiscard]] std::span<const double> mem_seconds_row(int app, int phase,
-                                                        arch::CoreSize c,
-                                                        int f_idx,
-                                                        int b = 1) const {
-    return table_.mem_seconds_row(app, phase, c, f_idx, b);
   }
 
   /// Dense memo key of the (app, phase, setting) evaluation cell.

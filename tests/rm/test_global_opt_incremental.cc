@@ -1,0 +1,187 @@
+// Incremental reduction over the persistent combine tree: a workspace fed a
+// sequence of problems with only the changed leaves flagged dirty must give,
+// call for call, exactly the result and op count of a from-scratch
+// reduction - under random dirty sets, idle <-> active shape flips, moving
+// leaf storage and budget changes, ways-only and 2-D, at every dispatch
+// level. It must also do less work: a clean call recombines nothing and a
+// single dirty leaf recombines at most its root path.
+#include "rm/global_opt.hh"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <limits>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "common/rng.hh"
+
+namespace qosrm::rm {
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+bool avx2_available() { return simd::avx2_compiled() && simd::avx2_supported(); }
+
+/// One leaf of the evolving problem: an active surface or the idle cell.
+EnergyCurve random_leaf(Rng& rng, int num_shares, bool idle) {
+  EnergyCurve cu;
+  if (idle) {
+    cu.min_ways = 1;
+    cu.energy = {0.0};
+    return cu;
+  }
+  cu.min_ways = 1 + static_cast<int>(rng.uniform_u64(3));
+  cu.min_shares = 1 + static_cast<int>(rng.uniform_u64(2));
+  cu.num_shares = num_shares;
+  const int num_ways = num_shares == 1 ? 3 + static_cast<int>(rng.uniform_u64(14))
+                                       : 3 + static_cast<int>(rng.uniform_u64(4));
+  for (int i = 0; i < num_ways * num_shares; ++i) {
+    cu.energy.push_back(rng.bernoulli(0.2) ? kInf : rng.uniform(1.0, 50.0));
+  }
+  return cu;
+}
+
+std::vector<EnergyCurveView> views_of(const std::vector<EnergyCurve>& curves) {
+  std::vector<EnergyCurveView> views;
+  for (const EnergyCurve& c : curves) {
+    views.push_back({c.min_ways, std::span<const double>(c.energy), c.min_shares,
+                     c.num_shares});
+  }
+  return views;
+}
+
+int ceil_log2(int n) {
+  int depth = 0;
+  while ((1 << depth) < n) ++depth;
+  return depth;
+}
+
+class GlobalOptIncremental
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(GlobalOptIncremental, MatchesFromScratchBitwise) {
+  const auto [cores, num_shares] = GetParam();
+  for (const simd::Level level : {simd::Level::Scalar, simd::Level::Avx2}) {
+    if (level == simd::Level::Avx2 && !avx2_available()) continue;
+    Rng rng(static_cast<std::uint64_t>(cores) * 7919 +
+            static_cast<std::uint64_t>(num_shares) * 104729 + 5);
+    std::vector<EnergyCurve> curves;
+    std::vector<bool> idle;
+    for (int c = 0; c < cores; ++c) {
+      idle.push_back(rng.bernoulli(0.3));
+      curves.push_back(random_leaf(rng, num_shares, idle.back()));
+    }
+    GlobalOptWorkspace incremental;
+    std::vector<std::uint8_t> dirty(static_cast<std::size_t>(cores), 1);
+    // Widest leaf so far: the pool slots are sized for it, and a wider one
+    // re-lays them out, which recombines everything once.
+    int widest = 0;
+    for (int step = 0; step < 40; ++step) {
+      const std::string what = "cores=" + std::to_string(cores) +
+                               " shares=" + std::to_string(num_shares) +
+                               " level=" + simd::level_name(level) +
+                               " step=" + std::to_string(step);
+      // Random dirty set: clean calls, single leaves (the common RM case),
+      // and bursts, some of which flip a leaf between idle and active.
+      const int kind = static_cast<int>(rng.uniform_u64(4));
+      const int changes = kind == 0   ? 0
+                          : kind == 3 ? 1 + static_cast<int>(rng.uniform_u64(
+                                                static_cast<std::uint64_t>(cores)))
+                                      : 1;
+      for (int i = 0; i < changes; ++i) {
+        const auto k = static_cast<std::size_t>(rng.uniform_u64(
+            static_cast<std::uint64_t>(cores)));
+        if (rng.bernoulli(0.3)) idle[k] = !idle[k];
+        curves[k] = random_leaf(rng, num_shares, idle[k]);
+        dirty[k] = 1;
+      }
+      // Moving a clean leaf's storage is not a change.
+      if (rng.bernoulli(0.3)) {
+        const auto k = static_cast<std::size_t>(rng.uniform_u64(
+            static_cast<std::uint64_t>(cores)));
+        std::vector<double> moved = curves[k].energy;
+        curves[k].energy.swap(moved);
+      }
+      int w_lo = 0, w_hi = 0, b_lo = 0, b_hi = 0;
+      for (const EnergyCurve& c : curves) {
+        w_lo += c.min_ways;
+        w_hi += c.max_ways();
+        b_lo += c.min_shares;
+        b_hi += c.max_shares();
+      }
+      const int total_ways = (w_lo + w_hi) / 2 + (step % 7 == 6 ? 1 : 0);
+      const int total_shares = (b_lo + b_hi) / 2;
+
+      bool widened = false;
+      for (const EnergyCurve& c : curves) {
+        widened = widened || c.num_ways() > widest;
+        widest = std::max(widest, c.num_ways());
+      }
+
+      const std::vector<EnergyCurveView> views = views_of(curves);
+      GlobalOptWorkspace scratch;
+      GlobalOptResult expect;
+      std::uint64_t expect_ops = 0;
+      GlobalOptimizer::optimize_into(views, total_ways, total_shares, scratch,
+                                     expect, &expect_ops, level);
+      GlobalOptResult got;
+      std::uint64_t got_ops = 0;
+      GlobalOptimizer::optimize_into(views, total_ways, total_shares, dirty,
+                                     incremental, got, &got_ops, level);
+      ASSERT_EQ(got.feasible, expect.feasible) << what;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_energy),
+                std::bit_cast<std::uint64_t>(expect.total_energy))
+          << what;
+      EXPECT_EQ(got.ways, expect.ways) << what;
+      EXPECT_EQ(got.shares, expect.shares) << what;
+      EXPECT_EQ(got_ops, expect_ops) << what;
+      EXPECT_EQ(scratch.last_recombined(), cores - 1) << what;
+      if (step > 0 && changes == 0) {
+        // Nothing dirty: at most the root re-reads a moved budget.
+        EXPECT_LE(incremental.last_recombined(), 1) << what;
+      }
+      if (step > 0 && changes == 1 && !widened) {
+        EXPECT_LE(incremental.last_recombined(), ceil_log2(cores)) << what;
+      }
+      std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GlobalOptIncremental,
+    ::testing::Combine(::testing::Values(2, 3, 5, 8, 16, 33, 64),
+                       ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+      return "n" + std::to_string(std::get<0>(info.param)) + "_b" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+TEST(GlobalOptIncremental, CleanCallReusesResultAndChargesFullOps) {
+  const std::vector<EnergyCurve> curves = {
+      {2, {3.0, 2.0, 1.5}}, {2, {4.0, 1.0, 0.5}}, {2, {2.0, 2.0, kInf}}};
+  const std::vector<EnergyCurveView> views = views_of(curves);
+  GlobalOptWorkspace ws;
+  GlobalOptResult first;
+  std::uint64_t first_ops = 0;
+  const std::vector<std::uint8_t> all(3, 1);
+  GlobalOptimizer::optimize_into(views, 8, 3, all, ws, first, &first_ops);
+  EXPECT_EQ(ws.last_recombined(), 2);
+
+  GlobalOptResult again;
+  std::uint64_t again_ops = 0;
+  const std::vector<std::uint8_t> none(3, 0);
+  GlobalOptimizer::optimize_into(views, 8, 3, none, ws, again, &again_ops);
+  EXPECT_EQ(ws.last_recombined(), 0);
+  ASSERT_TRUE(again.feasible);
+  EXPECT_EQ(again.ways, first.ways);
+  EXPECT_EQ(again.total_energy, first.total_energy);
+  EXPECT_EQ(again_ops, first_ops);  // the model's count, not the host's work
+  EXPECT_GT(again_ops, 0u);
+}
+
+}  // namespace
+}  // namespace qosrm::rm

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hh"
 #include "rmsim/snapshot.hh"
 #include "support/shared_db.hh"
 
@@ -305,6 +308,96 @@ TEST(ResourceManagerMemo, OracleSnapshotsBypassTheMemo) {
     }
     EXPECT_EQ(a.ops, b.ops) << "round " << round;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Incremental invoke. A long-lived manager replays same-cell snapshots and
+// recombines only dirty tree leaves; along a service-like sequence (arrivals,
+// departures, interval boundaries that may or may not change the cell, and
+// re-invocations with unchanged counters) it must decide exactly like a
+// fresh manager built for every single call.
+
+void expect_incremental_matches_fresh(int cores, const RmConfig& cfg,
+                                      std::uint64_t seed) {
+  const workload::SimDb& sdb = qosrm::testing::shared_db(cores);
+  const Setting base = workload::baseline_setting(sdb.system());
+  const bool perfect = cfg.model == PerfModelKind::Perfect;
+  ResourceManager incremental(cfg, sdb.system(), sdb.power());
+  std::vector<CounterSnapshot> snaps(static_cast<std::size_t>(cores));
+  std::vector<std::uint8_t> active(static_cast<std::size_t>(cores), 0);
+  std::vector<int> app(static_cast<std::size_t>(cores), 0);
+  std::vector<int> seq_pos(static_cast<std::size_t>(cores), 0);
+  std::vector<Setting> setting(static_cast<std::size_t>(cores), base);
+  Rng rng(seed);
+  std::uint64_t invoked = 0;
+  const auto phase_of = [&](std::size_t k, int pos) {
+    const std::vector<int>& seq = sdb.suite().app(app[k]).phase_sequence;
+    return seq[static_cast<std::size_t>(pos) % seq.size()];
+  };
+  const auto refresh = [&](std::size_t k) {
+    rmsim::make_snapshot_into(sdb, app[k], phase_of(k, seq_pos[k]), setting[k],
+                              perfect ? phase_of(k, seq_pos[k] + 1) : -1,
+                              snaps[k]);
+  };
+
+  for (int step = 0; step < 300; ++step) {
+    const auto k = static_cast<std::size_t>(
+        rng.uniform_u64(static_cast<std::uint64_t>(cores)));
+    const int event = static_cast<int>(rng.uniform_u64(10));
+    if (active[k] == 0) {  // arrival
+      active[k] = 1;
+      app[k] = static_cast<int>(
+          rng.uniform_u64(static_cast<std::uint64_t>(sdb.suite().size())));
+      seq_pos[k] = 0;
+      setting[k] = base;
+      refresh(k);
+    } else if (event == 0) {  // departure
+      active[k] = 0;
+    } else if (event <= 6) {  // interval boundary: advance the phase
+      ++seq_pos[k];
+      refresh(k);
+    }  // else: a re-invocation with unchanged counters
+    // After a departure the first survivor re-invokes with unchanged counters.
+    std::size_t invoker = k;
+    if (active[invoker] == 0) {
+      invoker = static_cast<std::size_t>(
+          std::find(active.begin(), active.end(), 1) - active.begin());
+      if (invoker == active.size()) continue;
+    }
+    const RmDecision got = incremental.invoke(static_cast<int>(invoker), snaps, active);
+    ++invoked;
+    ResourceManager fresh(cfg, sdb.system(), sdb.power());
+    const RmDecision& want = fresh.invoke(static_cast<int>(invoker), snaps, active);
+    const std::string what = std::to_string(cores) + " cores step " +
+                             std::to_string(step);
+    ASSERT_EQ(got.feasible, want.feasible) << what;
+    EXPECT_EQ(got.ops, want.ops) << what;
+    for (std::size_t c = 0; c < got.settings.size(); ++c) {
+      EXPECT_TRUE(got.settings[c] == want.settings[c]) << what << " core " << c;
+    }
+    // The invoking core runs the decided setting next interval.
+    setting[invoker] = got.settings[invoker];
+  }
+
+  const RmInvokeStats& stats = incremental.stats();
+  EXPECT_EQ(stats.invocations, invoked);
+  EXPECT_GT(stats.dp_skips, 0u);
+  EXPECT_LT(stats.nodes_recombined,
+            stats.invocations * static_cast<std::uint64_t>(cores - 1));
+  if (perfect) {
+    EXPECT_EQ(stats.cell_replays, 0u);  // oracle counters never replay
+    EXPECT_EQ(stats.memo_hits, 0u);
+  } else {
+    EXPECT_GT(stats.cell_replays, 0u);
+  }
+}
+
+TEST(ResourceManagerIncremental, ServiceSequenceMatchesFreshManagerPerCall) {
+  expect_incremental_matches_fresh(4, config(RmPolicy::Rm3), 11);   // memo off
+  expect_incremental_matches_fresh(8, config(RmPolicy::Rm3), 12);   // memo on
+  expect_incremental_matches_fresh(8, config(RmPolicy::Rm2), 13);
+  expect_incremental_matches_fresh(4, config(RmPolicy::Rm3, PerfModelKind::Perfect),
+                                   14);
 }
 
 TEST(ResourceManager, PolicyNames) {
