@@ -24,7 +24,6 @@
 #include "common/csv.hh"
 #include "common/str.hh"
 #include "rmsim/report.hh"
-#include "rmsim/shard.hh"
 #include "rmsim/sweep.hh"
 #include "workload/db_io.hh"
 

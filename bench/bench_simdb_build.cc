@@ -1,7 +1,7 @@
 // Micro-benchmark for the simulation-database build path: cold trace-driven
 // characterization vs restore from a binary snapshot (workload/db_io.hh).
-// The snapshot load is the prerequisite for sharded multi-process sweeps, so
-// this tracks the speedup in the perf trajectory.
+// Every --db-cache run of the CLIs, bench and slow test suite takes the
+// snapshot path, so this tracks the speedup in the perf trajectory.
 //
 // Flags: --cores=2  --threads=0  --loads=5  --path=bench_simdb.qosdb
 //        --keep (leave the snapshot file behind)

@@ -9,26 +9,6 @@
 
 namespace qosrm {
 
-std::optional<ShardArg> parse_shard_arg(const std::string& spec) {
-  const auto slash = spec.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 == spec.size()) {
-    return std::nullopt;
-  }
-  const auto parse_uint = [](const std::string& s) -> std::optional<std::size_t> {
-    if (s.empty() || s.size() > 9) return std::nullopt;  // > 1e9 shards is a typo
-    std::size_t value = 0;
-    for (const char ch : s) {
-      if (ch < '0' || ch > '9') return std::nullopt;
-      value = value * 10 + static_cast<std::size_t>(ch - '0');
-    }
-    return value;
-  };
-  const auto index = parse_uint(spec.substr(0, slash));
-  const auto count = parse_uint(spec.substr(slash + 1));
-  if (!index || !count || *count < 1 || *index >= *count) return std::nullopt;
-  return ShardArg{*index, *count};
-}
-
 CliArgs::CliArgs(int argc, char** argv,
                  std::initializer_list<const char*> boolean_flags) {
   const std::set<std::string> boolean(boolean_flags.begin(), boolean_flags.end());

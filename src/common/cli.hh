@@ -8,31 +8,18 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 namespace qosrm {
 
-/// A parsed `--shard=i/N` argument: this process is shard `index` of
-/// `count` (0 <= index < count, count >= 1).
-struct ShardArg {
-  std::size_t index = 0;
-  std::size_t count = 1;
-};
-
-/// Parses "i/N" (e.g. "2/8"). nullopt unless both halves are plain
-/// non-negative decimal integers with i < N and N >= 1 — a malformed spec
-/// must fail loudly, never silently run shard 0.
-[[nodiscard]] std::optional<ShardArg> parse_shard_arg(const std::string& spec);
-
 class CliArgs {
  public:
   /// `boolean_flags` declares flags that never take a value from the next
-  /// argument: `--resume parts/` then keeps `parts/` as a positional instead
-  /// of silently consuming it as the value of `--resume` (the `=` form still
-  /// assigns, so `--resume=false` works). Undeclared flags keep the historic
+  /// argument: `--keep out/` then keeps `out/` as a positional instead of
+  /// silently consuming it as the value of `--keep` (the `=` form still
+  /// assigns, so `--keep=false` works). Undeclared flags keep the historic
   /// greedy behavior for `--name value`.
   CliArgs(int argc, char** argv,
           std::initializer_list<const char*> boolean_flags = {});
@@ -42,7 +29,7 @@ class CliArgs {
                                 const std::string& fallback) const;
   /// Numeric accessors parse strictly: a present value that is empty, has
   /// trailing garbage or overflows aborts with a diagnostic naming the flag
-  /// (--workers=abc must fail loudly, never silently run with 0 workers).
+  /// (--threads=abc must fail loudly, never silently run with 0 threads).
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;

@@ -3,7 +3,7 @@
 // ASCII tables.
 //
 // Rows are buffered and the finished file is committed ATOMICALLY
-// (write-to-temp + rename, like the *.qospart/*.qosdb writers): an
+// (write-to-temp + rename, like the *.qosdb snapshot writer): an
 // interrupted run never leaves a truncated CSV that a CI diff or golden
 // gate could mistake for a complete one. Until close() (or the destructor
 // on a non-exception path) commits, the target path is untouched.

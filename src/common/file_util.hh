@@ -2,7 +2,7 @@
 //
 // Result files are consumed by CI diffs and golden-file gates, so a killed
 // or failing writer must never leave a plausible-looking truncated file
-// behind. The pattern matches the *.qospart/*.qosdb writers: write to a
+// behind. The pattern matches the *.qosdb snapshot writer: write to a
 // uniquely named sibling, then rename into place (atomic on POSIX).
 #ifndef QOSRM_COMMON_FILE_UTIL_HH
 #define QOSRM_COMMON_FILE_UTIL_HH

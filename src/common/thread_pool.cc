@@ -64,6 +64,13 @@ void ThreadPool::worker_loop() {
   }
 }
 
+std::size_t pool_threads(int requested, std::size_t items) {
+  const std::size_t want =
+      requested > 0 ? static_cast<std::size_t>(requested)
+                    : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return std::max<std::size_t>(1, std::min(want, items));
+}
+
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body) {
   if (begin >= end) return;

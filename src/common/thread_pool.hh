@@ -51,6 +51,11 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// Threads to run `items` work items on: `requested` (0 = hardware
+/// concurrency), capped at `items` and at least 1. A pool wider than its work
+/// only adds idle threads - and a huge request would fail to spawn them.
+[[nodiscard]] std::size_t pool_threads(int requested, std::size_t items);
+
 /// Blocking parallel loop over [begin, end): body(i) is invoked exactly once
 /// per index, partitioned into contiguous chunks across pool workers plus the
 /// calling thread. `body` must be safe to call concurrently for distinct i.

@@ -1,8 +1,8 @@
-// Canonical flag inventories of the four CLI binaries. Each main's strict
+// Canonical flag inventories of the two CLI binaries. Each main's strict
 // unknown-flag validation builds its known set from the array here, and the
-// flag-coverage test (tests/rmsim/test_cli_docs.cc) asserts every entry is
-// documented in docs/CLI.md - so adding a flag without documenting it, or
-// documenting a flag that does not exist, fails the fast suite.
+// flag-coverage test (tests/rmsim/test_cli_docs.cc) checks both directions
+// against docs/CLI.md - every entry is documented, and every flag the doc's
+// tables name is declared here - so neither can drift from the other.
 //
 // `--help` is accepted by every binary before validation runs, so it is
 // deliberately absent from the per-binary arrays (documented once in
@@ -16,8 +16,8 @@ namespace qosrm::rmsim::cli {
 inline constexpr const char* kSweepMainFlags[] = {
     "cores",    "replicate", "bw-shares",   "per-scenario", "seed",
     "policies", "models",    "alphas",      "threads",      "rows-csv",
-    "agg-csv",  "report-json", "overheads", "db-cache",     "shard",
-    "part-output", "workers", "parts-dir",  "resume",       "keep-parts"};
+    "agg-csv",  "report-json", "fig6-csv",  "fig7-csv",     "fig9-csv",
+    "overheads", "db-cache"};
 
 /// service_main: the open-loop colocation service (rmsim/service.hh).
 inline constexpr const char* kServiceMainFlags[] = {
@@ -25,19 +25,7 @@ inline constexpr const char* kServiceMainFlags[] = {
     "loads",       "admission",  "policies",     "model",        "alphas",
     "seed",        "demand-min", "demand-max",   "queue-cap",    "threads",
     "rows-csv",    "report-json", "knee-report", "knee-threshold",
-    "knee-csv-prefix", "db-cache", "shard",      "part-output",
-    "workers",     "parts-dir",  "resume",       "keep-parts"};
-
-/// sweep_merge: part-file merge and inspection (rmsim/shard.hh).
-inline constexpr const char* kSweepMergeFlags[] = {"rows-csv", "agg-csv",
-                                                  "list"};
-
-/// report_main: figure reports from part files (rmsim/report.hh). "help" is
-/// listed here (unlike the others) because report_main routes validation
-/// through parse_report_cli, which sees the full flag list.
-inline constexpr const char* kReportMainFlags[] = {
-    "json", "fig6-csv", "fig7-csv", "fig9-csv",
-    "alphas", "fingerprint", "print", "help"};
+    "knee-csv-prefix", "db-cache"};
 
 }  // namespace qosrm::rmsim::cli
 

@@ -20,7 +20,7 @@ struct SavingsResult {
 };
 
 /// Thread-safe: run() and idle_reference() may be called concurrently from
-/// any number of threads (the sweep subsystem shards a policy grid over one
+/// any number of threads (the sweep subsystem spreads a policy grid over one
 /// runner). Idle references are materialized through a compute-once cache,
 /// so each workload's reference is simulated exactly once per runner.
 class ExperimentRunner {

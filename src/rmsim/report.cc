@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <set>
 
 #include "common/check.hh"
 #include "common/csv.hh"
 #include "common/file_util.hh"
 #include "common/str.hh"
 #include "rm/perf_model.hh"
-#include "rmsim/cli_flags.hh"
 
 namespace qosrm::rmsim {
 
@@ -208,48 +205,6 @@ FigureReport build_figure_report(const std::vector<SweepRow>& rows,
     }
   }
   return report;
-}
-
-std::optional<std::vector<SweepRow>> filter_rows_to_alphas(
-    std::vector<SweepRow> rows, GridShape* shape,
-    const std::vector<double>& alphas, std::string* error) {
-  const auto fail = [error](std::string message) {
-    if (error != nullptr) *error = std::move(message);
-    return std::nullopt;
-  };
-  QOSRM_CHECK_MSG(rows.size() == shape->size(),
-                  "alpha filter row count does not match the grid shape");
-  if (alphas.empty()) return rows;
-
-  const std::size_t block_size = shape->mixes * shape->policies * shape->models;
-  std::vector<double> axis;
-  for (std::size_t ai = 0; ai < shape->alphas; ++ai) {
-    axis.push_back(rows[block_size * ai].qos_alpha);
-  }
-
-  std::vector<std::size_t> selected;
-  for (const double alpha : alphas) {
-    const auto it = std::find(axis.begin(), axis.end(), alpha);
-    if (it == axis.end()) {
-      return fail(format("--alphas value %s is not on the sweep's alpha axis",
-                         fmtd(alpha).c_str()));
-    }
-    const auto ai = static_cast<std::size_t>(it - axis.begin());
-    if (std::find(selected.begin(), selected.end(), ai) != selected.end()) {
-      return fail(format("--alphas value %s given twice", fmtd(alpha).c_str()));
-    }
-    selected.push_back(ai);
-  }
-
-  std::vector<SweepRow> out;
-  out.reserve(block_size * selected.size());
-  for (const std::size_t ai : selected) {
-    for (std::size_t i = 0; i < block_size; ++i) {
-      out.push_back(std::move(rows[block_size * ai + i]));
-    }
-  }
-  shape->alphas = selected.size();
-  return out;
 }
 
 std::string figure_report_json(const FigureReport& r) {
@@ -645,124 +600,6 @@ bool write_fig9_csv(const FigureReport& report, const std::string& path,
        "oracle_weighted_savings", "weighted_gap", "mean_gap", "violation_rate",
        "oracle_violation_rate"},
       rows, error);
-}
-
-void print_figure_report(const FigureReport& report) {
-  std::printf("figure report: fingerprint %016llx, %zu mixes x %zu policies "
-              "x %zu models x %zu alphas\n\n",
-              static_cast<unsigned long long>(report.fingerprint),
-              report.shape.mixes, report.shape.policies, report.shape.models,
-              report.shape.alphas);
-
-  AsciiTable fig6({"Policy", "Model", "Alpha", "Weighted", "Mean", "Max",
-                   "S1", "S2", "S3", "S4"});
-  for (const Fig6Entry& e : report.fig6) {
-    fig6.add_row({rm::rm_policy_name(e.policy), rm::perf_model_name(e.model),
-                  format("%.4g", e.qos_alpha), AsciiTable::pct(e.weighted_savings),
-                  AsciiTable::pct(e.mean_savings), AsciiTable::pct(e.max_savings),
-                  AsciiTable::pct(e.scenario_mean_savings[0]),
-                  AsciiTable::pct(e.scenario_mean_savings[1]),
-                  AsciiTable::pct(e.scenario_mean_savings[2]),
-                  AsciiTable::pct(e.scenario_mean_savings[3])});
-  }
-  std::printf("Fig. 6 - energy savings vs the idle baseline:\n");
-  fig6.print();
-
-  AsciiTable fig7({"Policy", "Model", "Alpha", "Violations", "Rate",
-                   "Mean magnitude", "Max magnitude", "Violating mixes"});
-  for (const Fig7Entry& e : report.fig7) {
-    fig7.add_row({rm::rm_policy_name(e.policy), rm::perf_model_name(e.model),
-                  format("%.4g", e.qos_alpha), std::to_string(e.violations),
-                  AsciiTable::pct(e.violation_rate, 2),
-                  AsciiTable::pct(e.mean_magnitude, 2),
-                  AsciiTable::pct(e.max_magnitude, 2),
-                  std::to_string(e.violating_mixes)});
-  }
-  std::printf("\nFig. 7 - QoS violations:\n");
-  fig7.print();
-
-  if (!report.fig9.empty()) {
-    AsciiTable fig9({"Policy", "Model", "Alpha", "Weighted", "Oracle",
-                     "Gap", "Viol rate", "Oracle viol"});
-    for (const Fig9Entry& e : report.fig9) {
-      fig9.add_row({rm::rm_policy_name(e.policy), rm::perf_model_name(e.model),
-                    format("%.4g", e.qos_alpha),
-                    AsciiTable::pct(e.weighted_savings),
-                    AsciiTable::pct(e.oracle_weighted_savings),
-                    AsciiTable::pct(e.weighted_gap),
-                    AsciiTable::pct(e.violation_rate, 2),
-                    AsciiTable::pct(e.oracle_violation_rate, 2)});
-    }
-    std::printf("\nFig. 9 - online models vs the perfect oracle:\n");
-    fig9.print();
-  }
-}
-
-bool parse_report_cli(const CliArgs& args, ReportCliOptions* out,
-                      std::string* error) {
-  const auto fail = [error](std::string message) {
-    if (error != nullptr) *error = std::move(message);
-    return false;
-  };
-
-  static const std::set<std::string> kKnownFlags(
-      std::begin(cli::kReportMainFlags), std::end(cli::kReportMainFlags));
-  for (const std::string& flag : args.flag_names()) {
-    if (!kKnownFlags.count(flag)) {
-      return fail(format("unknown flag --%s (see --help)", flag.c_str()));
-    }
-  }
-
-  *out = ReportCliOptions{};
-  out->parts = args.positional();
-
-  // A bare "--print part.qospart..." swallows the first part path as the
-  // flag's value (CliArgs space form); recognize that and put the path back
-  // where it belongs (same quirk handling as sweep_merge --list).
-  if (args.has("print")) {
-    const std::string value = args.get("print", "true");
-    if (value == "false" || value == "0" || value == "no") {
-      out->print = false;
-    } else {
-      out->print = true;
-      if (value != "true" && value != "1" && value != "yes") {
-        out->parts.insert(out->parts.begin(), value);
-      }
-    }
-  }
-  if (out->parts.empty()) return fail("no part files given (see --help)");
-
-  out->json_path = args.get("json", "");
-  out->fig6_csv = args.get("fig6-csv", "");
-  out->fig7_csv = args.get("fig7-csv", "");
-  out->fig9_csv = args.get("fig9-csv", "");
-  if (!out->print && out->json_path.empty() && out->fig6_csv.empty() &&
-      out->fig7_csv.empty() && out->fig9_csv.empty()) {
-    return fail("no output requested (pass --json, --fig6/7/9-csv or "
-                "--print; see --help)");
-  }
-
-  if (args.has("alphas")) {
-    std::string alpha_error;
-    // try_parse_alphas rejects empty lists and empty entries itself, so a
-    // successful parse always yields at least one value.
-    if (!try_parse_alphas(args.get("alphas", ""), &out->alphas, &alpha_error)) {
-      return fail(alpha_error);
-    }
-  }
-
-  if (args.has("fingerprint")) {
-    const std::string spec = args.get("fingerprint", "");
-    if (spec.empty() || spec.size() > 16 ||
-        spec.find_first_not_of("0123456789abcdefABCDEF") != std::string::npos) {
-      return fail(format("bad --fingerprint value '%s' (want up to 16 hex "
-                         "digits, as printed by sweep_merge --list)",
-                         spec.c_str()));
-    }
-    out->expected_fingerprint =
-        std::strtoull(spec.c_str(), nullptr, 16);
-  }
-  return true;
 }
 
 std::string scenario_label(workload::Scenario s) {

@@ -1,6 +1,6 @@
-// The figure-report subsystem: turns sweep rows (live runs or merged
-// .qospart output) into versioned, byte-stable paper-figure aggregates,
-// plus the paper-style ASCII tables the bench binaries print.
+// The figure-report subsystem: turns sweep rows into versioned,
+// byte-stable paper-figure aggregates, plus the paper-style ASCII tables
+// the bench binaries print.
 //
 // A FigureReport carries the three headline result sets of the paper:
 //   fig6 - per-scenario and scenario-weighted energy savings vs the idle
@@ -10,27 +10,23 @@
 //          the sweep's model axis includes the Perfect oracle)
 //
 // Every report embeds the sweep fingerprint of the rows it was built from
-// (see rmsim/shard.hh), so a report can never be matched against foreign
-// rows: report_main refuses part files whose fingerprint differs from
-// --fingerprint, and the JSON stamp makes any archived report traceable to
-// the exact grid + simulator options + database identity that produced it.
-// Writers emit fixed key order and full-precision ("%.17g") doubles, so
-// equal rows produce byte-identical files regardless of thread or shard
-// count, and commit atomically (tmp + rename) like the .qospart writers.
+// (see sweep_fingerprint in rmsim/sweep.hh), so an archived report is
+// traceable to the exact grid + simulator options + database identity that
+// produced it. Writers emit fixed key order and full-precision ("%.17g")
+// doubles, so equal rows produce byte-identical files regardless of thread
+// count, and commit atomically (tmp + rename).
 #ifndef QOSRM_RMSIM_REPORT_HH
 #define QOSRM_RMSIM_REPORT_HH
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/cli.hh"
 #include "common/table.hh"
 #include "rmsim/interval_sim.hh"
 #include "rmsim/qos_eval.hh"
-#include "rmsim/shard.hh"
+#include "rmsim/service.hh"
 #include "rmsim/sweep.hh"
 
 namespace qosrm::rmsim {
@@ -81,9 +77,7 @@ struct Fig9Entry {
 };
 
 struct FigureReport {
-  /// Sweep fingerprint of the source rows (see sweep_fingerprint). For an
-  /// alpha-filtered report this is still the SOURCE sweep's fingerprint -
-  /// the stamp records provenance, not the filtered sub-grid.
+  /// Sweep fingerprint of the source rows (see sweep_fingerprint).
   std::uint64_t fingerprint = 0;
   GridShape shape{};
   std::array<double, 4> scenario_weights{};
@@ -105,14 +99,6 @@ struct FigureReport {
     const std::vector<SweepRow>& rows, const GridShape& shape,
     std::uint64_t fingerprint, const std::array<double, 4>& weights);
 
-/// Restricts rows to a sub-grid of alpha values (each must appear exactly
-/// in the rows' alpha axis; duplicates rejected). The returned rows keep
-/// grid order with the requested alpha order; *shape gets the filtered
-/// alpha count. nullopt + *error on an unknown or duplicate alpha.
-[[nodiscard]] std::optional<std::vector<SweepRow>> filter_rows_to_alphas(
-    std::vector<SweepRow> rows, GridShape* shape,
-    const std::vector<double>& alphas, std::string* error);
-
 /// The report as a byte-stable JSON document (fixed key order, "%.17g"
 /// doubles, "\n" line ends): equal reports serialize to equal bytes.
 [[nodiscard]] std::string figure_report_json(const FigureReport& report);
@@ -127,9 +113,6 @@ bool write_fig7_csv(const FigureReport& report, const std::string& path,
                     std::string* error);
 bool write_fig9_csv(const FigureReport& report, const std::string& path,
                     std::string* error);
-
-/// Prints the fig6/fig7/fig9 aggregate tables to stdout.
-void print_figure_report(const FigureReport& report);
 
 // Version 2: admission-policy axis (grid "admissions" extent + per-row
 // "admission" and "qos_rejected" fields).
@@ -217,28 +200,6 @@ bool write_service_knee_report_json(const ServiceKneeReport& report,
 /// the figure CSVs. False + *error on the first failing file.
 bool write_knee_curve_csvs(const ServiceKneeReport& report,
                            const std::string& prefix, std::string* error);
-
-/// report_main's parsed+validated command line. Kept as a library type so
-/// the strict validation (unknown flags, bad --alphas lists, malformed
-/// --fingerprint, missing inputs/outputs) is unit-testable without
-/// spawning the binary.
-struct ReportCliOptions {
-  std::vector<std::string> parts;  ///< .qospart inputs, command-line order
-  std::string json_path;
-  std::string fig6_csv;
-  std::string fig7_csv;
-  std::string fig9_csv;
-  std::vector<double> alphas;  ///< empty = keep the full alpha axis
-  std::optional<std::uint64_t> expected_fingerprint;
-  bool print = false;
-};
-
-/// Parses report_main's flags with the same strictness as sweep_main: any
-/// unknown flag, malformed value, missing part input or absent output sink
-/// fails with a diagnostic BEFORE any file is opened. False + *error on
-/// rejection.
-bool parse_report_cli(const CliArgs& args, ReportCliOptions* out,
-                      std::string* error);
 
 /// One row of a savings grid (e.g. paper Fig. 6): a workload with the
 /// savings of several RM variants side by side.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <thread>
 
 #include "common/binary_io.hh"
 #include "common/check.hh"
@@ -573,27 +572,25 @@ ServiceMetrics ServiceEngine::run() {
 
 ServiceMetrics ServiceEngine::metrics() const { return impl_->metrics(); }
 
-std::vector<ServiceRow> run_service_range(const workload::SimDb& db,
-                                          const ServiceGrid& grid,
-                                          const ServiceConfig& config,
-                                          std::size_t begin, std::size_t end,
-                                          const ServiceOptions& options) {
+ServiceResult run_service(const workload::SimDb& db, const ServiceGrid& grid,
+                          const ServiceConfig& config,
+                          const ServiceOptions& options) {
   QOSRM_CHECK_MSG(!grid.patterns.empty(), "service grid has no arrival patterns");
   QOSRM_CHECK_MSG(!grid.loads.empty(), "service grid has no load levels");
   QOSRM_CHECK_MSG(!grid.admissions.empty(),
                   "service grid has no admission policies");
   QOSRM_CHECK_MSG(!grid.policies.empty(), "service grid has no policies");
   QOSRM_CHECK_MSG(!grid.qos_alphas.empty(), "service grid has no qos alphas");
-  QOSRM_CHECK_MSG(begin <= end && end <= grid.size(),
-                  "service row range out of bounds");
 
-  std::vector<ServiceRow> rows(end - begin);
+  ServiceResult result;
+  std::vector<ServiceRow>& rows = result.rows;
+  rows.resize(grid.size());
 
   // Every task writes its own slot, so the result vector is identical for
-  // any thread count (and any [begin, end) slicing across processes).
-  const auto run_point = [&](std::size_t offset) {
-    const ServicePoint point = grid.point(begin + offset);
-    ServiceRow& row = rows[offset];
+  // any thread count.
+  const auto run_point = [&](std::size_t idx) {
+    const ServicePoint point = grid.point(idx);
+    ServiceRow& row = rows[idx];
     row.pattern = point.pattern;
     row.load = point.load;
     row.admission = point.admission;
@@ -604,24 +601,13 @@ std::vector<ServiceRow> run_service_range(const workload::SimDb& db,
     row.metrics = engine.run();
   };
 
-  std::size_t threads =
-      options.threads <= 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : static_cast<std::size_t>(options.threads);
-  if (threads <= 1 || rows.size() <= 1) {
+  const std::size_t threads = pool_threads(options.threads, rows.size());
+  if (threads <= 1) {
     for (std::size_t i = 0; i < rows.size(); ++i) run_point(i);
   } else {
     ThreadPool pool(threads - 1);  // pool workers + the calling thread
     parallel_for(pool, 0, rows.size(), run_point);
   }
-  return rows;
-}
-
-ServiceResult run_service(const workload::SimDb& db, const ServiceGrid& grid,
-                          const ServiceConfig& config,
-                          const ServiceOptions& options) {
-  ServiceResult result;
-  result.rows = run_service_range(db, grid, config, 0, grid.size(), options);
   return result;
 }
 

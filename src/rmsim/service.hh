@@ -15,9 +15,9 @@
 // Metrics are streamed (common/histogram + RunningStats): per run the
 // engine reports tail QoS-violation magnitudes (p50/p95/p99), energy per
 // served application, RM decisions per simulated second and pool occupancy.
-// The {arrival pattern x load x admission x policy x alpha} grid mirrors the
-// sweep's fixed row order, so sharded service runs merge byte-identically
-// (rmsim/shard.hh).
+// The {arrival pattern x load x admission x policy x alpha} grid has a
+// fixed row order like the sweep's, so the rows are byte-identical for any
+// thread count.
 //
 // Everything is deterministic from the seed: one Rng stream per grid point
 // (derived from the base seed and the point's pattern/load, so all policies
@@ -214,23 +214,17 @@ struct ServiceOptions {
   int threads = 0;  ///< 0 = hardware concurrency
 };
 
-/// Executes rows [begin, end) of the expanded grid in grid row order - the
-/// shard-worker primitive. Rows land at fixed slots, so the result is
-/// bit-identical for any thread count and any [begin, end) slicing.
-[[nodiscard]] std::vector<ServiceRow> run_service_range(
-    const workload::SimDb& db, const ServiceGrid& grid,
-    const ServiceConfig& config, std::size_t begin, std::size_t end,
-    const ServiceOptions& options = {});
-
-/// Expands and executes the whole grid.
+/// Expands and executes the whole grid on `options.threads` workers (capped
+/// at the row count). Rows land at fixed slots in grid order, so the result
+/// is bit-identical for any thread count.
 [[nodiscard]] ServiceResult run_service(const workload::SimDb& db,
                                         const ServiceGrid& grid,
                                         const ServiceConfig& config,
                                         const ServiceOptions& options = {});
 
 /// Identity of one service sweep: hashes the database fingerprint, every
-/// grid axis and every ServiceConfig field. Two processes agree on this iff
-/// they produce bit-identical rows for equal row indices.
+/// grid axis and every ServiceConfig field. Two runs agree on this iff they
+/// produce bit-identical rows; service and knee reports are stamped with it.
 [[nodiscard]] std::uint64_t service_fingerprint(const ServiceGrid& grid,
                                                 const ServiceConfig& config,
                                                 std::uint64_t db_fingerprint);

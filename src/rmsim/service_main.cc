@@ -16,37 +16,20 @@
 // p99-violation curve per {pattern x admission x policy x alpha} and marks
 // the knee: the first load whose p99 Eq. 6 magnitude crosses
 // --knee-threshold (rmsim/report.hh, build_service_knee_report).
-//
-// Three execution modes, mirroring sweep_main:
-//   (default)     run the whole grid in this process
-//   --shard=i/N   worker: run only shard i's row range and write a part
-//                 file (--part-output) for a later merge
-//   --workers=N   orchestrator: fork/exec N shard workers of this binary,
-//                 wait, merge their parts and write the same outputs as a
-//                 single-process run (byte-identical)
-#include <unistd.h>
-
-#include <algorithm>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/cli.hh"
 #include "common/file_util.hh"
-#include "common/str.hh"
-#include "common/subprocess.hh"
+#include "common/thread_pool.hh"
 #include "power/power_model.hh"
 #include "rmsim/cli_flags.hh"
 #include "rmsim/report.hh"
 #include "rmsim/service.hh"
-#include "rmsim/shard.hh"
 #include "rmsim/sweep.hh"
 #include "workload/arrival_gen.hh"
 #include "workload/db_io.hh"
@@ -100,57 +83,7 @@ void print_usage() {
       "                     file exists (a stale/corrupt snapshot is an\n"
       "                     error), otherwise characterize and save it; a\n"
       "                     directory selects <dir>/suite-c<cores>.qosdb\n"
-      "                     (same layout as the benches)\n"
-      "multi-process sharding:\n"
-      "  --shard=I/N        worker mode: run only rows of shard I of N and\n"
-      "                     write them to --part-output instead of CSV\n"
-      "  --part-output=PATH part file this worker writes (requires --shard)\n"
-      "  --workers=N        orchestrator mode: fork N --shard workers of\n"
-      "                     this binary, merge their parts, write the CSVs\n"
-      "  --parts-dir=DIR    where the orchestrator keeps part files\n"
-      "                     (default: next to --rows-csv)\n"
-      "  --resume           orchestrator: skip shards whose part file is\n"
-      "                     already complete and matching; re-run the rest\n"
-      "  --keep-parts       orchestrator: keep part files after the merge\n"
-      "                     (default: removed on success)");
-}
-
-std::string self_exe_path(const char* argv0) {
-  // /proc/self/exe survives PATH-relative invocation and cwd changes;
-  // argv[0] is the fallback on exotic systems.
-  std::error_code ec;
-  const std::filesystem::path self =
-      std::filesystem::read_symlink("/proc/self/exe", ec);
-  return ec ? std::string(argv0) : self.string();
-}
-
-/// Everything both the orchestrator and its workers must agree on, parsed
-/// and validated once, before any expensive work.
-struct ServiceSetup {
-  int cores = 16;
-  int bw_shares = 1;  ///< baseline memory-bandwidth shares per core
-  int threads = 0;
-  std::string arrivals_spec;
-  std::string load_spec;
-  std::string admissions_spec;
-  std::string policies_spec;
-  std::string model_spec;
-  std::string alphas_spec;
-  std::string db_cache;  ///< resolved path ("" = no cache)
-  rmsim::ServiceGrid grid;
-  rmsim::ServiceConfig config;
-};
-
-/// The grid+config fingerprint every process must agree on. Computable
-/// without building the database: the db identity is itself a fingerprint
-/// of (suite, system, phase options).
-std::uint64_t setup_fingerprint(const ServiceSetup& setup) {
-  qosrm::arch::SystemConfig system;
-  system.cores = setup.cores;
-  system.bw = qosrm::arch::bw_config_for_shares(setup.bw_shares);
-  const std::uint64_t db_fp = workload::simdb_fingerprint(
-      workload::spec_suite(), system, workload::PhaseStatsOptions{});
-  return rmsim::service_fingerprint(setup.grid, setup.config, db_fp);
+      "                     (same layout as the benches)");
 }
 
 void print_rows(const std::vector<rmsim::ServiceRow>& rows) {
@@ -222,7 +155,7 @@ bool write_knee_outputs(const std::vector<rmsim::ServiceRow>& rows,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const qosrm::CliArgs args(argc, argv, {"help", "resume", "keep-parts"});
+  const qosrm::CliArgs args(argc, argv, {"help"});
   if (args.has("help")) {
     print_usage();
     return 0;
@@ -247,62 +180,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Mode flags first: every invalid --shard/--workers combination must fail
-  // here, before the multi-second database build (same fail-before-
-  // expensive-work rule as the grid and output-path checks below).
-  const bool worker_mode = args.has("shard") || args.has("part-output");
-  const bool orchestrate = args.has("workers");
-  if (args.has("shard") != args.has("part-output")) {
-    std::fprintf(stderr,
-                 "--shard and --part-output must be given together (a shard "
-                 "worker writes a part file, not CSV)\n");
-    return 1;
-  }
-  if (worker_mode && orchestrate) {
-    std::fprintf(stderr,
-                 "--shard and --workers are mutually exclusive (a worker "
-                 "runs one shard; the orchestrator forks the workers)\n");
-    return 1;
-  }
-  if (worker_mode &&
-      (args.has("rows-csv") || args.has("report-json") ||
-       args.has("knee-report") || args.has("knee-threshold") ||
-       args.has("knee-csv-prefix"))) {
-    std::fprintf(stderr,
-                 "--rows-csv/--report-json/--knee-report/--knee-threshold/"
-                 "--knee-csv-prefix do not apply in --shard worker mode (the "
-                 "merge step writes the outputs)\n");
-    return 1;
-  }
-  if (!orchestrate &&
-      (args.has("resume") || args.has("parts-dir") || args.has("keep-parts"))) {
-    std::fprintf(stderr,
-                 "--resume/--parts-dir/--keep-parts require --workers\n");
-    return 1;
-  }
-  qosrm::ShardArg shard;
-  if (worker_mode) {
-    const std::optional<qosrm::ShardArg> parsed =
-        qosrm::parse_shard_arg(args.get("shard", ""));
-    if (!parsed.has_value()) {
-      std::fprintf(stderr,
-                   "bad --shard value '%s' (want I/N with 0 <= I < N)\n",
-                   args.get("shard", "").c_str());
-      return 1;
-    }
-    shard = *parsed;
-  }
-  const int workers = static_cast<int>(args.get_int("workers", 0));
-  if (orchestrate && workers < 1) {
-    std::fprintf(stderr, "--workers must be >= 1\n");
-    return 1;
-  }
-
-  ServiceSetup setup;
-  setup.cores = static_cast<int>(args.get_int("cores", 16));
-  setup.bw_shares = static_cast<int>(args.get_int("bw-shares", 1));
-  setup.threads = static_cast<int>(args.get_int("threads", 0));
-  if (setup.bw_shares < 1) {
+  const int cores = static_cast<int>(args.get_int("cores", 16));
+  const int bw_shares = static_cast<int>(args.get_int("bw-shares", 1));
+  const int threads = static_cast<int>(args.get_int("threads", 0));
+  if (bw_shares < 1) {
     std::fprintf(stderr, "--bw-shares must be >= 1\n");
     return 1;
   }
@@ -310,7 +191,7 @@ int main(int argc, char** argv) {
   const int demand_min = static_cast<int>(args.get_int("demand-min", 40));
   const int demand_max = static_cast<int>(args.get_int("demand-max", 160));
   const long long queue_cap = args.get_int("queue-cap", 4096);
-  if (setup.cores < 1 || setup.threads < 0 || num_arrivals < 1) {
+  if (cores < 1 || threads < 0 || num_arrivals < 1) {
     std::fprintf(stderr,
                  "--cores/--num-arrivals must be >= 1 and --threads >= 0\n");
     return 1;
@@ -325,11 +206,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--queue-cap must be >= 1\n");
     return 1;
   }
-  setup.config.arrivals = static_cast<std::size_t>(num_arrivals);
-  setup.config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2020));
-  setup.config.demand_min = demand_min;
-  setup.config.demand_max = demand_max;
-  setup.config.queue_capacity = static_cast<std::size_t>(queue_cap);
+  rmsim::ServiceConfig config;
+  config.arrivals = static_cast<std::size_t>(num_arrivals);
+  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2020));
+  config.demand_min = demand_min;
+  config.demand_max = demand_max;
+  config.queue_capacity = static_cast<std::size_t>(queue_cap);
 
   // Parse the grid flags up front: a bad value should fail immediately, not
   // after the multi-second database characterization. The list parsers
@@ -339,26 +221,22 @@ int main(int argc, char** argv) {
                  "--load and --loads are aliases; give only one of them\n");
     return 1;
   }
-  setup.arrivals_spec = args.get("arrivals", "poisson");
-  setup.load_spec = args.get("load", args.get("loads", "0.8"));
-  setup.admissions_spec = args.get("admission", "fifo");
-  setup.policies_spec = args.get("policies", "idle,rm1,rm2,rm3");
-  setup.model_spec = args.get("model", "model3");
-  setup.alphas_spec = args.get("alphas", "0");
-  setup.grid.patterns = workload::parse_arrival_patterns(setup.arrivals_spec);
-  setup.grid.loads = rmsim::parse_loads(setup.load_spec);
-  setup.grid.admissions = rmsim::parse_admissions(setup.admissions_spec);
-  setup.grid.policies = rmsim::parse_policies(setup.policies_spec);
-  setup.grid.qos_alphas = rmsim::parse_alphas(setup.alphas_spec);
+  rmsim::ServiceGrid grid;
+  grid.patterns =
+      workload::parse_arrival_patterns(args.get("arrivals", "poisson"));
+  grid.loads = rmsim::parse_loads(args.get("load", args.get("loads", "0.8")));
+  grid.admissions = rmsim::parse_admissions(args.get("admission", "fifo"));
+  grid.policies = rmsim::parse_policies(args.get("policies", "idle,rm1,rm2,rm3"));
+  grid.qos_alphas = rmsim::parse_alphas(args.get("alphas", "0"));
   const std::vector<qosrm::rm::PerfModelKind> models =
-      rmsim::parse_models(setup.model_spec);
+      rmsim::parse_models(args.get("model", "model3"));
   if (models.size() != 1) {
     std::fprintf(stderr,
                  "--model must name exactly one performance model (the "
                  "service grid sweeps patterns/loads/policies/alphas)\n");
     return 1;
   }
-  setup.config.model = models.front();
+  config.model = models.front();
 
   // Probe the output paths too: a bad path should fail here, before the
   // multi-second database build, not after the run. Each probe touches
@@ -382,42 +260,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--knee-threshold must be > 0\n");
     return 1;
   }
-  const std::string part_output = args.get("part-output", "");
-  // Orchestrator part files live next to the rows CSV unless --parts-dir
-  // says otherwise; the prefix keeps the sharding self-describing
-  // ("<prefix>.<i>-of-<n>.qospart").
-  std::string parts_prefix;
-  if (orchestrate) {
-    const std::string parts_dir = args.get("parts-dir", "");
-    if (parts_dir.empty()) {
-      parts_prefix = rows_csv;
-    } else {
-      parts_prefix =
-          (std::filesystem::path(parts_dir) /
-           std::filesystem::path(rows_csv).filename())
-              .string();
-    }
-  }
 
-  std::vector<std::string> probe_paths;
-  if (worker_mode) {
-    probe_paths.push_back(part_output);
-  } else {
-    probe_paths.push_back(rows_csv);
-    if (!report_json.empty()) probe_paths.push_back(report_json);
-    if (!knee_report.empty()) probe_paths.push_back(knee_report);
-    if (!knee_csv_prefix.empty()) {
-      for (const workload::ArrivalPattern pattern : setup.grid.patterns) {
-        probe_paths.push_back(knee_csv_prefix +
-                              workload::arrival_pattern_name(pattern) + ".csv");
-      }
-    }
-    if (orchestrate) {
-      for (int i = 0; i < workers; ++i) {
-        probe_paths.push_back(rmsim::part_path(
-            parts_prefix, static_cast<std::size_t>(i),
-            static_cast<std::size_t>(workers)));
-      }
+  std::vector<std::string> probe_paths = {rows_csv};
+  if (!report_json.empty()) probe_paths.push_back(report_json);
+  if (!knee_report.empty()) probe_paths.push_back(knee_report);
+  if (!knee_csv_prefix.empty()) {
+    for (const workload::ArrivalPattern pattern : grid.patterns) {
+      probe_paths.push_back(knee_csv_prefix +
+                            workload::arrival_pattern_name(pattern) + ".csv");
     }
   }
   for (const std::string& path : probe_paths) {
@@ -430,347 +280,71 @@ int main(int argc, char** argv) {
 
   // --db-cache: decide hit/miss now, and on a miss probe writability, so a
   // bad path fails here instead of after the multi-second database build.
-  // The probe uses a uniquely named sibling file, never the cache path
-  // itself: concurrent shards must not see a transient decoy snapshot, nor
-  // have a just-written real one deleted from under them.
-  setup.db_cache = args.get("db-cache", "");
-  bool db_cache_hit = false;
-  if (!setup.db_cache.empty()) {
-    // A directory means the shared per-core-count layout the benches and
-    // QOSRM_DB_CACHE_DIR use; resolve it the same way.
-    std::error_code ec;
-    if (std::filesystem::is_directory(setup.db_cache, ec)) {
-      setup.db_cache = workload::db_cache_path(setup.db_cache, setup.cores,
-                                               setup.bw_shares);
-    }
-    std::ifstream rprobe(setup.db_cache, std::ios::binary);
-    db_cache_hit = rprobe.good();
-    if (!db_cache_hit) {
-      const std::string probe_path = setup.db_cache + ".probe." +
-                                     std::to_string(static_cast<long>(::getpid()));
-      std::ofstream wprobe(probe_path, std::ios::trunc);
-      if (!wprobe.good()) {
-        std::fprintf(stderr, "--db-cache: cannot write to %s\n",
-                     setup.db_cache.c_str());
-        return 1;
-      }
-      wprobe.close();
-      std::remove(probe_path.c_str());
-    }
+  std::string error;
+  const std::optional<workload::DbCache> db_cache = workload::resolve_db_cache(
+      args.get("db-cache", ""), cores, bw_shares, &error);
+  if (!db_cache.has_value()) {
+    std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
+    return 1;
   }
 
   const workload::SpecSuite& suite = workload::spec_suite();
   qosrm::arch::SystemConfig system;
-  system.cores = setup.cores;
-  system.bw = qosrm::arch::bw_config_for_shares(setup.bw_shares);
+  system.cores = cores;
+  system.bw = qosrm::arch::bw_config_for_shares(bw_shares);
   const qosrm::power::PowerModel power;
 
-  workload::SimDbOptions db_options;
-  db_options.threads = setup.threads;
-
-  // ---------------------------------------------------------------------
-  // Orchestrator mode: fork shard workers, merge their parts, write CSVs.
-  // ---------------------------------------------------------------------
-  if (orchestrate) {
-    const auto n = static_cast<std::size_t>(workers);
-    const std::uint64_t fingerprint = setup_fingerprint(setup);
-    const rmsim::ServiceGridShape shape = setup.grid.shape();
-
-    // Which shards still need to run? Without --resume: all of them
-    // (workers atomically overwrite any stale part). Computed BEFORE any
-    // database work - it needs only the fingerprint and shape, and a
-    // resume where every part is already complete must go straight to the
-    // merge without paying a characterization or snapshot load.
-    std::vector<std::size_t> pending;
-    if (args.get_bool("resume", false)) {
-      pending =
-          rmsim::service_shards_to_run(parts_prefix, n, fingerprint, shape);
-      std::printf("resume: %zu of %zu shards already complete\n",
-                  n - pending.size(), n);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) pending.push_back(i);
-    }
-
-    // The database must be characterized once, here, not N times by the
-    // forked workers. With --db-cache a present-but-stale snapshot is a
-    // hard error, matching the single-process contract; without --db-cache
-    // the orchestrator builds a temporary snapshot next to the parts and
-    // hands it to the workers, then removes it after the run.
-    const auto t_db = Clock::now();
-    bool temp_db = false;
-    const auto cleanup_temp_db = [&]() {
-      if (temp_db) std::remove(setup.db_cache.c_str());
-    };
-    if (!pending.empty()) {
-      if (setup.db_cache.empty()) {
-        temp_db = true;
-        setup.db_cache = parts_prefix + ".shared.qosdb";
-        std::remove(setup.db_cache.c_str());  // never trust a stale leftover
-        db_cache_hit = false;
-      }
-      std::string error;
-      if (db_cache_hit) {
-        if (!workload::load_simdb(suite, system, power, db_options.phase,
-                                  setup.db_cache, &error)
-                 .has_value()) {
-          std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
-          return 1;
-        }
-      } else {
-        std::printf("characterizing %d-app suite for %d cores (shared by all "
-                    "workers)...\n",
-                    suite.size(), setup.cores);
-        const workload::SimDb db(suite, system, power, db_options);
-        if (!workload::save_simdb(db, setup.db_cache, &error)) {
-          std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
-          cleanup_temp_db();
-          return 1;
-        }
-        std::printf("saved simulation database snapshot to %s\n",
-                    setup.db_cache.c_str());
-      }
-    }
-
-    const unsigned total_threads =
-        setup.threads > 0 ? static_cast<unsigned>(setup.threads)
-                          : std::max(1u, std::thread::hardware_concurrency());
-    const unsigned worker_threads = std::max(1u, total_threads / std::max(
-        1u, static_cast<unsigned>(pending.size())));
-
-    std::printf("serving %zu runs across %d shard workers (%u threads "
-                "each)...\n",
-                setup.grid.size(), workers, worker_threads);
-
-    const std::string exe = self_exe_path(argv[0]);
-    const auto t_run = Clock::now();
-
-    struct Worker {
-      std::size_t shard = 0;
-      std::vector<std::string> argv;
-      qosrm::Subprocess process;
-    };
-    std::vector<Worker> spawned;
-    spawned.reserve(pending.size());
-    for (const std::size_t i : pending) {
-      Worker worker;
-      worker.shard = i;
-      worker.argv = {
-          exe,
-          qosrm::format("--cores=%d", setup.cores),
-          qosrm::format("--bw-shares=%d", setup.bw_shares),
-          qosrm::format("--num-arrivals=%zu", setup.config.arrivals),
-          qosrm::format("--seed=%llu",
-                        static_cast<unsigned long long>(setup.config.seed)),
-          "--arrivals=" + setup.arrivals_spec,
-          "--load=" + setup.load_spec,
-          "--admission=" + setup.admissions_spec,
-          "--policies=" + setup.policies_spec,
-          "--model=" + setup.model_spec,
-          "--alphas=" + setup.alphas_spec,
-          qosrm::format("--demand-min=%d", setup.config.demand_min),
-          qosrm::format("--demand-max=%d", setup.config.demand_max),
-          qosrm::format("--queue-cap=%zu", setup.config.queue_capacity),
-          qosrm::format("--threads=%u", worker_threads),
-          qosrm::format("--shard=%zu/%zu", i, n),
-          "--part-output=" + rmsim::part_path(parts_prefix, i, n),
-      };
-      if (!setup.db_cache.empty()) {
-        worker.argv.push_back("--db-cache=" + setup.db_cache);
-      }
-      worker.process = qosrm::Subprocess::spawn(worker.argv);
-      spawned.push_back(std::move(worker));
-    }
-
-    // Fail fast: workers are reaped in COMPLETION order (wait_any), so the
-    // first failure - whichever shard it strikes - immediately terminates
-    // the rest instead of hiding behind long-running earlier shards. The
-    // diagnostic names the shard, its fate and its exact command line so
-    // the operator can re-run just that shard by hand. Shards we cancelled
-    // ourselves get one short line, not a failure diagnostic of their own -
-    // the actionable failure must stay visible.
-    bool failed = false;
-    const auto handle_exit = [&](const Worker& worker,
-                                 const qosrm::SubprocessExit& exit) {
-      if (exit.success()) return;
-      if (failed && exit.term_signal == SIGTERM) {
-        std::fprintf(stderr, "shard %zu/%zu cancelled\n", worker.shard, n);
-        return;
-      }
-      if (!failed) {
-        failed = true;
-        for (Worker& other : spawned) other.process.terminate();
-      }
-      std::string cmd;
-      for (const std::string& arg : worker.argv) {
-        if (!cmd.empty()) cmd += ' ';
-        cmd += arg;
-      }
-      std::fprintf(stderr, "shard %zu/%zu failed (%s): %s\n", worker.shard, n,
-                   describe(exit).c_str(), cmd.c_str());
-    };
-
-    std::vector<qosrm::Subprocess*> processes;
-    processes.reserve(spawned.size());
-    for (Worker& worker : spawned) {
-      processes.push_back(&worker.process);
-      // A fork that failed outright never enters wait_any.
-      if (!worker.process.running()) handle_exit(worker, worker.process.wait());
-    }
-    for (;;) {
-      const std::optional<std::size_t> done =
-          qosrm::Subprocess::wait_any(processes);
-      if (!done.has_value()) break;
-      handle_exit(spawned[*done], spawned[*done].process.wait());
-    }
-    if (failed) {
-      std::fprintf(stderr,
-                   "service run aborted; completed parts are kept - re-run "
-                   "with --resume to redo only the failed shards\n");
-      cleanup_temp_db();
-      return 1;
-    }
-
-    // Merge. Every part must match the fingerprint this orchestrator
-    // computed - a worker that somehow ran a different grid is caught here.
-    std::vector<std::string> part_files;
-    part_files.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      part_files.push_back(rmsim::part_path(parts_prefix, i, n));
-    }
-    std::string error;
-    std::optional<std::vector<rmsim::ServiceRow>> merged =
-        rmsim::merge_service_part_files(part_files, &fingerprint, &error);
-    if (!merged.has_value()) {
-      std::fprintf(stderr, "merge: %s\n", error.c_str());
-      cleanup_temp_db();
-      return 1;
-    }
-    const auto t_done = Clock::now();
-    const std::vector<rmsim::ServiceRow>& rows = *merged;
-    cleanup_temp_db();
-
-    rmsim::write_service_csv(rows, rows_csv);
-    std::printf("wrote %zu rows to %s\n", rows.size(), rows_csv.c_str());
-    if (!report_json.empty() &&
-        !write_report(rows, shape, fingerprint, report_json)) {
-      return 1;
-    }
-    if (!knee_report.empty() &&
-        !write_knee_outputs(rows, shape, fingerprint, knee_report,
-                            knee_threshold, knee_csv_prefix)) {
-      return 1;
-    }
-    if (!args.get_bool("keep-parts", false)) {
-      for (std::size_t i = 0; i < n; ++i) {
-        std::remove(rmsim::part_path(parts_prefix, i, n).c_str());
-      }
-    }
-
-    print_rows(rows);
-    std::printf("\ndb prep %.2fs, service+merge %.2fs (%d workers)\n",
-                secs(t_db, t_run), secs(t_run, t_done), workers);
-    return 0;
-  }
-
-  // ---------------------------------------------------------------------
-  // Single-process grid execution: the whole grid (default mode) or one
-  // shard's row range (--shard worker mode).
-  // ---------------------------------------------------------------------
   const auto t_db = Clock::now();
-  std::optional<workload::SimDb> db_storage;
-  if (db_cache_hit) {
+  if (db_cache->hit) {
     std::printf("loading simulation database from %s...\n",
-                setup.db_cache.c_str());
-    std::string error;
-    db_storage = workload::load_simdb(suite, system, power, db_options.phase,
-                                      setup.db_cache, &error);
-    if (!db_storage.has_value()) {
-      std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
-      return 1;
-    }
+                db_cache->path.c_str());
   } else {
     std::printf("characterizing %d-app suite for %d cores...\n", suite.size(),
-                setup.cores);
-    db_storage.emplace(suite, system, power, db_options);
-    if (!setup.db_cache.empty()) {
-      std::string error;
-      if (!workload::save_simdb(*db_storage, setup.db_cache, &error)) {
-        std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
-        return 1;
-      }
-      std::printf("saved simulation database snapshot to %s\n",
-                  setup.db_cache.c_str());
-    }
+                cores);
   }
-  const workload::SimDb& db = *db_storage;
+  workload::SimDbOptions db_options;
+  db_options.threads = threads;
+  const std::optional<workload::SimDb> db = workload::load_or_build_simdb(
+      *db_cache, suite, system, power, db_options, &error);
+  if (!db.has_value()) {
+    std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
+    return 1;
+  }
+  if (!db_cache->hit && !db_cache->path.empty()) {
+    std::printf("saved simulation database snapshot to %s\n",
+                db_cache->path.c_str());
+  }
 
   rmsim::ServiceOptions options;
-  options.threads = setup.threads;
-  const unsigned resolved_threads =
-      setup.threads > 0 ? static_cast<unsigned>(setup.threads)
-                        : std::max(1u, std::thread::hardware_concurrency());
-
-  if (worker_mode) {
-    const std::uint64_t db_fp = workload::simdb_fingerprint(
-        db.suite(), db.system(), db.phase_options());
-    rmsim::ServicePart part;
-    part.fingerprint =
-        rmsim::service_fingerprint(setup.grid, setup.config, db_fp);
-    part.shape = setup.grid.shape();
-    part.shard_index = shard.index;
-    part.shard_count = shard.count;
-    part.range =
-        rmsim::shard_range(setup.grid.size(), shard.index, shard.count);
-
-    std::printf("shard %zu/%zu: serving rows [%zu, %zu) of %zu on %u "
-                "threads...\n",
-                shard.index, shard.count, part.range.begin, part.range.end,
-                setup.grid.size(), resolved_threads);
-    const auto t_run = Clock::now();
-    part.rows = rmsim::run_service_range(db, setup.grid, setup.config,
-                                         part.range.begin, part.range.end,
-                                         options);
-    const auto t_done = Clock::now();
-
-    std::string error;
-    if (!rmsim::save_service_part(part, part_output, &error)) {
-      std::fprintf(stderr, "--part-output: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("wrote %zu rows to %s\n", part.rows.size(),
-                part_output.c_str());
-    std::printf("db %s %.2fs, service %.2fs\n", db_cache_hit ? "load" : "build",
-                secs(t_db, t_run), secs(t_run, t_done));
-    return 0;
-  }
-
+  options.threads = threads;
   std::printf("serving %zu runs (%zu patterns x %zu loads x %zu admissions x "
-              "%zu policies x %zu alphas) on %u threads...\n",
-              setup.grid.size(), setup.grid.patterns.size(),
-              setup.grid.loads.size(), setup.grid.admissions.size(),
-              setup.grid.policies.size(), setup.grid.qos_alphas.size(),
-              resolved_threads);
+              "%zu policies x %zu alphas) on %zu threads...\n",
+              grid.size(), grid.patterns.size(), grid.loads.size(),
+              grid.admissions.size(), grid.policies.size(),
+              grid.qos_alphas.size(), qosrm::pool_threads(threads, grid.size()));
   const auto t_run = Clock::now();
   const rmsim::ServiceResult result =
-      rmsim::run_service(db, setup.grid, setup.config, options);
+      rmsim::run_service(*db, grid, config, options);
   const auto t_done = Clock::now();
 
   rmsim::write_service_csv(result.rows, rows_csv);
   std::printf("wrote %zu rows to %s\n", result.rows.size(), rows_csv.c_str());
+  const std::uint64_t fingerprint = rmsim::service_fingerprint(
+      grid, config,
+      workload::simdb_fingerprint(db->suite(), db->system(),
+                                  db->phase_options()));
   if (!report_json.empty() &&
-      !write_report(result.rows, setup.grid.shape(), setup_fingerprint(setup),
-                    report_json)) {
+      !write_report(result.rows, grid.shape(), fingerprint, report_json)) {
     return 1;
   }
   if (!knee_report.empty() &&
-      !write_knee_outputs(result.rows, setup.grid.shape(),
-                          setup_fingerprint(setup), knee_report,
+      !write_knee_outputs(result.rows, grid.shape(), fingerprint, knee_report,
                           knee_threshold, knee_csv_prefix)) {
     return 1;
   }
 
   print_rows(result.rows);
-  std::printf("\ndb %s %.2fs, service %.2fs\n", db_cache_hit ? "load" : "build",
+  std::printf("\ndb %s %.2fs, service %.2fs\n", db_cache->hit ? "load" : "build",
               secs(t_db, t_run), secs(t_run, t_done));
   return 0;
 }

@@ -1,12 +1,11 @@
 #include "rmsim/sweep.hh"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
-#include <thread>
 
+#include "common/binary_io.hh"
 #include "common/check.hh"
 #include "common/csv.hh"
 #include "common/str.hh"
@@ -17,15 +16,11 @@ namespace qosrm::rmsim {
 SweepRunner::SweepRunner(const workload::SimDb& db, const SweepOptions& options)
     : db_(&db), opt_(options) {}
 
-std::vector<SweepRow> SweepRunner::run_range(const SweepGrid& grid,
-                                             std::size_t begin, std::size_t end,
-                                             std::size_t* idle_computations) {
+SweepResult SweepRunner::run(const SweepGrid& grid) {
   QOSRM_CHECK_MSG(!grid.mixes.empty(), "sweep grid has no workload mixes");
   QOSRM_CHECK_MSG(!grid.policies.empty(), "sweep grid has no policies");
   QOSRM_CHECK_MSG(!grid.models.empty(), "sweep grid has no perf models");
   QOSRM_CHECK_MSG(!grid.qos_alphas.empty(), "sweep grid has no qos alphas");
-  QOSRM_CHECK_MSG(begin <= end && end <= grid.size(),
-                  "sweep row range out of bounds");
 
   // One runner per qos_alpha (the alpha lives in the simulator options);
   // each runner's compute-once cache is shared by every worker thread, so
@@ -42,13 +37,12 @@ std::vector<SweepRow> SweepRunner::run_range(const SweepGrid& grid,
   const std::size_t n_pol = grid.policies.size();
   const std::size_t n_mod = grid.models.size();
 
-  std::vector<SweepRow> rows(end - begin);
+  SweepResult out;
+  out.rows.resize(grid.size());
 
   // Row index decomposes mix-minor / alpha-major; every task writes its own
-  // slot, so the result vector is identical for any thread count (and any
-  // [begin, end) slicing across worker processes).
-  const auto run_point = [&](std::size_t offset) {
-    const std::size_t idx = begin + offset;
+  // slot, so the result vector is identical for any thread count.
+  const auto run_point = [&](std::size_t idx) {
     std::size_t rest = idx;
     const std::size_t mi = rest % n_mix;
     rest /= n_mix;
@@ -58,7 +52,7 @@ std::vector<SweepRow> SweepRunner::run_range(const SweepGrid& grid,
     const std::size_t ai = rest / n_mod;
 
     const workload::WorkloadMix& mix = grid.mixes[mi];
-    SweepRow& row = rows[offset];
+    SweepRow& row = out.rows[idx];
     row.workload = mix.name;
     row.scenario = mix.scenario;
     row.policy = grid.policies[pi];
@@ -79,31 +73,54 @@ std::vector<SweepRow> SweepRunner::run_range(const SweepGrid& grid,
     row.result = runners[ai]->run(mix, config, &scratch);
   };
 
-  std::size_t threads = opt_.threads <= 0
-                            ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-                            : static_cast<std::size_t>(opt_.threads);
+  const std::size_t threads = pool_threads(opt_.threads, out.rows.size());
   if (threads <= 1) {
-    for (std::size_t i = 0; i < rows.size(); ++i) run_point(i);
+    for (std::size_t i = 0; i < out.rows.size(); ++i) run_point(i);
   } else {
     ThreadPool pool(threads - 1);  // pool workers + the calling thread
-    parallel_for(pool, 0, rows.size(), run_point);
+    parallel_for(pool, 0, out.rows.size(), run_point);
   }
 
-  if (idle_computations != nullptr) {
-    *idle_computations = 0;
-    for (const auto& runner : runners) {
-      *idle_computations += runner->idle_computations();
-    }
+  for (const auto& runner : runners) {
+    out.idle_computations += runner->idle_computations();
   }
-  return rows;
-}
-
-SweepResult SweepRunner::run(const SweepGrid& grid) {
-  SweepResult out;
-  out.rows = run_range(grid, 0, grid.size(), &out.idle_computations);
   out.aggregates = compute_aggregates(out.rows, grid.shape(),
                                       scenario_weights(db_->suite()));
   return out;
+}
+
+std::uint64_t sweep_fingerprint(const SweepGrid& grid, const SimOptions& sim,
+                                std::uint64_t db_fingerprint) {
+  Fnv1a64 h;
+  h.add_u32(1);  // sweep fingerprint schema version
+  h.add_u64(db_fingerprint);
+
+  h.add_u64(grid.mixes.size());
+  for (const workload::WorkloadMix& mix : grid.mixes) {
+    h.add_string(mix.name);
+    h.add_u32(static_cast<std::uint32_t>(mix.scenario));
+    h.add_u64(mix.app_ids.size());
+    for (const int app : mix.app_ids) h.add_i64(app);
+  }
+  h.add_u64(grid.policies.size());
+  for (const rm::RmPolicy p : grid.policies) {
+    h.add_u32(static_cast<std::uint32_t>(p));
+  }
+  h.add_u64(grid.models.size());
+  for (const rm::PerfModelKind m : grid.models) {
+    h.add_u32(static_cast<std::uint32_t>(m));
+  }
+  h.add_u64(grid.qos_alphas.size());
+  for (const double a : grid.qos_alphas) h.add_f64(a);
+
+  h.add_u32(sim.model_overheads ? 1u : 0u);
+  h.add_f64(sim.overheads.instr_base);
+  h.add_f64(sim.overheads.instr_per_op);
+  h.add_f64(sim.overheads.dvfs.time_s);
+  h.add_f64(sim.overheads.dvfs.energy_j);
+  h.add_f64(sim.qos_epsilon);
+  h.add_f64(sim.qos_alpha_override);
+  return h.digest();
 }
 
 std::vector<SweepAggregate> compute_aggregates(

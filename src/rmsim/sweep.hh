@@ -1,7 +1,7 @@
 // Parallel policy-sweep subsystem.
 //
 // Expands a {RmPolicy x PerfModelKind x qos_alpha} x WorkloadMix grid and
-// shards the runs across a ThreadPool. Rows land at fixed grid positions, so
+// spreads the runs across a ThreadPool. Rows land at fixed grid positions, so
 // the output is byte-identical regardless of thread count. Each workload's
 // idle-RM reference is simulated exactly once per qos_alpha thanks to the
 // compute-once cache inside ExperimentRunner (one runner per alpha, shared
@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -20,8 +21,7 @@ namespace qosrm::rmsim {
 
 /// Extent of an expanded grid along each axis. Together with the grid's row
 /// order (alpha-major, mix-minor) this is enough to recompute aggregates
-/// from a flat row vector, so mergers of sharded sweeps don't need the grid
-/// itself.
+/// and figure reports from a flat row vector.
 struct GridShape {
   std::size_t mixes = 0;
   std::size_t policies = 0;
@@ -90,26 +90,27 @@ class SweepRunner {
  public:
   SweepRunner(const workload::SimDb& db, const SweepOptions& options = {});
 
-  /// Expands and executes the grid on `options.threads` workers.
+  /// Expands and executes the grid on `options.threads` workers (capped at
+  /// the row count). The rows are bit-identical for any thread count.
   [[nodiscard]] SweepResult run(const SweepGrid& grid);
-
-  /// Executes only rows [begin, end) of the expanded grid, in grid row
-  /// order - the shard-worker primitive. The returned rows are bit-identical
-  /// to the same slice of run().rows for any thread count. `idle_computations`
-  /// (optional) receives the number of idle references actually simulated.
-  [[nodiscard]] std::vector<SweepRow> run_range(
-      const SweepGrid& grid, std::size_t begin, std::size_t end,
-      std::size_t* idle_computations = nullptr);
 
  private:
   const workload::SimDb* db_;
   SweepOptions opt_;
 };
 
-/// Recomputes the per-(policy, model, alpha) aggregates from a flat row
+/// Identity of one sweep: hashes the simulation-database fingerprint (see
+/// workload::simdb_fingerprint), the expanded mixes, the policy/model/alpha
+/// axes and every SimOptions field. Two sweeps agree on this value iff they
+/// produce bit-identical rows; figure reports are stamped with it.
+[[nodiscard]] std::uint64_t sweep_fingerprint(const SweepGrid& grid,
+                                              const SimOptions& sim,
+                                              std::uint64_t db_fingerprint);
+
+/// Computes the per-(policy, model, alpha) aggregates from a flat row
 /// vector in grid order. The policy/model/alpha labels are taken from the
-/// rows themselves, so a merger needs only the rows plus the shape (and the
-/// suite's scenario weights). run() uses this same function.
+/// rows themselves, so only the rows, the shape and the suite's scenario
+/// weights are needed. run() uses this same function.
 [[nodiscard]] std::vector<SweepAggregate> compute_aggregates(
     const std::vector<SweepRow>& rows, const GridShape& shape,
     const std::array<double, 4>& weights);
@@ -139,10 +140,9 @@ void write_aggregates_csv(const SweepResult& result, const std::string& path);
 /// parse_policies (empty lists/entries abort).
 [[nodiscard]] std::vector<double> parse_alphas(const std::string& spec);
 
-/// Non-aborting form of parse_alphas, for CLIs that report the error
-/// themselves (report_main): comma-separated finite values >= 0. False +
-/// *error naming the offending entry on any malformed value, empty list or
-/// empty CSV entry.
+/// Non-aborting form of parse_alphas (which aborts with this diagnostic):
+/// comma-separated finite values >= 0. False + *error naming the offending
+/// entry on any malformed value, empty list or empty CSV entry.
 bool try_parse_alphas(const std::string& spec, std::vector<double>* out,
                       std::string* error);
 

@@ -1,43 +1,27 @@
 // sweep_main - CLI driver for the parallel policy-sweep subsystem.
 //
 // Expands a {policy x model x qos_alpha} x workload grid over a generated
-// workload suite, shards the runs across a thread pool, and writes per-run
-// rows plus per-configuration aggregates as CSV. Output is byte-identical
-// for any --threads value.
+// workload suite, spreads the runs across a thread pool, and writes per-run
+// rows plus per-configuration aggregates as CSV, and optionally the Fig.
+// 6/7/9 figure report as JSON and CSV. Output is byte-identical for any
+// --threads value.
 //
 //   sweep_main --cores=4 --per-scenario=1 --policies=idle,rm1,rm2,rm3
 //              --models=model3 --alphas=0 --threads=4
 //              --rows-csv=sweep_rows.csv --agg-csv=sweep_agg.csv
-//
-// Three execution modes:
-//   (default)     run the whole grid in this process
-//   --shard=i/N   worker: run only shard i's row range and write a part
-//                 file (--part-output) for a later merge
-//   --workers=N   orchestrator: fork/exec N shard workers of this binary,
-//                 wait, merge their parts and write the same CSVs as a
-//                 single-process run (byte-identical)
-#include <unistd.h>
-
-#include <algorithm>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/cli.hh"
 #include "common/file_util.hh"
-#include "common/str.hh"
-#include "common/subprocess.hh"
+#include "common/thread_pool.hh"
 #include "power/power_model.hh"
 #include "rmsim/cli_flags.hh"
 #include "rmsim/report.hh"
-#include "rmsim/shard.hh"
 #include "rmsim/sweep.hh"
 #include "workload/db_io.hh"
 #include "workload/sim_db.hh"
@@ -53,7 +37,7 @@ using Clock = std::chrono::steady_clock;
 void print_usage() {
   std::puts(
       "sweep_main: sweep RM policies over generated workload mixes\n"
-      "  --cores=N          cores per generated workload (default 4)\n"
+      "  --cores=N          cores per generated workload, even (default 4)\n"
       "  --replicate=K      scale every mix to K x its cores by scenario-\n"
       "                     preserving replication (default 1; e.g.\n"
       "                     --cores=4 --replicate=2 sweeps 8-core scaled\n"
@@ -74,67 +58,16 @@ void print_usage() {
       "  --agg-csv=PATH     per-configuration CSV output (optional)\n"
       "  --report-json=PATH Fig. 6/7/9 figure report (byte-stable JSON,\n"
       "                     stamped with the sweep fingerprint; optional)\n"
+      "  --fig6-csv=PATH    Fig. 6 savings aggregates as CSV (optional)\n"
+      "  --fig7-csv=PATH    Fig. 7 violation statistics as CSV (optional)\n"
+      "  --fig9-csv=PATH    Fig. 9 model-vs-oracle deltas as CSV (optional;\n"
+      "                     needs 'perfect' on the model axis)\n"
       "  --overheads=BOOL   model RM/enforcement overheads (default true)\n"
       "  --db-cache=PATH    simulation-database snapshot: load it when the\n"
       "                     file exists (a stale/corrupt snapshot is an\n"
       "                     error), otherwise characterize and save it; a\n"
       "                     directory selects <dir>/suite-c<cores>.qosdb\n"
-      "                     (same layout as the benches)\n"
-      "multi-process sharding:\n"
-      "  --shard=I/N        worker mode: run only rows of shard I of N and\n"
-      "                     write them to --part-output instead of CSV\n"
-      "  --part-output=PATH part file this worker writes (requires --shard)\n"
-      "  --workers=N        orchestrator mode: fork N --shard workers of\n"
-      "                     this binary, merge their parts, write the CSVs\n"
-      "  --parts-dir=DIR    where the orchestrator keeps part files\n"
-      "                     (default: next to --rows-csv)\n"
-      "  --resume           orchestrator: skip shards whose part file is\n"
-      "                     already complete and matching; re-run the rest\n"
-      "  --keep-parts       orchestrator: keep part files after the merge\n"
-      "                     (default: removed on success)");
-}
-
-std::string self_exe_path(const char* argv0) {
-  // /proc/self/exe survives PATH-relative invocation and cwd changes;
-  // argv[0] is the fallback on exotic systems.
-  std::error_code ec;
-  const std::filesystem::path self =
-      std::filesystem::read_symlink("/proc/self/exe", ec);
-  return ec ? std::string(argv0) : self.string();
-}
-
-/// Everything both the orchestrator and its workers must agree on, parsed
-/// and validated once, before any expensive work.
-struct SweepSetup {
-  int cores = 4;
-  int replicate = 1;  ///< scenario-preserving mix scaling factor
-  int bw_shares = 1;  ///< baseline memory-bandwidth shares per core
-  int threads = 0;
-  int per_scenario = 1;
-  std::uint64_t seed = 2020;
-  std::string policies_spec;
-  std::string models_spec;
-  std::string alphas_spec;
-  bool overheads = true;
-  std::string db_cache;  ///< resolved path ("" = no cache)
-  rmsim::SweepGrid grid;  ///< mixes filled in later (needs only the suite)
-
-  /// Cores the simulated system actually has (replication scales the
-  /// 4-core paper mixes to 8/16-core workloads).
-  [[nodiscard]] int total_cores() const noexcept { return cores * replicate; }
-};
-
-/// The grid+options fingerprint every process must agree on. Computable
-/// without building the database: the db identity is itself a fingerprint
-/// of (suite, system, phase options).
-std::uint64_t setup_fingerprint(const SweepSetup& setup,
-                                const rmsim::SweepOptions& options) {
-  qosrm::arch::SystemConfig system;
-  system.cores = setup.total_cores();
-  system.bw = qosrm::arch::bw_config_for_shares(setup.bw_shares);
-  const std::uint64_t db_fp = workload::simdb_fingerprint(
-      workload::spec_suite(), system, workload::PhaseStatsOptions{});
-  return rmsim::sweep_fingerprint(setup.grid, options.sim, db_fp);
+      "                     (same layout as the benches)");
 }
 
 void print_aggregates(const std::vector<rmsim::SweepAggregate>& aggregates) {
@@ -153,27 +86,25 @@ double secs(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-/// --report-json: the figure report of this sweep, stamped with the sweep
-/// fingerprint so it can never be matched against foreign rows.
-bool write_sweep_report(const rmsim::SweepResult& result,
-                        const rmsim::GridShape& shape,
-                        std::uint64_t fingerprint, const std::string& path) {
-  const rmsim::FigureReport report = rmsim::build_figure_report(
-      result.rows, shape, fingerprint,
-      rmsim::scenario_weights(workload::spec_suite()));
-  std::string error;
-  if (!rmsim::write_report_json(report, path, &error)) {
-    std::fprintf(stderr, "--report-json: %s\n", error.c_str());
-    return false;
-  }
-  std::printf("wrote figure report to %s\n", path.c_str());
-  return true;
-}
+using FigureWriter = bool (*)(const rmsim::FigureReport&, const std::string&,
+                              std::string*);
+
+/// The figure outputs: one FigureReport, stamped with the sweep fingerprint
+/// so it can never be matched against foreign rows, written per flag.
+const struct {
+  const char* flag;
+  const char* what;
+  FigureWriter write;
+} kFigureOutputs[] = {
+    {"report-json", "figure report", rmsim::write_report_json},
+    {"fig6-csv", "Fig. 6 CSV", rmsim::write_fig6_csv},
+    {"fig7-csv", "Fig. 7 CSV", rmsim::write_fig7_csv},
+    {"fig9-csv", "Fig. 9 CSV", rmsim::write_fig9_csv}};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const qosrm::CliArgs args(argc, argv, {"help", "resume", "keep-parts"});
+  const qosrm::CliArgs args(argc, argv, {"help"});
   if (args.has("help")) {
     print_usage();
     return 0;
@@ -198,93 +129,48 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Mode flags first: every invalid --shard/--workers combination must fail
-  // here, before the multi-second database build (same fail-before-
-  // expensive-work rule as the grid and output-path checks below).
-  const bool worker_mode = args.has("shard") || args.has("part-output");
-  const bool orchestrate = args.has("workers");
-  if (args.has("shard") != args.has("part-output")) {
-    std::fprintf(stderr,
-                 "--shard and --part-output must be given together (a shard "
-                 "worker writes a part file, not CSV)\n");
-    return 1;
-  }
-  if (worker_mode && orchestrate) {
-    std::fprintf(stderr,
-                 "--shard and --workers are mutually exclusive (a worker "
-                 "runs one shard; the orchestrator forks the workers)\n");
-    return 1;
-  }
-  if (worker_mode &&
-      (args.has("rows-csv") || args.has("agg-csv") || args.has("report-json"))) {
-    std::fprintf(stderr,
-                 "--rows-csv/--agg-csv/--report-json do not apply in --shard "
-                 "worker mode (the merge step writes the outputs)\n");
-    return 1;
-  }
-  if (!orchestrate &&
-      (args.has("resume") || args.has("parts-dir") || args.has("keep-parts"))) {
-    std::fprintf(stderr,
-                 "--resume/--parts-dir/--keep-parts require --workers\n");
-    return 1;
-  }
-  qosrm::ShardArg shard;
-  if (worker_mode) {
-    const std::optional<qosrm::ShardArg> parsed =
-        qosrm::parse_shard_arg(args.get("shard", ""));
-    if (!parsed.has_value()) {
-      std::fprintf(stderr,
-                   "bad --shard value '%s' (want I/N with 0 <= I < N)\n",
-                   args.get("shard", "").c_str());
-      return 1;
-    }
-    shard = *parsed;
-  }
-  const int workers = static_cast<int>(args.get_int("workers", 0));
-  if (orchestrate && workers < 1) {
-    std::fprintf(stderr, "--workers must be >= 1\n");
-    return 1;
-  }
-
-  SweepSetup setup;
-  setup.cores = static_cast<int>(args.get_int("cores", 4));
-  setup.replicate = static_cast<int>(args.get_int("replicate", 1));
-  setup.bw_shares = static_cast<int>(args.get_int("bw-shares", 1));
-  setup.threads = static_cast<int>(args.get_int("threads", 0));
-  setup.per_scenario = static_cast<int>(args.get_int("per-scenario", 1));
-  if (setup.cores < 1 || setup.replicate < 1 || setup.per_scenario < 1 ||
-      setup.threads < 0) {
+  const int cores = static_cast<int>(args.get_int("cores", 4));
+  const int replicate = static_cast<int>(args.get_int("replicate", 1));
+  const int bw_shares = static_cast<int>(args.get_int("bw-shares", 1));
+  const int threads = static_cast<int>(args.get_int("threads", 0));
+  const int per_scenario = static_cast<int>(args.get_int("per-scenario", 1));
+  if (cores < 1 || replicate < 1 || per_scenario < 1 || threads < 0) {
     std::fprintf(stderr,
                  "--cores/--replicate/--per-scenario must be >= 1 and "
                  "--threads >= 0\n");
     return 1;
   }
-  if (setup.bw_shares < 1) {
+  // A generated mix gives each half of its cores one application category
+  // (workload/workload_gen.hh), so it needs an even core count.
+  if (cores % 2 != 0) {
+    std::fprintf(stderr, "--cores must be even and >= 2 (got %d; see --help)\n",
+                 cores);
+    return 1;
+  }
+  if (bw_shares < 1) {
     std::fprintf(stderr, "--bw-shares must be >= 1\n");
     return 1;
   }
-  setup.seed = static_cast<std::uint64_t>(args.get_int("seed", 2020));
+  // Cores the simulated system actually has (replication scales the 4-core
+  // paper mixes to 8/16-core workloads).
+  const int total_cores = cores * replicate;
 
   // Parse the grid flags up front: a bad value should fail immediately, not
   // after the multi-second database characterization.
-  setup.policies_spec = args.get("policies", "idle,rm1,rm2,rm3");
-  setup.models_spec = args.get("models", "model3");
-  setup.alphas_spec = args.get("alphas", "0");
-  setup.grid.policies = rmsim::parse_policies(setup.policies_spec);
-  setup.grid.models = rmsim::parse_models(setup.models_spec);
-  setup.grid.qos_alphas = rmsim::parse_alphas(setup.alphas_spec);
-  if (setup.grid.policies.empty() || setup.grid.models.empty() ||
-      setup.grid.qos_alphas.empty()) {
+  rmsim::SweepGrid grid;
+  grid.policies = rmsim::parse_policies(args.get("policies", "idle,rm1,rm2,rm3"));
+  grid.models = rmsim::parse_models(args.get("models", "model3"));
+  grid.qos_alphas = rmsim::parse_alphas(args.get("alphas", "0"));
+  if (grid.policies.empty() || grid.models.empty() || grid.qos_alphas.empty()) {
     std::fprintf(stderr,
                  "--policies/--models/--alphas must each name at least one "
                  "value (see --help)\n");
     return 1;
   }
-  setup.overheads = args.get_bool("overheads", true);
 
   rmsim::SweepOptions options;
-  options.threads = setup.threads;
-  options.sim.model_overheads = setup.overheads;
+  options.threads = threads;
+  options.sim.model_overheads = args.get_bool("overheads", true);
 
   // Probe the output paths too: a bad path should fail here, before the
   // multi-second database build, not after the sweep. Each probe touches
@@ -294,42 +180,15 @@ int main(int argc, char** argv) {
   // its atomic replacement.
   const std::string rows_csv = args.get("rows-csv", "sweep_rows.csv");
   const std::string agg_csv = args.get("agg-csv", "");
-  const std::string report_json = args.get("report-json", "");
-  const std::string part_output = args.get("part-output", "");
-  // Orchestrator part files live next to the rows CSV unless --parts-dir
-  // says otherwise; the prefix keeps the sharding self-describing
-  // ("<prefix>.<i>-of-<n>.qospart").
-  std::string parts_prefix;
-  if (orchestrate) {
-    const std::string parts_dir = args.get("parts-dir", "");
-    if (parts_dir.empty()) {
-      parts_prefix = rows_csv;
-    } else {
-      parts_prefix =
-          (std::filesystem::path(parts_dir) /
-           std::filesystem::path(rows_csv).filename())
-              .string();
-    }
-  }
-
-  std::vector<std::string> probe_paths;
-  if (worker_mode) {
-    probe_paths.push_back(part_output);
-  } else {
-    probe_paths.push_back(rows_csv);
-    if (!agg_csv.empty()) probe_paths.push_back(agg_csv);
-    if (!report_json.empty()) probe_paths.push_back(report_json);
-    if (orchestrate) {
-      for (int i = 0; i < workers; ++i) {
-        probe_paths.push_back(rmsim::part_path(
-            parts_prefix, static_cast<std::size_t>(i),
-            static_cast<std::size_t>(workers)));
-      }
-    }
+  std::vector<std::string> probe_paths = {rows_csv, agg_csv};
+  bool want_figures = false;
+  for (const auto& output : kFigureOutputs) {
+    probe_paths.push_back(args.get(output.flag, ""));
+    want_figures |= !probe_paths.back().empty();
   }
   for (const std::string& path : probe_paths) {
     std::string probe_error;
-    if (!qosrm::probe_writable_atomic(path, &probe_error)) {
+    if (!path.empty() && !qosrm::probe_writable_atomic(path, &probe_error)) {
       std::fprintf(stderr, "%s\n", probe_error.c_str());
       return 1;
     }
@@ -337,330 +196,56 @@ int main(int argc, char** argv) {
 
   // --db-cache: decide hit/miss now, and on a miss probe writability, so a
   // bad path fails here instead of after the multi-second database build.
-  // The probe uses a uniquely named sibling file, never the cache path
-  // itself: concurrent shards must not see a transient decoy snapshot, nor
-  // have a just-written real one deleted from under them.
-  setup.db_cache = args.get("db-cache", "");
-  bool db_cache_hit = false;
-  if (!setup.db_cache.empty()) {
-    // A directory means the shared per-core-count layout the benches and
-    // QOSRM_DB_CACHE_DIR use; resolve it the same way.
-    std::error_code ec;
-    if (std::filesystem::is_directory(setup.db_cache, ec)) {
-      setup.db_cache = workload::db_cache_path(
-          setup.db_cache, setup.total_cores(), setup.bw_shares);
-    }
-    std::ifstream rprobe(setup.db_cache, std::ios::binary);
-    db_cache_hit = rprobe.good();
-    if (!db_cache_hit) {
-      const std::string probe_path = setup.db_cache + ".probe." +
-                                     std::to_string(static_cast<long>(::getpid()));
-      std::ofstream wprobe(probe_path, std::ios::trunc);
-      if (!wprobe.good()) {
-        std::fprintf(stderr, "--db-cache: cannot write to %s\n",
-                     setup.db_cache.c_str());
-        return 1;
-      }
-      wprobe.close();
-      std::remove(probe_path.c_str());
-    }
+  std::string error;
+  const std::optional<workload::DbCache> db_cache = workload::resolve_db_cache(
+      args.get("db-cache", ""), total_cores, bw_shares, &error);
+  if (!db_cache.has_value()) {
+    std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
+    return 1;
   }
 
   const workload::SpecSuite& suite = workload::spec_suite();
   qosrm::arch::SystemConfig system;
-  system.cores = setup.total_cores();
-  system.bw = qosrm::arch::bw_config_for_shares(setup.bw_shares);
+  system.cores = total_cores;
+  system.bw = qosrm::arch::bw_config_for_shares(bw_shares);
   const qosrm::power::PowerModel power;
 
-  workload::SimDbOptions db_options;
-  db_options.threads = setup.threads;
-
-  // Expand the workload mixes (cheap: needs only the suite, not the
-  // database) - the orchestrator uses them for the fingerprint and shard
-  // math without ever building a database itself.
   workload::WorkloadGenOptions gen;
-  gen.cores = setup.cores;
-  gen.per_scenario = setup.per_scenario;
-  gen.seed = setup.seed;
-  setup.grid.mixes = workload::replicate_workloads(
-      workload::generate_workloads(suite, gen), setup.replicate);
+  gen.cores = cores;
+  gen.per_scenario = per_scenario;
+  gen.seed = static_cast<std::uint64_t>(args.get_int("seed", 2020));
+  grid.mixes = workload::replicate_workloads(
+      workload::generate_workloads(suite, gen), replicate);
 
-  // ---------------------------------------------------------------------
-  // Orchestrator mode: fork shard workers, merge their parts, write CSVs.
-  // ---------------------------------------------------------------------
-  if (orchestrate) {
-    const auto n = static_cast<std::size_t>(workers);
-    const std::uint64_t fingerprint = setup_fingerprint(setup, options);
-    const rmsim::GridShape shape = setup.grid.shape();
-
-    // Which shards still need to run? Without --resume: all of them
-    // (workers atomically overwrite any stale part). Computed BEFORE any
-    // database work - it needs only the fingerprint and shape, and a
-    // resume where every part is already complete must go straight to the
-    // merge without paying a characterization or snapshot load.
-    std::vector<std::size_t> pending;
-    if (args.get_bool("resume", false)) {
-      pending = rmsim::shards_to_run(parts_prefix, n, fingerprint, shape);
-      std::printf("resume: %zu of %zu shards already complete\n",
-                  n - pending.size(), n);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) pending.push_back(i);
-    }
-
-    // The database must be characterized once, here, not N times by the
-    // forked workers. With --db-cache a present-but-stale snapshot is a
-    // hard error, matching the single-process contract; without --db-cache
-    // the orchestrator builds a temporary snapshot next to the parts and
-    // hands it to the workers, then removes it after the run.
-    const auto t_db = Clock::now();
-    bool temp_db = false;
-    const auto cleanup_temp_db = [&]() {
-      if (temp_db) std::remove(setup.db_cache.c_str());
-    };
-    if (!pending.empty()) {
-      if (setup.db_cache.empty()) {
-        temp_db = true;
-        setup.db_cache = parts_prefix + ".shared.qosdb";
-        std::remove(setup.db_cache.c_str());  // never trust a stale leftover
-        db_cache_hit = false;
-      }
-      std::string error;
-      if (db_cache_hit) {
-        if (!workload::load_simdb(suite, system, power, db_options.phase,
-                                  setup.db_cache, &error)
-                 .has_value()) {
-          std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
-          return 1;
-        }
-      } else {
-        std::printf("characterizing %d-app suite for %d cores (shared by all "
-                    "workers)...\n",
-                    suite.size(), setup.total_cores());
-        const workload::SimDb db(suite, system, power, db_options);
-        if (!workload::save_simdb(db, setup.db_cache, &error)) {
-          std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
-          cleanup_temp_db();
-          return 1;
-        }
-        std::printf("saved simulation database snapshot to %s\n",
-                    setup.db_cache.c_str());
-      }
-    }
-
-    const unsigned total_threads =
-        setup.threads > 0 ? static_cast<unsigned>(setup.threads)
-                          : std::max(1u, std::thread::hardware_concurrency());
-    const unsigned worker_threads = std::max(1u, total_threads / std::max(
-        1u, static_cast<unsigned>(pending.size())));
-
-    std::printf("sweeping %zu runs across %d shard workers (%u threads "
-                "each)...\n",
-                setup.grid.size(), workers, worker_threads);
-
-    const std::string exe = self_exe_path(argv[0]);
-    const auto t_sweep = Clock::now();
-
-    struct Worker {
-      std::size_t shard = 0;
-      std::vector<std::string> argv;
-      qosrm::Subprocess process;
-    };
-    std::vector<Worker> spawned;
-    spawned.reserve(pending.size());
-    for (const std::size_t i : pending) {
-      Worker worker;
-      worker.shard = i;
-      worker.argv = {
-          exe,
-          qosrm::format("--cores=%d", setup.cores),
-          qosrm::format("--replicate=%d", setup.replicate),
-          qosrm::format("--bw-shares=%d", setup.bw_shares),
-          qosrm::format("--per-scenario=%d", setup.per_scenario),
-          qosrm::format("--seed=%llu",
-                        static_cast<unsigned long long>(setup.seed)),
-          "--policies=" + setup.policies_spec,
-          "--models=" + setup.models_spec,
-          "--alphas=" + setup.alphas_spec,
-          qosrm::format("--overheads=%s", setup.overheads ? "true" : "false"),
-          qosrm::format("--threads=%u", worker_threads),
-          qosrm::format("--shard=%zu/%zu", i, n),
-          "--part-output=" + rmsim::part_path(parts_prefix, i, n),
-      };
-      if (!setup.db_cache.empty()) {
-        worker.argv.push_back("--db-cache=" + setup.db_cache);
-      }
-      worker.process = qosrm::Subprocess::spawn(worker.argv);
-      spawned.push_back(std::move(worker));
-    }
-
-    // Fail fast: workers are reaped in COMPLETION order (wait_any), so the
-    // first failure - whichever shard it strikes - immediately terminates
-    // the rest instead of hiding behind long-running earlier shards. The
-    // diagnostic names the shard, its fate and its exact command line so
-    // the operator can re-run just that shard by hand. Shards we cancelled
-    // ourselves get one short line, not a failure diagnostic of their own -
-    // the actionable failure must stay visible.
-    bool failed = false;
-    const auto handle_exit = [&](const Worker& worker,
-                                 const qosrm::SubprocessExit& exit) {
-      if (exit.success()) return;
-      if (failed && exit.term_signal == SIGTERM) {
-        std::fprintf(stderr, "shard %zu/%zu cancelled\n", worker.shard, n);
-        return;
-      }
-      if (!failed) {
-        failed = true;
-        for (Worker& other : spawned) other.process.terminate();
-      }
-      std::string cmd;
-      for (const std::string& arg : worker.argv) {
-        if (!cmd.empty()) cmd += ' ';
-        cmd += arg;
-      }
-      std::fprintf(stderr, "shard %zu/%zu failed (%s): %s\n", worker.shard, n,
-                   describe(exit).c_str(), cmd.c_str());
-    };
-
-    std::vector<qosrm::Subprocess*> processes;
-    processes.reserve(spawned.size());
-    for (Worker& worker : spawned) {
-      processes.push_back(&worker.process);
-      // A fork that failed outright never enters wait_any.
-      if (!worker.process.running()) handle_exit(worker, worker.process.wait());
-    }
-    for (;;) {
-      const std::optional<std::size_t> done =
-          qosrm::Subprocess::wait_any(processes);
-      if (!done.has_value()) break;
-      handle_exit(spawned[*done], spawned[*done].process.wait());
-    }
-    if (failed) {
-      std::fprintf(stderr,
-                   "sweep aborted; completed parts are kept - re-run with "
-                   "--resume to redo only the failed shards\n");
-      cleanup_temp_db();
-      return 1;
-    }
-
-    // Merge. Every part must match the fingerprint this orchestrator
-    // computed - a worker that somehow ran a different grid is caught here.
-    std::vector<std::string> part_files;
-    part_files.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      part_files.push_back(rmsim::part_path(parts_prefix, i, n));
-    }
-    std::string error;
-    std::optional<rmsim::SweepResult> merged =
-        rmsim::merge_part_files(part_files, &fingerprint, &error);
-    if (!merged.has_value()) {
-      std::fprintf(stderr, "merge: %s\n", error.c_str());
-      cleanup_temp_db();
-      return 1;
-    }
-    const auto t_done = Clock::now();
-    const rmsim::SweepResult& result = *merged;
-    cleanup_temp_db();
-
-    rmsim::write_rows_csv(result, rows_csv);
-    std::printf("wrote %zu rows to %s\n", result.rows.size(), rows_csv.c_str());
-    if (!agg_csv.empty()) {
-      rmsim::write_aggregates_csv(result, agg_csv);
-      std::printf("wrote %zu aggregates to %s\n", result.aggregates.size(),
-                  agg_csv.c_str());
-    }
-    if (!report_json.empty() &&
-        !write_sweep_report(result, shape, fingerprint, report_json)) {
-      return 1;
-    }
-    if (!args.get_bool("keep-parts", false)) {
-      for (std::size_t i = 0; i < n; ++i) {
-        std::remove(rmsim::part_path(parts_prefix, i, n).c_str());
-      }
-    }
-
-    print_aggregates(result.aggregates);
-    std::printf("\ndb prep %.2fs, sweep+merge %.2fs (%d workers)\n",
-                secs(t_db, t_sweep), secs(t_sweep, t_done), workers);
-    return 0;
-  }
-
-  // ---------------------------------------------------------------------
-  // Single-process grid execution: the whole grid (default mode) or one
-  // shard's row range (--shard worker mode).
-  // ---------------------------------------------------------------------
   const auto t_db = Clock::now();
-  std::optional<workload::SimDb> db_storage;
-  if (db_cache_hit) {
-    std::printf("loading simulation database from %s...\n", setup.db_cache.c_str());
-    std::string error;
-    db_storage = workload::load_simdb(suite, system, power, db_options.phase,
-                                      setup.db_cache, &error);
-    if (!db_storage.has_value()) {
-      std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
-      return 1;
-    }
+  if (db_cache->hit) {
+    std::printf("loading simulation database from %s...\n",
+                db_cache->path.c_str());
   } else {
     std::printf("characterizing %d-app suite for %d cores...\n", suite.size(),
-                setup.total_cores());
-    db_storage.emplace(suite, system, power, db_options);
-    if (!setup.db_cache.empty()) {
-      std::string error;
-      if (!workload::save_simdb(*db_storage, setup.db_cache, &error)) {
-        std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
-        return 1;
-      }
-      std::printf("saved simulation database snapshot to %s\n",
-                  setup.db_cache.c_str());
-    }
+                total_cores);
   }
-  const workload::SimDb& db = *db_storage;
-
-  const unsigned resolved_threads =
-      setup.threads > 0 ? static_cast<unsigned>(setup.threads)
-                        : std::max(1u, std::thread::hardware_concurrency());
-
-  if (worker_mode) {
-    const std::uint64_t db_fp = workload::simdb_fingerprint(
-        db.suite(), db.system(), db.phase_options());
-    rmsim::SweepPart part;
-    part.fingerprint = rmsim::sweep_fingerprint(setup.grid, options.sim, db_fp);
-    part.shape = setup.grid.shape();
-    part.shard_index = shard.index;
-    part.shard_count = shard.count;
-    part.range =
-        rmsim::shard_range(setup.grid.size(), shard.index, shard.count);
-
-    std::printf("shard %zu/%zu: sweeping rows [%zu, %zu) of %zu on %u "
-                "threads...\n",
-                shard.index, shard.count, part.range.begin, part.range.end,
-                setup.grid.size(), resolved_threads);
-    const auto t_sweep = Clock::now();
-    rmsim::SweepRunner runner(db, options);
-    std::size_t idle_computations = 0;
-    part.rows = runner.run_range(setup.grid, part.range.begin, part.range.end,
-                                 &idle_computations);
-    const auto t_done = Clock::now();
-
-    std::string error;
-    if (!rmsim::save_sweep_part(part, part_output, &error)) {
-      std::fprintf(stderr, "--part-output: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("wrote %zu rows to %s\n", part.rows.size(), part_output.c_str());
-    std::printf("idle references simulated: %zu\n", idle_computations);
-    std::printf("db %s %.2fs, sweep %.2fs\n", db_cache_hit ? "load" : "build",
-                secs(t_db, t_sweep), secs(t_sweep, t_done));
-    return 0;
+  workload::SimDbOptions db_options;
+  db_options.threads = threads;
+  const std::optional<workload::SimDb> db = workload::load_or_build_simdb(
+      *db_cache, suite, system, power, db_options, &error);
+  if (!db.has_value()) {
+    std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
+    return 1;
+  }
+  if (!db_cache->hit && !db_cache->path.empty()) {
+    std::printf("saved simulation database snapshot to %s\n",
+                db_cache->path.c_str());
   }
 
   std::printf("sweeping %zu runs (%zu mixes x %zu policies x %zu models x "
-              "%zu alphas) on %u threads...\n",
-              setup.grid.size(), setup.grid.mixes.size(),
-              setup.grid.policies.size(), setup.grid.models.size(),
-              setup.grid.qos_alphas.size(), resolved_threads);
+              "%zu alphas) on %zu threads...\n",
+              grid.size(), grid.mixes.size(), grid.policies.size(),
+              grid.models.size(), grid.qos_alphas.size(),
+              qosrm::pool_threads(threads, grid.size()));
   const auto t_sweep = Clock::now();
-  rmsim::SweepRunner runner(db, options);
-  const rmsim::SweepResult result = runner.run(setup.grid);
+  rmsim::SweepRunner runner(*db, options);
+  const rmsim::SweepResult result = runner.run(grid);
   const auto t_done = Clock::now();
 
   rmsim::write_rows_csv(result, rows_csv);
@@ -670,17 +255,30 @@ int main(int argc, char** argv) {
     std::printf("wrote %zu aggregates to %s\n", result.aggregates.size(),
                 agg_csv.c_str());
   }
-  if (!report_json.empty() &&
-      !write_sweep_report(result, setup.grid.shape(),
-                          setup_fingerprint(setup, options), report_json)) {
-    return 1;
+  if (want_figures) {
+    const rmsim::FigureReport report = rmsim::build_figure_report(
+        result.rows, grid.shape(),
+        rmsim::sweep_fingerprint(
+            grid, options.sim,
+            workload::simdb_fingerprint(db->suite(), db->system(),
+                                        db->phase_options())),
+        rmsim::scenario_weights(suite));
+    for (const auto& output : kFigureOutputs) {
+      const std::string path = args.get(output.flag, "");
+      if (path.empty()) continue;
+      if (!output.write(report, path, &error)) {
+        std::fprintf(stderr, "--%s: %s\n", output.flag, error.c_str());
+        return 1;
+      }
+      std::printf("wrote %s to %s\n", output.what, path.c_str());
+    }
   }
 
   print_aggregates(result.aggregates);
 
   std::printf("\nidle references simulated: %zu (one per mix x alpha)\n",
               result.idle_computations);
-  std::printf("db %s %.2fs, sweep %.2fs\n", db_cache_hit ? "load" : "build",
+  std::printf("db %s %.2fs, sweep %.2fs\n", db_cache->hit ? "load" : "build",
               secs(t_db, t_sweep), secs(t_sweep, t_done));
   return 0;
 }

@@ -1,12 +1,12 @@
 #include "workload/db_io.hh"
 
-#include <unistd.h>
-
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <utility>
 
 #include "common/binary_io.hh"
+#include "common/file_util.hh"
 #include "common/str.hh"
 
 namespace qosrm::workload {
@@ -123,10 +123,9 @@ std::uint64_t simdb_fingerprint(const SpecSuite& suite,
 
 bool save_simdb(const SimDb& db, const std::string& path, std::string* error) {
   // Write to a uniquely named sibling and rename into place: concurrent
-  // writers (parallel test binaries, sweep shards) never expose a partial
-  // file, and readers only ever see a complete snapshot or none.
-  const std::string tmp_path =
-      format("%s.tmp.%ld", path.c_str(), static_cast<long>(::getpid()));
+  // writers (parallel test binaries, concurrent CLI runs) never expose a
+  // partial file, and readers only ever see a complete snapshot or none.
+  const std::string tmp_path = atomic_tmp_path(path);
   std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
   if (!out.good()) return fail(error, format("cannot open %s for writing", path.c_str()));
 
@@ -285,6 +284,37 @@ SimDb warm_simdb(const SpecSuite& suite, const arch::SystemConfig& system,
   }
   if (outcome != nullptr) *outcome = DbCacheOutcome::Built;
   return SimDb(suite, system, power, options);
+}
+
+std::optional<DbCache> resolve_db_cache(const std::string& spec, int cores,
+                                        int bw_shares, std::string* error) {
+  DbCache cache;
+  if (spec.empty()) return cache;
+  std::error_code ec;
+  cache.path = std::filesystem::is_directory(spec, ec)
+                   ? db_cache_path(spec, cores, bw_shares)
+                   : spec;
+  cache.hit = std::ifstream(cache.path, std::ios::binary).good();
+  if (!cache.hit && !probe_writable_atomic(cache.path, error)) {
+    return std::nullopt;
+  }
+  return cache;
+}
+
+std::optional<SimDb> load_or_build_simdb(const DbCache& cache,
+                                         const SpecSuite& suite,
+                                         const arch::SystemConfig& system,
+                                         const power::PowerModel& power,
+                                         const SimDbOptions& options,
+                                         std::string* error) {
+  if (cache.hit) {
+    return load_simdb(suite, system, power, options.phase, cache.path, error);
+  }
+  std::optional<SimDb> db(std::in_place, suite, system, power, options);
+  if (!cache.path.empty() && !save_simdb(*db, cache.path, error)) {
+    return std::nullopt;
+  }
+  return db;
 }
 
 }  // namespace qosrm::workload

@@ -70,14 +70,39 @@ enum class DbCacheOutcome {
 /// Build-or-load convenience for benches and tests. Empty `path` just
 /// characterizes. Otherwise: load on hit; on miss, characterize and save; a
 /// stale or corrupt snapshot is rejected with a warning to stderr and
-/// rebuilt (overwriting it). CLI drivers that must fail hard on a bad cache
-/// file (sweep_main) use load_simdb/save_simdb directly instead.
+/// rebuilt (overwriting it). The CLI drivers must fail hard on a bad cache
+/// file instead, and use resolve_db_cache + load_or_build_simdb.
 [[nodiscard]] SimDb warm_simdb(const SpecSuite& suite,
                                const arch::SystemConfig& system,
                                const power::PowerModel& power,
                                const SimDbOptions& options,
                                const std::string& path,
                                DbCacheOutcome* outcome = nullptr);
+
+/// A resolved --db-cache request of the CLI drivers.
+struct DbCache {
+  std::string path;  ///< snapshot path ("" = no cache)
+  bool hit = false;  ///< the snapshot exists and will be loaded
+};
+
+/// First half of the CLI --db-cache contract, run before any expensive work
+/// so a bad path fails fast: a directory `spec` selects
+/// db_cache_path(spec, cores, bw_shares) (the benches' layout), then a hit
+/// is probed, or on a miss that the snapshot could be written (through the
+/// temp sibling save_simdb stages into, never the path itself). Empty `spec`
+/// means no cache. nullopt + *error naming the path when a miss is not
+/// writable.
+[[nodiscard]] std::optional<DbCache> resolve_db_cache(const std::string& spec,
+                                                      int cores, int bw_shares,
+                                                      std::string* error);
+
+/// Second half: loads the snapshot on a hit - a stale or corrupt snapshot is
+/// an error, unlike warm_simdb - or characterizes on a miss and saves the
+/// snapshot when a path is set. nullopt + *error naming the path on failure.
+[[nodiscard]] std::optional<SimDb> load_or_build_simdb(
+    const DbCache& cache, const SpecSuite& suite,
+    const arch::SystemConfig& system, const power::PowerModel& power,
+    const SimDbOptions& options, std::string* error);
 
 }  // namespace qosrm::workload
 

@@ -37,9 +37,7 @@ SimDb::SimDb(const SpecSuite& suite, const arch::SystemConfig& system,
   if (options.threads == 1) {
     for (std::size_t j = 0; j < jobs.size(); ++j) run_job(j);
   } else {
-    ThreadPool pool(options.threads == 0
-                        ? 0
-                        : static_cast<std::size_t>(options.threads));
+    ThreadPool pool(pool_threads(options.threads, jobs.size()));
     parallel_for(pool, 0, jobs.size(), run_job);
   }
 

@@ -157,31 +157,5 @@ TEST(Cli, UndeclaredFlagKeepsGreedyValueConsumption) {
   EXPECT_TRUE(args.positional().empty());
 }
 
-TEST(ShardArgParse, AcceptsValidSpecs) {
-  const auto shard = parse_shard_arg("2/8");
-  ASSERT_TRUE(shard.has_value());
-  EXPECT_EQ(shard->index, 2u);
-  EXPECT_EQ(shard->count, 8u);
-
-  const auto solo = parse_shard_arg("0/1");
-  ASSERT_TRUE(solo.has_value());
-  EXPECT_EQ(solo->index, 0u);
-  EXPECT_EQ(solo->count, 1u);
-
-  const auto last = parse_shard_arg("127/128");
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->index, 127u);
-}
-
-TEST(ShardArgParse, RejectsMalformedSpecs) {
-  // A malformed --shard must be a hard error, never silently shard 0: each
-  // of these would otherwise drop or duplicate grid rows.
-  for (const char* bad :
-       {"", "/", "3", "3/", "/4", "4/4", "5/4", "-1/4", "a/4", "3/b", "1/0",
-        "0/0", "1.5/4", "2 /8", "2/8/1", "0x2/8", "9999999999/9999999999"}) {
-    EXPECT_FALSE(parse_shard_arg(bad).has_value()) << "'" << bad << "'";
-  }
-}
-
 }  // namespace
 }  // namespace qosrm

@@ -1,17 +1,19 @@
-// The --bw-shares CLI contract on the REAL binaries, plus the cross-merge
-// guard: shard parts produced under different bandwidth-partitioning
-// configurations must never merge.
+// The --bw-shares and --cores CLI contracts on the REAL binaries, plus the
+// fingerprint guard: sweeps under different bandwidth-partitioning
+// configurations must never share a report stamp.
 //
-// The binaries are spawned through sh so their diagnostics don't clutter the
-// test log; a value below 1 is a clean usage error (exit 1) and garbage is a
-// hard QOSRM_CHECK abort from the strict get_int parser (signal exit).
+// The binaries are spawned through the shell so their diagnostics don't
+// clutter the test log; a bad value is a clean usage error (exit 1) and
+// garbage is a hard QOSRM_CHECK abort from the strict get_int parser
+// (signal exit).
+#include <sys/wait.h>
+
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 
 #include "arch/system_config.hh"
-#include "common/subprocess.hh"
-#include "rmsim/shard.hh"
 #include "rmsim/sweep.hh"
 #include "workload/db_io.hh"
 #include "workload/spec_suite.hh"
@@ -22,10 +24,10 @@ namespace {
 int run_silenced(const std::string& binary, const std::string& flag) {
   const std::string cmd =
       std::string(QOSRM_BIN_DIR) + "/" + binary + " " + flag + " >/dev/null 2>&1";
-  Subprocess child = Subprocess::spawn({"sh", "-c", cmd});
-  const SubprocessExit exit = child.wait();
-  // sh reports a signal death as 128 + signo; pass both forms through.
-  return exit.exited ? exit.exit_code : 128 + exit.term_signal;
+  const int status = std::system(cmd.c_str());
+  // The shell reports a child's signal death as 128 + signo, unless it
+  // exec'ed the binary and died of the signal itself; map both the same.
+  return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
 }
 
 class BwSharesCli : public ::testing::TestWithParam<const char*> {};
@@ -38,7 +40,7 @@ TEST_P(BwSharesCli, RejectsZeroAndNegativeWithUsageError) {
 
 TEST_P(BwSharesCli, RejectsGarbageViaStrictIntegerParse) {
   const std::string binary = GetParam();
-  // SIGABRT from QOSRM_CHECK -> 128 + 6 through sh.
+  // SIGABRT from QOSRM_CHECK -> 128 + 6.
   EXPECT_EQ(run_silenced(binary, "--bw-shares=abc"), 134);
   EXPECT_EQ(run_silenced(binary, "--bw-shares=2.5"), 134);
   EXPECT_EQ(run_silenced(binary, "--bw-shares="), 134);
@@ -47,10 +49,19 @@ TEST_P(BwSharesCli, RejectsGarbageViaStrictIntegerParse) {
 INSTANTIATE_TEST_SUITE_P(Binaries, BwSharesCli,
                          ::testing::Values("sweep_main", "service_main"));
 
-// Parts stamped under different share counts carry different fingerprints
-// (the bw config feeds simdb_fingerprint, which feeds sweep_fingerprint),
-// so the merger refuses the mix outright.
-TEST(BwSharesCli, PartsFromDifferentShareCountsNeverCrossMerge) {
+// Generated mixes split their cores into two application halves, so an odd
+// --cores must be a usage error up front, not an abort inside the workload
+// generator.
+TEST(SweepCoresCli, RejectsOddCoreCountsWithUsageError) {
+  EXPECT_EQ(run_silenced("sweep_main", "--cores=1"), 1);
+  EXPECT_EQ(run_silenced("sweep_main", "--cores=3"), 1);
+  EXPECT_EQ(run_silenced("sweep_main", "--cores=5 --replicate=2"), 1);
+}
+
+// Sweeps under different share counts carry different fingerprints (the bw
+// config feeds simdb_fingerprint, which feeds sweep_fingerprint), so their
+// figure reports can never be mistaken for one another.
+TEST(BwSharesCli, SweepFingerprintDiffersAcrossShareCounts) {
   auto fingerprint_for = [](int bw_shares) {
     arch::SystemConfig system;
     system.cores = 2;
@@ -60,22 +71,10 @@ TEST(BwSharesCli, PartsFromDifferentShareCountsNeverCrossMerge) {
     return sweep_fingerprint(SweepGrid{}, SimOptions{}, db_fp);
   };
   const std::uint64_t fp1 = fingerprint_for(1);
-  const std::uint64_t fp2 = fingerprint_for(2);
-  ASSERT_NE(fp1, fp2);
-
-  SweepPart a;
-  a.fingerprint = fp1;
-  a.shard_index = 0;
-  a.shard_count = 2;
-  SweepPart b;
-  b.fingerprint = fp2;
-  b.shard_index = 1;
-  b.shard_count = 2;
-
-  std::string error;
-  const auto merged = merge_sweep_parts({a, b}, &error);
-  EXPECT_FALSE(merged.has_value());
-  EXPECT_NE(error.find("different sweep"), std::string::npos) << error;
+  EXPECT_NE(fp1, fingerprint_for(2));
+  EXPECT_NE(fp1, fingerprint_for(4));
+  EXPECT_NE(fingerprint_for(2), fingerprint_for(4));
+  EXPECT_EQ(fp1, fingerprint_for(1));
 }
 
 }  // namespace

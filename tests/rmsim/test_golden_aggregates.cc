@@ -20,7 +20,6 @@
 #include <string>
 
 #include "rmsim/report.hh"
-#include "rmsim/shard.hh"
 #include "rmsim/sweep.hh"
 #include "support/shared_db.hh"
 #include "workload/db_io.hh"
@@ -124,48 +123,6 @@ TEST_F(GoldenAggregates, PaperGridFigureReportMatchesCommittedGolden) {
       << "\nIf the change is intentional, regenerate the golden files (see "
          "the header of this test) and justify the numerical diff in the "
          "same commit.";
-}
-
-TEST_F(GoldenAggregates, ReportBytesAreStableAcrossShardCounts) {
-  // The same rows routed through the part-file save/load/merge path (as the
-  // CI paper-grid job's sharded run produces them) must yield the exact
-  // golden report bytes - shard count can never show up in a report.
-  const GridShape shape = grid_->shape();
-  const std::size_t kShards = 3;
-  std::vector<std::string> paths;
-  for (std::size_t i = 0; i < kShards; ++i) {
-    SweepPart part;
-    part.fingerprint = fingerprint_;
-    part.shape = shape;
-    part.shard_index = i;
-    part.shard_count = kShards;
-    part.range = shard_range(shape.size(), i, kShards);
-    part.rows.assign(result_->rows.begin() +
-                         static_cast<std::ptrdiff_t>(part.range.begin),
-                     result_->rows.begin() +
-                         static_cast<std::ptrdiff_t>(part.range.end));
-    const std::string path =
-        part_path(::testing::TempDir() + "/golden_paper", i, kShards);
-    std::string error;
-    ASSERT_TRUE(save_sweep_part(part, path, &error)) << error;
-    paths.push_back(path);
-  }
-
-  std::string error;
-  SweepIdentity identity;
-  const std::optional<SweepResult> merged =
-      merge_part_files(paths, &fingerprint_, &error, &identity);
-  for (const std::string& path : paths) std::remove(path.c_str());
-  ASSERT_TRUE(merged.has_value()) << error;
-  EXPECT_EQ(identity.fingerprint, fingerprint_);
-
-  const workload::SimDb& db = testing::shared_db(4);
-  const FigureReport direct = build_figure_report(
-      result_->rows, shape, fingerprint_, scenario_weights(db.suite()));
-  const FigureReport via_parts = build_figure_report(
-      merged->rows, identity.shape, identity.fingerprint,
-      scenario_weights(db.suite()));
-  EXPECT_EQ(figure_report_json(via_parts), figure_report_json(direct));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 // tests/data/golden_service_knee_report.json pins the exact knee curves of
 // the 4-core admission sweep (poisson+bursty, 6 loads, all three admission
 // policies, RM3, alpha 0, seed 2020, knee threshold 0.095 - the same grid
-// CI's service-knee-smoke step runs through the CLI). Future refactors must
+// CI's service-smoke knee step runs through the CLI). Future refactors must
 // reproduce it BYTE for BYTE; an intentional result change regenerates the
 // golden in the same commit so drift is visible in review.
 //
@@ -41,7 +41,7 @@ std::string slurp(const std::string& path) {
 }
 
 /// The golden configuration: mirrors the CLI invocation in the header
-/// comment (and CI's service-knee-smoke step) exactly.
+/// comment (and CI's service-smoke knee step) exactly.
 ServiceGrid golden_grid() {
   ServiceGrid grid;
   grid.patterns = {workload::ArrivalPattern::Poisson,
@@ -97,29 +97,6 @@ TEST(GoldenKnee, FourCoreAdmissionSweepMatchesCommittedGolden) {
       << "\nIf the change is intentional, regenerate the golden file (see "
          "the header of this test) and justify the numerical diff in the "
          "same commit.";
-}
-
-TEST(GoldenKnee, ShardSlicingCannotMoveAKnee) {
-  // The knee report must be a pure function of the grid rows: rows computed
-  // as two disjoint shard ranges must reproduce the whole-grid report byte
-  // for byte (the CLI equivalent is --workers=N vs --threads=1).
-  const workload::SimDb& db = testing::shared_db(4);
-  const ServiceGrid grid = golden_grid();
-  const ServiceConfig config = golden_config();
-  const std::size_t total = grid.size();
-  const std::size_t split = total / 2;
-
-  std::vector<ServiceRow> rows =
-      run_service_range(db, grid, config, 0, split);
-  const std::vector<ServiceRow> tail =
-      run_service_range(db, grid, config, split, total);
-  rows.insert(rows.end(), tail.begin(), tail.end());
-
-  const ServiceKneeReport report = build_service_knee_report(
-      rows, grid.shape(), golden_fingerprint(), 0.095);
-  const std::string golden_path =
-      std::string(QOSRM_TEST_DATA_DIR) + "/golden_service_knee_report.json";
-  EXPECT_EQ(service_knee_report_json(report), slurp(golden_path));
 }
 
 /// Paper-plus pool scale: the ROADMAP's open item asks for the service

@@ -1,30 +1,19 @@
 // Figure-report subsystem tests: aggregate math on synthetic rows, JSON
-// byte-stability, alpha filtering, atomic writes, and report_main's strict
-// CLI validation (unknown flags, bad --alphas lists, malformed
-// --fingerprint, fingerprint-mismatched part inputs rejected before any
-// report work) - the same conventions sweep_main enforces.
+// byte-stability and atomic writes.
 #include "rmsim/report.hh"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "rmsim/shard.hh"
 #include "rmsim/sweep.hh"
 
 namespace qosrm::rmsim {
 namespace {
-
-CliArgs parse(std::vector<const char*> argv) {
-  argv.insert(argv.begin(), "report_main");
-  return CliArgs(static_cast<int>(argv.size()),
-                 const_cast<char**>(argv.data()));
-}
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -186,41 +175,6 @@ TEST(FigureReport, JsonIsByteStableAndStampsTheFingerprint) {
   EXPECT_NE(json, figure_report_json(c));
 }
 
-TEST(FigureReport, AlphaFilterSelectsSubGridInRequestOrder) {
-  const SyntheticGrid g;
-  GridShape shape = g.shape;
-  std::string error;
-  const auto filtered =
-      filter_rows_to_alphas(g.rows, &shape, {1.1, 1.0}, &error);
-  ASSERT_TRUE(filtered.has_value()) << error;
-  EXPECT_EQ(shape.alphas, 2u);
-  ASSERT_EQ(filtered->size(), g.rows.size());
-  // Requested order: the 1.1 block now comes first.
-  EXPECT_DOUBLE_EQ(filtered->front().qos_alpha, 1.1);
-  EXPECT_DOUBLE_EQ(filtered->back().qos_alpha, 1.0);
-
-  shape = g.shape;
-  const auto single = filter_rows_to_alphas(g.rows, &shape, {1.1}, &error);
-  ASSERT_TRUE(single.has_value()) << error;
-  EXPECT_EQ(shape.alphas, 1u);
-  EXPECT_EQ(single->size(), g.rows.size() / 2);
-  for (const SweepRow& row : *single) EXPECT_DOUBLE_EQ(row.qos_alpha, 1.1);
-}
-
-TEST(FigureReport, AlphaFilterRejectsUnknownAndDuplicateValues) {
-  const SyntheticGrid g;
-  GridShape shape = g.shape;
-  std::string error;
-  EXPECT_FALSE(
-      filter_rows_to_alphas(g.rows, &shape, {1.05}, &error).has_value());
-  EXPECT_NE(error.find("not on the sweep's alpha axis"), std::string::npos);
-
-  shape = g.shape;
-  EXPECT_FALSE(
-      filter_rows_to_alphas(g.rows, &shape, {1.0, 1.0}, &error).has_value());
-  EXPECT_NE(error.find("given twice"), std::string::npos);
-}
-
 TEST(FigureReport, JsonWriteIsAtomicAndLeavesNoTempFiles) {
   const SyntheticGrid g;
   const FigureReport report =
@@ -244,110 +198,6 @@ TEST(FigureReport, JsonWriteIsAtomicAndLeavesNoTempFiles) {
   EXPECT_FALSE(write_report_json(
       report, "/nonexistent-dir/report.json", &error));
   EXPECT_FALSE(std::filesystem::exists("/nonexistent-dir/report.json"));
-}
-
-TEST(ReportCli, RejectsUnknownFlagsAndMissingInputs) {
-  ReportCliOptions options;
-  std::string error;
-
-  EXPECT_FALSE(parse_report_cli(parse({"--bogus=1", "--json=r.json", "p.qospart"}),
-                                &options, &error));
-  EXPECT_NE(error.find("unknown flag --bogus"), std::string::npos);
-
-  EXPECT_FALSE(parse_report_cli(parse({"--json=r.json"}), &options, &error));
-  EXPECT_NE(error.find("no part files"), std::string::npos);
-
-  EXPECT_FALSE(parse_report_cli(parse({"p.qospart"}), &options, &error));
-  EXPECT_NE(error.find("no output requested"), std::string::npos);
-}
-
-TEST(ReportCli, RejectsBadAlphaLists) {
-  ReportCliOptions options;
-  std::string error;
-  EXPECT_FALSE(parse_report_cli(
-      parse({"--json=r.json", "--alphas=1.0,zap", "p.qospart"}), &options,
-      &error));
-  EXPECT_NE(error.find("bad --alphas entry 'zap'"), std::string::npos);
-
-  EXPECT_FALSE(parse_report_cli(
-      parse({"--json=r.json", "--alphas=-1", "p.qospart"}), &options, &error));
-  EXPECT_NE(error.find("bad --alphas entry '-1'"), std::string::npos);
-
-  EXPECT_FALSE(parse_report_cli(
-      parse({"--json=r.json", "--alphas=", "p.qospart"}), &options, &error));
-  EXPECT_NE(error.find("empty --alphas entry"), std::string::npos);
-}
-
-TEST(ReportCli, RejectsMalformedFingerprints) {
-  ReportCliOptions options;
-  std::string error;
-  for (const char* bad : {"--fingerprint=xyz", "--fingerprint=",
-                          "--fingerprint=0123456789abcdef0"}) {
-    EXPECT_FALSE(parse_report_cli(parse({"--json=r.json", bad, "p.qospart"}),
-                                  &options, &error))
-        << bad;
-    EXPECT_NE(error.find("bad --fingerprint"), std::string::npos);
-  }
-}
-
-TEST(ReportCli, ParsesAFullCommandLine) {
-  ReportCliOptions options;
-  std::string error;
-  ASSERT_TRUE(parse_report_cli(
-      parse({"--json=r.json", "--fig6-csv=f6.csv", "--fig9-csv=f9.csv",
-             "--alphas=1.0,1.1", "--fingerprint=00ff00ff00ff00ff", "a.qospart",
-             "b.qospart"}),
-      &options, &error))
-      << error;
-  EXPECT_EQ(options.parts, (std::vector<std::string>{"a.qospart", "b.qospart"}));
-  EXPECT_EQ(options.json_path, "r.json");
-  EXPECT_EQ(options.fig6_csv, "f6.csv");
-  EXPECT_EQ(options.fig9_csv, "f9.csv");
-  EXPECT_EQ(options.alphas, (std::vector<double>{1.0, 1.1}));
-  ASSERT_TRUE(options.expected_fingerprint.has_value());
-  EXPECT_EQ(*options.expected_fingerprint, 0x00ff00ff00ff00ffull);
-  EXPECT_FALSE(options.print);
-
-  // Bare --print must not swallow the first part path as its value.
-  ASSERT_TRUE(parse_report_cli(parse({"--print", "a.qospart"}), &options,
-                               &error))
-      << error;
-  EXPECT_TRUE(options.print);
-  EXPECT_EQ(options.parts, (std::vector<std::string>{"a.qospart"}));
-}
-
-TEST(ReportCli, FingerprintMismatchedPartsAreRejectedBeforeAnyWork) {
-  // A valid part whose fingerprint differs from the pinned one must be
-  // refused by the merge step report_main runs first - no report output can
-  // ever mix rows from a foreign sweep.
-  SweepPart part;
-  part.fingerprint = 0x1111u;
-  part.shape = GridShape{2, 1, 1, 1};
-  part.shard_index = 0;
-  part.shard_count = 1;
-  part.range = shard_range(2, 0, 1);
-  part.rows = {make_row("W1", workload::Scenario::One, rm::RmPolicy::Idle,
-                        rm::PerfModelKind::Model3, 1.0, 0.0, 10, 0, 0.0, 0.0),
-               make_row("W2", workload::Scenario::Two, rm::RmPolicy::Idle,
-                        rm::PerfModelKind::Model3, 1.0, 0.0, 10, 0, 0.0, 0.0)};
-
-  const std::string path = ::testing::TempDir() + "/foreign.qospart";
-  std::string error;
-  ASSERT_TRUE(save_sweep_part(part, path, &error)) << error;
-
-  const std::uint64_t expected = 0x2222u;
-  EXPECT_FALSE(merge_part_files({path}, &expected, &error).has_value());
-  EXPECT_NE(error.find("different sweep"), std::string::npos);
-
-  // The same part merges fine when the pinned fingerprint matches, and the
-  // identity out-param carries the stamp the report will embed.
-  SweepIdentity identity;
-  const std::uint64_t match = 0x1111u;
-  ASSERT_TRUE(merge_part_files({path}, &match, &error, &identity).has_value())
-      << error;
-  EXPECT_EQ(identity.fingerprint, 0x1111u);
-  EXPECT_EQ(identity.shape, (GridShape{2, 1, 1, 1}));
-  std::remove(path.c_str());
 }
 
 }  // namespace

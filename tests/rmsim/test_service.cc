@@ -1,21 +1,17 @@
 // Integration tests for the colocation-service engine: metric sanity,
-// bit-exact determinism across repeats, thread counts and range slicing,
-// service-part save/load/merge, and the queue/rejection edge cases.
+// bit-exact determinism across repeats and thread counts, and the
+// queue/rejection edge cases.
 //
 // Builds the full simulation database (tests/support/shared_db.hh), so the
 // whole binary carries LABELS slow.
 #include "rmsim/service.hh"
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "rmsim/report.hh"
-#include "rmsim/shard.hh"
 #include "support/shared_db.hh"
-#include "workload/db_io.hh"
 
 namespace qosrm::rmsim {
 namespace {
@@ -81,10 +77,6 @@ void expect_rows_equal(const std::vector<ServiceRow>& a,
   }
 }
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 TEST(Service, MetricsAreSane) {
   const workload::SimDb& db = qosrm::testing::shared_db(2);
   ServicePoint point;
@@ -145,73 +137,17 @@ TEST(Service, ThreadCountDoesNotChangeRows) {
   expect_rows_equal(a.rows, b.rows);
 }
 
-TEST(Service, RangeSlicingMatchesFullRun) {
+TEST(Service, HugeThreadCountIsCappedAtTheRowCount) {
+  // A pool is never wider than its work: a million requested threads must
+  // run (not die spawning them) and give the serial rows bit for bit.
   const workload::SimDb& db = qosrm::testing::shared_db(2);
-  const ServiceGrid grid = small_grid();
-  const ServiceConfig config = small_config();
-  const ServiceResult full = run_service(db, grid, config);
-
-  const std::size_t mid = grid.size() / 2;
-  std::vector<ServiceRow> sliced = run_service_range(db, grid, config, 0, mid);
-  const std::vector<ServiceRow> tail =
-      run_service_range(db, grid, config, mid, grid.size());
-  sliced.insert(sliced.end(), tail.begin(), tail.end());
-  expect_rows_equal(full.rows, sliced);
-}
-
-TEST(Service, PartRoundtripAndMerge) {
-  const workload::SimDb& db = qosrm::testing::shared_db(2);
-  const ServiceGrid grid = small_grid();
-  const ServiceConfig config = small_config();
-  const std::uint64_t db_fp = workload::simdb_fingerprint(
-      db.suite(), db.system(), db.phase_options());
-  const std::uint64_t fingerprint = service_fingerprint(grid, config, db_fp);
-  const ServiceResult full = run_service(db, grid, config);
-
-  std::vector<std::string> paths;
-  for (std::size_t i = 0; i < 2; ++i) {
-    ServicePart part;
-    part.fingerprint = fingerprint;
-    part.shape = grid.shape();
-    part.shard_index = i;
-    part.shard_count = 2;
-    part.range = shard_range(grid.size(), i, 2);
-    part.rows = run_service_range(db, grid, config, part.range.begin,
-                                  part.range.end);
-    paths.push_back(temp_path("service_part_" + std::to_string(i) + ".qospart"));
-    std::string error;
-    ASSERT_TRUE(save_service_part(part, paths.back(), &error)) << error;
-
-    const std::optional<ServicePart> loaded =
-        load_service_part(paths.back(), &error);
-    ASSERT_TRUE(loaded.has_value()) << error;
-    EXPECT_EQ(loaded->fingerprint, fingerprint);
-    EXPECT_EQ(loaded->range, part.range);
-    expect_rows_equal(part.rows, loaded->rows);
-  }
-
-  std::string error;
-  ServiceIdentity identity;
-  const std::optional<std::vector<ServiceRow>> merged =
-      merge_service_part_files(paths, &fingerprint, &error, &identity);
-  ASSERT_TRUE(merged.has_value()) << error;
-  EXPECT_EQ(identity.fingerprint, fingerprint);
-  EXPECT_TRUE(identity.shape == grid.shape());
-  expect_rows_equal(full.rows, *merged);
-
-  // A foreign fingerprint must be rejected, never silently merged.
-  const std::uint64_t wrong = fingerprint + 1;
-  EXPECT_FALSE(merge_service_part_files(paths, &wrong, &error).has_value());
-  EXPECT_NE(error.find("different service sweep"), std::string::npos) << error;
-
-  // The merged rows feed a byte-stable report.
-  const std::string json =
-      service_report_json(*merged, grid.shape(), fingerprint);
-  EXPECT_EQ(json, service_report_json(full.rows, grid.shape(), fingerprint));
-  EXPECT_NE(json.find("qosrm-service-report"), std::string::npos);
-  EXPECT_NE(json.find("p99_violation"), std::string::npos);
-
-  for (const std::string& path : paths) std::remove(path.c_str());
+  ServiceOptions serial;
+  serial.threads = 1;
+  ServiceOptions huge;
+  huge.threads = 1'000'000;
+  const ServiceResult a = run_service(db, small_grid(), small_config(), serial);
+  const ServiceResult b = run_service(db, small_grid(), small_config(), huge);
+  expect_rows_equal(a.rows, b.rows);
 }
 
 TEST(Service, IdlePolicyNeverInvokesTheRm) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "support/shared_db.hh"
+#include "workload/db_io.hh"
 #include "workload/workload_gen.hh"
 
 namespace qosrm::rmsim {
@@ -114,6 +115,19 @@ TEST(Sweep, DeterministicAcrossThreadCounts) {
   }
 }
 
+TEST(Sweep, HugeThreadCountIsCappedAtTheRowCount) {
+  // A pool is never wider than its work: a million requested threads must
+  // run (not die spawning them) and give the serial rows bit for bit.
+  const SweepGrid grid = small_grid(2);
+  const SweepResult serial = run_sweep(grid, 1);
+  const SweepResult huge = run_sweep(grid, 1'000'000);
+  ASSERT_EQ(serial.rows.size(), huge.rows.size());
+  for (std::size_t i = 0; i < serial.rows.size(); ++i) {
+    EXPECT_EQ(serial.rows[i].result.savings, huge.rows[i].result.savings);
+    expect_runs_identical(serial.rows[i].result.run, huge.rows[i].result.run);
+  }
+}
+
 TEST(Sweep, CsvBytesIdenticalAcrossThreadCounts) {
   const SweepGrid grid = small_grid(2);
   const std::string dir = ::testing::TempDir();
@@ -203,6 +217,38 @@ TEST(Sweep, BaselinePoliciesProduceRowsDeterministically) {
     EXPECT_EQ(serial.rows[i].result.savings, parallel.rows[i].result.savings);
     expect_runs_identical(serial.rows[i].result.run, parallel.rows[i].result.run);
   }
+}
+
+std::uint64_t grid_fingerprint(const SweepGrid& grid) {
+  const workload::SimDb& db = testing::shared_db(2);
+  return sweep_fingerprint(
+      grid, SimOptions{},
+      workload::simdb_fingerprint(db.suite(), db.system(), db.phase_options()));
+}
+
+TEST(Sweep, FingerprintSeparatesDifferentSweeps) {
+  const SweepGrid grid = small_grid(4);
+  const std::uint64_t fp = grid_fingerprint(grid);
+
+  SweepGrid other = grid;
+  other.qos_alphas = {1.1};
+  EXPECT_NE(grid_fingerprint(other), fp);
+
+  other = grid;
+  other.policies = {rm::RmPolicy::Rm3};
+  EXPECT_NE(grid_fingerprint(other), fp);
+
+  other = grid;
+  other.mixes.pop_back();
+  EXPECT_NE(grid_fingerprint(other), fp);
+
+  SimOptions no_overheads;
+  no_overheads.model_overheads = false;
+  const workload::SimDb& db = testing::shared_db(2);
+  const std::uint64_t db_fp = workload::simdb_fingerprint(
+      db.suite(), db.system(), db.phase_options());
+  EXPECT_NE(sweep_fingerprint(grid, no_overheads, db_fp), fp);
+  EXPECT_NE(sweep_fingerprint(grid, SimOptions{}, db_fp ^ 1), fp);
 }
 
 TEST(SweepParse, PoliciesModelsAlphas) {
