@@ -123,58 +123,14 @@ void GlobalOptWorkspace::layout(int ways, int shares) {
   valid_ = false;
 }
 
-namespace {
-
-/// Share budget implied by ways-only calls: every core at its lowest share.
-/// For single-row (degenerate) surfaces this is the only feasible budget, so
-/// the 1-D entry points keep their exact pre-CBP semantics.
-[[nodiscard]] int default_total_shares(std::span<const EnergyCurveView> curves) {
-  int total = 0;
-  for (const EnergyCurveView& c : curves) total += c.min_shares;
-  return total;
-}
-
-}  // namespace
-
-void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
-                                    int total_ways, int total_shares,
-                                    GlobalOptWorkspace& ws,
-                                    GlobalOptResult& out, std::uint64_t* ops) {
-  reduce(curves, total_ways, total_shares, {}, ws, out, ops,
-         simd::active_level());
-}
-
 void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
                                     int total_ways, GlobalOptWorkspace& ws,
                                     GlobalOptResult& out, std::uint64_t* ops) {
-  reduce(curves, total_ways, default_total_shares(curves), {}, ws, out, ops,
-         simd::active_level());
-}
-
-void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
-                                    int total_ways, GlobalOptWorkspace& ws,
-                                    GlobalOptResult& out, std::uint64_t* ops,
-                                    simd::Level level) {
-  reduce(curves, total_ways, default_total_shares(curves), {}, ws, out, ops,
-         level);
-}
-
-void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
-                                    int total_ways, int total_shares,
-                                    GlobalOptWorkspace& ws,
-                                    GlobalOptResult& out, std::uint64_t* ops,
-                                    simd::Level level) {
-  reduce(curves, total_ways, total_shares, {}, ws, out, ops, level);
-}
-
-void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
-                                    int total_ways, int total_shares,
-                                    std::span<const std::uint8_t> dirty,
-                                    GlobalOptWorkspace& ws,
-                                    GlobalOptResult& out, std::uint64_t* ops,
-                                    simd::Level level) {
-  QOSRM_CHECK(dirty.size() == curves.size());
-  reduce(curves, total_ways, total_shares, dirty, ws, out, ops, level);
+  // Every core at its lowest share: for single-row (degenerate) surfaces
+  // this is the only feasible share budget.
+  int total_shares = 0;
+  for (const EnergyCurveView& c : curves) total_shares += c.min_shares;
+  optimize_into(curves, total_ways, total_shares, {}, ws, out, ops);
 }
 
 std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
@@ -324,12 +280,14 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
   return feas_a * n_feas_b;
 }
 
-void GlobalOptimizer::reduce(std::span<const EnergyCurveView> curves,
-                             int total_ways, int total_shares,
-                             std::span<const std::uint8_t> dirty,
-                             GlobalOptWorkspace& ws, GlobalOptResult& out,
-                             std::uint64_t* ops, simd::Level level) {
+void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
+                                    int total_ways, int total_shares,
+                                    std::span<const std::uint8_t> dirty,
+                                    GlobalOptWorkspace& ws,
+                                    GlobalOptResult& out, std::uint64_t* ops,
+                                    simd::Level level) {
   QOSRM_CHECK(!curves.empty());
+  QOSRM_CHECK(dirty.empty() || dirty.size() == curves.size());
   const bool vectorized = level == simd::Level::Avx2;
 #ifndef QOSRM_SIMD_HAVE_AVX2
   QOSRM_CHECK_MSG(!vectorized,
@@ -489,87 +447,6 @@ void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
     self(self, bi, total_w - wl, total_b - bl, eb_val);
   };
   backtrack(backtrack, root, total_ways, total_shares, e);
-}
-
-GlobalOptResult GlobalOptimizer::optimize(std::span<const EnergyCurve> curves,
-                                          int total_ways, int total_shares,
-                                          std::uint64_t* ops) {
-  std::vector<EnergyCurveView> views;
-  views.reserve(curves.size());
-  for (const EnergyCurve& c : curves) {
-    views.push_back({c.min_ways, std::span<const double>(c.energy),
-                     c.min_shares, c.num_shares});
-  }
-  GlobalOptWorkspace ws;
-  GlobalOptResult out;
-  optimize_into(views, total_ways, total_shares, ws, out, ops);
-  return out;
-}
-
-GlobalOptResult GlobalOptimizer::optimize(std::span<const EnergyCurve> curves,
-                                          int total_ways, std::uint64_t* ops) {
-  int total_shares = 0;
-  for (const EnergyCurve& c : curves) total_shares += c.min_shares;
-  return optimize(curves, total_ways, total_shares, ops);
-}
-
-GlobalOptResult GlobalOptimizer::brute_force(std::span<const EnergyCurve> curves,
-                                             int total_ways,
-                                             int total_shares) {
-  QOSRM_CHECK(!curves.empty());
-  GlobalOptResult best;
-  best.total_energy = kInf;
-
-  std::vector<int> ways(curves.size(), 0);
-  std::vector<int> shares(curves.size(), 0);
-  // Depth-first enumeration of all allocations summing to the two budgets.
-  const auto recurse = [&](auto&& self, std::size_t core, int remaining_w,
-                           int remaining_b, double energy) -> void {
-    const EnergyCurve& curve = curves[core];
-    const int n_w = curve.num_ways();
-    const auto cell = [&](int w, int b) {
-      return curve.energy[static_cast<std::size_t>(b - curve.min_shares) *
-                              static_cast<std::size_t>(n_w) +
-                          static_cast<std::size_t>(w - curve.min_ways)];
-    };
-    if (core + 1 == curves.size()) {
-      if (remaining_w < curve.min_ways || remaining_w > curve.max_ways()) return;
-      if (remaining_b < curve.min_shares || remaining_b > curve.max_shares()) {
-        return;
-      }
-      const double e = cell(remaining_w, remaining_b);
-      if (std::isinf(e)) return;
-      if (energy + e < best.total_energy) {
-        ways[core] = remaining_w;
-        shares[core] = remaining_b;
-        best.feasible = true;
-        best.total_energy = energy + e;
-        best.ways = ways;
-        best.shares = shares;
-      }
-      return;
-    }
-    for (int b = curve.min_shares; b <= curve.max_shares(); ++b) {
-      if (remaining_b - b < 0) break;
-      for (int w = curve.min_ways; w <= curve.max_ways(); ++w) {
-        const double e = cell(w, b);
-        if (std::isinf(e)) continue;
-        if (remaining_w - w < 0) break;
-        ways[core] = w;
-        shares[core] = b;
-        self(self, core + 1, remaining_w - w, remaining_b - b, energy + e);
-      }
-    }
-  };
-  recurse(recurse, 0, total_ways, total_shares, 0.0);
-  return best;
-}
-
-GlobalOptResult GlobalOptimizer::brute_force(std::span<const EnergyCurve> curves,
-                                             int total_ways) {
-  int total_shares = 0;
-  for (const EnergyCurve& c : curves) total_shares += c.min_shares;
-  return brute_force(curves, total_ways, total_shares);
 }
 
 }  // namespace qosrm::rm

@@ -36,31 +36,13 @@
 
 namespace qosrm::rm {
 
-/// Energy as a function of the shared-resource allocation for one core: a
-/// b-major surface with contiguous w-rows,
+/// One core's energy as a function of its shared-resource allocation, viewed
+/// in the caller's storage: a b-major surface with contiguous w-rows,
 /// energy[(b - min_shares) * num_ways() + (w - min_ways)], where infinity
 /// marks QoS-infeasible allocations. The `min_shares`/`num_shares` members
-/// sit after `energy` so the ubiquitous ways-only positional initializer
+/// sit after `energy` so the ways-only positional initializer
 /// {min_ways, energy} keeps its meaning: a single share row, i.e. the plain
 /// 1-D energy curve.
-struct EnergyCurve {
-  int min_ways = 2;
-  std::vector<double> energy;
-  int min_shares = 1;
-  int num_shares = 1;
-
-  [[nodiscard]] int num_ways() const noexcept {
-    return num_shares > 0 ? static_cast<int>(energy.size()) / num_shares : 0;
-  }
-  [[nodiscard]] int max_ways() const noexcept { return min_ways + num_ways() - 1; }
-  [[nodiscard]] int max_shares() const noexcept {
-    return min_shares + num_shares - 1;
-  }
-};
-
-/// Non-owning view of one core's energy surface (same indexing convention as
-/// EnergyCurve). The allocation-free optimize_into() path takes views so
-/// callers can keep the surfaces in whatever storage they reuse.
 struct EnergyCurveView {
   int min_ways = 2;
   std::span<const double> energy;
@@ -187,48 +169,24 @@ class GlobalOptWorkspace {
 
 class GlobalOptimizer {
  public:
-  /// Pairwise-reduction optimizer over owning surfaces. Convenience wrapper
-  /// around optimize_into() with a throwaway workspace (tests, benches and
-  /// one-shot callers). `ops` (optional) accumulates DP steps for the RM
-  /// instruction-overhead model; one op is one FEASIBLE-pair DP step, i.e. a
-  /// ((w_a, b_a), (w_b, b_b)) cell combination whose both entries are
-  /// finite - infeasible entries on either side are skipped without charge.
-  /// The count is independent of the SIMD dispatch level: a vectorized lane
-  /// batch charges exactly the feasible pairs it covers, so the modeled RM
-  /// overhead (and the golden CSVs) never depends on the vector width.
-  [[nodiscard]] static GlobalOptResult optimize(std::span<const EnergyCurve> curves,
-                                                int total_ways, int total_shares,
-                                                std::uint64_t* ops = nullptr);
-
-  /// Ways-only convenience: the share budget defaults to the sum of the
-  /// curves' lowest shares, so single-row (degenerate) surfaces - in
-  /// particular every pre-CBP curve - optimize exactly as before.
-  [[nodiscard]] static GlobalOptResult optimize(std::span<const EnergyCurve> curves,
-                                                int total_ways,
-                                                std::uint64_t* ops = nullptr);
-
-  /// The allocation-free core: runs the reduction inside `ws` and writes the
-  /// outcome into `out`, reusing the storage of both. Bit-identical to
-  /// optimize() for equal inputs (same reduction order, same tie-breaking)
-  /// at every dispatch level. Uses simd::active_level().
-  static void optimize_into(std::span<const EnergyCurveView> curves,
-                            int total_ways, int total_shares,
-                            GlobalOptWorkspace& ws, GlobalOptResult& out,
-                            std::uint64_t* ops = nullptr);
-
-  /// Ways-only convenience (share budget = sum of lowest shares).
-  static void optimize_into(std::span<const EnergyCurveView> curves,
-                            int total_ways, GlobalOptWorkspace& ws,
-                            GlobalOptResult& out, std::uint64_t* ops = nullptr);
-
-  /// Incremental reduction over the persistent tree in `ws`: recombines only
-  /// the ancestors of leaves with dirty[i] != 0 (or whose shape changed
-  /// since the last call on `ws`), and with no dirty leaf reuses the last
-  /// result. A leaf whose surface changed MUST be flagged; its storage may
-  /// move freely. Results and ops are bit-identical to the from-scratch
-  /// overloads - which are this reduction with every leaf dirty - and `ops`
-  /// is still charged the full feasible-pair count of every combine, clean
-  /// or not (it models the paper's RM, not this host's work).
+  /// The pairwise reduction over the persistent tree in `ws`, writing the
+  /// outcome into `out` and reusing the storage of both. Only the ancestors
+  /// of leaves with dirty[i] != 0 (or whose shape changed since the last
+  /// call on `ws`) are recombined, and with no dirty leaf the last result is
+  /// reused; an EMPTY `dirty` marks every leaf dirty (a from-scratch
+  /// reduction). A leaf whose surface changed MUST be flagged; its storage
+  /// may move freely. Results are bit-identical to a from-scratch reduction
+  /// at every dispatch level (same reduction order, same tie-breaking).
+  ///
+  /// `ops` (optional) accumulates DP steps for the RM instruction-overhead
+  /// model; one op is one FEASIBLE-pair DP step, i.e. a ((w_a, b_a),
+  /// (w_b, b_b)) cell combination whose both entries are finite - infeasible
+  /// entries on either side are skipped without charge. Every combine is
+  /// charged in full, clean or not (it models the paper's RM, not this
+  /// host's work), and the count is independent of the SIMD dispatch level:
+  /// a vectorized lane batch charges exactly the feasible pairs it covers,
+  /// so the modeled RM overhead (and the golden CSVs) never depends on the
+  /// vector width. Requesting Avx2 when the kernel is unavailable aborts.
   static void optimize_into(std::span<const EnergyCurveView> curves,
                             int total_ways, int total_shares,
                             std::span<const std::uint8_t> dirty,
@@ -236,35 +194,14 @@ class GlobalOptimizer {
                             std::uint64_t* ops = nullptr,
                             simd::Level level = simd::active_level());
 
-  /// Explicit-dispatch variant for the equivalence tests and A/B benches.
-  /// Requesting Avx2 when the kernel is unavailable aborts.
-  static void optimize_into(std::span<const EnergyCurveView> curves,
-                            int total_ways, int total_shares,
-                            GlobalOptWorkspace& ws, GlobalOptResult& out,
-                            std::uint64_t* ops, simd::Level level);
-
-  /// Ways-only explicit-dispatch convenience.
+  /// Ways-only from-scratch reduction: the share budget is the sum of the
+  /// curves' lowest shares, so single-row (degenerate) surfaces - in
+  /// particular every pre-CBP curve - optimize exactly as the 1-D problem.
   static void optimize_into(std::span<const EnergyCurveView> curves,
                             int total_ways, GlobalOptWorkspace& ws,
-                            GlobalOptResult& out, std::uint64_t* ops,
-                            simd::Level level);
-
-  /// Exhaustive reference implementation (tests only; exponential).
-  [[nodiscard]] static GlobalOptResult brute_force(std::span<const EnergyCurve> curves,
-                                                   int total_ways,
-                                                   int total_shares);
-
-  /// Ways-only exhaustive reference (share budget = sum of lowest shares).
-  [[nodiscard]] static GlobalOptResult brute_force(std::span<const EnergyCurve> curves,
-                                                   int total_ways);
+                            GlobalOptResult& out, std::uint64_t* ops = nullptr);
 
  private:
-  /// The one reduction loop behind every optimize_into(); an empty `dirty`
-  /// marks every leaf dirty.
-  static void reduce(std::span<const EnergyCurveView> curves, int total_ways,
-                     int total_shares, std::span<const std::uint8_t> dirty,
-                     GlobalOptWorkspace& ws, GlobalOptResult& out,
-                     std::uint64_t* ops, simd::Level level);
   /// Recombines interior node i from its children; returns its feasible-pair
   /// op count.
   static std::uint64_t combine(GlobalOptWorkspace& ws, std::size_t i,

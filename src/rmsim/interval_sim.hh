@@ -1,10 +1,8 @@
-// The multi-core RM simulator (paper Fig. 5 and Section IV-A/IV-D.1).
-//
-// Each core executes its application interval by interval; per-interval time
-// and energy come from the simulation database at the core's current
-// setting. The simulator advances to the next global event (the earliest
-// interval completion), invokes the RM on that core, applies the decided
-// system setting and charges the RM-execution and enforcement overheads.
+// The multi-core RM simulator (paper Fig. 5 and Section IV-A/IV-D.1): a
+// closed-mix driver over the per-core interval kernel (rmsim/core_timeline).
+// Every application of the mix is seated at t = 0 with the whole machine in
+// the RM's mask; the simulator advances to the next global event (the
+// earliest interval completion) and lets the kernel invoke the RM there.
 //
 // End-of-run rule (paper IV-D.1): every application restarts until it has
 // executed at least the instruction count of the LONGEST application in the
@@ -19,26 +17,10 @@
 #include <string>
 #include <vector>
 
-#include "rm/overheads.hh"
-#include "rm/resource_manager.hh"
-#include "workload/sim_db.hh"
+#include "rmsim/core_timeline.hh"
 #include "workload/workload_gen.hh"
 
 namespace qosrm::rmsim {
-
-struct SimOptions {
-  bool model_overheads = true;  ///< RM execution + DVFS/resize enforcement
-  rm::OverheadParams overheads{};
-  /// Tolerance on the actual-vs-baseline QoS comparison (absorbs the
-  /// sub-interval enforcement costs - DVFS switches, RM execution - that
-  /// even an oracle RM cannot avoid; those are ~0.1% of an interval).
-  double qos_epsilon = 2e-3;
-  /// QoS relaxation override: when > 0, replaces the database system's
-  /// qos_alpha for both the RM's Eq. 3 check and the violation accounting
-  /// (paper Section III-C: "the alpha parameter can be used to relax the
-  /// QoS constraint"; the paper fixes it to 1).
-  double qos_alpha_override = 0.0;
-};
 
 /// Per-core outcome of one run.
 struct CoreResult {

@@ -12,7 +12,6 @@
 #include "common/stats.hh"
 #include "common/str.hh"
 #include "common/thread_pool.hh"
-#include "rmsim/snapshot.hh"
 #include "workload/classify.hh"
 
 namespace qosrm::rmsim {
@@ -23,26 +22,11 @@ namespace {
 /// CSV files (same convention as sweep.cc).
 std::string fmt(double v) { return format("%.17g", v); }
 
-/// Per-core service state. Identical interval-freezing semantics to the
-/// interval simulator's CoreState (rmsim/interval_sim.cc), extended with
-/// occupancy bookkeeping: a core is either idle or runs one admitted
-/// application for `remaining` more intervals.
-struct ServiceCoreState {
-  bool active = false;
-  int app = -1;
-  int seq_pos = 0;    ///< sequence position of the RUNNING interval
+/// What the service tracks per occupied core beyond the kernel's interval
+/// state: the admitted application's remaining demand and its energy.
+struct Tenant {
   int remaining = 0;  ///< intervals left including the running one
   double app_energy_j = 0.0;  ///< core+memory energy of the current app
-  workload::Setting setting{};  ///< setting of the running interval
-  workload::Setting pending{};  ///< latest RM decision for this core
-  rm::EnforcementCost next_overhead{};  ///< charged to the next interval
-
-  // Frozen properties of the running interval:
-  int phase = 0;
-  double start_s = 0.0;
-  double end_s = 0.0;
-  double energy_j = 0.0;
-  double base_time_s = 0.0;  ///< baseline-setting time of the same phase
 };
 
 struct QueueEntry {
@@ -117,11 +101,9 @@ struct ServiceEngine::Impl {
   ServiceConfig cfg;
   ServicePoint point;
   arch::SystemConfig sys;
-  workload::Setting base;
-  bool perfect = false;
 
   rm::ResourceManager manager;
-  rm::OverheadModel overheads;
+  IntervalKernel kernel;
   workload::ArrivalTrace trace;
 
   /// Per-app LFOC-style partitioning class (light/streaming/sensitive),
@@ -136,9 +118,7 @@ struct ServiceEngine::Impl {
   /// beyond the alpha relaxation; see DESIGN.md.
   int min_useful_ways = 0;
 
-  std::vector<ServiceCoreState> cores;
-  std::vector<rm::CounterSnapshot> snapshots;
-  std::vector<std::uint8_t> active_mask;
+  std::vector<Tenant> tenants;
 
   // Fixed-capacity FIFO ring (no allocation while queueing/draining).
   std::vector<QueueEntry> queue;
@@ -156,8 +136,6 @@ struct ServiceEngine::Impl {
   std::uint64_t qos_rejected = 0;
   std::uint64_t intervals = 0;
   std::uint64_t violations = 0;
-  std::uint64_t rm_invocations = 0;
-  std::uint64_t rm_ops = 0;
   double core_energy_j = 0.0;  ///< core+memory energy over ALL intervals
   double busy_s = 0.0;
   double wall_s = 0.0;
@@ -169,26 +147,16 @@ struct ServiceEngine::Impl {
     return sys;
   }
 
-  static rm::RmConfig rm_config_for(const ServiceConfig& cfg,
-                                    const ServicePoint& point) {
-    rm::RmConfig config;
-    config.policy = point.policy;
-    config.model = cfg.model;
-    // Same oracle pairing as the sweep: the Perfect axis means exact time
-    // prediction AND ground-truth energy.
-    config.energy.perfect = cfg.model == rm::PerfModelKind::Perfect;
-    return config;
-  }
-
   Impl(const workload::SimDb& database, const ServiceConfig& config,
        const ServicePoint& grid_point)
       : db(&database), cfg(config), point(grid_point),
         sys(system_for(database, grid_point)),
-        base(workload::baseline_setting(sys)),
-        perfect(config.model == rm::PerfModelKind::Perfect),
-        manager(rm_config_for(config, grid_point), sys, database.power()),
-        overheads(config.sim.overheads, database.power()),
+        manager(rm_config_for(grid_point.policy, config.model), sys,
+                database.power()),
         violation_hist(0.0, config.hist_max_violation, config.hist_bins) {
+    QOSRM_CHECK_MSG(cfg.sim.qos_alpha_override == 0.0,
+                    "ServiceConfig::sim.qos_alpha_override is not read by the "
+                    "service; set the alpha through ServicePoint::qos_alpha");
     QOSRM_CHECK_MSG(cfg.arrivals > 0, "service run needs at least one arrival");
     QOSRM_CHECK_MSG(cfg.queue_capacity >= 1, "queue capacity must be >= 1");
     QOSRM_CHECK_MSG(cfg.demand_min > 0 && cfg.demand_max >= cfg.demand_min,
@@ -232,20 +200,13 @@ struct ServiceEngine::Impl {
     min_useful_ways = std::max(sys.llc.min_ways, w_lo);
 
     queue.resize(cfg.queue_capacity);
+    kernel.bind(*db, cfg.sim, manager);
     reset();
   }
 
-  [[nodiscard]] int phase_at(const ServiceCoreState& st, int seq_pos) const {
-    const auto& seq = db->suite().app(st.app).phase_sequence;
-    return seq[static_cast<std::size_t>(seq_pos) % seq.size()];
-  }
-
   void reset() {
-    cores.assign(static_cast<std::size_t>(sys.cores), ServiceCoreState{});
-    // resize (not assign) keeps each snapshot's ATD buffers; every field is
-    // overwritten by make_snapshot_into before first use.
-    snapshots.resize(static_cast<std::size_t>(sys.cores));
-    active_mask.assign(static_cast<std::size_t>(sys.cores), 0);
+    kernel.reset();
+    tenants.assign(static_cast<std::size_t>(sys.cores), Tenant{});
     q_head = 0;
     q_size = 0;
     violation_hist.reset();
@@ -259,73 +220,21 @@ struct ServiceEngine::Impl {
     sensitive_in_system = 0;
     intervals = 0;
     violations = 0;
-    rm_invocations = 0;
-    rm_ops = 0;
     core_energy_j = 0.0;
     busy_s = 0.0;
     wall_s = 0.0;
     manager.reset();
   }
 
-  /// Freezes the next interval of `st` (identical to interval_sim.cc):
-  /// adopts the pending setting and charges accumulated overheads.
-  void start_interval(ServiceCoreState& st, double now_s) {
-    if (!(st.pending == st.setting)) {
-      if (cfg.sim.model_overheads) {
-        st.next_overhead += overheads.transition(st.setting, st.pending);
-      }
-      st.setting = st.pending;
-    }
-    st.phase = phase_at(st, st.seq_pos);
-    st.start_s = now_s;
-    st.end_s = now_s + db->total_seconds(st.app, st.phase, st.setting) +
-               st.next_overhead.time_s;
-    st.energy_j = db->total_joules(st.app, st.phase, st.setting) +
-                  st.next_overhead.energy_j;
-    st.base_time_s = db->baseline_time(st.app, st.phase);
-    st.next_overhead = {};
-  }
-
-  /// One RM invocation on behalf of active core `k`; distributes the
-  /// decision to every active core's pending setting. The idle RM never
-  /// reconfigures anything, so it is skipped entirely (energy reference).
-  void invoke_rm(int k) {
-    if (point.policy == rm::RmPolicy::Idle) return;
-    const rm::RmDecision& decision = manager.invoke(k, snapshots, active_mask);
-    ++rm_invocations;
-    rm_ops += decision.ops;
-    ServiceCoreState& st = cores[static_cast<std::size_t>(k)];
-    if (cfg.sim.model_overheads) {
-      st.next_overhead += overheads.rm_execution(decision.ops, st.setting);
-    }
-    for (int j = 0; j < sys.cores; ++j) {
-      if (active_mask[static_cast<std::size_t>(j)] != 0) {
-        cores[static_cast<std::size_t>(j)].pending =
-            decision.settings[static_cast<std::size_t>(j)];
-      }
-    }
-  }
-
   /// Seats (app, demand) on idle core `k` at time `now_s`: cold-start
-  /// counters at the baseline setting (like the interval simulator's run
-  /// start), then an RM invocation so the machine re-balances immediately.
+  /// counters at the baseline setting (like the closed mix's run start),
+  /// then an RM invocation so the machine re-balances immediately.
   void admit(int k, int app, int demand, double arrival_s, double now_s) {
-    ServiceCoreState& st = cores[static_cast<std::size_t>(k)];
-    st = ServiceCoreState{};
-    st.active = true;
-    st.app = app;
-    st.remaining = demand;
-    st.setting = base;
-    st.pending = base;
-    active_mask[static_cast<std::size_t>(k)] = 1;
+    tenants[static_cast<std::size_t>(k)] = {demand, 0.0};
     wait_stats.add(now_s - arrival_s);
-    if (point.policy != rm::RmPolicy::Idle) {
-      const int phase0 = phase_at(st, 0);
-      make_snapshot_into(*db, app, phase0, base, perfect ? phase0 : -1,
-                         snapshots[static_cast<std::size_t>(k)]);
-      invoke_rm(k);
-    }
-    start_interval(st, now_s);
+    kernel.seat(k, app);
+    kernel.invoke(k);
+    kernel.freeze(k, now_s);
   }
 
   [[nodiscard]] bool is_sensitive(int app) const {
@@ -402,7 +311,7 @@ struct ServiceEngine::Impl {
     const workload::ArrivalEvent& ev = trace.events[next_arrival++];
     wall_s = std::max(wall_s, ev.time_s);
     for (int k = 0; k < sys.cores; ++k) {
-      if (!cores[static_cast<std::size_t>(k)].active) {
+      if (!kernel.active(k)) {
         if (is_sensitive(ev.app)) ++sensitive_in_system;
         admit(k, ev.app, ev.demand_intervals, ev.time_s, ev.time_s);
         return;
@@ -424,65 +333,44 @@ struct ServiceEngine::Impl {
   }
 
   void on_completion(int k) {
-    ServiceCoreState& st = cores[static_cast<std::size_t>(k)];
-    const double duration = st.end_s - st.start_s;
-    busy_s += duration;
+    const IntervalOutcome done = kernel.finish(k);
+    const CoreTimeline& st = kernel.core(k);
+    Tenant& tenant = tenants[static_cast<std::size_t>(k)];
+    busy_s += done.duration_s;
     ++intervals;
-    st.app_energy_j += st.energy_j;
-    core_energy_j += st.energy_j;
+    tenant.app_energy_j += done.energy_j;
+    core_energy_j += done.energy_j;
     wall_s = std::max(wall_s, st.end_s);
-
-    // QoS accounting identical to interval_sim.cc: target is the
-    // alpha-relaxed baseline time (Eq. 3), the magnitude is Eq. 6 against
-    // that same target.
-    const double qos_target_s = st.base_time_s * sys.qos_alpha;
-    if (duration > qos_target_s * (1.0 + cfg.sim.qos_epsilon)) {
+    if (done.violated) {
       ++violations;
-      const double violation = (duration - qos_target_s) / qos_target_s;
-      violation_hist.add(violation);
-      violation_stats.add(violation);
+      violation_hist.add(done.violation);
+      violation_stats.add(done.violation);
     }
 
-    const int finished_phase = st.phase;
-    ++st.seq_pos;
-    --st.remaining;
-
-    if (st.remaining == 0) {
-      // Departure: free the core, seat the longest-waiting queued app on it,
-      // or - with an empty queue - let the RM redistribute the freed
-      // resources among the cores that remain busy.
-      ++served;
-      app_energy_stats.add(st.app_energy_j);
-      if (is_sensitive(st.app)) --sensitive_in_system;
-      st.active = false;
-      active_mask[static_cast<std::size_t>(k)] = 0;
-      const double now_s = st.end_s;
-      if (q_size > 0) {
-        const QueueEntry entry = dequeue_at(pick_queue_slot());
-        admit(k, entry.app, entry.demand, entry.arrival_s, now_s);
-      } else {
-        for (int j = 0; j < sys.cores; ++j) {
-          if (active_mask[static_cast<std::size_t>(j)] != 0) {
-            // Running intervals are frozen; the redistribution reaches each
-            // core at its next boundary via the pending setting.
-            invoke_rm(j);
-            break;
-          }
-        }
-      }
+    if (--tenant.remaining > 0) {
+      kernel.next_interval(k);
       return;
     }
-
-    // Interval boundary of a resident app: fresh counters, RM invocation,
-    // next interval - the Fig. 5 loop of the interval simulator.
-    if (point.policy != rm::RmPolicy::Idle) {
-      const int next_phase = phase_at(st, st.seq_pos);
-      make_snapshot_into(*db, st.app, finished_phase, st.setting,
-                         perfect ? next_phase : -1,
-                         snapshots[static_cast<std::size_t>(k)]);
-      invoke_rm(k);
+    // Departure: free the core, seat the next queued app on it, or - with
+    // an empty queue - let the RM redistribute the freed resources among
+    // the cores that remain busy.
+    ++served;
+    app_energy_stats.add(tenant.app_energy_j);
+    if (is_sensitive(st.app)) --sensitive_in_system;
+    kernel.vacate(k);
+    if (q_size > 0) {
+      const QueueEntry entry = dequeue_at(pick_queue_slot());
+      admit(k, entry.app, entry.demand, entry.arrival_s, st.end_s);
+      return;
     }
-    start_interval(st, st.end_s);
+    for (int j = 0; j < sys.cores; ++j) {
+      if (kernel.active(j)) {
+        // Running intervals are frozen; the redistribution reaches each core
+        // at its next boundary via the pending setting.
+        kernel.invoke(j);
+        break;
+      }
+    }
   }
 
   bool step() {
@@ -490,15 +378,7 @@ struct ServiceEngine::Impl {
         next_arrival < trace.events.size()
             ? trace.events[next_arrival].time_s
             : std::numeric_limits<double>::infinity();
-    int next_core = -1;
-    double best_end = std::numeric_limits<double>::infinity();
-    for (int k = 0; k < sys.cores; ++k) {
-      const ServiceCoreState& st = cores[static_cast<std::size_t>(k)];
-      if (st.active && st.end_s < best_end) {
-        best_end = st.end_s;
-        next_core = k;
-      }
-    }
+    const int next_core = kernel.next_completion();
     if (next_core < 0 && next_arrival >= trace.events.size()) {
       // Drained. The queue must be empty: entries only exist while every
       // core is busy.
@@ -507,7 +387,7 @@ struct ServiceEngine::Impl {
     }
     // Completions at time t run before an arrival at the same t, so the
     // arrival can be seated on the just-freed core instead of queueing.
-    if (next_core >= 0 && best_end <= arrival_t) {
+    if (next_core >= 0 && kernel.core(next_core).end_s <= arrival_t) {
       on_completion(next_core);
     } else {
       on_arrival();
@@ -535,10 +415,10 @@ struct ServiceEngine::Impl {
     m.uncore_energy_j = db->power().uncore_power(sys.cores) * wall_s;
     m.energy_total_j = core_energy_j + m.uncore_energy_j;
     m.energy_per_app_j = app_energy_stats.mean();
-    m.rm_invocations = rm_invocations;
-    m.rm_ops = rm_ops;
+    m.rm_invocations = kernel.rm_invocations();
+    m.rm_ops = kernel.rm_ops();
     m.decisions_per_sec =
-        wall_s > 0.0 ? static_cast<double>(rm_invocations) / wall_s : 0.0;
+        wall_s > 0.0 ? static_cast<double>(m.rm_invocations) / wall_s : 0.0;
     m.occupancy = wall_s > 0.0
                       ? busy_s / (static_cast<double>(sys.cores) * wall_s)
                       : 0.0;
@@ -641,12 +521,7 @@ std::uint64_t service_fingerprint(const ServiceGrid& grid,
   h.add_i64(config.demand_min);
   h.add_i64(config.demand_max);
   h.add_u64(config.queue_capacity);
-  h.add_u32(config.sim.model_overheads ? 1u : 0u);
-  h.add_f64(config.sim.overheads.instr_base);
-  h.add_f64(config.sim.overheads.instr_per_op);
-  h.add_f64(config.sim.overheads.dvfs.time_s);
-  h.add_f64(config.sim.overheads.dvfs.energy_j);
-  h.add_f64(config.sim.qos_epsilon);
+  hash_sim_options(h, config.sim);
   h.add_f64(config.hist_max_violation);
   h.add_u64(config.hist_bins);
   return h.digest();

@@ -1,5 +1,6 @@
-// Colocation-service mode: an open-loop arrival engine over the interval
-// simulator's machinery.
+// Colocation-service mode: an open-loop arrival engine over the per-core
+// interval kernel (rmsim/core_timeline) that also drives the closed-mix
+// simulator.
 //
 // Where the sweep subsystem (rmsim/sweep.hh) runs fixed multiprogrammed
 // mixes to completion, the service engine draws a seeded arrival trace
@@ -81,7 +82,9 @@ struct ServiceConfig {
   /// Arrivals finding every core busy wait here; one more arrival is
   /// rejected (counted, not simulated). Must be >= 1.
   std::size_t queue_capacity = 4096;
-  SimOptions sim{};  ///< qos_alpha_override is replaced per grid point
+  /// Kernel options. qos_alpha_override must stay 0 (the engine aborts
+  /// otherwise): the alpha comes from ServicePoint::qos_alpha.
+  SimOptions sim{};
   /// Violation-magnitude histogram layout (quantiles interpolate within
   /// bins, so the bin count bounds the quantile resolution).
   double hist_max_violation = 2.0;

@@ -59,13 +59,7 @@ SweepResult SweepRunner::run(const SweepGrid& grid) {
     row.model = grid.models[ki];
     row.qos_alpha = grid.qos_alphas[ai];
 
-    rm::RmConfig config;
-    config.policy = row.policy;
-    config.model = row.model;
-    // The Perfect axis is the paper's Fig. 9 oracle: exact time prediction
-    // paired with ground-truth energy (same pairing as bench_fig9). Leaving
-    // the energy model online would mislabel "Perfect" rows as a half-oracle.
-    config.energy.perfect = row.model == rm::PerfModelKind::Perfect;
+    const rm::RmConfig config = rm_config_for(row.policy, row.model);
     // Per-thread simulation scratch: worker threads run many rows, so the
     // per-run warmup buffers (core state, counter snapshots) are reused for
     // the thread's whole lifetime. Results are independent of the reuse.
@@ -113,12 +107,7 @@ std::uint64_t sweep_fingerprint(const SweepGrid& grid, const SimOptions& sim,
   h.add_u64(grid.qos_alphas.size());
   for (const double a : grid.qos_alphas) h.add_f64(a);
 
-  h.add_u32(sim.model_overheads ? 1u : 0u);
-  h.add_f64(sim.overheads.instr_base);
-  h.add_f64(sim.overheads.instr_per_op);
-  h.add_f64(sim.overheads.dvfs.time_s);
-  h.add_f64(sim.overheads.dvfs.energy_j);
-  h.add_f64(sim.qos_epsilon);
+  hash_sim_options(h, sim);
   h.add_f64(sim.qos_alpha_override);
   return h.digest();
 }

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/rng.hh"
+#include "support/global_opt_ref.hh"
 
 namespace qosrm::rm {
 namespace {
@@ -126,17 +127,9 @@ std::vector<EnergyCurve> random_curves(Rng& rng, int cores) {
   return curves;
 }
 
-std::vector<EnergyCurveView> views_of(const std::vector<EnergyCurve>& curves) {
-  std::vector<EnergyCurveView> views;
-  for (const EnergyCurve& c : curves) {
-    views.push_back({c.min_ways, std::span<const double>(c.energy)});
-  }
-  return views;
-}
-
 TEST(GlobalOpt, SingleCoreTakesWholeBudget) {
   const std::vector<EnergyCurve> curves = {curve(2, {5, 4, 3, 2, 1})};
-  const auto r = GlobalOptimizer::optimize(curves, 4);
+  const auto r = ref::optimize(curves, 4);
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.ways, (std::vector<int>{4}));
   EXPECT_DOUBLE_EQ(r.total_energy, 3.0);
@@ -147,7 +140,7 @@ TEST(GlobalOpt, TwoCoreConvolutionPicksMinimum) {
   // to the first split found (2,4).
   const std::vector<EnergyCurve> curves = {curve(2, {9, 5, 1}),
                                            curve(2, {9, 10, 1})};
-  const auto r = GlobalOptimizer::optimize(curves, 6);
+  const auto r = ref::optimize(curves, 6);
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.ways, (std::vector<int>{2, 4}));
   EXPECT_DOUBLE_EQ(r.total_energy, 10.0);
@@ -157,7 +150,7 @@ TEST(GlobalOpt, InfeasibleEntriesAreSkipped) {
   const std::vector<EnergyCurve> curves = {curve(2, {kInf, 5, 1}),
                                            curve(2, {1, kInf, kInf})};
   // Budget 6: (3,3) and (2,4) hit infinities; only (4,2) = 1 + 1 works.
-  const auto r = GlobalOptimizer::optimize(curves, 6);
+  const auto r = ref::optimize(curves, 6);
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.ways, (std::vector<int>{4, 2}));
   EXPECT_DOUBLE_EQ(r.total_energy, 2.0);
@@ -166,15 +159,15 @@ TEST(GlobalOpt, InfeasibleEntriesAreSkipped) {
 TEST(GlobalOpt, WhollyInfeasibleBudgetReported) {
   const std::vector<EnergyCurve> curves = {curve(2, {kInf, kInf}),
                                            curve(2, {1, 1})};
-  EXPECT_FALSE(GlobalOptimizer::optimize(curves, 5).feasible);
+  EXPECT_FALSE(ref::optimize(curves, 5).feasible);
 }
 
 TEST(GlobalOpt, BudgetOutsideReachIsInfeasible) {
   const std::vector<EnergyCurve> curves = {curve(2, {1, 1}), curve(2, {1, 1})};
-  EXPECT_FALSE(GlobalOptimizer::optimize(curves, 3).feasible);  // min is 4
-  EXPECT_FALSE(GlobalOptimizer::optimize(curves, 7).feasible);  // max is 6
-  EXPECT_TRUE(GlobalOptimizer::optimize(curves, 4).feasible);
-  EXPECT_TRUE(GlobalOptimizer::optimize(curves, 6).feasible);
+  EXPECT_FALSE(ref::optimize(curves, 3).feasible);  // min is 4
+  EXPECT_FALSE(ref::optimize(curves, 7).feasible);  // max is 6
+  EXPECT_TRUE(ref::optimize(curves, 4).feasible);
+  EXPECT_TRUE(ref::optimize(curves, 6).feasible);
 }
 
 TEST(GlobalOpt, AllocationAlwaysSumsToBudget) {
@@ -188,7 +181,7 @@ TEST(GlobalOpt, AllocationAlwaysSumsToBudget) {
       curves.push_back(curve(2, std::move(e)));
     }
     const int budget = 8 * cores;
-    const auto r = GlobalOptimizer::optimize(curves, budget);
+    const auto r = ref::optimize(curves, budget);
     ASSERT_TRUE(r.feasible);
     int total = 0;
     for (const int w : r.ways) {
@@ -217,8 +210,8 @@ TEST_P(GlobalOptVsBruteForce, MatchesExhaustiveSearch) {
       curves.push_back(curve(2, std::move(e)));
     }
     const int budget = 8 * cores;
-    const auto fast = GlobalOptimizer::optimize(curves, budget);
-    const auto slow = GlobalOptimizer::brute_force(curves, budget);
+    const auto fast = ref::optimize(curves, budget);
+    const auto slow = ref::brute_force(curves, budget);
     ASSERT_EQ(fast.feasible, slow.feasible) << "trial " << trial;
     if (fast.feasible) {
       EXPECT_NEAR(fast.total_energy, slow.total_energy, 1e-9) << "trial " << trial;
@@ -243,7 +236,7 @@ TEST(GlobalOpt, OpsCountGrowsPolynomially) {
         static_cast<std::size_t>(cores),
         curve(2, std::vector<double>(15, 1.0)));
     std::uint64_t ops = 0;
-    (void)GlobalOptimizer::optimize(curves, 8 * cores, &ops);
+    (void)ref::optimize(curves, 8 * cores, &ops);
     return ops;
   };
   const std::uint64_t ops2 = ops_for(2);
@@ -275,7 +268,7 @@ TEST(GlobalOptEquivalence, FlatBufferMatchesTreeAndBruteForceOnRandomCurves) {
         sum_lo - 1 + static_cast<int>(rng.uniform_u64(
                          static_cast<std::uint64_t>(sum_hi - sum_lo + 3)));
 
-    const GlobalOptResult fast = GlobalOptimizer::optimize(curves, budget);
+    const GlobalOptResult fast = ref::optimize(curves, budget);
     const GlobalOptResult tree = tree_optimize(curves, budget);
     ASSERT_EQ(fast.feasible, tree.feasible) << "trial " << trial;
     if (fast.feasible) {
@@ -284,7 +277,7 @@ TEST(GlobalOptEquivalence, FlatBufferMatchesTreeAndBruteForceOnRandomCurves) {
     }
 
     if (cores <= 4) {
-      const GlobalOptResult slow = GlobalOptimizer::brute_force(curves, budget);
+      const GlobalOptResult slow = ref::brute_force(curves, budget);
       ASSERT_EQ(fast.feasible, slow.feasible) << "trial " << trial;
       if (fast.feasible) {
         EXPECT_NEAR(fast.total_energy, slow.total_energy, 1e-9)
@@ -351,7 +344,7 @@ TEST(GlobalOpt, OpsCountIsOneFeasiblePairPerDpStep) {
                                            curve(2, {1, kInf, 2}),
                                            curve(2, {2, kInf})};
   std::uint64_t ops = 0;
-  const auto r = GlobalOptimizer::optimize(curves, 8, &ops);
+  const auto r = ref::optimize(curves, 8, &ops);
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(ops, 8u);
 }
@@ -364,9 +357,9 @@ TEST(GlobalOpt, OpsCountSymmetricUnderOperandSwap) {
   const EnergyCurve full = curve(2, {1, 2, 3, 4});
   std::uint64_t ops_ab = 0;
   std::uint64_t ops_ba = 0;
-  (void)GlobalOptimizer::optimize(std::vector<EnergyCurve>{holes, full}, 8,
+  (void)ref::optimize(std::vector<EnergyCurve>{holes, full}, 8,
                                   &ops_ab);
-  (void)GlobalOptimizer::optimize(std::vector<EnergyCurve>{full, holes}, 8,
+  (void)ref::optimize(std::vector<EnergyCurve>{full, holes}, 8,
                                   &ops_ba);
   EXPECT_EQ(ops_ab, ops_ba);
   EXPECT_EQ(ops_ab, 8u);  // 2 feasible entries x 4 feasible entries
@@ -391,14 +384,15 @@ void expect_levels_bitwise_equal(const std::vector<EnergyCurve>& curves,
   GlobalOptWorkspace scalar_ws;
   GlobalOptResult scalar_out;
   std::uint64_t scalar_ops = 0;
-  GlobalOptimizer::optimize_into(views, budget, scalar_ws, scalar_out,
-                                 &scalar_ops, simd::Level::Scalar);
+  const int shares = ways_only_shares(views);
+  GlobalOptimizer::optimize_into(views, budget, shares, {}, scalar_ws,
+                                 scalar_out, &scalar_ops, simd::Level::Scalar);
 
   GlobalOptWorkspace avx2_ws;
   GlobalOptResult avx2_out;
   std::uint64_t avx2_ops = 0;
-  GlobalOptimizer::optimize_into(views, budget, avx2_ws, avx2_out, &avx2_ops,
-                                 simd::Level::Avx2);
+  GlobalOptimizer::optimize_into(views, budget, shares, {}, avx2_ws, avx2_out,
+                                 &avx2_ops, simd::Level::Avx2);
 
   ASSERT_EQ(scalar_out.feasible, avx2_out.feasible) << what;
   EXPECT_EQ(scalar_out.total_energy, avx2_out.total_energy) << what;
@@ -519,7 +513,7 @@ TEST(GlobalOpt, PrefersFeasibleEvenSplitWhenSymmetric) {
   }
   const std::vector<EnergyCurve> curves = {curve(2, e), curve(2, e),
                                            curve(2, e), curve(2, e)};
-  const auto r = GlobalOptimizer::optimize(curves, 32);
+  const auto r = ref::optimize(curves, 32);
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.ways, (std::vector<int>{8, 8, 8, 8}));
 }

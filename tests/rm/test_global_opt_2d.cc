@@ -20,6 +20,7 @@
 #include <string>
 
 #include "common/rng.hh"
+#include "support/global_opt_ref.hh"
 
 namespace qosrm::rm {
 namespace {
@@ -134,15 +135,6 @@ EnergyCurve random_surface(Rng& rng, int num_ways, int num_shares,
   return cu;
 }
 
-std::vector<EnergyCurveView> views_of(const std::vector<EnergyCurve>& curves) {
-  std::vector<EnergyCurveView> views;
-  for (const EnergyCurve& c : curves) {
-    views.push_back({c.min_ways, std::span<const double>(c.energy),
-                     c.min_shares, c.num_shares});
-  }
-  return views;
-}
-
 double attained_energy(const std::vector<EnergyCurve>& curves,
                        const GlobalOptResult& r) {
   double total = 0.0;
@@ -199,7 +191,7 @@ TEST_P(GlobalOpt2dDegenerate, SingleShareRowMatchesOneDOracleBitwise) {
       if (level == simd::Level::Avx2 && !avx2_available()) continue;
       GlobalOptWorkspace ws;
       GlobalOptResult out;
-      GlobalOptimizer::optimize_into(views, budget, share_budget, ws, out,
+      GlobalOptimizer::optimize_into(views, budget, share_budget, {}, ws, out,
                                      nullptr, level);
       const std::string what = "cores=" + std::to_string(cores) +
                                " trial=" + std::to_string(trial) +
@@ -239,7 +231,7 @@ TEST(GlobalOpt2d, TwoCoreSurfaceConvolutionPicksMinimum) {
   b.energy = {1.0, 3.0,     // b=1: w=2,3
               40.0, 30.0};  // b=2: w=2,3
   const std::vector<EnergyCurve> curves = {a, b};
-  const auto r = GlobalOptimizer::optimize(curves, 5, 3);
+  const auto r = ref::optimize(curves, 5, 3);
   ASSERT_TRUE(r.feasible);
   EXPECT_DOUBLE_EQ(r.total_energy, 3.0);
   EXPECT_EQ(r.ways, (std::vector<int>{3, 2}));
@@ -253,10 +245,10 @@ TEST(GlobalOpt2d, ShareBudgetOutsideReachIsInfeasible) {
   a.num_shares = 2;
   a.energy = {1.0, 1.0, 1.0, 1.0};
   const std::vector<EnergyCurve> curves = {a, a};
-  EXPECT_TRUE(GlobalOptimizer::optimize(curves, 5, 2).feasible);
-  EXPECT_TRUE(GlobalOptimizer::optimize(curves, 5, 4).feasible);
-  EXPECT_FALSE(GlobalOptimizer::optimize(curves, 5, 1).feasible);  // min is 2
-  EXPECT_FALSE(GlobalOptimizer::optimize(curves, 5, 5).feasible);  // max is 4
+  EXPECT_TRUE(ref::optimize(curves, 5, 2).feasible);
+  EXPECT_TRUE(ref::optimize(curves, 5, 4).feasible);
+  EXPECT_FALSE(ref::optimize(curves, 5, 1).feasible);  // min is 2
+  EXPECT_FALSE(ref::optimize(curves, 5, 5).feasible);  // max is 4
 }
 
 class GlobalOpt2dVsBruteForce : public ::testing::TestWithParam<int> {};
@@ -286,8 +278,8 @@ TEST_P(GlobalOpt2dVsBruteForce, RandomSurfacesMatchExhaustiveSearch) {
         b_lo - 1 + static_cast<int>(rng.uniform_u64(
                        static_cast<std::uint64_t>(b_hi - b_lo + 3)));
 
-    const auto fast = GlobalOptimizer::optimize(curves, W, B);
-    const auto slow = GlobalOptimizer::brute_force(curves, W, B);
+    const auto fast = ref::optimize(curves, W, B);
+    const auto slow = ref::brute_force(curves, W, B);
     const std::string what = "cores=" + std::to_string(cores) +
                              " trial=" + std::to_string(trial) +
                              " W=" + std::to_string(W) +
@@ -347,9 +339,9 @@ TEST_P(GlobalOpt2dSimdEquivalence, RandomSurfacesMatchBitwiseAcrossLevels) {
     GlobalOptWorkspace scalar_ws, avx2_ws;
     GlobalOptResult scalar_out, avx2_out;
     std::uint64_t scalar_ops = 0, avx2_ops = 0;
-    GlobalOptimizer::optimize_into(views, W, B, scalar_ws, scalar_out,
+    GlobalOptimizer::optimize_into(views, W, B, {}, scalar_ws, scalar_out,
                                    &scalar_ops, simd::Level::Scalar);
-    GlobalOptimizer::optimize_into(views, W, B, avx2_ws, avx2_out, &avx2_ops,
+    GlobalOptimizer::optimize_into(views, W, B, {}, avx2_ws, avx2_out, &avx2_ops,
                                    simd::Level::Avx2);
     const std::string what = "cores=" + std::to_string(cores) +
                              " trial=" + std::to_string(trial);
@@ -385,7 +377,7 @@ TEST(GlobalOpt2d, OpsCountIsOneFeasibleCellPairPerDpStep) {
   c.energy = {3.0};
   const std::vector<EnergyCurve> curves = {a, b, c};
   std::uint64_t ops = 0;
-  const auto r = GlobalOptimizer::optimize(curves, 6, 3, &ops);
+  const auto r = ref::optimize(curves, 6, 3, &ops);
   EXPECT_EQ(ops, 2u * 2u + 4u * 1u);
   ASSERT_TRUE(r.feasible);
 }
@@ -409,8 +401,8 @@ TEST(GlobalOpt2d, WaysOnlyWrapperIsDegenerateTwoD) {
     const int budget = sum_lo + trial % 5;
 
     std::uint64_t ops_1d = 0, ops_2d = 0;
-    const auto r1 = GlobalOptimizer::optimize(curves, budget, &ops_1d);
-    const auto r2 = GlobalOptimizer::optimize(curves, budget, share_budget,
+    const auto r1 = ref::optimize(curves, budget, &ops_1d);
+    const auto r2 = ref::optimize(curves, budget, share_budget,
                                               &ops_2d);
     ASSERT_EQ(r1.feasible, r2.feasible) << "trial " << trial;
     EXPECT_EQ(ops_1d, ops_2d) << "trial " << trial;

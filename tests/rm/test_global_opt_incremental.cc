@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "support/global_opt_ref.hh"
 
 namespace qosrm::rm {
 namespace {
@@ -42,15 +43,6 @@ EnergyCurve random_leaf(Rng& rng, int num_shares, bool idle) {
     cu.energy.push_back(rng.bernoulli(0.2) ? kInf : rng.uniform(1.0, 50.0));
   }
   return cu;
-}
-
-std::vector<EnergyCurveView> views_of(const std::vector<EnergyCurve>& curves) {
-  std::vector<EnergyCurveView> views;
-  for (const EnergyCurve& c : curves) {
-    views.push_back({c.min_ways, std::span<const double>(c.energy), c.min_shares,
-                     c.num_shares});
-  }
-  return views;
 }
 
 int ceil_log2(int n) {
@@ -125,7 +117,7 @@ TEST_P(GlobalOptIncremental, MatchesFromScratchBitwise) {
       GlobalOptWorkspace scratch;
       GlobalOptResult expect;
       std::uint64_t expect_ops = 0;
-      GlobalOptimizer::optimize_into(views, total_ways, total_shares, scratch,
+      GlobalOptimizer::optimize_into(views, total_ways, total_shares, {}, scratch,
                                      expect, &expect_ops, level);
       GlobalOptResult got;
       std::uint64_t got_ops = 0;

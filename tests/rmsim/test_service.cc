@@ -254,6 +254,16 @@ TEST(ServiceDeathTest, ParseAdmissionsRejectsBadSpecs) {
   EXPECT_EQ(admissions[2], AdmissionPolicy::QosAware);
 }
 
+TEST(ServiceDeathTest, SimAlphaOverrideIsRejected) {
+  // The service takes its alpha from ServicePoint::qos_alpha; a SimOptions
+  // override would be silently ignored, and the fingerprint omits it.
+  const workload::SimDb& db = qosrm::testing::shared_db(2);
+  ServiceConfig config = small_config();
+  config.sim.qos_alpha_override = 1.2;
+  EXPECT_DEATH({ ServiceEngine engine(db, config, ServicePoint{}); },
+               "ServicePoint::qos_alpha");
+}
+
 TEST(ServiceDeathTest, ParseLoadsRejectsBadSpecs) {
   EXPECT_DEATH((void)parse_loads(""), "empty --load entry");
   EXPECT_DEATH((void)parse_loads("0.8,"), "empty --load entry");
