@@ -3,7 +3,8 @@
 //
 //   * ATD observe            - per-LLC-access monitoring work
 //   * MLP-ATD observe        - the proposed 48-counter extension
-//   * oracle leading misses  - offline ground-truth analysis
+//   * oracle leading misses  - offline ground-truth analysis, all (c, w)
+//   * phase characterization - the per-phase unit of the cold SimDb build
 //   * trace synthesis        - workload generation throughput
 //   * local optimization     - one per-core RM invocation piece
 //   * global optimization    - min-plus reduction, 2..16 cores
@@ -18,7 +19,9 @@
 #include "rm/local_opt.hh"
 #include "rm/resource_manager.hh"
 #include "rmsim/snapshot.hh"
+#include "workload/phase_stats.hh"
 #include "workload/sim_db.hh"
+#include "workload/spec_suite.hh"
 #include "workload/trace_synth.hh"
 
 namespace {
@@ -67,18 +70,37 @@ void BM_MlpAtdObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpAtdObserve);
 
+// One pass of the lane kernel: all 3 x 16 (core size, allocation) counts.
 void BM_OracleLeadingMisses(benchmark::State& state) {
   const auto trace = make_trace(1 << 14);
   cache::RecencyProfiler prof(64, 16);
   const auto recency = prof.annotate(trace);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache::MlpOracle::leading_misses(
-        trace, recency, arch::CoreSize::M, 8));
+    benchmark::DoNotOptimize(
+        cache::MlpOracle::leading_miss_curves(trace, recency, 16));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(trace.size()));
 }
 BENCHMARK(BM_OracleLeadingMisses);
+
+// Cold characterization of one phase (synthesis, recency, oracle, arrival
+// order, MLP-ATD): the per-phase unit of the SimDb build.
+void BM_CharacterizePhase(benchmark::State& state) {
+  const workload::SpecSuite& suite = workload::spec_suite();
+  const workload::AppProfile& app = suite.app(suite.index_of("mcf"));
+  const arch::SystemConfig system;
+  const workload::PhaseStatsOptions options;
+  std::int64_t accesses = 0;
+  for (auto _ : state) {
+    const workload::PhaseStats stats =
+        workload::characterize_phase(app.phases.front(), system, options, app.trace_seed);
+    accesses += static_cast<std::int64_t>(stats.llc_accesses / stats.scale + 0.5);
+    benchmark::DoNotOptimize(stats.lm_atd);
+  }
+  state.SetItemsProcessed(accesses);
+}
+BENCHMARK(BM_CharacterizePhase)->Unit(benchmark::kMillisecond);
 
 void BM_TraceSynthesis(benchmark::State& state) {
   workload::PhaseParams phase;

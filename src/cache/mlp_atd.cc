@@ -12,12 +12,28 @@ MlpAtd::MlpAtd(const MlpAtdConfig& config) : cfg_(config) {
   QOSRM_CHECK(cfg_.min_ways >= 1 && cfg_.min_ways <= cfg_.max_ways);
   QOSRM_CHECK(cfg_.sample_period >= 1);
   QOSRM_CHECK(cfg_.index_bits >= 4 && cfg_.index_bits <= 32);
+  QOSRM_CHECK_MSG(cfg_.counter_bits >= 8 && cfg_.counter_bits <= 32,
+                  "counter_bits must be in [8, 32] (32-bit counter lanes)");
   const int sampled = (cfg_.sets + cfg_.sample_period - 1) / cfg_.sample_period;
   sampled_sets_.reserve(static_cast<std::size_t>(sampled));
   for (int i = 0; i < sampled; ++i) sampled_sets_.emplace_back(cfg_.max_ways);
-  counters_.assign(static_cast<std::size_t>(arch::kNumCoreSizes) *
-                       static_cast<std::size_t>(cfg_.num_allocations()),
-                   Counter{});
+
+  const int lanes = arch::kNumCoreSizes * cfg_.num_allocations();
+  const std::size_t blocks = lane_blocks(static_cast<std::size_t>(lanes));
+  ways_.assign(blocks, splat(kNeverMissWays));
+  rob_.assign(blocks, splat(0));
+  for (int w = cfg_.min_ways; w <= cfg_.max_ways; ++w) {
+    for (int c_idx = 0; c_idx < arch::kNumCoreSizes; ++c_idx) {
+      const std::size_t k = lane(c_idx, w);
+      ways_[k / kLaneWidth][k % kLaneWidth] = static_cast<std::uint32_t>(w);
+      rob_[k / kLaneWidth][k % kLaneWidth] =
+          static_cast<std::uint32_t>(arch::core_params(arch::kAllCoreSizes[c_idx]).rob);
+    }
+  }
+  lm_count_.assign(blocks, splat(0));
+  last_lm_index_.assign(blocks, splat(0));
+  last_ov_dist_.assign(blocks, splat(0));
+  has_lm_.assign(blocks, splat(0));
   hit_at_.assign(static_cast<std::size_t>(cfg_.max_ways), 0);
 }
 
@@ -37,57 +53,41 @@ void MlpAtd::observe(const LlcAccess& access) {
   // The instruction index is transmitted quantized: the low index_bits of the
   // dynamic instruction count (paper: 10 bits = a 1024-instruction window,
   // 4x the largest ROB).
-  const std::uint32_t q_index =
-      static_cast<std::uint32_t>(access.inst_index) & (cfg_.index_window() - 1);
+  const std::uint32_t index_mask =
+      static_cast<std::uint32_t>(cfg_.index_window() - 1);
+  const U32x4 q = splat(static_cast<std::uint32_t>(access.inst_index) & index_mask);
+  const U32x4 r = splat(pos);
+  const U32x4 mask = splat(index_mask);
+  const U32x4 count_max = splat(static_cast<std::uint32_t>(cfg_.counter_max()));
 
-  for (int c_idx = 0; c_idx < arch::kNumCoreSizes; ++c_idx) {
-    const int rob = arch::core_params(arch::kAllCoreSizes[c_idx]).rob;
-    for (int w = cfg_.min_ways; w <= cfg_.max_ways; ++w) {
-      // Predicted to miss at allocation w <=> recency position >= w.
-      const bool miss = pos == kRecencyMiss || static_cast<int>(pos) >= w;
-      if (!miss) continue;
-      update_counter(counter(c_idx, w), rob, q_index);
-    }
-  }
-}
-
-void MlpAtd::update_counter(Counter& ctr, int rob, std::uint32_t q_index) noexcept {
-  auto count_lm = [&] {
-    if (ctr.lm_count < cfg_.counter_max()) ++ctr.lm_count;
-    ctr.last_lm_index = q_index;
-    ctr.has_last_lm = true;
-    ctr.has_ov = false;
-    ctr.last_ov_dist = 0;
-  };
-
-  if (!ctr.has_last_lm) {  // first observed miss: leading by definition
-    count_lm();
-    return;
-  }
-
-  // Distance in the quantized index space (wraps modulo the window).
-  const std::uint32_t dist =
-      (q_index - ctr.last_lm_index) & (cfg_.index_window() - 1);
-
-  if (dist != 0 && dist < static_cast<std::uint32_t>(rob)) {
-    if (!ctr.has_ov || dist > ctr.last_ov_dist) {
-      // In-order arrival within the ROB window: overlaps the last LM.
-      ctr.has_ov = true;
-      ctr.last_ov_dist = dist;
-    } else {
-      // Out-of-order arrival (smaller distance than the previous OV): the
-      // load likely waited on data from the last LM -> new leading miss.
-      count_lm();
-    }
-  } else {
-    // Outside the ROB window (or aliased to zero): cannot overlap.
-    count_lm();
+  // Lanes that hit leave their counter untouched, so only the missing
+  // prefix of the w-major lanes is walked.
+  const std::size_t touched = lane_blocks(missing_prefix_lanes(
+      pos, cfg_.min_ways, cfg_.max_ways, arch::kNumCoreSizes));
+  for (std::size_t b = 0; b < touched; ++b) {
+    // Predicted to miss at allocation w <=> recency position >= w.
+    const U32x4 miss = ~lt_small(r, ways_[b]);
+    // Distance in the quantized index space (wraps modulo the window).
+    const U32x4 dist = (q - last_lm_index_[b]) & mask;
+    // Overlapped: an LM is on record, the distance is inside the ROB window
+    // and it grows past the previous OV distance (in-order arrival). The
+    // last test also rejects dist == 0 (aliased), as last_ov_dist >= 0. A
+    // first miss, a miss beyond the ROB and an out-of-order arrival (a
+    // likely dependency on the last LM) all lead.
+    const U32x4 overlapped = miss & has_lm_[b] & lt(dist, rob_[b]) &
+                             lt(last_ov_dist_[b], dist);
+    const U32x4 leading = miss & ~overlapped;
+    lm_count_[b] -= leading & lt(lm_count_[b], count_max);  // saturating +1
+    last_lm_index_[b] = select(leading, q, last_lm_index_[b]);
+    has_lm_[b] |= leading;
+    last_ov_dist_[b] = select(overlapped, dist, last_ov_dist_[b] & ~leading);
   }
 }
 
 double MlpAtd::leading_misses(arch::CoreSize c, int w) const {
   QOSRM_CHECK(w >= cfg_.min_ways && w <= cfg_.max_ways);
-  return static_cast<double>(counter(arch::core_size_index(c), w).lm_count) *
+  const std::size_t k = lane(arch::core_size_index(c), w);
+  return static_cast<double>(lm_count_[k / kLaneWidth][k % kLaneWidth]) *
          static_cast<double>(cfg_.sample_period);
 }
 
@@ -108,7 +108,10 @@ double MlpAtd::mlp(arch::CoreSize c, int w) const {
 }
 
 void MlpAtd::reset_counters() {
-  std::fill(counters_.begin(), counters_.end(), Counter{});
+  for (std::vector<U32x4>* regs :
+       {&lm_count_, &last_lm_index_, &last_ov_dist_, &has_lm_}) {
+    std::fill(regs->begin(), regs->end(), splat(0));
+  }
   std::fill(hit_at_.begin(), hit_at_.end(), 0ULL);
   atd_misses_ = 0;
 }
@@ -119,19 +122,14 @@ std::uint64_t MlpAtd::extension_storage_bits() const noexcept {
   const std::uint64_t per_counter = static_cast<std::uint64_t>(cfg_.counter_bits) +
                                     2ULL * static_cast<std::uint64_t>(cfg_.index_bits) +
                                     2ULL;
-  return per_counter * counters_.size();
+  return per_counter * static_cast<std::uint64_t>(arch::kNumCoreSizes) *
+         static_cast<std::uint64_t>(cfg_.num_allocations());
 }
 
-MlpAtd::Counter& MlpAtd::counter(int c_idx, int w) noexcept {
-  return counters_[static_cast<std::size_t>(c_idx) *
-                       static_cast<std::size_t>(cfg_.num_allocations()) +
-                   static_cast<std::size_t>(w - cfg_.min_ways)];
-}
-
-const MlpAtd::Counter& MlpAtd::counter(int c_idx, int w) const noexcept {
-  return counters_[static_cast<std::size_t>(c_idx) *
-                       static_cast<std::size_t>(cfg_.num_allocations()) +
-                   static_cast<std::size_t>(w - cfg_.min_ways)];
+std::size_t MlpAtd::lane(int c_idx, int w) const noexcept {
+  return static_cast<std::size_t>(w - cfg_.min_ways) *
+             static_cast<std::size_t>(arch::kNumCoreSizes) +
+         static_cast<std::size_t>(c_idx);
 }
 
 }  // namespace qosrm::cache

@@ -16,7 +16,9 @@
 //      OV distance), which indicates a data dependency on the last LM.
 //
 // The structure embeds its own (possibly sampled) tag directory so the
-// miss-at-w predicate is produced exactly the way the hardware would.
+// miss-at-w predicate is produced exactly the way the hardware would. The
+// per-(c, w) counter registers are 32-bit lanes (cache/lanes.hh) that every
+// access updates branch-free, which bounds counter_bits to [8, 32].
 #ifndef QOSRM_CACHE_MLP_ATD_HH
 #define QOSRM_CACHE_MLP_ATD_HH
 
@@ -25,6 +27,7 @@
 
 #include "arch/core_config.hh"
 #include "cache/access.hh"
+#include "cache/lanes.hh"
 #include "cache/lru_stack.hh"
 
 namespace qosrm::cache {
@@ -37,8 +40,9 @@ struct MlpAtdConfig {
   int index_bits = 10;    ///< quantized instruction-index width (paper: 10)
   int counter_bits = 27;  ///< LM counter width (paper: 27)
 
-  [[nodiscard]] std::uint32_t index_window() const noexcept {
-    return 1u << index_bits;
+  /// 2^index_bits; 64-bit so the 32-bit index width is well defined.
+  [[nodiscard]] std::uint64_t index_window() const noexcept {
+    return std::uint64_t{1} << index_bits;
   }
   [[nodiscard]] std::uint64_t counter_max() const noexcept {
     return (counter_bits >= 64) ? ~0ULL : ((1ULL << counter_bits) - 1);
@@ -80,23 +84,21 @@ class MlpAtd {
   [[nodiscard]] std::uint64_t extension_storage_bits() const noexcept;
 
  private:
-  /// Per-(core size, allocation) heuristic state.
-  struct Counter {
-    std::uint64_t lm_count = 0;
-    std::uint32_t last_lm_index = 0;
-    std::uint32_t last_ov_dist = 0;
-    bool has_last_lm = false;
-    bool has_ov = false;
-  };
-
-  [[nodiscard]] Counter& counter(int c_idx, int w) noexcept;
-  [[nodiscard]] const Counter& counter(int c_idx, int w) const noexcept;
-  void update_counter(Counter& ctr, int rob, std::uint32_t q_index) noexcept;
+  [[nodiscard]] std::size_t lane(int c_idx, int w) const noexcept;
 
   MlpAtdConfig cfg_;
   std::vector<LruStack> sampled_sets_;
-  std::vector<Counter> counters_;        // [core size][allocation]
-  std::vector<std::uint64_t> hit_at_;    // recency-position hit counters
+  // Lane k = (w - min_ways) * kNumCoreSizes + c_idx, padded to whole blocks
+  // with never-missing lanes. Constants:
+  std::vector<U32x4> ways_;  // allocation w of the lane
+  std::vector<U32x4> rob_;   // ROB size of the lane's core
+  // Per-lane registers (the paper's Fig. 4 state). last_ov_dist == 0 means
+  // no overlapped miss since the last LM; has_lm lanes are all-ones or zero.
+  std::vector<U32x4> lm_count_;
+  std::vector<U32x4> last_lm_index_;
+  std::vector<U32x4> last_ov_dist_;
+  std::vector<U32x4> has_lm_;
+  std::vector<std::uint64_t> hit_at_;  // recency-position hit counters
   std::uint64_t atd_misses_ = 0;
 };
 

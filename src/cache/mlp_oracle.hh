@@ -10,10 +10,13 @@
 //
 // The oracle defines LM(c, w) for the ground-truth timing model
 // (arch::evaluate_interval) and is the accuracy reference for the MLP-ATD
-// ablation benches.
+// ablation benches. Every (core size, allocation) pair is one 32-bit lane of
+// a single pass over the trace (cache/lanes.hh); DESIGN.md explains why the
+// lane form is exact.
 #ifndef QOSRM_CACHE_MLP_ORACLE_HH
 #define QOSRM_CACHE_MLP_ORACLE_HH
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -25,18 +28,20 @@ namespace qosrm::cache {
 
 class MlpOracle {
  public:
-  /// Ground-truth leading-miss count for core size `c` at allocation `w`.
-  /// `recency` is the program-order recency annotation of `trace`
-  /// (RecencyProfiler); an access misses at w iff recency >= w.
+  /// Leading-miss counts per core size (indexed by core_size_index) and
+  /// allocation (element w-1, w in [1, max_ways]), from one pass over
+  /// `trace`. `recency` is the program-order recency annotation of `trace`
+  /// (RecencyProfiler); an access misses at w iff recency >= w. Instruction
+  /// indices must be non-decreasing (program order).
+  [[nodiscard]] static std::array<std::vector<double>, arch::kNumCoreSizes>
+  leading_miss_curves(std::span<const LlcAccess> trace,
+                      std::span<const std::uint8_t> recency, int max_ways);
+
+  /// Ground-truth leading-miss count for core size `c` at allocation `w`:
+  /// one entry of leading_miss_curves(trace, recency, w).
   [[nodiscard]] static double leading_misses(std::span<const LlcAccess> trace,
                                              std::span<const std::uint8_t> recency,
                                              arch::CoreSize c, int w);
-
-  /// Leading misses for every allocation in [min_ways, max_ways] at core
-  /// size c; one pass per allocation (groups evolve differently per w).
-  [[nodiscard]] static std::vector<double> leading_miss_curve(
-      std::span<const LlcAccess> trace, std::span<const std::uint8_t> recency,
-      arch::CoreSize c, int min_ways, int max_ways);
 };
 
 }  // namespace qosrm::cache

@@ -83,12 +83,9 @@ PhaseStats characterize_phase(const PhaseParams& phase,
   }
 
   // 2. Oracle leading misses per core size and allocation (ground truth).
-  for (int c_idx = 0; c_idx < arch::kNumCoreSizes; ++c_idx) {
-    const arch::CoreSize c = arch::kAllCoreSizes[c_idx];
-    std::vector<double> lm =
-        cache::MlpOracle::leading_miss_curve(accesses, recency, c, 1, max_ways);
+  stats.lm_true = cache::MlpOracle::leading_miss_curves(accesses, recency, max_ways);
+  for (std::vector<double>& lm : stats.lm_true) {
     for (double& v : lm) v *= stats.scale;
-    stats.lm_true[static_cast<std::size_t>(c_idx)] = std::move(lm);
   }
 
   // 3. Hardware estimate: emulate the out-of-order arrival stream at the

@@ -175,5 +175,36 @@ TEST(MlpAtd, CounterSaturatesAtConfiguredWidth) {
   EXPECT_DOUBLE_EQ(atd.leading_misses(arch::CoreSize::L, 16), 255.0);
 }
 
+TEST(MlpAtd, IndexBits32IsWellDefined) {
+  // A 32-bit index keeps the full low word: the Fig. 4 stream classifies as
+  // with 10 bits, and a distance of 2^32 + 32 aliases to 32 (< ROB).
+  MlpAtdConfig cfg = tiny_config();
+  cfg.index_bits = 32;
+  EXPECT_EQ(cfg.index_window(), std::uint64_t{1} << 32);
+  MlpAtd atd(cfg);
+  feed_misses(atd, {5, 33, 20, 90});
+  EXPECT_DOUBLE_EQ(atd.leading_misses(arch::CoreSize::S, 16), 3.0);
+  EXPECT_DOUBLE_EQ(atd.leading_misses(arch::CoreSize::M, 16), 2.0);
+
+  MlpAtd aliased(cfg);
+  feed_misses(aliased, {0, (std::uint64_t{1} << 32) + 32});
+  EXPECT_DOUBLE_EQ(aliased.leading_misses(arch::CoreSize::S, 16), 1.0);
+}
+
+TEST(MlpAtdDeathTest, RejectsCounterBitsOutsideLaneWidth) {
+  // LM counters are 32-bit lanes; the paper's 27 bits fit, 0 would count
+  // nothing and widths past 32 would overflow the lane.
+  for (const int bits : {-1, 0, 7, 33, 64}) {
+    MlpAtdConfig cfg = tiny_config();
+    cfg.counter_bits = bits;
+    EXPECT_DEATH(MlpAtd{cfg}, "counter_bits") << bits;
+  }
+  for (const int bits : {8, 27, 32}) {
+    MlpAtdConfig cfg = tiny_config();
+    cfg.counter_bits = bits;
+    EXPECT_EQ(MlpAtd(cfg).config().counter_bits, bits);
+  }
+}
+
 }  // namespace
 }  // namespace qosrm::cache

@@ -125,13 +125,14 @@ TEST(MlpOracle, LeadingMissCurveMatchesPointQueries) {
   }
   RecencyProfiler prof(4, 16);
   const auto recency = prof.annotate(trace);
-  const auto curve =
-      MlpOracle::leading_miss_curve(trace, recency, arch::CoreSize::M, 1, 16);
-  ASSERT_EQ(curve.size(), 16u);
-  for (int w = 1; w <= 16; ++w) {
-    EXPECT_DOUBLE_EQ(curve[static_cast<std::size_t>(w - 1)],
-                     MlpOracle::leading_misses(trace, recency,
-                                               arch::CoreSize::M, w));
+  const auto curves = MlpOracle::leading_miss_curves(trace, recency, 16);
+  for (const arch::CoreSize c : arch::kAllCoreSizes) {
+    const auto& curve = curves[static_cast<std::size_t>(arch::core_size_index(c))];
+    ASSERT_EQ(curve.size(), 16u);
+    for (int w = 1; w <= 16; ++w) {
+      EXPECT_DOUBLE_EQ(curve[static_cast<std::size_t>(w - 1)],
+                       MlpOracle::leading_misses(trace, recency, c, w));
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "common/binary_io.hh"
 #include "support/shared_db.hh"
 
 namespace qosrm::workload {
@@ -258,6 +259,33 @@ TEST(SimDb, SerialBuildMatchesParallelBuild) {
     EXPECT_DOUBLE_EQ(db_serial.timing(a, 0, base).total_seconds,
                      db().timing(a, 0, base).total_seconds);
   }
+}
+
+// Pins the cold characterization of the spec suite at default options: one
+// FNV-1a digest over the exact bits of every PhaseStats field of every phase.
+// Built fresh (never from a QOSRM_DB_CACHE_DIR snapshot), so a kernel change
+// in the cache substrate that moves any count by one ulp fails here.
+TEST(SimDb, CharacterizationDigestMatchesParent) {
+  const SimDb fresh(spec_suite(), arch::SystemConfig{}, power::PowerModel{});
+  Fnv1a64 h;
+  const auto add_vec = [&h](const std::vector<double>& v) {
+    h.add_u64(v.size());
+    for (const double x : v) h.add_f64(x);
+  };
+  for (int a = 0; a < fresh.suite().size(); ++a) {
+    for (int ph = 0; ph < fresh.num_phases(a); ++ph) {
+      const PhaseStats& s = fresh.stats(a, ph);
+      add_vec(s.misses);
+      for (const std::vector<double>& lm : s.lm_true) add_vec(lm);
+      for (const std::vector<double>& lm : s.lm_atd) add_vec(lm);
+      for (const double x : {s.interval_instructions, s.llc_accesses,
+                             s.write_frac, s.scale, s.ilp, s.cpi_branch,
+                             s.cpi_cache}) {
+        h.add_f64(x);
+      }
+    }
+  }
+  EXPECT_EQ(h.digest(), 0xa44ad29ef8204c6cULL);
 }
 
 }  // namespace
