@@ -7,8 +7,9 @@
 // Besides ns/op every benchmark reports allocs/op, the number of heap
 // allocations per iteration measured through a global operator-new hook:
 // the invoke path is required to be allocation-free after warmup (see the
-// README performance section). CI runs this binary briefly and uploads the
-// JSON so the perf trajectory is tracked across PRs.
+// README performance section; tests/rm/test_invoke_alloc.cc gates the same
+// loops). CI runs this binary briefly and uploads the JSON so the perf
+// trajectory is tracked across PRs.
 //
 // The simulation database honours QOSRM_DB_CACHE_DIR (same protocol as the
 // slow test suites): set it to restore the characterization from a binary
@@ -183,8 +184,8 @@ void BM_RmInvokeDirty(benchmark::State& state) {
   rm::ResourceManager manager(cfg, db.system(), db.power());
   auto snaps = bench_snapshots(db, cores);
   auto alt = bench_snapshots(db, cores, 1);
-  // Two warm-up laps visit both cells of every core, so the curve memo (on
-  // from 8 cores) and every buffer are populated before measurement.
+  // Two warm-up laps visit both cells of every core, so the interval-outcome
+  // memo and every buffer are populated before measurement.
   for (int lap = 0; lap < 2; ++lap) {
     for (int k = 0; k < cores; ++k) {
       std::swap(snaps[static_cast<std::size_t>(k)], alt[static_cast<std::size_t>(k)]);

@@ -39,12 +39,7 @@ ResourceManager::ResourceManager(const RmConfig& config,
   ws_.idle_energy.assign(1, 0.0);
   ws_.leaf_active.assign(static_cast<std::size_t>(system.cores), 0);
   ws_.leaf_dirty.assign(static_cast<std::size_t>(system.cores), 1);
-  // Auto: memoize from 8 cores up, where the per-boundary local work (and
-  // the number of boundaries revisiting the same evaluation cell) makes the
-  // table pay for its footprint. Below that, the slot array would cost more
-  // to materialize than the recomputation it saves.
-  memo_on_ = cfg_.memo == RmMemoMode::On ||
-             (cfg_.memo == RmMemoMode::Auto && system_.cores >= 8);
+  memo_on_ = cfg_.memo != RmMemoMode::Off;
   if (is_baseline_policy(cfg_.policy)) {
     // Size the baseline-policy buffers up front so invoke_baseline's
     // resize() calls are no-ops and the steady-state path stays heap-free.

@@ -60,11 +60,10 @@ enum class RmPolicy {
          policy == RmPolicy::ClassPart;
 }
 
-/// Interval-outcome memoization policy (see ResourceManager). Auto enables
-/// the memo from 8 cores up, where repeated (app, phase, setting) boundaries
-/// dominate the invocation cost; the memo is bit-transparent at any width
-/// (cached outcomes and op charges are exactly what a fresh local
-/// optimization would produce), so the mode only affects wall time.
+/// Interval-outcome memoization policy (see ResourceManager). Auto and On
+/// both enable the memo, at every core count; Off disables it. The memo is
+/// bit-transparent (cached outcomes and op charges are exactly what a fresh
+/// local optimization would produce), so the mode only affects wall time.
 enum class RmMemoMode { Auto = 0, On = 1, Off = 2 };
 
 struct RmConfig {

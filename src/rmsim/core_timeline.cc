@@ -33,6 +33,9 @@ void IntervalKernel::bind(const workload::SimDb& db, const SimOptions& options,
   qos_alpha_ = manager.system().qos_alpha;
   managed_ = manager.config().policy != rm::RmPolicy::Idle;
   perfect_ = manager.config().model == rm::PerfModelKind::Perfect;
+  // A kept snapshot may hold a cell of the previous database, and a new
+  // database can live at the same address: force the next refresh to fill.
+  for (rm::CounterSnapshot& snap : snapshots_) snap.memo_db = nullptr;
   reset();
 }
 

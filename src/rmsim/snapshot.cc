@@ -1,5 +1,8 @@
 #include "rmsim/snapshot.hh"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "arch/dvfs.hh"
 #include "power/energy_meter.hh"
 
@@ -8,9 +11,22 @@ namespace qosrm::rmsim {
 void make_snapshot_into(const workload::SimDb& db, int app, int phase,
                         const workload::Setting& current, int oracle_phase,
                         rm::CounterSnapshot& out) {
+  // Memo identity: every refresh restamps the key, so a stale outcome can
+  // never be served for counters the snapshot no longer holds.
+  const std::int64_t key = db.interval_key(app, phase, current);
+  out.oracle = oracle_phase >= 0 ? rm::OracleRef{&db, app, oracle_phase}
+                                 : rm::OracleRef{};
+  // Same-cell refresh: every counter below is a pure function of (db, key)
+  // and `current`, so a snapshot that already holds them is left as is.
+  if (out.memo_db == &db && out.memo_key == key && out.current == current) {
+    return;
+  }
+
   const workload::PhaseStats& st = db.stats(app, phase);
   const arch::IntervalTiming timing = db.timing(app, phase, current);
   const double f_hz = arch::VfTable::frequency_hz(current.f_idx);
+  // Ways clamp to the characterized curve, as in the key and every lookup.
+  const int w = std::clamp(current.w, 1, st.max_ways());
 
   out.current = current;
   out.instructions = st.interval_instructions;
@@ -21,26 +37,27 @@ void make_snapshot_into(const workload::SimDb& db, int app, int phase,
   out.t_cache_s = timing.cache_cycles / f_hz;
   out.t_mem_s = timing.mem_seconds;
   out.llc_accesses = st.llc_accesses;
-  out.llc_misses = st.misses[static_cast<std::size_t>(current.w - 1)];
-  out.writebacks = st.writebacks(current.w);
-  out.measured_mlp = st.mlp_true(current.c, current.w);
+  out.llc_misses = st.misses[static_cast<std::size_t>(w - 1)];
+  out.writebacks = st.writebacks(w);
+  out.measured_mlp = st.mlp_true(current.c, w);
   // assign() reuses the capacity of the caller's vectors.
   out.atd_misses.assign(st.misses.begin(), st.misses.end());
   for (std::size_t i = 0; i < out.atd_leading_misses.size(); ++i) {
     out.atd_leading_misses[i].assign(st.lm_atd[i].begin(), st.lm_atd[i].end());
   }
 
-  // RAPL-like dynamic power sample from the measured interval.
-  out.power_sample = power::sample_interval(
-      db.power(), current.c, arch::VfTable::point(current.f_idx),
-      db.core_joules(app, phase, current), timing.total_seconds);
+  // RAPL-like dynamic power sample from the measured interval. The core
+  // energy is SimDb::energy's call on the timing already built above.
+  const arch::OperatingPoint vf = arch::VfTable::point(current.f_idx);
+  const double core_j =
+      db.power()
+          .interval_energy(current.c, vf, timing, st.interval_instructions,
+                           st.dram_accesses(w))
+          .core_j();
+  out.power_sample = power::sample_interval(db.power(), current.c, vf, core_j,
+                                            timing.total_seconds);
 
-  out.oracle = oracle_phase >= 0 ? rm::OracleRef{&db, app, oracle_phase}
-                                 : rm::OracleRef{};
-
-  // Memo identity: every refresh restamps the key, so a stale outcome can
-  // never be served for counters the snapshot no longer holds.
-  out.memo_key = db.interval_key(app, phase, current);
+  out.memo_key = key;
   out.memo_space = db.interval_key_space();
   out.memo_db = &db;
 }

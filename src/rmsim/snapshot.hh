@@ -20,7 +20,11 @@ namespace qosrm::rmsim {
 /// Allocation-free variant: overwrites every field of `out`, reusing its ATD
 /// vector storage. The interval simulator owns one snapshot per core and
 /// refreshes it through this at every boundary, so the steady state copies
-/// counter values without touching the heap.
+/// counter values without touching the heap. A refresh of the cell `out`
+/// already holds (same database, same interval key, equal `current`) only
+/// restamps `oracle`: every other field would be rewritten with its own
+/// value. A caller that reuses `out` across databases that may share an
+/// address clears `out.memo_db` first.
 void make_snapshot_into(const workload::SimDb& db, int app, int phase,
                         const workload::Setting& current, int oracle_phase,
                         rm::CounterSnapshot& out);

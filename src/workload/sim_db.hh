@@ -80,11 +80,6 @@ class SimDb {
     return timing(app, phase, s).mem_seconds;
   }
 
-  /// energy(...).core_j() (rebuilt on demand).
-  [[nodiscard]] double core_joules(int app, int phase, const Setting& s) const {
-    return energy(app, phase, s).core_j();
-  }
-
   /// energy(...).total_j() without the struct copy (SoA lookup).
   [[nodiscard]] double total_joules(int app, int phase, const Setting& s) const {
     return table_.total_joules(app, phase, s);

@@ -187,22 +187,22 @@ RmConfig memo_config(RmMemoMode memo) {
   return cfg;
 }
 
-TEST(ResourceManagerMemo, AutoModeEnablesFromEightCoresUp) {
+TEST(ResourceManagerMemo, AutoModeEnablesAtEveryCoreCount) {
   for (const int cores : {2, 4, 8, 16}) {
     arch::SystemConfig system;
     system.cores = cores;
-    ResourceManager manager(config(RmPolicy::Rm3), system, db().power());
-    EXPECT_EQ(manager.memo_enabled(), cores >= 8) << cores << " cores";
+    EXPECT_TRUE(ResourceManager(config(RmPolicy::Rm3), system, db().power())
+                    .memo_enabled())
+        << cores << " cores, Auto";
+    EXPECT_TRUE(ResourceManager(memo_config(RmMemoMode::On), system,
+                                db().power())
+                    .memo_enabled())
+        << cores << " cores, On";
+    EXPECT_FALSE(ResourceManager(memo_config(RmMemoMode::Off), system,
+                                 db().power())
+                     .memo_enabled())
+        << cores << " cores, Off";
   }
-  arch::SystemConfig two;
-  two.cores = 2;
-  EXPECT_TRUE(ResourceManager(memo_config(RmMemoMode::On), two, db().power())
-                  .memo_enabled());
-  arch::SystemConfig sixteen;
-  sixteen.cores = 16;
-  EXPECT_FALSE(ResourceManager(memo_config(RmMemoMode::Off), sixteen,
-                               db().power())
-                   .memo_enabled());
 }
 
 TEST(ResourceManagerMemo, ReplayedOutcomesAreBitIdenticalToRecomputation) {

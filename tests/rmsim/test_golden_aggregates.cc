@@ -260,9 +260,9 @@ TEST(GoldenCbpAggregates, BandwidthPartitionedGridMatchesCommittedGolden) {
 // Scaled paper grids: the same 24 paper mixes replicated scenario-preserving
 // onto 8 and 16 cores (sweep_main --cores=4 --replicate=2|4). These pin the
 // optimizer hot path at the core counts where the vectorized DP and the
-// interval-outcome memo actually engage (memo auto-enables at >= 8 cores),
-// and the committed bytes are verified identical under the AVX2 and scalar
-// builds - any SIMD-width-dependent result or op count fails this gate.
+// interval-outcome memo do the most work, and the committed bytes are
+// verified identical under the AVX2 and scalar builds - any
+// SIMD-width-dependent result or op count fails this gate.
 //
 // Regenerate with (and its --replicate=4 twin for 16 cores):
 //   ./build/src/sweep_main --cores=4 --replicate=2 --per-scenario=6 \

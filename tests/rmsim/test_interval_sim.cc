@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "rmsim/core_timeline.hh"
 #include "support/shared_db.hh"
 
 namespace qosrm::rmsim {
@@ -238,6 +240,71 @@ TEST(IntervalSim, ScratchReuseProducesIdenticalResults) {
   EXPECT_EQ(b1.wall_time_s, b2.wall_time_s);
   EXPECT_EQ(b1.total_violations(), b2.total_violations());
   EXPECT_EQ(b1.rm_ops, b2.rm_ops);
+}
+
+TEST(IntervalSim, ScratchRebindToAnotherDatabaseRefillsSnapshots) {
+  // A kept snapshot names its cell by database address and interval key. A
+  // second database built in the storage of the first has the same address
+  // and the same keys, yet different counters (here: every LLC miss count
+  // tripled), so a kernel (the state a RunScratch keeps) rebound to it must
+  // refill every snapshot rather than keep the first database's counters as
+  // a same-cell refresh. Seating the same apps at the baseline setting
+  // revisits exactly the cells the first binding filled.
+  std::vector<std::vector<workload::PhaseStats>> stats;
+  std::vector<std::vector<workload::PhaseStats>> missier;
+  for (int app = 0; app < db().suite().size(); ++app) {
+    auto& per_app = stats.emplace_back();
+    auto& per_app_missier = missier.emplace_back();
+    for (int ph = 0; ph < db().num_phases(app); ++ph) {
+      per_app.push_back(db().stats(app, ph));
+      workload::PhaseStats& st = per_app_missier.emplace_back(db().stats(app, ph));
+      st.llc_accesses *= 3.0;
+      for (double& m : st.misses) m *= 3.0;
+      for (auto* curves : {&st.lm_true, &st.lm_atd}) {
+        for (std::vector<double>& curve : *curves) {
+          for (double& lm : curve) lm *= 3.0;
+        }
+      }
+    }
+  }
+  const int apps[] = {db().suite().index_of("mcf"),
+                      db().suite().index_of("libquantum")};
+
+  struct Decision {
+    std::uint64_t ops = 0;
+    workload::Setting settings[2];
+  };
+  // Seats both apps, invokes the RM once for core 0, reads the decision.
+  const auto decide = [&](IntervalKernel& kernel, const workload::SimDb& sdb) {
+    rm::ResourceManager manager(cfg(rm::RmPolicy::Rm3), sdb.system(), sdb.power());
+    kernel.bind(sdb, SimOptions{}, manager);
+    for (int k = 0; k < 2; ++k) kernel.seat(k, apps[k]);
+    kernel.invoke(0);
+    return Decision{kernel.rm_ops(), {kernel.core(0).pending, kernel.core(1).pending}};
+  };
+
+  std::optional<workload::SimDb> slot;
+  IntervalKernel reused;
+  const workload::SimDb* first = &slot.emplace(
+      db().suite(), db().system(), db().power(), db().phase_options(), stats);
+  const Decision on_first = decide(reused, *slot);
+  slot.reset();
+  const workload::SimDb* second = &slot.emplace(
+      db().suite(), db().system(), db().power(), db().phase_options(), missier);
+  ASSERT_EQ(first, second);
+
+  IntervalKernel fresh_second;
+  const Decision on_second = decide(fresh_second, *slot);
+  // Precondition: the two databases lead to different decisions, so stale
+  // counters would show.
+  ASSERT_FALSE(on_first.ops == on_second.ops &&
+               on_first.settings[0] == on_second.settings[0] &&
+               on_first.settings[1] == on_second.settings[1]);
+  const Decision rebound = decide(reused, *slot);
+  EXPECT_EQ(rebound.ops, on_second.ops);
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_TRUE(rebound.settings[k] == on_second.settings[k]) << "core " << k;
+  }
 }
 
 TEST(IntervalSim, SavingsAgainstSelfIsZero) {

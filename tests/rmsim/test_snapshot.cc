@@ -2,12 +2,70 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "support/shared_db.hh"
 
 namespace qosrm::rmsim {
 namespace {
 
 const workload::SimDb& db() { return qosrm::testing::shared_db(); }
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same_bits(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+/// Every field of two snapshots bitwise equal; `current` is compared only
+/// when `with_current` is set.
+void expect_bitwise_equal(const rm::CounterSnapshot& a,
+                          const rm::CounterSnapshot& b, bool with_current,
+                          const std::string& what) {
+  if (with_current) {
+    EXPECT_TRUE(a.current == b.current) << what;
+  }
+  EXPECT_TRUE(same_bits(a.instructions, b.instructions)) << what;
+  EXPECT_TRUE(same_bits(a.total_time_s, b.total_time_s)) << what;
+  EXPECT_TRUE(same_bits(a.t_width_s, b.t_width_s)) << what;
+  EXPECT_TRUE(same_bits(a.t_ilp_s, b.t_ilp_s)) << what;
+  EXPECT_TRUE(same_bits(a.t_branch_s, b.t_branch_s)) << what;
+  EXPECT_TRUE(same_bits(a.t_cache_s, b.t_cache_s)) << what;
+  EXPECT_TRUE(same_bits(a.t_mem_s, b.t_mem_s)) << what;
+  EXPECT_TRUE(same_bits(a.llc_accesses, b.llc_accesses)) << what;
+  EXPECT_TRUE(same_bits(a.llc_misses, b.llc_misses)) << what;
+  EXPECT_TRUE(same_bits(a.writebacks, b.writebacks)) << what;
+  EXPECT_TRUE(same_bits(a.measured_mlp, b.measured_mlp)) << what;
+  EXPECT_TRUE(same_bits(a.atd_misses, b.atd_misses)) << what;
+  for (std::size_t c = 0; c < a.atd_leading_misses.size(); ++c) {
+    EXPECT_TRUE(same_bits(a.atd_leading_misses[c], b.atd_leading_misses[c]))
+        << what << " core size " << c;
+  }
+  const power::PowerSample& pa = a.power_sample;
+  const power::PowerSample& pb = b.power_sample;
+  EXPECT_EQ(pa.size, pb.size) << what;
+  EXPECT_TRUE(same_bits(pa.voltage, pb.voltage)) << what;
+  EXPECT_TRUE(same_bits(pa.freq_hz, pb.freq_hz)) << what;
+  EXPECT_TRUE(same_bits(pa.dynamic_power_w, pb.dynamic_power_w)) << what;
+  EXPECT_TRUE(same_bits(pa.dynamic_energy_j, pb.dynamic_energy_j)) << what;
+  EXPECT_TRUE(same_bits(pa.duration_s, pb.duration_s)) << what;
+  EXPECT_EQ(pa.valid, pb.valid) << what;
+  EXPECT_EQ(a.oracle.db, b.oracle.db) << what;
+  EXPECT_EQ(a.oracle.app, b.oracle.app) << what;
+  EXPECT_EQ(a.oracle.phase, b.oracle.phase) << what;
+  EXPECT_EQ(a.memo_key, b.memo_key) << what;
+  EXPECT_EQ(a.memo_space, b.memo_space) << what;
+  EXPECT_EQ(a.memo_db, b.memo_db) << what;
+}
 
 TEST(Snapshot, ComponentsSumToTotalTime) {
   const workload::Setting base = workload::baseline_setting(db().system());
@@ -82,6 +140,75 @@ TEST(Snapshot, TimesScaleWithCurrentFrequency) {
   const rm::CounterSnapshot at_slow = make_snapshot(db(), app, 0, slow);
   EXPECT_NEAR(at_slow.t_width_s, at_base.t_width_s * 2.0, at_base.t_width_s * 0.01);
   EXPECT_DOUBLE_EQ(at_slow.t_mem_s, at_base.t_mem_s);
+}
+
+// Settings whose ways clamp to the same grid cell share an interval key, so
+// the RM memo and the same-cell refresh treat their snapshots as one: every
+// counter (all but `current` itself) must then be the same, bit for bit.
+TEST(Snapshot, SettingsSharingAKeyYieldIdenticalCounters) {
+  const int app = db().suite().index_of("mcf");
+  const int max_ways = db().stats(app, 0).max_ways();
+  workload::Setting at_max = workload::baseline_setting(db().system());
+  at_max.w = max_ways;
+  workload::Setting beyond = at_max;
+  beyond.w = max_ways + 3;
+  ASSERT_EQ(db().interval_key(app, 0, at_max), db().interval_key(app, 0, beyond));
+
+  const rm::CounterSnapshot a = make_snapshot(db(), app, 0, at_max);
+  const rm::CounterSnapshot b = make_snapshot(db(), app, 0, beyond);
+  EXPECT_TRUE(b.current == beyond);
+  expect_bitwise_equal(a, b, /*with_current=*/false, "w beyond max_ways");
+  EXPECT_TRUE(same_bits(b.llc_misses, db().stats(app, 0).misses.back()));
+}
+
+// An in-place refresh must leave the snapshot exactly as a fresh build
+// would, whether the step repeats the held cell (the no-op path), moves to
+// another setting, changes only `current` within the same key, or changes
+// only the oracle phase the Perfect model looks up.
+TEST(Snapshot, InPlaceRefreshMatchesFreshBuildAlongAWalk) {
+  const int app = db().suite().index_of("xalancbmk");
+  const int other = db().suite().index_of("libquantum");
+  ASSERT_GE(db().num_phases(app), 2);
+  const workload::Setting base = workload::baseline_setting(db().system());
+  workload::Setting small = base;
+  small.c = arch::CoreSize::S;
+  small.f_idx = 1;
+  small.w = 3;
+  workload::Setting at_max = base;
+  at_max.w = db().system().llc.max_ways;
+  workload::Setting beyond = at_max;
+  beyond.w = at_max.w + 2;
+
+  struct Step {
+    int app;
+    int phase;
+    workload::Setting current;
+    int oracle_phase;
+    const char* what;
+  };
+  const Step walk[] = {
+      {app, 0, base, -1, "first fill"},
+      {app, 0, base, -1, "same cell"},
+      {app, 0, small, -1, "setting changed"},
+      {app, 0, small, -1, "same cell again"},
+      {app, 0, small, 1, "oracle phase added"},
+      {app, 0, small, 0, "oracle phase changed"},
+      {app, 0, small, -1, "oracle dropped"},
+      {app, 1, small, -1, "phase changed"},
+      {app, 1, at_max, -1, "ways at max"},
+      {app, 1, beyond, -1, "same key, current changed"},
+      {app, 1, beyond, 0, "same key, oracle added"},
+      {other, 1, beyond, -1, "app changed"},
+      {app, 1, beyond, -1, "back to the earlier cell"},
+  };
+  rm::CounterSnapshot snap;
+  for (const Step& step : walk) {
+    make_snapshot_into(db(), step.app, step.phase, step.current,
+                       step.oracle_phase, snap);
+    const rm::CounterSnapshot fresh = make_snapshot(
+        db(), step.app, step.phase, step.current, step.oracle_phase);
+    expect_bitwise_equal(snap, fresh, /*with_current=*/true, step.what);
+  }
 }
 
 }  // namespace

@@ -177,7 +177,6 @@ TEST(SimDb, SoaAccessorsMatchStructLookupsOverFullGrid) {
             const power::IntervalEnergy e = d.energy(app, ph, s);
             if (d.total_seconds(app, ph, s) != t.total_seconds ||
                 d.mem_seconds(app, ph, s) != t.mem_seconds ||
-                d.core_joules(app, ph, s) != e.core_j() ||
                 d.total_joules(app, ph, s) != e.total_j() ||
                 t_row[static_cast<std::size_t>(w - 1)] != t.total_seconds) {
               ++mismatches;
