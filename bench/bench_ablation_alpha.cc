@@ -15,8 +15,8 @@ using namespace qosrm;
 
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
-  const int cores = static_cast<int>(args.get_int("cores", 4));
-  const int per_scenario = static_cast<int>(args.get_int("per-scenario", 2));
+  const int cores = args.get_int32("cores", 4);
+  const int per_scenario = args.get_int32("per-scenario", 2);
 
   arch::SystemConfig system;
   system.cores = cores;

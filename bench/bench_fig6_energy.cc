@@ -56,13 +56,13 @@ int main(int argc, char** argv) {
   CliArgs args(argc, argv, {"no-overheads"});
   const std::vector<int> core_counts =
       parse_core_list(args.get("cores", "4,8"));
-  const int per_scenario = static_cast<int>(args.get_int("per-scenario", 6));
+  const int per_scenario = args.get_int32("per-scenario", 6);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2020));
   const rm::PerfModelKind model =
-      model_from(static_cast<int>(args.get_int("model", 3)));
+      model_from(args.get_int32("model", 3));
 
   rmsim::SweepOptions sweep_options;
-  sweep_options.threads = static_cast<int>(args.get_int("threads", 0));
+  sweep_options.threads = args.get_int32("threads", 0);
   sweep_options.sim.model_overheads = !args.get_bool("no-overheads", false);
 
   std::unique_ptr<CsvWriter> csv;

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
           : std::string());
 
   rmsim::QosEvalOptions options;
-  options.current_f_stride = static_cast<int>(args.get_int("f-stride", 2));
+  options.current_f_stride = args.get_int32("f-stride", 2);
   const rmsim::QosEvaluator evaluator(db, options);
   const auto results = evaluator.evaluate_all({rm::PerfModelKind::Model1,
                                                rm::PerfModelKind::Model2,

@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
   const workload::SimDb db(workload::spec_suite(), system, power);
 
   rmsim::QosEvalOptions options;
-  options.current_f_stride = static_cast<int>(args.get_int("f-stride", 2));
-  options.histogram_bins = static_cast<int>(args.get_int("bins", 20));
+  options.current_f_stride = args.get_int32("f-stride", 2);
+  options.histogram_bins = args.get_int32("bins", 20);
   options.histogram_max = args.get_double("max", 0.4);
   const rmsim::QosEvaluator evaluator(db, options);
   const auto results = evaluator.evaluate_all({rm::PerfModelKind::Model1,

@@ -36,11 +36,11 @@ int main(int argc, char** argv) {
     std::string item;
     while (std::getline(ss, item, ',')) core_counts.push_back(std::stoi(item));
   }
-  const int per_scenario = static_cast<int>(args.get_int("per-scenario", 6));
+  const int per_scenario = args.get_int32("per-scenario", 6);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2020));
 
   rmsim::SweepOptions sweep_options;
-  sweep_options.threads = static_cast<int>(args.get_int("threads", 0));
+  sweep_options.threads = args.get_int32("threads", 0);
 
   std::unique_ptr<CsvWriter> csv;
   if (args.has("csv")) {

@@ -158,6 +158,37 @@ void BM_GlobalOptimization(benchmark::State& state) {
 }
 BENCHMARK(BM_GlobalOptimization)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
+// The RM's common global step: one leaf's surface changed since the last
+// call. Leaf 0 alternates between two surfaces over a warm workspace, so
+// each call recombines that leaf's root path and backtracks it.
+void BM_GlobalOptimizationDirtyLeaf(benchmark::State& state) {
+  const auto cores = static_cast<std::size_t>(state.range(0));
+  Rng rng(7);
+  std::vector<std::vector<double>> energy(cores + 1);  // [cores]: leaf 0's twin
+  for (std::vector<double>& e : energy) {
+    for (int w = 2; w <= 16; ++w) e.push_back(rng.uniform(1.0, 100.0));
+  }
+  std::vector<rm::EnergyCurveView> curves;
+  for (std::size_t k = 0; k < cores; ++k) {
+    curves.push_back({2, std::span<const double>(energy[k])});
+  }
+  const int budget = 8 * static_cast<int>(cores);
+  const int shares = static_cast<int>(cores);  // every core at its one share
+  std::vector<std::uint8_t> dirty(cores, 0);
+  dirty[0] = 1;
+  rm::GlobalOptWorkspace ws;
+  rm::GlobalOptResult result;
+  rm::GlobalOptimizer::optimize_into(curves, budget, ws, result);
+  std::size_t twin = 0;
+  for (auto _ : state) {
+    twin ^= cores;
+    curves[0].energy = energy[twin];
+    rm::GlobalOptimizer::optimize_into(curves, budget, shares, dirty, ws, result);
+    benchmark::DoNotOptimize(result.total_energy);
+  }
+}
+BENCHMARK(BM_GlobalOptimizationDirtyLeaf)->Arg(4)->Arg(16);
+
 void BM_RmInvocationEndToEnd(benchmark::State& state) {
   const workload::SimDb& db = bench_db();
   rm::RmConfig cfg;

@@ -29,8 +29,8 @@ double secs_since(Clock::time_point t0) {
 
 int main(int argc, char** argv) {
   CliArgs args(argc, argv, {"keep"});
-  const int cores = static_cast<int>(args.get_int("cores", 2));
-  const int loads = static_cast<int>(args.get_int("loads", 5));
+  const int cores = args.get_int32("cores", 2);
+  const int loads = args.get_int32("loads", 5);
   const std::string path = args.get("path", "bench_simdb.qosdb");
 
   arch::SystemConfig system;
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   const power::PowerModel power;
   const workload::SpecSuite& suite = workload::spec_suite();
   workload::SimDbOptions options;
-  options.threads = static_cast<int>(args.get_int("threads", 0));
+  options.threads = args.get_int32("threads", 0);
 
   std::printf("=== SimDb build vs snapshot load (%d apps, %d cores) ===\n\n",
               suite.size(), cores);

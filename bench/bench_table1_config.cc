@@ -13,7 +13,7 @@ using namespace qosrm;
 
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
-  const int cores = static_cast<int>(args.get_int("cores", 4));
+  const int cores = args.get_int32("cores", 4);
   arch::SystemConfig system;
   system.cores = cores;
 

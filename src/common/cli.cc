@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/check.hh"
 #include "common/str.hh"
@@ -59,6 +60,18 @@ std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback) co
     QOSRM_CHECK_MSG(false, msg.c_str());
   }
   return parsed;
+}
+
+int CliArgs::get_int32(const std::string& name, int fallback) const {
+  const std::int64_t parsed = get_int(name, fallback);
+  if (parsed < std::numeric_limits<int>::min() ||
+      parsed > std::numeric_limits<int>::max()) {
+    const std::string msg =
+        format("bad --%s value '%s' (out of range for a 32-bit integer)",
+               name.c_str(), get(name, "").c_str());
+    QOSRM_CHECK_MSG(false, msg.c_str());
+  }
+  return static_cast<int>(parsed);
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {

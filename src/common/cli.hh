@@ -32,6 +32,10 @@ class CliArgs {
   /// (--threads=abc must fail loudly, never silently run with 0 threads).
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
+  /// get_int for an `int` flag: a value outside int's range aborts with a
+  /// diagnostic naming the flag instead of wrapping (--cores=4294967298
+  /// must not run a 2-core system).
+  [[nodiscard]] int get_int32(const std::string& name, int fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 

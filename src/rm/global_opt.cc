@@ -17,19 +17,20 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // ---------------------------------------------------------------------------
-// Per-row combine kernels. One call folds row ia of the left child into the
-// output slice starting at ne (already offset by ia, so index k in the
-// kernel addresses output total lo + ia + k): the min-plus update
+// Combine kernels: the min-plus update of one node surface from its children,
 //
-//   ne[k] = min(ne[k], ea + eb[k])
+//   ne[out] = min(ne[out], ea + eb)   over every pair (ea, eb) landing on out
 //
 // The forward pass keeps values only - the argmin is recovered during
-// backtracking by an equality re-scan (see optimize_into), so the kernels
-// carry no index lanes. The scalar kernel iterates the compacted feasible
-// entries of the right child; the AVX2 kernel runs dense over the full child
-// row instead - an infinite eb produces an infinite sum, which can never
-// lower the running min, so both kernels leave bitwise-identical energies
-// (pinned by the randomized equivalence tests in rm_test_global_opt).
+// backtracking by an equality re-scan (see extract), so the kernels carry no
+// index lanes. Both kernels visit the pairs of any one output cell in the
+// same order (left cells b-row-major, ascending w) and update with a strict
+// less, so they leave bitwise-identical energies (pinned by the randomized
+// equivalence tests in rm_test_global_opt).
+//
+// The scalar kernel folds one left cell into the output slice starting at ne
+// (already offset by that cell's contribution), iterating the compacted
+// feasible entries of the right child.
 
 inline void combine_row_scalar(double ea, std::span<const int> feas_idx,
                                std::span<const double> feas_val, double* ne) {
@@ -43,21 +44,63 @@ inline void combine_row_scalar(double ea, std::span<const int> feas_idx,
 
 #ifdef QOSRM_SIMD_HAVE_AVX2
 
-__attribute__((target("avx2"))) void combine_row_avx2(double ea,
-                                                      const double* eb, int n,
-                                                      double* ne) {
-  const __m256d vea = _mm256_set1_pd(ea);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_add_pd(vea, _mm256_loadu_pd(eb + i));
-    // minpd returns its SECOND operand when the lanes compare equal, so
-    // passing the current value second preserves it on ties - the same
-    // outcome as the scalar strict-less update.
-    _mm256_storeu_pd(ne + i, _mm256_min_pd(v, _mm256_loadu_pd(ne + i)));
-  }
-  for (; i < n; ++i) {
-    const double v = ea + eb[i];
-    if (v < ne[i]) ne[i] = v;
+/// Output cells one AVX2 kernel block keeps in registers (four YMM
+/// accumulators), and the +inf padding each side of a right row needs so
+/// every block's loads stay inside the padded copy.
+constexpr int kBlock = 16;
+constexpr int kPad = kBlock - 1;
+
+/// Output-stationary AVX2 kernel for one (left b-row, right b-row) pair:
+///
+///   out[k] = min(out[k], min over j of a[j] + b[k - j]),  k in [0, na+nb-1)
+///
+/// `a` is the left row's feasible span (it may hold infinite holes), `b` the
+/// right row's feasible span inside a copy padded with kPad +inf cells on
+/// each side. Each block of kBlock output cells accumulates every left cell
+/// that reaches it in registers, ascending j, and is then folded into `out`
+/// once - no store is reloaded inside the block, and a pair of rows costs
+/// one call. minpd returns its SECOND operand unless the first is strictly
+/// less, so min(v, acc) and min(acc, out) keep the earlier pair on ties
+/// (±0 included) - the scalar strict-less update, bit for bit. A padding or
+/// hole lane adds to +inf and can never win.
+__attribute__((target("avx2"))) void combine_rows_avx2(const double* a, int na,
+                                                       const double* b, int nb,
+                                                       double* out) {
+  const int n_out = na + nb - 1;
+  const __m256d inf = _mm256_set1_pd(kInf);
+  for (int o = 0; o < n_out; o += kBlock) {
+    __m256d acc0 = inf;
+    __m256d acc1 = inf;
+    __m256d acc2 = inf;
+    __m256d acc3 = inf;
+    // Left cells whose pairs reach a cell of this block: the loads below
+    // then read b[o - j .. o - j + kPad], which lies in [-kPad, nb-1 + kPad].
+    const int j_lo = std::max(0, o - nb + 1);
+    const int j_hi = std::min(na - 1, o + kBlock - 1);
+    for (int j = j_lo; j <= j_hi; ++j) {
+      const __m256d va = _mm256_broadcast_sd(a + j);
+      const double* p = b + (o - j);
+      acc0 = _mm256_min_pd(_mm256_add_pd(va, _mm256_loadu_pd(p)), acc0);
+      acc1 = _mm256_min_pd(_mm256_add_pd(va, _mm256_loadu_pd(p + 4)), acc1);
+      acc2 = _mm256_min_pd(_mm256_add_pd(va, _mm256_loadu_pd(p + 8)), acc2);
+      acc3 = _mm256_min_pd(_mm256_add_pd(va, _mm256_loadu_pd(p + 12)), acc3);
+    }
+    double* dst = out + o;
+    if (n_out - o >= kBlock) {
+      _mm256_storeu_pd(dst, _mm256_min_pd(acc0, _mm256_loadu_pd(dst)));
+      _mm256_storeu_pd(dst + 4, _mm256_min_pd(acc1, _mm256_loadu_pd(dst + 4)));
+      _mm256_storeu_pd(dst + 8, _mm256_min_pd(acc2, _mm256_loadu_pd(dst + 8)));
+      _mm256_storeu_pd(dst + 12, _mm256_min_pd(acc3, _mm256_loadu_pd(dst + 12)));
+    } else {
+      alignas(32) double tail[kBlock];
+      _mm256_store_pd(tail, acc0);
+      _mm256_store_pd(tail + 4, acc1);
+      _mm256_store_pd(tail + 8, acc2);
+      _mm256_store_pd(tail + 12, acc3);
+      for (int k = 0; k < n_out - o; ++k) {
+        if (tail[k] < dst[k]) dst[k] = tail[k];
+      }
+    }
   }
 }
 
@@ -101,6 +144,8 @@ void GlobalOptWorkspace::build_tree(int leaves) {
   leaf_energy_.assign(num_nodes(), nullptr);
   pair_ops_.assign(num_nodes(), 0);
   dirty_.assign(num_nodes(), 1);
+  target_w_.assign(num_nodes(), -1);
+  target_b_.assign(num_nodes(), -1);
   cap_ways_ = 0;
   cap_shares_ = 0;
   valid_ = false;
@@ -121,6 +166,12 @@ void GlobalOptWorkspace::layout(int ways, int shares) {
   }
   energy_.resize(off);
   valid_ = false;
+  forget_targets();
+}
+
+void GlobalOptWorkspace::forget_targets() {
+  std::fill(target_w_.begin(), target_w_.end(), -1);
+  std::fill(target_b_.begin(), target_b_.end(), -1);
 }
 
 void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
@@ -182,9 +233,10 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
   // ibb * n_size + ib: because n_size = a_size + b_size - 1, the w parts of
   // any (left, right) pair can never carry into the b-row term, so
   // out_flat = left_contribution + right_contribution. The scalar kernel
-  // consumes the compacted arrays; the vector kernel runs dense over each
-  // child b-row (clipped to its feasible span) and only needs the total
-  // count. With a single b-row everything reduces exactly to the 1-D
+  // consumes the compacted arrays. The vector kernel instead reads each
+  // right b-row's feasible span (infinite prefix/suffix entries can never
+  // win a strict-less) from a copy padded with +inf, built here once per
+  // combine. With a single b-row everything reduces exactly to the 1-D
   // compaction.
   ws.feas_idx_.clear();
   ws.feas_val_.clear();
@@ -195,23 +247,49 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
   for (int ibb = 0; ibb < b_b_size; ++ibb) {
     const double* eb_row = eb_arr + static_cast<std::size_t>(ibb) *
                                         static_cast<std::size_t>(b_size);
-    int row_first = b_size;  // feasible span of this b-row: the dense
-    int row_last = -1;       // kernel clips to it (infinite prefix/suffix
-                             // entries can never win a strict-less)
+    int row_first = -1;  // feasible span of this b-row
+    int row_last = -1;
     for (int ib = 0; ib < b_size; ++ib) {
       const double eb = eb_row[ib];
       if (std::isinf(eb)) continue;
       ++n_feas_b;
-      row_first = row_first == b_size ? ib : row_first;
+      row_first = row_first < 0 ? ib : row_first;
       row_last = ib;
       if (compact_b) {
         ws.feas_idx_.push_back(ibb * n_size + ib);
         ws.feas_val_.push_back(eb);
       }
     }
-    ws.feas_row_first_.push_back(row_first == b_size ? -1 : row_first);
+    ws.feas_row_first_.push_back(row_first);
     ws.feas_row_last_.push_back(row_last);
   }
+#ifdef QOSRM_SIMD_HAVE_AVX2
+  if (vectorized && !root_combine) {
+    // The feasible spans back to back, each followed by kPad +inf cells
+    // that double as the next span's leading padding.
+    std::size_t total = kPad;
+    for (int ibb = 0; ibb < b_b_size; ++ibb) {
+      const auto r = static_cast<std::size_t>(ibb);
+      const int first = ws.feas_row_first_[r];
+      if (first < 0) continue;
+      total += static_cast<std::size_t>(ws.feas_row_last_[r] - first + 1 + kPad);
+    }
+    ws.pad_.assign(total, kInf);
+    ws.pad_off_.assign(static_cast<std::size_t>(b_b_size), 0);
+    std::size_t off = kPad;
+    for (int ibb = 0; ibb < b_b_size; ++ibb) {
+      const auto r = static_cast<std::size_t>(ibb);
+      const int first = ws.feas_row_first_[r];
+      if (first < 0) continue;
+      const double* eb_row = eb_arr + static_cast<std::size_t>(ibb) *
+                                          static_cast<std::size_t>(b_size);
+      const int last = ws.feas_row_last_[r];
+      std::copy(eb_row + first, eb_row + last + 1, ws.pad_.data() + off);
+      ws.pad_off_[r] = off;
+      off += static_cast<std::size_t>(last - first + 1 + kPad);
+    }
+  }
+#endif
 
   // One op = one feasible-pair DP step, counted uniformly whichever side an
   // infeasible entry is on (accumulated in bulk per feasible cell) and
@@ -246,6 +324,34 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
     const bool in_range =
         target_w >= 0 && target_w < n_size && target_b >= 0 && target_b < n_b_size;
     ws.root_value_ = in_range ? best : kInf;
+  } else if (n_feas_b > 0 && vectorized) {
+#ifdef QOSRM_SIMD_HAVE_AVX2
+    // One kernel call per (left b-row, right b-row) pair, left rows
+    // ascending: for any output cell this visits the pairs in the scalar
+    // kernel's (iba, ia) order.
+    for (int iba = 0; iba < a_b_size; ++iba) {
+      const double* ea_row = ea_arr + static_cast<std::size_t>(iba) *
+                                          static_cast<std::size_t>(a_size);
+      int first = -1;  // feasible span of this left row
+      int last = -1;
+      for (int ia = 0; ia < a_size; ++ia) {
+        if (std::isinf(ea_row[ia])) continue;
+        ++feas_a;
+        first = first < 0 ? ia : first;
+        last = ia;
+      }
+      if (first < 0) continue;
+      for (int ibb = 0; ibb < b_b_size; ++ibb) {
+        const auto r = static_cast<std::size_t>(ibb);
+        const int row_first = ws.feas_row_first_[r];
+        if (row_first < 0) continue;  // all-infeasible b-row
+        combine_rows_avx2(ea_row + first, last - first + 1,
+                          ws.pad_.data() + ws.pad_off_[r],
+                          ws.feas_row_last_[r] - row_first + 1,
+                          ne + (iba + ibb) * n_size + first + row_first);
+      }
+    }
+#endif
   } else if (n_feas_b > 0) {
     for (int iba = 0; iba < a_b_size; ++iba) {
       const double* ea_row = ea_arr + static_cast<std::size_t>(iba) *
@@ -256,24 +362,7 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
         ++feas_a;
         // Output flat index: left contribution iba * n_size + ia plus the
         // right cell's stored contribution (no w carry, see above).
-        const int ca = iba * n_size + ia;
-        if (vectorized) {
-#ifdef QOSRM_SIMD_HAVE_AVX2
-          for (int ibb = 0; ibb < b_b_size; ++ibb) {
-            const int row_first = ws.feas_row_first_[static_cast<std::size_t>(ibb)];
-            if (row_first < 0) continue;  // all-infeasible b-row
-            const int row_last = ws.feas_row_last_[static_cast<std::size_t>(ibb)];
-            combine_row_avx2(ea,
-                             eb_arr + static_cast<std::size_t>(ibb) *
-                                          static_cast<std::size_t>(b_size) +
-                                 row_first,
-                             row_last - row_first + 1,
-                             ne + ca + ibb * n_size + row_first);
-          }
-#endif
-        } else {
-          combine_row_scalar(ea, ws.feas_idx_, ws.feas_val_, ne + ca);
-        }
+        combine_row_scalar(ea, ws.feas_idx_, ws.feas_val_, ne + iba * n_size + ia);
       }
     }
   }
@@ -362,31 +451,37 @@ void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
 void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
                               int total_shares) {
   GlobalOptResult& out = ws.result_;
-  out.feasible = false;
-  out.total_energy = 0.0;
-  out.ways.clear();
-  out.shares.clear();
-
   const auto root = static_cast<std::size_t>(ws.root());
   const int root_lo = ws.lo_[root];
   const int root_hi = root_lo + ws.size_[root] - 1;
   const int root_b_lo = ws.b_lo_[root];
   const int root_b_hi = root_b_lo + ws.b_size_[root] - 1;
-  if (total_ways < root_lo || total_ways > root_hi) return;
-  if (total_shares < root_b_lo || total_shares > root_b_hi) return;
-  const double e =
-      ws.left_[root] >= 0
-          ? ws.root_value_
-          : ws.leaf_energy_[root][static_cast<std::size_t>(total_shares - root_b_lo) *
-                                      static_cast<std::size_t>(ws.size_[root]) +
-                                  static_cast<std::size_t>(total_ways - root_lo)];
-  if (std::isinf(e)) return;
+  double e = kInf;
+  if (total_ways >= root_lo && total_ways <= root_hi && total_shares >= root_b_lo &&
+      total_shares <= root_b_hi) {
+    e = ws.left_[root] >= 0
+            ? ws.root_value_
+            : ws.leaf_energy_[root][static_cast<std::size_t>(total_shares - root_b_lo) *
+                                        static_cast<std::size_t>(ws.size_[root]) +
+                                    static_cast<std::size_t>(total_ways - root_lo)];
+  }
+  if (std::isinf(e)) {
+    out.feasible = false;
+    out.total_energy = 0.0;
+    out.ways.clear();
+    out.shares.clear();
+    ws.forget_targets();  // no leaf allocation backs them any more
+    return;
+  }
 
   const auto n = static_cast<std::size_t>(ws.num_leaves());
   out.feasible = true;
   out.total_energy = e;
-  out.ways.assign(n, 0);
-  out.shares.assign(n, 0);
+  if (out.ways.size() != n) {
+    out.ways.assign(n, 0);
+    out.shares.assign(n, 0);
+    ws.forget_targets();
+  }
 
   // Backtrack the argmin splits down the reduction (depth is log2(cores), so
   // plain recursion over node indices needs no scratch). The forward pass
@@ -396,8 +491,13 @@ void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
   // the first feasible pair whose sum reproduces the node's value
   // bit-for-bit. The strict-less forward sweep keeps the FIRST pair
   // attaining the final minimum, and the sums are the same IEEE double
-  // additions, so the recovered split is identical to a recorded one. Cost:
-  // log2(cores) surface scans per recombining call - versus an index blend
+  // additions, so the recovered split is identical to a recorded one.
+  //
+  // A node this call did not recombine has the surface it had when it last
+  // split; asked for the same target, it splits the same way all the way
+  // down, so the leaf allocations below it in `out` are already right and
+  // the scan skips the whole subtree. Cost: one surface scan per node on a
+  // dirty leaf's root path (or whose target moved) - versus an index blend
   // in every kernel step.
   const auto backtrack = [&ws, &out](auto&& self, std::size_t idx, int total_w,
                                      int total_b, double value) -> void {
@@ -406,6 +506,12 @@ void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
       out.shares[idx] = total_b;
       return;
     }
+    if (ws.dirty_[idx] == 0 && ws.target_w_[idx] == total_w &&
+        ws.target_b_[idx] == total_b) {
+      return;
+    }
+    ws.target_w_[idx] = total_w;
+    ws.target_b_[idx] = total_b;
     const auto ai = static_cast<std::size_t>(ws.left_[idx]);
     const auto bi = static_cast<std::size_t>(ws.right_[idx]);
     const double* ea_arr = ws.surface(ai);

@@ -94,6 +94,11 @@ class GlobalOptWorkspace {
   /// 0 when no leaf was dirty.
   [[nodiscard]] int last_recombined() const noexcept { return last_recombined_; }
 
+  /// Feasible-pair ops of the reduction the tree holds: what the last
+  /// optimize_into() charged, and what a call with no dirty leaf and the
+  /// same budget would charge again.
+  [[nodiscard]] std::uint64_t last_ops() const noexcept { return total_ops_; }
+
  private:
   friend class GlobalOptimizer;
 
@@ -142,15 +147,23 @@ class GlobalOptWorkspace {
   /// contribution-offset/value arrays; a cell's stored offset is its
   /// b-row index times the OUTPUT row length plus its w index, so the
   /// output flat index of any pair is just the two contributions summed):
-  /// the scalar kernel iterates these so it only touches finite energies;
-  /// the vector kernel runs dense over each child b-row instead (an
-  /// infinite entry can never win a strict-less compare), clipped to the
-  /// per-row feasible spans below, and only needs the total count for the
-  /// uniform op accounting.
+  /// the scalar kernel iterates these so it only touches finite energies.
+  /// The vector kernel instead streams each right b-row's feasible span,
+  /// copied once per combine into pad_ between +inf margins (an infinite
+  /// entry can never win a strict-less compare).
   std::vector<int> feas_idx_;
   std::vector<double> feas_val_;
   std::vector<int> feas_row_first_;  ///< per right-child b-row: first feasible
   std::vector<int> feas_row_last_;   ///< w index (-1 for an all-infeasible row)
+  std::vector<double> pad_;          ///< +inf-padded right-row spans
+  std::vector<std::size_t> pad_off_;  ///< per right-child b-row: its span in pad_
+
+  /// Per interior node: the (w, b) target the last backtracking resolved it
+  /// for (-1 when unknown). A node that was not recombined and is asked for
+  /// the same target again splits exactly as before, so backtracking keeps
+  /// the allocations result_ already holds for its leaves.
+  std::vector<int> target_w_;
+  std::vector<int> target_b_;
 
   [[nodiscard]] std::size_t num_nodes() const noexcept { return lo_.size(); }
   [[nodiscard]] int num_leaves() const noexcept {
@@ -161,6 +174,8 @@ class GlobalOptWorkspace {
   void build_tree(int leaves);
   /// Re-sizes the pool slots for leaf surfaces up to ways x shares.
   void layout(int ways, int shares);
+  /// Forgets every node's backtracking target.
+  void forget_targets();
   /// Surface storage of node i (a leaf's caller surface or its pool slot).
   [[nodiscard]] const double* surface(std::size_t i) const noexcept {
     return leaf_energy_[i] != nullptr ? leaf_energy_[i] : energy_.data() + energy_off_[i];

@@ -103,12 +103,15 @@ const RmDecision& ResourceManager::invoke(
   ++stats_.invocations;
   RmDecision& decision = ws_.decision;
   decision.ops = 0;
-  decision.feasible = true;
-  const workload::Setting base = workload::baseline_setting(system_);
-  decision.settings.assign(static_cast<std::size_t>(system_.cores), base);
-
-  if (cfg_.policy == RmPolicy::Idle) return decision;
-  if (is_baseline_policy(cfg_.policy)) {
+  // Whether decision.settings still holds the last call's feasible RM
+  // decision; anything but a full feasible pass below leaves it false.
+  const bool settings_reusable = settings_reusable_;
+  settings_reusable_ = false;
+  if (cfg_.policy == RmPolicy::Idle || is_baseline_policy(cfg_.policy)) {
+    decision.feasible = true;
+    decision.settings.assign(static_cast<std::size_t>(system_.cores),
+                             workload::baseline_setting(system_));
+    if (cfg_.policy == RmPolicy::Idle) return decision;
     return invoke_baseline(invoking_core, snapshots, active);
   }
 
@@ -121,6 +124,7 @@ const RmDecision& ResourceManager::invoke(
   // an app that has departed) and take no part in the local step. A core's
   // global-tree leaf is dirtied only when its occupancy flips or its
   // flattened row changes bitwise.
+  bool inputs_changed = false;  // an occupancy flip or a replaced LocalOptResult
   for (int core = 0; core < system_.cores; ++core) {
     const auto k = static_cast<std::size_t>(core);
     CoreCache& cache = cached_[k];
@@ -128,6 +132,7 @@ const RmDecision& ResourceManager::invoke(
     if (ws_.leaf_active[k] != occupied) {
       ws_.leaf_active[k] = occupied;
       ws_.leaf_dirty[k] = 1;
+      inputs_changed = true;
     }
     if (active[k] == 0) {
       cache.valid = false;
@@ -167,6 +172,7 @@ const RmDecision& ResourceManager::invoke(
       }
     }
     if (fresh) decision.ops += cache.ops;
+    inputs_changed = true;
     cache.valid = true;
     cache.memo_key = keyed ? snap.memo_key : -1;
     cache.memo_db = snap.memo_db;
@@ -184,6 +190,22 @@ const RmDecision& ResourceManager::invoke(
     if (changed) ws_.leaf_dirty[k] = 1;
   }
 
+  // Unchanged decision: every active core kept the very LocalOptResult (so
+  // the same settings table, not merely bitwise-equal energies, which a memo
+  // hit may bring with different settings) and the occupancy is the same,
+  // so no leaf is dirty and the global step would recombine nothing, charge
+  // the tree's cached total and pick the same cells of the same tables.
+  // The last decision is that outcome; hand it back untouched.
+  if (settings_reusable && !inputs_changed) {
+    decision.ops += ws_.global.last_ops();
+    ++stats_.dp_skips;
+    settings_reusable_ = true;
+    return decision;
+  }
+
+  decision.feasible = true;
+  decision.settings.assign(static_cast<std::size_t>(system_.cores),
+                           workload::baseline_setting(system_));
   ws_.views.clear();
   for (int core = 0; core < system_.cores; ++core) {
     if (active[static_cast<std::size_t>(core)] == 0) {
@@ -227,6 +249,7 @@ const RmDecision& ResourceManager::invoke(
     QOSRM_CHECK_MSG(choice.feasible, "global optimizer chose an infeasible way");
     decision.settings[static_cast<std::size_t>(core)] = choice.setting;
   }
+  settings_reusable_ = true;
   return decision;
 }
 

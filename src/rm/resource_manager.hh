@@ -24,8 +24,10 @@
 // Work whose inputs did not change is skipped on the host: fresh counters of
 // the evaluation cell a core's curve was computed for replay that curve, and
 // the global step recombines only the tree nodes above cores whose curve
-// changed bitwise or whose occupancy flipped. The decision and the modeled
-// op charge are exactly those of a from-scratch invocation.
+// changed bitwise or whose occupancy flipped, and an invocation in which no
+// core's curve was replaced and no occupancy flipped returns the previous
+// decision as is. The decision and the modeled op charge are exactly those
+// of a from-scratch invocation.
 #ifndef QOSRM_RM_RESOURCE_MANAGER_HH
 #define QOSRM_RM_RESOURCE_MANAGER_HH
 
@@ -214,6 +216,9 @@ class ResourceManager {
   /// (not bool) so a std::span can view the storage.
   std::vector<std::uint8_t> all_active_;
   RmWorkspace ws_;
+  /// The decision in ws_ is the last call's feasible RM decision, so an
+  /// invoke whose inputs did not change may return it as is.
+  bool settings_reusable_ = false;
   RmInvokeStats stats_;
 };
 

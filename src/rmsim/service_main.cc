@@ -180,16 +180,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const int cores = static_cast<int>(args.get_int("cores", 16));
-  const int bw_shares = static_cast<int>(args.get_int("bw-shares", 1));
-  const int threads = static_cast<int>(args.get_int("threads", 0));
+  const int cores = args.get_int32("cores", 16);
+  const int bw_shares = args.get_int32("bw-shares", 1);
+  const int threads = args.get_int32("threads", 0);
   if (bw_shares < 1) {
     std::fprintf(stderr, "--bw-shares must be >= 1\n");
     return 1;
   }
   const long long num_arrivals = args.get_int("num-arrivals", 5000);
-  const int demand_min = static_cast<int>(args.get_int("demand-min", 40));
-  const int demand_max = static_cast<int>(args.get_int("demand-max", 160));
+  const int demand_min = args.get_int32("demand-min", 40);
+  const int demand_max = args.get_int32("demand-max", 160);
   const long long queue_cap = args.get_int("queue-cap", 4096);
   if (cores < 1 || threads < 0 || num_arrivals < 1) {
     std::fprintf(stderr,

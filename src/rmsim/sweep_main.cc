@@ -129,11 +129,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const int cores = static_cast<int>(args.get_int("cores", 4));
-  const int replicate = static_cast<int>(args.get_int("replicate", 1));
-  const int bw_shares = static_cast<int>(args.get_int("bw-shares", 1));
-  const int threads = static_cast<int>(args.get_int("threads", 0));
-  const int per_scenario = static_cast<int>(args.get_int("per-scenario", 1));
+  const int cores = args.get_int32("cores", 4);
+  const int replicate = args.get_int32("replicate", 1);
+  const int bw_shares = args.get_int32("bw-shares", 1);
+  const int threads = args.get_int32("threads", 0);
+  const int per_scenario = args.get_int32("per-scenario", 1);
   if (cores < 1 || replicate < 1 || per_scenario < 1 || threads < 0) {
     std::fprintf(stderr,
                  "--cores/--replicate/--per-scenario must be >= 1 and "

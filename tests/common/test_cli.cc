@@ -107,6 +107,27 @@ TEST(CliDeathTest, MalformedIntAborts) {
                "bad --workers value 'true'");
 }
 
+// get_int32 backs every `int` flag: a value that parses as a 64-bit integer
+// but does not fit an int must abort naming the flag, never wrap
+// (regression: --cores=4294967298 ran a 2-core system).
+TEST(CliDeathTest, OutOfRangeInt32Aborts) {
+  EXPECT_DEATH((void)parse({"--cores=4294967298"}).get_int32("cores", 4),
+               "bad --cores value '4294967298' \\(out of range");
+  EXPECT_DEATH((void)parse({"--cores=2147483648"}).get_int32("cores", 4),
+               "bad --cores value '2147483648'");
+  EXPECT_DEATH((void)parse({"--cores=-2147483649"}).get_int32("cores", 4),
+               "bad --cores value '-2147483649'");
+  EXPECT_DEATH((void)parse({"--cores=abc"}).get_int32("cores", 4),
+               "bad --cores value 'abc'");
+}
+
+TEST(Cli, Int32AcceptsItsWholeRange) {
+  EXPECT_EQ(parse({"--n=2147483647"}).get_int32("n", 0), 2147483647);
+  EXPECT_EQ(parse({"--n=-2147483648"}).get_int32("n", 0), -2147483647 - 1);
+  EXPECT_EQ(parse({"--n=16"}).get_int32("n", 0), 16);
+  EXPECT_EQ(parse({}).get_int32("n", 7), 7);
+}
+
 TEST(CliDeathTest, MalformedDoubleAborts) {
   EXPECT_DEATH((void)parse({"--load=1.5x"}).get_double("load", 0.0),
                "bad --load value '1.5x'");

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -499,6 +501,46 @@ TEST_P(GlobalOptSimdEquivalence, DegenerateFeasibilityTailsMatchAcrossLevels) {
       curves.push_back(curve(3, std::move(e)));
     }
     expect_levels_bitwise_equal(curves, 3 * cores, "single-feasible-front");
+  }
+}
+
+// Leaves up to 40 ways wide, so a node's output rows span several 16-cell
+// blocks of the vector kernel and end on every kind of seam: lengths are
+// drawn so that pair spans (na + nb - 1) land on 0, 1 and 15 mod 16. Rows
+// carry infinite holes inside their feasible spans, and some leaves are
+// entirely infeasible. Core counts reach 4x the parameter (up to 64).
+TEST_P(GlobalOptSimdEquivalence, WideLeavesSpanSeveralKernelBlocks) {
+  if (!avx2_available()) GTEST_SKIP() << "AVX2 kernel unavailable";
+  constexpr int kLengths[] = {8, 9, 16, 17, 24, 25, 33, 40};
+  for (const int cores : {GetParam(), 4 * GetParam()}) {
+    Rng rng(static_cast<std::uint64_t>(cores) * 7727 + 19);
+    for (int trial = 0; trial < 24; ++trial) {
+      std::vector<EnergyCurve> curves;
+      for (int c = 0; c < cores; ++c) {
+        EnergyCurve cu;
+        cu.min_ways = 1 + static_cast<int>(rng.uniform_u64(3));
+        const int len = kLengths[rng.uniform_u64(std::size(kLengths))];
+        const bool dead = trial % 8 == 7 && c == cores / 2;
+        for (int i = 0; i < len; ++i) {
+          cu.energy.push_back(dead || rng.bernoulli(0.15) ? kInf
+                                                         : rng.uniform(1.0, 50.0));
+        }
+        curves.push_back(std::move(cu));
+      }
+      int sum_lo = 0;
+      int sum_hi = 0;
+      for (const EnergyCurve& c : curves) {
+        sum_lo += c.min_ways;
+        sum_hi += c.max_ways();
+      }
+      const int budget =
+          sum_lo + static_cast<int>(rng.uniform_u64(
+                       static_cast<std::uint64_t>(sum_hi - sum_lo + 1)));
+      expect_levels_bitwise_equal(
+          curves, budget,
+          ("cores=" + std::to_string(cores) + " trial=" + std::to_string(trial))
+              .c_str());
+    }
   }
 }
 

@@ -14,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -334,6 +336,57 @@ TEST_P(GlobalOpt2dSimdEquivalence, RandomSurfacesMatchBitwiseAcrossLevels) {
     const int B =
         b_lo - 1 + static_cast<int>(rng.uniform_u64(
                        static_cast<std::uint64_t>(b_hi - b_lo + 3)));
+
+    const std::vector<EnergyCurveView> views = views_of(curves);
+    GlobalOptWorkspace scalar_ws, avx2_ws;
+    GlobalOptResult scalar_out, avx2_out;
+    std::uint64_t scalar_ops = 0, avx2_ops = 0;
+    GlobalOptimizer::optimize_into(views, W, B, {}, scalar_ws, scalar_out,
+                                   &scalar_ops, simd::Level::Scalar);
+    GlobalOptimizer::optimize_into(views, W, B, {}, avx2_ws, avx2_out, &avx2_ops,
+                                   simd::Level::Avx2);
+    const std::string what = "cores=" + std::to_string(cores) +
+                             " trial=" + std::to_string(trial);
+    ASSERT_EQ(scalar_out.feasible, avx2_out.feasible) << what;
+    EXPECT_EQ(scalar_out.total_energy, avx2_out.total_energy) << what;
+    EXPECT_EQ(scalar_out.ways, avx2_out.ways) << what;
+    EXPECT_EQ(scalar_out.shares, avx2_out.shares) << what;
+    EXPECT_EQ(scalar_ops, avx2_ops) << what;
+  }
+}
+
+// Wide 2-D surfaces: w-rows up to 40 cells, so every b-row pair of the
+// vector kernel spans several 16-cell blocks, with row lengths chosen so the
+// pair spans end on 0, 1 and 15 mod 16. Rows carry infinite holes, and
+// whole b-rows are infeasible (skipped pairs on both sides).
+TEST_P(GlobalOpt2dSimdEquivalence, WideSurfacesSpanSeveralKernelBlocks) {
+  if (!avx2_available()) GTEST_SKIP() << "AVX2 kernel unavailable";
+  const int cores = GetParam();
+  constexpr int kLengths[] = {8, 9, 16, 17, 24, 25, 33, 40};
+  Rng rng(static_cast<std::uint64_t>(cores) * 1299709 + 17);
+  for (int trial = 0; trial < 16; ++trial) {
+    std::vector<EnergyCurve> curves;
+    for (int c = 0; c < cores; ++c) {
+      const int num_ways = kLengths[rng.uniform_u64(std::size(kLengths))];
+      const int num_shares = 1 + static_cast<int>(rng.uniform_u64(cores > 8 ? 2 : 3));
+      EnergyCurve cu = random_surface(rng, num_ways, num_shares, 0.15);
+      for (int b = 0; b < num_shares; ++b) {
+        if (!rng.bernoulli(0.2)) continue;  // an all-infinite b-row
+        std::fill_n(cu.energy.begin() + b * num_ways, num_ways, kInf);
+      }
+      curves.push_back(std::move(cu));
+    }
+    int w_lo = 0, w_hi = 0, b_lo = 0, b_hi = 0;
+    for (const EnergyCurve& c : curves) {
+      w_lo += c.min_ways;
+      w_hi += c.max_ways();
+      b_lo += c.min_shares;
+      b_hi += c.max_shares();
+    }
+    const int W = w_lo + static_cast<int>(rng.uniform_u64(
+                             static_cast<std::uint64_t>(w_hi - w_lo + 1)));
+    const int B = b_lo + static_cast<int>(rng.uniform_u64(
+                             static_cast<std::uint64_t>(b_hi - b_lo + 1)));
 
     const std::vector<EnergyCurveView> views = views_of(curves);
     GlobalOptWorkspace scalar_ws, avx2_ws;

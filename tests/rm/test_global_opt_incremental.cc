@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -173,6 +174,78 @@ TEST(GlobalOptIncremental, CleanCallReusesResultAndChargesFullOps) {
   EXPECT_EQ(again.total_energy, first.total_energy);
   EXPECT_EQ(again_ops, first_ops);  // the model's count, not the host's work
   EXPECT_GT(again_ops, 0u);
+}
+
+// Backtracking keeps the allocations of subtrees that were not recombined and
+// are asked for the same target. An infeasible call leaves no allocation to
+// keep, so the calls after it - the original budget again with no dirty
+// leaf, then one dirty leaf - must backtrack in full and still equal a
+// from-scratch reduction bit for bit.
+TEST(GlobalOptIncremental, InfeasibleCallDoesNotLeakStaleAllocations) {
+  for (const int num_shares : {1, 3}) {
+    for (const simd::Level level : {simd::Level::Scalar, simd::Level::Avx2}) {
+      if (level == simd::Level::Avx2 && !avx2_available()) continue;
+      Rng rng(static_cast<std::uint64_t>(num_shares) * 6007 + 3);
+      const int cores = 8;
+      std::vector<EnergyCurve> curves;
+      for (int c = 0; c < cores; ++c) {
+        curves.push_back(random_leaf(rng, num_shares, false));
+      }
+      // Make every leaf feasible at its lowest allocation so the middle of
+      // the range is reachable.
+      for (EnergyCurve& c : curves) c.energy.front() = 1.0;
+      int w_lo = 0, w_hi = 0, b_lo = 0, b_hi = 0;
+      for (const EnergyCurve& c : curves) {
+        w_lo += c.min_ways;
+        w_hi += c.max_ways();
+        b_lo += c.min_shares;
+        b_hi += c.max_shares();
+      }
+      struct Call {
+        int ways;
+        int shares;
+        int dirty_leaf;  // -1: none
+        bool feasible;
+      };
+      const Call calls[] = {{w_lo, b_lo, -1, true},
+                            {w_hi + 5, b_lo, -1, false},
+                            {w_lo, b_lo, -1, true},
+                            {w_lo, b_lo, 5, true}};
+      GlobalOptWorkspace ws;
+      std::vector<std::uint8_t> dirty(static_cast<std::size_t>(cores), 1);
+      int step = 0;
+      for (const Call& call : calls) {
+        const std::string what = "shares=" + std::to_string(num_shares) +
+                                 " level=" + simd::level_name(level) +
+                                 " call=" + std::to_string(step++);
+        if (call.dirty_leaf >= 0) {
+          EnergyCurve& leaf = curves[static_cast<std::size_t>(call.dirty_leaf)];
+          for (double& e : leaf.energy) e = std::isinf(e) ? e : 0.5 * e;
+          dirty[static_cast<std::size_t>(call.dirty_leaf)] = 1;
+        }
+        const std::vector<EnergyCurveView> views = views_of(curves);
+        GlobalOptWorkspace scratch;
+        GlobalOptResult expect;
+        std::uint64_t expect_ops = 0;
+        GlobalOptimizer::optimize_into(views, call.ways, call.shares, {}, scratch,
+                                       expect, &expect_ops, level);
+        GlobalOptResult got;
+        std::uint64_t got_ops = 0;
+        GlobalOptimizer::optimize_into(views, call.ways, call.shares, dirty, ws, got,
+                                       &got_ops, level);
+        ASSERT_EQ(expect.feasible, call.feasible) << what;
+        ASSERT_EQ(got.feasible, expect.feasible) << what;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_energy),
+                  std::bit_cast<std::uint64_t>(expect.total_energy))
+            << what;
+        EXPECT_EQ(got.ways, expect.ways) << what;
+        EXPECT_EQ(got.shares, expect.shares) << what;
+        EXPECT_EQ(got_ops, expect_ops) << what;
+        EXPECT_EQ(ws.last_ops(), expect_ops) << what;
+        std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
+      }
+    }
+  }
 }
 
 }  // namespace

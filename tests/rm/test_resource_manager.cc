@@ -400,6 +400,140 @@ TEST(ResourceManagerIncremental, ServiceSequenceMatchesFreshManagerPerCall) {
                                    14);
 }
 
+// ---------------------------------------------------------------------------
+// Unchanged decision. When no core's curve is replaced (only same-cell
+// replays or untouched caches) and no occupancy flips, a long-lived manager
+// hands back its previous decision. Along a walk in which only the invoking
+// core's counters change between invocations, a fresh manager invoked once
+// on the same snapshots sees exactly the long-lived manager's inputs from a
+// cold state, so settings, feasibility and charged ops must all match at
+// every step.
+
+struct WalkStats {
+  std::uint64_t invocations = 0;
+  std::uint64_t dp_skips = 0;
+  std::uint64_t nodes_recombined = 0;
+};
+
+WalkStats walk_long_lived_vs_fresh(int cores, int shares, const RmConfig& cfg,
+                                   int steps, std::uint64_t seed) {
+  const workload::SimDb& sdb = qosrm::testing::shared_db(cores, shares);
+  const Setting base = workload::baseline_setting(sdb.system());
+  const bool perfect = cfg.model == PerfModelKind::Perfect;
+  ResourceManager live(cfg, sdb.system(), sdb.power());
+  const auto n = static_cast<std::size_t>(cores);
+  std::vector<CounterSnapshot> snaps(n);
+  std::vector<std::uint8_t> active(n, 0);
+  std::vector<int> app(n, 0);
+  std::vector<int> seq_pos(n, 0);
+  std::vector<Setting> setting(n, base);
+  Rng rng(seed);
+  const auto phase_of = [&](std::size_t k, int pos) {
+    const std::vector<int>& seq = sdb.suite().app(app[k]).phase_sequence;
+    return seq[static_cast<std::size_t>(pos) % seq.size()];
+  };
+  const auto refresh = [&](std::size_t k) {
+    rmsim::make_snapshot_into(sdb, app[k], phase_of(k, seq_pos[k]), setting[k],
+                              perfect ? phase_of(k, seq_pos[k] + 1) : -1,
+                              snaps[k]);
+  };
+  // Fill most cores up front so decisions are contended from the start.
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    active[k] = 1;
+    app[k] = static_cast<int>(
+        rng.uniform_u64(static_cast<std::uint64_t>(sdb.suite().size())));
+    refresh(k);
+  }
+
+  WalkStats walk;
+  for (int step = 0; step < steps; ++step) {
+    auto k = static_cast<std::size_t>(rng.uniform_u64(n));
+    const int event = static_cast<int>(rng.uniform_u64(12));
+    if (active[k] == 0) {  // arrival: idle -> active
+      active[k] = 1;
+      app[k] = static_cast<int>(
+          rng.uniform_u64(static_cast<std::uint64_t>(sdb.suite().size())));
+      seq_pos[k] = 0;
+      setting[k] = base;
+      refresh(k);
+    } else if (event == 0) {  // departure: active -> idle
+      active[k] = 0;
+      k = static_cast<std::size_t>(std::find(active.begin(), active.end(), 1) -
+                                   active.begin());
+      if (k == n) continue;  // nobody left to invoke
+    } else if (event <= 2) {  // a new cell: the next phase
+      ++seq_pos[k];
+      refresh(k);
+    } else if (event <= 4) {  // an earlier cell: the previous phase
+      seq_pos[k] = std::max(0, seq_pos[k] - 1);
+      refresh(k);
+    } else if (event == 5) {  // back to the arrival cell (a memo hit if on)
+      seq_pos[k] = 0;
+      setting[k] = base;
+      refresh(k);
+    } else if (event <= 8) {  // a fresh snapshot of the same cell
+      refresh(k);
+    }  // else: a re-invocation with unchanged counters
+
+    const RmDecision& got = live.invoke(static_cast<int>(k), snaps, active);
+    ResourceManager fresh(cfg, sdb.system(), sdb.power());
+    const RmDecision& want = fresh.invoke(static_cast<int>(k), snaps, active);
+    const std::string what = std::string(rm_policy_name(cfg.policy)) +
+                             (perfect ? " Perfect " : " Model3 ") +
+                             std::to_string(cores) + "c/" + std::to_string(shares) +
+                             "b memo " + std::to_string(static_cast<int>(cfg.memo)) +
+                             " step " + std::to_string(step);
+    EXPECT_EQ(got.feasible, want.feasible) << what;
+    EXPECT_EQ(got.ops, want.ops) << what;
+    EXPECT_TRUE(got.settings == want.settings) << what;
+    // The invoking core runs the decided setting from its next interval.
+    setting[k] = got.settings[k];
+  }
+  const RmInvokeStats& stats = live.stats();
+  walk.invocations = stats.invocations;
+  walk.dp_skips = stats.dp_skips;
+  walk.nodes_recombined = stats.nodes_recombined;
+  EXPECT_GT(stats.dp_skips, 0u);
+  if (perfect) {
+    EXPECT_EQ(stats.cell_replays, 0u);  // oracle counters never replay
+  } else {
+    EXPECT_GT(stats.cell_replays, 0u);
+  }
+  if (live.memo_enabled() && !perfect) {
+    EXPECT_GT(stats.memo_hits, 0u);
+  } else {
+    EXPECT_EQ(stats.memo_hits, 0u);  // memo off, or oracle counters
+  }
+  return walk;
+}
+
+TEST(ResourceManager, LongLivedManagerMatchesFreshManagerAlongAWalk) {
+  std::uint64_t seed = 40;
+  for (const RmPolicy policy : {RmPolicy::Rm1, RmPolicy::Rm2, RmPolicy::Rm3}) {
+    for (const PerfModelKind model : {PerfModelKind::Model3, PerfModelKind::Perfect}) {
+      for (const int cores : {4, 16}) {
+        for (const int shares : {1, 4}) {
+          for (const RmMemoMode memo : {RmMemoMode::On, RmMemoMode::Off}) {
+            RmConfig cfg = config(policy, model);
+            cfg.memo = memo;
+            (void)walk_long_lived_vs_fresh(cores, shares, cfg, cores == 4 ? 300 : 160,
+                                           ++seed);
+          }
+        }
+      }
+    }
+  }
+  // The host-side work counters of one fixed walk are pinned to the values
+  // the manager recorded before it reused unchanged decisions: reuse counts
+  // a DP skip exactly as the global step it replaces did.
+  RmConfig cfg = config(RmPolicy::Rm3);
+  cfg.memo = RmMemoMode::On;
+  const WalkStats pinned = walk_long_lived_vs_fresh(16, 1, cfg, 200, 2020);
+  EXPECT_EQ(pinned.invocations, 200u);
+  EXPECT_EQ(pinned.dp_skips, 127u);
+  EXPECT_EQ(pinned.nodes_recombined, 303u);
+}
+
 TEST(ResourceManager, PolicyNames) {
   EXPECT_STREQ(rm_policy_name(RmPolicy::Idle), "Idle");
   EXPECT_STREQ(rm_policy_name(RmPolicy::Rm1), "RM1");

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -48,6 +49,37 @@ TEST_P(BwSharesCli, RejectsGarbageViaStrictIntegerParse) {
 
 INSTANTIATE_TEST_SUITE_P(Binaries, BwSharesCli,
                          ::testing::Values("sweep_main", "service_main"));
+
+// Runs `binary flags` and returns its exit status (as run_silenced maps it)
+// with its combined stdout/stderr in `output`.
+int run_captured(const std::string& binary, const std::string& flags,
+                 std::string& output) {
+  const std::string cmd =
+      std::string(QOSRM_BIN_DIR) + "/" + binary + " " + flags + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  output.clear();
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) output += buf;
+  const int status = pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+}
+
+// Integer flags that do not fit an int are rejected naming the flag instead
+// of wrapping: 4294967298 used to become 2 cores and 4294967336 a demand of
+// 40, and the run exited 0.
+TEST(IntFlagCli, OutOfRangeValuesAreRejectedNamingTheFlag) {
+  std::string out;
+  EXPECT_NE(run_captured("service_main", "--cores=4294967298 --policies=idle", out), 0);
+  EXPECT_NE(out.find("--cores"), std::string::npos) << out;
+  EXPECT_NE(run_captured("service_main", "--demand-max=4294967336 --policies=idle", out),
+            0);
+  EXPECT_NE(out.find("--demand-max"), std::string::npos) << out;
+  EXPECT_NE(run_captured("sweep_main", "--cores=4294967298 --policies=idle", out), 0);
+  EXPECT_NE(out.find("--cores"), std::string::npos) << out;
+  EXPECT_NE(run_captured("sweep_main", "--threads=-4294967295", out), 0);
+  EXPECT_NE(out.find("--threads"), std::string::npos) << out;
+}
 
 // Generated mixes split their cores into two application halves, so an odd
 // --cores must be a usage error up front, not an abort inside the workload

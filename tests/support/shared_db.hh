@@ -5,7 +5,9 @@
 // When QOSRM_DB_CACHE_DIR is set, the database is restored from (or saved
 // to) a binary snapshot under that directory, so a whole `ctest -L slow` run
 // pays the characterization cost once instead of once per test binary. A
-// stale snapshot is rejected (warning on stderr) and rebuilt.
+// stale snapshot is rejected (warning on stderr) and rebuilt. Under CTest the
+// `slow` tests point it at <build>/qosdb-cache, which the qosdb_cache_setup
+// fixture (build_db_cache.cc) fills from scratch before they run.
 #ifndef QOSRM_TESTS_SUPPORT_SHARED_DB_HH
 #define QOSRM_TESTS_SUPPORT_SHARED_DB_HH
 
@@ -21,14 +23,20 @@
 
 namespace qosrm::testing {
 
+/// The system a shared database is characterized for.
+inline arch::SystemConfig shared_db_system(int cores, int bw_shares) {
+  arch::SystemConfig system;
+  system.cores = cores;
+  system.bw = arch::bw_config_for_shares(bw_shares);
+  return system;
+}
+
 inline const workload::SimDb& shared_db(int cores = 2, int bw_shares = 1) {
   static std::map<std::pair<int, int>, std::unique_ptr<workload::SimDb>> dbs;
   const std::pair<int, int> key{cores, bw_shares};
   auto it = dbs.find(key);
   if (it == dbs.end()) {
-    arch::SystemConfig system;
-    system.cores = cores;
-    system.bw = arch::bw_config_for_shares(bw_shares);
+    const arch::SystemConfig system = shared_db_system(cores, bw_shares);
     const power::PowerModel power;
     const char* cache_dir = std::getenv("QOSRM_DB_CACHE_DIR");
     const std::string cache_path =
