@@ -21,7 +21,9 @@
 using namespace qosrm;
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
+  const CliArgs args(argc, argv);
+  static constexpr const char* kFlags[] = {"cores", "per-scenario", "csv"};
+  if (!args.reject_unknown(kFlags)) return 1;
   const int cores = args.get_int32("cores", 4);
   const int per_scenario = args.get_int32("per-scenario", 3);
 

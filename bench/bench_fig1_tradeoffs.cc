@@ -15,7 +15,8 @@
 using namespace qosrm;
 using workload::Category;
 
-int main(int, char**) {
+int main(int argc, char** argv) {
+  if (!CliArgs(argc, argv).reject_unknown({})) return 1;
   arch::SystemConfig system;
   system.cores = 2;
   const power::PowerModel power;

@@ -16,7 +16,9 @@
 using namespace qosrm;
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv, {"real-models"});
+  const CliArgs args(argc, argv, {"real-models"});
+  static constexpr const char* kFlags[] = {"real-models", "db-cache", "csv"};
+  if (!args.reject_unknown(kFlags)) return 1;
   const bool perfect = !args.get_bool("real-models", false);
 
   arch::SystemConfig system;

@@ -15,7 +15,8 @@
 
 using namespace qosrm;
 
-int main(int, char**) {
+int main(int argc, char** argv) {
+  if (!CliArgs(argc, argv).reject_unknown({})) return 1;
   std::printf("=== Section III-E: RM overhead scaling ===\n\n");
 
   AsciiTable table({"Cores", "RM2 ops", "RM2 instr", "RM3 ops", "RM3 instr",

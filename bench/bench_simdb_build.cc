@@ -28,7 +28,10 @@ double secs_since(Clock::time_point t0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv, {"keep"});
+  const CliArgs args(argc, argv, {"keep"});
+  static constexpr const char* kFlags[] = {"cores", "loads", "path", "threads",
+                                           "keep"};
+  if (!args.reject_unknown(kFlags)) return 1;
   const int cores = args.get_int32("cores", 2);
   const int loads = args.get_int32("loads", 5);
   const std::string path = args.get("path", "bench_simdb.qosdb");

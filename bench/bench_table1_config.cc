@@ -12,7 +12,9 @@
 using namespace qosrm;
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
+  const CliArgs args(argc, argv);
+  static constexpr const char* kFlags[] = {"cores"};
+  if (!args.reject_unknown(kFlags)) return 1;
   const int cores = args.get_int32("cores", 4);
   arch::SystemConfig system;
   system.cores = cores;

@@ -19,7 +19,9 @@
 using namespace qosrm;
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
+  const CliArgs args(argc, argv);
+  static constexpr const char* kFlags[] = {"csv"};
+  if (!args.reject_unknown(kFlags)) return 1;
   arch::SystemConfig system;
   system.cores = 2;
   const power::PowerModel power;

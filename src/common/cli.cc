@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 
@@ -34,11 +35,22 @@ CliArgs::CliArgs(int argc, char** argv,
 
 bool CliArgs::has(const std::string& name) const { return values_.count(name) > 0; }
 
-std::vector<std::string> CliArgs::flag_names() const {
-  std::vector<std::string> names;
-  names.reserve(values_.size());
-  for (const auto& [name, value] : values_) names.push_back(name);
-  return names;
+bool CliArgs::reject_unknown(std::span<const char* const> known) const {
+  const std::set<std::string> known_set(known.begin(), known.end());
+  for (const auto& [name, value] : values_) {
+    if (known_set.count(name) == 0) {
+      std::fprintf(stderr, "unknown flag --%s (see --help)\n", name.c_str());
+      return false;
+    }
+  }
+  if (!positional_.empty()) {
+    std::fprintf(stderr,
+                 "unexpected argument '%s' (flags take --name=value or "
+                 "--name value form; see --help)\n",
+                 positional_.front().c_str());
+    return false;
+  }
+  return true;
 }
 
 std::string CliArgs::get(const std::string& name, const std::string& fallback) const {

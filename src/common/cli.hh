@@ -2,13 +2,14 @@
 //
 // Supports --name=value and --name value forms plus bare --flag booleans.
 // Unrecognized arguments are retained (google-benchmark binaries pass their
-// own flags through).
+// own flags through); strict binaries reject them with reject_unknown().
 #ifndef QOSRM_COMMON_CLI_HH
 #define QOSRM_COMMON_CLI_HH
 
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,9 +40,11 @@ class CliArgs {
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
-  /// Names of every --flag that was passed (sorted). Lets strict binaries
-  /// reject typo'd flags instead of silently running with defaults.
-  [[nodiscard]] std::vector<std::string> flag_names() const;
+  /// Strict-binary validation: false (after printing a diagnostic to
+  /// stderr) when a passed --flag is not in `known` or a positional argument
+  /// is present. A typo'd flag name must fail loudly, never silently run
+  /// with defaults labeled as if the request had been honored.
+  [[nodiscard]] bool reject_unknown(std::span<const char* const> known) const;
 
   /// Arguments that did not look like --key[=value] flags, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {

@@ -43,11 +43,6 @@ void CsvWriter::close() {
   closed_ = true;
 }
 
-void CsvWriter::abandon() noexcept {
-  closed_ = true;
-  buffer_.clear();
-}
-
 CsvWriter::~CsvWriter() {
   // Unwinding due to an exception thrown since construction: the run
   // failed, so the partial CSV must not be published.

@@ -27,11 +27,6 @@ class CsvWriter {
   /// its previous content).
   void close();
 
-  /// Discards the buffered rows WITHOUT publishing anything; later close()
-  /// calls (and the destructor) become no-ops. For error-return paths where
-  /// no exception unwinds but a partial file must not be published.
-  void abandon() noexcept;
-
   /// Commits like close() on the normal path, but if the writer is being
   /// destroyed by stack unwinding (an exception is in flight), the partial
   /// result is ABANDONED instead - never published. Errors are swallowed;

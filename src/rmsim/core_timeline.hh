@@ -55,8 +55,8 @@ void hash_sim_options(Fnv1a64& h, const SimOptions& options);
 
 /// The RM configuration of one (policy, model) grid cell. The Perfect axis
 /// is the paper's Fig. 9 oracle: exact time prediction paired with
-/// ground-truth energy (same pairing as bench_fig9). Leaving the energy
-/// model online would mislabel "Perfect" rows as a half-oracle.
+/// ground-truth energy. Leaving the energy model online would mislabel
+/// "Perfect" rows as a half-oracle.
 [[nodiscard]] rm::RmConfig rm_config_for(rm::RmPolicy policy,
                                          rm::PerfModelKind model);
 

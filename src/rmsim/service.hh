@@ -24,7 +24,7 @@
 // (derived from the base seed and the point's pattern/load, so all policies
 // at one (pattern, load) face the SAME arrival trace), no wall-clock, no
 // platform-dependent distributions. The steady-state event loop is
-// allocation-free (bench/bench_service.cc pins this).
+// allocation-free (the rmsim_test_service_alloc ctest pins this).
 #ifndef QOSRM_RMSIM_SERVICE_HH
 #define QOSRM_RMSIM_SERVICE_HH
 
@@ -185,7 +185,8 @@ struct ServiceResult {
 
 /// One grid point's open-loop engine. Construction synthesizes the arrival
 /// trace and builds the resource manager; reset() + step() replay it without
-/// touching the heap (the bench pins 0 allocations per steady-state event).
+/// touching the heap (rmsim_test_service_alloc pins 0 allocations per
+/// steady-state event).
 class ServiceEngine {
  public:
   ServiceEngine(const workload::SimDb& db, const ServiceConfig& config,

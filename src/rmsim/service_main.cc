@@ -19,7 +19,6 @@
 #include <chrono>
 #include <cstdio>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -161,24 +160,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Reject unknown flags: a typo'd flag name would otherwise silently run
-  // a default service sweep labeled as if the request had been honored.
-  static const std::set<std::string> kKnownFlags(
-      std::begin(rmsim::cli::kServiceMainFlags),
-      std::end(rmsim::cli::kServiceMainFlags));
-  for (const std::string& flag : args.flag_names()) {
-    if (!kKnownFlags.count(flag)) {
-      std::fprintf(stderr, "unknown flag --%s (see --help)\n", flag.c_str());
-      return 1;
-    }
-  }
-  if (!args.positional().empty()) {
-    std::fprintf(stderr,
-                 "unexpected argument '%s' (flags take --name=value or "
-                 "--name value form; see --help)\n",
-                 args.positional().front().c_str());
-    return 1;
-  }
+  if (!args.reject_unknown(rmsim::cli::kServiceMainFlags)) return 1;
 
   const int cores = args.get_int32("cores", 16);
   const int bw_shares = args.get_int32("bw-shares", 1);

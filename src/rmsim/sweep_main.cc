@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdio>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -110,24 +109,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Reject unknown flags: a typo'd flag name would otherwise silently run
-  // a default sweep labeled as if the request had been honored.
-  static const std::set<std::string> kKnownFlags(
-      std::begin(rmsim::cli::kSweepMainFlags),
-      std::end(rmsim::cli::kSweepMainFlags));
-  for (const std::string& flag : args.flag_names()) {
-    if (!kKnownFlags.count(flag)) {
-      std::fprintf(stderr, "unknown flag --%s (see --help)\n", flag.c_str());
-      return 1;
-    }
-  }
-  if (!args.positional().empty()) {
-    std::fprintf(stderr,
-                 "unexpected argument '%s' (flags take --name=value or "
-                 "--name value form; see --help)\n",
-                 args.positional().front().c_str());
-    return 1;
-  }
+  if (!args.reject_unknown(rmsim::cli::kSweepMainFlags)) return 1;
 
   const int cores = args.get_int32("cores", 4);
   const int replicate = args.get_int32("replicate", 1);

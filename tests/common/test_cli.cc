@@ -178,5 +178,40 @@ TEST(Cli, UndeclaredFlagKeepsGreedyValueConsumption) {
   EXPECT_TRUE(args.positional().empty());
 }
 
+// ---- strict binaries: a typo'd flag or a stray positional must fail with a
+// ---- diagnostic, never silently run with defaults (regression: the bench
+// ---- drivers ran `--bin=40` with 20 bins and exited 0) ---------------------
+
+constexpr const char* kKnown[] = {"bins", "csv"};
+
+TEST(Cli, RejectUnknownAcceptsDeclaredFlags) {
+  ::testing::internal::CaptureStderr();
+  EXPECT_TRUE(parse({"--bins=40", "--csv", "out.csv"}).reject_unknown(kKnown));
+  EXPECT_TRUE(parse({}).reject_unknown(kKnown));
+  EXPECT_TRUE(parse({}).reject_unknown({}));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+}
+
+TEST(Cli, RejectUnknownNamesTheUnknownFlag) {
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse({"--csv=x", "--bin=40"}).reject_unknown(kKnown));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "unknown flag --bin (see --help)\n");
+
+  // A driver without flags rejects any flag.
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse({"--no-such-flag=1"}).reject_unknown({}));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "unknown flag --no-such-flag (see --help)\n");
+}
+
+TEST(Cli, RejectUnknownRejectsPositionalArguments) {
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse({"--bins=4", "stray", "more"}).reject_unknown(kKnown));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "unexpected argument 'stray' (flags take --name=value or "
+            "--name value form; see --help)\n");
+}
+
 }  // namespace
 }  // namespace qosrm

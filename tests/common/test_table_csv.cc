@@ -110,19 +110,6 @@ TEST(Csv, PartialResultIsAbandonedWhenAnExceptionUnwinds) {
   }
 }
 
-TEST(Csv, AbandonPublishesNothing) {
-  const std::string path = ::testing::TempDir() + "/qosrm_abandon_call.csv";
-  std::remove(path.c_str());
-  {
-    CsvWriter csv(path, {"a"});
-    csv.add_row({"1"});
-    csv.abandon();
-    csv.close();  // no-op after abandon
-  }
-  std::ifstream in(path);
-  EXPECT_FALSE(in.good());
-}
-
 TEST(Csv, CloseIsIdempotent) {
   const std::string path = ::testing::TempDir() + "/qosrm_idempotent.csv";
   CsvWriter csv(path, {"a"});

@@ -1,9 +1,9 @@
 // Pins the colocation-service steady-state event loop at ZERO heap
 // allocations per event: after one warm pass has grown every buffer (queue
 // ring, violation histogram, counter snapshots, RM workspaces), reset() +
-// step() must never touch the heap again. bench/bench_service.cc measures
-// the same property; this test makes it a hard gate that fails the suite,
-// not just a counter in a benchmark JSON.
+// step() must never touch the heap again. The suite runs the full
+// {RM policy x admission} plane at 2 cores and the service-loop benchmark
+// configurations at 4, 8 and 16 cores and at 4 cores x 4 bandwidth shares.
 //
 // The count is taken through a global operator-new hook, which replaces the
 // allocator for this whole binary - the test lives alone in its own test
@@ -12,6 +12,7 @@
 //
 // Builds the full simulation database (tests/support/shared_db.hh), so the
 // binary carries LABELS slow.
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -62,13 +63,43 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace qosrm::rmsim {
 namespace {
 
+/// Heap allocations of the steady-state loop of one engine: a warm pass
+/// grows every buffer to its high-water capacity and fills every RM
+/// per-core curve cache; then two full passes, each rewound by reset(), are
+/// counted, so the measurement covers every event of the trace and the
+/// wrap-around.
+std::uint64_t steady_state_allocations(const workload::SimDb& db,
+                                       const ServiceConfig& config,
+                                       const ServicePoint& point) {
+  ServiceEngine engine(db, config, point);
+  (void)engine.run();
+  engine.reset();
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int pass = 0; pass < 2; ++pass) {
+    while (engine.step()) {
+    }
+    engine.reset();
+  }
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+/// A gtest-safe (alphanumeric) admission-policy name.
+std::string admission_label(AdmissionPolicy admission) {
+  std::string label = admission_policy_name(admission);
+  std::replace(label.begin(), label.end(), '-', '_');
+  return label;
+}
+
+constexpr const char* kLeakMessage =
+    " heap allocations leaked into the steady-state service loop (required: "
+    "zero per event after warmup)";
+
 class ServiceAllocPolicy
     : public ::testing::TestWithParam<std::tuple<rm::RmPolicy, AdmissionPolicy>> {
 };
 
 TEST_P(ServiceAllocPolicy, SteadyStateLoopIsAllocationFree) {
-  const workload::SimDb& db = qosrm::testing::shared_db(2);
-
   ServiceConfig config;
   config.arrivals = 256;
   config.seed = 7;
@@ -78,21 +109,9 @@ TEST_P(ServiceAllocPolicy, SteadyStateLoopIsAllocationFree) {
   point.policy = std::get<0>(GetParam());
   point.admission = std::get<1>(GetParam());
   point.load = 2.0;  // overload: the queue-scan admission paths must engage
-  ServiceEngine engine(db, config, point);
-
-  // Warm pass: every buffer grows to its high-water capacity, every RM
-  // per-core curve cache fills.
-  (void)engine.run();
-  engine.reset();
-
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 1000; ++i) {
-    if (!engine.step()) engine.reset();
-  }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u)
-      << (after - before) << " heap allocations leaked into the steady-state "
-      << "service loop (required: zero per event after warmup)";
+  const std::uint64_t allocations =
+      steady_state_allocations(qosrm::testing::shared_db(2), config, point);
+  EXPECT_EQ(allocations, 0u) << allocations << kLeakMessage;
 }
 
 // The zero-alloc invariant covers the full {RM policy x admission policy}
@@ -109,27 +128,81 @@ INSTANTIATE_TEST_SUITE_P(
                                          AdmissionPolicy::Sdf,
                                          AdmissionPolicy::QosAware)),
     [](const auto& info) {
-      std::string name = rm::rm_policy_name(std::get<0>(info.param));
-      name += "_";
-      for (const char* p = admission_policy_name(std::get<1>(info.param));
-           *p != '\0'; ++p) {
-        name += *p == '-' ? '_' : *p;  // gtest names must be alphanumeric
-      }
-      return name;
+      return std::string(rm::rm_policy_name(std::get<0>(info.param))) + "_" +
+             admission_label(std::get<1>(info.param));
     });
 
-TEST(ServiceAlloc, ArrivalRegenerationIsAllocationFree) {
-  workload::ArrivalGenOptions options;
-  options.count = 2048;
-  workload::ArrivalTrace trace;
-  workload::generate_arrivals_into(options, &trace);  // grow to capacity
+/// A service-loop benchmark configuration: RM policy, core count, bandwidth
+/// shares per core and admission policy.
+using StepConfig = std::tuple<rm::RmPolicy, int, int, AdmissionPolicy>;
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 10; ++i) {
-    workload::generate_arrivals_into(options, &trace);
+class ServiceAllocConfig : public ::testing::TestWithParam<StepConfig> {};
+
+TEST_P(ServiceAllocConfig, SteadyStateLoopIsAllocationFree) {
+  const auto [policy, cores, bw_shares, admission] = GetParam();
+  ServiceConfig config;
+  config.arrivals = 512;
+  ServicePoint point;
+  point.policy = policy;
+  point.admission = admission;
+  if (admission != AdmissionPolicy::Fifo) {
+    point.load = 2.0;  // overload so the non-FIFO queue disciplines engage
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u);
+  const std::uint64_t allocations = steady_state_allocations(
+      qosrm::testing::shared_db(cores, bw_shares), config, point);
+  EXPECT_EQ(allocations, 0u) << allocations << kLeakMessage;
+}
+
+std::string step_config_name(
+    const ::testing::TestParamInfo<StepConfig>& info) {
+  const auto [policy, cores, bw_shares, admission] = info.param;
+  return std::string(rm::rm_policy_name(policy)) + "_c" +
+         std::to_string(cores) + "_b" + std::to_string(bw_shares) + "_" +
+         admission_label(admission);
+}
+
+// Idle and RM3 at 4, 8 and 16 cores: 512 arrivals, FIFO, load 0.8.
+INSTANTIATE_TEST_SUITE_P(
+    CoreCounts, ServiceAllocConfig,
+    ::testing::Combine(::testing::Values(rm::RmPolicy::Idle, rm::RmPolicy::Rm3),
+                       ::testing::Values(4, 8, 16), ::testing::Values(1),
+                       ::testing::Values(AdmissionPolicy::Fifo)),
+    step_config_name);
+
+// The 2-D (ways x shares) RM path: 4 cores x 4 bandwidth shares per core.
+INSTANTIATE_TEST_SUITE_P(
+    BandwidthShares, ServiceAllocConfig,
+    ::testing::Values(StepConfig{rm::RmPolicy::Rm3, 4, 4,
+                                 AdmissionPolicy::Fifo}),
+    step_config_name);
+
+// The queue-scan admission policies under overload (load 2.0).
+INSTANTIATE_TEST_SUITE_P(
+    Admission, ServiceAllocConfig,
+    ::testing::Combine(::testing::Values(rm::RmPolicy::Rm3),
+                       ::testing::Values(4), ::testing::Values(1),
+                       ::testing::Values(AdmissionPolicy::Sdf,
+                                         AdmissionPolicy::QosAware)),
+    step_config_name);
+
+TEST(ServiceAlloc, ArrivalRegenerationIsAllocationFree) {
+  for (const workload::ArrivalPattern pattern :
+       {workload::ArrivalPattern::Poisson, workload::ArrivalPattern::Bursty,
+        workload::ArrivalPattern::Diurnal}) {
+    workload::ArrivalGenOptions options;
+    options.pattern = pattern;
+    options.count = 2048;
+    workload::ArrivalTrace trace;
+    workload::generate_arrivals_into(options, &trace);  // grow to capacity
+
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int i = 0; i < 10; ++i) {
+      workload::generate_arrivals_into(options, &trace);
+    }
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << workload::arrival_pattern_name(pattern);
+  }
 }
 
 }  // namespace

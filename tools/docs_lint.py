@@ -1,11 +1,17 @@
 #!/usr/bin/env python3
-"""Docs link lint: fail on broken relative links in the repo's markdown.
+"""Docs lint: fail on broken relative links and stale bench program names.
 
 Scans README.md, DESIGN.md and docs/*.md for markdown links and inline
 reference targets. External links (http/https/mailto) are ignored - CI
 must not flake on the outside world. A relative target is resolved
 against the containing file's directory (anchors stripped) and must
-exist; a missing target is a hard failure listing every offender.
+exist.
+
+Every `bench_<name>` token in those files and in .github/workflows/ci.yml
+must name an existing bench/bench_<name>.cc, so a deleted bench program
+cannot linger in a recipe or a CI step.
+
+Any offender is a hard failure; every one is listed.
 
 Usage: python3 tools/docs_lint.py [repo_root]
 """
@@ -21,6 +27,8 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
 EXTERNAL = ("http://", "https://", "mailto:")
 
+BENCH_RE = re.compile(r"\bbench_[A-Za-z0-9_]+")
+
 
 def doc_files(root: pathlib.Path):
     for name in ("README.md", "DESIGN.md"):
@@ -30,7 +38,21 @@ def doc_files(root: pathlib.Path):
     yield from sorted((root / "docs").glob("*.md"))
 
 
-def check_file(path: pathlib.Path):
+def line_of(text: str, pos: int) -> int:
+    return text.count("\n", 0, pos) + 1
+
+
+def check_bench_names(root: pathlib.Path, path: pathlib.Path):
+    errors = []
+    text = path.read_text(encoding="utf-8")
+    for match in BENCH_RE.finditer(text):
+        if not (root / "bench" / f"{match.group(0)}.cc").is_file():
+            errors.append(f"{path}:{line_of(text, match.start())}: "
+                          f"no bench program {match.group(0)}")
+    return errors
+
+
+def check_links(path: pathlib.Path):
     errors = []
     text = path.read_text(encoding="utf-8")
     for match in LINK_RE.finditer(text):
@@ -42,8 +64,8 @@ def check_file(path: pathlib.Path):
             continue
         resolved = (path.parent / target).resolve()
         if not resolved.exists():
-            line = text.count("\n", 0, match.start()) + 1
-            errors.append(f"{path}:{line}: broken link -> {match.group(1)}")
+            errors.append(f"{path}:{line_of(text, match.start())}: "
+                          f"broken link -> {match.group(1)}")
     return errors
 
 
@@ -53,12 +75,18 @@ def main() -> int:
     checked = 0
     for path in doc_files(root):
         checked += 1
-        errors.extend(check_file(path))
+        errors.extend(check_links(path))
+        errors.extend(check_bench_names(root, path))
+    workflow = root / ".github" / "workflows" / "ci.yml"
+    if workflow.is_file():
+        checked += 1
+        errors.extend(check_bench_names(root, workflow))
     if errors:
         print("\n".join(errors), file=sys.stderr)
-        print(f"docs lint: {len(errors)} broken link(s)", file=sys.stderr)
+        print(f"docs lint: {len(errors)} offender(s)", file=sys.stderr)
         return 1
-    print(f"docs lint: {checked} file(s), all relative links resolve")
+    print(f"docs lint: {checked} file(s), all relative links resolve and "
+          "every bench program named exists")
     return 0
 
 
