@@ -160,13 +160,23 @@ BENCHMARK(BM_GlobalOptimization)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 // The RM's common global step: one leaf's surface changed since the last
 // call. Leaf 0 alternates between two surfaces over a warm workspace, so
-// each call recombines that leaf's root path and backtracks it.
-void BM_GlobalOptimizationDirtyLeaf(benchmark::State& state) {
+// each call recopies that leaf, recombines its root path and backtracks it.
+// `rm3_shaped` draws curves the way RM3 produces them - QoS-infeasible below
+// a per-core way count, with scattered infeasible holes above it - instead
+// of uniform curves that are feasible everywhere, so the feasible spans and
+// counts the combine tree caches differ from the full rows.
+void BM_GlobalOptimizationDirtyLeaf(benchmark::State& state, bool rm3_shaped) {
   const auto cores = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
   std::vector<std::vector<double>> energy(cores + 1);  // [cores]: leaf 0's twin
   for (std::vector<double>& e : energy) {
-    for (int w = 2; w <= 16; ++w) e.push_back(rng.uniform(1.0, 100.0));
+    const int first_feasible = rm3_shaped ? 2 + static_cast<int>(rng.uniform_u64(7)) : 2;
+    for (int w = 2; w <= 16; ++w) {
+      const bool feasible = w >= first_feasible && !(rm3_shaped && rng.bernoulli(0.15));
+      e.push_back(feasible ? rng.uniform(1.0, 100.0)
+                           : std::numeric_limits<double>::infinity());
+    }
+    if (rm3_shaped) e.back() = rng.uniform(1.0, 100.0);  // the full LLC meets QoS
   }
   std::vector<rm::EnergyCurveView> curves;
   for (std::size_t k = 0; k < cores; ++k) {
@@ -179,6 +189,7 @@ void BM_GlobalOptimizationDirtyLeaf(benchmark::State& state) {
   rm::GlobalOptWorkspace ws;
   rm::GlobalOptResult result;
   rm::GlobalOptimizer::optimize_into(curves, budget, ws, result);
+  if (!result.feasible) state.SkipWithError("budget infeasible for these curves");
   std::size_t twin = 0;
   for (auto _ : state) {
     twin ^= cores;
@@ -187,7 +198,8 @@ void BM_GlobalOptimizationDirtyLeaf(benchmark::State& state) {
     benchmark::DoNotOptimize(result.total_energy);
   }
 }
-BENCHMARK(BM_GlobalOptimizationDirtyLeaf)->Arg(4)->Arg(16);
+BENCHMARK_CAPTURE(BM_GlobalOptimizationDirtyLeaf, uniform, false)->Arg(4)->Arg(16);
+BENCHMARK_CAPTURE(BM_GlobalOptimizationDirtyLeaf, rm3_shaped, true)->Arg(4)->Arg(16);
 
 void BM_RmInvocationEndToEnd(benchmark::State& state) {
   const workload::SimDb& db = bench_db();

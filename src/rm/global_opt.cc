@@ -1,6 +1,7 @@
 #include "rm/global_opt.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -16,53 +17,60 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+constexpr int kPad = GlobalOptWorkspace::kPad;
+
 // ---------------------------------------------------------------------------
-// Combine kernels: the min-plus update of one node surface from its children,
+// Combine kernels: the min-plus update of one output row from one (left
+// b-row, right b-row) pair of feasible spans,
 //
-//   ne[out] = min(ne[out], ea + eb)   over every pair (ea, eb) landing on out
+//   out[k] = min(out[k], min over j of a[j] + b[k - j]),  k in [0, na+nb-1)
 //
 // The forward pass keeps values only - the argmin is recovered during
 // backtracking by an equality re-scan (see extract), so the kernels carry no
 // index lanes. Both kernels visit the pairs of any one output cell in the
-// same order (left cells b-row-major, ascending w) and update with a strict
-// less, so they leave bitwise-identical energies (pinned by the randomized
-// equivalence tests in rm_test_global_opt).
-//
-// The scalar kernel folds one left cell into the output slice starting at ne
-// (already offset by that cell's contribution), iterating the compacted
-// feasible entries of the right child.
+// same order (ascending j, and the caller walks left rows ascending) and
+// update with a strict less, so they leave bitwise-identical energies
+// (pinned by the randomized equivalence tests in rm_test_global_opt). A span
+// may hold infinite holes: a hole adds to +inf and can never win.
 
-inline void combine_row_scalar(double ea, std::span<const int> feas_idx,
-                               std::span<const double> feas_val, double* ne) {
-  const std::size_t n = feas_idx.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    const double v = ea + feas_val[k];
-    const int idx = feas_idx[k];
-    if (v < ne[idx]) ne[idx] = v;
+inline void combine_rows_scalar(const double* a, int na, const double* b, int nb,
+                                double* out) {
+  for (int j = 0; j < na; ++j) {
+    const double ea = a[j];
+    if (ea == kInf) continue;
+    double* o = out + j;
+    for (int k = 0; k < nb; ++k) {
+      const double v = ea + b[k];
+      if (v < o[k]) o[k] = v;
+    }
   }
+}
+
+/// First ia in [lo, hi] with a[ia] + b[t - ia] == value, or -1.
+inline int find_split_scalar(const double* a, const double* b, int t, int lo,
+                             int hi, double value) {
+  for (int ia = lo; ia <= hi; ++ia) {
+    if (a[ia] + b[t - ia] == value) return ia;
+  }
+  return -1;
 }
 
 #ifdef QOSRM_SIMD_HAVE_AVX2
 
 /// Output cells one AVX2 kernel block keeps in registers (four YMM
-/// accumulators), and the +inf padding each side of a right row needs so
-/// every block's loads stay inside the padded copy.
+/// accumulators); a block's loads reach kBlock - 1 cells past either end of
+/// the right span, which the slot margins cover.
 constexpr int kBlock = 16;
-constexpr int kPad = kBlock - 1;
+static_assert(kPad >= kBlock - 1, "slot margins must cover a kernel block");
 
-/// Output-stationary AVX2 kernel for one (left b-row, right b-row) pair:
-///
-///   out[k] = min(out[k], min over j of a[j] + b[k - j]),  k in [0, na+nb-1)
-///
-/// `a` is the left row's feasible span (it may hold infinite holes), `b` the
-/// right row's feasible span inside a copy padded with kPad +inf cells on
-/// each side. Each block of kBlock output cells accumulates every left cell
+/// Output-stationary AVX2 kernel: `b` is a right row's feasible span read in
+/// place in its slot, whose +inf margins make the out-of-span loads
+/// harmless. Each block of kBlock output cells accumulates every left cell
 /// that reaches it in registers, ascending j, and is then folded into `out`
 /// once - no store is reloaded inside the block, and a pair of rows costs
 /// one call. minpd returns its SECOND operand unless the first is strictly
 /// less, so min(v, acc) and min(acc, out) keep the earlier pair on ties
-/// (±0 included) - the scalar strict-less update, bit for bit. A padding or
-/// hole lane adds to +inf and can never win.
+/// (±0 included) - the scalar strict-less update, bit for bit.
 __attribute__((target("avx2"))) void combine_rows_avx2(const double* a, int na,
                                                        const double* b, int nb,
                                                        double* out) {
@@ -74,7 +82,8 @@ __attribute__((target("avx2"))) void combine_rows_avx2(const double* a, int na,
     __m256d acc2 = inf;
     __m256d acc3 = inf;
     // Left cells whose pairs reach a cell of this block: the loads below
-    // then read b[o - j .. o - j + kPad], which lies in [-kPad, nb-1 + kPad].
+    // then read b[o - j .. o - j + kBlock - 1], which lies in
+    // [-(kBlock - 1), nb - 1 + kBlock - 1].
     const int j_lo = std::max(0, o - nb + 1);
     const int j_hi = std::min(na - 1, o + kBlock - 1);
     for (int j = j_lo; j <= j_hi; ++j) {
@@ -104,7 +113,71 @@ __attribute__((target("avx2"))) void combine_rows_avx2(const double* a, int na,
   }
 }
 
+/// find_split_scalar four pairs at a time: a[ia..ia+3] against the reversed
+/// b[t-ia-3..t-ia], the lowest matching lane first - the same ia the scalar
+/// scan returns, since both compare the same IEEE sums.
+__attribute__((target("avx2"))) int find_split_avx2(const double* a,
+                                                    const double* b, int t,
+                                                    int lo, int hi,
+                                                    double value) {
+  const __m256d target = _mm256_set1_pd(value);
+  int ia = lo;
+  for (; ia + 3 <= hi; ia += 4) {
+    const __m256d va = _mm256_loadu_pd(a + ia);
+    const __m256d vb = _mm256_permute4x64_pd(_mm256_loadu_pd(b + (t - ia - 3)),
+                                             _MM_SHUFFLE(0, 1, 2, 3));
+    const int mask = _mm256_movemask_pd(
+        _mm256_cmp_pd(_mm256_add_pd(va, vb), target, _CMP_EQ_OQ));
+    if (mask != 0) return ia + std::countr_zero(static_cast<unsigned>(mask));
+  }
+  return find_split_scalar(a, b, t, ia, hi, value);
+}
+
+/// count_finite four cells at a time. A row's cells past its span and its
+/// margin are +inf, so the last group may run up to 3 cells past `hi`.
+__attribute__((target("avx2"))) std::uint64_t count_finite_avx2(const double* row,
+                                                                int lo, int hi) {
+  const __m256d inf = _mm256_set1_pd(kInf);
+  std::uint64_t n = 0;
+  for (int k = lo; k <= hi; k += 4) {
+    const int finite = _mm256_movemask_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(row + k), inf, _CMP_NEQ_UQ));
+    n += static_cast<std::uint64_t>(std::popcount(static_cast<unsigned>(finite)));
+  }
+  return n;
+}
+
 #endif  // QOSRM_SIMD_HAVE_AVX2
+
+/// Finite cells of row[lo, hi] (a span of a row in its slot).
+inline std::uint64_t count_finite([[maybe_unused]] bool vectorized, const double* row,
+                                  int lo, int hi) {
+#ifdef QOSRM_SIMD_HAVE_AVX2
+  if (vectorized) return count_finite_avx2(row, lo, hi);
+#endif
+  std::uint64_t n = 0;
+  for (int k = lo; k <= hi; ++k) n += row[k] != kInf ? 1 : 0;
+  return n;
+}
+
+inline void combine_rows([[maybe_unused]] bool vectorized, const double* a, int na,
+                         const double* b, int nb, double* out) {
+#ifdef QOSRM_SIMD_HAVE_AVX2
+  if (vectorized) {
+    combine_rows_avx2(a, na, b, nb, out);
+    return;
+  }
+#endif
+  combine_rows_scalar(a, na, b, nb, out);
+}
+
+inline int find_split([[maybe_unused]] bool vectorized, const double* a, const double* b,
+                      int t, int lo, int hi, double value) {
+#ifdef QOSRM_SIMD_HAVE_AVX2
+  if (vectorized) return find_split_avx2(a, b, t, lo, hi, value);
+#endif
+  return find_split_scalar(a, b, t, lo, hi, value);
+}
 
 }  // namespace
 
@@ -119,8 +192,9 @@ void GlobalOptWorkspace::build_tree(int leaves) {
   left_.assign(static_cast<std::size_t>(leaves), -1);
   right_.assign(static_cast<std::size_t>(leaves), -1);
   // Interior nodes in reduction order: adjacent pairs of each level, an odd
-  // node carried to the next. feas_idx_ doubles as the level scratch here.
-  std::vector<int>& level = feas_idx_;
+  // node carried to the next. target_w_ doubles as the level scratch here
+  // (it is reset below).
+  std::vector<int>& level = target_w_;
   level.clear();
   for (int i = 0; i < leaves; ++i) level.push_back(i);
   while (level.size() > 1) {
@@ -141,7 +215,8 @@ void GlobalOptWorkspace::build_tree(int leaves) {
     level.resize(kept);
   }
   energy_off_.assign(num_nodes(), 0);
-  leaf_energy_.assign(num_nodes(), nullptr);
+  span_off_.assign(num_nodes(), 0);
+  feasible_.assign(num_nodes(), 0);
   pair_ops_.assign(num_nodes(), 0);
   dirty_.assign(num_nodes(), 1);
   target_w_.assign(num_nodes(), -1);
@@ -153,18 +228,28 @@ void GlobalOptWorkspace::build_tree(int leaves) {
 
 void GlobalOptWorkspace::layout(int ways, int shares) {
   // A node over k leaves of at most `ways` x `shares` cells spans at most
-  // k(ways-1)+1 x k(shares-1)+1 cells. The root needs no slot.
+  // k(ways-1)+1 x k(shares-1)+1 cells; its slot adds the leading margin and
+  // one margin per row. Every node a parent reads gets a slot - the leaves
+  // and every interior node but the root (a lone leaf is its own root).
   cap_ways_ = ways;
   cap_shares_ = shares;
   std::size_t off = 0;
-  const auto leaves = static_cast<std::size_t>(num_leaves());
-  for (std::size_t i = leaves; i + 1 < num_nodes(); ++i) {
+  std::size_t span_off = 0;
+  const std::size_t slots = num_nodes() == 1 ? 1 : num_nodes() - 1;
+  for (std::size_t i = 0; i < slots; ++i) {
     const auto k = static_cast<std::size_t>(leaves_[i]);
-    energy_off_[i] = off;
-    off += (k * static_cast<std::size_t>(ways - 1) + 1) *
-           (k * static_cast<std::size_t>(shares - 1) + 1);
+    const std::size_t rows = k * static_cast<std::size_t>(shares - 1) + 1;
+    const std::size_t cols = k * static_cast<std::size_t>(ways - 1) + 1;
+    energy_off_[i] = off + kPad;
+    span_off_[i] = span_off;
+    off += kPad + rows * (cols + kPad);
+    span_off += rows;
   }
-  energy_.resize(off);
+  // The leading margins are written only here; everything else is
+  // rewritten by whoever produces the node.
+  energy_.assign(off, kInf);
+  span_first_.resize(span_off);
+  span_last_.resize(span_off);
   valid_ = false;
   forget_targets();
 }
@@ -172,6 +257,25 @@ void GlobalOptWorkspace::layout(int ways, int shares) {
 void GlobalOptWorkspace::forget_targets() {
   std::fill(target_w_.begin(), target_w_.end(), -1);
   std::fill(target_b_.begin(), target_b_.end(), -1);
+}
+
+void GlobalOptWorkspace::copy_leaf(std::size_t i, const double* energy, bool vectorized) {
+  const int cols = size_[i];
+  std::uint64_t feasible = 0;
+  for (int r = 0; r < b_size_[i]; ++r) {
+    const double* src = energy + static_cast<std::size_t>(r) * static_cast<std::size_t>(cols);
+    double* dst = row(i, r);
+    std::copy(src, src + cols, dst);
+    std::fill(dst + cols, dst + cols + kPad, kInf);
+    int first = 0;
+    int last = cols - 1;
+    while (first <= last && src[first] == kInf) ++first;
+    while (last >= first && src[last] == kInf) --last;
+    span_first_[span_off_[i] + static_cast<std::size_t>(r)] = first;
+    span_last_[span_off_[i] + static_cast<std::size_t>(r)] = last;
+    feasible += count_finite(vectorized, dst, first, last);
+  }
+  feasible_[i] = feasible;
 }
 
 void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
@@ -189,184 +293,96 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
                                        bool vectorized) {
   const auto ai = static_cast<std::size_t>(ws.left_[i]);
   const auto bi = static_cast<std::size_t>(ws.right_[i]);
-  const int a_lo = ws.lo_[ai];
-  const int a_size = ws.size_[ai];
-  const int a_b_lo = ws.b_lo_[ai];
   const int a_b_size = ws.b_size_[ai];
-  const int b_lo = ws.lo_[bi];
-  const int b_size = ws.size_[bi];
-  const int b_b_lo = ws.b_lo_[bi];
   const int b_b_size = ws.b_size_[bi];
-
-  const int n_lo = a_lo + b_lo;
-  const int n_size = a_size + b_size - 1;
-  const int n_b_lo = a_b_lo + b_b_lo;
+  const int n_size = ws.size_[ai] + ws.size_[bi] - 1;
   const int n_b_size = a_b_size + b_b_size - 1;
-  ws.lo_[i] = n_lo;
+  ws.lo_[i] = ws.lo_[ai] + ws.lo_[bi];
   ws.size_[i] = n_size;
-  ws.b_lo_[i] = n_b_lo;
+  ws.b_lo_[i] = ws.b_lo_[ai] + ws.b_lo_[bi];
   ws.b_size_[i] = n_b_size;
-
-  // The root combine produces a surface that is only ever read at one cell
-  // (total_ways, total_shares), so it evaluates just that cell - an O(a+b)
-  // scan instead of the O(a*b) row sweep. The cell is accumulated over the
-  // same pairs in the same ia-ascending strict-less order, so its value and
-  // argmin are bit-identical to the full sweep's. The charged op count stays
-  // the full feasible-pair product: ops are the MODEL of the RM's work
-  // (paper Section III-E) and must not depend on which cells an
-  // implementation can prove dead, exactly as they must not depend on the
-  // SIMD width.
-  const bool root_combine = static_cast<int>(i) == ws.root();
-  const double* ea_arr = ws.surface(ai);
-  const double* eb_arr = ws.surface(bi);
-  double* ne = nullptr;
-  if (!root_combine) {
-    ne = ws.energy_.data() + ws.energy_off_[i];
-    std::fill(ne, ne + static_cast<std::size_t>(n_size) * static_cast<std::size_t>(n_b_size),
-              kInf);
-  }
-
-  // Compact the right child's feasible cells once, in storage order
-  // (b-row-major, ascending w - so the pair visit order, and thus the
-  // first-split tie-breaking, matches the plain quadruple loop). A cell's
-  // stored index is its CONTRIBUTION to the output flat index,
-  // ibb * n_size + ib: because n_size = a_size + b_size - 1, the w parts of
-  // any (left, right) pair can never carry into the b-row term, so
-  // out_flat = left_contribution + right_contribution. The scalar kernel
-  // consumes the compacted arrays. The vector kernel instead reads each
-  // right b-row's feasible span (infinite prefix/suffix entries can never
-  // win a strict-less) from a copy padded with +inf, built here once per
-  // combine. With a single b-row everything reduces exactly to the 1-D
-  // compaction.
-  ws.feas_idx_.clear();
-  ws.feas_val_.clear();
-  ws.feas_row_first_.clear();
-  ws.feas_row_last_.clear();
-  const bool compact_b = !vectorized && !root_combine;
-  std::uint64_t n_feas_b = 0;
-  for (int ibb = 0; ibb < b_b_size; ++ibb) {
-    const double* eb_row = eb_arr + static_cast<std::size_t>(ibb) *
-                                        static_cast<std::size_t>(b_size);
-    int row_first = -1;  // feasible span of this b-row
-    int row_last = -1;
-    for (int ib = 0; ib < b_size; ++ib) {
-      const double eb = eb_row[ib];
-      if (std::isinf(eb)) continue;
-      ++n_feas_b;
-      row_first = row_first < 0 ? ib : row_first;
-      row_last = ib;
-      if (compact_b) {
-        ws.feas_idx_.push_back(ibb * n_size + ib);
-        ws.feas_val_.push_back(eb);
-      }
-    }
-    ws.feas_row_first_.push_back(row_first);
-    ws.feas_row_last_.push_back(row_last);
-  }
-#ifdef QOSRM_SIMD_HAVE_AVX2
-  if (vectorized && !root_combine) {
-    // The feasible spans back to back, each followed by kPad +inf cells
-    // that double as the next span's leading padding.
-    std::size_t total = kPad;
-    for (int ibb = 0; ibb < b_b_size; ++ibb) {
-      const auto r = static_cast<std::size_t>(ibb);
-      const int first = ws.feas_row_first_[r];
-      if (first < 0) continue;
-      total += static_cast<std::size_t>(ws.feas_row_last_[r] - first + 1 + kPad);
-    }
-    ws.pad_.assign(total, kInf);
-    ws.pad_off_.assign(static_cast<std::size_t>(b_b_size), 0);
-    std::size_t off = kPad;
-    for (int ibb = 0; ibb < b_b_size; ++ibb) {
-      const auto r = static_cast<std::size_t>(ibb);
-      const int first = ws.feas_row_first_[r];
-      if (first < 0) continue;
-      const double* eb_row = eb_arr + static_cast<std::size_t>(ibb) *
-                                          static_cast<std::size_t>(b_size);
-      const int last = ws.feas_row_last_[r];
-      std::copy(eb_row + first, eb_row + last + 1, ws.pad_.data() + off);
-      ws.pad_off_[r] = off;
-      off += static_cast<std::size_t>(last - first + 1 + kPad);
-    }
-  }
-#endif
+  const int* a_first = ws.span_first_.data() + ws.span_off_[ai];
+  const int* a_last = ws.span_last_.data() + ws.span_off_[ai];
+  const int* b_first = ws.span_first_.data() + ws.span_off_[bi];
+  const int* b_last = ws.span_last_.data() + ws.span_off_[bi];
 
   // One op = one feasible-pair DP step, counted uniformly whichever side an
-  // infeasible entry is on (accumulated in bulk per feasible cell) and
-  // independent of how many lanes a kernel call covers.
-  std::uint64_t feas_a = 0;
-  if (root_combine) {
-    // Only the (total_ways, total_shares) cell of the root surface is
-    // observable: evaluate it directly (and count the feasible left cells
-    // for the op charge). Out-of-range targets leave the value infinite,
+  // infeasible entry is on and independent of how many lanes a kernel call
+  // covers: the product of the children's cached feasible counts.
+  const std::uint64_t ops = ws.feasible_[ai] * ws.feasible_[bi];
+
+  if (static_cast<int>(i) == ws.root()) {
+    // The root combine produces a surface that is only ever read at one
+    // cell (total_ways, total_shares), so it evaluates just that cell - an
+    // O(a+b) scan instead of the O(a*b) row sweep - over the pairs that
+    // can reach it: left rows whose right partner row exists, and in each
+    // the ia range whose partner ib lies in the right row's span. The cell
+    // is accumulated over those pairs in the same (iba, ia)-ascending
+    // strict-less order (a skipped pair is infinite and could never win),
+    // so its value is bit-identical to the full sweep's. The charged op
+    // count stays the full feasible-pair product: ops are the MODEL of the
+    // RM's work (paper Section III-E) and must not depend on which cells
+    // an implementation can prove dead, exactly as they must not depend on
+    // the SIMD width. An out-of-range target leaves the value infinite,
     // which the feasibility check reports just like the full sweep would.
-    const int target_w = total_ways - n_lo;
-    const int target_b = total_shares - n_b_lo;
+    const int target_w = total_ways - ws.lo_[i];
+    const int target_b = total_shares - ws.b_lo_[i];
     double best = kInf;
-    for (int iba = 0; iba < a_b_size; ++iba) {
-      const double* ea_row = ea_arr + static_cast<std::size_t>(iba) *
-                                          static_cast<std::size_t>(a_size);
-      for (int ia = 0; ia < a_size; ++ia) {
-        const double ea = ea_row[ia];
-        if (std::isinf(ea)) continue;
-        ++feas_a;
+    if (target_w >= 0 && target_w < n_size && target_b >= 0 && target_b < n_b_size) {
+      const int iba_hi = std::min(a_b_size - 1, target_b);
+      for (int iba = std::max(0, target_b - (b_b_size - 1)); iba <= iba_hi; ++iba) {
         const int ibb = target_b - iba;
-        if (ibb < 0 || ibb >= b_b_size) continue;
-        const int ib = target_w - ia;
-        if (ib < 0 || ib >= b_size) continue;
-        const double v =
-            ea + eb_arr[static_cast<std::size_t>(ibb) *
-                            static_cast<std::size_t>(b_size) +
-                        static_cast<std::size_t>(ib)];
-        if (v < best) best = v;
+        const int lo = std::max(a_first[iba], target_w - b_last[ibb]);
+        const int hi = std::min(a_last[iba], target_w - b_first[ibb]);
+        const double* a = ws.row(ai, iba);
+        const double* b = ws.row(bi, ibb);
+        for (int ia = lo; ia <= hi; ++ia) {
+          const double v = a[ia] + b[target_w - ia];
+          best = v < best ? v : best;
+        }
       }
     }
-    const bool in_range =
-        target_w >= 0 && target_w < n_size && target_b >= 0 && target_b < n_b_size;
-    ws.root_value_ = in_range ? best : kInf;
-  } else if (n_feas_b > 0 && vectorized) {
-#ifdef QOSRM_SIMD_HAVE_AVX2
-    // One kernel call per (left b-row, right b-row) pair, left rows
-    // ascending: for any output cell this visits the pairs in the scalar
-    // kernel's (iba, ia) order.
-    for (int iba = 0; iba < a_b_size; ++iba) {
-      const double* ea_row = ea_arr + static_cast<std::size_t>(iba) *
-                                          static_cast<std::size_t>(a_size);
-      int first = -1;  // feasible span of this left row
-      int last = -1;
-      for (int ia = 0; ia < a_size; ++ia) {
-        if (std::isinf(ea_row[ia])) continue;
-        ++feas_a;
-        first = first < 0 ? ia : first;
-        last = ia;
-      }
-      if (first < 0) continue;
-      for (int ibb = 0; ibb < b_b_size; ++ibb) {
-        const auto r = static_cast<std::size_t>(ibb);
-        const int row_first = ws.feas_row_first_[r];
-        if (row_first < 0) continue;  // all-infeasible b-row
-        combine_rows_avx2(ea_row + first, last - first + 1,
-                          ws.pad_.data() + ws.pad_off_[r],
-                          ws.feas_row_last_[r] - row_first + 1,
-                          ne + (iba + ibb) * n_size + first + row_first);
-      }
-    }
-#endif
-  } else if (n_feas_b > 0) {
-    for (int iba = 0; iba < a_b_size; ++iba) {
-      const double* ea_row = ea_arr + static_cast<std::size_t>(iba) *
-                                          static_cast<std::size_t>(a_size);
-      for (int ia = 0; ia < a_size; ++ia) {
-        const double ea = ea_row[ia];
-        if (std::isinf(ea)) continue;
-        ++feas_a;
-        // Output flat index: left contribution iba * n_size + ia plus the
-        // right cell's stored contribution (no w carry, see above).
-        combine_row_scalar(ea, ws.feas_idx_, ws.feas_val_, ne + iba * n_size + ia);
-      }
+    ws.root_value_ = best;
+    return ops;
+  }
+
+  // Every other node: reset its rows and margins, fold in every pair of
+  // non-empty (left, right) row spans - left rows ascending, so any output
+  // cell sees its pairs in the scalar (iba, ia) order - then derive the
+  // node's own spans and count from its output. Row r can only be finite
+  // within the union of its pairs' [first_a + first_b, last_a + last_b],
+  // and the two corner cells of each such range are finite sums, so the
+  // union IS the span; one count pass over it gives the holes.
+  const std::size_t n_stride = ws.stride(i);
+  double* ne = ws.row(i, 0);
+  std::fill(ne, ne + static_cast<std::size_t>(n_b_size) * n_stride, kInf);
+  int* n_first = ws.span_first_.data() + ws.span_off_[i];
+  int* n_last = ws.span_last_.data() + ws.span_off_[i];
+  std::fill(n_first, n_first + n_b_size, n_size);
+  std::fill(n_last, n_last + n_b_size, -1);
+  for (int iba = 0; iba < a_b_size; ++iba) {
+    const int fa = a_first[iba];
+    const int la = a_last[iba];
+    if (fa > la) continue;
+    const double* a = ws.row(ai, iba) + fa;
+    for (int ibb = 0; ibb < b_b_size; ++ibb) {
+      const int fb = b_first[ibb];
+      const int lb = b_last[ibb];
+      if (fb > lb) continue;
+      const int r = iba + ibb;
+      combine_rows(vectorized, a, la - fa + 1, ws.row(bi, ibb) + fb, lb - fb + 1,
+                   ne + static_cast<std::size_t>(r) * n_stride + fa + fb);
+      n_first[r] = std::min(n_first[r], fa + fb);
+      n_last[r] = std::max(n_last[r], la + lb);
     }
   }
-  return feas_a * n_feas_b;
+  std::uint64_t feasible = 0;
+  for (int r = 0; r < n_b_size; ++r) {
+    feasible += count_finite(vectorized, ne + static_cast<std::size_t>(r) * n_stride,
+                             n_first[r], n_last[r]);
+  }
+  ws.feasible_[i] = feasible;
+  return ops;
 }
 
 void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
@@ -398,20 +414,22 @@ void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
     ws.layout(std::max(max_ways, ws.cap_ways_), std::max(max_shares, ws.cap_shares_));
   }
 
-  // Leaves view the input surfaces directly - no copy. A leaf is dirty when
-  // the caller says so, when its shape changed, or when the tree holds no
-  // complete reduction yet.
+  // A leaf is dirty when the caller says so, when its shape changed, or
+  // when the tree holds no complete reduction yet; only then is its surface
+  // copied into its slot. A clean leaf's slot already holds its surface, so
+  // the caller's storage may move freely.
   const bool all_dirty = dirty.empty() || !ws.valid_;
   for (std::size_t i = 0; i < curves.size(); ++i) {
     const EnergyCurveView& c = curves[i];
     const bool reshaped = ws.lo_[i] != c.min_ways || ws.size_[i] != c.num_ways() ||
                           ws.b_lo_[i] != c.min_shares || ws.b_size_[i] != c.num_shares;
+    ws.dirty_[i] = all_dirty || reshaped || dirty[i] != 0;
+    if (ws.dirty_[i] == 0) continue;
     ws.lo_[i] = c.min_ways;
     ws.size_[i] = c.num_ways();
     ws.b_lo_[i] = c.min_shares;
     ws.b_size_[i] = c.num_shares;
-    ws.leaf_energy_[i] = c.energy.data();
-    ws.dirty_[i] = all_dirty || reshaped || dirty[i] != 0;
+    ws.copy_leaf(i, c.energy.data(), vectorized);
   }
   for (std::size_t i = curves.size(); i < ws.num_nodes(); ++i) {
     ws.dirty_[i] = ws.dirty_[static_cast<std::size_t>(ws.left_[i])] |
@@ -437,7 +455,7 @@ void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
       }
       ws.total_ops_ += ws.pair_ops_[i];
     }
-    extract(ws, total_ways, total_shares);
+    extract(ws, total_ways, total_shares, vectorized);
     ws.valid_ = true;
   }
   if (ops != nullptr) *ops += ws.total_ops_;
@@ -449,7 +467,7 @@ void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
 }
 
 void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
-                              int total_shares) {
+                              int total_shares, bool vectorized) {
   GlobalOptResult& out = ws.result_;
   const auto root = static_cast<std::size_t>(ws.root());
   const int root_lo = ws.lo_[root];
@@ -459,11 +477,8 @@ void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
   double e = kInf;
   if (total_ways >= root_lo && total_ways <= root_hi && total_shares >= root_b_lo &&
       total_shares <= root_b_hi) {
-    e = ws.left_[root] >= 0
-            ? ws.root_value_
-            : ws.leaf_energy_[root][static_cast<std::size_t>(total_shares - root_b_lo) *
-                                        static_cast<std::size_t>(ws.size_[root]) +
-                                    static_cast<std::size_t>(total_ways - root_lo)];
+    e = ws.left_[root] >= 0 ? ws.root_value_
+                            : ws.row(root, total_shares - root_b_lo)[total_ways - root_lo];
   }
   if (std::isinf(e)) {
     out.feasible = false;
@@ -488,19 +503,22 @@ void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
   // stores no argmin lanes; each split is recovered here by re-scanning the
   // left child's cells in the same storage order (b-row-major, ascending w -
   // the order the forward kernels visit pairs for any fixed output cell) for
-  // the first feasible pair whose sum reproduces the node's value
-  // bit-for-bit. The strict-less forward sweep keeps the FIRST pair
-  // attaining the final minimum, and the sums are the same IEEE double
-  // additions, so the recovered split is identical to a recorded one.
+  // the first pair whose sum reproduces the node's finite value bit-for-bit
+  // (an infeasible cell sums to +inf, so it never matches). The strict-less
+  // forward sweep keeps the FIRST pair attaining the final minimum, and the
+  // sums are the same IEEE double additions, so the recovered split is
+  // identical to a recorded one. Like the root cell, the scan covers only
+  // the pairs the children's spans let reach the target.
   //
   // A node this call did not recombine has the surface it had when it last
   // split; asked for the same target, it splits the same way all the way
   // down, so the leaf allocations below it in `out` are already right and
-  // the scan skips the whole subtree. Cost: one surface scan per node on a
+  // the scan skips the whole subtree. Cost: one span scan per node on a
   // dirty leaf's root path (or whose target moved) - versus an index blend
   // in every kernel step.
-  const auto backtrack = [&ws, &out](auto&& self, std::size_t idx, int total_w,
-                                     int total_b, double value) -> void {
+  const auto backtrack = [&ws, &out, vectorized](auto&& self, std::size_t idx,
+                                                 int total_w, int total_b,
+                                                 double value) -> void {
     if (ws.left_[idx] < 0) {  // leaf: node index == core
       out.ways[idx] = total_w;
       out.shares[idx] = total_b;
@@ -514,43 +532,31 @@ void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
     ws.target_b_[idx] = total_b;
     const auto ai = static_cast<std::size_t>(ws.left_[idx]);
     const auto bi = static_cast<std::size_t>(ws.right_[idx]);
-    const double* ea_arr = ws.surface(ai);
-    const double* eb_arr = ws.surface(bi);
-    const int a_size = ws.size_[ai];
-    const int b_size = ws.size_[bi];
-    const int a_b_size = ws.b_size_[ai];
-    const int b_b_size = ws.b_size_[bi];
+    const int* a_first = ws.span_first_.data() + ws.span_off_[ai];
+    const int* a_last = ws.span_last_.data() + ws.span_off_[ai];
+    const int* b_first = ws.span_first_.data() + ws.span_off_[bi];
+    const int* b_last = ws.span_last_.data() + ws.span_off_[bi];
     const int rel_w = total_w - ws.lo_[idx];
     const int rel_b = total_b - ws.b_lo_[idx];
-    int wl = -1;
-    int bl = 0;
-    double ea_val = 0.0;
-    double eb_val = 0.0;
-    for (int iba = 0; iba < a_b_size && wl < 0; ++iba) {
+    const int iba_hi = std::min(ws.b_size_[ai] - 1, rel_b);
+    for (int iba = std::max(0, rel_b - (ws.b_size_[bi] - 1)); iba <= iba_hi; ++iba) {
       const int ibb = rel_b - iba;
-      if (ibb < 0 || ibb >= b_b_size) continue;
-      const double* ea_row = ea_arr + static_cast<std::size_t>(iba) *
-                                          static_cast<std::size_t>(a_size);
-      const double* eb_row = eb_arr + static_cast<std::size_t>(ibb) *
-                                          static_cast<std::size_t>(b_size);
-      for (int ia = 0; ia < a_size; ++ia) {
-        const double ea = ea_row[ia];
-        if (std::isinf(ea)) continue;
-        const int ib = rel_w - ia;
-        if (ib < 0 || ib >= b_size) continue;
-        const double eb = eb_row[ib];
-        if (ea + eb == value) {
-          wl = ws.lo_[ai] + ia;
-          bl = ws.b_lo_[ai] + iba;
-          ea_val = ea;
-          eb_val = eb;
-          break;
-        }
-      }
+      const int lo = std::max(a_first[iba], rel_w - b_last[ibb]);
+      const int hi = std::min(a_last[iba], rel_w - b_first[ibb]);
+      if (lo > hi) continue;
+      const double* a = ws.row(ai, iba);
+      const double* b = ws.row(bi, ibb);
+      const int ia = find_split(vectorized, a, b, rel_w, lo, hi, value);
+      if (ia < 0) continue;
+      const int wl = ws.lo_[ai] + ia;
+      const int bl = ws.b_lo_[ai] + iba;
+      const double ea = a[ia];
+      const double eb = b[rel_w - ia];
+      self(self, ai, wl, bl, ea);
+      self(self, bi, total_w - wl, total_b - bl, eb);
+      return;
     }
-    QOSRM_CHECK_MSG(wl >= 0, "backtracking through an infeasible entry");
-    self(self, ai, wl, bl, ea_val);
-    self(self, bi, total_w - wl, total_b - bl, eb_val);
+    QOSRM_CHECK_MSG(false, "backtracking through an infeasible entry");
   };
   backtrack(backtrack, root, total_ways, total_shares, e);
 }

@@ -19,7 +19,8 @@
 //
 // The reduction runs over a persistent combine tree in flat, reusable
 // structure-of-arrays buffers (GlobalOptWorkspace): an incremental call
-// recombines only the root paths of the leaves that changed, the
+// recombines only the root paths of the leaves that changed, each node
+// caches the feasible spans and count its parent's combine reads, the
 // per-interval-boundary invocation path performs no heap allocation once
 // the workspace has warmed up, and the O(n^2 * W) feasible-pair inner loop
 // dispatches to an AVX2 kernel where available (common/simd.hh; the scalar
@@ -68,20 +69,22 @@ struct GlobalOptResult {
 /// Persistent state of the pairwise reduction: a combine tree whose nodes
 /// keep their surfaces across calls, in structure-of-arrays layout (index i
 /// addresses one node across all the parallel vectors). Leaves are nodes
-/// [0, n) and view the caller's surfaces directly; interior nodes [n, 2n-1)
-/// are numbered in reduction order (adjacent pairs per level, an odd node
-/// carried up), so both children of a node precede it and the last node is
-/// the root.
+/// [0, n); interior nodes [n, 2n-1) are numbered in reduction order
+/// (adjacent pairs per level, an odd node carried up), so both children of a
+/// node precede it and the last node is the root.
 ///
-/// Every interior node owns a fixed-capacity slice of one dense pool, sized
-/// for the widest leaf surfaces seen so far, and caches its combined surface
-/// and the feasible-pair op count of its combine. A leaf whose surface or
-/// shape changed - an idle core becoming active, say - therefore only
-/// invalidates its ancestors: an incremental optimize_into() recombines
-/// log2(n) nodes instead of n-1, and a call with no dirty leaf reuses the
-/// previous result outright. The combined surfaces are pure functions of
-/// the leaves below them, so the result and op count are bit-identical to a
-/// from-scratch reduction.
+/// Every node that can be a child owns a fixed-capacity slot of one dense
+/// pool, sized for the widest leaf surfaces seen so far: a leaf holds a copy
+/// of its caller surface, an interior node its combined surface. Each node
+/// also caches what its parent's combine needs to know about it - the
+/// feasible span of every b-row and its feasible-cell count - computed once
+/// when the node is produced. A leaf whose surface or shape changed - an
+/// idle core becoming active, say - therefore only invalidates its
+/// ancestors: an incremental optimize_into() recopies that leaf and
+/// recombines log2(n) nodes instead of n-1, and a call with no dirty leaf
+/// reuses the previous result outright. The combined surfaces are pure
+/// functions of the leaves below them, so the result and op count are
+/// bit-identical to a from-scratch reduction.
 ///
 /// Every container keeps its capacity across calls, so a workspace that has
 /// seen a problem shape once makes optimize_into() allocation-free. Not
@@ -99,16 +102,32 @@ class GlobalOptWorkspace {
   /// same budget would charge again.
   [[nodiscard]] std::uint64_t last_ops() const noexcept { return total_ops_; }
 
+  /// +inf cells before a slot's first row and after each of its rows: the
+  /// AVX2 kernel reads up to this far outside a right child's feasible span.
+  static constexpr int kPad = 15;
+
  private:
   friend class GlobalOptimizer;
 
   // --- node metadata, SoA ----------------------------------------------------
   // A node covers total ways [lo_[i], lo_[i] + size_[i]) and total bandwidth
   // shares [b_lo_[i], b_lo_[i] + b_size_[i]); its surface is b-major with
-  // contiguous w-rows of length size_[i]. Leaves read leaf_energy_[i] (the
-  // caller's storage, refreshed every call); the other nodes own the pool
-  // slice energy_[energy_off_[i], +extent). The root stores no surface: only
-  // its target cell is observable, kept in root_value_.
+  // w-rows of length size_[i], each followed by kPad +inf cells (row stride
+  // size_[i] + kPad), in the pool slot starting at energy_off_[i] (which
+  // kPad +inf cells precede). The root stores no surface unless it is the
+  // only leaf: only its target cell is observable, kept in root_value_.
+  //
+  // Slot-margin invariant: every cell of a slot outside its node's rows
+  // [0, size_[i]) - up to the end of its last row's margin - is +inf, so a
+  // kernel may read a row's feasible span kPad cells beyond either end
+  // without a bounds test. Whoever produces a node (the leaf copy or the
+  // combine) rewrites each row AND its margin, because the node's previous
+  // surface may have been wider.
+  //
+  // Row r of node i is feasible only within w indices
+  // [span_first_[span_off_[i] + r], span_last_[...]] (first > last for an
+  // all-infeasible row; there may be infinite holes inside), and the node
+  // has feasible_[i] finite cells.
   //
   // The forward pass stores VALUES only - no argmin lanes. Backtracking
   // recovers each split by re-scanning the children for the first (ascending
@@ -125,12 +144,15 @@ class GlobalOptWorkspace {
   std::vector<int> left_;    ///< child node indices; -1 marks a leaf
   std::vector<int> right_;
   std::vector<std::size_t> energy_off_;
-  std::vector<const double*> leaf_energy_;
+  std::vector<std::size_t> span_off_;
+  std::vector<std::uint64_t> feasible_;  ///< finite cells of the surface
   std::vector<std::uint64_t> pair_ops_;  ///< feasible pairs of the combine
   std::vector<std::uint8_t> dirty_;      ///< per-call recombination flags
 
-  // --- dense pool the combine kernels write --------------------------------
+  // --- dense pools the leaf copies and the combines write -------------------
   std::vector<double> energy_;
+  std::vector<int> span_first_;
+  std::vector<int> span_last_;
   int cap_ways_ = 0;    ///< leaf ways extent the pool slots are sized for
   int cap_shares_ = 0;  ///< leaf share extent the pool slots are sized for
 
@@ -142,21 +164,6 @@ class GlobalOptWorkspace {
   std::uint64_t total_ops_ = 0;
   int last_recombined_ = 0;
   GlobalOptResult result_;
-
-  /// Per-combine compaction of the right child's feasible cells (parallel
-  /// contribution-offset/value arrays; a cell's stored offset is its
-  /// b-row index times the OUTPUT row length plus its w index, so the
-  /// output flat index of any pair is just the two contributions summed):
-  /// the scalar kernel iterates these so it only touches finite energies.
-  /// The vector kernel instead streams each right b-row's feasible span,
-  /// copied once per combine into pad_ between +inf margins (an infinite
-  /// entry can never win a strict-less compare).
-  std::vector<int> feas_idx_;
-  std::vector<double> feas_val_;
-  std::vector<int> feas_row_first_;  ///< per right-child b-row: first feasible
-  std::vector<int> feas_row_last_;   ///< w index (-1 for an all-infeasible row)
-  std::vector<double> pad_;          ///< +inf-padded right-row spans
-  std::vector<std::size_t> pad_off_;  ///< per right-child b-row: its span in pad_
 
   /// Per interior node: the (w, b) target the last backtracking resolved it
   /// for (-1 when unknown). A node that was not recombined and is asked for
@@ -176,9 +183,18 @@ class GlobalOptWorkspace {
   void layout(int ways, int shares);
   /// Forgets every node's backtracking target.
   void forget_targets();
-  /// Surface storage of node i (a leaf's caller surface or its pool slot).
-  [[nodiscard]] const double* surface(std::size_t i) const noexcept {
-    return leaf_energy_[i] != nullptr ? leaf_energy_[i] : energy_.data() + energy_off_[i];
+  /// Copies leaf i's caller surface into its slot and caches its spans.
+  void copy_leaf(std::size_t i, const double* energy, bool vectorized);
+  /// Row stride of node i's surface: its row length plus the margin.
+  [[nodiscard]] std::size_t stride(std::size_t i) const noexcept {
+    return static_cast<std::size_t>(size_[i]) + kPad;
+  }
+  /// Row r of node i's surface.
+  [[nodiscard]] double* row(std::size_t i, int r) noexcept {
+    return energy_.data() + energy_off_[i] + static_cast<std::size_t>(r) * stride(i);
+  }
+  [[nodiscard]] const double* row(std::size_t i, int r) const noexcept {
+    return energy_.data() + energy_off_[i] + static_cast<std::size_t>(r) * stride(i);
   }
 };
 
@@ -223,7 +239,8 @@ class GlobalOptimizer {
                                int total_ways, int total_shares,
                                bool vectorized);
   /// Reads the root's target cell and backtracks the splits into ws.result_.
-  static void extract(GlobalOptWorkspace& ws, int total_ways, int total_shares);
+  static void extract(GlobalOptWorkspace& ws, int total_ways, int total_shares,
+                      bool vectorized);
 };
 
 }  // namespace qosrm::rm

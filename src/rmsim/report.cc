@@ -18,6 +18,14 @@ namespace {
 /// files (same convention as the sweep CSV writers).
 std::string fmtd(double v) { return format("%.17g", v); }
 
+/// fmtd for a JSON number. JSON has no inf or nan, so a non-finite value
+/// would make the whole report unparseable: abort naming its key instead.
+std::string json_num(const char* key, double v) {
+  QOSRM_CHECK_MSG(std::isfinite(v),
+                  format("non-finite value for JSON key \"%s\"", key).c_str());
+  return fmtd(v);
+}
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -43,7 +51,7 @@ std::string config_prefix(rm::RmPolicy policy, rm::PerfModelKind model,
                           double alpha) {
   return format("{\"policy\": \"%s\", \"model\": \"%s\", \"alpha\": %s",
                 rm::rm_policy_name(policy), rm::perf_model_name(model),
-                fmtd(alpha).c_str());
+                json_num("alpha", alpha).c_str());
 }
 
 /// Index of the fig6/fig7 entry of configuration (ai, ki, pi): the entries
@@ -222,7 +230,7 @@ std::string figure_report_json(const FigureReport& r) {
   o += "  \"scenario_weights\": [";
   for (std::size_t s = 0; s < 4; ++s) {
     if (s > 0) o += ", ";
-    o += fmtd(r.scenario_weights[s]);
+    o += json_num("scenario_weights", r.scenario_weights[s]);
   }
   o += "],\n";
 
@@ -250,7 +258,7 @@ std::string figure_report_json(const FigureReport& r) {
   o += "  \"alphas\": [";
   for (std::size_t ai = 0; ai < r.qos_alphas.size(); ++ai) {
     if (ai > 0) o += ", ";
-    o += fmtd(r.qos_alphas[ai]);
+    o += json_num("alphas", r.qos_alphas[ai]);
   }
   o += "],\n";
 
@@ -260,17 +268,18 @@ std::string figure_report_json(const FigureReport& r) {
     o += "    " + config_prefix(e.policy, e.model, e.qos_alpha);
     o += format(", \"weighted_savings\": %s, \"mean_savings\": %s, "
                 "\"max_savings\": %s",
-                fmtd(e.weighted_savings).c_str(), fmtd(e.mean_savings).c_str(),
-                fmtd(e.max_savings).c_str());
+                json_num("weighted_savings", e.weighted_savings).c_str(),
+                json_num("mean_savings", e.mean_savings).c_str(),
+                json_num("max_savings", e.max_savings).c_str());
     o += ", \"scenario_mean_savings\": [";
     for (std::size_t s = 0; s < 4; ++s) {
       if (s > 0) o += ", ";
-      o += fmtd(e.scenario_mean_savings[s]);
+      o += json_num("scenario_mean_savings", e.scenario_mean_savings[s]);
     }
     o += "], \"per_mix_savings\": [";
     for (std::size_t mi = 0; mi < e.per_mix_savings.size(); ++mi) {
       if (mi > 0) o += ", ";
-      o += fmtd(e.per_mix_savings[mi]);
+      o += json_num("per_mix_savings", e.per_mix_savings[mi]);
     }
     o += format("]}%s\n", i + 1 < r.fig6.size() ? "," : "");
   }
@@ -286,10 +295,10 @@ std::string figure_report_json(const FigureReport& r) {
                 "\"violating_mixes\": %zu}%s\n",
                 static_cast<unsigned long long>(e.intervals),
                 static_cast<unsigned long long>(e.violations),
-                fmtd(e.violation_rate).c_str(),
-                fmtd(e.mean_violation_rate).c_str(),
-                fmtd(e.mean_magnitude).c_str(),
-                fmtd(e.max_magnitude).c_str(), e.violating_mixes,
+                json_num("violation_rate", e.violation_rate).c_str(),
+                json_num("mean_violation_rate", e.mean_violation_rate).c_str(),
+                json_num("mean_magnitude", e.mean_magnitude).c_str(),
+                json_num("max_magnitude", e.max_magnitude).c_str(), e.violating_mixes,
                 i + 1 < r.fig7.size() ? "," : "");
   }
   o += "  ],\n";
@@ -301,11 +310,12 @@ std::string figure_report_json(const FigureReport& r) {
     o += format(", \"weighted_savings\": %s, \"oracle_weighted_savings\": %s, "
                 "\"weighted_gap\": %s, \"mean_gap\": %s, "
                 "\"violation_rate\": %s, \"oracle_violation_rate\": %s}%s\n",
-                fmtd(e.weighted_savings).c_str(),
-                fmtd(e.oracle_weighted_savings).c_str(),
-                fmtd(e.weighted_gap).c_str(), fmtd(e.mean_gap).c_str(),
-                fmtd(e.violation_rate).c_str(),
-                fmtd(e.oracle_violation_rate).c_str(),
+                json_num("weighted_savings", e.weighted_savings).c_str(),
+                json_num("oracle_weighted_savings", e.oracle_weighted_savings).c_str(),
+                json_num("weighted_gap", e.weighted_gap).c_str(),
+                json_num("mean_gap", e.mean_gap).c_str(),
+                json_num("violation_rate", e.violation_rate).c_str(),
+                json_num("oracle_violation_rate", e.oracle_violation_rate).c_str(),
                 i + 1 < r.fig9.size() ? "," : "");
   }
   o += "  ]\n";
@@ -343,9 +353,10 @@ std::string service_report_json(const std::vector<ServiceRow>& rows,
                 "\"admission\": \"%s\", \"policy\": \"%s\", "
                 "\"model\": \"%s\", \"alpha\": %s",
                 workload::arrival_pattern_name(row.pattern),
-                fmtd(row.load).c_str(), admission_policy_name(row.admission),
-                rm::rm_policy_name(row.policy),
-                rm::perf_model_name(row.model), fmtd(row.qos_alpha).c_str());
+                json_num("load", row.load).c_str(),
+                admission_policy_name(row.admission),
+                rm::rm_policy_name(row.policy), rm::perf_model_name(row.model),
+                json_num("alpha", row.qos_alpha).c_str());
     o += format(", \"arrivals\": %llu, \"served\": %llu, \"rejected\": %llu, "
                 "\"qos_rejected\": %llu, \"intervals\": %llu, "
                 "\"violations\": %llu",
@@ -358,21 +369,26 @@ std::string service_report_json(const std::vector<ServiceRow>& rows,
     o += format(", \"violation_rate\": %s, \"p50_violation\": %s, "
                 "\"p95_violation\": %s, \"p99_violation\": %s, "
                 "\"max_violation\": %s, \"mean_violation\": %s",
-                fmtd(m.violation_rate).c_str(), fmtd(m.p50_violation).c_str(),
-                fmtd(m.p95_violation).c_str(), fmtd(m.p99_violation).c_str(),
-                fmtd(m.max_violation).c_str(), fmtd(m.mean_violation).c_str());
+                json_num("violation_rate", m.violation_rate).c_str(),
+                json_num("p50_violation", m.p50_violation).c_str(),
+                json_num("p95_violation", m.p95_violation).c_str(),
+                json_num("p99_violation", m.p99_violation).c_str(),
+                json_num("max_violation", m.max_violation).c_str(),
+                json_num("mean_violation", m.mean_violation).c_str());
     o += format(", \"energy_total_j\": %s, \"uncore_energy_j\": %s, "
                 "\"energy_per_app_j\": %s",
-                fmtd(m.energy_total_j).c_str(),
-                fmtd(m.uncore_energy_j).c_str(),
-                fmtd(m.energy_per_app_j).c_str());
+                json_num("energy_total_j", m.energy_total_j).c_str(),
+                json_num("uncore_energy_j", m.uncore_energy_j).c_str(),
+                json_num("energy_per_app_j", m.energy_per_app_j).c_str());
     o += format(", \"rm_invocations\": %llu, \"rm_ops\": %llu, "
                 "\"decisions_per_sec\": %s, \"occupancy\": %s, "
                 "\"mean_wait_s\": %s, \"wall_time_s\": %s}%s\n",
                 static_cast<unsigned long long>(m.rm_invocations),
                 static_cast<unsigned long long>(m.rm_ops),
-                fmtd(m.decisions_per_sec).c_str(), fmtd(m.occupancy).c_str(),
-                fmtd(m.mean_wait_s).c_str(), fmtd(m.wall_time_s).c_str(),
+                json_num("decisions_per_sec", m.decisions_per_sec).c_str(),
+                json_num("occupancy", m.occupancy).c_str(),
+                json_num("mean_wait_s", m.mean_wait_s).c_str(),
+                json_num("wall_time_s", m.wall_time_s).c_str(),
                 i + 1 < rows.size() ? "," : "");
   }
   o += "  ]\n";
@@ -475,7 +491,8 @@ std::string service_knee_report_json(const ServiceKneeReport& r) {
       "\"policies\": %zu, \"alphas\": %zu},\n",
       r.shape.patterns, r.shape.loads, r.shape.admissions, r.shape.policies,
       r.shape.alphas);
-  o += format("  \"knee_threshold\": %s,\n", fmtd(r.knee_threshold).c_str());
+  o += format("  \"knee_threshold\": %s,\n",
+              json_num("knee_threshold", r.knee_threshold).c_str());
 
   o += "  \"curves\": [\n";
   for (std::size_t i = 0; i < r.curves.size(); ++i) {
@@ -486,17 +503,17 @@ std::string service_knee_report_json(const ServiceKneeReport& r) {
                 workload::arrival_pattern_name(c.pattern),
                 admission_policy_name(c.admission),
                 rm::rm_policy_name(c.policy), rm::perf_model_name(c.model),
-                fmtd(c.qos_alpha).c_str(), c.knee_index,
-                fmtd(c.knee_load).c_str());
+                json_num("alpha", c.qos_alpha).c_str(), c.knee_index,
+                json_num("knee_load", c.knee_load).c_str());
     for (std::size_t j = 0; j < c.loads.size(); ++j) {
       o += format("%s{\"load\": %s, \"p99_violation\": %s, "
                   "\"violation_rate\": %s, \"occupancy\": %s, "
                   "\"rejected_frac\": %s}",
-                  j > 0 ? ", " : "", fmtd(c.loads[j]).c_str(),
-                  fmtd(c.p99_violation[j]).c_str(),
-                  fmtd(c.violation_rate[j]).c_str(),
-                  fmtd(c.occupancy[j]).c_str(),
-                  fmtd(c.rejected_frac[j]).c_str());
+                  j > 0 ? ", " : "", json_num("load", c.loads[j]).c_str(),
+                  json_num("p99_violation", c.p99_violation[j]).c_str(),
+                  json_num("violation_rate", c.violation_rate[j]).c_str(),
+                  json_num("occupancy", c.occupancy[j]).c_str(),
+                  json_num("rejected_frac", c.rejected_frac[j]).c_str());
     }
     o += format("]}%s\n", i + 1 < r.curves.size() ? "," : "");
   }

@@ -17,6 +17,7 @@
 // the knee: the first load whose p99 Eq. 6 magnitude crosses
 // --knee-threshold (rmsim/report.hh, build_service_knee_report).
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -60,8 +61,8 @@ void print_usage() {
       "                     (default idle,rm1,rm2,rm3)\n"
       "  --model=NAME       performance model: model1|model2|model3|perfect\n"
       "                     (exactly one; default model3)\n"
-      "  --alphas=LIST      comma list of QoS alphas; 0 = system default\n"
-      "                     (default 0)\n"
+      "  --alphas=LIST      comma list of QoS alphas; 0 = system default,\n"
+      "                     else a positive normal double (default 0)\n"
       "  --seed=N           arrival-trace seed (default 2020)\n"
       "  --demand-min=N     per-app demand lower bound, intervals (default 40)\n"
       "  --demand-max=N     per-app demand upper bound (default 160)\n"
@@ -75,7 +76,7 @@ void print_usage() {
       "                     x policy x alpha} and marks the first load whose\n"
       "                     p99 crosses the threshold (byte-stable JSON)\n"
       "  --knee-threshold=X p99 Eq. 6 magnitude counting as past the knee\n"
-      "                     (> 0; default 0.1; requires --knee-report)\n"
+      "                     (finite, > 0; default 0.1; requires --knee-report)\n"
       "  --knee-csv-prefix=P  also write per-pattern knee curves to\n"
       "                     <P><pattern>.csv (requires --knee-report)\n"
       "  --db-cache=PATH    simulation-database snapshot: load it when the\n"
@@ -209,7 +210,12 @@ int main(int argc, char** argv) {
   grid.loads = rmsim::parse_loads(args.get("load", args.get("loads", "0.8")));
   grid.admissions = rmsim::parse_admissions(args.get("admission", "fifo"));
   grid.policies = rmsim::parse_policies(args.get("policies", "idle,rm1,rm2,rm3"));
-  grid.qos_alphas = rmsim::parse_alphas(args.get("alphas", "0"));
+  std::string alphas_error;
+  if (!rmsim::try_parse_alphas(args.get("alphas", "0"), &grid.qos_alphas,
+                               &alphas_error)) {
+    std::fprintf(stderr, "%s\n", alphas_error.c_str());
+    return 1;
+  }
   const std::vector<qosrm::rm::PerfModelKind> models =
       rmsim::parse_models(args.get("model", "model3"));
   if (models.size() != 1) {
@@ -238,8 +244,8 @@ int main(int argc, char** argv) {
                  "--knee-threshold/--knee-csv-prefix require --knee-report\n");
     return 1;
   }
-  if (!(knee_threshold > 0.0)) {
-    std::fprintf(stderr, "--knee-threshold must be > 0\n");
+  if (!(std::isfinite(knee_threshold) && knee_threshold > 0.0)) {
+    std::fprintf(stderr, "--knee-threshold must be a finite number > 0\n");
     return 1;
   }
 

@@ -280,11 +280,13 @@ bool try_parse_alphas(const std::string& spec, std::vector<double>* out,
     }
     // 0 selects the system default; anything else must be a usable
     // relaxation factor (negative/NaN would silently fall back to the
-    // default while mislabeling every CSV row).
-    if (!(std::isfinite(value) && value >= 0.0)) {
+    // default while mislabeling every CSV row, and a subnormal one
+    // underflows the QoS target to zero, so violation magnitudes become
+    // infinite).
+    if (!(value == 0.0 || (std::isnormal(value) && value > 0.0))) {
       if (error != nullptr) {
         *error = format("bad --alphas entry '%s' (want 0 or a positive "
-                        "factor)",
+                        "factor that is a normal double)",
                         part.c_str());
       }
       return false;

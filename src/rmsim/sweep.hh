@@ -141,8 +141,9 @@ void write_aggregates_csv(const SweepResult& result, const std::string& path);
 [[nodiscard]] std::vector<double> parse_alphas(const std::string& spec);
 
 /// Non-aborting form of parse_alphas (which aborts with this diagnostic):
-/// comma-separated finite values >= 0. False + *error naming the offending
-/// entry on any malformed value, empty list or empty CSV entry.
+/// comma-separated values that are 0 or positive normal doubles. False +
+/// *error naming the offending entry on any malformed, negative, non-finite
+/// or subnormal value, empty list or empty CSV entry.
 bool try_parse_alphas(const std::string& spec, std::vector<double>* out,
                       std::string* error);
 

@@ -50,8 +50,8 @@ void print_usage() {
       "                     (default idle,rm1,rm2,rm3)\n"
       "  --models=LIST      comma list of model1|model2|model3|perfect\n"
       "                     (default model3)\n"
-      "  --alphas=LIST      comma list of QoS alphas; 0 = system default\n"
-      "                     (default 0)\n"
+      "  --alphas=LIST      comma list of QoS alphas; 0 = system default,\n"
+      "                     else a positive normal double (default 0)\n"
       "  --threads=N        sweep parallelism; 0 = hardware concurrency\n"
       "  --rows-csv=PATH    per-run CSV output (default sweep_rows.csv)\n"
       "  --agg-csv=PATH     per-configuration CSV output (optional)\n"
@@ -142,7 +142,12 @@ int main(int argc, char** argv) {
   rmsim::SweepGrid grid;
   grid.policies = rmsim::parse_policies(args.get("policies", "idle,rm1,rm2,rm3"));
   grid.models = rmsim::parse_models(args.get("models", "model3"));
-  grid.qos_alphas = rmsim::parse_alphas(args.get("alphas", "0"));
+  std::string alphas_error;
+  if (!rmsim::try_parse_alphas(args.get("alphas", "0"), &grid.qos_alphas,
+                               &alphas_error)) {
+    std::fprintf(stderr, "%s\n", alphas_error.c_str());
+    return 1;
+  }
   if (grid.policies.empty() || grid.models.empty() || grid.qos_alphas.empty()) {
     std::fprintf(stderr,
                  "--policies/--models/--alphas must each name at least one "

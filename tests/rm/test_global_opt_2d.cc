@@ -317,7 +317,7 @@ TEST_P(GlobalOpt2dSimdEquivalence, RandomSurfacesMatchBitwiseAcrossLevels) {
     std::vector<EnergyCurve> curves;
     for (int c = 0; c < cores; ++c) {
       // Odd w-row lengths leave scalar tails inside EVERY b-row; high
-      // infeasibility density produces empty rows (feas_row_first_ == -1).
+      // infeasibility density produces empty rows (an empty cached span).
       const int num_ways = 3 + static_cast<int>(rng.uniform_u64(11));
       const int num_shares = 1 + static_cast<int>(rng.uniform_u64(4));
       curves.push_back(random_surface(rng, num_ways, num_shares,

@@ -153,6 +153,130 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+// Slot-margin invariant: every slot cell outside a node's current rows is
+// +inf, because the AVX2 kernel reads a right child up to kPad cells past
+// either end of a row's feasible span. Each walk changes a few leaves per
+// step so that a node's surface narrows (a wide, cheap surface replaced by a
+// narrow, expensive one: any stale cell left in a margin would undercut the
+// true sums), its feasible spans move, or one of its rows turns
+// all-infeasible and back - and after every step compares EVERY target cell
+// of the root against a from-scratch reduction, so a stale margin cell
+// shows wherever it lands.
+enum class MarginWalk { Narrow, MoveSpan, DeadRow };
+
+EnergyCurve margin_leaf(Rng& rng, MarginWalk walk, int num_shares, bool alt) {
+  EnergyCurve cu;
+  cu.min_ways = 1;
+  cu.num_shares = num_shares;
+  int num_ways = num_shares == 1 ? 16 : 6;
+  double lo = 1.0;
+  double hi = 50.0;
+  if (walk == MarginWalk::Narrow && alt) {
+    num_ways = 2 + static_cast<int>(rng.uniform_u64(3));
+    lo = 30.0;
+  } else if (walk == MarginWalk::Narrow) {
+    hi = 2.0;
+  }
+  for (int r = 0; r < num_shares; ++r) {
+    // MoveSpan: each row is feasible on a random window only.
+    int first = 0;
+    int last = num_ways - 1;
+    if (walk == MarginWalk::MoveSpan) {
+      first = static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(num_ways)));
+      last = first + static_cast<int>(rng.uniform_u64(
+                         static_cast<std::uint64_t>(num_ways - first)));
+    }
+    // DeadRow: one row (the leaf's only row when b = 1) all-infeasible.
+    const bool dead = walk == MarginWalk::DeadRow && alt &&
+                      r == (num_shares == 1 ? 0 : 1);
+    for (int w = 0; w < num_ways; ++w) {
+      const bool feasible = !dead && w >= first && w <= last && !rng.bernoulli(0.1);
+      cu.energy.push_back(feasible ? rng.uniform(lo, hi) : kInf);
+    }
+  }
+  return cu;
+}
+
+class GlobalOptMargins
+    : public ::testing::TestWithParam<std::tuple<MarginWalk, int, int>> {};
+
+TEST_P(GlobalOptMargins, EveryTargetMatchesFromScratchBitwise) {
+  const auto [walk, cores, num_shares] = GetParam();
+  for (const simd::Level level : {simd::Level::Scalar, simd::Level::Avx2}) {
+    if (level == simd::Level::Avx2 && !avx2_available()) continue;
+    Rng rng(static_cast<std::uint64_t>(walk) * 31 + static_cast<std::uint64_t>(cores) * 7 +
+            static_cast<std::uint64_t>(num_shares));
+    std::vector<EnergyCurve> curves;
+    std::vector<bool> alt(static_cast<std::size_t>(cores), false);
+    for (int c = 0; c < cores; ++c) {
+      curves.push_back(margin_leaf(rng, walk, num_shares, false));
+    }
+    GlobalOptWorkspace incremental;
+    std::vector<std::uint8_t> dirty(static_cast<std::size_t>(cores), 1);
+    std::uint64_t checked_feasible = 0;
+    for (int step = 0; step < 12; ++step) {
+      if (step > 0) {
+        // Flip about half the leaves, but always at least one.
+        for (int c = 0; c < cores; ++c) {
+          const auto k = static_cast<std::size_t>(c);
+          if (!rng.bernoulli(0.5) && !(c == step % cores)) continue;
+          alt[k] = !alt[k];
+          curves[k] = margin_leaf(rng, walk, num_shares, alt[k]);
+          dirty[k] = 1;
+        }
+      }
+      int w_lo = 0, w_hi = 0, b_lo = 0, b_hi = 0;
+      for (const EnergyCurve& c : curves) {
+        w_lo += c.min_ways;
+        w_hi += c.max_ways();
+        b_lo += c.min_shares;
+        b_hi += c.max_shares();
+      }
+      const std::vector<EnergyCurveView> views = views_of(curves);
+      for (int total_shares = b_lo; total_shares <= b_hi; ++total_shares) {
+        for (int total_ways = w_lo; total_ways <= w_hi; ++total_ways) {
+          const std::string what = "level=" + std::string(simd::level_name(level)) +
+                                   " step=" + std::to_string(step) +
+                                   " ways=" + std::to_string(total_ways) +
+                                   " shares=" + std::to_string(total_shares);
+          GlobalOptWorkspace scratch;
+          GlobalOptResult expect;
+          std::uint64_t expect_ops = 0;
+          GlobalOptimizer::optimize_into(views, total_ways, total_shares, {}, scratch,
+                                         expect, &expect_ops, level);
+          GlobalOptResult got;
+          std::uint64_t got_ops = 0;
+          GlobalOptimizer::optimize_into(views, total_ways, total_shares, dirty,
+                                         incremental, got, &got_ops, level);
+          std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
+          ASSERT_EQ(got.feasible, expect.feasible) << what;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.total_energy),
+                    std::bit_cast<std::uint64_t>(expect.total_energy))
+              << what;
+          ASSERT_EQ(got.ways, expect.ways) << what;
+          ASSERT_EQ(got.shares, expect.shares) << what;
+          ASSERT_EQ(got_ops, expect_ops) << what;
+          checked_feasible += got.feasible ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_GT(checked_feasible, 0u);  // the walk reached real allocations
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Walks, GlobalOptMargins,
+    ::testing::Combine(::testing::Values(MarginWalk::Narrow, MarginWalk::MoveSpan,
+                                         MarginWalk::DeadRow),
+                       ::testing::Values(5, 8), ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<MarginWalk, int, int>>& info) {
+      const char* walk = std::get<0>(info.param) == MarginWalk::Narrow     ? "narrow"
+                         : std::get<0>(info.param) == MarginWalk::MoveSpan ? "move_span"
+                                                                          : "dead_row";
+      return std::string(walk) + "_n" + std::to_string(std::get<1>(info.param)) +
+             "_b" + std::to_string(std::get<2>(info.param));
+    });
+
 TEST(GlobalOptIncremental, CleanCallReusesResultAndChargesFullOps) {
   const std::vector<EnergyCurve> curves = {
       {2, {3.0, 2.0, 1.5}}, {2, {4.0, 1.0, 0.5}}, {2, {2.0, 2.0, kInf}}};

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 
 #include "arch/system_config.hh"
@@ -79,6 +80,29 @@ TEST(IntFlagCli, OutOfRangeValuesAreRejectedNamingTheFlag) {
   EXPECT_NE(out.find("--cores"), std::string::npos) << out;
   EXPECT_NE(run_captured("sweep_main", "--threads=-4294967295", out), 0);
   EXPECT_NE(out.find("--threads"), std::string::npos) << out;
+}
+
+// Values that would write a report that is not valid JSON are usage errors
+// naming the flag, and no report is written: --knee-threshold=inf used to
+// write "knee_threshold": inf, and --alphas=1e-320 (subnormal, so the QoS
+// target underflows) "mean_magnitude": inf - both runs exited 0.
+TEST(ReportCli, NonJsonValuesAreRejectedNamingTheFlag) {
+  const std::string dir = ::testing::TempDir();
+  const std::string knee_json = dir + "/reject_knee.json";
+  const std::string report_json = dir + "/reject_report.json";
+  std::remove(knee_json.c_str());
+  std::remove(report_json.c_str());
+  std::string out;
+  EXPECT_EQ(run_captured("service_main",
+                         "--knee-report=" + knee_json + " --knee-threshold=inf", out),
+            1);
+  EXPECT_NE(out.find("--knee-threshold"), std::string::npos) << out;
+  EXPECT_FALSE(std::ifstream(knee_json).good());
+  EXPECT_EQ(run_captured("sweep_main", "--alphas=1e-320 --report-json=" + report_json,
+                         out),
+            1);
+  EXPECT_NE(out.find("--alphas"), std::string::npos) << out;
+  EXPECT_FALSE(std::ifstream(report_json).good());
 }
 
 // Generated mixes split their cores into two application halves, so an odd

@@ -3,8 +3,10 @@
 // this binary stays in the fast suite.
 #include "rmsim/report.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -207,6 +209,26 @@ TEST(KneeReportDeathTest, RowCountMustMatchShape) {
   const std::vector<ServiceRow> rows(3);
   EXPECT_DEATH((void)build_service_knee_report(rows, shape, 0),
                "row count does not match");
+}
+
+// JSON has no inf or nan: a non-finite number must abort naming its key
+// rather than write an unparseable report.
+TEST(KneeReportDeathTest, NonFiniteNumberAbortsNamingTheKey) {
+  ServiceGridShape shape;
+  shape.patterns = 1;
+  shape.loads = 2;
+  shape.admissions = 1;
+  shape.policies = 1;
+  shape.alphas = 1;
+  const std::vector<ServiceRow> rows = synthetic_rows(shape, {0.5, 1.0});
+  ServiceKneeReport report = build_service_knee_report(rows, shape, 0);
+  report.knee_threshold = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH((void)service_knee_report_json(report),
+               "non-finite value for JSON key \"knee_threshold\"");
+  report = build_service_knee_report(rows, shape, 0);
+  report.curves.front().p99_violation.back() = std::nan("");
+  EXPECT_DEATH((void)service_knee_report_json(report),
+               "non-finite value for JSON key \"p99_violation\"");
 }
 
 }  // namespace

@@ -295,6 +295,19 @@ TEST(SweepParse, TryParseAlphasRejectsEmptyListsAndEntries) {
   EXPECT_EQ(out[0], 1.05);
 }
 
+TEST(SweepParse, TryParseAlphasRejectsSubnormalFactors) {
+  // A subnormal alpha underflows the QoS target, so violation magnitudes
+  // (and the figure report) became infinite.
+  std::vector<double> out;
+  std::string error;
+  EXPECT_FALSE(try_parse_alphas("1e-320", &out, &error));
+  EXPECT_NE(error.find("'1e-320'"), std::string::npos) << error;
+  EXPECT_FALSE(try_parse_alphas("1,-0.5", &out, &error));
+  EXPECT_FALSE(try_parse_alphas("inf", &out, &error));
+  ASSERT_TRUE(try_parse_alphas("0,1e-300,1.1", &out, &error)) << error;
+  EXPECT_EQ(out.size(), 3u);
+}
+
 using SweepParseDeathTest = ::testing::Test;
 
 TEST(SweepParseDeathTest, AbortingParsersRejectEmptyListsAndEntries) {
