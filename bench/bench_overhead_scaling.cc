@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     system.cores = cores;
     const power::PowerModel power;
     const workload::SimDb db(workload::spec_suite(), system, power);
-    const rm::OverheadModel overheads({}, power);
+    const rm::OverheadModel overheads(power);
 
     workload::WorkloadGenOptions gen;
     gen.cores = cores;
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nEnforcement overheads (paper constants):\n");
   const power::PowerModel power;
-  const rm::OverheadModel overheads({}, power);
+  const rm::OverheadModel overheads(power);
   const workload::Setting from{arch::CoreSize::M, arch::VfTable::kBaselineIndex, 8};
   workload::Setting to = from;
   to.f_idx = 12;

@@ -5,7 +5,7 @@
 // overhead the paper argues must stay negligible (Section IV-D).
 //
 // Besides ns/op every benchmark reports allocs/op, the number of heap
-// allocations per iteration measured through a global operator-new hook:
+// allocations per iteration, counted by tests/support/counting_alloc.cc:
 // the invoke path is required to be allocation-free after warmup (see the
 // README performance section; tests/rm/test_invoke_alloc.cc gates the same
 // loops). CI runs this binary briefly and uploads the JSON so the perf
@@ -17,11 +17,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,43 +30,9 @@
 #include "power/power_model.hh"
 #include "rm/resource_manager.hh"
 #include "rmsim/snapshot.hh"
+#include "support/counting_alloc.hh"
 #include "workload/db_io.hh"
 #include "workload/sim_db.hh"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-// Counting operator-new hooks (all variants funnel here). Kept outside any
-// namespace so they replace the global versions for the whole binary.
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -116,7 +81,7 @@ std::vector<rm::CounterSnapshot> bench_snapshots(const workload::SimDb& db,
 
 void report_allocs(benchmark::State& state, std::uint64_t before) {
   const std::uint64_t allocs =
-      g_allocations.load(std::memory_order_relaxed) - before;
+      qosrm::testing::allocation_count() - before;
   state.counters["allocs_per_op"] = benchmark::Counter(
       static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
 }
@@ -144,7 +109,7 @@ void BM_RmInvoke(benchmark::State& state) {
   for (int k = 0; k < cores; ++k) benchmark::DoNotOptimize(manager.invoke(k, snaps));
 
   int core = 0;
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = qosrm::testing::allocation_count();
   for (auto _ : state) {
     benchmark::DoNotOptimize(manager.invoke(core, snaps));
     core = (core + 1) % cores;
@@ -194,7 +159,7 @@ void BM_RmInvokeDirty(benchmark::State& state) {
   }
 
   int core = 0;
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = qosrm::testing::allocation_count();
   for (auto _ : state) {
     std::swap(snaps[static_cast<std::size_t>(core)], alt[static_cast<std::size_t>(core)]);
     benchmark::DoNotOptimize(manager.invoke(core, snaps));
@@ -224,7 +189,7 @@ void BM_MakeSnapshot(benchmark::State& state) {
   const int app = db.suite().index_of("mcf");
   rm::CounterSnapshot snap = rmsim::make_snapshot(db, app, 0, base);
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = qosrm::testing::allocation_count();
   for (auto _ : state) {
     snap = rmsim::make_snapshot(db, app, 0, base);
     benchmark::DoNotOptimize(snap);
@@ -244,7 +209,7 @@ void BM_MakeSnapshotReuse(benchmark::State& state) {
   rm::CounterSnapshot snap;
   rmsim::make_snapshot_into(db, app, 0, base, -1, snap);
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = qosrm::testing::allocation_count();
   for (auto _ : state) {
     rmsim::make_snapshot_into(db, app, 0, base, -1, snap);
     benchmark::DoNotOptimize(snap);

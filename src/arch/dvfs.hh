@@ -44,10 +44,8 @@ class VfTable {
 };
 
 /// DVFS transition overheads (paper Section III-E).
-struct DvfsTransitionCost {
-  double time_s = 15e-6;
-  double energy_j = 3e-6;
-};
+inline constexpr double kDvfsTransitionTimeS = 15e-6;
+inline constexpr double kDvfsTransitionEnergyJ = 3e-6;
 
 }  // namespace qosrm::arch
 

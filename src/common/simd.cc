@@ -1,15 +1,5 @@
 #include "common/simd.hh"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
-// Build policy, set by the root CMakeLists from -DQOSRM_SIMD=...:
-//   0 = scalar, 1 = avx2 (forced), 2 = auto (runtime detection).
-#ifndef QOSRM_SIMD_MODE
-#define QOSRM_SIMD_MODE 2
-#endif
-
 namespace qosrm::simd {
 
 bool avx2_compiled() noexcept {
@@ -28,58 +18,9 @@ bool avx2_supported() noexcept {
 #endif
 }
 
-namespace {
-
-[[noreturn]] void dispatch_fatal(const char* detail) {
-  std::fprintf(stderr, "qosrm: SIMD dispatch error: %s\n", detail);
-  std::abort();
-}
-
-}  // namespace
-
-Level resolve_level(const char* env) {
-  const bool avx2_ok = avx2_compiled() && avx2_supported();
-
-  // Build policy first.
-  Level level = Level::Scalar;
-#if QOSRM_SIMD_MODE == 1
-  if (!avx2_compiled()) {
-    dispatch_fatal("built with -DQOSRM_SIMD=avx2 but the AVX2 kernels were "
-                   "not compiled (non-x86 target?)");
-  }
-  if (!avx2_supported()) {
-    dispatch_fatal("built with -DQOSRM_SIMD=avx2 but this CPU does not "
-                   "report AVX2");
-  }
-  level = Level::Avx2;
-#elif QOSRM_SIMD_MODE == 2
-  level = avx2_ok ? Level::Avx2 : Level::Scalar;
-#endif
-
-  // Runtime override second (a rebuild-free handle for CI and A/B timing).
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "auto") == 0) {
-    return level;
-  }
-  if (std::strcmp(env, "scalar") == 0) return Level::Scalar;
-  if (std::strcmp(env, "avx2") == 0) {
-    if (!avx2_ok) {
-      dispatch_fatal("QOSRM_SIMD=avx2 requested but the AVX2 path is not "
-                     "available (scalar build or unsupported CPU)");
-    }
-    return Level::Avx2;
-  }
-  // A typo'd override must never silently fall back to a different kernel:
-  // name the offending value and the accepted set, and die.
-  char detail[256];
-  std::snprintf(detail, sizeof detail,
-                "unrecognized QOSRM_SIMD value \"%s\" (accepted: "
-                "auto|avx2|scalar)",
-                env);
-  dispatch_fatal(detail);
-}
-
 Level active_level() noexcept {
-  static const Level level = resolve_level(std::getenv("QOSRM_SIMD"));
+  static const Level level =
+      avx2_compiled() && avx2_supported() ? Level::Avx2 : Level::Scalar;
   return level;
 }
 

@@ -1,23 +1,16 @@
 // SIMD dispatch for the optimizer hot paths.
 //
-// The build selects a policy with -DQOSRM_SIMD=auto|avx2|scalar:
+// The build decides what is compiled with -DQOSRM_SIMD=auto|scalar:
 //
-//   scalar - the AVX2 kernels are not compiled at all; every consumer runs
-//            the portable scalar code path.
-//   avx2   - the AVX2 kernels are compiled and unconditionally selected;
-//            running on a CPU without AVX2 aborts at first use (forced mode
-//            is for benchmarking and CI, not for distribution binaries).
-//   auto   - (default) the AVX2 kernels are compiled when the target
-//            architecture/compiler supports them and selected at runtime
-//            iff the CPU reports AVX2; otherwise the scalar path runs.
+//   auto   - (default) the AVX2 kernels are compiled when the toolchain
+//            targets x86-64 with GCC or Clang, and they run iff the CPU
+//            reports AVX2; otherwise the scalar path runs.
+//   scalar - the AVX2 kernels are not compiled at all (a toolchain without
+//            AVX2); every consumer runs the portable scalar code path.
 //
-// On top of the build policy the QOSRM_SIMD environment variable can
-// restrict the dispatch at runtime without a rebuild: "scalar" forces the
-// fallback, "avx2" requires the vector path (hard error when it is not
-// available), "auto"/unset keeps the build policy. Every vectorized kernel
-// in the tree is pinned bit-identical to its scalar fallback by randomized
-// equivalence tests, so the dispatch level never changes a result - only
-// the wall time.
+// Every vectorized kernel in the tree is pinned bit-identical to its scalar
+// fallback by randomized equivalence tests, which pass a Level explicitly,
+// so the dispatch level never changes a result - only the wall time.
 #ifndef QOSRM_COMMON_SIMD_HH
 #define QOSRM_COMMON_SIMD_HH
 
@@ -25,25 +18,15 @@ namespace qosrm::simd {
 
 enum class Level { Scalar = 0, Avx2 = 1 };
 
-/// True when the AVX2 kernels were compiled into this binary (build policy
-/// auto/avx2 on an x86-64 toolchain that supports the target attribute).
+/// True when the AVX2 kernels were compiled into this binary.
 [[nodiscard]] bool avx2_compiled() noexcept;
 
 /// True when the running CPU reports AVX2 support.
 [[nodiscard]] bool avx2_supported() noexcept;
 
-/// The dispatch level every hot path uses, resolved once per process from
-/// the build policy, the CPU and the QOSRM_SIMD environment override.
-/// Aborts with a diagnostic when a forced "avx2" cannot be satisfied.
+/// The dispatch level every hot path uses: Avx2 iff the kernels were
+/// compiled and the CPU supports them.
 [[nodiscard]] Level active_level() noexcept;
-
-/// Resolution core behind active_level(), parameterized on the override
-/// string (what getenv("QOSRM_SIMD") returned; nullptr/"" mean unset).
-/// Aborts naming the offending value when the override is not one of
-/// auto|avx2|scalar, or when "avx2" is forced but unavailable. Exposed
-/// separately because active_level() caches: the death tests exercise the
-/// rejection paths through this entry point.
-[[nodiscard]] Level resolve_level(const char* env);
 
 /// Lower-case name for logs and bench JSON ("scalar" / "avx2").
 [[nodiscard]] const char* level_name(Level level) noexcept;

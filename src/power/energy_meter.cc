@@ -22,9 +22,4 @@ PowerSample sample_interval(const PowerModel& model, arch::CoreSize c,
   return sample;
 }
 
-void EnergyMeter::record_interval(arch::CoreSize c, const arch::OperatingPoint& vf,
-                                  double core_energy_j, double duration_s) {
-  sample_ = sample_interval(*model_, c, vf, core_energy_j, duration_s);
-}
-
 }  // namespace qosrm::power

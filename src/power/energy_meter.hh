@@ -2,9 +2,9 @@
 //
 // The paper assumes the RM can measure total core energy over an interval
 // and subtract the (offline-characterized) static component to obtain the
-// sampled dynamic power P*_CoreDyn at the sampling voltage V*. This class
-// models that measurement path so the online energy model (rm/energy_model)
-// never touches ground-truth internals directly.
+// sampled dynamic power P*_CoreDyn at the sampling voltage V*.
+// sample_interval models that measurement path so the online energy model
+// (rm/energy_model) never touches ground-truth internals directly.
 #ifndef QOSRM_POWER_ENERGY_METER_HH
 #define QOSRM_POWER_ENERGY_METER_HH
 
@@ -27,38 +27,16 @@ struct PowerSample {
   bool valid = false;
 };
 
-/// Builds the dynamic-power sample of one measured interval directly - the
-/// same arithmetic EnergyMeter::record_interval applies - so hot-path
-/// callers (snapshot construction at every interval boundary) need not
-/// instantiate a meter.
+/// The dynamic-power sample of one measured interval: `core_energy_j` is
+/// the total core energy (dynamic + static) observed over `duration_s` at
+/// (c, vf); the static part comes from the offline static-power table (paper:
+/// "static power ... measured offline"). A reading below the static estimate
+/// (measurement noise) yields zero dynamic energy.
 [[nodiscard]] PowerSample sample_interval(const PowerModel& model,
                                           arch::CoreSize c,
                                           const arch::OperatingPoint& vf,
                                           double core_energy_j,
                                           double duration_s);
-
-class EnergyMeter {
- public:
-  explicit EnergyMeter(const PowerModel& model) : model_(&model) {}
-
-  /// Records one measured interval: `core_energy_j` is the total core energy
-  /// (dynamic + static) observed over `duration_s` at (c, vf). Updates the
-  /// current sample.
-  void record_interval(arch::CoreSize c, const arch::OperatingPoint& vf,
-                       double core_energy_j, double duration_s);
-
-  [[nodiscard]] const PowerSample& sample() const noexcept { return sample_; }
-
-  /// Offline static-power table lookup, the same characterization the online
-  /// energy model uses (paper: "static power ... measured offline").
-  [[nodiscard]] double static_power(arch::CoreSize c, double voltage) const noexcept {
-    return model_->core_static_power(c, voltage);
-  }
-
- private:
-  const PowerModel* model_;
-  PowerSample sample_{};
-};
 
 }  // namespace qosrm::power
 

@@ -74,9 +74,6 @@ struct CounterSnapshot {
   }
   [[nodiscard]] double atd_misses_at(int w) const;
   [[nodiscard]] double atd_leading_at(arch::CoreSize c, int w) const;
-  /// The frequency-scalable compute component T_0,i = T_i - T_1,i - T_mem,i
-  /// = t_width_s + t_ilp_s (clamped at zero).
-  [[nodiscard]] double t0_s() const noexcept;
 };
 
 inline double CounterSnapshot::atd_misses_at(int w) const {
@@ -90,11 +87,6 @@ inline double CounterSnapshot::atd_leading_at(arch::CoreSize c, int w) const {
   const int max_w = static_cast<int>(curve.size());
   const int clamped = w < 1 ? 1 : (w > max_w ? max_w : w);
   return curve[static_cast<std::size_t>(clamped - 1)];
-}
-
-inline double CounterSnapshot::t0_s() const noexcept {
-  const double t0 = t_width_s + t_ilp_s;
-  return t0 > 0.0 ? t0 : 0.0;
 }
 
 }  // namespace qosrm::rm

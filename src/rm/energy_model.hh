@@ -5,8 +5,8 @@
 //   E_mem,i+1(w) = (MA_i + DM_i(w)) * e_mem
 //
 // P*_CoreDyn is the RAPL-like dynamic-power sample of the past interval
-// (EnergyMeter); the static power table and the per-size capacitance ratios
-// are offline characterization the RM is allowed to know.
+// (power::sample_interval); the static power table and the per-size
+// capacitance ratios are offline characterization the RM is allowed to know.
 //
 // Dynamic-term scaling: switching energy is per unit of WORK (C*V^2 per
 // instruction), not per unit of time, and the RM interval is a fixed

@@ -7,7 +7,7 @@
 namespace qosrm::rm {
 
 double OverheadModel::rm_instructions(std::uint64_t ops) const noexcept {
-  return p_.instr_base + p_.instr_per_op * static_cast<double>(ops);
+  return kRmInstrBase + kRmInstrPerOp * static_cast<double>(ops);
 }
 
 EnforcementCost OverheadModel::rm_execution(std::uint64_t ops,
@@ -30,8 +30,8 @@ EnforcementCost OverheadModel::transition(const workload::Setting& from,
   QOSRM_CHECK(ipc > 0.0);
   EnforcementCost cost;
   if (from.f_idx != to.f_idx) {
-    cost.time_s += p_.dvfs.time_s;
-    cost.energy_j += p_.dvfs.energy_j;
+    cost.time_s += arch::kDvfsTransitionTimeS;
+    cost.energy_j += arch::kDvfsTransitionEnergyJ;
   }
   if (from.c != to.c) {
     // Instruction fetch halts while the pipeline drains: about window/IPC

@@ -19,11 +19,10 @@
 
 namespace qosrm::rm {
 
-struct OverheadParams {
-  double instr_base = 31e3;    ///< fixed algorithm cost (bookkeeping, curves)
-  double instr_per_op = 19.0;  ///< instructions per optimizer op (calibrated)
-  arch::DvfsTransitionCost dvfs{};
-};
+/// RM-execution instruction model: instructions = kRmInstrBase +
+/// kRmInstrPerOp x ops.
+inline constexpr double kRmInstrBase = 31e3;  ///< bookkeeping, curves
+inline constexpr double kRmInstrPerOp = 19.0;  ///< per optimizer op (calibrated)
 
 /// Time/energy cost charged to a core.
 struct EnforcementCost {
@@ -39,8 +38,7 @@ struct EnforcementCost {
 
 class OverheadModel {
  public:
-  OverheadModel(const OverheadParams& params, const power::PowerModel& power)
-      : p_(params), power_(&power) {}
+  explicit OverheadModel(const power::PowerModel& power) : power_(&power) {}
 
   /// Instruction count of one RM invocation that performed `ops` optimizer
   /// operations.
@@ -59,10 +57,7 @@ class OverheadModel {
                                            const workload::Setting& to,
                                            double ipc = 2.0) const;
 
-  [[nodiscard]] const OverheadParams& params() const noexcept { return p_; }
-
  private:
-  OverheadParams p_;
   const power::PowerModel* power_;
 };
 

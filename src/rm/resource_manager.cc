@@ -297,14 +297,13 @@ const RmDecision& ResourceManager::invoke_baseline(
     } else if (cfg_.policy == RmPolicy::ClassPart) {
       // Classify from the online ATD curve at the same -50%/base/+50% probe
       // points as the offline Table II classifier.
-      const workload::ClassificationCriteria crit{};
-      const int wb = crit.baseline_ways;
+      const int wb = llc.ways_per_core_baseline;
       const double ki =
           snap.instructions > 0.0 ? 1000.0 / snap.instructions : 0.0;
       bw.cls[static_cast<std::size_t>(core)] = workload::classify_part_class(
           snap.atd_misses_at(wb) * ki,
           snap.atd_misses_at(wb > 1 ? wb / 2 : 1) * ki,
-          snap.atd_misses_at(wb + wb / 2) * ki, crit);
+          snap.atd_misses_at(wb + wb / 2) * ki);
       refresh_ops += 3;
     }
     if (fresh) decision.ops += refresh_ops;

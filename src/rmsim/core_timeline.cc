@@ -9,11 +9,11 @@ namespace qosrm::rmsim {
 
 void hash_sim_options(Fnv1a64& h, const SimOptions& options) {
   h.add_u32(options.model_overheads ? 1u : 0u);
-  h.add_f64(options.overheads.instr_base);
-  h.add_f64(options.overheads.instr_per_op);
-  h.add_f64(options.overheads.dvfs.time_s);
-  h.add_f64(options.overheads.dvfs.energy_j);
-  h.add_f64(options.qos_epsilon);
+  h.add_f64(rm::kRmInstrBase);
+  h.add_f64(rm::kRmInstrPerOp);
+  h.add_f64(arch::kDvfsTransitionTimeS);
+  h.add_f64(arch::kDvfsTransitionEnergyJ);
+  h.add_f64(kQosEpsilon);
 }
 
 rm::RmConfig rm_config_for(rm::RmPolicy policy, rm::PerfModelKind model) {
@@ -73,7 +73,7 @@ void IntervalKernel::freeze(int k, double now_s) {
   CoreTimeline& st = cores_[static_cast<std::size_t>(k)];
   if (!(st.pending == st.setting)) {
     if (opt_.model_overheads) {
-      const rm::OverheadModel overheads(opt_.overheads, db_->power());
+      const rm::OverheadModel overheads(db_->power());
       st.next_overhead += overheads.transition(st.setting, st.pending);
     }
     st.setting = st.pending;
@@ -98,7 +98,7 @@ IntervalOutcome IntervalKernel::finish(int k) {
   // magnitude (Eq. 6) is measured against that SAME target, so relaxing
   // alpha shrinks both the violation count and the reported magnitudes.
   const double qos_target_s = st.base_time_s * qos_alpha_;
-  if (out.duration_s > qos_target_s * (1.0 + opt_.qos_epsilon)) {
+  if (out.duration_s > qos_target_s * (1.0 + kQosEpsilon)) {
     out.violated = true;
     out.violation = (out.duration_s - qos_target_s) / qos_target_s;
   }
@@ -125,7 +125,7 @@ void IntervalKernel::invoke(int k) {
   rm_ops_ += decision.ops;
   CoreTimeline& st = cores_[static_cast<std::size_t>(k)];
   if (opt_.model_overheads) {
-    const rm::OverheadModel overheads(opt_.overheads, db_->power());
+    const rm::OverheadModel overheads(db_->power());
     st.next_overhead += overheads.rm_execution(decision.ops, st.setting);
   }
   for (std::size_t j = 0; j < cores_.size(); ++j) {

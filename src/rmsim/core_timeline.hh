@@ -33,13 +33,13 @@ class Fnv1a64;
 
 namespace qosrm::rmsim {
 
+/// Tolerance on the actual-vs-baseline QoS comparison (absorbs the
+/// sub-interval enforcement costs - DVFS switches, RM execution - that even
+/// an oracle RM cannot avoid; those are ~0.1% of an interval).
+inline constexpr double kQosEpsilon = 2e-3;
+
 struct SimOptions {
   bool model_overheads = true;  ///< RM execution + DVFS/resize enforcement
-  rm::OverheadParams overheads{};
-  /// Tolerance on the actual-vs-baseline QoS comparison (absorbs the
-  /// sub-interval enforcement costs - DVFS switches, RM execution - that
-  /// even an oracle RM cannot avoid; those are ~0.1% of an interval).
-  double qos_epsilon = 2e-3;
   /// QoS relaxation override: when > 0, replaces the database system's
   /// qos_alpha for both the RM's Eq. 3 check and the violation accounting
   /// (paper Section III-C: "the alpha parameter can be used to relax the
@@ -48,8 +48,9 @@ struct SimOptions {
   double qos_alpha_override = 0.0;
 };
 
-/// Feeds the SimOptions fields the kernel reads - model_overheads, the
-/// overhead parameters and qos_epsilon, in that order - into a run
+/// Feeds what the kernel reads - model_overheads, then the overhead
+/// constants and kQosEpsilon, in that order - into a run fingerprint. The
+/// constants are hashed too, so that changing one changes every stamped
 /// fingerprint. qos_alpha_override is left to the callers that honour it.
 void hash_sim_options(Fnv1a64& h, const SimOptions& options);
 
@@ -112,7 +113,7 @@ class IntervalKernel {
   void freeze(int k, double now_s);
 
   /// Completes core k's running interval: the Eq. 3 check against
-  /// qos_alpha x base time x (1 + qos_epsilon) and the Eq. 6 magnitude.
+  /// qos_alpha x base time x (1 + kQosEpsilon) and the Eq. 6 magnitude.
   /// Advances the sequence position; the core stops running until the next
   /// freeze().
   IntervalOutcome finish(int k);

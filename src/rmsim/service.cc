@@ -22,6 +22,11 @@ namespace {
 /// CSV files (same convention as sweep.cc).
 std::string fmt(double v) { return format("%.17g", v); }
 
+/// Violation-magnitude histogram layout. Quantiles interpolate within bins,
+/// so the bin count bounds the quantile resolution (2.0 / 4096).
+constexpr double kHistMaxViolation = 2.0;
+constexpr std::size_t kHistBins = 4096;
+
 /// What the service tracks per occupied core beyond the kernel's interval
 /// state: the admitted application's remaining demand and its energy.
 struct Tenant {
@@ -49,24 +54,14 @@ const char* admission_policy_name(AdmissionPolicy policy) noexcept {
   return "?";
 }
 
-std::vector<AdmissionPolicy> parse_admissions(const std::string& spec) {
-  std::vector<AdmissionPolicy> out;
-  for (const std::string& part : split_csv_list(spec)) {
-    QOSRM_CHECK_MSG(!part.empty(),
-                    "empty --admission entry (an empty list or stray comma "
-                    "would silently shrink the service grid)");
-    if (part == "fifo") {
-      out.push_back(AdmissionPolicy::Fifo);
-    } else if (part == "sdf") {
-      out.push_back(AdmissionPolicy::Sdf);
-    } else if (part == "qos-aware") {
-      out.push_back(AdmissionPolicy::QosAware);
-    } else {
-      QOSRM_CHECK_MSG(false,
-                      "bad --admission entry (want fifo|sdf|qos-aware)");
-    }
-  }
-  return out;
+bool try_parse_admissions(const std::string& spec,
+                          std::vector<AdmissionPolicy>* out,
+                          std::string* error) {
+  static constexpr NamedValue<AdmissionPolicy> kNames[] = {
+      {"fifo", AdmissionPolicy::Fifo},
+      {"sdf", AdmissionPolicy::Sdf},
+      {"qos-aware", AdmissionPolicy::QosAware}};
+  return parse_name_list_flag("admission", spec, kNames, out, error);
 }
 
 ServicePoint ServiceGrid::point(std::size_t idx) const {
@@ -153,7 +148,7 @@ struct ServiceEngine::Impl {
         sys(system_for(database, grid_point)),
         manager(rm_config_for(grid_point.policy, config.model), sys,
                 database.power()),
-        violation_hist(0.0, config.hist_max_violation, config.hist_bins) {
+        violation_hist(0.0, kHistMaxViolation, kHistBins) {
     QOSRM_CHECK_MSG(cfg.sim.qos_alpha_override == 0.0,
                     "ServiceConfig::sim.qos_alpha_override is not read by the "
                     "service; set the alpha through ServicePoint::qos_alpha");
@@ -187,15 +182,13 @@ struct ServiceEngine::Impl {
     // Admission taxonomy: the same MPKI probe points as classify_app / the
     // classpart baseline (baseline, -50%, +50% allocations). Computed once,
     // outside the event loop.
-    const workload::ClassificationCriteria crit;
-    const int wb = crit.baseline_ways;
+    const int wb = sys.llc.ways_per_core_baseline;
     const int w_lo = std::max(1, wb / 2);
     const int w_hi = wb + wb / 2;
     app_class.reserve(static_cast<std::size_t>(db->suite().size()));
     for (int a = 0; a < db->suite().size(); ++a) {
       app_class.push_back(workload::classify_part_class(
-          db->app_mpki(a, wb), db->app_mpki(a, w_lo), db->app_mpki(a, w_hi),
-          crit));
+          db->app_mpki(a, wb), db->app_mpki(a, w_lo), db->app_mpki(a, w_hi)));
     }
     min_useful_ways = std::max(sys.llc.min_ways, w_lo);
 
@@ -522,8 +515,10 @@ std::uint64_t service_fingerprint(const ServiceGrid& grid,
   h.add_i64(config.demand_max);
   h.add_u64(config.queue_capacity);
   hash_sim_options(h, config.sim);
-  h.add_f64(config.hist_max_violation);
-  h.add_u64(config.hist_bins);
+  // The histogram layout is constant but keeps its place in the hash:
+  // moving it would change every stamped service fingerprint.
+  h.add_f64(kHistMaxViolation);
+  h.add_u64(kHistBins);
   return h.digest();
 }
 
@@ -558,20 +553,17 @@ void write_service_csv(const std::vector<ServiceRow>& rows,
   csv.close();  // atomic commit; throws instead of publishing a partial file
 }
 
-std::vector<double> parse_loads(const std::string& spec) {
-  std::vector<double> out;
-  for (const std::string& part : split_csv_list(spec)) {
-    QOSRM_CHECK_MSG(!part.empty(),
-                    "empty --load entry (an empty list or stray comma would "
-                    "silently sweep a zero-row or shortened grid)");
-    char* end = nullptr;
-    const double value = std::strtod(part.c_str(), &end);
-    QOSRM_CHECK_MSG(end != nullptr && *end == '\0' && std::isfinite(value) &&
-                        value > 0.0,
-                    "bad --load entry (want a finite value > 0)");
-    out.push_back(value);
-  }
-  return out;
+bool try_parse_loads(const std::string& spec, std::vector<double>* out,
+                     std::string* error, const char* flag) {
+  return parse_list_flag(
+      flag, spec, "a finite value > 0",
+      [](const std::string& entry, double* value) {
+        char* end = nullptr;
+        *value = std::strtod(entry.c_str(), &end);
+        return end != entry.c_str() && *end == '\0' && std::isfinite(*value) &&
+               *value > 0.0;
+      },
+      out, error);
 }
 
 }  // namespace qosrm::rmsim

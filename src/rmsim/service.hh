@@ -63,14 +63,14 @@ enum class AdmissionPolicy : int { Fifo = 0, Sdf = 1, QosAware = 2 };
 inline constexpr int kNumAdmissionPolicies = 3;
 
 /// Short stable name ("fifo", "sdf", "qos-aware"); used in CSV/JSON output
-/// and accepted by parse_admissions.
+/// and accepted by try_parse_admissions.
 [[nodiscard]] const char* admission_policy_name(AdmissionPolicy policy) noexcept;
 
 /// Parses a comma-separated admission-policy list, e.g. "fifo,qos-aware".
-/// Aborts on unknown names, empty lists and empty entries (a stray comma
-/// would otherwise silently shrink the service grid), like parse_policies.
-[[nodiscard]] std::vector<AdmissionPolicy> parse_admissions(
-    const std::string& spec);
+/// Rejects bad entries like try_parse_policies (rmsim/sweep.hh).
+bool try_parse_admissions(const std::string& spec,
+                          std::vector<AdmissionPolicy>* out,
+                          std::string* error);
 
 /// Fixed (per run) service parameters; the swept axes live in ServiceGrid.
 struct ServiceConfig {
@@ -85,10 +85,6 @@ struct ServiceConfig {
   /// Kernel options. qos_alpha_override must stay 0 (the engine aborts
   /// otherwise): the alpha comes from ServicePoint::qos_alpha.
   SimOptions sim{};
-  /// Violation-magnitude histogram layout (quantiles interpolate within
-  /// bins, so the bin count bounds the quantile resolution).
-  double hist_max_violation = 2.0;
-  std::size_t hist_bins = 4096;
 };
 
 /// One grid point of the service sweep.
@@ -238,9 +234,11 @@ struct ServiceOptions {
 void write_service_csv(const std::vector<ServiceRow>& rows,
                        const std::string& path);
 
-/// Parses comma-separated load levels ("0.5,0.8,1.1"): finite, > 0. Aborts
-/// on malformed values, empty lists and empty entries, like parse_alphas.
-[[nodiscard]] std::vector<double> parse_loads(const std::string& spec);
+/// Parses comma-separated load levels ("0.5,0.8,1.1"): finite, > 0.
+/// Rejects bad entries like try_parse_policies; `flag` names the flag in the
+/// error (--load has the alias --loads).
+bool try_parse_loads(const std::string& spec, std::vector<double>* out,
+                     std::string* error, const char* flag = "load");
 
 }  // namespace qosrm::rmsim
 

@@ -197,27 +197,32 @@ int main(int argc, char** argv) {
   config.queue_capacity = static_cast<std::size_t>(queue_cap);
 
   // Parse the grid flags up front: a bad value should fail immediately, not
-  // after the multi-second database characterization. The list parsers
-  // abort with a diagnostic on malformed specs (same contract as sweep_main).
+  // after the multi-second database characterization. A bad list entry is a
+  // usage error naming the flag and the entry (same contract as sweep_main).
   if (args.has("load") && args.has("loads")) {
     std::fprintf(stderr,
                  "--load and --loads are aliases; give only one of them\n");
     return 1;
   }
+  const char* load_flag = args.has("loads") ? "loads" : "load";
   rmsim::ServiceGrid grid;
-  grid.patterns =
-      workload::parse_arrival_patterns(args.get("arrivals", "poisson"));
-  grid.loads = rmsim::parse_loads(args.get("load", args.get("loads", "0.8")));
-  grid.admissions = rmsim::parse_admissions(args.get("admission", "fifo"));
-  grid.policies = rmsim::parse_policies(args.get("policies", "idle,rm1,rm2,rm3"));
-  std::string alphas_error;
-  if (!rmsim::try_parse_alphas(args.get("alphas", "0"), &grid.qos_alphas,
-                               &alphas_error)) {
-    std::fprintf(stderr, "%s\n", alphas_error.c_str());
+  std::vector<qosrm::rm::PerfModelKind> models;
+  std::string list_error;
+  if (!workload::try_parse_arrival_patterns(args.get("arrivals", "poisson"),
+                                            &grid.patterns, &list_error) ||
+      !rmsim::try_parse_loads(args.get(load_flag, "0.8"), &grid.loads,
+                              &list_error, load_flag) ||
+      !rmsim::try_parse_admissions(args.get("admission", "fifo"),
+                                   &grid.admissions, &list_error) ||
+      !rmsim::try_parse_policies(args.get("policies", "idle,rm1,rm2,rm3"),
+                                 &grid.policies, &list_error) ||
+      !rmsim::try_parse_alphas(args.get("alphas", "0"), &grid.qos_alphas,
+                               &list_error) ||
+      !rmsim::try_parse_models(args.get("model", "model3"), &models,
+                               &list_error, "model")) {
+    std::fprintf(stderr, "%s\n", list_error.c_str());
     return 1;
   }
-  const std::vector<qosrm::rm::PerfModelKind> models =
-      rmsim::parse_models(args.get("model", "model3"));
   if (models.size() != 1) {
     std::fprintf(stderr,
                  "--model must name exactly one performance model (the "

@@ -198,102 +198,42 @@ void write_aggregates_csv(const SweepResult& result, const std::string& path) {
   csv.close();  // atomic commit; throws instead of publishing a partial file
 }
 
-std::vector<rm::RmPolicy> parse_policies(const std::string& spec) {
-  std::vector<rm::RmPolicy> out;
-  for (const std::string& name : split_csv_list(spec)) {
-    QOSRM_CHECK_MSG(!name.empty(),
-                    "empty --policies entry (an empty list or stray comma "
-                    "would silently sweep a zero-row or shortened grid)");
-    if (name == "idle") {
-      out.push_back(rm::RmPolicy::Idle);
-    } else if (name == "rm1") {
-      out.push_back(rm::RmPolicy::Rm1);
-    } else if (name == "rm2") {
-      out.push_back(rm::RmPolicy::Rm2);
-    } else if (name == "rm3") {
-      out.push_back(rm::RmPolicy::Rm3);
-    } else if (name == "ucp") {
-      out.push_back(rm::RmPolicy::Ucp);
-    } else if (name == "fcp") {
-      out.push_back(rm::RmPolicy::Fcp);
-    } else if (name == "classpart") {
-      out.push_back(rm::RmPolicy::ClassPart);
-    } else {
-      QOSRM_CHECK_MSG(
-          false, "unknown policy (want idle|rm1|rm2|rm3|ucp|fcp|classpart)");
-    }
-  }
-  return out;
+bool try_parse_policies(const std::string& spec, std::vector<rm::RmPolicy>* out,
+                        std::string* error) {
+  static constexpr NamedValue<rm::RmPolicy> kNames[] = {
+      {"idle", rm::RmPolicy::Idle}, {"rm1", rm::RmPolicy::Rm1},
+      {"rm2", rm::RmPolicy::Rm2},   {"rm3", rm::RmPolicy::Rm3},
+      {"ucp", rm::RmPolicy::Ucp},   {"fcp", rm::RmPolicy::Fcp},
+      {"classpart", rm::RmPolicy::ClassPart}};
+  return parse_name_list_flag("policies", spec, kNames, out, error);
 }
 
-std::vector<rm::PerfModelKind> parse_models(const std::string& spec) {
-  std::vector<rm::PerfModelKind> out;
-  for (const std::string& name : split_csv_list(spec)) {
-    QOSRM_CHECK_MSG(!name.empty(),
-                    "empty --models entry (an empty list or stray comma "
-                    "would silently sweep a zero-row or shortened grid)");
-    if (name == "model1" || name == "m1") {
-      out.push_back(rm::PerfModelKind::Model1);
-    } else if (name == "model2" || name == "m2") {
-      out.push_back(rm::PerfModelKind::Model2);
-    } else if (name == "model3" || name == "m3") {
-      out.push_back(rm::PerfModelKind::Model3);
-    } else if (name == "perfect") {
-      out.push_back(rm::PerfModelKind::Perfect);
-    } else {
-      QOSRM_CHECK_MSG(false, "unknown model (want model1|model2|model3|perfect)");
-    }
-  }
-  return out;
-}
-
-std::vector<double> parse_alphas(const std::string& spec) {
-  std::vector<double> out;
-  std::string error;
-  const bool ok = try_parse_alphas(spec, &out, &error);
-  // Surface try_parse_alphas's specific diagnostic (empty entry vs malformed
-  // value), not a generic one.
-  QOSRM_CHECK_MSG(ok, error.c_str());
-  return out;
+bool try_parse_models(const std::string& spec,
+                      std::vector<rm::PerfModelKind>* out, std::string* error,
+                      const char* flag) {
+  static constexpr NamedValue<rm::PerfModelKind> kNames[] = {
+      {"model1", rm::PerfModelKind::Model1}, {"m1", rm::PerfModelKind::Model1},
+      {"model2", rm::PerfModelKind::Model2}, {"m2", rm::PerfModelKind::Model2},
+      {"model3", rm::PerfModelKind::Model3}, {"m3", rm::PerfModelKind::Model3},
+      {"perfect", rm::PerfModelKind::Perfect}};
+  return parse_name_list_flag(flag, spec, kNames, out, error);
 }
 
 bool try_parse_alphas(const std::string& spec, std::vector<double>* out,
                       std::string* error) {
-  out->clear();
-  for (const std::string& part : split_csv_list(spec)) {
-    if (part.empty()) {
-      if (error != nullptr) {
-        *error = "empty --alphas entry (an empty list or stray comma would "
-                 "silently sweep a zero-row or shortened grid)";
-      }
-      return false;
-    }
-    char* end = nullptr;
-    const double value = std::strtod(part.c_str(), &end);
-    if (end == part.c_str() || *end != '\0') {
-      if (error != nullptr) {
-        *error = format("bad --alphas entry '%s' (want comma-separated "
-                        "numbers)",
-                        part.c_str());
-      }
-      return false;
-    }
-    // 0 selects the system default; anything else must be a usable
-    // relaxation factor (negative/NaN would silently fall back to the
-    // default while mislabeling every CSV row, and a subnormal one
-    // underflows the QoS target to zero, so violation magnitudes become
-    // infinite).
-    if (!(value == 0.0 || (std::isnormal(value) && value > 0.0))) {
-      if (error != nullptr) {
-        *error = format("bad --alphas entry '%s' (want 0 or a positive "
-                        "factor that is a normal double)",
-                        part.c_str());
-      }
-      return false;
-    }
-    out->push_back(value);
-  }
-  return true;
+  // 0 selects the system default; anything else must be a usable relaxation
+  // factor (negative/NaN would silently fall back to the default while
+  // mislabeling every CSV row, and a subnormal one underflows the QoS target
+  // to zero, so violation magnitudes become infinite).
+  return parse_list_flag(
+      "alphas", spec, "0 or a positive factor that is a normal double",
+      [](const std::string& entry, double* value) {
+        char* end = nullptr;
+        *value = std::strtod(entry.c_str(), &end);
+        return end != entry.c_str() && *end == '\0' &&
+               (*value == 0.0 || (std::isnormal(*value) && *value > 0.0));
+      },
+      out, error);
 }
 
 }  // namespace qosrm::rmsim

@@ -125,25 +125,22 @@ void write_rows_csv(const SweepResult& result, const std::string& path);
 /// write_rows_csv.
 void write_aggregates_csv(const SweepResult& result, const std::string& path);
 
-/// Parses comma-separated policy names ("idle,rm1,rm2,rm3,ucp,fcp,classpart");
-/// aborts on an
-/// unknown name, an empty list or an empty CSV entry ("rm1," / ",rm1") -
-/// either would silently sweep a zero-row or shortened grid. Used by the
-/// sweep CLI and handy for tests.
-[[nodiscard]] std::vector<rm::RmPolicy> parse_policies(const std::string& spec);
+// List-flag parsers (common/str.hh parse_list_flag): each returns false,
+// with *error naming the flag and the offending entry, on an unknown or
+// malformed entry, an empty list or an empty CSV entry ("rm1," / ",rm1") -
+// either would silently sweep a zero-row or shortened grid.
 
-/// Parses comma-separated model names ("model1,model2,model3,perfect").
-/// Same strictness as parse_policies (empty lists/entries abort).
-[[nodiscard]] std::vector<rm::PerfModelKind> parse_models(const std::string& spec);
+/// Policy names: "idle,rm1,rm2,rm3,ucp,fcp,classpart".
+bool try_parse_policies(const std::string& spec, std::vector<rm::RmPolicy>* out,
+                        std::string* error);
 
-/// Parses comma-separated doubles ("0,1.05,1.1"). Same strictness as
-/// parse_policies (empty lists/entries abort).
-[[nodiscard]] std::vector<double> parse_alphas(const std::string& spec);
+/// Model names: "model1,model2,model3,perfect" (or m1/m2/m3). `flag` names
+/// the flag in the error (service_main's --model takes one model).
+bool try_parse_models(const std::string& spec,
+                      std::vector<rm::PerfModelKind>* out, std::string* error,
+                      const char* flag = "models");
 
-/// Non-aborting form of parse_alphas (which aborts with this diagnostic):
-/// comma-separated values that are 0 or positive normal doubles. False +
-/// *error naming the offending entry on any malformed, negative, non-finite
-/// or subnormal value, empty list or empty CSV entry.
+/// QoS relaxation factors ("0,1.05,1.1"): 0 or positive normal doubles.
 bool try_parse_alphas(const std::string& spec, std::vector<double>* out,
                       std::string* error);
 

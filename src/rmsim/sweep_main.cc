@@ -140,18 +140,14 @@ int main(int argc, char** argv) {
   // Parse the grid flags up front: a bad value should fail immediately, not
   // after the multi-second database characterization.
   rmsim::SweepGrid grid;
-  grid.policies = rmsim::parse_policies(args.get("policies", "idle,rm1,rm2,rm3"));
-  grid.models = rmsim::parse_models(args.get("models", "model3"));
-  std::string alphas_error;
-  if (!rmsim::try_parse_alphas(args.get("alphas", "0"), &grid.qos_alphas,
-                               &alphas_error)) {
-    std::fprintf(stderr, "%s\n", alphas_error.c_str());
-    return 1;
-  }
-  if (grid.policies.empty() || grid.models.empty() || grid.qos_alphas.empty()) {
-    std::fprintf(stderr,
-                 "--policies/--models/--alphas must each name at least one "
-                 "value (see --help)\n");
+  std::string list_error;
+  if (!rmsim::try_parse_policies(args.get("policies", "idle,rm1,rm2,rm3"),
+                                 &grid.policies, &list_error) ||
+      !rmsim::try_parse_models(args.get("models", "model3"), &grid.models,
+                               &list_error) ||
+      !rmsim::try_parse_alphas(args.get("alphas", "0"), &grid.qos_alphas,
+                               &list_error)) {
+    std::fprintf(stderr, "%s\n", list_error.c_str());
     return 1;
   }
 

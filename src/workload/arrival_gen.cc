@@ -3,13 +3,18 @@
 #include <cmath>
 #include <numbers>
 
-#include "common/binary_io.hh"
 #include "common/check.hh"
 #include "common/rng.hh"
 #include "common/str.hh"
 
 namespace qosrm::workload {
 namespace {
+
+// Pattern shapes.
+constexpr double kBurstMeanLength = 16.0;  ///< mean arrivals per burst
+constexpr double kBurstRateFactor = 4.0;   ///< in-burst rate multiplier
+constexpr double kDiurnalAmplitude = 0.8;
+constexpr double kDiurnalCycles = 4.0;     ///< over the nominal trace span
 
 /// Exponential draw with the given rate; uniform() < 1 keeps the log finite.
 double exp_draw(Rng& rng, double rate) {
@@ -25,11 +30,6 @@ void validate(const ArrivalGenOptions& o) {
   QOSRM_CHECK_MSG(o.num_apps > 0, "num_apps must be > 0");
   QOSRM_CHECK_MSG(o.demand_min > 0 && o.demand_max >= o.demand_min,
                   "demand range must satisfy 0 < demand_min <= demand_max");
-  QOSRM_CHECK_MSG(o.burst_mean_length >= 1.0, "burst_mean_length must be >= 1");
-  QOSRM_CHECK_MSG(o.burst_rate_factor > 1.0, "burst_rate_factor must be > 1");
-  QOSRM_CHECK_MSG(o.diurnal_amplitude >= 0.0 && o.diurnal_amplitude <= 1.0,
-                  "diurnal_amplitude must be in [0, 1]");
-  QOSRM_CHECK_MSG(o.diurnal_cycles > 0.0, "diurnal_cycles must be > 0");
 }
 
 }  // namespace
@@ -43,24 +43,14 @@ const char* arrival_pattern_name(ArrivalPattern pattern) noexcept {
   return "?";
 }
 
-std::vector<ArrivalPattern> parse_arrival_patterns(const std::string& spec) {
-  std::vector<ArrivalPattern> patterns;
-  for (const std::string& name : split_csv_list(spec)) {
-    QOSRM_CHECK_MSG(!name.empty(),
-                    "empty --arrivals entry (an empty list or stray comma "
-                    "would silently sweep a zero-row or shortened grid)");
-    if (name == "poisson") {
-      patterns.push_back(ArrivalPattern::Poisson);
-    } else if (name == "bursty") {
-      patterns.push_back(ArrivalPattern::Bursty);
-    } else if (name == "diurnal") {
-      patterns.push_back(ArrivalPattern::Diurnal);
-    } else {
-      QOSRM_CHECK_MSG(false, "unknown arrival pattern (want poisson, bursty "
-                             "or diurnal)");
-    }
-  }
-  return patterns;
+bool try_parse_arrival_patterns(const std::string& spec,
+                                std::vector<ArrivalPattern>* out,
+                                std::string* error) {
+  static constexpr NamedValue<ArrivalPattern> kNames[] = {
+      {"poisson", ArrivalPattern::Poisson},
+      {"bursty", ArrivalPattern::Bursty},
+      {"diurnal", ArrivalPattern::Diurnal}};
+  return parse_name_list_flag("arrivals", spec, kNames, out, error);
 }
 
 void generate_arrivals_into(const ArrivalGenOptions& options, ArrivalTrace* out) {
@@ -75,17 +65,17 @@ void generate_arrivals_into(const ArrivalGenOptions& options, ArrivalTrace* out)
   out->events.reserve(options.count);
 
   // Diurnal thinning parameters: the nominal trace spans count/lambda
-  // seconds, over which `diurnal_cycles` full sine periods fit.
+  // seconds, over which kDiurnalCycles full sine periods fit.
   const double period =
-      (static_cast<double>(options.count) / lambda) / options.diurnal_cycles;
-  const double peak_rate = lambda * (1.0 + options.diurnal_amplitude);
+      (static_cast<double>(options.count) / lambda) / kDiurnalCycles;
+  const double peak_rate = lambda * (1.0 + kDiurnalAmplitude);
 
   // Bursty gap calibration: within a burst arrivals come at factor*lambda;
   // a burst holds Geometric(1/L) + 1 arrivals (mean L). Idle gaps of mean
   // L*(1 - 1/factor)/lambda restore the long-run rate to exactly lambda.
-  const double burst_end_p = 1.0 / options.burst_mean_length;
-  const double gap_mean = options.burst_mean_length *
-                          (1.0 - 1.0 / options.burst_rate_factor) / lambda;
+  const double burst_end_p = 1.0 / kBurstMeanLength;
+  const double gap_mean =
+      kBurstMeanLength * (1.0 - 1.0 / kBurstRateFactor) / lambda;
 
   double t = 0.0;
   while (out->events.size() < options.count) {
@@ -94,12 +84,12 @@ void generate_arrivals_into(const ArrivalGenOptions& options, ArrivalTrace* out)
         t += exp_draw(rng, lambda);
         break;
       case ArrivalPattern::Bursty:
-        t += exp_draw(rng, options.burst_rate_factor * lambda);
+        t += exp_draw(rng, kBurstRateFactor * lambda);
         break;
       case ArrivalPattern::Diurnal: {
         t += exp_draw(rng, peak_rate);
         const double rate =
-            lambda * (1.0 + options.diurnal_amplitude *
+            lambda * (1.0 + kDiurnalAmplitude *
                                 std::sin(2.0 * std::numbers::pi * t / period));
         if (rng.uniform() * peak_rate >= rate) continue;  // thinned out
         break;
@@ -122,24 +112,6 @@ ArrivalTrace generate_arrivals(const ArrivalGenOptions& options) {
   ArrivalTrace trace;
   generate_arrivals_into(options, &trace);
   return trace;
-}
-
-std::uint64_t arrival_gen_fingerprint(const ArrivalGenOptions& o) noexcept {
-  Fnv1a64 hash;
-  hash.add_u32(static_cast<std::uint32_t>(o.pattern));
-  hash.add_f64(o.load);
-  hash.add_u32(static_cast<std::uint32_t>(o.cores));
-  hash.add_u64(o.count);
-  hash.add_u64(o.seed);
-  hash.add_f64(o.mean_service_time);
-  hash.add_u32(static_cast<std::uint32_t>(o.num_apps));
-  hash.add_u32(static_cast<std::uint32_t>(o.demand_min));
-  hash.add_u32(static_cast<std::uint32_t>(o.demand_max));
-  hash.add_f64(o.burst_mean_length);
-  hash.add_f64(o.burst_rate_factor);
-  hash.add_f64(o.diurnal_amplitude);
-  hash.add_f64(o.diurnal_cycles);
-  return hash.digest();
 }
 
 }  // namespace qosrm::workload

@@ -10,12 +10,12 @@
 //
 // i.e. `load` is the offered utilization of the core pool:
 //   - Poisson:  memoryless inter-arrivals, Exp(lambda).
-//   - Bursty:   arrivals cluster into geometric-length bursts with
-//               inter-arrival rate `burst_rate_factor * lambda`, separated
-//               by exponential idle gaps sized so the mean rate stays lambda.
+//   - Bursty:   arrivals cluster into geometric-length bursts (mean 16
+//               arrivals) with inter-arrival rate 4 * lambda, separated by
+//               exponential idle gaps sized so the mean rate stays lambda.
 //   - Diurnal:  non-homogeneous Poisson with sinusoidal rate
-//               lambda * (1 + A sin(2 pi t / period)), drawn by thinning;
-//               `diurnal_cycles` full cycles span the nominal trace length.
+//               lambda * (1 + 0.8 sin(2 pi t / period)), drawn by thinning;
+//               4 full cycles span the nominal trace length.
 //
 // Generation is fully deterministic from the options (single Rng stream,
 // no platform-dependent distributions) and allocation-free when the caller
@@ -34,14 +34,16 @@ enum class ArrivalPattern : int { Poisson = 0, Bursty = 1, Diurnal = 2 };
 inline constexpr int kNumArrivalPatterns = 3;
 
 /// Short stable name ("poisson", "bursty", "diurnal"); used in CSV/JSON
-/// output and accepted by parse_arrival_patterns.
+/// output and accepted by try_parse_arrival_patterns.
 [[nodiscard]] const char* arrival_pattern_name(ArrivalPattern pattern) noexcept;
 
-/// Parses a comma-separated pattern list, e.g. "poisson,bursty". Aborts on
-/// unknown names, empty lists and empty entries (a stray comma would
-/// otherwise silently shrink the service grid).
-[[nodiscard]] std::vector<ArrivalPattern> parse_arrival_patterns(
-    const std::string& spec);
+/// Parses the --arrivals pattern list, e.g. "poisson,bursty". False, with
+/// *error naming the flag and the entry, on an unknown name, an empty list
+/// or an empty entry (a stray comma would otherwise silently shrink the
+/// service grid).
+bool try_parse_arrival_patterns(const std::string& spec,
+                                std::vector<ArrivalPattern>* out,
+                                std::string* error);
 
 struct ArrivalGenOptions {
   ArrivalPattern pattern = ArrivalPattern::Poisson;
@@ -54,10 +56,6 @@ struct ArrivalGenOptions {
   int num_apps = 1;    ///< app ids are drawn uniformly from [0, num_apps)
   int demand_min = 40;   ///< per-arrival demand in intervals, inclusive
   int demand_max = 160;  ///< >= demand_min
-  double burst_mean_length = 16.0;  ///< mean arrivals per burst, >= 1
-  double burst_rate_factor = 4.0;   ///< in-burst rate multiplier, > 1
-  double diurnal_amplitude = 0.8;   ///< in [0, 1]
-  double diurnal_cycles = 4.0;      ///< cycles over the nominal trace span
 };
 
 struct ArrivalEvent {
@@ -77,12 +75,6 @@ void generate_arrivals_into(const ArrivalGenOptions& options, ArrivalTrace* out)
 
 /// Convenience allocating wrapper around generate_arrivals_into.
 [[nodiscard]] ArrivalTrace generate_arrivals(const ArrivalGenOptions& options);
-
-/// Exact FNV-1a fingerprint over every option field (doubles hashed by bit
-/// pattern); two option sets with equal fingerprints produce identical
-/// traces.
-[[nodiscard]] std::uint64_t arrival_gen_fingerprint(
-    const ArrivalGenOptions& options) noexcept;
 
 }  // namespace qosrm::workload
 

@@ -16,14 +16,6 @@
 
 namespace qosrm::workload {
 
-struct ClassificationCriteria {
-  double mpki_min = 0.2;         ///< minimum baseline MPKI to count as CS
-  double mpki_variation = 0.20;  ///< relative MPKI swing threshold
-  double mlp_variation = 0.30;   ///< (MLP_L - MLP_S) / MLP_M threshold
-  double mlp_min_large = 2.0;    ///< minimum MLP on the L core for PS
-  int baseline_ways = 8;
-};
-
 struct AppClassification {
   int app = -1;
   bool cache_sensitive = false;
@@ -43,13 +35,12 @@ struct AppClassification {
   }
 };
 
-/// Classifies one application from database ground truth.
-[[nodiscard]] AppClassification classify_app(const SimDb& db, int app,
-                                             const ClassificationCriteria& crit = {});
+/// Classifies one application from database ground truth, probing the MPKI
+/// curve around the system's baseline per-core allocation.
+[[nodiscard]] AppClassification classify_app(const SimDb& db, int app);
 
 /// Classifies the whole suite.
-[[nodiscard]] std::vector<AppClassification> classify_suite(
-    const SimDb& db, const ClassificationCriteria& crit = {});
+[[nodiscard]] std::vector<AppClassification> classify_suite(const SimDb& db);
 
 /// Number of applications per category.
 [[nodiscard]] std::array<int, kNumCategories> category_histogram(
@@ -58,8 +49,8 @@ struct AppClassification {
 /// Partitioning class of an application for the class-based baseline policy
 /// (LFOC / pmctrack-style light / streaming / sensitive taxonomy).
 ///
-///   Light     - barely uses the LLC (baseline MPKI below mpki_min); happy
-///               with the minimum allocation.
+///   Light     - barely uses the LLC (baseline MPKI below the Table II
+///               minimum of 0.2); happy with the minimum allocation.
 ///   Streaming - high miss rate but a flat MPKI curve (fails the CS swing
 ///               rule): more ways don't help, so it gets the minimum
 ///               allocation to stop it polluting the cache.
@@ -67,19 +58,12 @@ struct AppClassification {
 ///               share the remaining way budget.
 enum class PartClass { Light = 0, Streaming = 1, Sensitive = 2 };
 
-[[nodiscard]] const char* part_class_name(PartClass cls) noexcept;
-
 /// Classifies one MPKI curve sample (baseline / -50% / +50% allocations, the
 /// same probe points as classify_app) into a partitioning class. Pure in its
 /// arguments, so the baseline policy can classify from online ATD counters
 /// without a database handle.
 [[nodiscard]] PartClass classify_part_class(double mpki_base, double mpki_lo,
-                                            double mpki_hi,
-                                            const ClassificationCriteria& crit = {});
-
-/// The partitioning class of an already classified application.
-[[nodiscard]] PartClass part_class_of(const AppClassification& cls,
-                                      const ClassificationCriteria& crit = {});
+                                            double mpki_hi);
 
 }  // namespace qosrm::workload
 

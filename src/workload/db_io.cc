@@ -104,9 +104,12 @@ std::uint64_t simdb_fingerprint(const SpecSuite& suite,
   h.add_f64(options.synth.represented_instructions);
   h.add_i64(options.mlp_index_bits);
   h.add_i64(options.atd_sample_period);
-  h.add_f64(options.arrival_dispatch_ipc);
-  h.add_f64(options.mem_latency_cycles);
-  h.add_i64(options.arrival_ways);
+  // The arrival-emulation inputs are derived from the system but keep their
+  // own place in the hash: moving them would invalidate every snapshot.
+  const cache::ArrivalParams arrival = arrival_params(system);
+  h.add_f64(arrival.dispatch_ipc);
+  h.add_f64(arrival.mem_latency_cycles);
+  h.add_i64(arrival.ways);
 
   h.add_i64(suite.size());
   for (int a = 0; a < suite.size(); ++a) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cache/arrival.hh"
 #include "cache/miss_curve.hh"
 #include "cache/mlp_atd.hh"
 #include "cache/mlp_oracle.hh"
@@ -57,6 +56,17 @@ arch::MemoryBehaviour PhaseStats::memory_truth(arch::CoreSize c, int w,
   return mem;
 }
 
+cache::ArrivalParams arrival_params(const arch::SystemConfig& system) {
+  cache::ArrivalParams arrival;
+  arrival.core = arch::kBaselineCoreSize;
+  arrival.ways = system.llc.ways_per_core_baseline;
+  arrival.dispatch_ipc = 2.0;
+  arrival.mem_latency_cycles =
+      system.mem_latency_s *
+      arch::VfTable::frequency_hz(arch::VfTable::kBaselineIndex);
+  return arrival;
+}
+
 PhaseStats characterize_phase(const PhaseParams& phase,
                               const arch::SystemConfig& system,
                               const PhaseStatsOptions& options, std::uint64_t seed) {
@@ -90,13 +100,8 @@ PhaseStats characterize_phase(const PhaseParams& phase,
 
   // 3. Hardware estimate: emulate the out-of-order arrival stream at the
   //    baseline configuration and run the MLP-ATD counters over it.
-  cache::ArrivalParams arrival;
-  arrival.core = arch::kBaselineCoreSize;
-  arrival.ways = options.arrival_ways;
-  arrival.dispatch_ipc = options.arrival_dispatch_ipc;
-  arrival.mem_latency_cycles = options.mem_latency_cycles;
   const std::vector<std::uint32_t> order =
-      cache::emulate_arrival_order(accesses, recency, arrival);
+      cache::emulate_arrival_order(accesses, recency, arrival_params(system));
 
   cache::MlpAtdConfig atd_cfg;
   atd_cfg.sets = options.synth.sets;

@@ -19,6 +19,7 @@
 #include "arch/core_config.hh"
 #include "arch/core_model.hh"
 #include "arch/system_config.hh"
+#include "cache/arrival.hh"
 #include "workload/app_profile.hh"
 #include "workload/trace_synth.hh"
 
@@ -69,10 +70,13 @@ struct PhaseStatsOptions {
   TraceSynthConfig synth{};
   int mlp_index_bits = 10;       ///< MLP-ATD instruction-index width
   int atd_sample_period = 1;     ///< set sampling inside the hardware models
-  double arrival_dispatch_ipc = 2.0;
-  double mem_latency_cycles = 260.0;  ///< at the 2 GHz baseline
-  int arrival_ways = 8;               ///< allocation assumed for the arrival stream
 };
+
+/// Inputs of the out-of-order arrival emulation that feeds the MLP-ATD: the
+/// baseline core at the system's baseline per-core allocation, dispatching
+/// 2 instructions per cycle, with the system's DRAM latency counted in
+/// baseline-clock cycles (130 ns x 2 GHz = 260).
+[[nodiscard]] cache::ArrivalParams arrival_params(const arch::SystemConfig& system);
 
 /// Characterizes one phase: synthesizes the trace (deterministic in `seed`)
 /// and extracts interval-scaled statistics for the given system.

@@ -42,9 +42,8 @@ TEST(Dvfs, IndexAtLeastIsConsistentWithTable) {
 
 TEST(Dvfs, TransitionCostMatchesPaper) {
   // Section III-E: 15 us and 3 uJ per DVFS change (Exynos 4210 numbers).
-  const DvfsTransitionCost cost;
-  EXPECT_DOUBLE_EQ(cost.time_s, 15e-6);
-  EXPECT_DOUBLE_EQ(cost.energy_j, 3e-6);
+  EXPECT_DOUBLE_EQ(kDvfsTransitionTimeS, 15e-6);
+  EXPECT_DOUBLE_EQ(kDvfsTransitionEnergyJ, 3e-6);
 }
 
 TEST(Dvfs, PointBundlesFrequencyAndVoltage) {

@@ -110,7 +110,7 @@ TEST(HistogramTails, P99IsStableUnderSampleOrder) {
 }
 
 TEST(HistogramTails, BinCountBoundsTheQuantileResolution) {
-  // The documented contract (service.hh hist_bins): quantile resolution is
+  // The documented contract (service.cc kHistBins): quantile resolution is
   // the bin width. The reconstruction error must stay within the bin width
   // at EVERY grid, from coarse to the service default.
   Rng rng(42);

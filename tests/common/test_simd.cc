@@ -1,6 +1,5 @@
-// QOSRM_SIMD override resolution. active_level() caches its answer in a
-// function-local static, so these tests drive resolve_level() directly with
-// explicit override strings instead of mutating the environment.
+// SIMD dispatch: the level every hot path uses is fixed by what the build
+// compiled and what the CPU supports.
 #include "common/simd.hh"
 
 #include <gtest/gtest.h>
@@ -8,46 +7,24 @@
 namespace qosrm::simd {
 namespace {
 
-TEST(SimdResolve, UnsetAndAutoKeepBuildPolicy) {
-  const Level policy = resolve_level(nullptr);
-  EXPECT_EQ(resolve_level(""), policy);
-  EXPECT_EQ(resolve_level("auto"), policy);
-}
-
-TEST(SimdResolve, ScalarAlwaysAccepted) {
-  EXPECT_EQ(resolve_level("scalar"), Level::Scalar);
-}
+bool avx2_available() { return avx2_compiled() && avx2_supported(); }
 
 TEST(SimdResolve, Avx2AcceptedWhenAvailable) {
-  if (!(avx2_compiled() && avx2_supported())) {
+  if (!avx2_available()) {
     GTEST_SKIP() << "AVX2 path not available on this build/CPU";
   }
-  EXPECT_EQ(resolve_level("avx2"), Level::Avx2);
+  EXPECT_EQ(active_level(), Level::Avx2);
+}
+
+// The -DQOSRM_SIMD=scalar build (and any CPU without AVX2) runs the scalar
+// fallback everywhere.
+TEST(SimdResolve, ActiveLevelIsCompiledAndSupported) {
+  EXPECT_EQ(active_level(), avx2_available() ? Level::Avx2 : Level::Scalar);
 }
 
 TEST(SimdResolve, LevelNames) {
   EXPECT_STREQ(level_name(Level::Scalar), "scalar");
   EXPECT_STREQ(level_name(Level::Avx2), "avx2");
-}
-
-using SimdResolveDeathTest = ::testing::Test;
-
-TEST(SimdResolveDeathTest, UnknownValueDiesNamingValueAndAcceptedSet) {
-  EXPECT_DEATH((void)resolve_level("avx512"),
-               "unrecognized QOSRM_SIMD value \"avx512\".*"
-               "auto\\|avx2\\|scalar");
-}
-
-TEST(SimdResolveDeathTest, CaseMattersAndWhitespaceIsNotTrimmed) {
-  EXPECT_DEATH((void)resolve_level("AVX2"), "\"AVX2\"");
-  EXPECT_DEATH((void)resolve_level(" scalar"), "\" scalar\"");
-}
-
-TEST(SimdResolveDeathTest, ForcedAvx2DiesWhenUnavailable) {
-  if (avx2_compiled() && avx2_supported()) {
-    GTEST_SKIP() << "AVX2 path available; forced avx2 is legal here";
-  }
-  EXPECT_DEATH((void)resolve_level("avx2"), "not.*available");
 }
 
 }  // namespace

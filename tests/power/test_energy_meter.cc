@@ -1,3 +1,5 @@
+// The RAPL-like energy measurement path (power/energy_meter.hh): each
+// interval's power sample comes from power::sample_interval.
 #include "power/energy_meter.hh"
 
 #include <gtest/gtest.h>
@@ -8,21 +10,18 @@ namespace {
 using arch::CoreSize;
 
 TEST(EnergyMeter, InvalidBeforeFirstSample) {
-  PowerModel pm;
-  EnergyMeter meter(pm);
-  EXPECT_FALSE(meter.sample().valid);
+  EXPECT_FALSE(PowerSample{}.valid);
 }
 
 TEST(EnergyMeter, SeparatesDynamicFromStatic) {
   PowerModel pm;
-  EnergyMeter meter(pm);
   const arch::OperatingPoint vf = arch::VfTable::baseline();
   const double duration = 0.05;
   const double static_j = pm.core_static_power(CoreSize::M, vf.voltage) * duration;
   const double dynamic_j = 0.080;
-  meter.record_interval(CoreSize::M, vf, static_j + dynamic_j, duration);
+  const PowerSample s =
+      sample_interval(pm, CoreSize::M, vf, static_j + dynamic_j, duration);
 
-  const PowerSample& s = meter.sample();
   EXPECT_TRUE(s.valid);
   EXPECT_EQ(s.size, CoreSize::M);
   EXPECT_DOUBLE_EQ(s.voltage, vf.voltage);
@@ -36,27 +35,21 @@ TEST(EnergyMeter, ClampsNegativeDynamicToZero) {
   // Measured energy below the static estimate (measurement noise) must not
   // produce a negative dynamic sample.
   PowerModel pm;
-  EnergyMeter meter(pm);
   const arch::OperatingPoint vf = arch::VfTable::baseline();
-  meter.record_interval(CoreSize::M, vf, 1e-6, 0.05);
-  EXPECT_DOUBLE_EQ(meter.sample().dynamic_energy_j, 0.0);
-}
-
-TEST(EnergyMeter, LatestSampleWins) {
-  PowerModel pm;
-  EnergyMeter meter(pm);
-  const arch::OperatingPoint vf = arch::VfTable::baseline();
-  meter.record_interval(CoreSize::M, vf, 0.2, 0.05);
-  meter.record_interval(CoreSize::L, vf, 0.3, 0.05);
-  EXPECT_EQ(meter.sample().size, CoreSize::L);
+  EXPECT_DOUBLE_EQ(
+      sample_interval(pm, CoreSize::M, vf, 1e-6, 0.05).dynamic_energy_j, 0.0);
 }
 
 TEST(EnergyMeter, StaticPowerTableMatchesOfflineModel) {
+  // The dynamic part is whatever the reading holds beyond the offline
+  // table's static energy for the sampled core size, at every size.
   PowerModel pm;
-  EnergyMeter meter(pm);
+  const arch::OperatingPoint vf = arch::VfTable::point(12);
   for (const CoreSize c : arch::kAllCoreSizes) {
-    EXPECT_DOUBLE_EQ(meter.static_power(c, 1.1),
-                     pm.core_static_power(c, 1.1));
+    const double static_j = pm.core_static_power(c, vf.voltage) * 0.05;
+    const PowerSample s = sample_interval(pm, c, vf, static_j + 0.01, 0.05);
+    EXPECT_EQ(s.size, c);
+    EXPECT_NEAR(s.dynamic_energy_j, 0.01, 1e-12);
   }
 }
 

@@ -230,13 +230,12 @@ TEST(ClassPartPartition, AllStreamingDealsRoundRobin) {
 
 TEST(ClassifyPartClass, TaxonomyMatchesTableIIRules) {
   using workload::classify_part_class;
-  const workload::ClassificationCriteria crit{};
   // Below the MPKI floor -> light, regardless of curve shape.
-  EXPECT_EQ(classify_part_class(0.1, 0.5, 0.05, crit), PartClass::Light);
+  EXPECT_EQ(classify_part_class(0.1, 0.5, 0.05), PartClass::Light);
   // High MPKI, flat curve -> streaming.
-  EXPECT_EQ(classify_part_class(10.0, 10.5, 9.8, crit), PartClass::Streaming);
+  EXPECT_EQ(classify_part_class(10.0, 10.5, 9.8), PartClass::Streaming);
   // High MPKI, >20% swing -> sensitive.
-  EXPECT_EQ(classify_part_class(10.0, 14.0, 9.0, crit), PartClass::Sensitive);
+  EXPECT_EQ(classify_part_class(10.0, 14.0, 9.0), PartClass::Sensitive);
 }
 
 }  // namespace

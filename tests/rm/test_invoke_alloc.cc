@@ -12,19 +12,15 @@
 // The warm-up visits every cell a loop will see, so a memo entry created on
 // the first sight of a cell is warm-up, not steady state.
 //
-// The count is taken through a global operator-new hook, which replaces the
-// allocator for this whole binary - the test lives alone in its own test
-// executable, and only the measured loops are bracketed, so gtest's own
-// allocations are excluded.
+// The count is taken through the counting allocator linked into this binary
+// (tests/support/counting_alloc.hh), and only the measured loops are
+// bracketed, so gtest's own allocations are excluded.
 //
 // Builds the full simulation database (tests/support/shared_db.hh), so the
 // binary carries LABELS slow.
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,68 +29,8 @@
 
 #include "rm/resource_manager.hh"
 #include "rmsim/snapshot.hh"
+#include "support/counting_alloc.hh"
 #include "support/shared_db.hh"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-// Counting operator-new hooks (all variants funnel here). Kept outside any
-// namespace so they replace the global versions for the whole binary.
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-// The nothrow forms too (std::stable_sort's temporary buffer uses them while
-// a cold database is characterized), so no block crosses allocators.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void* operator new(std::size_t size, std::align_val_t align,
-                   const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::aligned_alloc(static_cast<std::size_t>(align), size);
-}
-void* operator new[](std::size_t size, std::align_val_t align,
-                     const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, align, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace qosrm::rm {
 namespace {
@@ -133,9 +69,9 @@ std::uint64_t clean_loop_allocations(const workload::SimDb& db, RmPolicy policy)
   const std::vector<CounterSnapshot> snaps = mix_snapshots(db, 0);
   for (int k = 0; k < cores; ++k) (void)manager.invoke(k, snaps);
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = qosrm::testing::allocation_count();
   for (int i = 0; i < kLaps * cores; ++i) (void)manager.invoke(i % cores, snaps);
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return qosrm::testing::allocation_count() - before;
 }
 
 /// BM_RmInvokeDirty: every call swaps the invoking core's counters between
@@ -153,9 +89,9 @@ std::uint64_t dirty_loop_allocations(const workload::SimDb& db, RmPolicy policy)
   };
   for (int i = 0; i < 2 * cores; ++i) step(i % cores);
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = qosrm::testing::allocation_count();
   for (int i = 0; i < kLaps * cores; ++i) step(i % cores);
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return qosrm::testing::allocation_count() - before;
 }
 
 /// (cores, bandwidth shares per core).

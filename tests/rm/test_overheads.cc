@@ -10,15 +10,15 @@ using workload::Setting;
 power::PowerModel pm;
 
 TEST(Overheads, InstructionCountLinearInOps) {
-  const OverheadModel model({}, pm);
+  const OverheadModel model(pm);
   const double i0 = model.rm_instructions(0);
   const double i1000 = model.rm_instructions(1000);
-  EXPECT_DOUBLE_EQ(i0, model.params().instr_base);
-  EXPECT_DOUBLE_EQ(i1000 - i0, 1000 * model.params().instr_per_op);
+  EXPECT_DOUBLE_EQ(i0, kRmInstrBase);
+  EXPECT_DOUBLE_EQ(i1000 - i0, 1000 * kRmInstrPerOp);
 }
 
 TEST(Overheads, RmExecutionChargesTimeAndEnergy) {
-  const OverheadModel model({}, pm);
+  const OverheadModel model(pm);
   const Setting base{arch::CoreSize::M, arch::VfTable::kBaselineIndex, 8};
   const EnforcementCost cost = model.rm_execution(2000, base, 2.0);
   // instructions / (ipc * f).
@@ -28,7 +28,7 @@ TEST(Overheads, RmExecutionChargesTimeAndEnergy) {
 
 TEST(Overheads, RmExecutionIsTinyVersusInterval) {
   // Paper: ~0.1% of a 100M-instruction interval for an 8-core system.
-  const OverheadModel model({}, pm);
+  const OverheadModel model(pm);
   const Setting base{arch::CoreSize::M, arch::VfTable::kBaselineIndex, 8};
   const EnforcementCost cost = model.rm_execution(5000, base, 2.0);
   const double interval_s = 100e6 / 2.0 / 2e9;
@@ -36,7 +36,7 @@ TEST(Overheads, RmExecutionIsTinyVersusInterval) {
 }
 
 TEST(Overheads, DvfsTransitionMatchesPaperConstants) {
-  const OverheadModel model({}, pm);
+  const OverheadModel model(pm);
   const Setting from{arch::CoreSize::M, 4, 8};
   Setting to = from;
   to.f_idx = 9;
@@ -46,7 +46,7 @@ TEST(Overheads, DvfsTransitionMatchesPaperConstants) {
 }
 
 TEST(Overheads, NoChangeNoCost) {
-  const OverheadModel model({}, pm);
+  const OverheadModel model(pm);
   const Setting s{arch::CoreSize::M, 4, 8};
   const EnforcementCost cost = model.transition(s, s);
   EXPECT_DOUBLE_EQ(cost.time_s, 0.0);
@@ -54,7 +54,7 @@ TEST(Overheads, NoChangeNoCost) {
 }
 
 TEST(Overheads, WayMaskChangeIsFree) {
-  const OverheadModel model({}, pm);
+  const OverheadModel model(pm);
   const Setting from{arch::CoreSize::M, 4, 8};
   Setting to = from;
   to.w = 12;
@@ -63,7 +63,7 @@ TEST(Overheads, WayMaskChangeIsFree) {
 }
 
 TEST(Overheads, ResizeDrainsPipeline) {
-  const OverheadModel model({}, pm);
+  const OverheadModel model(pm);
   const Setting from{arch::CoreSize::L, arch::VfTable::kBaselineIndex, 8};
   Setting to = from;
   to.c = arch::CoreSize::M;
@@ -74,7 +74,7 @@ TEST(Overheads, ResizeDrainsPipeline) {
 }
 
 TEST(Overheads, CombinedTransitionSumsComponents) {
-  const OverheadModel model({}, pm);
+  const OverheadModel model(pm);
   const Setting from{arch::CoreSize::M, arch::VfTable::kBaselineIndex, 8};
   const Setting to{arch::CoreSize::L, 12, 12};
   const EnforcementCost cost = model.transition(from, to, 2.0);

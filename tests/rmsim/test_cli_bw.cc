@@ -105,6 +105,36 @@ TEST(ReportCli, NonJsonValuesAreRejectedNamingTheFlag) {
   EXPECT_FALSE(std::ifstream(report_json).good());
 }
 
+// Every comma-list flag rejects a bad entry as a usage error naming the flag
+// and the entry. All but --alphas used to abort (exit 134) with a message
+// that named neither.
+TEST(ListFlagCli, BadEntryExitsOneNamingFlagAndEntry) {
+  const struct {
+    const char* binary;
+    const char* flags;
+    const char* flag;
+    const char* entry;
+  } kCases[] = {
+      {"sweep_main", "--policies=rm1,lru", "--policies", "'lru'"},
+      {"sweep_main", "--policies=rm1,", "--policies", "'rm1,'"},
+      {"sweep_main", "--models=model9", "--models", "'model9'"},
+      {"sweep_main", "--alphas=-1", "--alphas", "'-1'"},
+      {"service_main", "--policies=lru", "--policies", "'lru'"},
+      {"service_main", "--model=model9", "--model", "'model9'"},
+      {"service_main", "--admission=lifo", "--admission", "'lifo'"},
+      {"service_main", "--load=0", "--load", "'0'"},
+      {"service_main", "--loads=0.5,fast", "--loads", "'fast'"},
+      {"service_main", "--arrivals=foo", "--arrivals", "'foo'"},
+      {"service_main", "--alphas=x", "--alphas", "'x'"},
+  };
+  for (const auto& c : kCases) {
+    std::string out;
+    EXPECT_EQ(run_captured(c.binary, c.flags, out), 1) << c.binary << " " << c.flags;
+    EXPECT_NE(out.find(c.flag), std::string::npos) << out;
+    EXPECT_NE(out.find(c.entry), std::string::npos) << out;
+  }
+}
+
 // Generated mixes split their cores into two application halves, so an odd
 // --cores must be a usage error up front, not an abort inside the workload
 // generator.

@@ -7,11 +7,13 @@
 // in the same commit, so savings drift is visible in review, never silent.
 //
 // Regenerate with:
-//   ./build/src/sweep_main --cores=4 --per-scenario=6 \
-//       --models=model3,perfect --alphas=1,1.05,1.1 \
-//       --db-cache=.qosdb-cache --rows-csv=/tmp/paper_rows.csv \
-//       --agg-csv=tests/data/golden_paper_grid_agg.csv \
-//       --report-json=tests/data/golden_paper_grid_report.json
+/*
+   ./build/src/sweep_main --cores=4 --per-scenario=6 \
+       --models=model3,perfect --alphas=1,1.05,1.1 \
+       --db-cache=.qosdb-cache --rows-csv=/tmp/paper_rows.csv \
+       --agg-csv=tests/data/golden_paper_grid_agg.csv \
+       --report-json=tests/data/golden_paper_grid_report.json
+*/
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -134,12 +136,14 @@ TEST_F(GoldenAggregates, PaperGridFigureReportMatchesCommittedGolden) {
 // baselines contribute.
 //
 // Regenerate with:
-//   ./build/src/sweep_main --cores=4 --per-scenario=6 \
-//       --policies=idle,ucp,fcp,classpart --models=model3 \
-//       --alphas=1,1.05,1.1 --db-cache=.qosdb-cache \
-//       --rows-csv=/tmp/baseline_rows.csv \
-//       --agg-csv=tests/data/golden_paper_baselines_agg.csv \
-//       --report-json=tests/data/golden_paper_baselines_report.json
+/*
+   ./build/src/sweep_main --cores=4 --per-scenario=6 \
+       --policies=idle,ucp,fcp,classpart --models=model3 \
+       --alphas=1,1.05,1.1 --db-cache=.qosdb-cache \
+       --rows-csv=/tmp/baseline_rows.csv \
+       --agg-csv=tests/data/golden_paper_baselines_agg.csv \
+       --report-json=tests/data/golden_paper_baselines_report.json
+*/
 
 SweepGrid baseline_grid(const workload::SimDb& db) {
   SweepGrid grid = paper_grid(db);
@@ -202,11 +206,13 @@ TEST(GoldenBaselineAggregates, BaselineGridMatchesCommittedGolden) {
 // and diffs the same committed files.
 //
 // Regenerate with:
-//   ./build/src/sweep_main --cores=4 --per-scenario=1 --bw-shares=2 \
-//       --models=model3 --alphas=1,1.05,1.1 --db-cache=.qosdb-cache \
-//       --rows-csv=/tmp/cbp_rows.csv \
-//       --agg-csv=tests/data/golden_cbp_grid_agg.csv \
-//       --report-json=tests/data/golden_cbp_grid_report.json
+/*
+   ./build/src/sweep_main --cores=4 --per-scenario=1 --bw-shares=2 \
+       --models=model3 --alphas=1,1.05,1.1 --db-cache=.qosdb-cache \
+       --rows-csv=/tmp/cbp_rows.csv \
+       --agg-csv=tests/data/golden_cbp_grid_agg.csv \
+       --report-json=tests/data/golden_cbp_grid_report.json
+*/
 
 TEST(GoldenCbpAggregates, BandwidthPartitionedGridMatchesCommittedGolden) {
   const workload::SimDb& db = testing::shared_db(4, /*bw_shares=*/2);
@@ -265,11 +271,13 @@ TEST(GoldenCbpAggregates, BandwidthPartitionedGridMatchesCommittedGolden) {
 // SIMD-width-dependent result or op count fails this gate.
 //
 // Regenerate with (and its --replicate=4 twin for 16 cores):
-//   ./build/src/sweep_main --cores=4 --replicate=2 --per-scenario=6 \
-//       --models=model3,perfect --alphas=1,1.05,1.1 \
-//       --db-cache=.qosdb-cache --rows-csv=/tmp/paper8_rows.csv \
-//       --agg-csv=tests/data/golden_paper_grid8_agg.csv \
-//       --report-json=tests/data/golden_paper_grid8_report.json
+/*
+   ./build/src/sweep_main --cores=4 --replicate=2 --per-scenario=6 \
+       --models=model3,perfect --alphas=1,1.05,1.1 \
+       --db-cache=.qosdb-cache --rows-csv=/tmp/paper8_rows.csv \
+       --agg-csv=tests/data/golden_paper_grid8_agg.csv \
+       --report-json=tests/data/golden_paper_grid8_report.json
+*/
 
 class GoldenScaledAggregates : public ::testing::TestWithParam<int> {};
 

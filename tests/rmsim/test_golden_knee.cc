@@ -7,11 +7,13 @@
 // golden in the same commit so drift is visible in review.
 //
 // Regenerate with:
-//   ./build/src/service_main --cores=4 --num-arrivals=400 \
-//       --arrivals=poisson,bursty --loads=0.6,0.9,1.2,1.5,1.8,2.1 \
-//       --admission=fifo,sdf,qos-aware --policies=rm3 --alphas=0 \
-//       --seed=2020 --knee-threshold=0.095 \
-//       --knee-report=tests/data/golden_service_knee_report.json
+/*
+   ./build/src/service_main --cores=4 --num-arrivals=400 \
+       --arrivals=poisson,bursty --loads=0.6,0.9,1.2,1.5,1.8,2.1 \
+       --admission=fifo,sdf,qos-aware --policies=rm3 --alphas=0 \
+       --seed=2020 --knee-threshold=0.095 \
+       --knee-report=tests/data/golden_service_knee_report.json
+*/
 //
 // Builds the full simulation database (tests/support/shared_db.hh), so the
 // binary carries LABELS slow.

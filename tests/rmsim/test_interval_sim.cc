@@ -166,7 +166,7 @@ TEST(IntervalSim, ViolationMagnitudeMeasuredAgainstAlphaRelaxedTarget) {
               [&](const IntervalObservation& o) { observations.push_back(o); });
 
   const ViolationTally expect =
-      expected_violations(r, 1.1, opt.qos_epsilon, observations);
+      expected_violations(r, 1.1, kQosEpsilon, observations);
   ASSERT_GT(expect.count, 0u) << "mix produces no violations at alpha=1.1; "
                                  "the regression test would be vacuous";
 
@@ -185,7 +185,7 @@ TEST(IntervalSim, ViolationMagnitudeMeasuredAgainstAlphaRelaxedTarget) {
   // The base-relative (buggy) magnitude is strictly larger for every
   // violating interval; equality with the alpha-relative tally pins the fix.
   const ViolationTally base_relative =
-      expected_violations(r, 1.0, (1.1 / 1.0) * (1.0 + opt.qos_epsilon) - 1.0,
+      expected_violations(r, 1.0, (1.1 / 1.0) * (1.0 + kQosEpsilon) - 1.0,
                           observations);
   EXPECT_GT(base_relative.sum, expect.sum);
 }
@@ -202,7 +202,7 @@ TEST(IntervalSim, AlphaOneViolationAccountingUnchanged) {
       sim.run(mix2("mcf", "xalancbmk"), cfg(rm::RmPolicy::Rm3, rm::PerfModelKind::Model1),
               [&](const IntervalObservation& o) { observations.push_back(o); });
   const ViolationTally expect =
-      expected_violations(r, 1.0, opt.qos_epsilon, observations);
+      expected_violations(r, 1.0, kQosEpsilon, observations);
   std::uint64_t count = 0;
   double sum = 0.0;
   for (const CoreResult& c : r.cores) {

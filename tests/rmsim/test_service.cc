@@ -243,12 +243,21 @@ TEST(Service, SdfReordersTheQueueUnderOverload) {
 }
 
 TEST(ServiceDeathTest, ParseAdmissionsRejectsBadSpecs) {
-  EXPECT_DEATH((void)parse_admissions(""), "empty --admission entry");
-  EXPECT_DEATH((void)parse_admissions("fifo,"), "empty --admission entry");
-  EXPECT_DEATH((void)parse_admissions("lifo"), "bad --admission entry");
-  EXPECT_DEATH((void)parse_admissions("qosaware"), "bad --admission entry");
-  const std::vector<AdmissionPolicy> admissions =
-      parse_admissions("fifo, sdf,qos-aware");
+  std::vector<AdmissionPolicy> admissions;
+  std::string error;
+  for (const char* spec : {"", "fifo,"}) {
+    EXPECT_FALSE(try_parse_admissions(spec, &admissions, &error)) << spec;
+    EXPECT_NE(error.find("empty --admission entry"), std::string::npos)
+        << error;
+  }
+  for (const char* spec : {"lifo", "qosaware"}) {
+    EXPECT_FALSE(try_parse_admissions(spec, &admissions, &error)) << spec;
+    EXPECT_NE(error.find("bad --admission entry '" + std::string(spec) + "'"),
+              std::string::npos)
+        << error;
+  }
+  ASSERT_TRUE(try_parse_admissions("fifo, sdf,qos-aware", &admissions, &error))
+      << error;
   ASSERT_EQ(admissions.size(), 3u);
   EXPECT_EQ(admissions[1], AdmissionPolicy::Sdf);
   EXPECT_EQ(admissions[2], AdmissionPolicy::QosAware);
@@ -265,12 +274,21 @@ TEST(ServiceDeathTest, SimAlphaOverrideIsRejected) {
 }
 
 TEST(ServiceDeathTest, ParseLoadsRejectsBadSpecs) {
-  EXPECT_DEATH((void)parse_loads(""), "empty --load entry");
-  EXPECT_DEATH((void)parse_loads("0.8,"), "empty --load entry");
-  EXPECT_DEATH((void)parse_loads("0"), "bad --load entry");
-  EXPECT_DEATH((void)parse_loads("-1"), "bad --load entry");
-  EXPECT_DEATH((void)parse_loads("fast"), "bad --load entry");
-  const std::vector<double> loads = parse_loads("0.5, 0.8,1.1");
+  std::vector<double> loads;
+  std::string error;
+  for (const char* spec : {"", "0.8,"}) {
+    EXPECT_FALSE(try_parse_loads(spec, &loads, &error)) << spec;
+    EXPECT_NE(error.find("empty --load entry"), std::string::npos) << error;
+  }
+  for (const char* spec : {"0", "-1", "fast"}) {
+    EXPECT_FALSE(try_parse_loads(spec, &loads, &error)) << spec;
+    EXPECT_NE(error.find("bad --load entry '" + std::string(spec) + "'"),
+              std::string::npos)
+        << error;
+  }
+  EXPECT_FALSE(try_parse_loads("inf", &loads, &error, "loads"));
+  EXPECT_NE(error.find("bad --loads entry 'inf'"), std::string::npos) << error;
+  ASSERT_TRUE(try_parse_loads("0.5, 0.8,1.1", &loads, &error)) << error;
   ASSERT_EQ(loads.size(), 3u);
   EXPECT_EQ(loads[1], 0.8);
 }

@@ -5,60 +5,23 @@
 // {RM policy x admission} plane at 2 cores and the service-loop benchmark
 // configurations at 4, 8 and 16 cores and at 4 cores x 4 bandwidth shares.
 //
-// The count is taken through a global operator-new hook, which replaces the
-// allocator for this whole binary - the test lives alone in its own test
-// executable so gtest's own allocations can be excluded by bracketing only
-// the measured loop.
+// The count is taken through the counting allocator linked into this binary
+// (tests/support/counting_alloc.hh); only the measured loop is bracketed,
+// so gtest's own allocations are excluded.
 //
 // Builds the full simulation database (tests/support/shared_db.hh), so the
 // binary carries LABELS slow.
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <cstdint>
 #include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "rmsim/service.hh"
+#include "support/counting_alloc.hh"
 #include "support/shared_db.hh"
 #include "workload/arrival_gen.hh"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-// Counting operator-new hooks (all variants funnel here). Kept outside any
-// namespace so they replace the global versions for the whole binary.
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace qosrm::rmsim {
 namespace {
@@ -75,13 +38,13 @@ std::uint64_t steady_state_allocations(const workload::SimDb& db,
   (void)engine.run();
   engine.reset();
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = qosrm::testing::allocation_count();
   for (int pass = 0; pass < 2; ++pass) {
     while (engine.step()) {
     }
     engine.reset();
   }
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return qosrm::testing::allocation_count() - before;
 }
 
 /// A gtest-safe (alphanumeric) admission-policy name.
@@ -195,11 +158,11 @@ TEST(ServiceAlloc, ArrivalRegenerationIsAllocationFree) {
     workload::ArrivalTrace trace;
     workload::generate_arrivals_into(options, &trace);  // grow to capacity
 
-    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t before = qosrm::testing::allocation_count();
     for (int i = 0; i < 10; ++i) {
       workload::generate_arrivals_into(options, &trace);
     }
-    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t after = qosrm::testing::allocation_count();
     EXPECT_EQ(after - before, 0u)
         << workload::arrival_pattern_name(pattern);
   }

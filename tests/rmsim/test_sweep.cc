@@ -252,8 +252,11 @@ TEST(Sweep, FingerprintSeparatesDifferentSweeps) {
 }
 
 TEST(SweepParse, PoliciesModelsAlphas) {
-  const std::vector<rm::RmPolicy> policies =
-      parse_policies("idle,rm1,rm2,rm3,ucp,fcp,classpart");
+  std::string error;
+  std::vector<rm::RmPolicy> policies;
+  ASSERT_TRUE(try_parse_policies("idle,rm1,rm2,rm3,ucp,fcp,classpart",
+                                 &policies, &error))
+      << error;
   ASSERT_EQ(policies.size(), 7u);
   EXPECT_EQ(policies[0], rm::RmPolicy::Idle);
   EXPECT_EQ(policies[3], rm::RmPolicy::Rm3);
@@ -264,14 +267,16 @@ TEST(SweepParse, PoliciesModelsAlphas) {
   EXPECT_STREQ(rm::rm_policy_name(rm::RmPolicy::Fcp), "FCP");
   EXPECT_STREQ(rm::rm_policy_name(rm::RmPolicy::ClassPart), "ClassPart");
 
-  const std::vector<rm::PerfModelKind> models =
-      parse_models("model1,m2,model3,perfect");
+  std::vector<rm::PerfModelKind> models;
+  ASSERT_TRUE(try_parse_models("model1,m2,model3,perfect", &models, &error))
+      << error;
   ASSERT_EQ(models.size(), 4u);
   EXPECT_EQ(models[0], rm::PerfModelKind::Model1);
   EXPECT_EQ(models[1], rm::PerfModelKind::Model2);
   EXPECT_EQ(models[3], rm::PerfModelKind::Perfect);
 
-  const std::vector<double> alphas = parse_alphas("0, 1.05,1.1");
+  std::vector<double> alphas;
+  ASSERT_TRUE(try_parse_alphas("0, 1.05,1.1", &alphas, &error)) << error;
   ASSERT_EQ(alphas.size(), 3u);
   EXPECT_EQ(alphas[0], 0.0);
   EXPECT_EQ(alphas[1], 1.05);
@@ -308,16 +313,29 @@ TEST(SweepParse, TryParseAlphasRejectsSubnormalFactors) {
   EXPECT_EQ(out.size(), 3u);
 }
 
-using SweepParseDeathTest = ::testing::Test;
+TEST(SweepParse, ListParsersRejectBadEntriesNamingFlagAndEntry) {
+  std::string error;
+  std::vector<rm::RmPolicy> policies;
+  for (const char* spec : {"", "rm1,", ",rm1"}) {
+    EXPECT_FALSE(try_parse_policies(spec, &policies, &error)) << spec;
+    EXPECT_NE(error.find("empty --policies entry"), std::string::npos) << error;
+  }
+  EXPECT_FALSE(try_parse_policies("lru", &policies, &error));
+  EXPECT_NE(error.find("bad --policies entry 'lru'"), std::string::npos)
+      << error;
 
-TEST(SweepParseDeathTest, AbortingParsersRejectEmptyListsAndEntries) {
-  EXPECT_DEATH((void)parse_policies(""), "empty --policies entry");
-  EXPECT_DEATH((void)parse_policies("rm1,"), "empty --policies entry");
-  EXPECT_DEATH((void)parse_policies(",rm1"), "empty --policies entry");
-  EXPECT_DEATH((void)parse_policies("lru"), "unknown policy");
-  EXPECT_DEATH((void)parse_models(""), "empty --models entry");
-  EXPECT_DEATH((void)parse_models("model3,,model1"), "empty --models entry");
-  EXPECT_DEATH((void)parse_alphas("1,"), "empty --alphas entry");
+  std::vector<rm::PerfModelKind> models;
+  EXPECT_FALSE(try_parse_models("", &models, &error));
+  EXPECT_NE(error.find("empty --models entry"), std::string::npos) << error;
+  EXPECT_FALSE(try_parse_models("model3,,model1", &models, &error));
+  EXPECT_NE(error.find("empty --models entry"), std::string::npos) << error;
+  EXPECT_FALSE(try_parse_models("model4", &models, &error, "model"));
+  EXPECT_NE(error.find("bad --model entry 'model4'"), std::string::npos)
+      << error;
+
+  std::vector<double> alphas;
+  EXPECT_FALSE(try_parse_alphas("1,", &alphas, &error));
+  EXPECT_NE(error.find("empty --alphas entry"), std::string::npos) << error;
 }
 
 }  // namespace

@@ -68,6 +68,16 @@ int grid_mismatches(const SimDb& a, const SimDb& b) {
   return mismatches;
 }
 
+TEST(DbIo, DefaultFourCoreFingerprintIsPinned) {
+  // A snapshot's identity. Changing a hashed value, or the order values are
+  // fed in, turns every cached .qosdb into a hard --db-cache error and moves
+  // every golden report's fingerprint stamp.
+  arch::SystemConfig system;
+  system.cores = 4;
+  EXPECT_EQ(simdb_fingerprint(spec_suite(), system, PhaseStatsOptions{}),
+            0xbc3cf772432e95c5ULL);
+}
+
 TEST(DbIo, RoundTripIsBitIdentical) {
   const SimDb& db = shared_db();
   const std::string path = temp_path("roundtrip.qosdb");
