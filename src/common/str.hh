@@ -3,6 +3,7 @@
 #ifndef QOSRM_COMMON_STR_HH
 #define QOSRM_COMMON_STR_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -29,13 +30,15 @@ namespace qosrm {
 /// returns false for a value it rejects; `want` says what it accepts. False,
 /// with *error naming the flag and the entry, at the first empty entry (an
 /// empty list or a stray comma would silently sweep a zero-row or shortened
-/// grid) or rejected one.
+/// grid), rejected one, or one whose value equals an earlier entry's (a
+/// repeat, alias spellings included, would run its rows twice).
 template <typename T, typename ParseEntry>
 bool parse_list_flag(const char* flag, const std::string& spec,
                      const char* want, ParseEntry parse_entry,
                      std::vector<T>* out, std::string* error) {
   out->clear();
-  for (const std::string& entry : split_csv_list(spec)) {
+  const std::vector<std::string> entries = split_csv_list(spec);
+  for (const std::string& entry : entries) {
     if (entry.empty()) {
       *error = format("empty --%s entry in '%s' (an empty list or stray "
                       "comma would silently sweep a zero-row or shortened "
@@ -47,6 +50,15 @@ bool parse_list_flag(const char* flag, const std::string& spec,
     if (!parse_entry(entry, &value)) {
       *error = format("bad --%s entry '%s' (want %s)", flag, entry.c_str(),
                       want);
+      return false;
+    }
+    const auto earlier = std::find(out->begin(), out->end(), value);
+    if (earlier != out->end()) {
+      *error = format("duplicate --%s entry '%s' (same value as '%s'; a "
+                      "repeat would run its rows twice)",
+                      flag, entry.c_str(),
+                      entries[static_cast<std::size_t>(earlier - out->begin())]
+                          .c_str());
       return false;
     }
     out->push_back(value);

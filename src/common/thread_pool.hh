@@ -1,69 +1,29 @@
-// Work-stealing-free, mutex-based thread pool plus a blocking parallel_for.
+// One blocking parallel loop over independent indices.
 //
-// The simulation database (src/workload/sim_db) sweeps 27 apps x phases x
-// core sizes x LLC allocations; phases are embarrassingly parallel, so the
-// pool is used there and in a few bench sweeps. On single-core hosts the
-// pool degrades to near-serial execution with negligible overhead.
+// All parallel work in the repo is an index loop whose iterations each write
+// their own slot: the SimDb characterization jobs (src/workload/sim_db), the
+// sweep rows (src/rmsim/sweep) and the service rows (src/rmsim/service). So
+// one loop serves them all: no task queue, no pool outliving the call.
 #ifndef QOSRM_COMMON_THREAD_POOL_HH
 #define QOSRM_COMMON_THREAD_POOL_HH
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
 
 namespace qosrm {
 
-class ThreadPool {
- public:
-  /// Spawns `threads` workers; 0 means std::thread::hardware_concurrency()
-  /// (at least 1).
-  explicit ThreadPool(std::size_t threads = 0);
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Joins all workers after draining the queue.
-  ~ThreadPool();
-
-  /// Enqueues a task. Tasks must not throw; exceptions escaping a task
-  /// terminate the program (by design - simulation tasks report errors
-  /// through their captured state).
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished executing.
-  void wait_idle();
-
-  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
-
- private:
-  void worker_loop();
-
-  std::mutex mu_;
-  std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::queue<std::function<void()>> queue_;
-  std::size_t in_flight_ = 0;
-  bool stop_ = false;
-  std::vector<std::thread> workers_;
-};
-
-/// Threads to run `items` work items on: `requested` (0 = hardware
-/// concurrency), capped at `items` and at least 1. A pool wider than its work
-/// only adds idle threads - and a huge request would fail to spawn them.
+/// Lanes to run `items` work items on: `requested` (0 = hardware
+/// concurrency), capped at `items` and at least 1. More lanes than items
+/// would only idle - and a huge request would fail to spawn them.
 [[nodiscard]] std::size_t pool_threads(int requested, std::size_t items);
 
-/// Blocking parallel loop over [begin, end): body(i) is invoked exactly once
-/// per index, partitioned into contiguous chunks across pool workers plus the
-/// calling thread. `body` must be safe to call concurrently for distinct i.
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body);
-
-/// Convenience overload with a transient pool sized for the machine.
-void parallel_for(std::size_t begin, std::size_t end,
+/// Runs body(i) exactly once for every i in [0, n) and returns when all have
+/// finished. The calling thread plus min(lanes, n) - 1 std::jthreads each take
+/// the next unclaimed index from one atomic counter, so a slow index never
+/// holds back a block of others. With lanes <= 1 the loop runs serially on
+/// the caller and starts no thread. `body` must be safe to call concurrently
+/// for distinct i and must not throw.
+void parallel_for(std::size_t lanes, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 
 }  // namespace qosrm

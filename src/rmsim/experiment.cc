@@ -8,31 +8,42 @@ namespace qosrm::rmsim {
 ExperimentRunner::ExperimentRunner(const workload::SimDb& db, const SimOptions& sim)
     : db_(&db), sim_(db, sim) {}
 
+RunResult run_idle_reference(const IntervalSimulator& sim,
+                             const workload::WorkloadMix& mix,
+                             RunScratch* scratch) {
+  rm::RmConfig idle;
+  idle.policy = rm::RmPolicy::Idle;
+  return sim.run(mix, idle, {}, scratch);
+}
+
+SavingsResult run_against_idle(const IntervalSimulator& sim,
+                               const workload::WorkloadMix& mix,
+                               const rm::RmConfig& config, const RunResult& idle,
+                               RunScratch* scratch) {
+  SavingsResult result;
+  if (config.policy == rm::RmPolicy::Idle) {
+    result.run = idle;
+    result.run.model = config.model;
+    return result;
+  }
+  result.run = sim.run(mix, config, {}, scratch);
+  result.savings = energy_savings(result.run, idle);
+  return result;
+}
+
 const RunResult& ExperimentRunner::idle_reference(const workload::WorkloadMix& mix,
                                                   RunScratch* scratch) {
-  return idle_cache_.get_or_compute(mix.name, [&] {
-    rm::RmConfig idle;
-    idle.policy = rm::RmPolicy::Idle;
-    return sim_.run(mix, idle, {}, scratch);
-  });
+  auto it = idle_cache_.find(mix.name);
+  if (it == idle_cache_.end()) {
+    it = idle_cache_.emplace(mix.name, run_idle_reference(sim_, mix, scratch)).first;
+  }
+  return it->second;
 }
 
 SavingsResult ExperimentRunner::run(const workload::WorkloadMix& mix,
                                     const rm::RmConfig& config,
                                     RunScratch* scratch) {
-  SavingsResult result;
-  const RunResult& idle = idle_reference(mix, scratch);
-  if (config.policy == rm::RmPolicy::Idle) {
-    // The idle policy IS the reference run; reuse it rather than simulating
-    // the same trajectory twice. Only the reported model tag differs.
-    result.run = idle;
-    result.run.model = config.model;
-    result.savings = 0.0;
-    return result;
-  }
-  result.run = sim_.run(mix, config, {}, scratch);
-  result.savings = energy_savings(result.run, idle);
-  return result;
+  return run_against_idle(sim_, mix, config, idle_reference(mix, scratch), scratch);
 }
 
 std::array<double, 4> scenario_weights(const workload::SpecSuite& suite) {

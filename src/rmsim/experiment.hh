@@ -1,14 +1,14 @@
 // Experiment harness shared by the benches reproducing Figures 2, 6 and 9:
 // runs workload mixes under several RM configurations and reports energy
-// savings relative to the idle RM (cached per workload).
+// savings relative to the idle RM on the same workload.
 #ifndef QOSRM_RMSIM_EXPERIMENT_HH
 #define QOSRM_RMSIM_EXPERIMENT_HH
 
-#include <cstddef>
+#include <array>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "common/once_cache.hh"
 #include "rmsim/interval_sim.hh"
 
 namespace qosrm::rmsim {
@@ -19,39 +19,46 @@ struct SavingsResult {
   double savings = 0.0;  ///< vs the idle RM on the same workload
 };
 
-/// Thread-safe: run() and idle_reference() may be called concurrently from
-/// any number of threads (the sweep subsystem spreads a policy grid over one
-/// runner). Idle references are materialized through a compute-once cache,
-/// so each workload's reference is simulated exactly once per runner.
+/// The idle-RM reference run of `mix` under `sim`.
+[[nodiscard]] RunResult run_idle_reference(const IntervalSimulator& sim,
+                                           const workload::WorkloadMix& mix,
+                                           RunScratch* scratch = nullptr);
+
+/// Runs `mix` under `config` and computes savings vs `idle`, the mix's
+/// idle reference under the same simulator. An Idle-policy config reuses
+/// `idle` itself instead of re-simulating the same trajectory; only the
+/// reported model tag differs. Thread-safe for distinct scratches.
+[[nodiscard]] SavingsResult run_against_idle(const IntervalSimulator& sim,
+                                             const workload::WorkloadMix& mix,
+                                             const rm::RmConfig& config,
+                                             const RunResult& idle,
+                                             RunScratch* scratch = nullptr);
+
+/// A single-thread runner: the idle references it simulates are kept in a
+/// plain map, one per workload name, for the runner's lifetime. The sweep
+/// runs its grid in parallel through run_against_idle instead.
 class ExperimentRunner {
  public:
   ExperimentRunner(const workload::SimDb& db, const SimOptions& sim = {});
 
   /// Runs `mix` under `config` and computes savings vs the idle reference
-  /// (computed once per workload and cached). An Idle-policy config reuses
-  /// the reference run itself instead of re-simulating. `scratch` (optional)
-  /// lets a worker thread reuse simulation buffers across rows; it must not
-  /// be shared between threads.
+  /// (computed once per workload and cached); see run_against_idle.
+  /// `scratch` (optional) reuses simulation buffers across rows.
   [[nodiscard]] SavingsResult run(const workload::WorkloadMix& mix,
                                   const rm::RmConfig& config,
                                   RunScratch* scratch = nullptr);
 
-  /// The idle-RM reference run for a workload.
+  /// The idle-RM reference run for a workload. The reference stays valid for
+  /// the runner's lifetime.
   [[nodiscard]] const RunResult& idle_reference(const workload::WorkloadMix& mix,
                                                 RunScratch* scratch = nullptr);
-
-  /// Number of idle-reference simulations actually executed so far (at most
-  /// one per distinct workload, however many threads race on it).
-  [[nodiscard]] std::size_t idle_computations() const noexcept {
-    return idle_cache_.computations();
-  }
 
   [[nodiscard]] const workload::SimDb& db() const noexcept { return *db_; }
 
  private:
   const workload::SimDb* db_;
   IntervalSimulator sim_;
-  OnceCache<std::string, RunResult> idle_cache_;
+  std::map<std::string, RunResult> idle_cache_;
 };
 
 /// Scenario weights for averaging (paper: 47 / 22.1 / 22.1 / 8.8 %), derived

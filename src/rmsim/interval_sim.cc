@@ -35,17 +35,6 @@ IntervalSimulator::IntervalSimulator(const workload::SimDb& db,
                                      const SimOptions& options)
     : db_(&db), opt_(options) {}
 
-/// Heap-allocated once per scratch; the kernel's per-core buffers (including
-/// each CounterSnapshot's ATD buffers) keep their capacity across runs.
-struct RunScratch::Impl {
-  IntervalKernel kernel;
-};
-
-RunScratch::RunScratch() : impl_(std::make_unique<Impl>()) {}
-RunScratch::~RunScratch() = default;
-RunScratch::RunScratch(RunScratch&&) noexcept = default;
-RunScratch& RunScratch::operator=(RunScratch&&) noexcept = default;
-
 RunResult IntervalSimulator::run(const workload::WorkloadMix& mix,
                                  const rm::RmConfig& rm_config,
                                  const IntervalObserver& observer,
@@ -76,7 +65,7 @@ RunResult IntervalSimulator::run(const workload::WorkloadMix& mix,
   // caller-supplied scratch keeps the run free of even this allocation).
   std::optional<RunScratch> local;
   if (scratch == nullptr) scratch = &local.emplace();
-  IntervalKernel& kernel = scratch->impl_->kernel;
+  IntervalKernel& kernel = *scratch;
   kernel.bind(db, opt_, manager);
 
   // The closed mix: every app seated at t = 0, the whole machine in the RM

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -65,22 +64,11 @@ struct IntervalObservation {
 };
 using IntervalObserver = std::function<void(const IntervalObservation&)>;
 
-/// Reusable cross-run scratch for IntervalSimulator::run(): per-core state
-/// and counter-snapshot buffers survive between runs, so a worker thread
-/// executing many sweep rows pays the warmup allocations once instead of
-/// once per row. Opaque and NOT thread-safe - keep one scratch per thread.
-class RunScratch {
- public:
-  RunScratch();
-  ~RunScratch();
-  RunScratch(RunScratch&&) noexcept;
-  RunScratch& operator=(RunScratch&&) noexcept;
-
- private:
-  friend class IntervalSimulator;
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
+/// Reusable cross-run scratch for IntervalSimulator::run(): the kernel's
+/// per-core state and counter-snapshot buffers survive between runs, so a
+/// thread executing many sweep rows pays the warmup allocations once instead
+/// of once per row. NOT thread-safe - keep one scratch per thread.
+using RunScratch = IntervalKernel;
 
 class IntervalSimulator {
  public:

@@ -474,13 +474,8 @@ ServiceResult run_service(const workload::SimDb& db, const ServiceGrid& grid,
     row.metrics = engine.run();
   };
 
-  const std::size_t threads = pool_threads(options.threads, rows.size());
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < rows.size(); ++i) run_point(i);
-  } else {
-    ThreadPool pool(threads - 1);  // pool workers + the calling thread
-    parallel_for(pool, 0, rows.size(), run_point);
-  }
+  parallel_for(pool_threads(options.threads, rows.size()), rows.size(),
+               run_point);
   return result;
 }
 

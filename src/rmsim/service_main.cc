@@ -67,7 +67,9 @@ void print_usage() {
       "  --demand-min=N     per-app demand lower bound, intervals (default 40)\n"
       "  --demand-max=N     per-app demand upper bound (default 160)\n"
       "  --queue-cap=N      admission-queue capacity (default 4096)\n"
-      "  --threads=N        grid parallelism; 0 = hardware concurrency\n"
+      "  --threads=N        grid parallelism, also the lanes of a cold\n"
+      "                     database build (serial at 1, else N + 1);\n"
+      "                     0 = hardware concurrency\n"
       "  --rows-csv=PATH    per-run CSV output (default service_rows.csv)\n"
       "  --report-json=PATH tail-metric report (byte-stable JSON, stamped\n"
       "                     with the service fingerprint; optional)\n"

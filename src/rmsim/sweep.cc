@@ -3,7 +3,6 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
-#include <memory>
 
 #include "common/binary_io.hh"
 #include "common/check.hh"
@@ -22,26 +21,42 @@ SweepResult SweepRunner::run(const SweepGrid& grid) {
   QOSRM_CHECK_MSG(!grid.models.empty(), "sweep grid has no perf models");
   QOSRM_CHECK_MSG(!grid.qos_alphas.empty(), "sweep grid has no qos alphas");
 
-  // One runner per qos_alpha (the alpha lives in the simulator options);
-  // each runner's compute-once cache is shared by every worker thread, so
-  // idle references are simulated once per (mix, alpha).
-  std::vector<std::unique_ptr<ExperimentRunner>> runners;
-  runners.reserve(grid.qos_alphas.size());
+  // One simulator per qos_alpha (the alpha lives in the simulator options).
+  std::vector<IntervalSimulator> sims;
+  sims.reserve(grid.qos_alphas.size());
   for (const double alpha : grid.qos_alphas) {
     SimOptions sim = opt_.sim;
     sim.qos_alpha_override = alpha;
-    runners.push_back(std::make_unique<ExperimentRunner>(*db_, sim));
+    sims.emplace_back(*db_, sim);
   }
 
   const std::size_t n_mix = grid.mixes.size();
   const std::size_t n_pol = grid.policies.size();
   const std::size_t n_mod = grid.models.size();
 
+  // Per-thread simulation scratch: a thread runs many simulations, so the
+  // per-run warmup buffers (core state, counter snapshots) are reused for
+  // the thread's whole lifetime. Results are independent of the reuse.
+  const auto scratch = []() -> RunScratch* {
+    thread_local RunScratch s;
+    return &s;
+  };
+
+  // Pass 1: the idle reference of every (alpha, mix), alpha-major. Every
+  // index writes its own slot, as in pass 2, so both passes produce the
+  // same vectors for any thread count.
+  std::vector<RunResult> idle(grid.qos_alphas.size() * n_mix);
+  parallel_for(pool_threads(opt_.threads, idle.size()), idle.size(),
+               [&](std::size_t i) {
+                 idle[i] = run_idle_reference(sims[i / n_mix],
+                                              grid.mixes[i % n_mix], scratch());
+               });
+
+  // Pass 2: every row against its reference. The row index decomposes
+  // mix-minor / alpha-major.
   SweepResult out;
   out.rows.resize(grid.size());
-
-  // Row index decomposes mix-minor / alpha-major; every task writes its own
-  // slot, so the result vector is identical for any thread count.
+  out.idle_computations = idle.size();
   const auto run_point = [&](std::size_t idx) {
     std::size_t rest = idx;
     const std::size_t mi = rest % n_mix;
@@ -60,24 +75,12 @@ SweepResult SweepRunner::run(const SweepGrid& grid) {
     row.qos_alpha = grid.qos_alphas[ai];
 
     const rm::RmConfig config = rm_config_for(row.policy, row.model);
-    // Per-thread simulation scratch: worker threads run many rows, so the
-    // per-run warmup buffers (core state, counter snapshots) are reused for
-    // the thread's whole lifetime. Results are independent of the reuse.
-    thread_local RunScratch scratch;
-    row.result = runners[ai]->run(mix, config, &scratch);
+    row.result = run_against_idle(sims[ai], mix, config, idle[ai * n_mix + mi],
+                                  scratch());
   };
+  parallel_for(pool_threads(opt_.threads, out.rows.size()), out.rows.size(),
+               run_point);
 
-  const std::size_t threads = pool_threads(opt_.threads, out.rows.size());
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < out.rows.size(); ++i) run_point(i);
-  } else {
-    ThreadPool pool(threads - 1);  // pool workers + the calling thread
-    parallel_for(pool, 0, out.rows.size(), run_point);
-  }
-
-  for (const auto& runner : runners) {
-    out.idle_computations += runner->idle_computations();
-  }
   out.aggregates = compute_aggregates(out.rows, grid.shape(),
                                       scenario_weights(db_->suite()));
   return out;

@@ -1,11 +1,11 @@
 // Parallel policy-sweep subsystem.
 //
 // Expands a {RmPolicy x PerfModelKind x qos_alpha} x WorkloadMix grid and
-// spreads the runs across a ThreadPool. Rows land at fixed grid positions, so
-// the output is byte-identical regardless of thread count. Each workload's
-// idle-RM reference is simulated exactly once per qos_alpha thanks to the
-// compute-once cache inside ExperimentRunner (one runner per alpha, shared
-// by all worker threads).
+// runs it in two parallel passes (common/thread_pool parallel_for): first
+// the idle-RM reference of every (qos_alpha, mix), simulated exactly once,
+// then every row against its reference. Each pass writes fixed slots, so
+// the output is byte-identical regardless of thread count, and no shared
+// mutable state or lock is involved.
 #ifndef QOSRM_RMSIM_SWEEP_HH
 #define QOSRM_RMSIM_SWEEP_HH
 
@@ -81,8 +81,7 @@ struct SweepResult {
   /// Grid order (deterministic, independent of thread count).
   std::vector<SweepRow> rows;
   std::vector<SweepAggregate> aggregates;
-  /// Idle-reference simulations actually executed; equals
-  /// mixes.size() * qos_alphas.size() when nothing was cached beforehand.
+  /// Idle-reference simulations executed: mixes.size() * qos_alphas.size().
   std::size_t idle_computations = 0;
 };
 
@@ -90,8 +89,9 @@ class SweepRunner {
  public:
   SweepRunner(const workload::SimDb& db, const SweepOptions& options = {});
 
-  /// Expands and executes the grid on `options.threads` workers (capped at
-  /// the row count). The rows are bit-identical for any thread count.
+  /// Expands and executes the grid on `options.threads` lanes (capped at
+  /// each pass's item count). The rows are bit-identical for any thread
+  /// count.
   [[nodiscard]] SweepResult run(const SweepGrid& grid);
 
  private:

@@ -1,10 +1,9 @@
 // sweep_main - CLI driver for the parallel policy-sweep subsystem.
 //
 // Expands a {policy x model x qos_alpha} x workload grid over a generated
-// workload suite, spreads the runs across a thread pool, and writes per-run
-// rows plus per-configuration aggregates as CSV, and optionally the Fig.
-// 6/7/9 figure report as JSON and CSV. Output is byte-identical for any
-// --threads value.
+// workload suite, runs it on --threads lanes, and writes per-run rows plus
+// per-configuration aggregates as CSV, and optionally the Fig. 6/7/9 figure
+// report as JSON and CSV. Output is byte-identical for any --threads value.
 //
 //   sweep_main --cores=4 --per-scenario=1 --policies=idle,rm1,rm2,rm3
 //              --models=model3 --alphas=0 --threads=4
@@ -52,7 +51,9 @@ void print_usage() {
       "                     (default model3)\n"
       "  --alphas=LIST      comma list of QoS alphas; 0 = system default,\n"
       "                     else a positive normal double (default 0)\n"
-      "  --threads=N        sweep parallelism; 0 = hardware concurrency\n"
+      "  --threads=N        sweep parallelism, also the lanes of a cold\n"
+      "                     database build (serial at 1, else N + 1);\n"
+      "                     0 = hardware concurrency\n"
       "  --rows-csv=PATH    per-run CSV output (default sweep_rows.csv)\n"
       "  --agg-csv=PATH     per-configuration CSV output (optional)\n"
       "  --report-json=PATH Fig. 6/7/9 figure report (byte-stable JSON,\n"

@@ -48,15 +48,6 @@ struct Setting {
   [[nodiscard]] bool operator==(const Setting&) const = default;
 };
 
-/// The per-core slice of a global resource allocation: the shared-resource
-/// pair the global optimizer distributes (ways x bandwidth shares).
-struct ResourceAlloc {
-  int ways = 0;
-  int bw_shares = 1;
-
-  [[nodiscard]] bool operator==(const ResourceAlloc&) const = default;
-};
-
 /// The baseline system setting (M core, 2 GHz, even LLC split).
 [[nodiscard]] Setting baseline_setting(const arch::SystemConfig& system);
 

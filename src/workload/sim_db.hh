@@ -33,7 +33,10 @@ namespace qosrm::workload {
 
 struct SimDbOptions {
   PhaseStatsOptions phase{};
-  int threads = 0;  ///< build parallelism; 0 = hardware concurrency
+  /// Build parallelism: 1 is serial; otherwise pool_threads(threads, jobs)
+  /// + 1 lanes, where 0 means hardware concurrency. The result is
+  /// bit-identical for any value.
+  int threads = 0;
 };
 
 class SimDb {

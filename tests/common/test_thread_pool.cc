@@ -2,142 +2,57 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <numeric>
-#include <string>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
-
-#include "common/once_cache.hh"
 
 namespace qosrm {
 namespace {
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, SizeReflectsWorkerCount) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-}
-
-TEST(ThreadPool, DefaultSizeIsAtLeastOne) {
-  ThreadPool pool;
-  EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPool, WaitIdleCoversNestedSubmits) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&pool, &done] {
-      done.fetch_add(1);
-      pool.submit([&pool, &done] {
-        done.fetch_add(1);
-        pool.submit([&done] { done.fetch_add(1); });
-      });
-    });
-  }
-  // wait_idle must not return while nested tasks are still queued or running.
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 48);
-}
-
-TEST(ThreadPool, ZeroThreadsFallsBackToHardwareConcurrency) {
-  ThreadPool pool(0);
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  EXPECT_EQ(pool.size(), static_cast<std::size_t>(hw));
-
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 64; ++i) pool.submit([&] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(OnceCache, ComputesEachKeyExactlyOnceUnderContention) {
-  OnceCache<int, int> cache;
-  std::atomic<int> computes{0};
-  ThreadPool pool(8);
-  // 1000 lookups race over 10 keys; the sleep widens the window in which
-  // several threads hold the same not-yet-computed entry.
-  parallel_for(pool, 0, 1000, [&](std::size_t i) {
-    const int key = static_cast<int>(i % 10);
-    const int& value = cache.get_or_compute(key, [&] {
-      computes.fetch_add(1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      return key * 7;
-    });
-    EXPECT_EQ(value, key * 7);
-  });
-  EXPECT_EQ(computes.load(), 10);
-  EXPECT_EQ(cache.computations(), 10u);
-  EXPECT_EQ(cache.size(), 10u);
-}
-
-TEST(OnceCache, KeepsFirstValueAndStableReference) {
-  OnceCache<std::string, std::vector<int>> cache;
-  const std::vector<int>& first =
-      cache.get_or_compute("k", [] { return std::vector<int>{1, 2, 3}; });
-  // Grow the cache, then ask again with a different compute fn: the original
-  // value and address must survive (callers hold references across inserts).
-  for (int i = 0; i < 100; ++i) {
-    cache.get_or_compute(std::to_string(i), [&] { return std::vector<int>{i}; });
-  }
-  const std::vector<int>& again =
-      cache.get_or_compute("k", [] { return std::vector<int>{9}; });
-  EXPECT_EQ(&first, &again);
-  EXPECT_EQ(first, (std::vector<int>{1, 2, 3}));
-}
-
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, 0, hits.size(),
-               [&](std::size_t i) { hits[i].fetch_add(1); });
+  parallel_for(4, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelFor, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
   std::atomic<int> calls{0};
-  parallel_for(pool, 5, 5, [&](std::size_t) { calls.fetch_add(1); });
+  parallel_for(4, 0, [&](std::size_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(ParallelFor, NonZeroBeginRespected) {
-  ThreadPool pool(2);
-  std::atomic<std::size_t> sum{0};
-  parallel_for(pool, 10, 20, [&](std::size_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), std::size_t{145});  // 10+11+...+19
+TEST(ParallelFor, OneLaneStaysOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  parallel_for(1, 50, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  ASSERT_EQ(order.size(), 50u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(ParallelFor, ConvenienceOverloadWorks) {
-  std::vector<std::atomic<int>> hits(64);
-  parallel_for(0, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+TEST(ParallelFor, NeverStartsMoreThreadsThanIndices) {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  parallel_for(8, 3, [&](std::size_t) {
+    const std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), 3u);
 }
 
-TEST(ParallelFor, ReusablePoolAcrossLoops) {
-  ThreadPool pool(3);
-  std::atomic<int> total{0};
-  for (int round = 0; round < 5; ++round) {
-    parallel_for(pool, 0, 50, [&](std::size_t) { total.fetch_add(1); });
-  }
-  EXPECT_EQ(total.load(), 250);
+TEST(PoolThreads, CapsAtTheItemCountAndIsAtLeastOne) {
+  EXPECT_EQ(pool_threads(4, 100), 4u);
+  EXPECT_EQ(pool_threads(4, 2), 2u);
+  EXPECT_EQ(pool_threads(4, 0), 1u);
+  // 0 asks for the hardware concurrency (at least one lane).
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(pool_threads(0, hw + 10), hw);
 }
 
 }  // namespace

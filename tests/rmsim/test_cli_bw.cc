@@ -105,8 +105,8 @@ TEST(ReportCli, NonJsonValuesAreRejectedNamingTheFlag) {
   EXPECT_FALSE(std::ifstream(report_json).good());
 }
 
-// Every comma-list flag rejects a bad entry as a usage error naming the flag
-// and the entry. All but --alphas used to abort (exit 134) with a message
+// Every comma-list flag rejects a bad or repeated entry as a usage error
+// naming the flag and the entry. All but --alphas used to abort (exit 134) with a message
 // that named neither.
 TEST(ListFlagCli, BadEntryExitsOneNamingFlagAndEntry) {
   const struct {
@@ -126,6 +126,11 @@ TEST(ListFlagCli, BadEntryExitsOneNamingFlagAndEntry) {
       {"service_main", "--loads=0.5,fast", "--loads", "'fast'"},
       {"service_main", "--arrivals=foo", "--arrivals", "'foo'"},
       {"service_main", "--alphas=x", "--alphas", "'x'"},
+      // A repeated value (alias spellings included) used to run its rows
+      // twice and exit 0.
+      {"sweep_main", "--models=m3,model3", "--models", "'model3'"},
+      {"service_main", "--arrivals=poisson,poisson --loads=0.5,1.0",
+       "--arrivals", "'poisson'"},
   };
   for (const auto& c : kCases) {
     std::string out;

@@ -256,6 +256,9 @@ TEST(ServiceDeathTest, ParseAdmissionsRejectsBadSpecs) {
               std::string::npos)
         << error;
   }
+  EXPECT_FALSE(try_parse_admissions("sdf,fifo,sdf", &admissions, &error));
+  EXPECT_NE(error.find("duplicate --admission entry 'sdf'"), std::string::npos)
+      << error;
   ASSERT_TRUE(try_parse_admissions("fifo, sdf,qos-aware", &admissions, &error))
       << error;
   ASSERT_EQ(admissions.size(), 3u);
@@ -288,6 +291,10 @@ TEST(ServiceDeathTest, ParseLoadsRejectsBadSpecs) {
   }
   EXPECT_FALSE(try_parse_loads("inf", &loads, &error, "loads"));
   EXPECT_NE(error.find("bad --loads entry 'inf'"), std::string::npos) << error;
+  EXPECT_FALSE(try_parse_loads("0.5,1,1.0", &loads, &error, "loads"));
+  EXPECT_NE(error.find("duplicate --loads entry '1.0' (same value as '1'"),
+            std::string::npos)
+      << error;
   ASSERT_TRUE(try_parse_loads("0.5, 0.8,1.1", &loads, &error)) << error;
   ASSERT_EQ(loads.size(), 3u);
   EXPECT_EQ(loads[1], 0.8);

@@ -336,6 +336,20 @@ TEST(SweepParse, ListParsersRejectBadEntriesNamingFlagAndEntry) {
   std::vector<double> alphas;
   EXPECT_FALSE(try_parse_alphas("1,", &alphas, &error));
   EXPECT_NE(error.find("empty --alphas entry"), std::string::npos) << error;
+
+  // A repeated value would run its rows twice; an alias spelling of an
+  // earlier model (m3 = model3) or an equal number counts as a repeat.
+  EXPECT_FALSE(try_parse_policies("rm1,rm3,rm1", &policies, &error));
+  EXPECT_NE(error.find("duplicate --policies entry 'rm1'"), std::string::npos)
+      << error;
+  EXPECT_FALSE(try_parse_models("m3,model3", &models, &error));
+  EXPECT_NE(error.find("duplicate --models entry 'model3' (same value as 'm3'"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(try_parse_models("perfect,perfect", &models, &error));
+  EXPECT_FALSE(try_parse_alphas("1.1,1.10", &alphas, &error));
+  EXPECT_NE(error.find("duplicate --alphas entry '1.10'"), std::string::npos)
+      << error;
 }
 
 }  // namespace

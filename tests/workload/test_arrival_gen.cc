@@ -142,6 +142,10 @@ TEST(ArrivalGenDeathTest, ParseRejectsBadSpecs) {
   EXPECT_FALSE(try_parse_arrival_patterns("weibull", &parsed, &error));
   EXPECT_NE(error.find("bad --arrivals entry 'weibull'"), std::string::npos)
       << error;
+  EXPECT_FALSE(try_parse_arrival_patterns("poisson,poisson", &parsed, &error));
+  EXPECT_NE(error.find("duplicate --arrivals entry 'poisson'"),
+            std::string::npos)
+      << error;
 }
 
 TEST(ArrivalGenDeathTest, RejectsInvalidOptions) {

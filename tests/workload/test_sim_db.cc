@@ -246,34 +246,18 @@ TEST(SimDb, CachedAggregatesMatchPerPhaseRecomputation) {
   }
 }
 
-TEST(SimDb, SerialBuildMatchesParallelBuild) {
-  arch::SystemConfig sys;
-  sys.cores = 2;
-  const power::PowerModel power;
-  SimDbOptions serial;
-  serial.threads = 1;
-  const SimDb db_serial(spec_suite(), sys, power, serial);
-  const Setting base = baseline_setting(sys);
-  for (const int a : {0, 9, 18}) {
-    EXPECT_DOUBLE_EQ(db_serial.timing(a, 0, base).total_seconds,
-                     db().timing(a, 0, base).total_seconds);
-  }
-}
-
-// Pins the cold characterization of the spec suite at default options: one
-// FNV-1a digest over the exact bits of every PhaseStats field of every phase.
-// Built fresh (never from a QOSRM_DB_CACHE_DIR snapshot), so a kernel change
-// in the cache substrate that moves any count by one ulp fails here.
-TEST(SimDb, CharacterizationDigestMatchesParent) {
-  const SimDb fresh(spec_suite(), arch::SystemConfig{}, power::PowerModel{});
+/// FNV-1a digest over the exact bits of every PhaseStats field of every
+/// phase: two characterizations agree on it iff they are bitwise equal (up
+/// to a hash collision).
+std::uint64_t characterization_digest(const SimDb& d) {
   Fnv1a64 h;
   const auto add_vec = [&h](const std::vector<double>& v) {
     h.add_u64(v.size());
     for (const double x : v) h.add_f64(x);
   };
-  for (int a = 0; a < fresh.suite().size(); ++a) {
-    for (int ph = 0; ph < fresh.num_phases(a); ++ph) {
-      const PhaseStats& s = fresh.stats(a, ph);
+  for (int a = 0; a < d.suite().size(); ++a) {
+    for (int ph = 0; ph < d.num_phases(a); ++ph) {
+      const PhaseStats& s = d.stats(a, ph);
       add_vec(s.misses);
       for (const std::vector<double>& lm : s.lm_true) add_vec(lm);
       for (const std::vector<double>& lm : s.lm_atd) add_vec(lm);
@@ -284,7 +268,31 @@ TEST(SimDb, CharacterizationDigestMatchesParent) {
       }
     }
   }
-  EXPECT_EQ(h.digest(), 0xa44ad29ef8204c6cULL);
+  return h.digest();
+}
+
+// A serial build and a 4-lane one (jobs claimed in whatever order the lanes
+// race) characterize every phase to the same bits.
+TEST(SimDb, SerialBuildMatchesParallelBuild) {
+  arch::SystemConfig sys;
+  sys.cores = 2;
+  const power::PowerModel power;
+  SimDbOptions serial;
+  serial.threads = 1;
+  SimDbOptions parallel;
+  parallel.threads = 3;
+  const SimDb db_serial(spec_suite(), sys, power, serial);
+  const SimDb db_parallel(spec_suite(), sys, power, parallel);
+  EXPECT_EQ(characterization_digest(db_serial),
+            characterization_digest(db_parallel));
+}
+
+// Pins the cold characterization of the spec suite at default options.
+// Built fresh (never from a QOSRM_DB_CACHE_DIR snapshot), so a kernel change
+// in the cache substrate that moves any count by one ulp fails here.
+TEST(SimDb, CharacterizationDigestMatchesParent) {
+  const SimDb fresh(spec_suite(), arch::SystemConfig{}, power::PowerModel{});
+  EXPECT_EQ(characterization_digest(fresh), 0xa44ad29ef8204c6cULL);
 }
 
 }  // namespace
