@@ -26,6 +26,8 @@ int main(int argc, char** argv) {
   if (!args.reject_unknown(kFlags)) return 1;
   const int cores = args.get_int32("cores", 4);
   const int per_scenario = args.get_int32("per-scenario", 3);
+  const std::string csv_path = args.get("csv", "");
+  if (!probe_outputs({{"csv", csv_path}})) return 1;
 
   arch::SystemConfig system;
   system.cores = cores;
@@ -51,13 +53,7 @@ int main(int argc, char** argv) {
 
   std::printf("=== Ablation: resource knobs (%d-core, Model3) ===\n\n", cores);
 
-  std::unique_ptr<CsvWriter> csv;
-  if (args.has("csv")) {
-    csv = std::make_unique<CsvWriter>(
-        args.get("csv", "knobs.csv"),
-        std::vector<std::string>{"workload", "scenario", "knobs", "savings"});
-  }
-
+  std::vector<std::vector<std::string>> csv_rows;
   std::vector<rmsim::SavingsGridRow> rows;
   std::array<double, 4> per_variant_total{};
   for (const auto& mix : mixes) {
@@ -72,10 +68,8 @@ int main(int argc, char** argv) {
       const rmsim::SavingsResult r = runner.run(mix, cfg);
       row.savings.push_back(r.savings);
       per_variant_total[v] += r.savings;
-      if (csv) {
-        csv->add_row({mix.name, rmsim::scenario_label(mix.scenario),
-                      variants[v].name, std::to_string(r.savings)});
-      }
+      csv_rows.push_back({mix.name, rmsim::scenario_label(mix.scenario),
+                          variants[v].name, std::to_string(r.savings)});
     }
     rows.push_back(std::move(row));
   }
@@ -89,6 +83,11 @@ int main(int argc, char** argv) {
               (per_variant_total[3] -
                std::max(per_variant_total[1], per_variant_total[2])) /
                   n * 100.0);
-  if (csv) csv->close();  // surface commit errors instead of swallowing them
+  if (args.has("csv") &&
+      !write_output("csv", csv_path,
+                    csv_text({"workload", "scenario", "knobs", "savings"},
+                             csv_rows))) {
+    return 1;
+  }
   return 0;
 }

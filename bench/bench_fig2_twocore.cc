@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
   static constexpr const char* kFlags[] = {"real-models", "db-cache", "csv"};
   if (!args.reject_unknown(kFlags)) return 1;
   const bool perfect = !args.get_bool("real-models", false);
+  const std::string csv_path = args.get("csv", "");
+  if (!probe_outputs({{"csv", csv_path}})) return 1;
 
   arch::SystemConfig system;
   system.cores = 2;
@@ -52,13 +54,7 @@ int main(int argc, char** argv) {
   std::printf("=== Fig. 2: two-core scenarios, %s models, overheads %s ===\n\n",
               perfect ? "perfect" : "online", perfect ? "off" : "on");
 
-  std::unique_ptr<CsvWriter> csv;
-  if (args.has("csv")) {
-    csv = std::make_unique<CsvWriter>(
-        args.get("csv", "fig2.csv"),
-        std::vector<std::string>{"scenario", "workload", "policy", "savings"});
-  }
-
+  std::vector<std::vector<std::string>> csv_rows;
   std::vector<rmsim::SavingsGridRow> rows;
   for (const Case& c : cases) {
     workload::WorkloadMix mix;
@@ -78,10 +74,8 @@ int main(int argc, char** argv) {
       cfg.energy.perfect = perfect;
       const rmsim::SavingsResult r = runner.run(mix, cfg);
       row.savings.push_back(r.savings);
-      if (csv) {
-        csv->add_row({rmsim::scenario_label(mix.scenario), mix.name,
-                      rm::rm_policy_name(policy), std::to_string(r.savings)});
-      }
+      csv_rows.push_back({rmsim::scenario_label(mix.scenario), mix.name,
+                          rm::rm_policy_name(policy), std::to_string(r.savings)});
     }
     rows.push_back(std::move(row));
   }
@@ -94,6 +88,11 @@ int main(int argc, char** argv) {
               "(paper: 11%% vs ~0)\n",
               rows[2].savings[2] * 100.0, rows[2].savings[0] * 100.0,
               rows[2].savings[1] * 100.0);
-  if (csv) csv->close();  // surface commit errors instead of swallowing them
+  if (args.has("csv") &&
+      !write_output("csv", csv_path,
+                    csv_text({"scenario", "workload", "policy", "savings"},
+                             csv_rows))) {
+    return 1;
+  }
   return 0;
 }

@@ -31,6 +31,9 @@ int main(int argc, char** argv) {
   static constexpr const char* kFlags[] = {"f-stride", "bins", "max",
                                            "fig7-csv", "csv",  "db-cache"};
   if (!args.reject_unknown(kFlags)) return 1;
+  const std::string fig7_csv = args.get("fig7-csv", "");
+  const std::string fig8_csv = args.get("csv", "");
+  if (!probe_outputs({{"fig7-csv", fig7_csv}, {"csv", fig8_csv}})) return 1;
 
   arch::SystemConfig system;
   system.cores = 2;
@@ -79,21 +82,23 @@ int main(int argc, char** argv) {
   }
 
   if (args.has("fig7-csv")) {
-    CsvWriter csv(args.get("fig7-csv", ""),
-                  {"model", "violation_probability", "expected_violation",
-                   "violation_stddev"});
+    std::vector<std::vector<std::string>> rows;
     for (const auto& r : results) {
-      csv.add_row({rm::perf_model_name(r.model),
-                   std::to_string(r.violation_probability),
-                   std::to_string(r.expected_violation),
-                   std::to_string(r.violation_stddev)});
+      rows.push_back({rm::perf_model_name(r.model),
+                      std::to_string(r.violation_probability),
+                      std::to_string(r.expected_violation),
+                      std::to_string(r.violation_stddev)});
     }
-    csv.close();  // surface commit errors instead of swallowing them
+    if (!write_output("fig7-csv", fig7_csv,
+                      csv_text({"model", "violation_probability",
+                                "expected_violation", "violation_stddev"},
+                               rows))) {
+      return 1;
+    }
   }
 
   if (args.has("csv")) {
-    CsvWriter csv(args.get("csv", ""),
-                  {"model", "bin_lo", "bin_hi", "count", "normalized"});
+    std::vector<std::vector<std::string>> rows;
     double global_max = 0.0;
     for (const auto& r : results) {
       global_max = std::max(global_max, r.histogram.max_count());
@@ -101,14 +106,19 @@ int main(int argc, char** argv) {
     for (const auto& r : results) {
       const auto norm = r.histogram.normalized_by(global_max);
       for (std::size_t b = 0; b < r.histogram.bin_count(); ++b) {
-        csv.add_row({rm::perf_model_name(r.model),
-                     std::to_string(r.histogram.bin_lo(b)),
-                     std::to_string(r.histogram.bin_hi(b)),
-                     std::to_string(r.histogram.count(b)),
-                     std::to_string(norm[b])});
+        rows.push_back({rm::perf_model_name(r.model),
+                        std::to_string(r.histogram.bin_lo(b)),
+                        std::to_string(r.histogram.bin_hi(b)),
+                        std::to_string(r.histogram.count(b)),
+                        std::to_string(norm[b])});
       }
     }
-    csv.close();  // surface commit errors instead of swallowing them
+    if (!write_output("csv", fig8_csv,
+                      csv_text({"model", "bin_lo", "bin_hi", "count",
+                                "normalized"},
+                               rows))) {
+      return 1;
+    }
   }
   return 0;
 }

@@ -22,6 +22,8 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   static constexpr const char* kFlags[] = {"csv"};
   if (!args.reject_unknown(kFlags)) return 1;
+  const std::string csv_path = args.get("csv", "");
+  if (!probe_outputs({{"csv", csv_path}})) return 1;
   arch::SystemConfig system;
   system.cores = 2;
   const power::PowerModel power;
@@ -57,18 +59,21 @@ int main(int argc, char** argv) {
   std::printf("\nagreement with paper Table II: %d/27 applications\n", agreements);
 
   if (args.has("csv")) {
-    CsvWriter csv(args.get("csv", "table2.csv"),
-                  {"app", "mpki4", "mpki8", "mpki12", "mlp_s", "mlp_m", "mlp_l",
-                   "category", "paper_category"});
+    std::vector<std::vector<std::string>> rows;
     for (const auto& cls : classifications) {
-      csv.add_row({db.suite().app(cls.app).name, std::to_string(cls.mpki_lo),
-                   std::to_string(cls.mpki_base), std::to_string(cls.mpki_hi),
-                   std::to_string(cls.mlp_s), std::to_string(cls.mlp_m),
-                   std::to_string(cls.mlp_l),
-                   workload::category_name(cls.category()),
-                   workload::category_name(db.suite().intended_category(cls.app))});
+      rows.push_back({db.suite().app(cls.app).name, std::to_string(cls.mpki_lo),
+                      std::to_string(cls.mpki_base), std::to_string(cls.mpki_hi),
+                      std::to_string(cls.mlp_s), std::to_string(cls.mlp_m),
+                      std::to_string(cls.mlp_l),
+                      workload::category_name(cls.category()),
+                      workload::category_name(db.suite().intended_category(cls.app))});
     }
-    csv.close();  // surface commit errors instead of swallowing them
+    if (!write_output("csv", csv_path,
+                      csv_text({"app", "mpki4", "mpki8", "mpki12", "mlp_s",
+                                "mlp_m", "mlp_l", "category", "paper_category"},
+                               rows))) {
+      return 1;
+    }
   }
   return agreements == 27 ? 0 : 1;
 }

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "common/check.hh"
+#include "common/file_util.hh"
 #include "common/str.hh"
 
 namespace qosrm {
@@ -108,7 +109,34 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& value = it->second;
+  if (value == "true" || value == "1" || value == "yes") return true;
+  if (value != "false" && value != "0" && value != "no") {
+    const std::string msg =
+        format("bad --%s value '%s' (want true|1|yes|false|0|no)",
+               name.c_str(), value.c_str());
+    QOSRM_CHECK_MSG(false, msg.c_str());
+  }
+  return false;
+}
+
+bool probe_outputs(const std::vector<OutputFlag>& outputs) {
+  for (const OutputFlag& output : outputs) {
+    std::string error;
+    if (!output.path.empty() && !probe_writable_atomic(output.path, &error)) {
+      std::fprintf(stderr, "--%s: %s\n", output.flag.c_str(), error.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+bool write_output(const std::string& flag, const std::string& path,
+                  const std::string& text) {
+  std::string error;
+  if (write_file_atomic(path, text, &error)) return true;
+  std::fprintf(stderr, "--%s: %s\n", flag.c_str(), error.c_str());
+  return false;
 }
 
 }  // namespace qosrm

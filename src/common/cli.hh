@@ -38,6 +38,8 @@ class CliArgs {
   /// must not run a 2-core system).
   [[nodiscard]] int get_int32(const std::string& name, int fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
+  /// Accepts true/1/yes and false/0/no; any other value aborts naming the
+  /// flag (--overheads=ture must not silently run with overheads off).
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
   /// Strict-binary validation: false (after printing a diagnostic to
@@ -55,6 +57,23 @@ class CliArgs {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// A file a binary writes for an output flag: `--<flag>=<path>`.
+struct OutputFlag {
+  std::string flag;
+  std::string path;  ///< empty when the flag was not given
+};
+
+/// Probes every given path with probe_writable_atomic (common/file_util.hh),
+/// so a bad path fails before the expensive work instead of after it. False
+/// after printing "--<flag>: <error>" to stderr for the first failing one.
+[[nodiscard]] bool probe_outputs(const std::vector<OutputFlag>& outputs);
+
+/// Commits `text` to `path` with write_file_atomic. False after printing
+/// "--<flag>: <error>" to stderr; the target keeps its previous content.
+[[nodiscard]] bool write_output(const std::string& flag,
+                                const std::string& path,
+                                const std::string& text);
 
 }  // namespace qosrm
 

@@ -6,7 +6,6 @@
 
 #include "common/check.hh"
 #include "common/csv.hh"
-#include "common/file_util.hh"
 #include "common/str.hh"
 #include "rm/perf_model.hh"
 
@@ -15,7 +14,7 @@ namespace qosrm::rmsim {
 namespace {
 
 /// Full-precision double formatting so equal reports yield byte-identical
-/// files (same convention as the sweep CSV writers).
+/// text (same convention as the sweep CSVs).
 std::string fmtd(double v) { return format("%.17g", v); }
 
 /// fmtd for a JSON number. JSON has no inf or nan, so a non-finite value
@@ -54,28 +53,6 @@ std::string config_prefix(rm::RmPolicy policy, rm::PerfModelKind model,
                 json_num("alpha", alpha).c_str());
 }
 
-/// Index of the fig6/fig7 entry of configuration (ai, ki, pi): the entries
-/// are emitted alpha-major, model, then policy.
-std::size_t config_index(const GridShape& shape, std::size_t ai,
-                         std::size_t ki, std::size_t pi) {
-  return pi + shape.policies * (ki + shape.models * ai);
-}
-
-bool write_csv_atomic(const std::string& path,
-                      const std::vector<std::string>& header,
-                      const std::vector<std::vector<std::string>>& rows,
-                      std::string* error) {
-  try {
-    CsvWriter csv(path, header);
-    for (const std::vector<std::string>& row : rows) csv.add_row(row);
-    csv.close();
-  } catch (const std::exception& e) {
-    if (error != nullptr) *error = e.what();
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 FigureReport build_figure_report(const std::vector<SweepRow>& rows,
@@ -86,8 +63,6 @@ FigureReport build_figure_report(const std::vector<SweepRow>& rows,
   QOSRM_CHECK_MSG(rows.size() == shape.size(),
                   "figure report row count does not match the grid shape");
   const std::size_t n_mix = shape.mixes;
-  const std::size_t n_pol = shape.policies;
-  const std::size_t n_mod = shape.models;
 
   FigureReport report;
   report.fingerprint = fingerprint;
@@ -95,90 +70,89 @@ FigureReport build_figure_report(const std::vector<SweepRow>& rows,
   report.scenario_weights = weights;
 
   // The axes are recoverable from the rows because the grid order is fixed
-  // (alpha-major, mix-minor) - the same invariant compute_aggregates uses.
+  // (GridShape::index).
   for (std::size_t mi = 0; mi < n_mix; ++mi) {
-    report.workloads.push_back(rows[mi].workload);
-    report.scenarios.push_back(rows[mi].scenario);
+    const SweepRow& row = rows[shape.index({.mix = mi})];
+    report.workloads.push_back(row.workload);
+    report.scenarios.push_back(row.scenario);
   }
-  for (std::size_t pi = 0; pi < n_pol; ++pi) {
-    report.policies.push_back(rows[n_mix * pi].policy);
+  for (std::size_t pi = 0; pi < shape.policies; ++pi) {
+    report.policies.push_back(rows[shape.index({.policy = pi})].policy);
   }
-  for (std::size_t ki = 0; ki < n_mod; ++ki) {
-    report.models.push_back(rows[n_mix * n_pol * ki].model);
+  for (std::size_t ki = 0; ki < shape.models; ++ki) {
+    report.models.push_back(rows[shape.index({.model = ki})].model);
   }
   for (std::size_t ai = 0; ai < shape.alphas; ++ai) {
-    report.qos_alphas.push_back(rows[n_mix * n_pol * n_mod * ai].qos_alpha);
+    report.qos_alphas.push_back(rows[shape.index({.alpha = ai})].qos_alpha);
   }
 
+  // The fig6/fig7 entries are the grid with its mix axis folded: entry c
+  // summarizes the rows of configuration configs.cell(c) over every mix.
+  GridShape configs = shape;
+  configs.mixes = 1;
   std::vector<workload::Scenario> scenarios;
   std::vector<double> savings;
   scenarios.reserve(n_mix);
   savings.reserve(n_mix);
-  for (std::size_t ai = 0; ai < shape.alphas; ++ai) {
-    for (std::size_t ki = 0; ki < n_mod; ++ki) {
-      for (std::size_t pi = 0; pi < n_pol; ++pi) {
-        scenarios.clear();
-        savings.clear();
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    GridCell cell = configs.cell(c);
+    scenarios.clear();
+    savings.clear();
 
-        Fig6Entry e6;
-        Fig7Entry e7;
-        const std::size_t block = n_mix * (pi + n_pol * (ki + n_mod * ai));
-        e6.policy = e7.policy = rows[block].policy;
-        e6.model = e7.model = rows[block].model;
-        e6.qos_alpha = e7.qos_alpha = rows[block].qos_alpha;
+    Fig6Entry e6;
+    Fig7Entry e7;
+    const SweepRow& first = rows[shape.index(cell)];
+    e6.policy = e7.policy = first.policy;
+    e6.model = e7.model = first.model;
+    e6.qos_alpha = e7.qos_alpha = first.qos_alpha;
 
-        std::array<double, 4> scenario_sum{};
-        std::array<std::size_t, 4> scenario_count{};
-        double rate_sum = 0.0;
-        double magnitude_sum = 0.0;
-        e6.max_savings = -std::numeric_limits<double>::infinity();
-        for (std::size_t mi = 0; mi < n_mix; ++mi) {
-          const SweepRow& row = rows[block + mi];
-          const RunResult& run = row.result.run;
-          scenarios.push_back(row.scenario);
-          savings.push_back(row.result.savings);
-          const auto s =
-              static_cast<std::size_t>(static_cast<int>(row.scenario) - 1);
-          scenario_sum[s] += row.result.savings;
-          ++scenario_count[s];
-          e6.mean_savings += row.result.savings;
-          e6.max_savings = std::max(e6.max_savings, row.result.savings);
-          e6.per_mix_savings.push_back(row.result.savings);
+    std::array<double, 4> scenario_sum{};
+    std::array<std::size_t, 4> scenario_count{};
+    double rate_sum = 0.0;
+    double magnitude_sum = 0.0;
+    e6.max_savings = -std::numeric_limits<double>::infinity();
+    for (cell.mix = 0; cell.mix < n_mix; ++cell.mix) {
+      const SweepRow& row = rows[shape.index(cell)];
+      const RunResult& run = row.result.run;
+      scenarios.push_back(row.scenario);
+      savings.push_back(row.result.savings);
+      const auto s =
+          static_cast<std::size_t>(static_cast<int>(row.scenario) - 1);
+      scenario_sum[s] += row.result.savings;
+      ++scenario_count[s];
+      e6.mean_savings += row.result.savings;
+      e6.max_savings = std::max(e6.max_savings, row.result.savings);
+      e6.per_mix_savings.push_back(row.result.savings);
 
-          e7.intervals += run.total_intervals();
-          const std::uint64_t mix_violations = run.total_violations();
-          e7.violations += mix_violations;
-          if (mix_violations > 0) ++e7.violating_mixes;
-          rate_sum += run.violation_rate();
-          for (const CoreResult& core : run.cores) {
-            magnitude_sum += core.violation_sum;
-            e7.max_magnitude = std::max(e7.max_magnitude, core.violation_max);
-          }
-        }
-        e6.weighted_savings =
-            weighted_average_savings(scenarios, savings, weights);
-        e6.mean_savings /= static_cast<double>(n_mix);
-        for (std::size_t s = 0; s < 4; ++s) {
-          e6.scenario_mean_savings[s] =
-              scenario_count[s] > 0
-                  ? scenario_sum[s] / static_cast<double>(scenario_count[s])
-                  : 0.0;
-        }
-        e7.violation_rate =
-            e7.intervals > 0
-                ? static_cast<double>(e7.violations) /
-                      static_cast<double>(e7.intervals)
-                : 0.0;
-        e7.mean_violation_rate = rate_sum / static_cast<double>(n_mix);
-        e7.mean_magnitude =
-            e7.violations > 0
-                ? magnitude_sum / static_cast<double>(e7.violations)
-                : 0.0;
-
-        report.fig6.push_back(std::move(e6));
-        report.fig7.push_back(std::move(e7));
+      e7.intervals += run.total_intervals();
+      const std::uint64_t mix_violations = run.total_violations();
+      e7.violations += mix_violations;
+      if (mix_violations > 0) ++e7.violating_mixes;
+      rate_sum += run.violation_rate();
+      for (const CoreResult& core : run.cores) {
+        magnitude_sum += core.violation_sum;
+        e7.max_magnitude = std::max(e7.max_magnitude, core.violation_max);
       }
     }
+    e6.weighted_savings = weighted_average_savings(scenarios, savings, weights);
+    e6.mean_savings /= static_cast<double>(n_mix);
+    for (std::size_t s = 0; s < 4; ++s) {
+      e6.scenario_mean_savings[s] =
+          scenario_count[s] > 0
+              ? scenario_sum[s] / static_cast<double>(scenario_count[s])
+              : 0.0;
+    }
+    e7.violation_rate = e7.intervals > 0
+                            ? static_cast<double>(e7.violations) /
+                                  static_cast<double>(e7.intervals)
+                            : 0.0;
+    e7.mean_violation_rate = rate_sum / static_cast<double>(n_mix);
+    e7.mean_magnitude =
+        e7.violations > 0 ? magnitude_sum / static_cast<double>(e7.violations)
+                          : 0.0;
+
+    report.fig6.push_back(std::move(e6));
+    report.fig7.push_back(std::move(e7));
   }
 
   // Fig. 9 needs the Perfect oracle on the model axis; without it the
@@ -190,13 +164,17 @@ FigureReport build_figure_report(const std::vector<SweepRow>& rows,
     const auto ko =
         static_cast<std::size_t>(oracle_it - report.models.begin());
     for (std::size_t ai = 0; ai < shape.alphas; ++ai) {
-      for (std::size_t ki = 0; ki < n_mod; ++ki) {
+      for (std::size_t ki = 0; ki < shape.models; ++ki) {
         if (ki == ko) continue;
-        for (std::size_t pi = 0; pi < n_pol; ++pi) {
-          const Fig6Entry& model6 = report.fig6[config_index(shape, ai, ki, pi)];
-          const Fig6Entry& oracle6 = report.fig6[config_index(shape, ai, ko, pi)];
-          const Fig7Entry& model7 = report.fig7[config_index(shape, ai, ki, pi)];
-          const Fig7Entry& oracle7 = report.fig7[config_index(shape, ai, ko, pi)];
+        for (std::size_t pi = 0; pi < shape.policies; ++pi) {
+          const std::size_t m =
+              configs.index({.policy = pi, .model = ki, .alpha = ai});
+          const std::size_t o =
+              configs.index({.policy = pi, .model = ko, .alpha = ai});
+          const Fig6Entry& model6 = report.fig6[m];
+          const Fig6Entry& oracle6 = report.fig6[o];
+          const Fig7Entry& model7 = report.fig7[m];
+          const Fig7Entry& oracle7 = report.fig7[o];
           Fig9Entry e9;
           e9.policy = model6.policy;
           e9.model = model6.model;
@@ -213,6 +191,22 @@ FigureReport build_figure_report(const std::vector<SweepRow>& rows,
     }
   }
   return report;
+}
+
+std::vector<SweepAggregate> compute_aggregates(
+    const std::vector<SweepRow>& rows, const GridShape& shape,
+    const std::array<double, 4>& weights) {
+  const FigureReport report =
+      build_figure_report(rows, shape, /*fingerprint=*/0, weights);
+  std::vector<SweepAggregate> aggregates;
+  aggregates.reserve(report.fig6.size());
+  for (std::size_t i = 0; i < report.fig6.size(); ++i) {
+    const Fig6Entry& e6 = report.fig6[i];
+    aggregates.push_back({e6.policy, e6.model, e6.qos_alpha,
+                          e6.weighted_savings, e6.mean_savings,
+                          report.fig7[i].mean_violation_rate});
+  }
+  return aggregates;
 }
 
 std::string figure_report_json(const FigureReport& r) {
@@ -323,11 +317,6 @@ std::string figure_report_json(const FigureReport& r) {
   return o;
 }
 
-bool write_report_json(const FigureReport& report, const std::string& path,
-                       std::string* error) {
-  return write_file_atomic(path, figure_report_json(report), error);
-}
-
 std::string service_report_json(const std::vector<ServiceRow>& rows,
                                 const ServiceGridShape& shape,
                                 std::uint64_t fingerprint) {
@@ -396,14 +385,6 @@ std::string service_report_json(const std::vector<ServiceRow>& rows,
   return o;
 }
 
-bool write_service_report_json(const std::vector<ServiceRow>& rows,
-                               const ServiceGridShape& shape,
-                               std::uint64_t fingerprint,
-                               const std::string& path, std::string* error) {
-  return write_file_atomic(path, service_report_json(rows, shape, fingerprint),
-                           error);
-}
-
 int find_knee_index(const std::vector<double>& values, double threshold) {
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (values[i] > threshold) return static_cast<int>(i);
@@ -424,42 +405,29 @@ ServiceKneeReport build_service_knee_report(const std::vector<ServiceRow>& rows,
   report.shape = shape;
   report.knee_threshold = knee_threshold;
 
-  // One curve per (pattern, admission, policy, alpha); the grid's row order
-  // with the load axis folded in. Row index of load li on curve
-  // (pi, di, oi, ai) mirrors ServiceGrid::point's decomposition.
-  const std::size_t n_curves =
-      shape.patterns * shape.admissions * shape.policies * shape.alphas;
-  report.curves.reserve(n_curves);
-  for (std::size_t c = 0; c < n_curves; ++c) {
-    std::size_t rest = c;
-    const std::size_t pi = rest % shape.patterns;
-    rest /= shape.patterns;
-    const std::size_t di = rest % shape.admissions;
-    rest /= shape.admissions;
-    const std::size_t oi = rest % shape.policies;
-    const std::size_t ai = rest / shape.policies;
-
+  // One curve per (pattern, admission, policy, alpha): the grid with its
+  // load axis folded into each curve.
+  ServiceGridShape curves = shape;
+  curves.loads = 1;
+  report.curves.reserve(curves.size());
+  for (std::size_t c = 0; c < curves.size(); ++c) {
+    ServiceCell cell = curves.cell(c);
     KneeCurve curve;
     curve.loads.reserve(shape.loads);
     curve.p99_violation.reserve(shape.loads);
     curve.violation_rate.reserve(shape.loads);
     curve.occupancy.reserve(shape.loads);
     curve.rejected_frac.reserve(shape.loads);
-    for (std::size_t li = 0; li < shape.loads; ++li) {
-      const std::size_t idx =
-          pi + shape.patterns *
-                   (li + shape.loads *
-                             (di + shape.admissions *
-                                       (oi + shape.policies * ai)));
-      const ServiceRow& row = rows[idx];
-      if (li == 0) {
+    for (cell.load = 0; cell.load < shape.loads; ++cell.load) {
+      const ServiceRow& row = rows[shape.index(cell)];
+      if (cell.load == 0) {
         curve.pattern = row.pattern;
         curve.admission = row.admission;
         curve.policy = row.policy;
         curve.model = row.model;
         curve.qos_alpha = row.qos_alpha;
       }
-      const ServiceMetrics& m = row.metrics;
+    const ServiceMetrics& m = row.metrics;
       curve.loads.push_back(row.load);
       curve.p99_violation.push_back(m.p99_violation);
       curve.violation_rate.push_back(m.violation_rate);
@@ -522,49 +490,28 @@ std::string service_knee_report_json(const ServiceKneeReport& r) {
   return o;
 }
 
-bool write_service_knee_report_json(const ServiceKneeReport& report,
-                                    const std::string& path,
-                                    std::string* error) {
-  return write_file_atomic(path, service_knee_report_json(report), error);
-}
-
-bool write_knee_curve_csvs(const ServiceKneeReport& report,
-                           const std::string& prefix, std::string* error) {
-  // Patterns appear in curve order; one CSV per distinct pattern, rows kept
-  // in curve order so files are byte-stable for equal reports.
-  for (std::size_t pi = 0; pi < report.shape.patterns; ++pi) {
-    const workload::ArrivalPattern pattern =
-        report.curves[pi].pattern;  // curve order is pattern-minor
-    std::vector<std::vector<std::string>> rows;
-    for (const KneeCurve& c : report.curves) {
-      if (c.pattern != pattern) continue;
-      for (std::size_t j = 0; j < c.loads.size(); ++j) {
-        rows.push_back(
-            {workload::arrival_pattern_name(c.pattern),
-             admission_policy_name(c.admission), rm::rm_policy_name(c.policy),
-             rm::perf_model_name(c.model), fmtd(c.qos_alpha),
-             fmtd(c.loads[j]), fmtd(c.p99_violation[j]),
-             fmtd(c.violation_rate[j]), fmtd(c.occupancy[j]),
-             fmtd(c.rejected_frac[j]),
-             std::to_string(static_cast<int>(j) == c.knee_index ? 1 : 0)});
-      }
-    }
-    const std::string path =
-        prefix + workload::arrival_pattern_name(pattern) + ".csv";
-    if (!write_csv_atomic(path,
-                          {"pattern", "admission", "policy", "model",
-                           "qos_alpha", "load", "p99_violation",
-                           "violation_rate", "occupancy", "rejected_frac",
-                           "is_knee"},
-                          rows, error)) {
-      return false;
+std::string knee_curve_csv(const ServiceKneeReport& report,
+                           workload::ArrivalPattern pattern) {
+  std::vector<std::vector<std::string>> rows;
+  for (const KneeCurve& c : report.curves) {
+    if (c.pattern != pattern) continue;
+    for (std::size_t j = 0; j < c.loads.size(); ++j) {
+      rows.push_back(
+          {workload::arrival_pattern_name(c.pattern),
+           admission_policy_name(c.admission), rm::rm_policy_name(c.policy),
+           rm::perf_model_name(c.model), fmtd(c.qos_alpha), fmtd(c.loads[j]),
+           fmtd(c.p99_violation[j]), fmtd(c.violation_rate[j]),
+           fmtd(c.occupancy[j]), fmtd(c.rejected_frac[j]),
+           std::to_string(static_cast<int>(j) == c.knee_index ? 1 : 0)});
     }
   }
-  return true;
+  return csv_text({"pattern", "admission", "policy", "model", "qos_alpha",
+                   "load", "p99_violation", "violation_rate", "occupancy",
+                   "rejected_frac", "is_knee"},
+                  rows);
 }
 
-bool write_fig6_csv(const FigureReport& report, const std::string& path,
-                    std::string* error) {
+std::string fig6_csv(const FigureReport& report) {
   std::vector<std::vector<std::string>> rows;
   for (const Fig6Entry& e : report.fig6) {
     rows.push_back({rm::rm_policy_name(e.policy), rm::perf_model_name(e.model),
@@ -575,16 +522,13 @@ bool write_fig6_csv(const FigureReport& report, const std::string& path,
                     fmtd(e.scenario_mean_savings[2]),
                     fmtd(e.scenario_mean_savings[3])});
   }
-  return write_csv_atomic(
-      path,
-      {"policy", "model", "qos_alpha", "weighted_savings", "mean_savings",
-       "max_savings", "scenario1_mean", "scenario2_mean", "scenario3_mean",
-       "scenario4_mean"},
-      rows, error);
+  return csv_text({"policy", "model", "qos_alpha", "weighted_savings",
+                   "mean_savings", "max_savings", "scenario1_mean",
+                   "scenario2_mean", "scenario3_mean", "scenario4_mean"},
+                  rows);
 }
 
-bool write_fig7_csv(const FigureReport& report, const std::string& path,
-                    std::string* error) {
+std::string fig7_csv(const FigureReport& report) {
   std::vector<std::vector<std::string>> rows;
   for (const Fig7Entry& e : report.fig7) {
     rows.push_back({rm::rm_policy_name(e.policy), rm::perf_model_name(e.model),
@@ -593,16 +537,13 @@ bool write_fig7_csv(const FigureReport& report, const std::string& path,
                     fmtd(e.mean_violation_rate), fmtd(e.mean_magnitude),
                     fmtd(e.max_magnitude), std::to_string(e.violating_mixes)});
   }
-  return write_csv_atomic(
-      path,
-      {"policy", "model", "qos_alpha", "intervals", "violations",
-       "violation_rate", "mean_violation_rate", "mean_magnitude",
-       "max_magnitude", "violating_mixes"},
-      rows, error);
+  return csv_text({"policy", "model", "qos_alpha", "intervals", "violations",
+                   "violation_rate", "mean_violation_rate", "mean_magnitude",
+                   "max_magnitude", "violating_mixes"},
+                  rows);
 }
 
-bool write_fig9_csv(const FigureReport& report, const std::string& path,
-                    std::string* error) {
+std::string fig9_csv(const FigureReport& report) {
   std::vector<std::vector<std::string>> rows;
   for (const Fig9Entry& e : report.fig9) {
     rows.push_back({rm::rm_policy_name(e.policy), rm::perf_model_name(e.model),
@@ -611,12 +552,10 @@ bool write_fig9_csv(const FigureReport& report, const std::string& path,
                     fmtd(e.mean_gap), fmtd(e.violation_rate),
                     fmtd(e.oracle_violation_rate)});
   }
-  return write_csv_atomic(
-      path,
-      {"policy", "model", "qos_alpha", "weighted_savings",
-       "oracle_weighted_savings", "weighted_gap", "mean_gap", "violation_rate",
-       "oracle_violation_rate"},
-      rows, error);
+  return csv_text({"policy", "model", "qos_alpha", "weighted_savings",
+                   "oracle_weighted_savings", "weighted_gap", "mean_gap",
+                   "violation_rate", "oracle_violation_rate"},
+                  rows);
 }
 
 std::string scenario_label(workload::Scenario s) {

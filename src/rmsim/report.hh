@@ -12,9 +12,10 @@
 // Every report embeds the sweep fingerprint of the rows it was built from
 // (see sweep_fingerprint in rmsim/sweep.hh), so an archived report is
 // traceable to the exact grid + simulator options + database identity that
-// produced it. Writers emit fixed key order and full-precision ("%.17g")
-// doubles, so equal rows produce byte-identical files regardless of thread
-// count, and commit atomically (tmp + rename).
+// produced it. Every output is a pure text function with fixed key order
+// and full-precision ("%.17g") doubles, so equal rows produce byte-identical
+// text regardless of thread count; callers commit it with write_file_atomic
+// (common/file_util.hh), so a failed run never publishes a partial file.
 #ifndef QOSRM_RMSIM_REPORT_HH
 #define QOSRM_RMSIM_REPORT_HH
 
@@ -103,16 +104,10 @@ struct FigureReport {
 /// doubles, "\n" line ends): equal reports serialize to equal bytes.
 [[nodiscard]] std::string figure_report_json(const FigureReport& report);
 
-/// Atomic writers (tmp + rename; false + *error on I/O failure, the target
-/// file keeps its previous content).
-bool write_report_json(const FigureReport& report, const std::string& path,
-                       std::string* error);
-bool write_fig6_csv(const FigureReport& report, const std::string& path,
-                    std::string* error);
-bool write_fig7_csv(const FigureReport& report, const std::string& path,
-                    std::string* error);
-bool write_fig9_csv(const FigureReport& report, const std::string& path,
-                    std::string* error);
+/// The fig6, fig7 and fig9 sections as CSV text, one row per entry.
+[[nodiscard]] std::string fig6_csv(const FigureReport& report);
+[[nodiscard]] std::string fig7_csv(const FigureReport& report);
+[[nodiscard]] std::string fig9_csv(const FigureReport& report);
 
 // Version 2: admission-policy axis (grid "admissions" extent + per-row
 // "admission" and "qos_rejected" fields).
@@ -126,13 +121,6 @@ inline constexpr std::uint32_t kServiceReportVersion = 2;
 [[nodiscard]] std::string service_report_json(const std::vector<ServiceRow>& rows,
                                               const ServiceGridShape& shape,
                                               std::uint64_t fingerprint);
-
-/// Atomic writer for service_report_json (tmp + rename; false + *error on
-/// I/O failure, the target file keeps its previous content).
-bool write_service_report_json(const std::vector<ServiceRow>& rows,
-                               const ServiceGridShape& shape,
-                               std::uint64_t fingerprint,
-                               const std::string& path, std::string* error);
 
 inline constexpr std::uint32_t kServiceKneeReportVersion = 1;
 
@@ -189,17 +177,12 @@ struct ServiceKneeReport {
 [[nodiscard]] std::string service_knee_report_json(
     const ServiceKneeReport& report);
 
-/// Atomic writer for service_knee_report_json.
-bool write_service_knee_report_json(const ServiceKneeReport& report,
-                                    const std::string& path,
-                                    std::string* error);
-
-/// Per-pattern knee-curve CSVs, "<prefix><pattern>.csv" (e.g.
-/// "knee_poisson.csv"): one row per {admission, policy, alpha, load} with
-/// the curve metrics and a knee marker column. Byte-stable and atomic like
-/// the figure CSVs. False + *error on the first failing file.
-bool write_knee_curve_csvs(const ServiceKneeReport& report,
-                           const std::string& prefix, std::string* error);
+/// The knee curves of one arrival pattern as CSV text (service_main writes
+/// one "<prefix><pattern>.csv" per pattern): one row per {admission, policy,
+/// alpha, load} in curve order, with the curve metrics and a knee marker
+/// column. Byte-stable like the figure CSVs.
+[[nodiscard]] std::string knee_curve_csv(const ServiceKneeReport& report,
+                                         workload::ArrivalPattern pattern);
 
 /// One row of a savings grid (e.g. paper Fig. 6): a workload with the
 /// savings of several RM variants side by side.

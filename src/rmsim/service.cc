@@ -19,7 +19,7 @@ namespace qosrm::rmsim {
 namespace {
 
 /// Full-precision double formatting so equal results yield byte-identical
-/// CSV files (same convention as sweep.cc).
+/// CSV text (same convention as sweep.cc).
 std::string fmt(double v) { return format("%.17g", v); }
 
 /// Violation-magnitude histogram layout. Quantiles interpolate within bins,
@@ -66,17 +66,9 @@ bool try_parse_admissions(const std::string& spec,
 
 ServicePoint ServiceGrid::point(std::size_t idx) const {
   QOSRM_CHECK_MSG(idx < size(), "service grid index out of range");
-  std::size_t rest = idx;
-  const std::size_t pi = rest % patterns.size();
-  rest /= patterns.size();
-  const std::size_t li = rest % loads.size();
-  rest /= loads.size();
-  const std::size_t di = rest % admissions.size();
-  rest /= admissions.size();
-  const std::size_t oi = rest % policies.size();
-  const std::size_t ai = rest / policies.size();
-  return {patterns[pi], loads[li], admissions[di], policies[oi],
-          qos_alphas[ai]};
+  const ServiceCell c = shape().cell(idx);
+  return {patterns[c.pattern], loads[c.load], admissions[c.admission],
+          policies[c.policy], qos_alphas[c.alpha]};
 }
 
 double mean_baseline_interval_s(const workload::SimDb& db) {
@@ -517,35 +509,35 @@ std::uint64_t service_fingerprint(const ServiceGrid& grid,
   return h.digest();
 }
 
-void write_service_csv(const std::vector<ServiceRow>& rows,
-                       const std::string& path) {
-  CsvWriter csv(path,
-                {"pattern", "load", "admission", "policy", "model", "qos_alpha",
-                 "arrivals", "served", "rejected", "qos_rejected", "intervals",
-                 "violations",
-                 "violation_rate", "p50_violation", "p95_violation",
-                 "p99_violation", "max_violation", "mean_violation",
-                 "energy_total_j", "uncore_energy_j", "energy_per_app_j",
-                 "rm_invocations", "rm_ops", "decisions_per_sec", "occupancy",
-                 "mean_wait_s", "wall_time_s"});
+std::string service_rows_csv(const std::vector<ServiceRow>& rows) {
+  std::vector<std::vector<std::string>> cells;
+  cells.reserve(rows.size());
   for (const ServiceRow& row : rows) {
     const ServiceMetrics& m = row.metrics;
-    csv.add_row({workload::arrival_pattern_name(row.pattern), fmt(row.load),
-                 admission_policy_name(row.admission),
-                 rm::rm_policy_name(row.policy), rm::perf_model_name(row.model),
-                 fmt(row.qos_alpha), std::to_string(m.arrivals),
-                 std::to_string(m.served), std::to_string(m.rejected),
-                 std::to_string(m.qos_rejected),
-                 std::to_string(m.intervals), std::to_string(m.violations),
-                 fmt(m.violation_rate), fmt(m.p50_violation),
-                 fmt(m.p95_violation), fmt(m.p99_violation),
-                 fmt(m.max_violation), fmt(m.mean_violation),
-                 fmt(m.energy_total_j), fmt(m.uncore_energy_j),
-                 fmt(m.energy_per_app_j), std::to_string(m.rm_invocations),
-                 std::to_string(m.rm_ops), fmt(m.decisions_per_sec),
-                 fmt(m.occupancy), fmt(m.mean_wait_s), fmt(m.wall_time_s)});
+    cells.push_back({workload::arrival_pattern_name(row.pattern), fmt(row.load),
+                     admission_policy_name(row.admission),
+                     rm::rm_policy_name(row.policy), rm::perf_model_name(row.model),
+                     fmt(row.qos_alpha), std::to_string(m.arrivals),
+                     std::to_string(m.served), std::to_string(m.rejected),
+                     std::to_string(m.qos_rejected),
+                     std::to_string(m.intervals), std::to_string(m.violations),
+                     fmt(m.violation_rate), fmt(m.p50_violation),
+                     fmt(m.p95_violation), fmt(m.p99_violation),
+                     fmt(m.max_violation), fmt(m.mean_violation),
+                     fmt(m.energy_total_j), fmt(m.uncore_energy_j),
+                     fmt(m.energy_per_app_j), std::to_string(m.rm_invocations),
+                     std::to_string(m.rm_ops), fmt(m.decisions_per_sec),
+                     fmt(m.occupancy), fmt(m.mean_wait_s), fmt(m.wall_time_s)});
   }
-  csv.close();  // atomic commit; throws instead of publishing a partial file
+  return csv_text({"pattern", "load", "admission", "policy", "model",
+                   "qos_alpha", "arrivals", "served", "rejected",
+                   "qos_rejected", "intervals", "violations", "violation_rate",
+                   "p50_violation", "p95_violation", "p99_violation",
+                   "max_violation", "mean_violation", "energy_total_j",
+                   "uncore_energy_j", "energy_per_app_j", "rm_invocations",
+                   "rm_ops", "decisions_per_sec", "occupancy", "mean_wait_s",
+                   "wall_time_s"},
+                  cells);
 }
 
 bool try_parse_loads(const std::string& spec, std::vector<double>* out,

@@ -96,9 +96,19 @@ struct ServicePoint {
   double qos_alpha = 0.0;  ///< 0 keeps the database system's qos_alpha
 };
 
+/// Coordinates of one service-grid row: an index into each axis.
+struct ServiceCell {
+  std::size_t pattern = 0;
+  std::size_t load = 0;
+  std::size_t admission = 0;
+  std::size_t policy = 0;
+  std::size_t alpha = 0;
+  bool operator==(const ServiceCell&) const = default;
+};
+
 /// Axis extents of an expanded service grid (row order: pattern-minor, then
 /// load, then admission, then policy, alpha-major) - the service analogue of
-/// GridShape.
+/// GridShape; index() and cell() are that order's only definition.
 struct ServiceGridShape {
   std::size_t patterns = 0;
   std::size_t loads = 0;
@@ -108,6 +118,26 @@ struct ServiceGridShape {
 
   [[nodiscard]] std::size_t size() const noexcept {
     return patterns * loads * admissions * policies * alphas;
+  }
+  /// Row index of `c`.
+  [[nodiscard]] std::size_t index(const ServiceCell& c) const noexcept {
+    return c.pattern +
+           patterns *
+               (c.load + loads * (c.admission +
+                                  admissions * (c.policy + policies * c.alpha)));
+  }
+  /// Inverse of index(), for idx < size().
+  [[nodiscard]] ServiceCell cell(std::size_t idx) const noexcept {
+    ServiceCell c;
+    c.pattern = idx % patterns;
+    idx /= patterns;
+    c.load = idx % loads;
+    idx /= loads;
+    c.admission = idx % admissions;
+    idx /= admissions;
+    c.policy = idx % policies;
+    c.alpha = idx / policies;
+    return c;
   }
   bool operator==(const ServiceGridShape&) const = default;
 };
@@ -128,7 +158,7 @@ struct ServiceGrid {
   }
   [[nodiscard]] std::size_t size() const noexcept { return shape().size(); }
 
-  /// Decomposes flat row index `idx` (pattern-minor, alpha-major).
+  /// The axis values at row `idx` (shape().cell(idx)).
   [[nodiscard]] ServicePoint point(std::size_t idx) const;
 };
 
@@ -230,9 +260,8 @@ struct ServiceOptions {
                                                 std::uint64_t db_fingerprint);
 
 /// One CSV row per grid point (stable columns and %.17g formatting, so equal
-/// results produce byte-identical files; atomic tmp+rename commit).
-void write_service_csv(const std::vector<ServiceRow>& rows,
-                       const std::string& path);
+/// results give byte-identical text; commit it with write_file_atomic).
+[[nodiscard]] std::string service_rows_csv(const std::vector<ServiceRow>& rows);
 
 /// Parses comma-separated load levels ("0.5,0.8,1.1"): finite, > 0.
 /// Rejects bad entries like try_parse_policies; `flag` names the flag in the

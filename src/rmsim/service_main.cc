@@ -24,17 +24,14 @@
 #include <vector>
 
 #include "common/cli.hh"
-#include "common/file_util.hh"
 #include "common/thread_pool.hh"
-#include "power/power_model.hh"
 #include "rmsim/cli_flags.hh"
+#include "rmsim/cli_prologue.hh"
 #include "rmsim/report.hh"
 #include "rmsim/service.hh"
 #include "rmsim/sweep.hh"
 #include "workload/arrival_gen.hh"
 #include "workload/db_io.hh"
-#include "workload/sim_db.hh"
-#include "workload/spec_suite.hh"
 
 namespace {
 
@@ -108,33 +105,23 @@ double secs(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-/// --report-json: the tail-metric report of this run, stamped with the
-/// service fingerprint so it can never be matched against foreign rows.
-bool write_report(const std::vector<rmsim::ServiceRow>& rows,
-                  const rmsim::ServiceGridShape& shape,
-                  std::uint64_t fingerprint, const std::string& path) {
-  std::string error;
-  if (!rmsim::write_service_report_json(rows, shape, fingerprint, path,
-                                        &error)) {
-    std::fprintf(stderr, "--report-json: %s\n", error.c_str());
-    return false;
-  }
-  std::printf("wrote service report to %s\n", path.c_str());
-  return true;
+/// "<prefix><pattern>.csv": where --knee-csv-prefix puts one pattern's curves.
+std::string knee_csv_path(const std::string& prefix,
+                          workload::ArrivalPattern pattern) {
+  return prefix + workload::arrival_pattern_name(pattern) + ".csv";
 }
 
 /// --knee-report (+ optional --knee-csv-prefix): folds the load axis into
 /// per-configuration p99 knee curves and writes the byte-stable outputs.
 bool write_knee_outputs(const std::vector<rmsim::ServiceRow>& rows,
-                        const rmsim::ServiceGridShape& shape,
+                        const rmsim::ServiceGrid& grid,
                         std::uint64_t fingerprint, const std::string& json_path,
                         double knee_threshold,
                         const std::string& csv_prefix) {
   const rmsim::ServiceKneeReport knee = rmsim::build_service_knee_report(
-      rows, shape, fingerprint, knee_threshold);
-  std::string error;
-  if (!rmsim::write_service_knee_report_json(knee, json_path, &error)) {
-    std::fprintf(stderr, "--knee-report: %s\n", error.c_str());
+      rows, grid.shape(), fingerprint, knee_threshold);
+  if (!qosrm::write_output("knee-report", json_path,
+                           rmsim::service_knee_report_json(knee))) {
     return false;
   }
   std::size_t detected = 0;
@@ -144,12 +131,15 @@ bool write_knee_outputs(const std::vector<rmsim::ServiceRow>& rows,
   std::printf("wrote knee report to %s (%zu of %zu curves cross p99 > %g)\n",
               json_path.c_str(), detected, knee.curves.size(), knee_threshold);
   if (!csv_prefix.empty()) {
-    if (!rmsim::write_knee_curve_csvs(knee, csv_prefix, &error)) {
-      std::fprintf(stderr, "--knee-csv-prefix: %s\n", error.c_str());
-      return false;
+    for (const workload::ArrivalPattern pattern : grid.patterns) {
+      if (!qosrm::write_output("knee-csv-prefix",
+                               knee_csv_path(csv_prefix, pattern),
+                               rmsim::knee_curve_csv(knee, pattern))) {
+        return false;
+      }
     }
     std::printf("wrote %zu per-pattern knee-curve CSVs to %s<pattern>.csv\n",
-                shape.patterns, csv_prefix.c_str());
+                grid.patterns.size(), csv_prefix.c_str());
   }
   return true;
 }
@@ -233,12 +223,6 @@ int main(int argc, char** argv) {
   }
   config.model = models.front();
 
-  // Probe the output paths too: a bad path should fail here, before the
-  // multi-second database build, not after the run. Each probe touches
-  // only the uniquely named temp sibling the later atomic commit will use,
-  // NEVER the target itself - an interrupted or failed run must not leave
-  // an empty decoy CSV/report, and an existing file stays untouched until
-  // its atomic replacement.
   const std::string rows_csv = args.get("rows-csv", "service_rows.csv");
   const std::string report_json = args.get("report-json", "");
   const std::string knee_report = args.get("knee-report", "");
@@ -256,59 +240,23 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<std::string> probe_paths = {rows_csv};
-  if (!report_json.empty()) probe_paths.push_back(report_json);
-  if (!knee_report.empty()) probe_paths.push_back(knee_report);
+  // The output paths are probed before the multi-second database build, so
+  // a bad path fails there instead of after the run.
+  std::vector<qosrm::OutputFlag> outputs = {{"rows-csv", rows_csv},
+                                            {"report-json", report_json},
+                                            {"knee-report", knee_report}};
   if (!knee_csv_prefix.empty()) {
     for (const workload::ArrivalPattern pattern : grid.patterns) {
-      probe_paths.push_back(knee_csv_prefix +
-                            workload::arrival_pattern_name(pattern) + ".csv");
+      outputs.push_back(
+          {"knee-csv-prefix", knee_csv_path(knee_csv_prefix, pattern)});
     }
   }
-  for (const std::string& path : probe_paths) {
-    std::string probe_error;
-    if (!qosrm::probe_writable_atomic(path, &probe_error)) {
-      std::fprintf(stderr, "%s\n", probe_error.c_str());
-      return 1;
-    }
-  }
-
-  // --db-cache: decide hit/miss now, and on a miss probe writability, so a
-  // bad path fails here instead of after the multi-second database build.
-  std::string error;
-  const std::optional<workload::DbCache> db_cache = workload::resolve_db_cache(
-      args.get("db-cache", ""), cores, bw_shares, &error);
-  if (!db_cache.has_value()) {
-    std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
-    return 1;
-  }
-
-  const workload::SpecSuite& suite = workload::spec_suite();
-  qosrm::arch::SystemConfig system;
-  system.cores = cores;
-  system.bw = qosrm::arch::bw_config_for_shares(bw_shares);
-  const qosrm::power::PowerModel power;
 
   const auto t_db = Clock::now();
-  if (db_cache->hit) {
-    std::printf("loading simulation database from %s...\n",
-                db_cache->path.c_str());
-  } else {
-    std::printf("characterizing %d-app suite for %d cores...\n", suite.size(),
-                cores);
-  }
-  workload::SimDbOptions db_options;
-  db_options.threads = threads;
-  const std::optional<workload::SimDb> db = workload::load_or_build_simdb(
-      *db_cache, suite, system, power, db_options, &error);
-  if (!db.has_value()) {
-    std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
-    return 1;
-  }
-  if (!db_cache->hit && !db_cache->path.empty()) {
-    std::printf("saved simulation database snapshot to %s\n",
-                db_cache->path.c_str());
-  }
+  const std::optional<rmsim::CliDb> cli_db =
+      rmsim::prepare_cli_db(args, outputs, cores, bw_shares, threads);
+  if (!cli_db.has_value()) return 1;
+  const workload::SimDb& db = cli_db->db;
 
   rmsim::ServiceOptions options;
   options.threads = threads;
@@ -319,27 +267,36 @@ int main(int argc, char** argv) {
               grid.qos_alphas.size(), qosrm::pool_threads(threads, grid.size()));
   const auto t_run = Clock::now();
   const rmsim::ServiceResult result =
-      rmsim::run_service(*db, grid, config, options);
+      rmsim::run_service(db, grid, config, options);
   const auto t_done = Clock::now();
 
-  rmsim::write_service_csv(result.rows, rows_csv);
+  if (!qosrm::write_output("rows-csv", rows_csv,
+                           rmsim::service_rows_csv(result.rows))) {
+    return 1;
+  }
   std::printf("wrote %zu rows to %s\n", result.rows.size(), rows_csv.c_str());
   const std::uint64_t fingerprint = rmsim::service_fingerprint(
       grid, config,
-      workload::simdb_fingerprint(db->suite(), db->system(),
-                                  db->phase_options()));
-  if (!report_json.empty() &&
-      !write_report(result.rows, grid.shape(), fingerprint, report_json)) {
-    return 1;
+      workload::simdb_fingerprint(db.suite(), db.system(), db.phase_options()));
+  if (!report_json.empty()) {
+    // Stamped with the service fingerprint so it can never be matched
+    // against foreign rows.
+    if (!qosrm::write_output("report-json", report_json,
+                             rmsim::service_report_json(
+                                 result.rows, grid.shape(), fingerprint))) {
+      return 1;
+    }
+    std::printf("wrote service report to %s\n", report_json.c_str());
   }
   if (!knee_report.empty() &&
-      !write_knee_outputs(result.rows, grid.shape(), fingerprint, knee_report,
+      !write_knee_outputs(result.rows, grid, fingerprint, knee_report,
                           knee_threshold, knee_csv_prefix)) {
     return 1;
   }
 
   print_rows(result.rows);
-  std::printf("\ndb %s %.2fs, service %.2fs\n", db_cache->hit ? "load" : "build",
-              secs(t_db, t_run), secs(t_run, t_done));
+  std::printf("\ndb %s %.2fs, service %.2fs\n",
+              cli_db->loaded ? "load" : "build", secs(t_db, t_run),
+              secs(t_run, t_done));
   return 0;
 }

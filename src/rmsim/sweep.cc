@@ -7,6 +7,7 @@
 #include "common/binary_io.hh"
 #include "common/check.hh"
 #include "common/csv.hh"
+#include "common/file_util.hh"
 #include "common/str.hh"
 #include "common/thread_pool.hh"
 
@@ -30,9 +31,8 @@ SweepResult SweepRunner::run(const SweepGrid& grid) {
     sims.emplace_back(*db_, sim);
   }
 
-  const std::size_t n_mix = grid.mixes.size();
-  const std::size_t n_pol = grid.policies.size();
-  const std::size_t n_mod = grid.models.size();
+  const GridShape shape = grid.shape();
+  const std::size_t n_mix = shape.mixes;
 
   // Per-thread simulation scratch: a thread runs many simulations, so the
   // per-run warmup buffers (core state, counter snapshots) are reused for
@@ -52,37 +52,29 @@ SweepResult SweepRunner::run(const SweepGrid& grid) {
                                               grid.mixes[i % n_mix], scratch());
                });
 
-  // Pass 2: every row against its reference. The row index decomposes
-  // mix-minor / alpha-major.
+  // Pass 2: every row against its reference.
   SweepResult out;
-  out.rows.resize(grid.size());
+  out.rows.resize(shape.size());
   out.idle_computations = idle.size();
   const auto run_point = [&](std::size_t idx) {
-    std::size_t rest = idx;
-    const std::size_t mi = rest % n_mix;
-    rest /= n_mix;
-    const std::size_t pi = rest % n_pol;
-    rest /= n_pol;
-    const std::size_t ki = rest % n_mod;
-    const std::size_t ai = rest / n_mod;
-
-    const workload::WorkloadMix& mix = grid.mixes[mi];
+    const GridCell c = shape.cell(idx);
+    const workload::WorkloadMix& mix = grid.mixes[c.mix];
     SweepRow& row = out.rows[idx];
     row.workload = mix.name;
     row.scenario = mix.scenario;
-    row.policy = grid.policies[pi];
-    row.model = grid.models[ki];
-    row.qos_alpha = grid.qos_alphas[ai];
+    row.policy = grid.policies[c.policy];
+    row.model = grid.models[c.model];
+    row.qos_alpha = grid.qos_alphas[c.alpha];
 
     const rm::RmConfig config = rm_config_for(row.policy, row.model);
-    row.result = run_against_idle(sims[ai], mix, config, idle[ai * n_mix + mi],
-                                  scratch());
+    row.result = run_against_idle(sims[c.alpha], mix, config,
+                                  idle[c.alpha * n_mix + c.mix], scratch());
   };
   parallel_for(pool_threads(opt_.threads, out.rows.size()), out.rows.size(),
                run_point);
 
-  out.aggregates = compute_aggregates(out.rows, grid.shape(),
-                                      scenario_weights(db_->suite()));
+  out.aggregates =
+      compute_aggregates(out.rows, shape, scenario_weights(db_->suite()));
   return out;
 }
 
@@ -115,90 +107,51 @@ std::uint64_t sweep_fingerprint(const SweepGrid& grid, const SimOptions& sim,
   return h.digest();
 }
 
-std::vector<SweepAggregate> compute_aggregates(
-    const std::vector<SweepRow>& rows, const GridShape& shape,
-    const std::array<double, 4>& weights) {
-  QOSRM_CHECK_MSG(rows.size() == shape.size(),
-                  "aggregate row count does not match the grid shape");
-  const std::size_t n_mix = shape.mixes;
-  const std::size_t n_pol = shape.policies;
-  const std::size_t n_mod = shape.models;
-
-  // Aggregates, in row (alpha-major) order. Labels come from the first row
-  // of each (policy, model, alpha) block, so no grid is needed.
-  std::vector<SweepAggregate> aggregates;
-  aggregates.reserve(n_pol * n_mod * shape.alphas);
-  std::vector<workload::Scenario> scenarios;
-  std::vector<double> savings;
-  scenarios.reserve(n_mix);
-  savings.reserve(n_mix);
-  for (std::size_t ai = 0; ai < shape.alphas; ++ai) {
-    for (std::size_t ki = 0; ki < n_mod; ++ki) {
-      for (std::size_t pi = 0; pi < n_pol; ++pi) {
-        scenarios.clear();
-        savings.clear();
-        double violation_sum = 0.0;
-        for (std::size_t mi = 0; mi < n_mix; ++mi) {
-          const std::size_t idx = mi + n_mix * (pi + n_pol * (ki + n_mod * ai));
-          const SweepRow& row = rows[idx];
-          scenarios.push_back(row.scenario);
-          savings.push_back(row.result.savings);
-          violation_sum += row.result.run.violation_rate();
-        }
-        const std::size_t block = n_mix * (pi + n_pol * (ki + n_mod * ai));
-        SweepAggregate agg;
-        agg.policy = rows[block].policy;
-        agg.model = rows[block].model;
-        agg.qos_alpha = rows[block].qos_alpha;
-        agg.weighted_savings = weighted_average_savings(scenarios, savings, weights);
-        double sum = 0.0;
-        for (const double s : savings) sum += s;
-        agg.mean_savings = sum / static_cast<double>(n_mix);
-        agg.mean_violation_rate = violation_sum / static_cast<double>(n_mix);
-        aggregates.push_back(agg);
-      }
-    }
-  }
-  return aggregates;
-}
-
 namespace {
 
 /// Full-precision double formatting so equal results yield byte-identical
-/// CSV files.
+/// CSV text.
 std::string fmt(double v) { return format("%.17g", v); }
 
 }  // namespace
 
-void write_rows_csv(const SweepResult& result, const std::string& path) {
-  CsvWriter csv(path,
-                {"workload", "scenario", "policy", "model", "qos_alpha",
-                 "savings", "total_energy_j", "uncore_energy_j", "wall_time_s",
-                 "intervals", "violations", "violation_rate", "rm_invocations",
-                 "rm_ops"});
+std::string sweep_rows_csv(const SweepResult& result) {
+  std::vector<std::vector<std::string>> rows;
+  rows.reserve(result.rows.size());
   for (const SweepRow& row : result.rows) {
     const RunResult& run = row.result.run;
-    csv.add_row({row.workload, std::to_string(static_cast<int>(row.scenario)),
-                 rm::rm_policy_name(row.policy), rm::perf_model_name(row.model),
-                 fmt(row.qos_alpha), fmt(row.result.savings),
-                 fmt(run.total_energy_j()), fmt(run.uncore_energy_j),
-                 fmt(run.wall_time_s), std::to_string(run.total_intervals()),
-                 std::to_string(run.total_violations()),
-                 fmt(run.violation_rate()), std::to_string(run.rm_invocations),
-                 std::to_string(run.rm_ops)});
+    rows.push_back({row.workload, std::to_string(static_cast<int>(row.scenario)),
+                    rm::rm_policy_name(row.policy), rm::perf_model_name(row.model),
+                    fmt(row.qos_alpha), fmt(row.result.savings),
+                    fmt(run.total_energy_j()), fmt(run.uncore_energy_j),
+                    fmt(run.wall_time_s), std::to_string(run.total_intervals()),
+                    std::to_string(run.total_violations()),
+                    fmt(run.violation_rate()), std::to_string(run.rm_invocations),
+                    std::to_string(run.rm_ops)});
   }
-  csv.close();  // atomic commit; throws instead of publishing a partial file
+  return csv_text({"workload", "scenario", "policy", "model", "qos_alpha",
+                   "savings", "total_energy_j", "uncore_energy_j", "wall_time_s",
+                   "intervals", "violations", "violation_rate", "rm_invocations",
+                   "rm_ops"},
+                  rows);
 }
 
-void write_aggregates_csv(const SweepResult& result, const std::string& path) {
-  CsvWriter csv(path, {"policy", "model", "qos_alpha", "weighted_savings",
-                       "mean_savings", "mean_violation_rate"});
+std::string aggregates_csv(const SweepResult& result) {
+  std::vector<std::vector<std::string>> rows;
+  rows.reserve(result.aggregates.size());
   for (const SweepAggregate& agg : result.aggregates) {
-    csv.add_row({rm::rm_policy_name(agg.policy), rm::perf_model_name(agg.model),
-                 fmt(agg.qos_alpha), fmt(agg.weighted_savings),
-                 fmt(agg.mean_savings), fmt(agg.mean_violation_rate)});
+    rows.push_back({rm::rm_policy_name(agg.policy), rm::perf_model_name(agg.model),
+                    fmt(agg.qos_alpha), fmt(agg.weighted_savings),
+                    fmt(agg.mean_savings), fmt(agg.mean_violation_rate)});
   }
-  csv.close();  // atomic commit; throws instead of publishing a partial file
+  return csv_text({"policy", "model", "qos_alpha", "weighted_savings",
+                   "mean_savings", "mean_violation_rate"},
+                  rows);
+}
+
+bool write_aggregates_csv(const SweepResult& result, const std::string& path,
+                          std::string* error) {
+  return write_file_atomic(path, aggregates_csv(result), error);
 }
 
 bool try_parse_policies(const std::string& spec, std::vector<rm::RmPolicy>* out,

@@ -19,9 +19,19 @@
 
 namespace qosrm::rmsim {
 
+/// Coordinates of one grid row: an index into each axis.
+struct GridCell {
+  std::size_t mix = 0;
+  std::size_t policy = 0;
+  std::size_t model = 0;
+  std::size_t alpha = 0;
+  bool operator==(const GridCell&) const = default;
+};
+
 /// Extent of an expanded grid along each axis. Together with the grid's row
-/// order (alpha-major, mix-minor) this is enough to recompute aggregates
-/// and figure reports from a flat row vector.
+/// order (alpha-major, then model, then policy, mix-minor) this is enough to
+/// recompute aggregates and figure reports from a flat row vector; index()
+/// and cell() are that order's only definition.
 struct GridShape {
   std::size_t mixes = 0;
   std::size_t policies = 0;
@@ -30,6 +40,21 @@ struct GridShape {
 
   [[nodiscard]] std::size_t size() const noexcept {
     return mixes * policies * models * alphas;
+  }
+  /// Row index of `c`.
+  [[nodiscard]] std::size_t index(const GridCell& c) const noexcept {
+    return c.mix + mixes * (c.policy + policies * (c.model + models * c.alpha));
+  }
+  /// Inverse of index(), for idx < size().
+  [[nodiscard]] GridCell cell(std::size_t idx) const noexcept {
+    GridCell c;
+    c.mix = idx % mixes;
+    idx /= mixes;
+    c.policy = idx % policies;
+    idx /= policies;
+    c.model = idx % models;
+    c.alpha = idx / models;
+    return c;
   }
   bool operator==(const GridShape&) const = default;
 };
@@ -107,23 +132,29 @@ class SweepRunner {
                                               const SimOptions& sim,
                                               std::uint64_t db_fingerprint);
 
-/// Computes the per-(policy, model, alpha) aggregates from a flat row
-/// vector in grid order. The policy/model/alpha labels are taken from the
-/// rows themselves, so only the rows, the shape and the suite's scenario
+/// The per-(policy, model, alpha) aggregates of a flat row vector in grid
+/// order: a projection of build_figure_report's fig6/fig7 entries
+/// (rmsim/report.hh), so the two can never disagree. The labels come from
+/// the rows themselves, so only the rows, the shape and the suite's scenario
 /// weights are needed. run() uses this same function.
 [[nodiscard]] std::vector<SweepAggregate> compute_aggregates(
     const std::vector<SweepRow>& rows, const GridShape& shape,
     const std::array<double, 4>& weights);
 
-/// Writes one CSV row per grid point (stable column set and formatting, so
-/// equal results produce byte-identical files). The file is committed
-/// atomically (tmp + rename): an interrupted run never leaves a truncated
-/// CSV behind.
-void write_rows_csv(const SweepResult& result, const std::string& path);
+// Text outputs. Stable column sets and "%.17g" doubles, so equal results give
+// byte-identical text; callers commit it with write_file_atomic
+// (common/file_util.hh), which never leaves a truncated file behind.
 
-/// Writes one CSV row per (policy, model, alpha) aggregate. Atomic like
-/// write_rows_csv.
-void write_aggregates_csv(const SweepResult& result, const std::string& path);
+/// One CSV row per grid point.
+[[nodiscard]] std::string sweep_rows_csv(const SweepResult& result);
+
+/// One CSV row per (policy, model, alpha) aggregate.
+[[nodiscard]] std::string aggregates_csv(const SweepResult& result);
+
+/// Commits aggregates_csv(result) to `path`. False + *error naming the path
+/// on failure; the target keeps its previous content.
+bool write_aggregates_csv(const SweepResult& result, const std::string& path,
+                          std::string* error = nullptr);
 
 // List-flag parsers (common/str.hh parse_list_flag): each returns false,
 // with *error naming the flag and the offending entry, on an unknown or

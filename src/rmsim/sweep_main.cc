@@ -15,14 +15,12 @@
 #include <vector>
 
 #include "common/cli.hh"
-#include "common/file_util.hh"
 #include "common/thread_pool.hh"
-#include "power/power_model.hh"
 #include "rmsim/cli_flags.hh"
+#include "rmsim/cli_prologue.hh"
 #include "rmsim/report.hh"
 #include "rmsim/sweep.hh"
 #include "workload/db_io.hh"
-#include "workload/sim_db.hh"
 #include "workload/spec_suite.hh"
 #include "workload/workload_gen.hh"
 
@@ -86,20 +84,17 @@ double secs(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-using FigureWriter = bool (*)(const rmsim::FigureReport&, const std::string&,
-                              std::string*);
-
 /// The figure outputs: one FigureReport, stamped with the sweep fingerprint
-/// so it can never be matched against foreign rows, written per flag.
+/// so it can never be matched against foreign rows, rendered per flag.
 const struct {
   const char* flag;
   const char* what;
-  FigureWriter write;
+  std::string (*text)(const rmsim::FigureReport&);
 } kFigureOutputs[] = {
-    {"report-json", "figure report", rmsim::write_report_json},
-    {"fig6-csv", "Fig. 6 CSV", rmsim::write_fig6_csv},
-    {"fig7-csv", "Fig. 7 CSV", rmsim::write_fig7_csv},
-    {"fig9-csv", "Fig. 9 CSV", rmsim::write_fig9_csv}};
+    {"report-json", "figure report", rmsim::figure_report_json},
+    {"fig6-csv", "Fig. 6 CSV", rmsim::fig6_csv},
+    {"fig7-csv", "Fig. 7 CSV", rmsim::fig7_csv},
+    {"fig9-csv", "Fig. 9 CSV", rmsim::fig9_csv}};
 
 }  // namespace
 
@@ -156,44 +151,7 @@ int main(int argc, char** argv) {
   options.threads = threads;
   options.sim.model_overheads = args.get_bool("overheads", true);
 
-  // Probe the output paths too: a bad path should fail here, before the
-  // multi-second database build, not after the sweep. Each probe touches
-  // only the uniquely named temp sibling the later atomic commit will use,
-  // NEVER the target itself - an interrupted or failed run must not leave
-  // an empty decoy CSV/report, and an existing file stays untouched until
-  // its atomic replacement.
-  const std::string rows_csv = args.get("rows-csv", "sweep_rows.csv");
-  const std::string agg_csv = args.get("agg-csv", "");
-  std::vector<std::string> probe_paths = {rows_csv, agg_csv};
-  bool want_figures = false;
-  for (const auto& output : kFigureOutputs) {
-    probe_paths.push_back(args.get(output.flag, ""));
-    want_figures |= !probe_paths.back().empty();
-  }
-  for (const std::string& path : probe_paths) {
-    std::string probe_error;
-    if (!path.empty() && !qosrm::probe_writable_atomic(path, &probe_error)) {
-      std::fprintf(stderr, "%s\n", probe_error.c_str());
-      return 1;
-    }
-  }
-
-  // --db-cache: decide hit/miss now, and on a miss probe writability, so a
-  // bad path fails here instead of after the multi-second database build.
-  std::string error;
-  const std::optional<workload::DbCache> db_cache = workload::resolve_db_cache(
-      args.get("db-cache", ""), total_cores, bw_shares, &error);
-  if (!db_cache.has_value()) {
-    std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
-    return 1;
-  }
-
   const workload::SpecSuite& suite = workload::spec_suite();
-  qosrm::arch::SystemConfig system;
-  system.cores = total_cores;
-  system.bw = qosrm::arch::bw_config_for_shares(bw_shares);
-  const qosrm::power::PowerModel power;
-
   workload::WorkloadGenOptions gen;
   gen.cores = cores;
   gen.per_scenario = per_scenario;
@@ -201,26 +159,23 @@ int main(int argc, char** argv) {
   grid.mixes = workload::replicate_workloads(
       workload::generate_workloads(suite, gen), replicate);
 
+  // The output paths are probed before the multi-second database build, so
+  // a bad path fails there instead of after the sweep.
+  const std::string rows_csv = args.get("rows-csv", "sweep_rows.csv");
+  const std::string agg_csv = args.get("agg-csv", "");
+  std::vector<qosrm::OutputFlag> outputs = {{"rows-csv", rows_csv},
+                                            {"agg-csv", agg_csv}};
+  bool want_figures = false;
+  for (const auto& output : kFigureOutputs) {
+    outputs.push_back({output.flag, args.get(output.flag, "")});
+    want_figures |= !outputs.back().path.empty();
+  }
+
   const auto t_db = Clock::now();
-  if (db_cache->hit) {
-    std::printf("loading simulation database from %s...\n",
-                db_cache->path.c_str());
-  } else {
-    std::printf("characterizing %d-app suite for %d cores...\n", suite.size(),
-                total_cores);
-  }
-  workload::SimDbOptions db_options;
-  db_options.threads = threads;
-  const std::optional<workload::SimDb> db = workload::load_or_build_simdb(
-      *db_cache, suite, system, power, db_options, &error);
-  if (!db.has_value()) {
-    std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
-    return 1;
-  }
-  if (!db_cache->hit && !db_cache->path.empty()) {
-    std::printf("saved simulation database snapshot to %s\n",
-                db_cache->path.c_str());
-  }
+  const std::optional<rmsim::CliDb> cli_db =
+      rmsim::prepare_cli_db(args, outputs, total_cores, bw_shares, threads);
+  if (!cli_db.has_value()) return 1;
+  const workload::SimDb& db = cli_db->db;
 
   std::printf("sweeping %zu runs (%zu mixes x %zu policies x %zu models x "
               "%zu alphas) on %zu threads...\n",
@@ -228,14 +183,20 @@ int main(int argc, char** argv) {
               grid.models.size(), grid.qos_alphas.size(),
               qosrm::pool_threads(threads, grid.size()));
   const auto t_sweep = Clock::now();
-  rmsim::SweepRunner runner(*db, options);
+  rmsim::SweepRunner runner(db, options);
   const rmsim::SweepResult result = runner.run(grid);
   const auto t_done = Clock::now();
 
-  rmsim::write_rows_csv(result, rows_csv);
+  if (!qosrm::write_output("rows-csv", rows_csv,
+                           rmsim::sweep_rows_csv(result))) {
+    return 1;
+  }
   std::printf("wrote %zu rows to %s\n", result.rows.size(), rows_csv.c_str());
   if (!agg_csv.empty()) {
-    rmsim::write_aggregates_csv(result, agg_csv);
+    if (!qosrm::write_output("agg-csv", agg_csv,
+                             rmsim::aggregates_csv(result))) {
+      return 1;
+    }
     std::printf("wrote %zu aggregates to %s\n", result.aggregates.size(),
                 agg_csv.c_str());
   }
@@ -244,14 +205,13 @@ int main(int argc, char** argv) {
         result.rows, grid.shape(),
         rmsim::sweep_fingerprint(
             grid, options.sim,
-            workload::simdb_fingerprint(db->suite(), db->system(),
-                                        db->phase_options())),
+            workload::simdb_fingerprint(db.suite(), db.system(),
+                                        db.phase_options())),
         rmsim::scenario_weights(suite));
     for (const auto& output : kFigureOutputs) {
       const std::string path = args.get(output.flag, "");
       if (path.empty()) continue;
-      if (!output.write(report, path, &error)) {
-        std::fprintf(stderr, "--%s: %s\n", output.flag, error.c_str());
+      if (!qosrm::write_output(output.flag, path, output.text(report))) {
         return 1;
       }
       std::printf("wrote %s to %s\n", output.what, path.c_str());
@@ -262,7 +222,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nidle references simulated: %zu (one per mix x alpha)\n",
               result.idle_computations);
-  std::printf("db %s %.2fs, sweep %.2fs\n", db_cache->hit ? "load" : "build",
+  std::printf("db %s %.2fs, sweep %.2fs\n", cli_db->loaded ? "load" : "build",
               secs(t_db, t_sweep), secs(t_sweep, t_done));
   return 0;
 }

@@ -71,6 +71,8 @@ TEST(Cli, BoolVariants) {
   EXPECT_TRUE(parse({"--x=1"}).get_bool("x", false));
   EXPECT_TRUE(parse({"--x=yes"}).get_bool("x", false));
   EXPECT_FALSE(parse({"--x=false"}).get_bool("x", true));
+  EXPECT_FALSE(parse({"--x=0"}).get_bool("x", true));
+  EXPECT_FALSE(parse({"--x=no"}).get_bool("x", true));
 }
 
 TEST(Cli, PositionalArgumentsPreserved) {
@@ -137,6 +139,17 @@ TEST(CliDeathTest, MalformedDoubleAborts) {
                "bad --load value ''");
   EXPECT_DEATH((void)parse({"--load=1e999"}).get_double("load", 0.0),
                "bad --load value '1e999'");
+}
+
+// A misspelled boolean must abort naming the flag, never read as false
+// (--overheads=ture would silently run with overheads off).
+TEST(CliDeathTest, MalformedBoolAborts) {
+  EXPECT_DEATH((void)parse({"--overheads=ture"}).get_bool("overheads", true),
+               "bad --overheads value 'ture'");
+  EXPECT_DEATH((void)parse({"--overheads=on"}).get_bool("overheads", true),
+               "bad --overheads value 'on'");
+  EXPECT_DEATH((void)parse({"--overheads="}).get_bool("overheads", true),
+               "bad --overheads value ''");
 }
 
 TEST(Cli, StrictNumericAcceptsValidValues) {

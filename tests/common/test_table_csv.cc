@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/csv.hh"
+#include "common/file_util.hh"
 #include "common/str.hh"
 #include "common/table.hh"
 
@@ -45,25 +45,19 @@ TEST(AsciiTable, NumberFormatting) {
 }
 
 TEST(Csv, WritesHeaderAndRows) {
-  const std::string path = ::testing::TempDir() + "/qosrm_test.csv";
-  {
-    CsvWriter csv(path, {"a", "b"});
-    csv.add_row({"1", "2"});
-    csv.add_row({"x,y", "quote\"inside"});
-  }
-  std::ifstream in(path);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "a,b");
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "1,2");
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "\"x,y\",\"quote\"\"inside\"");
-  std::remove(path.c_str());
+  EXPECT_EQ(csv_text({"a", "b"}, {{"1", "2"}, {"x,y", "quote\"inside"}}),
+            "a,b\n"
+            "1,2\n"
+            "\"x,y\",\"quote\"\"inside\"\n");
+  EXPECT_EQ(csv_text({"a"}, {}), "a\n");
+  EXPECT_EQ(csv_text({"a"}, {{"two\nlines"}}), "a\n\"two\nlines\"\n");
 }
 
-TEST(Csv, ThrowsOnUnwritablePath) {
-  EXPECT_THROW(CsvWriter("/nonexistent-dir/foo.csv", {"a"}), std::runtime_error);
+TEST(Csv, UnwritablePathReturnsFalseNamingThePath) {
+  const std::string path = "/nonexistent-dir/foo.csv";
+  std::string error;
+  EXPECT_FALSE(write_file_atomic(path, csv_text({"a"}, {}), &error));
+  EXPECT_NE(error.find(path), std::string::npos) << error;
 }
 
 TEST(Csv, TargetUntouchedUntilCloseThenReplacedAtomically) {
@@ -72,49 +66,17 @@ TEST(Csv, TargetUntouchedUntilCloseThenReplacedAtomically) {
     std::ofstream old(path);
     old << "old content\n";
   }
+  // Formatting touches no file: until the commit, a reader (or a crash)
+  // sees the OLD complete file, never a truncated half-written one.
+  const std::string text = csv_text({"a"}, {{"1"}});
   {
-    CsvWriter csv(path, {"a"});
-    csv.add_row({"1"});
-    // Not committed yet: a reader (or a crash) at this point sees the OLD
-    // complete file, never a truncated half-written one.
     std::ifstream in(path);
     std::string line;
     ASSERT_TRUE(std::getline(in, line));
     EXPECT_EQ(line, "old content");
-    csv.close();
   }
-  std::ifstream in(path);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "a");
-  std::remove(path.c_str());
-}
-
-TEST(Csv, PartialResultIsAbandonedWhenAnExceptionUnwinds) {
-  const std::string path = ::testing::TempDir() + "/qosrm_abandoned.csv";
-  std::remove(path.c_str());
-  try {
-    CsvWriter csv(path, {"a"});
-    csv.add_row({"partial"});
-    throw std::runtime_error("run failed mid-sweep");
-  } catch (const std::runtime_error&) {
-  }
-  // The failed run published nothing - no decoy CSV, no temp leftovers.
-  std::ifstream in(path);
-  EXPECT_FALSE(in.good());
-  const std::string tmp_prefix = path + ".tmp.";
-  for (const auto& entry :
-       std::filesystem::directory_iterator(::testing::TempDir())) {
-    EXPECT_NE(entry.path().string().rfind(tmp_prefix, 0), 0u)
-        << "temp file left behind: " << entry.path();
-  }
-}
-
-TEST(Csv, CloseIsIdempotent) {
-  const std::string path = ::testing::TempDir() + "/qosrm_idempotent.csv";
-  CsvWriter csv(path, {"a"});
-  csv.close();
-  csv.close();  // second close (and the destructor) must be a no-op
+  std::string error;
+  ASSERT_TRUE(write_file_atomic(path, text, &error)) << error;
   std::ifstream in(path);
   std::string line;
   ASSERT_TRUE(std::getline(in, line));

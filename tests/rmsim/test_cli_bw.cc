@@ -17,6 +17,7 @@
 
 #include "arch/system_config.hh"
 #include "rmsim/sweep.hh"
+#include "support/run_binary.hh"
 #include "workload/db_io.hh"
 #include "workload/spec_suite.hh"
 
@@ -51,20 +52,7 @@ TEST_P(BwSharesCli, RejectsGarbageViaStrictIntegerParse) {
 INSTANTIATE_TEST_SUITE_P(Binaries, BwSharesCli,
                          ::testing::Values("sweep_main", "service_main"));
 
-// Runs `binary flags` and returns its exit status (as run_silenced maps it)
-// with its combined stdout/stderr in `output`.
-int run_captured(const std::string& binary, const std::string& flags,
-                 std::string& output) {
-  const std::string cmd =
-      std::string(QOSRM_BIN_DIR) + "/" + binary + " " + flags + " 2>&1";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return -1;
-  output.clear();
-  char buf[256];
-  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) output += buf;
-  const int status = pclose(pipe);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
-}
+using testing::run_captured;
 
 // Integer flags that do not fit an int are rejected naming the flag instead
 // of wrapping: 4294967298 used to become 2 cores and 4294967336 a demand of

@@ -16,27 +16,19 @@
 */
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "rmsim/report.hh"
 #include "rmsim/sweep.hh"
 #include "support/shared_db.hh"
+#include "support/slurp.hh"
 #include "workload/db_io.hh"
 #include "workload/workload_gen.hh"
 
 namespace qosrm::rmsim {
 namespace {
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
+using testing::slurp;
 
 /// The canonical paper grid (must match the regeneration command above and
 /// the CI paper-grid job).
@@ -86,11 +78,7 @@ std::uint64_t GoldenAggregates::fingerprint_ = 0;
 TEST_F(GoldenAggregates, PaperGridAggregatesMatchCommittedGolden) {
   ASSERT_EQ(result_->rows.size(), 24u * 4u * 2u * 3u);
 
-  const std::string actual_path =
-      ::testing::TempDir() + "/golden_check_paper_agg.csv";
-  write_aggregates_csv(*result_, actual_path);
-  const std::string actual = slurp(actual_path);
-  std::remove(actual_path.c_str());
+  const std::string actual = aggregates_csv(*result_);
 
   const std::string golden_path =
       std::string(QOSRM_TEST_DATA_DIR) + "/golden_paper_grid_agg.csv";
@@ -160,11 +148,7 @@ TEST(GoldenBaselineAggregates, BaselineGridMatchesCommittedGolden) {
   const SweepResult result = runner.run(grid);
   ASSERT_EQ(result.rows.size(), 24u * 4u * 1u * 3u);
 
-  const std::string actual_path =
-      ::testing::TempDir() + "/golden_check_baselines_agg.csv";
-  write_aggregates_csv(result, actual_path);
-  const std::string actual = slurp(actual_path);
-  std::remove(actual_path.c_str());
+  const std::string actual = aggregates_csv(result);
 
   const std::string golden_path =
       std::string(QOSRM_TEST_DATA_DIR) + "/golden_paper_baselines_agg.csv";
@@ -232,11 +216,7 @@ TEST(GoldenCbpAggregates, BandwidthPartitionedGridMatchesCommittedGolden) {
   const SweepResult result = runner.run(grid);
   ASSERT_EQ(result.rows.size(), 4u * 4u * 1u * 3u);
 
-  const std::string actual_path =
-      ::testing::TempDir() + "/golden_check_cbp_agg.csv";
-  write_aggregates_csv(result, actual_path);
-  const std::string actual = slurp(actual_path);
-  std::remove(actual_path.c_str());
+  const std::string actual = aggregates_csv(result);
 
   const std::string golden_path =
       std::string(QOSRM_TEST_DATA_DIR) + "/golden_cbp_grid_agg.csv";
@@ -293,12 +273,7 @@ TEST_P(GoldenScaledAggregates, ReplicatedGridAggregatesMatchCommittedGolden) {
   const SweepResult result = runner.run(grid);
   ASSERT_EQ(result.rows.size(), 24u * 4u * 2u * 3u);
 
-  const std::string actual_path = ::testing::TempDir() +
-                                  "/golden_check_paper" +
-                                  std::to_string(cores) + "_agg.csv";
-  write_aggregates_csv(result, actual_path);
-  const std::string actual = slurp(actual_path);
-  std::remove(actual_path.c_str());
+  const std::string actual = aggregates_csv(result);
 
   const std::string golden_path = std::string(QOSRM_TEST_DATA_DIR) +
                                   "/golden_paper_grid" +

@@ -10,25 +10,17 @@
 //       --rows-csv=tests/data/golden_sweep_2core_rows.csv
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "rmsim/sweep.hh"
 #include "support/shared_db.hh"
+#include "support/slurp.hh"
 #include "workload/workload_gen.hh"
 
 namespace qosrm::rmsim {
 namespace {
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
+using testing::slurp;
 
 TEST(GoldenCsv, TwoCoreReferenceSweepIsByteIdenticalToCommittedGolden) {
   const workload::SimDb& db = testing::shared_db(2);
@@ -47,11 +39,7 @@ TEST(GoldenCsv, TwoCoreReferenceSweepIsByteIdenticalToCommittedGolden) {
   SweepRunner runner(db, {});
   const SweepResult result = runner.run(grid);
 
-  const std::string actual_path =
-      ::testing::TempDir() + "/golden_check_rows.csv";
-  write_rows_csv(result, actual_path);
-  const std::string actual = slurp(actual_path);
-  std::remove(actual_path.c_str());
+  const std::string actual = sweep_rows_csv(result);
 
   const std::string golden_path =
       std::string(QOSRM_TEST_DATA_DIR) + "/golden_sweep_2core_rows.csv";

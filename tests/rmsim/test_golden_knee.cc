@@ -17,8 +17,6 @@
 //
 // Builds the full simulation database (tests/support/shared_db.hh), so the
 // binary carries LABELS slow.
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,19 +26,14 @@
 #include "rmsim/report.hh"
 #include "rmsim/service.hh"
 #include "support/shared_db.hh"
+#include "support/slurp.hh"
 #include "workload/db_io.hh"
 #include "workload/spec_suite.hh"
 
 namespace qosrm::rmsim {
 namespace {
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
+using testing::slurp;
 
 /// The golden configuration: mirrors the CLI invocation in the header
 /// comment (and CI's service-smoke knee step) exactly.

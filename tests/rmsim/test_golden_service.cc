@@ -14,8 +14,6 @@
 //
 // Builds the full simulation database (tests/support/shared_db.hh), so the
 // binary carries LABELS slow.
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -23,18 +21,13 @@
 #include "rmsim/report.hh"
 #include "rmsim/service.hh"
 #include "support/shared_db.hh"
+#include "support/slurp.hh"
 #include "workload/db_io.hh"
 
 namespace qosrm::rmsim {
 namespace {
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
+using testing::slurp;
 
 TEST(GoldenService, TwoCoreServiceReportMatchesCommittedGolden) {
   const workload::SimDb& db = testing::shared_db(2);

@@ -3,11 +3,9 @@
 // this binary stays in the fast suite.
 #include "rmsim/report.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -56,29 +54,20 @@ std::vector<ServiceRow> synthetic_rows(const ServiceGridShape& shape,
                                        const std::vector<double>& loads) {
   std::vector<ServiceRow> rows(shape.size());
   for (std::size_t idx = 0; idx < rows.size(); ++idx) {
-    std::size_t rest = idx;
-    const std::size_t pi = rest % shape.patterns;
-    rest /= shape.patterns;
-    const std::size_t li = rest % shape.loads;
-    rest /= shape.loads;
-    const std::size_t di = rest % shape.admissions;
-    rest /= shape.admissions;
-    const std::size_t oi = rest % shape.policies;
-    const std::size_t ai = rest / shape.policies;
-
+    const ServiceCell c = shape.cell(idx);
     ServiceRow& row = rows[idx];
-    row.pattern = static_cast<workload::ArrivalPattern>(pi);
-    row.load = loads[li];
-    row.admission = static_cast<AdmissionPolicy>(di);
+    row.pattern = static_cast<workload::ArrivalPattern>(c.pattern);
+    row.load = loads[c.load];
+    row.admission = static_cast<AdmissionPolicy>(c.admission);
     row.policy = rm::RmPolicy::Rm3;
-    row.qos_alpha = 1.0 + 0.05 * static_cast<double>(ai);
+    row.qos_alpha = 1.0 + 0.05 * static_cast<double>(c.alpha);
     ServiceMetrics& m = row.metrics;
     m.arrivals = 100;
     m.served = 90;
     m.rejected = 10;
     // Admission 0 knees earliest, each further admission a load step later.
-    m.p99_violation =
-        0.05 * static_cast<double>(li) - 0.1 * static_cast<double>(di + oi);
+    m.p99_violation = 0.05 * static_cast<double>(c.load) -
+                      0.1 * static_cast<double>(c.admission + c.policy);
     if (m.p99_violation < 0.0) m.p99_violation = 0.0;
     m.violation_rate = m.p99_violation / 2.0;
     m.occupancy = 0.5;
@@ -173,17 +162,15 @@ TEST(KneeReport, PerPatternCsvsCarryTheKneeMarker) {
   const ServiceKneeReport report =
       build_service_knee_report(rows, shape, 7, 0.1);
 
-  const std::string prefix = ::testing::TempDir() + "/knee_test_";
-  std::string error;
-  ASSERT_TRUE(write_knee_curve_csvs(report, prefix, &error)) << error;
-
-  for (const char* pattern : {"poisson", "bursty"}) {
-    const std::string path = prefix + pattern + ".csv";
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << path;
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const std::string csv = buffer.str();
+  for (const workload::ArrivalPattern pattern :
+       {workload::ArrivalPattern::Poisson, workload::ArrivalPattern::Bursty}) {
+    const std::string csv = knee_curve_csv(report, pattern);
+    // The header plus one row per load, all of this pattern.
+    EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 1 + 5) << csv;
+    EXPECT_EQ(csv.find(pattern == workload::ArrivalPattern::Poisson ? "bursty"
+                                                                    : "poisson"),
+              std::string::npos)
+        << csv;
     EXPECT_NE(csv.find("pattern,admission,policy,model,qos_alpha,load,"
                        "p99_violation,violation_rate,occupancy,"
                        "rejected_frac,is_knee"),
@@ -195,7 +182,6 @@ TEST(KneeReport, PerPatternCsvsCarryTheKneeMarker) {
       ++at;
     }
     EXPECT_EQ(knees, 1u) << csv;
-    std::remove(path.c_str());
   }
 }
 

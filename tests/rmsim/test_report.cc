@@ -1,27 +1,21 @@
 // Figure-report subsystem tests: aggregate math on synthetic rows, JSON
-// byte-stability and atomic writes.
+// byte-stability, atomic writes and the grids' row order.
 #include "rmsim/report.hh"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/file_util.hh"
 #include "rmsim/sweep.hh"
+#include "support/slurp.hh"
 
 namespace qosrm::rmsim {
 namespace {
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
+using testing::slurp;
 
 SweepRow make_row(const std::string& workload, workload::Scenario scenario,
                   rm::RmPolicy policy, rm::PerfModelKind model, double alpha,
@@ -186,7 +180,8 @@ TEST(FigureReport, JsonWriteIsAtomicAndLeavesNoTempFiles) {
   const std::string path = dir + "/report_atomic_check.json";
 
   std::string error;
-  ASSERT_TRUE(write_report_json(report, path, &error)) << error;
+  ASSERT_TRUE(write_file_atomic(path, figure_report_json(report), &error))
+      << error;
   EXPECT_EQ(slurp(path), figure_report_json(report));
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     EXPECT_EQ(entry.path().string().find(".tmp."), std::string::npos)
@@ -195,9 +190,84 @@ TEST(FigureReport, JsonWriteIsAtomicAndLeavesNoTempFiles) {
   std::filesystem::remove_all(dir);
 
   // A failing write reports an error and leaves no target file behind.
-  EXPECT_FALSE(write_report_json(
-      report, "/nonexistent-dir/report.json", &error));
+  EXPECT_FALSE(write_file_atomic("/nonexistent-dir/report.json",
+                                 figure_report_json(report), &error));
   EXPECT_FALSE(std::filesystem::exists("/nonexistent-dir/report.json"));
+}
+
+// A failed commit is a false return naming the path, never an exception: a
+// main reports it as exit 1 naming the flag.
+TEST(SweepCsv, UnwritablePathReturnsFalseNamingThePath) {
+  const SyntheticGrid g;
+  SweepResult result;
+  result.rows = g.rows;
+  result.aggregates = compute_aggregates(g.rows, g.shape, g.weights);
+
+  const std::string agg_path = "/nonexistent-dir/agg.csv";
+  std::string error;
+  EXPECT_FALSE(write_aggregates_csv(result, agg_path, &error));
+  EXPECT_NE(error.find(agg_path), std::string::npos) << error;
+  EXPECT_FALSE(write_aggregates_csv(result, agg_path));  // error is optional
+
+  const std::string rows_path = "/nonexistent-dir/rows.csv";
+  error.clear();
+  EXPECT_FALSE(write_file_atomic(rows_path, sweep_rows_csv(result), &error));
+  EXPECT_NE(error.find(rows_path), std::string::npos) << error;
+}
+
+// Row order is defined once, by GridShape::index/cell: alpha-major, then
+// model, then policy, mix-minor.
+TEST(GridShape, IndexRoundTripsEveryCellOfANonSquareShape) {
+  const GridShape shape{3, 2, 4, 5};
+  std::size_t idx = 0;
+  for (std::size_t ai = 0; ai < shape.alphas; ++ai) {
+    for (std::size_t ki = 0; ki < shape.models; ++ki) {
+      for (std::size_t pi = 0; pi < shape.policies; ++pi) {
+        for (std::size_t mi = 0; mi < shape.mixes; ++mi, ++idx) {
+          const GridCell cell{mi, pi, ki, ai};
+          EXPECT_EQ(shape.index(cell), idx);
+          EXPECT_EQ(shape.cell(idx), cell);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(idx, shape.size());
+}
+
+// Service row order: pattern-minor, then load, admission, policy, alpha-major;
+// ServiceGrid::point must agree with it.
+TEST(ServiceGridShape, IndexRoundTripsAndMatchesServiceGridPoint) {
+  ServiceGrid grid;
+  grid.patterns = {workload::ArrivalPattern::Poisson,
+                   workload::ArrivalPattern::Bursty,
+                   workload::ArrivalPattern::Diurnal};
+  grid.loads = {0.5, 0.9};
+  grid.admissions = {AdmissionPolicy::Fifo, AdmissionPolicy::QosAware};
+  grid.policies = {rm::RmPolicy::Idle, rm::RmPolicy::Rm1, rm::RmPolicy::Rm3};
+  grid.qos_alphas = {0.0, 1.05, 1.1, 1.2};
+  const ServiceGridShape shape = grid.shape();
+
+  std::size_t idx = 0;
+  for (std::size_t ai = 0; ai < shape.alphas; ++ai) {
+    for (std::size_t oi = 0; oi < shape.policies; ++oi) {
+      for (std::size_t di = 0; di < shape.admissions; ++di) {
+        for (std::size_t li = 0; li < shape.loads; ++li) {
+          for (std::size_t pi = 0; pi < shape.patterns; ++pi, ++idx) {
+            const ServiceCell cell{pi, li, di, oi, ai};
+            EXPECT_EQ(shape.index(cell), idx);
+            EXPECT_EQ(shape.cell(idx), cell);
+            const ServicePoint point = grid.point(idx);
+            EXPECT_EQ(point.pattern, grid.patterns[pi]);
+            EXPECT_EQ(point.load, grid.loads[li]);
+            EXPECT_EQ(point.admission, grid.admissions[di]);
+            EXPECT_EQ(point.policy, grid.policies[oi]);
+            EXPECT_EQ(point.qos_alpha, grid.qos_alphas[ai]);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(idx, shape.size());
 }
 
 }  // namespace

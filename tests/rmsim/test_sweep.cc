@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -68,14 +65,6 @@ void expect_runs_identical(const RunResult& a, const RunResult& b) {
   }
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 TEST(Sweep, GridSizeAndRowOrder) {
   const SweepGrid grid = small_grid(2);
   EXPECT_EQ(grid.size(), 8u);
@@ -130,18 +119,9 @@ TEST(Sweep, HugeThreadCountIsCappedAtTheRowCount) {
 
 TEST(Sweep, CsvBytesIdenticalAcrossThreadCounts) {
   const SweepGrid grid = small_grid(2);
-  const std::string dir = ::testing::TempDir();
-  const std::string path1 = dir + "/sweep_rows_t1.csv";
-  const std::string path4 = dir + "/sweep_rows_t4.csv";
-
-  write_rows_csv(run_sweep(grid, 1), path1);
-  write_rows_csv(run_sweep(grid, 4), path4);
-
-  const std::string bytes1 = slurp(path1);
+  const std::string bytes1 = sweep_rows_csv(run_sweep(grid, 1));
   EXPECT_FALSE(bytes1.empty());
-  EXPECT_EQ(bytes1, slurp(path4));
-  std::remove(path1.c_str());
-  std::remove(path4.c_str());
+  EXPECT_EQ(bytes1, sweep_rows_csv(run_sweep(grid, 4)));
 }
 
 TEST(Sweep, Rm3RowMatchesDirectExperimentRun) {
