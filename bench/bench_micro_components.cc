@@ -1,7 +1,6 @@
 // Google-benchmark microbenchmarks for the hot paths of the library: the
 // structures the paper argues are cheap enough for hardware/runtime use.
 //
-//   * ATD observe            - per-LLC-access monitoring work
 //   * MLP-ATD observe        - the proposed 48-counter extension
 //   * oracle leading misses  - offline ground-truth analysis, all (c, w)
 //   * phase characterization - the per-phase unit of the cold SimDb build
@@ -10,7 +9,6 @@
 //   * global optimization    - min-plus reduction, 2..16 cores
 #include <benchmark/benchmark.h>
 
-#include "cache/atd.hh"
 #include "cache/mlp_atd.hh"
 #include "cache/mlp_oracle.hh"
 #include "cache/recency.hh"
@@ -40,20 +38,6 @@ std::vector<cache::LlcAccess> make_trace(std::size_t n) {
   }
   return trace;
 }
-
-void BM_AtdObserve(benchmark::State& state) {
-  const auto trace = make_trace(1 << 14);
-  cache::AtdConfig cfg;
-  cfg.sets = 64;
-  cache::Atd atd(cfg);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(atd.observe(trace[i]));
-    i = (i + 1) & (trace.size() - 1);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AtdObserve);
 
 void BM_MlpAtdObserve(benchmark::State& state) {
   const auto trace = make_trace(1 << 14);

@@ -32,6 +32,4 @@ const CoreParams& core_params(CoreSize c) noexcept {
   return kParams[static_cast<std::size_t>(c)];
 }
 
-int max_rob() noexcept { return kParams.back().rob; }
-
 }  // namespace qosrm::arch

@@ -56,10 +56,6 @@ struct CoreParams {
 /// Returns the Table I parameters of configuration `c`.
 [[nodiscard]] const CoreParams& core_params(CoreSize c) noexcept;
 
-/// Maximum ROB across configurations; the MLP-ATD instruction-index window is
-/// four times this value (paper Section III-C).
-[[nodiscard]] int max_rob() noexcept;
-
 }  // namespace qosrm::arch
 
 #endif  // QOSRM_ARCH_CORE_CONFIG_HH

@@ -16,13 +16,6 @@ double window_ilp_factor(CoreSize c) noexcept {
   return 1.0;
 }
 
-double effective_ipc(CoreSize c, double ilp) noexcept {
-  QOSRM_DCHECK(ilp > 0.0);
-  const double d = static_cast<double>(core_params(c).issue_width);
-  const double ilp_eff = ilp * window_ilp_factor(c);
-  return 1.0 / (1.0 / d + 1.0 / ilp_eff);
-}
-
 IntervalTiming evaluate_interval(const IntervalCharacteristics& chars,
                                  const MemoryBehaviour& mem, CoreSize c,
                                  double freq_hz) noexcept {

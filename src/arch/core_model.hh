@@ -61,11 +61,6 @@ struct IntervalTiming {
 /// little more ILP. Unknown to the online models (modelling error).
 [[nodiscard]] double window_ilp_factor(CoreSize c) noexcept;
 
-/// Effective sustainable IPC of core size `c` for inherent parallelism `ilp`:
-/// harmonic combination 1 / (1/D + 1/ILP_eff), which saturates towards
-/// min(D, ILP) and degrades gracefully between the extremes.
-[[nodiscard]] double effective_ipc(CoreSize c, double ilp) noexcept;
-
 /// Evaluates the ground-truth interval time at (c, f, w); the w dependence is
 /// already folded into `mem` (misses/leading misses are per-(c,w)).
 [[nodiscard]] IntervalTiming evaluate_interval(const IntervalCharacteristics& chars,

@@ -1,7 +1,5 @@
 #include "arch/dvfs.hh"
 
-#include <cmath>
-
 #include "common/check.hh"
 
 namespace qosrm::arch {
@@ -21,12 +19,6 @@ double VfTable::voltage(int idx) noexcept {
   const double span_hz = kStepHz * static_cast<double>(kNumPoints - 1);
   const double t = (frequency_hz(idx) - kMinFreqHz) / span_hz;
   return kMinVolt + t * (kMaxVolt - kMinVolt);
-}
-
-int VfTable::index_at_least(double freq_hz) noexcept {
-  if (freq_hz <= kMinFreqHz) return 0;
-  const int idx = static_cast<int>(std::ceil((freq_hz - kMinFreqHz) / kStepHz - 1e-9));
-  return idx >= kNumPoints ? kNumPoints - 1 : idx;
 }
 
 }  // namespace qosrm::arch

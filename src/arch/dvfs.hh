@@ -34,10 +34,6 @@ class VfTable {
   [[nodiscard]] static double frequency_hz(int idx) noexcept;
   [[nodiscard]] static double voltage(int idx) noexcept;
 
-  /// Index of the lowest operating point with frequency >= freq_hz; returns
-  /// kNumPoints-1 if freq_hz exceeds the table.
-  [[nodiscard]] static int index_at_least(double freq_hz) noexcept;
-
   [[nodiscard]] static OperatingPoint baseline() noexcept {
     return point(kBaselineIndex);
   }

@@ -17,9 +17,6 @@ struct LlcConfig {
   int ways_per_core_baseline = 8;
   int min_ways = 2;
   int max_ways = 16;
-  int block_bytes = 64;
-  int sets = 4096;              ///< 256 KB per way / 64 B blocks
-  int atd_sampled_sets = 64;    ///< set-sampling ratio 1/64 in the ATD
 
   /// Total way budget for an n-core system: Sum_j w_j = 8 n.
   [[nodiscard]] int total_ways(int cores) const noexcept {

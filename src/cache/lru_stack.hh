@@ -35,7 +35,6 @@ class LruStack {
   [[nodiscard]] std::uint64_t tag_at(int pos) const;
 
   [[nodiscard]] int occupancy() const noexcept { return static_cast<int>(stack_.size()); }
-  [[nodiscard]] int ways() const noexcept { return ways_; }
 
   void clear() noexcept { stack_.clear(); }
 

@@ -23,20 +23,13 @@ MissCurve MissCurve::from_recency(std::span<const std::uint8_t> recency, int max
       hits_at[r] += 1.0;
     }
   }
-  return from_hit_counters(hits_at, cold);
-}
-
-MissCurve MissCurve::from_hit_counters(std::span<const double> hits, double misses,
-                                       double scale) {
-  QOSRM_CHECK(!hits.empty());
-  QOSRM_CHECK(scale > 0.0);
-  std::vector<double> m(hits.size(), 0.0);
-  // misses(w) = base misses + hits at recency positions >= w; accumulate the
+  // misses(w) = cold misses + hits at recency positions >= w; accumulate the
   // suffix sum from the largest allocation downwards.
-  double tail = misses;
-  for (std::size_t w = hits.size(); w >= 1; --w) {
-    m[w - 1] = tail * scale;
-    tail += hits[w - 1];
+  std::vector<double> m(hits_at.size(), 0.0);
+  double tail = cold;
+  for (std::size_t w = hits_at.size(); w >= 1; --w) {
+    m[w - 1] = tail;
+    tail += hits_at[w - 1];
   }
   return MissCurve(std::move(m));
 }
@@ -45,12 +38,6 @@ double MissCurve::misses(int w) const noexcept {
   QOSRM_DCHECK(!m_.empty());
   const int clamped = std::clamp(w, 1, max_ways());
   return m_[static_cast<std::size_t>(clamped - 1)];
-}
-
-void MissCurve::make_monotone() noexcept {
-  for (std::size_t w = m_.size(); w >= 2; --w) {
-    m_[w - 2] = std::max(m_[w - 2], m_[w - 1]);
-  }
 }
 
 }  // namespace qosrm::cache

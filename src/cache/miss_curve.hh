@@ -1,5 +1,5 @@
-// Miss counts as a function of the LLC way allocation, derived from a
-// recency annotation (exact) or from ATD counters (estimated).
+// Miss counts as a function of the LLC way allocation, derived exactly from
+// a recency annotation.
 #ifndef QOSRM_CACHE_MISS_CURVE_HH
 #define QOSRM_CACHE_MISS_CURVE_HH
 
@@ -10,11 +10,9 @@
 namespace qosrm::cache {
 
 /// misses(w) for w in [1, max_ways]; monotonically non-increasing in w for
-/// LRU (stack-inclusion property). Counts are doubles so they can carry
-/// set-sampling scale factors.
+/// LRU (stack-inclusion property).
 class MissCurve {
  public:
-  MissCurve() = default;
   explicit MissCurve(std::vector<double> misses_by_ways);
 
   /// Builds the exact curve from a recency annotation: misses(w) = #accesses
@@ -22,20 +20,10 @@ class MissCurve {
   [[nodiscard]] static MissCurve from_recency(std::span<const std::uint8_t> recency,
                                               int max_ways);
 
-  /// Builds the curve from per-recency-position hit counters plus a miss
-  /// count (the UMON/ATD form), optionally scaled (set sampling).
-  [[nodiscard]] static MissCurve from_hit_counters(std::span<const double> hits,
-                                                   double misses, double scale = 1.0);
-
   /// Miss count at allocation w (clamped to [1, max_ways]).
   [[nodiscard]] double misses(int w) const noexcept;
 
   [[nodiscard]] int max_ways() const noexcept { return static_cast<int>(m_.size()); }
-  [[nodiscard]] bool empty() const noexcept { return m_.empty(); }
-
-  /// Enforces monotone non-increase (guards against sampling noise when the
-  /// curve comes from a hardware estimate).
-  void make_monotone() noexcept;
 
  private:
   std::vector<double> m_;  // m_[w-1] = misses at w ways

@@ -34,7 +34,6 @@ MlpAtd::MlpAtd(const MlpAtdConfig& config) : cfg_(config) {
   last_lm_index_.assign(blocks, splat(0));
   last_ov_dist_.assign(blocks, splat(0));
   has_lm_.assign(blocks, splat(0));
-  hit_at_.assign(static_cast<std::size_t>(cfg_.max_ways), 0);
 }
 
 void MlpAtd::observe(const LlcAccess& access) {
@@ -44,11 +43,6 @@ void MlpAtd::observe(const LlcAccess& access) {
   const std::uint32_t set_idx =
       access.set / static_cast<std::uint32_t>(cfg_.sample_period);
   const std::uint8_t pos = sampled_sets_[set_idx].access(access.tag);
-  if (pos == kRecencyMiss) {
-    ++atd_misses_;
-  } else {
-    ++hit_at_[pos];
-  }
 
   // The instruction index is transmitted quantized: the low index_bits of the
   // dynamic instruction count (paper: 10 bits = a 1024-instruction window,
@@ -91,29 +85,11 @@ double MlpAtd::leading_misses(arch::CoreSize c, int w) const {
          static_cast<double>(cfg_.sample_period);
 }
 
-double MlpAtd::total_misses(int w) const {
-  QOSRM_CHECK(w >= cfg_.min_ways && w <= cfg_.max_ways);
-  // misses(w) = ATD misses + hits at recency positions >= w.
-  std::uint64_t m = atd_misses_;
-  for (int r = w; r < cfg_.max_ways; ++r) {
-    m += hit_at_[static_cast<std::size_t>(r)];
-  }
-  return static_cast<double>(m) * static_cast<double>(cfg_.sample_period);
-}
-
-double MlpAtd::mlp(arch::CoreSize c, int w) const {
-  const double lm = leading_misses(c, w);
-  if (lm <= 0.0) return 1.0;
-  return std::max(1.0, total_misses(w) / lm);
-}
-
 void MlpAtd::reset_counters() {
   for (std::vector<U32x4>* regs :
        {&lm_count_, &last_lm_index_, &last_ov_dist_, &has_lm_}) {
     std::fill(regs->begin(), regs->end(), splat(0));
   }
-  std::fill(hit_at_.begin(), hit_at_.end(), 0ULL);
-  atd_misses_ = 0;
 }
 
 std::uint64_t MlpAtd::extension_storage_bits() const noexcept {

@@ -65,13 +65,6 @@ class MlpAtd {
   /// scaled by the set-sampling period.
   [[nodiscard]] double leading_misses(arch::CoreSize c, int w) const;
 
-  /// Total observed misses at allocation w (same tag directory as the LM
-  /// counters, scaled) - the companion UMON estimate.
-  [[nodiscard]] double total_misses(int w) const;
-
-  /// Estimated MLP = total misses / leading misses (>= 1).
-  [[nodiscard]] double mlp(arch::CoreSize c, int w) const;
-
   /// Clears all counters and per-counter registers; tag state is preserved
   /// (interval boundary behaviour).
   void reset_counters();
@@ -98,8 +91,6 @@ class MlpAtd {
   std::vector<U32x4> last_lm_index_;
   std::vector<U32x4> last_ov_dist_;
   std::vector<U32x4> has_lm_;
-  std::vector<std::uint64_t> hit_at_;  // recency-position hit counters
-  std::uint64_t atd_misses_ = 0;
 };
 
 }  // namespace qosrm::cache

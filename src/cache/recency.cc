@@ -4,7 +4,7 @@
 
 namespace qosrm::cache {
 
-RecencyProfiler::RecencyProfiler(int sets, int max_ways) : max_ways_(max_ways) {
+RecencyProfiler::RecencyProfiler(int sets, int max_ways) {
   QOSRM_CHECK(sets > 0);
   sets_.reserve(static_cast<std::size_t>(sets));
   for (int i = 0; i < sets; ++i) sets_.emplace_back(max_ways);
@@ -25,10 +25,6 @@ std::vector<std::uint8_t> RecencyProfiler::annotate(
 std::uint8_t RecencyProfiler::observe(const LlcAccess& access) {
   QOSRM_DCHECK(access.set < sets_.size());
   return sets_[access.set].access(access.tag);
-}
-
-void RecencyProfiler::reset() {
-  for (auto& s : sets_) s.clear();
 }
 
 }  // namespace qosrm::cache

@@ -5,8 +5,8 @@
 // determines hit/miss for EVERY allocation w simultaneously:
 // access misses in a w-way allocation  <=>  recency >= w (kRecencyMiss = inf).
 //
-// This is the ground truth against which the (sampled, quantized) hardware
-// ATD models are validated.
+// This is the ground truth the miss curves and the leading-miss counters are
+// built on.
 #ifndef QOSRM_CACHE_RECENCY_HH
 #define QOSRM_CACHE_RECENCY_HH
 
@@ -29,16 +29,9 @@ class RecencyProfiler {
   [[nodiscard]] std::vector<std::uint8_t> annotate(
       std::span<const LlcAccess> trace, std::span<const std::uint32_t> order = {});
 
-  /// Single-access processing for incremental use.
+ private:
   std::uint8_t observe(const LlcAccess& access);
 
-  void reset();
-
-  [[nodiscard]] int sets() const noexcept { return static_cast<int>(sets_.size()); }
-  [[nodiscard]] int max_ways() const noexcept { return max_ways_; }
-
- private:
-  int max_ways_;
   std::vector<LruStack> sets_;
 };
 

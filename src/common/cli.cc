@@ -29,7 +29,7 @@ CliArgs::CliArgs(int argc, char** argv,
                std::string(argv[i + 1]).rfind("--", 0) != 0) {
       values_[arg] = argv[++i];
     } else {
-      values_[arg] = "true";
+      values_[arg] = std::nullopt;
     }
   }
 }
@@ -54,15 +54,26 @@ bool CliArgs::reject_unknown(std::span<const char* const> known) const {
   return true;
 }
 
-std::string CliArgs::get(const std::string& name, const std::string& fallback) const {
+const std::string* CliArgs::value_of(const std::string& name) const {
   const auto it = values_.find(name);
-  return it != values_.end() ? it->second : fallback;
+  if (it == values_.end()) return nullptr;
+  if (!it->second.has_value()) {
+    std::fprintf(stderr, "--%s needs a value (--%s=VALUE)\n", name.c_str(),
+                 name.c_str());
+    std::exit(1);
+  }
+  return &*it->second;
+}
+
+std::string CliArgs::get(const std::string& name, const std::string& fallback) const {
+  const std::string* value = value_of(name);
+  return value != nullptr ? *value : fallback;
 }
 
 std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const std::string& value = it->second;
+  const std::string* present = value_of(name);
+  if (present == nullptr) return fallback;
+  const std::string& value = *present;
   errno = 0;
   char* end = nullptr;
   const long long parsed = std::strtoll(value.c_str(), &end, 10);
@@ -88,9 +99,9 @@ int CliArgs::get_int32(const std::string& name, int fallback) const {
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const std::string& value = it->second;
+  const std::string* present = value_of(name);
+  if (present == nullptr) return fallback;
+  const std::string& value = *present;
   errno = 0;
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
@@ -109,7 +120,8 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  const std::string& value = it->second;
+  if (!it->second.has_value()) return true;
+  const std::string& value = *it->second;
   if (value == "true" || value == "1" || value == "yes") return true;
   if (value != "false" && value != "0" && value != "no") {
     const std::string msg =

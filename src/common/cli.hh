@@ -3,11 +3,15 @@
 // Supports --name=value and --name value forms plus bare --flag booleans.
 // Unrecognized arguments are retained (google-benchmark binaries pass their
 // own flags through); strict binaries reject them with reject_unknown().
+// A bare --flag has no value: only get_bool reads it (as true); a string or
+// number read of it is a usage error (stderr names the flag, exit 1), so a
+// path flag given without its path can never write a file named "true".
 #ifndef QOSRM_COMMON_CLI_HH
 #define QOSRM_COMMON_CLI_HH
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -26,6 +30,7 @@ class CliArgs {
           std::initializer_list<const char*> boolean_flags = {});
 
   [[nodiscard]] bool has(const std::string& name) const;
+  /// The flag's value, or `fallback` when absent; a bare --name exits 1.
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
   /// Numeric accessors parse strictly: a present value that is empty, has
@@ -38,8 +43,9 @@ class CliArgs {
   /// must not run a 2-core system).
   [[nodiscard]] int get_int32(const std::string& name, int fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
-  /// Accepts true/1/yes and false/0/no; any other value aborts naming the
-  /// flag (--overheads=ture must not silently run with overheads off).
+  /// Accepts true/1/yes and false/0/no, and a bare --name as true; any other
+  /// value aborts naming the flag (--overheads=ture must not silently run
+  /// with overheads off).
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
   /// Strict-binary validation: false (after printing a diagnostic to
@@ -54,7 +60,12 @@ class CliArgs {
   }
 
  private:
-  std::map<std::string, std::string> values_;
+  /// The value of `name`, or null when absent; exits 1 (a usage error
+  /// naming the flag) for a bare --name, which has no value to read.
+  [[nodiscard]] const std::string* value_of(const std::string& name) const;
+
+  /// nullopt for a bare --name.
+  std::map<std::string, std::optional<std::string>> values_;
   std::vector<std::string> positional_;
 };
 

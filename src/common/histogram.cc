@@ -87,23 +87,4 @@ std::vector<double> Histogram::normalized_by(double max_value) const {
   return out;
 }
 
-std::string Histogram::ascii(std::size_t width) const {
-  const double m = max_count();
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    char head[64];
-    std::snprintf(head, sizeof(head), "[%7.3f,%7.3f) ", bin_lo(i), bin_hi(i));
-    out += head;
-    const std::size_t bar =
-        m > 0.0 ? static_cast<std::size_t>(std::lround(counts_[i] / m *
-                                                       static_cast<double>(width)))
-                : 0;
-    out.append(bar, '#');
-    char tail[32];
-    std::snprintf(tail, sizeof(tail), " %.4g\n", counts_[i]);
-    out += tail;
-  }
-  return out;
-}
-
 }  // namespace qosrm

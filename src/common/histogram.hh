@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace qosrm {
@@ -54,9 +53,6 @@ class Histogram {
   /// Bin counts scaled by an externally supplied maximum (paper Fig. 8
   /// normalizes all three models against the global maximum).
   [[nodiscard]] std::vector<double> normalized_by(double max_value) const;
-
-  /// Compact single-line ASCII rendering (for logs and bench output).
-  [[nodiscard]] std::string ascii(std::size_t width = 40) const;
 
  private:
   double lo_;

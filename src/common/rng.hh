@@ -63,11 +63,6 @@ class Rng {
   /// Requires at least one strictly positive weight.
   [[nodiscard]] std::size_t weighted_choice(std::span<const double> weights) noexcept;
 
-  /// Creates an independent stream: mirrors the classic jump-free "fork by
-  /// hashing" pattern used by counter-based RNGs (each child seeded from the
-  /// parent output). Children are statistically independent for our purposes.
-  [[nodiscard]] Rng fork() noexcept { return Rng(next() ^ 0xd1b54a32d192ed03ULL); }
-
  private:
   std::array<std::uint64_t, 4> s_{};
 };

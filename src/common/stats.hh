@@ -23,8 +23,6 @@ class RunningStats {
   [[nodiscard]] double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
   /// Population variance (M2/n). Returns 0 for fewer than two samples.
   [[nodiscard]] double variance() const noexcept;
-  /// Sample variance (M2/(n-1)). Returns 0 for fewer than two samples.
-  [[nodiscard]] double sample_variance() const noexcept;
   [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return n_ > 0 ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return n_ > 0 ? max_ : 0.0; }

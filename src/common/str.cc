@@ -23,16 +23,6 @@ std::string format(const char* fmt, ...) {
   return std::string(buf.data(), static_cast<std::size_t>(needed));
 }
 
-std::string pad_left(const std::string& s, std::size_t width) {
-  if (s.size() >= width) return s;
-  return std::string(width - s.size(), ' ') + s;
-}
-
-std::string pad_right(const std::string& s, std::size_t width) {
-  if (s.size() >= width) return s;
-  return s + std::string(width - s.size(), ' ');
-}
-
 std::vector<std::string> split_csv_list(const std::string& spec) {
   std::vector<std::string> parts;
   std::string cur;

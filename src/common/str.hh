@@ -1,5 +1,5 @@
-// Small string helpers: printf-style format into std::string, padding, and
-// the comma-separated list parsing every list flag shares.
+// Small string helpers: printf-style format into std::string and the
+// comma-separated list parsing every list flag shares.
 #ifndef QOSRM_COMMON_STR_HH
 #define QOSRM_COMMON_STR_HH
 
@@ -13,12 +13,6 @@ namespace qosrm {
 /// printf-style formatting into a std::string.
 [[nodiscard]] std::string format(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/// Left-pads `s` with spaces to at least `width` characters.
-[[nodiscard]] std::string pad_left(const std::string& s, std::size_t width);
-
-/// Right-pads `s` with spaces to at least `width` characters.
-[[nodiscard]] std::string pad_right(const std::string& s, std::size_t width);
 
 /// Splits on commas, stripping spaces. Empty entries are PRESERVED (an empty
 /// spec yields one empty entry) so list parsers can reject "--alphas=" and

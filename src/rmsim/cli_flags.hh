@@ -21,11 +21,11 @@ inline constexpr const char* kSweepMainFlags[] = {
 
 /// service_main: the open-loop colocation service (rmsim/service.hh).
 inline constexpr const char* kServiceMainFlags[] = {
-    "cores",       "bw-shares",  "arrivals",     "num-arrivals", "load",
-    "loads",       "admission",  "policies",     "model",        "alphas",
-    "seed",        "demand-min", "demand-max",   "queue-cap",    "threads",
-    "rows-csv",    "report-json", "knee-report", "knee-threshold",
-    "knee-csv-prefix", "db-cache"};
+    "cores",       "bw-shares",  "arrivals",     "num-arrivals", "loads",
+    "admission",   "policies",   "model",        "alphas",       "seed",
+    "demand-min",  "demand-max", "queue-cap",    "threads",      "rows-csv",
+    "report-json", "knee-report", "knee-threshold", "knee-csv-prefix",
+    "db-cache"};
 
 }  // namespace qosrm::rmsim::cli
 

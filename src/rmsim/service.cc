@@ -541,9 +541,9 @@ std::string service_rows_csv(const std::vector<ServiceRow>& rows) {
 }
 
 bool try_parse_loads(const std::string& spec, std::vector<double>* out,
-                     std::string* error, const char* flag) {
+                     std::string* error) {
   return parse_list_flag(
-      flag, spec, "a finite value > 0",
+      "loads", spec, "a finite value > 0",
       [](const std::string& entry, double* value) {
         char* end = nullptr;
         *value = std::strtod(entry.c_str(), &end);

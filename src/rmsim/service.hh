@@ -263,11 +263,10 @@ struct ServiceOptions {
 /// results give byte-identical text; commit it with write_file_atomic).
 [[nodiscard]] std::string service_rows_csv(const std::vector<ServiceRow>& rows);
 
-/// Parses comma-separated load levels ("0.5,0.8,1.1"): finite, > 0.
-/// Rejects bad entries like try_parse_policies; `flag` names the flag in the
-/// error (--load has the alias --loads).
+/// Parses the --loads value, comma-separated load levels ("0.5,0.8,1.1"):
+/// finite, > 0. Rejects bad entries like try_parse_policies.
 bool try_parse_loads(const std::string& spec, std::vector<double>* out,
-                     std::string* error, const char* flag = "load");
+                     std::string* error);
 
 }  // namespace qosrm::rmsim
 

@@ -7,7 +7,7 @@
 // {arrival pattern x load x admission x policy x alpha} grid point. Output
 // is byte-identical for any --threads value.
 //
-//   service_main --cores=16 --arrivals=poisson --load=0.8 --policies=rm3
+//   service_main --cores=16 --arrivals=poisson --loads=0.8 --policies=rm3
 //                --admission=fifo,sdf,qos-aware --alphas=0
 //                --num-arrivals=5000 --seed=2020
 //                --rows-csv=service_rows.csv --report-json=service.json
@@ -49,8 +49,8 @@ void print_usage() {
       "  --arrivals=LIST    comma list of poisson|bursty|diurnal arrival\n"
       "                     patterns (default poisson)\n"
       "  --num-arrivals=N   arrivals per grid point (default 5000)\n"
-      "  --load=LIST        comma list of offered utilizations > 0\n"
-      "                     (default 0.8; --loads is an accepted alias)\n"
+      "  --loads=LIST       comma list of offered utilizations > 0\n"
+      "                     (default 0.8)\n"
       "  --admission=LIST   comma list of fifo|sdf|qos-aware admission\n"
       "                     policies (default fifo); every admission cell of\n"
       "                     one (pattern, load) faces the identical trace\n"
@@ -191,19 +191,13 @@ int main(int argc, char** argv) {
   // Parse the grid flags up front: a bad value should fail immediately, not
   // after the multi-second database characterization. A bad list entry is a
   // usage error naming the flag and the entry (same contract as sweep_main).
-  if (args.has("load") && args.has("loads")) {
-    std::fprintf(stderr,
-                 "--load and --loads are aliases; give only one of them\n");
-    return 1;
-  }
-  const char* load_flag = args.has("loads") ? "loads" : "load";
   rmsim::ServiceGrid grid;
   std::vector<qosrm::rm::PerfModelKind> models;
   std::string list_error;
   if (!workload::try_parse_arrival_patterns(args.get("arrivals", "poisson"),
                                             &grid.patterns, &list_error) ||
-      !rmsim::try_parse_loads(args.get(load_flag, "0.8"), &grid.loads,
-                              &list_error, load_flag) ||
+      !rmsim::try_parse_loads(args.get("loads", "0.8"), &grid.loads,
+                              &list_error) ||
       !rmsim::try_parse_admissions(args.get("admission", "fifo"),
                                    &grid.admissions, &list_error) ||
       !rmsim::try_parse_policies(args.get("policies", "idle,rm1,rm2,rm3"),

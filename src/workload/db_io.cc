@@ -16,6 +16,14 @@ namespace {
 // "QOSRMDB\0" little-endian.
 constexpr std::uint64_t kMagic = 0x0042444D52534F51ULL;
 
+// LLC geometry the fingerprint has always hashed: 64 B blocks, 4096 sets
+// (256 KB per way) and a UMON sampling 1 set in 64. No model reads it (the
+// RM gets each phase's exact recency curve), but the values keep their
+// place in the hash so every stamped fingerprint and snapshot stays valid.
+constexpr std::int64_t kLlcBlockBytes = 64;
+constexpr std::int64_t kLlcSets = 4096;
+constexpr std::int64_t kLlcAtdSampledSets = 64;
+
 void hash_stack_profile(Fnv1a64& h, const StackProfile& p) {
   for (const double w : p.hit_weight) h.add_f64(w);
   h.add_f64(p.cold_weight);
@@ -80,9 +88,9 @@ std::uint64_t simdb_fingerprint(const SpecSuite& suite,
   h.add_i64(system.llc.ways_per_core_baseline);
   h.add_i64(system.llc.min_ways);
   h.add_i64(system.llc.max_ways);
-  h.add_i64(system.llc.block_bytes);
-  h.add_i64(system.llc.sets);
-  h.add_i64(system.llc.atd_sampled_sets);
+  h.add_i64(kLlcBlockBytes);
+  h.add_i64(kLlcSets);
+  h.add_i64(kLlcAtdSampledSets);
   h.add_f64(system.interval_instructions);
   h.add_f64(system.mem_latency_s);
   h.add_f64(system.qos_alpha);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "workload/phase_stats.hh"
+
 namespace qosrm::arch {
 namespace {
 
@@ -50,7 +54,14 @@ TEST(CoreConfig, UpsizingCostsLessThanQuadratic) {
 }
 
 TEST(CoreConfig, MaxRobMatchesLargestCore) {
-  EXPECT_EQ(max_rob(), 256);
+  // The MLP-ATD instruction-index window (paper Section III-C) is four
+  // times the largest ROB.
+  int max_rob = 0;
+  for (const CoreSize c : kAllCoreSizes) {
+    max_rob = std::max(max_rob, core_params(c).rob);
+  }
+  EXPECT_EQ(max_rob, core_params(CoreSize::L).rob);
+  EXPECT_EQ(4 * max_rob, 1 << workload::PhaseStatsOptions{}.mlp_index_bits);
 }
 
 TEST(CoreConfig, NamesAndIndices) {

@@ -26,20 +26,6 @@ TEST(Dvfs, MonotoneFrequencyAndVoltage) {
   }
 }
 
-TEST(Dvfs, IndexAtLeastFindsCeiling) {
-  EXPECT_EQ(VfTable::index_at_least(0.5e9), 0);
-  EXPECT_EQ(VfTable::index_at_least(1.0e9), 0);
-  EXPECT_EQ(VfTable::index_at_least(1.01e9), 1);
-  EXPECT_EQ(VfTable::index_at_least(2.0e9), VfTable::kBaselineIndex);
-  EXPECT_EQ(VfTable::index_at_least(99e9), VfTable::kNumPoints - 1);
-}
-
-TEST(Dvfs, IndexAtLeastIsConsistentWithTable) {
-  for (int i = 0; i < VfTable::kNumPoints; ++i) {
-    EXPECT_EQ(VfTable::index_at_least(VfTable::frequency_hz(i)), i);
-  }
-}
-
 TEST(Dvfs, TransitionCostMatchesPaper) {
   // Section III-E: 15 us and 3 uJ per DVFS change (Exynos 4210 numbers).
   EXPECT_DOUBLE_EQ(kDvfsTransitionTimeS, 15e-6);

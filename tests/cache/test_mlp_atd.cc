@@ -117,21 +117,6 @@ TEST(MlpAtd, IndexQuantizationAliasesLongDistances) {
   EXPECT_DOUBLE_EQ(atd_wide.leading_misses(arch::CoreSize::S, 16), 2.0);
 }
 
-TEST(MlpAtd, TotalMissesMatchUmonView) {
-  MlpAtd atd(tiny_config());
-  feed_misses(atd, {10, 500, 2000});  // three cold misses
-  for (int w = 1; w <= 16; ++w) {
-    EXPECT_DOUBLE_EQ(atd.total_misses(w), 3.0);
-  }
-}
-
-TEST(MlpAtd, MlpIsMissesOverLeading) {
-  MlpAtd atd(tiny_config());
-  feed_misses(atd, {10, 20, 30, 40});
-  EXPECT_DOUBLE_EQ(atd.mlp(arch::CoreSize::S, 16), 4.0);
-  EXPECT_DOUBLE_EQ(atd.mlp(arch::CoreSize::M, 16), 4.0);
-}
-
 TEST(MlpAtd, ResetClearsCountersKeepsTags) {
   MlpAtd atd(tiny_config());
   atd.observe({10, 0, 7, false});
@@ -150,7 +135,6 @@ TEST(MlpAtd, SetSamplingScalesEstimates) {
   atd.observe({10, 0, 1, false});   // sampled
   atd.observe({20, 1, 2, false});   // not sampled
   atd.observe({600, 2, 3, false});  // sampled
-  EXPECT_DOUBLE_EQ(atd.total_misses(16), 2.0 * 2.0);
   EXPECT_DOUBLE_EQ(atd.leading_misses(arch::CoreSize::S, 16), 2.0 * 2.0);
 }
 

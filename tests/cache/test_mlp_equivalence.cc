@@ -177,7 +177,6 @@ TEST(MlpOracleEquivalence, EmptyTraceHasNoLeadingMisses) {
 void expect_atd_matches_reference(const MlpAtd& atd, const RefMlpAtd& ref,
                                   const MlpAtdConfig& cfg) {
   for (int w = cfg.min_ways; w <= cfg.max_ways; ++w) {
-    ASSERT_EQ(atd.total_misses(w), ref.total_misses(w)) << "w=" << w;
     for (const arch::CoreSize c : arch::kAllCoreSizes) {
       ASSERT_EQ(atd.leading_misses(c, w), ref.leading_misses(c, w))
           << "c=" << arch::core_size_index(c) << " w=" << w;

@@ -45,15 +45,6 @@ TEST(Recency, CustomOrderAppliesPermutation) {
   EXPECT_EQ(recency[0], 0);
 }
 
-TEST(Recency, ResetForgetsState) {
-  RecencyProfiler prof(1, 4);
-  LlcAccess a{1, 0, 5, false};
-  EXPECT_EQ(prof.observe(a), kRecencyMiss);
-  EXPECT_EQ(prof.observe(a), 0);
-  prof.reset();
-  EXPECT_EQ(prof.observe(a), kRecencyMiss);
-}
-
 TEST(Recency, MissesAtHelper) {
   EXPECT_TRUE(misses_at(kRecencyMiss, 16));
   EXPECT_TRUE(misses_at(8, 8));
@@ -83,25 +74,11 @@ TEST(MissCurve, MonotoneNonIncreasingOnRandomTraces) {
   }
 }
 
-TEST(MissCurve, ScaleAppliesSampling) {
-  const std::vector<double> hits = {10.0, 5.0};
-  const MissCurve curve = MissCurve::from_hit_counters(hits, 3.0, 32.0);
-  EXPECT_DOUBLE_EQ(curve.misses(2), 3.0 * 32.0);
-  EXPECT_DOUBLE_EQ(curve.misses(1), (3.0 + 5.0) * 32.0);
-}
-
 TEST(MissCurve, ClampsOutOfRangeWays) {
-  const std::vector<double> hits = {1.0, 2.0};
-  const MissCurve curve = MissCurve::from_hit_counters(hits, 1.0);
+  const std::vector<std::uint8_t> recency = {0, 1, 1, kRecencyMiss};
+  const MissCurve curve = MissCurve::from_recency(recency, 2);
   EXPECT_DOUBLE_EQ(curve.misses(0), curve.misses(1));
   EXPECT_DOUBLE_EQ(curve.misses(99), curve.misses(2));
-}
-
-TEST(MissCurve, MakeMonotoneFixesNoise) {
-  MissCurve curve(std::vector<double>{5.0, 6.0, 3.0});  // bump at w=2
-  curve.make_monotone();
-  EXPECT_GE(curve.misses(1), curve.misses(2));
-  EXPECT_GE(curve.misses(2), curve.misses(3));
 }
 
 TEST(MissCurve, TotalMissesEqualTraceStatistics) {

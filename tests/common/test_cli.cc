@@ -104,9 +104,21 @@ TEST(CliDeathTest, MalformedIntAborts) {
   EXPECT_DEATH((void)parse({"--workers=99999999999999999999"})
                    .get_int("workers", 1),
                "bad --workers value");
-  // A bare --workers (value "true") is a usage error for a numeric flag.
-  EXPECT_DEATH((void)parse({"--workers"}).get_int("workers", 1),
-               "bad --workers value 'true'");
+}
+
+// A bare --name has no value: a string or number read of it exits 1 naming
+// the flag (regression: `--rows-csv` with no path wrote a file named
+// "true"); a boolean read still takes it as true (Cli.BareFlagIsTrue).
+TEST(CliDeathTest, BareFlagHasNoValueToRead) {
+  using ::testing::ExitedWithCode;
+  EXPECT_EXIT((void)parse({"--rows-csv"}).get("rows-csv", "rows.csv"),
+              ExitedWithCode(1), "--rows-csv needs a value");
+  EXPECT_EXIT((void)parse({"--workers", "--n=2"}).get_int("workers", 1),
+              ExitedWithCode(1), "--workers needs a value");
+  EXPECT_EXIT((void)parse({"--cores"}).get_int32("cores", 4),
+              ExitedWithCode(1), "--cores needs a value");
+  EXPECT_EXIT((void)parse({"--alpha"}).get_double("alpha", 1.1),
+              ExitedWithCode(1), "--alpha needs a value");
 }
 
 // get_int32 backs every `int` flag: a value that parses as a 64-bit integer

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <limits>
 
 namespace qosrm {
@@ -72,13 +71,6 @@ TEST(Histogram, NormalizedByExternalMax) {
 TEST(Histogram, EmptyNormalizedStaysZero) {
   Histogram h(0.0, 1.0, 3);
   for (const double v : h.normalized()) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(Histogram, AsciiContainsEveryBin) {
-  Histogram h(0.0, 1.0, 3);
-  h.add(0.5);
-  const std::string s = h.ascii();
-  EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 3);
 }
 
 TEST(Histogram, NonFiniteSamplesAreDroppedNotBinned) {

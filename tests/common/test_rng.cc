@@ -98,14 +98,6 @@ TEST(Rng, WeightedChoiceFollowsWeights) {
   EXPECT_NEAR(static_cast<double>(counts[2]) / kN, 0.75, 0.01);
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng parent(31);
-  Rng child = parent.fork();
-  int equal = 0;
-  for (int i = 0; i < 1000; ++i) equal += parent.next() == child.next();
-  EXPECT_LT(equal, 5);
-}
-
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(37);
   std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};

@@ -38,13 +38,6 @@ TEST(RunningStats, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStats, SampleVarianceUsesBesselCorrection) {
-  RunningStats s;
-  for (const double x : {1.0, 2.0, 3.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.variance(), 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(s.sample_variance(), 1.0);
-}
-
 TEST(RunningStats, MergeMatchesSequential) {
   Rng rng(5);
   RunningStats all, a, b;

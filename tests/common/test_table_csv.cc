@@ -89,11 +89,5 @@ TEST(Str, FormatBasic) {
   EXPECT_EQ(format("%.2f", 1.005), "1.00");
 }
 
-TEST(Str, Padding) {
-  EXPECT_EQ(pad_left("ab", 4), "  ab");
-  EXPECT_EQ(pad_right("ab", 4), "ab  ");
-  EXPECT_EQ(pad_left("abcdef", 4), "abcdef");
-}
-
 }  // namespace
 }  // namespace qosrm

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -110,7 +111,7 @@ TEST(ListFlagCli, BadEntryExitsOneNamingFlagAndEntry) {
       {"service_main", "--policies=lru", "--policies", "'lru'"},
       {"service_main", "--model=model9", "--model", "'model9'"},
       {"service_main", "--admission=lifo", "--admission", "'lifo'"},
-      {"service_main", "--load=0", "--load", "'0'"},
+      {"service_main", "--loads=0", "--loads", "'0'"},
       {"service_main", "--loads=0.5,fast", "--loads", "'fast'"},
       {"service_main", "--arrivals=foo", "--arrivals", "'foo'"},
       {"service_main", "--alphas=x", "--alphas", "'x'"},
@@ -126,6 +127,40 @@ TEST(ListFlagCli, BadEntryExitsOneNamingFlagAndEntry) {
     EXPECT_NE(out.find(c.flag), std::string::npos) << out;
     EXPECT_NE(out.find(c.entry), std::string::npos) << out;
   }
+}
+
+// Usage errors exit 1 naming the flag and write nothing. A path flag given
+// without its path used to run anyway and write to a file named "true" in
+// the working directory (`sweep_main --rows-csv`, exit 0); the service load
+// axis has one spelling, --loads, so --load is an unknown flag.
+TEST(UsageCli, ExitsOneNamingTheFlagAndWritesNothing) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "usage_cli";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  std::filesystem::current_path(dir);
+  const struct {
+    const char* binary;
+    const char* flags;
+    const char* message;
+  } kCases[] = {
+      {"sweep_main", "--cores=2 --per-scenario=1 --policies=idle --rows-csv",
+       "--rows-csv needs a value"},
+      {"sweep_main", "--agg-csv --cores=2", "--agg-csv needs a value"},
+      {"service_main", "--cores=2 --num-arrivals=20 --report-json",
+       "--report-json needs a value"},
+      {"service_main", "--db-cache --cores=2", "--db-cache needs a value"},
+      {"service_main", "--load=0.8", "unknown flag --load "},
+  };
+  for (const auto& c : kCases) {
+    std::string out;
+    EXPECT_EQ(run_captured(c.binary, c.flags, out), 1) << c.binary << " " << c.flags;
+    EXPECT_NE(out.find(c.message), std::string::npos) << out;
+  }
+  std::filesystem::current_path(cwd);
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 // Generated mixes split their cores into two application halves, so an odd

@@ -8,7 +8,7 @@
 //
 // Regenerate with (one command line):
 //   ./build/src/service_main --cores=2 --num-arrivals=400
-//       --arrivals=poisson,bursty,diurnal --load=0.7,1.0
+//       --arrivals=poisson,bursty,diurnal --loads=0.7,1.0
 //       --policies=idle,rm3 --alphas=0 --seed=2020
 //       --report-json=tests/data/golden_service_report.json
 //

@@ -281,17 +281,17 @@ TEST(ServiceDeathTest, ParseLoadsRejectsBadSpecs) {
   std::string error;
   for (const char* spec : {"", "0.8,"}) {
     EXPECT_FALSE(try_parse_loads(spec, &loads, &error)) << spec;
-    EXPECT_NE(error.find("empty --load entry"), std::string::npos) << error;
+    EXPECT_NE(error.find("empty --loads entry"), std::string::npos) << error;
   }
   for (const char* spec : {"0", "-1", "fast"}) {
     EXPECT_FALSE(try_parse_loads(spec, &loads, &error)) << spec;
-    EXPECT_NE(error.find("bad --load entry '" + std::string(spec) + "'"),
+    EXPECT_NE(error.find("bad --loads entry '" + std::string(spec) + "'"),
               std::string::npos)
         << error;
   }
-  EXPECT_FALSE(try_parse_loads("inf", &loads, &error, "loads"));
+  EXPECT_FALSE(try_parse_loads("inf", &loads, &error));
   EXPECT_NE(error.find("bad --loads entry 'inf'"), std::string::npos) << error;
-  EXPECT_FALSE(try_parse_loads("0.5,1,1.0", &loads, &error, "loads"));
+  EXPECT_FALSE(try_parse_loads("0.5,1,1.0", &loads, &error));
   EXPECT_NE(error.find("duplicate --loads entry '1.0' (same value as '1'"),
             std::string::npos)
       << error;

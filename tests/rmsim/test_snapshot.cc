@@ -81,12 +81,24 @@ TEST(Snapshot, CurrentSettingRecorded) {
   EXPECT_TRUE(snap.current == s);
 }
 
+// The ATD curves the RM reads are the phase's exact, unsampled recency
+// miss curve and its MLP-ATD leading-miss curves, bit for bit at every w.
 TEST(Snapshot, AtdCurvesCoverAllAllocations) {
   const workload::Setting base = workload::baseline_setting(db().system());
   const rm::CounterSnapshot snap = make_snapshot(db(), 5, 0, base);
+  const workload::PhaseStats& st = db().stats(5, 0);
   EXPECT_EQ(snap.max_ways(), 16);
   for (int c = 0; c < arch::kNumCoreSizes; ++c) {
     EXPECT_EQ(snap.atd_leading_misses[static_cast<std::size_t>(c)].size(), 16u);
+  }
+  for (int w = 1; w <= 16; ++w) {
+    const auto i = static_cast<std::size_t>(w - 1);
+    EXPECT_TRUE(same_bits(snap.atd_misses_at(w), st.misses[i])) << "w=" << w;
+    for (const arch::CoreSize c : arch::kAllCoreSizes) {
+      const auto c_idx = static_cast<std::size_t>(arch::core_size_index(c));
+      EXPECT_TRUE(same_bits(snap.atd_leading_at(c, w), st.lm_atd[c_idx][i]))
+          << "c=" << c_idx << " w=" << w;
+    }
   }
 }
 

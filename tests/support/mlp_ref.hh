@@ -69,7 +69,6 @@ class RefMlpAtd {
     counters_.assign(static_cast<std::size_t>(arch::kNumCoreSizes) *
                          static_cast<std::size_t>(cfg_.num_allocations()),
                      Counter{});
-    hit_at_.assign(static_cast<std::size_t>(cfg_.max_ways), 0);
   }
 
   void observe(const LlcAccess& access) {
@@ -77,11 +76,6 @@ class RefMlpAtd {
     const std::uint32_t set_idx =
         access.set / static_cast<std::uint32_t>(cfg_.sample_period);
     const std::uint8_t pos = sampled_sets_[set_idx].access(access.tag);
-    if (pos == kRecencyMiss) {
-      ++atd_misses_;
-    } else {
-      ++hit_at_[pos];
-    }
     const std::uint32_t q_index =
         static_cast<std::uint32_t>(access.inst_index) & mask();
     for (int c_idx = 0; c_idx < arch::kNumCoreSizes; ++c_idx) {
@@ -98,18 +92,8 @@ class RefMlpAtd {
            static_cast<double>(cfg_.sample_period);
   }
 
-  [[nodiscard]] double total_misses(int w) const {
-    std::uint64_t m = atd_misses_;
-    for (int r = w; r < cfg_.max_ways; ++r) {
-      m += hit_at_[static_cast<std::size_t>(r)];
-    }
-    return static_cast<double>(m) * static_cast<double>(cfg_.sample_period);
-  }
-
   void reset_counters() {
     std::fill(counters_.begin(), counters_.end(), Counter{});
-    std::fill(hit_at_.begin(), hit_at_.end(), 0ULL);
-    atd_misses_ = 0;
   }
 
  private:
@@ -160,8 +144,6 @@ class RefMlpAtd {
   MlpAtdConfig cfg_;
   std::vector<LruStack> sampled_sets_;
   std::vector<Counter> counters_;
-  std::vector<std::uint64_t> hit_at_;
-  std::uint64_t atd_misses_ = 0;
 };
 
 }  // namespace qosrm::cache

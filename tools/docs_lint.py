@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Docs lint: fail on broken relative links and stale bench program names.
+"""Docs lint: fail on broken relative links and stale program/source names.
 
 Scans README.md, DESIGN.md and docs/*.md for markdown links and inline
 reference targets. External links (http/https/mailto) are ignored - CI
@@ -10,6 +10,11 @@ exist.
 Every `bench_<name>` token in those files and in .github/workflows/ci.yml
 must name an existing bench/bench_<name>.cc, so a deleted bench program
 cannot linger in a recipe or a CI step.
+
+Every backticked source path in those docs (`src/cache/lanes.hh`,
+`rm/global_opt.cc`: a path with a directory, ending in .hh or .cc) must
+exist at the repo root or under src/, so a deleted source file cannot
+linger in the docs.
 
 Any offender is a hard failure; every one is listed.
 
@@ -28,6 +33,8 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 EXTERNAL = ("http://", "https://", "mailto:")
 
 BENCH_RE = re.compile(r"\bbench_[A-Za-z0-9_]+")
+
+SOURCE_RE = re.compile(r"`([A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.-]+)+\.(?:hh|cc))`")
 
 
 def doc_files(root: pathlib.Path):
@@ -49,6 +56,17 @@ def check_bench_names(root: pathlib.Path, path: pathlib.Path):
         if not (root / "bench" / f"{match.group(0)}.cc").is_file():
             errors.append(f"{path}:{line_of(text, match.start())}: "
                           f"no bench program {match.group(0)}")
+    return errors
+
+
+def check_source_paths(root: pathlib.Path, path: pathlib.Path):
+    errors = []
+    text = path.read_text(encoding="utf-8")
+    for match in SOURCE_RE.finditer(text):
+        name = match.group(1)
+        if not ((root / name).is_file() or (root / "src" / name).is_file()):
+            errors.append(f"{path}:{line_of(text, match.start())}: "
+                          f"no source file {name}")
     return errors
 
 
@@ -77,6 +95,7 @@ def main() -> int:
         checked += 1
         errors.extend(check_links(path))
         errors.extend(check_bench_names(root, path))
+        errors.extend(check_source_paths(root, path))
     workflow = root / ".github" / "workflows" / "ci.yml"
     if workflow.is_file():
         checked += 1
@@ -86,7 +105,7 @@ def main() -> int:
         print(f"docs lint: {len(errors)} offender(s)", file=sys.stderr)
         return 1
     print(f"docs lint: {checked} file(s), all relative links resolve and "
-          "every bench program named exists")
+          "every bench program and source file named exists")
     return 0
 
 
