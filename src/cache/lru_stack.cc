@@ -24,13 +24,6 @@ std::uint8_t LruStack::access(std::uint64_t tag) {
   return kRecencyMiss;
 }
 
-std::uint8_t LruStack::position_of(std::uint64_t tag) const noexcept {
-  for (std::size_t i = 0; i < stack_.size(); ++i) {
-    if (stack_[i] == tag) return static_cast<std::uint8_t>(i);
-  }
-  return kRecencyMiss;
-}
-
 std::uint64_t LruStack::tag_at(int pos) const {
   QOSRM_CHECK(pos >= 0 && pos < occupancy());
   return stack_[static_cast<std::size_t>(pos)];

@@ -24,19 +24,10 @@ class LruStack {
   /// inserting it and evicting the LRU entry if the stack is full.
   std::uint8_t access(std::uint64_t tag);
 
-  /// Lookup without state change; kRecencyMiss if absent.
-  [[nodiscard]] std::uint8_t position_of(std::uint64_t tag) const noexcept;
-
-  [[nodiscard]] bool contains(std::uint64_t tag) const noexcept {
-    return position_of(tag) != kRecencyMiss;
-  }
-
   /// Resident tag at recency position `pos` (< occupancy()).
   [[nodiscard]] std::uint64_t tag_at(int pos) const;
 
   [[nodiscard]] int occupancy() const noexcept { return static_cast<int>(stack_.size()); }
-
-  void clear() noexcept { stack_.clear(); }
 
  private:
   int ways_;

@@ -66,18 +66,10 @@ double Histogram::bin_hi(std::size_t i) const noexcept {
   return lo_ + bin_width_ * static_cast<double>(i + 1);
 }
 
-double Histogram::bin_center(std::size_t i) const noexcept {
-  return lo_ + bin_width_ * (static_cast<double>(i) + 0.5);
-}
-
 double Histogram::max_count() const noexcept {
   double m = 0.0;
   for (const double c : counts_) m = std::max(m, c);
   return m;
-}
-
-std::vector<double> Histogram::normalized() const {
-  return normalized_by(max_count());
 }
 
 std::vector<double> Histogram::normalized_by(double max_value) const {

@@ -30,7 +30,6 @@ class Histogram {
   [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
   [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
   [[nodiscard]] double bin_hi(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_center(std::size_t i) const noexcept;
   [[nodiscard]] double count(std::size_t i) const noexcept { return counts_[i]; }
   [[nodiscard]] double total() const noexcept { return total_; }
   /// Samples rejected by add() because the value or weight was not finite.
@@ -47,11 +46,9 @@ class Histogram {
   /// bins, so tail quantiles saturate at the range edges.
   [[nodiscard]] double quantile(double q) const noexcept;
 
-  /// Bin counts scaled so the largest equals 1 (all-zero histogram stays zero).
-  [[nodiscard]] std::vector<double> normalized() const;
-
   /// Bin counts scaled by an externally supplied maximum (paper Fig. 8
-  /// normalizes all three models against the global maximum).
+  /// normalizes all three models against the global maximum); a
+  /// non-positive maximum leaves every bin zero.
   [[nodiscard]] std::vector<double> normalized_by(double max_value) const;
 
  private:

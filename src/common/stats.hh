@@ -1,6 +1,6 @@
 // Streaming statistics accumulators.
 //
-// RunningStats   - Welford online mean/variance/min/max for unweighted samples.
+// RunningStats   - online mean/min/max/sum for unweighted samples.
 // WeightedStats  - weighted mean/variance (frequency weights, e.g. SimPoint
 //                  phase weights or selection probabilities).
 #ifndef QOSRM_COMMON_STATS_HH
@@ -11,19 +11,14 @@
 
 namespace qosrm {
 
-/// Welford's online algorithm; numerically stable single-pass moments.
+/// Single-pass moments; the mean is updated incrementally (Welford's
+/// recurrence), which stays accurate over long streams.
 class RunningStats {
  public:
   void add(double x) noexcept;
 
-  /// Merges another accumulator (parallel reduction friendly).
-  void merge(const RunningStats& other) noexcept;
-
   [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
-  /// Population variance (M2/n). Returns 0 for fewer than two samples.
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return n_ > 0 ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return n_ > 0 ? max_ : 0.0; }
   [[nodiscard]] double sum() const noexcept { return sum_; }
@@ -31,7 +26,6 @@ class RunningStats {
  private:
   std::uint64_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
@@ -41,7 +35,6 @@ class RunningStats {
 class WeightedStats {
  public:
   void add(double x, double weight) noexcept;
-  void merge(const WeightedStats& other) noexcept;
 
   [[nodiscard]] double total_weight() const noexcept { return w_; }
   [[nodiscard]] double mean() const noexcept { return w_ > 0.0 ? wx_ / w_ : 0.0; }

@@ -11,7 +11,7 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "arch/core_config.hh"
 #include "power/energy_meter.hh"
@@ -48,10 +48,13 @@ struct CounterSnapshot {
   double writebacks = 0.0;      ///< dirty evictions at the current allocation
   double measured_mlp = 1.0;    ///< M_i / LM_i at the current (c, w)
 
-  /// ATD miss estimates per allocation w (index w-1, w in [1, max]).
-  std::vector<double> atd_misses;
+  /// ATD miss estimates per allocation w (index w-1, w in [1, max]). Like
+  /// the leading-miss curves below, a view of the producing database's
+  /// phase statistics (rmsim::make_snapshot_into): the snapshot must not
+  /// outlive that database.
+  std::span<const double> atd_misses;
   /// MLP-ATD leading-miss estimates per (core size, allocation).
-  std::array<std::vector<double>, arch::kNumCoreSizes> atd_leading_misses;
+  std::array<std::span<const double>, arch::kNumCoreSizes> atd_leading_misses;
 
   /// RAPL-like dynamic-power sample (paper Eq. 4's P*_CoreDyn, V*).
   power::PowerSample power_sample{};

@@ -46,6 +46,17 @@ inline void combine_rows_scalar(const double* a, int na, const double* b, int nb
   }
 }
 
+/// min(best, a[ia] + b[t - ia] for ia in [lo, hi]), ascending ia with a
+/// strict less: one row pair's share of the root cell.
+inline double root_cell_scalar(const double* a, const double* b, int t, int lo,
+                               int hi, double best) {
+  for (int ia = lo; ia <= hi; ++ia) {
+    const double v = a[ia] + b[t - ia];
+    best = v < best ? v : best;
+  }
+  return best;
+}
+
 /// First ia in [lo, hi] with a[ia] + b[t - ia] == value, or -1.
 inline int find_split_scalar(const double* a, const double* b, int t, int lo,
                              int hi, double value) {
@@ -133,6 +144,33 @@ __attribute__((target("avx2"))) int find_split_avx2(const double* a,
   return find_split_scalar(a, b, t, ia, hi, value);
 }
 
+/// root_cell_scalar four pairs at a time: a[ia..ia+3] against the reversed
+/// b[t-ia-3..t-ia] (every load stays inside [lo, hi] and its partner
+/// range), one strict-less minimum per lane, the lanes folded in order and
+/// the tail left to the scalar loop. The sums are the scalar ones, and the
+/// minimum of a NaN-free set is one value whatever the visiting order - up
+/// to the sign of a zero, and no E* cell is -0 (energies are positive, the
+/// idle cell is +0) - so the cell is bit-identical to the scalar scan.
+__attribute__((target("avx2"))) double root_cell_avx2(const double* a,
+                                                      const double* b, int t,
+                                                      int lo, int hi,
+                                                      double best) {
+  int ia = lo;
+  if (hi - lo >= 3) {
+    __m256d acc = _mm256_set1_pd(kInf);
+    for (; ia + 3 <= hi; ia += 4) {
+      const __m256d va = _mm256_loadu_pd(a + ia);
+      const __m256d vb = _mm256_permute4x64_pd(_mm256_loadu_pd(b + (t - ia - 3)),
+                                               _MM_SHUFFLE(0, 1, 2, 3));
+      acc = _mm256_min_pd(_mm256_add_pd(va, vb), acc);
+    }
+    alignas(32) double lanes[4];
+    _mm256_store_pd(lanes, acc);
+    for (const double v : lanes) best = v < best ? v : best;
+  }
+  return root_cell_scalar(a, b, t, ia, hi, best);
+}
+
 /// count_finite four cells at a time. A row's cells past its span and its
 /// margin are +inf, so the last group may run up to 3 cells past `hi`.
 __attribute__((target("avx2"))) std::uint64_t count_finite_avx2(const double* row,
@@ -169,6 +207,14 @@ inline void combine_rows([[maybe_unused]] bool vectorized, const double* a, int 
   }
 #endif
   combine_rows_scalar(a, na, b, nb, out);
+}
+
+inline double root_cell([[maybe_unused]] bool vectorized, const double* a,
+                        const double* b, int t, int lo, int hi, double best) {
+#ifdef QOSRM_SIMD_HAVE_AVX2
+  if (vectorized) return root_cell_avx2(a, b, t, lo, hi, best);
+#endif
+  return root_cell_scalar(a, b, t, lo, hi, best);
 }
 
 inline int find_split([[maybe_unused]] bool vectorized, const double* a, const double* b,
@@ -214,11 +260,19 @@ void GlobalOptWorkspace::build_tree(int leaves) {
     if (level.size() % 2 == 1) level[kept++] = level.back();
     level.resize(kept);
   }
+  parent_.assign(num_nodes(), -1);
+  for (std::size_t i = static_cast<std::size_t>(leaves); i < num_nodes(); ++i) {
+    parent_[static_cast<std::size_t>(left_[i])] = static_cast<int>(i);
+    parent_[static_cast<std::size_t>(right_[i])] = static_cast<int>(i);
+  }
   energy_off_.assign(num_nodes(), 0);
   span_off_.assign(num_nodes(), 0);
   feasible_.assign(num_nodes(), 0);
   pair_ops_.assign(num_nodes(), 0);
-  dirty_.assign(num_nodes(), 1);
+  total_ops_ = 0;
+  dirty_.assign(num_nodes(), 0);
+  marked_.clear();
+  placed_.clear();
   target_w_.assign(num_nodes(), -1);
   target_b_.assign(num_nodes(), -1);
   cap_ways_ = 0;
@@ -334,12 +388,8 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
         const int ibb = target_b - iba;
         const int lo = std::max(a_first[iba], target_w - b_last[ibb]);
         const int hi = std::min(a_last[iba], target_w - b_first[ibb]);
-        const double* a = ws.row(ai, iba);
-        const double* b = ws.row(bi, ibb);
-        for (int ia = lo; ia <= hi; ++ia) {
-          const double v = a[ia] + b[target_w - ia];
-          best = v < best ? v : best;
-        }
+        best = root_cell(vectorized, ws.row(ai, iba), ws.row(bi, ibb), target_w,
+                         lo, hi, best);
       }
     }
     ws.root_value_ = best;
@@ -399,61 +449,83 @@ void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
                   "AVX2 dispatch requested but the kernel was not compiled");
 #endif
 
-  const int n = static_cast<int>(curves.size());
-  if (n != ws.num_leaves()) ws.build_tree(n);
+  const std::size_t n = curves.size();
+  if (static_cast<int>(n) != ws.num_leaves()) ws.build_tree(static_cast<int>(n));
+  // Clear the last call's flags (backtracking read them) and outcome lists.
+  for (const int i : ws.marked_) ws.dirty_[static_cast<std::size_t>(i)] = 0;
+  ws.marked_.clear();
+  ws.placed_.clear();
+  ws.last_recombined_ = 0;
+
+  // Only flagged leaves are read (see the leaf contract in the header):
+  // every leaf when the caller passes no flags or the tree holds no
+  // complete reduction, or when a flagged leaf is wider than the pool slots
+  // and the re-layout moves every slot.
+  bool all = dirty.empty() || !ws.valid_;
   int max_ways = 0;
   int max_shares = 0;
-  for (const EnergyCurveView& c : curves) {
+  const auto validate = [&](std::size_t i) {
+    const EnergyCurveView& c = curves[i];
     QOSRM_CHECK(!c.energy.empty());
     QOSRM_CHECK(c.num_shares >= 1);
     QOSRM_CHECK(static_cast<int>(c.energy.size()) % c.num_shares == 0);
     max_ways = std::max(max_ways, c.num_ways());
     max_shares = std::max(max_shares, c.num_shares);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    if (all || dirty[i] != 0) validate(i);
   }
   if (max_ways > ws.cap_ways_ || max_shares > ws.cap_shares_) {
     ws.layout(std::max(max_ways, ws.cap_ways_), std::max(max_shares, ws.cap_shares_));
+    if (!all) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (dirty[i] == 0) validate(i);
+      }
+      all = true;
+    }
   }
 
-  // A leaf is dirty when the caller says so, when its shape changed, or
-  // when the tree holds no complete reduction yet; only then is its surface
-  // copied into its slot. A clean leaf's slot already holds its surface, so
-  // the caller's storage may move freely.
-  const bool all_dirty = dirty.empty() || !ws.valid_;
-  for (std::size_t i = 0; i < curves.size(); ++i) {
+  // Copy each flagged leaf into its slot and mark it and its ancestors
+  // through the parent index, up to the first ancestor already marked; the
+  // marks are what this call recombines and what backtracking re-splits.
+  const auto mark = [&ws](std::size_t i) {
+    for (int j = static_cast<int>(i);
+         j >= 0 && ws.dirty_[static_cast<std::size_t>(j)] == 0;
+         j = ws.parent_[static_cast<std::size_t>(j)]) {
+      ws.dirty_[static_cast<std::size_t>(j)] = 1;
+      ws.marked_.push_back(j);
+    }
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!all && dirty[i] == 0) continue;
     const EnergyCurveView& c = curves[i];
-    const bool reshaped = ws.lo_[i] != c.min_ways || ws.size_[i] != c.num_ways() ||
-                          ws.b_lo_[i] != c.min_shares || ws.b_size_[i] != c.num_shares;
-    ws.dirty_[i] = all_dirty || reshaped || dirty[i] != 0;
-    if (ws.dirty_[i] == 0) continue;
     ws.lo_[i] = c.min_ways;
     ws.size_[i] = c.num_ways();
     ws.b_lo_[i] = c.min_shares;
     ws.b_size_[i] = c.num_shares;
     ws.copy_leaf(i, c.energy.data(), vectorized);
-  }
-  for (std::size_t i = curves.size(); i < ws.num_nodes(); ++i) {
-    ws.dirty_[i] = ws.dirty_[static_cast<std::size_t>(ws.left_[i])] |
-                   ws.dirty_[static_cast<std::size_t>(ws.right_[i])];
+    mark(i);
   }
   const auto root = static_cast<std::size_t>(ws.root());
   // A new budget only moves the root's target cell.
   if (total_ways != ws.total_ways_ || total_shares != ws.total_shares_) {
-    ws.dirty_[root] = 1;
+    mark(root);
     ws.total_ways_ = total_ways;
     ws.total_shares_ = total_shares;
   }
 
-  ws.last_recombined_ = 0;
   if (ws.dirty_[root] != 0) {
-    // Recombine the dirty interior nodes bottom-up (children precede their
-    // parent in node order), then re-derive the result.
-    ws.total_ops_ = 0;
-    for (std::size_t i = curves.size(); i < ws.num_nodes(); ++i) {
-      if (ws.dirty_[i] != 0) {
-        ws.pair_ops_[i] = combine(ws, i, total_ways, total_shares, vectorized);
-        ++ws.last_recombined_;
-      }
+    // Recombine the marked interior nodes bottom-up (children precede their
+    // parent in node order), keeping the charged total current, then
+    // re-derive the result.
+    std::sort(ws.marked_.begin(), ws.marked_.end());
+    for (const int node : ws.marked_) {
+      const auto i = static_cast<std::size_t>(node);
+      if (i < n) continue;  // a leaf
+      ws.total_ops_ -= ws.pair_ops_[i];
+      ws.pair_ops_[i] = combine(ws, i, total_ways, total_shares, vectorized);
       ws.total_ops_ += ws.pair_ops_[i];
+      ++ws.last_recombined_;
     }
     extract(ws, total_ways, total_shares, vectorized);
     ws.valid_ = true;
@@ -522,6 +594,7 @@ void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
     if (ws.left_[idx] < 0) {  // leaf: node index == core
       out.ways[idx] = total_w;
       out.shares[idx] = total_b;
+      ws.placed_.push_back(static_cast<int>(idx));
       return;
     }
     if (ws.dirty_[idx] == 0 && ws.target_w_[idx] == total_w &&

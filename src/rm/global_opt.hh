@@ -80,9 +80,10 @@ struct GlobalOptResult {
 /// feasible span of every b-row and its feasible-cell count - computed once
 /// when the node is produced. A leaf whose surface or shape changed - an
 /// idle core becoming active, say - therefore only invalidates its
-/// ancestors: an incremental optimize_into() recopies that leaf and
-/// recombines log2(n) nodes instead of n-1, and a call with no dirty leaf
-/// reuses the previous result outright. The combined surfaces are pure
+/// ancestors, found through a parent index: an incremental optimize_into()
+/// recopies that leaf and recombines log2(n) nodes instead of n-1, keeps
+/// the charged op total by difference, and a call with no dirty leaf reuses
+/// the previous result outright. The combined surfaces are pure
 /// functions of the leaves below them, so the result and op count are
 /// bit-identical to a from-scratch reduction.
 ///
@@ -101,6 +102,12 @@ class GlobalOptWorkspace {
   /// optimize_into() charged, and what a call with no dirty leaf and the
   /// same budget would charge again.
   [[nodiscard]] std::uint64_t last_ops() const noexcept { return total_ops_; }
+
+  /// Leaves whose allocation the last optimize_into() re-derived, in
+  /// backtracking order. When the last two results are both feasible, every
+  /// leaf not listed kept its (ways, shares) from the call before; a
+  /// feasible result after an infeasible one lists every leaf.
+  [[nodiscard]] std::span<const int> last_placed() const noexcept { return placed_; }
 
   /// +inf cells before a slot's first row and after each of its rows: the
   /// AVX2 kernel reads up to this far outside a right child's feasible span.
@@ -143,11 +150,14 @@ class GlobalOptWorkspace {
   std::vector<int> leaves_;  ///< leaf count of the subtree (slot sizing)
   std::vector<int> left_;    ///< child node indices; -1 marks a leaf
   std::vector<int> right_;
+  std::vector<int> parent_;  ///< parent node index; -1 marks the root
   std::vector<std::size_t> energy_off_;
   std::vector<std::size_t> span_off_;
   std::vector<std::uint64_t> feasible_;  ///< finite cells of the surface
   std::vector<std::uint64_t> pair_ops_;  ///< feasible pairs of the combine
   std::vector<std::uint8_t> dirty_;      ///< per-call recombination flags
+  std::vector<int> marked_;  ///< nodes whose dirty_ flag the last call set
+  std::vector<int> placed_;  ///< leaves the last backtracking reached
 
   // --- dense pools the leaf copies and the combines write -------------------
   std::vector<double> energy_;
@@ -202,12 +212,19 @@ class GlobalOptimizer {
  public:
   /// The pairwise reduction over the persistent tree in `ws`, writing the
   /// outcome into `out` and reusing the storage of both. Only the ancestors
-  /// of leaves with dirty[i] != 0 (or whose shape changed since the last
-  /// call on `ws`) are recombined, and with no dirty leaf the last result is
-  /// reused; an EMPTY `dirty` marks every leaf dirty (a from-scratch
-  /// reduction). A leaf whose surface changed MUST be flagged; its storage
-  /// may move freely. Results are bit-identical to a from-scratch reduction
-  /// at every dispatch level (same reduction order, same tie-breaking).
+  /// of leaves with dirty[i] != 0 are recombined, and with no dirty leaf the
+  /// last result is reused (a new budget re-reads only the root); an EMPTY
+  /// `dirty` marks every leaf dirty (a from-scratch reduction).
+  ///
+  /// Leaf contract: a leaf whose surface OR shape (min_ways, number of
+  /// ways, min_shares, num_shares) changed since the last call on `ws` MUST
+  /// be flagged. Unflagged leaves are not read - neither validated nor
+  /// copied - so their storage may move or hold anything; the exceptions
+  /// are the calls that rebuild the tree (the first call, a new leaf count,
+  /// or a flagged leaf wider than any before), which read every leaf. The
+  /// prologue therefore costs O(flagged leaves x tree depth). Results are
+  /// bit-identical to a from-scratch reduction at every dispatch level (same
+  /// reduction order, same tie-breaking).
   ///
   /// `ops` (optional) accumulates DP steps for the RM instruction-overhead
   /// model; one op is one FEASIBLE-pair DP step, i.e. a ((w_a, b_a),

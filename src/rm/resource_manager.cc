@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/check.hh"
 
@@ -34,11 +35,18 @@ ResourceManager::ResourceManager(const RmConfig& config,
       energy_(offline_power, config.energy), local_(perf_, energy_, local_options()),
       cached_(static_cast<std::size_t>(system.cores)),
       all_active_(static_cast<std::size_t>(system.cores), 1) {
-  ws_.curve_energy.resize(static_cast<std::size_t>(system.cores));
-  ws_.views.reserve(static_cast<std::size_t>(system.cores));
+  const auto n = static_cast<std::size_t>(system.cores);
   ws_.idle_energy.assign(1, 0.0);
-  ws_.leaf_active.assign(static_cast<std::size_t>(system.cores), 0);
-  ws_.leaf_dirty.assign(static_cast<std::size_t>(system.cores), 1);
+  // Every leaf starts idle: a core's view becomes its curve when it is
+  // first seen active, which flags its leaf.
+  ws_.views.assign(n, {system_.llc.min_ways, std::span<const double>(ws_.idle_energy),
+                       system_.bw.min_shares, 1});
+  ws_.leaf_active.assign(n, 0);
+  ws_.leaf_dirty.assign(n, 0);
+  ws_.touched.reserve(2 * n);  // a core may flip and cold-start in one call
+  ws_.rewrite_mark.assign(n, 0);
+  ws_.decision.settings.assign(n, workload::baseline_setting(system_));
+  ws_.decision.rewritten.reserve(n);
   memo_on_ = cfg_.memo != RmMemoMode::Off;
   if (is_baseline_policy(cfg_.policy)) {
     // Size the baseline-policy buffers up front so invoke_baseline's
@@ -68,6 +76,7 @@ LocalOptOptions ResourceManager::local_options() const noexcept {
 
 void ResourceManager::reset() {
   for (CoreCache& entry : cached_) entry.valid = false;
+  scan_all_ = true;
 }
 
 std::int32_t* ResourceManager::memo_slot(const CounterSnapshot& snap) {
@@ -77,6 +86,17 @@ std::int32_t* ResourceManager::memo_slot(const CounterSnapshot& snap) {
     // space and drop entries memoized against any previous one.
     QOSRM_CHECK(snap.memo_key < snap.memo_space);
     memo_slot_.assign(static_cast<std::size_t>(snap.memo_space), -1);
+    // A core's curve (valid or not: its row is what a cold start compares
+    // against) must outlive the entries; the cores referring to one copy it
+    // (several cores may share an entry), and their views follow.
+    for (std::size_t k = 0; k < cached_.size(); ++k) {
+      CoreCache& cache = cached_[k];
+      if (cache.entry == nullptr) continue;
+      cache.own = cache.entry->local;
+      cache.own_energy = cache.entry->energy;
+      cache.entry = nullptr;
+      if (ws_.leaf_active[k] != 0) ws_.views[k].energy = cache.own_energy;
+    }
     memo_entries_.clear();
     memo_db_ = snap.memo_db;
   }
@@ -91,6 +111,113 @@ const RmDecision& ResourceManager::invoke(
   return invoke(invoking_core, snapshots, all_active_);
 }
 
+namespace {
+
+/// Writes `local`'s flat E*(w, b) row into `row`; returns whether the row
+/// changed bitwise (its length included).
+bool flatten_into(const LocalOptResult& local, std::vector<double>& row) {
+  const std::size_t cells = local.choices.size();
+  bool changed = row.size() != cells;
+  row.resize(cells);
+  for (std::size_t i = 0; i < cells; ++i) {
+    const WayChoice& c = local.choices[i];
+    const double e = c.feasible ? c.energy_j : kInfeasibleEnergy;
+    changed = changed ||
+              std::bit_cast<std::uint64_t>(e) != std::bit_cast<std::uint64_t>(row[i]);
+    row[i] = e;
+  }
+  return changed;
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+}  // namespace
+
+bool ResourceManager::refresh_core(int k, bool fresh, const CounterSnapshot& snap,
+                                   std::uint64_t& ops) {
+  CoreCache& cache = cached_[static_cast<std::size_t>(k)];
+  // Same-cell replay: a keyed snapshot's local optimization is a pure
+  // function of its evaluation cell, so fresh counters of the cell the
+  // cached curve came from reproduce that curve (and its row) exactly.
+  // Charge the ops its computation charged; nothing else changes.
+  const bool keyed = snap.memo_key >= 0 && !snap.oracle.valid();
+  if (cache.valid && keyed && snap.memo_key == cache.memo_key &&
+      snap.memo_db == cache.memo_db) {
+    ops += cache.ops;  // only the invoking core reaches here
+    ++stats_.cell_replays;
+    return false;
+  }
+  // Interval-outcome memo: a previously seen cell refers to the stored
+  // result - charging exactly the ops a fresh run would have, which keeps
+  // the decision (and the modeled RM overhead) bit-identical with the memo
+  // on or off. A new cell is computed straight into a new entry, flattened
+  // once. Without a slot the curve goes to the core's own storage.
+  std::int32_t* slot = memo_slot(snap);  // may move entries into own storage
+  const std::vector<double>& old_row = cache.energy();
+  bool changed = false;
+  if (slot != nullptr) {
+    if (*slot >= 0) {
+      ++stats_.memo_hits;
+    } else {
+      *slot = static_cast<std::int32_t>(memo_entries_.size());
+      MemoEntry& entry = memo_entries_.emplace_back();
+      local_.optimize_into(snap, entry.local, &entry.ops);
+      (void)flatten_into(entry.local, entry.energy);
+      ++stats_.local_runs;
+    }
+    MemoEntry& entry = memo_entries_[static_cast<std::size_t>(*slot)];
+    changed = !same_bits(old_row, entry.energy);
+    cache.entry = &entry;
+    cache.ops = entry.ops;
+  } else {
+    cache.ops = 0;
+    local_.optimize_into(snap, cache.own, &cache.ops);
+    ++stats_.local_runs;
+    if (cache.entry == nullptr) {
+      changed = flatten_into(cache.own, cache.own_energy);  // old_row is own
+    } else {
+      (void)flatten_into(cache.own, cache.own_energy);
+      changed = !same_bits(old_row, cache.own_energy);
+      cache.entry = nullptr;
+    }
+  }
+  if (fresh) ops += cache.ops;
+  cache.valid = true;
+  cache.memo_key = keyed ? snap.memo_key : -1;
+  cache.memo_db = snap.memo_db;
+
+  const LocalOptResult& local = cache.local();
+  EnergyCurveView& view = ws_.views[static_cast<std::size_t>(k)];
+  changed = changed || view.min_ways != local.min_ways ||
+            view.min_shares != local.min_shares ||
+            view.num_shares != local.num_shares;
+  view = {local.min_ways, std::span<const double>(cache.energy()), local.min_shares,
+          local.num_shares};
+  if (changed) ws_.leaf_dirty[static_cast<std::size_t>(k)] = 1;
+  ws_.touched.push_back(k);
+  return true;
+}
+
+void ResourceManager::rewrite(int k, std::span<const std::uint8_t> active,
+                              const GlobalOptResult& global) {
+  const auto i = static_cast<std::size_t>(k);
+  workload::Setting& setting = ws_.decision.settings[i];
+  if (active[i] == 0) {
+    setting = workload::baseline_setting(system_);
+  } else {
+    const WayChoice& choice =
+        cached_[i].local().at(global.ways[i], global.shares[i]);
+    QOSRM_CHECK_MSG(choice.feasible, "global optimizer chose an infeasible way");
+    setting = choice.setting;
+  }
+  if (ws_.rewrite_mark[i] != 0) return;
+  ws_.rewrite_mark[i] = 1;
+  ws_.decision.rewritten.push_back(k);
+}
+
 const RmDecision& ResourceManager::invoke(
     int invoking_core, std::span<const CounterSnapshot> snapshots,
     std::span<const std::uint8_t> active) {
@@ -103,6 +230,7 @@ const RmDecision& ResourceManager::invoke(
   ++stats_.invocations;
   RmDecision& decision = ws_.decision;
   decision.ops = 0;
+  decision.rewritten.clear();
   // Whether decision.settings still holds the last call's feasible RM
   // decision; anything but a full feasible pass below leaves it false.
   const bool settings_reusable = settings_reusable_;
@@ -111,6 +239,7 @@ const RmDecision& ResourceManager::invoke(
     decision.feasible = true;
     decision.settings.assign(static_cast<std::size_t>(system_.cores),
                              workload::baseline_setting(system_));
+    for (int core = 0; core < system_.cores; ++core) decision.rewritten.push_back(core);
     if (cfg_.policy == RmPolicy::Idle) return decision;
     return invoke_baseline(invoking_core, snapshots, active);
   }
@@ -118,76 +247,47 @@ const RmDecision& ResourceManager::invoke(
   // Local optimization: fresh curve for the invoking core; active cores
   // never seen before also get one from their latest counters (cold start),
   // matching Fig. 3 where other cores' curves are "already available".
-  // Recomputed curves are flattened into the workspace's per-core E*(w)
-  // array once; cached cores keep theirs, so no curve is copied on the
-  // steady path. Inactive cores drop their cache (their counters describe
-  // an app that has departed) and take no part in the local step. A core's
-  // global-tree leaf is dirtied only when its occupancy flips or its
-  // flattened row changes bitwise.
-  bool inputs_changed = false;  // an occupancy flip or a replaced LocalOptResult
-  for (int core = 0; core < system_.cores; ++core) {
-    const auto k = static_cast<std::size_t>(core);
-    CoreCache& cache = cached_[k];
-    const std::uint8_t occupied = active[k] != 0 ? 1 : 0;
-    if (ws_.leaf_active[k] != occupied) {
-      ws_.leaf_active[k] = occupied;
-      ws_.leaf_dirty[k] = 1;
-      inputs_changed = true;
-    }
-    if (active[k] == 0) {
-      cache.valid = false;
-      continue;
-    }
-    const bool fresh = core == invoking_core;
-    if (!fresh && cache.valid) continue;
-    const CounterSnapshot& snap = snapshots[k];
-    // Same-cell replay: a keyed snapshot's local optimization is a pure
-    // function of its evaluation cell, so fresh counters of the cell the
-    // cached curve came from reproduce that curve (and its row) exactly.
-    // Charge the ops its computation charged; nothing else changes.
-    const bool keyed = snap.memo_key >= 0 && !snap.oracle.valid();
-    if (cache.valid && keyed && snap.memo_key == cache.memo_key &&
-        snap.memo_db == cache.memo_db) {
-      decision.ops += cache.ops;  // only the invoking core reaches here
-      ++stats_.cell_replays;
-      continue;
-    }
-    // Interval-outcome memo: a previously seen cell replays the stored
-    // result - charging exactly the ops a fresh run would have, which keeps
-    // the decision (and the modeled RM overhead) bit-identical with the
-    // memo on or off.
-    std::int32_t* slot = memo_slot(snap);
-    if (slot != nullptr && *slot >= 0) {
-      const MemoEntry& entry = memo_entries_[static_cast<std::size_t>(*slot)];
-      cache.local = entry.local;  // vector assign reuses the cache's storage
-      cache.ops = entry.ops;
-      ++stats_.memo_hits;
-    } else {
-      cache.ops = 0;
-      local_.optimize_into(snap, cache.local, &cache.ops);
-      ++stats_.local_runs;
-      if (slot != nullptr) {
-        *slot = static_cast<std::int32_t>(memo_entries_.size());
-        memo_entries_.push_back({cache.local, cache.ops});
+  // Inactive cores drop their cache (their counters describe an app that
+  // has departed) and take no part in the local step. A core's global-tree
+  // leaf is dirtied only when its occupancy flips or its row changes
+  // bitwise. With the occupancy of the last call and no cold start pending,
+  // every other core's cache is valid and its leaf unchanged, so only the
+  // invoking core is visited.
+  const bool scan_all =
+      scan_all_ || !std::equal(active.begin(), active.end(), ws_.leaf_active.begin());
+  scan_all_ = false;
+  ws_.touched.clear();
+  bool inputs_changed = false;  // an occupancy flip or a replaced curve
+  if (!scan_all) {
+    inputs_changed = refresh_core(invoking_core, true,
+                                  snapshots[static_cast<std::size_t>(invoking_core)],
+                                  decision.ops);
+  } else {
+    for (int core = 0; core < system_.cores; ++core) {
+      const auto k = static_cast<std::size_t>(core);
+      CoreCache& cache = cached_[k];
+      const std::uint8_t occupied = active[k] != 0 ? 1 : 0;
+      if (ws_.leaf_active[k] != occupied) {
+        ws_.leaf_active[k] = occupied;
+        ws_.leaf_dirty[k] = 1;
+        inputs_changed = true;
+        ws_.touched.push_back(core);
+        // A core turning active has no valid cache (it was dropped when
+        // the core was seen idle), so the cold start below sets its view.
+        if (occupied == 0) {
+          ws_.views[k] = {system_.llc.min_ways, std::span<const double>(ws_.idle_energy),
+                          system_.bw.min_shares, 1};
+        }
       }
+      if (occupied == 0) {
+        cache.valid = false;
+        continue;
+      }
+      const bool fresh = core == invoking_core;
+      if (!fresh && cache.valid) continue;
+      inputs_changed = refresh_core(core, fresh, snapshots[k], decision.ops) ||
+                       inputs_changed;
     }
-    if (fresh) decision.ops += cache.ops;
-    inputs_changed = true;
-    cache.valid = true;
-    cache.memo_key = keyed ? snap.memo_key : -1;
-    cache.memo_db = snap.memo_db;
-    std::vector<double>& energy = ws_.curve_energy[k];
-    const std::size_t cells = cache.local.choices.size();
-    bool changed = energy.size() != cells;
-    energy.resize(cells);
-    for (std::size_t i = 0; i < cells; ++i) {
-      const WayChoice& c = cache.local.choices[i];
-      const double e = c.feasible ? c.energy_j : kInfeasibleEnergy;
-      changed = changed || std::bit_cast<std::uint64_t>(e) !=
-                               std::bit_cast<std::uint64_t>(energy[i]);
-      energy[i] = e;
-    }
-    if (changed) ws_.leaf_dirty[k] = 1;
   }
 
   // Unchanged decision: every active core kept the very LocalOptResult (so
@@ -203,33 +303,11 @@ const RmDecision& ResourceManager::invoke(
     return decision;
   }
 
-  decision.feasible = true;
-  decision.settings.assign(static_cast<std::size_t>(system_.cores),
-                           workload::baseline_setting(system_));
-  ws_.views.clear();
-  for (int core = 0; core < system_.cores; ++core) {
-    if (active[static_cast<std::size_t>(core)] == 0) {
-      // A single-cell zero-energy surface: the global optimizer has exactly
-      // one choice for this core (llc.min_ways, bw.min_shares), so idle
-      // cores hold the minimum allocation of both resources and the
-      // remaining budget goes to the active ones.
-      ws_.views.push_back({system_.llc.min_ways,
-                           std::span<const double>(ws_.idle_energy),
-                           system_.bw.min_shares, 1});
-      continue;
-    }
-    const LocalOptResult& local = cached_[static_cast<std::size_t>(core)].local;
-    ws_.views.push_back(
-        {local.min_ways,
-         std::span<const double>(ws_.curve_energy[static_cast<std::size_t>(core)]),
-         local.min_shares, local.num_shares});
-  }
-
   GlobalOptResult& global = ws_.global_result;
   GlobalOptimizer::optimize_into(ws_.views, system_.total_ways(),
                                  system_.total_shares(), ws_.leaf_dirty,
                                  ws_.global, global, &decision.ops);
-  std::fill(ws_.leaf_dirty.begin(), ws_.leaf_dirty.end(), std::uint8_t{0});
+  for (const int k : ws_.touched) ws_.leaf_dirty[static_cast<std::size_t>(k)] = 0;
   const int recombined = ws_.global.last_recombined();
   stats_.nodes_recombined += static_cast<std::uint64_t>(recombined);
   if (recombined == 0) ++stats_.dp_skips;
@@ -237,18 +315,24 @@ const RmDecision& ResourceManager::invoke(
     // Should not happen (the baseline allocation is always feasible), but
     // fall back to the baseline setting defensively.
     decision.feasible = false;
+    decision.settings.assign(static_cast<std::size_t>(system_.cores),
+                             workload::baseline_setting(system_));
+    for (int core = 0; core < system_.cores; ++core) decision.rewritten.push_back(core);
     return decision;
   }
 
-  for (int core = 0; core < system_.cores; ++core) {
-    if (active[static_cast<std::size_t>(core)] == 0) continue;  // baseline
-    const LocalOptResult& local = cached_[static_cast<std::size_t>(core)].local;
-    const WayChoice& choice =
-        local.at(global.ways[static_cast<std::size_t>(core)],
-                 global.shares[static_cast<std::size_t>(core)]);
-    QOSRM_CHECK_MSG(choice.feasible, "global optimizer chose an infeasible way");
-    decision.settings[static_cast<std::size_t>(core)] = choice.setting;
+  // Settings: a core's entry can only move when its curve was replaced, its
+  // occupancy flipped or the global step re-placed its leaf; every other
+  // entry still holds the last feasible decision's value. Without one,
+  // every core is rewritten.
+  decision.feasible = true;
+  if (!settings_reusable) {
+    for (int core = 0; core < system_.cores; ++core) rewrite(core, active, global);
+  } else {
+    for (const int k : ws_.touched) rewrite(k, active, global);
+    for (const int k : ws_.global.last_placed()) rewrite(k, active, global);
   }
+  for (const int k : decision.rewritten) ws_.rewrite_mark[static_cast<std::size_t>(k)] = 0;
   settings_reusable_ = true;
   return decision;
 }

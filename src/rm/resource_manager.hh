@@ -21,17 +21,21 @@
 // LOCAL optimization for that core from its fresh counters, combines the
 // resulting energy curve with the cached curves of the other cores in the
 // GLOBAL optimization, and returns the full system setting {w*, f*, c*}.
-// Work whose inputs did not change is skipped on the host: fresh counters of
-// the evaluation cell a core's curve was computed for replay that curve, and
-// the global step recombines only the tree nodes above cores whose curve
-// changed bitwise or whose occupancy flipped, and an invocation in which no
-// core's curve was replaced and no occupancy flipped returns the previous
+// Work whose inputs did not change is skipped on the host: with the same
+// occupancy and no pending cold start only the invoking core is visited,
+// fresh counters of the evaluation cell a core's curve was computed for
+// replay that curve, a memoized cell is referred to rather than copied, the
+// global step recombines only the tree nodes above cores whose curve
+// changed bitwise or whose occupancy flipped, only the cores whose inputs or
+// allocation moved have their setting rewritten, and an invocation in which
+// no core's curve was replaced and no occupancy flipped returns the previous
 // decision as is. The decision and the modeled op charge are exactly those
 // of a from-scratch invocation.
 #ifndef QOSRM_RM_RESOURCE_MANAGER_HH
 #define QOSRM_RM_RESOURCE_MANAGER_HH
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -83,6 +87,10 @@ struct RmDecision {
   std::vector<workload::Setting> settings;  ///< per core
   std::uint64_t ops = 0;  ///< optimizer operations of this invocation
   bool feasible = true;   ///< false -> fell back to the baseline setting
+  /// Cores whose settings entry this invocation rewrote, each once; every
+  /// other entry holds what the previous invocation returned for it. An
+  /// entry may be rewritten with its own value.
+  std::vector<int> rewritten;
 };
 
 /// Host-side work counters of one ResourceManager, accumulated over its
@@ -98,14 +106,15 @@ struct RmInvokeStats {
   std::uint64_t nodes_recombined = 0;  ///< combine-tree nodes recomputed
 };
 
-/// Reusable scratch of the invocation path: per-core flat energy curves, the
-/// global optimizer's persistent combine tree and the decision handed back
-/// to the caller. Owned by the ResourceManager; every buffer keeps its
-/// capacity across boundaries, so steady-state invoke() performs no heap
-/// allocation.
+/// Reusable scratch of the invocation path: the global optimizer's views
+/// and persistent combine tree and the decision handed back to the caller.
+/// Owned by the ResourceManager; every buffer keeps its capacity across
+/// boundaries, so steady-state invoke() performs no heap allocation.
 struct RmWorkspace {
-  std::vector<std::vector<double>> curve_energy;  ///< per-core E*(w), flat
-  std::vector<EnergyCurveView> views;             ///< spans over curve_energy
+  /// Per-core surface the global optimizer reads: a span over the core's
+  /// flat E*(w, b) row, or the idle cell. Kept across calls; a core's view
+  /// is rebuilt only when its curve is replaced or its occupancy flips.
+  std::vector<EnergyCurveView> views;
   /// Length-1 zero-energy curve presented for inactive cores: it pins them
   /// to llc.min_ways in the global optimization without contributing energy.
   std::vector<double> idle_energy;
@@ -114,6 +123,11 @@ struct RmWorkspace {
   /// last global step.
   std::vector<std::uint8_t> leaf_active;
   std::vector<std::uint8_t> leaf_dirty;
+  /// Cores whose curve was replaced or whose occupancy flipped this call
+  /// (a core that does both is listed twice).
+  std::vector<int> touched;
+  /// Per-core "already in decision.rewritten" marks of this call.
+  std::vector<std::uint8_t> rewrite_mark;
   GlobalOptWorkspace global;
   GlobalOptResult global_result;
   BaselineWorkspace baseline;  ///< UCP / FCP / ClassPart inputs + result
@@ -124,6 +138,10 @@ class ResourceManager {
  public:
   ResourceManager(const RmConfig& config, const arch::SystemConfig& system,
                   const power::PowerModel& offline_power);
+  /// Not copyable: the per-core caches and views point into this manager's
+  /// own memo entries and curve storage.
+  ResourceManager(const ResourceManager&) = delete;
+  ResourceManager& operator=(const ResourceManager&) = delete;
 
   /// One RM invocation on behalf of `invoking_core`. `snapshots` holds the
   /// most recent counters of every core (the invoking core's entry must be
@@ -173,32 +191,56 @@ class ResourceManager {
       int invoking_core, std::span<const CounterSnapshot> snapshots,
       std::span<const std::uint8_t> active);
 
-  /// Per-core curve cache. `valid` replaces the previous std::optional so
-  /// reset() can invalidate without releasing the LocalOptResult storage.
-  /// `memo_key`/`memo_db` name the evaluation cell `local` was computed for
-  /// (memo_key < 0 for unkeyed or oracle-backed counters, which never
-  /// match) and `ops` what that computation charged, so a fresh snapshot of
-  /// the same cell replays the curve without recomputing or copying it.
-  struct CoreCache {
-    bool valid = false;
+  /// One memoized interval outcome: the local-optimization result of a
+  /// (app, phase, setting) evaluation cell, its flat E*(w, b) row, and the
+  /// op count a fresh run would have charged (so replays account
+  /// identically). Entries never change once stored; cores refer to them.
+  struct MemoEntry {
     LocalOptResult local;
-    std::int64_t memo_key = -1;
-    const workload::SimDb* memo_db = nullptr;
+    std::vector<double> energy;
     std::uint64_t ops = 0;
   };
 
-  /// One memoized interval outcome: the local-optimization result of a
-  /// (app, phase, setting) evaluation cell plus the op count a fresh run
-  /// would have charged (so replays account identically).
-  struct MemoEntry {
-    LocalOptResult local;
+  /// Per-core curve cache. The curve is either a memo entry's (`entry`) or
+  /// the core's own storage (memo off, or oracle-backed counters), and
+  /// stays readable after `valid` drops: its row is what a cold start is
+  /// compared against. `memo_key`/`memo_db` name the evaluation cell the
+  /// curve was computed for (memo_key < 0 for unkeyed or oracle-backed
+  /// counters, which never match) and `ops` what that computation charged,
+  /// so a fresh snapshot of the same cell replays the curve.
+  struct CoreCache {
+    bool valid = false;
+    MemoEntry* entry = nullptr;
+    LocalOptResult own;
+    std::vector<double> own_energy;
+    std::int64_t memo_key = -1;
+    const workload::SimDb* memo_db = nullptr;
     std::uint64_t ops = 0;
+
+    [[nodiscard]] const LocalOptResult& local() const {
+      return entry != nullptr ? entry->local : own;
+    }
+    [[nodiscard]] const std::vector<double>& energy() const {
+      return entry != nullptr ? entry->energy : own_energy;
+    }
   };
+
+  /// Local step for core k: replays, recalls or recomputes its curve from
+  /// its snapshot (charging the ops only when `fresh`), updates its view
+  /// and flags its leaf when the row changed. Returns whether the curve was
+  /// replaced.
+  bool refresh_core(int k, bool fresh, const CounterSnapshot& snap,
+                    std::uint64_t& ops);
+  /// Rewrites core k's setting from the global result and lists it in
+  /// decision.rewritten (once per call).
+  void rewrite(int k, std::span<const std::uint8_t> active,
+               const GlobalOptResult& global);
 
   /// Returns the memo slot for this snapshot, or nullptr when memoization
   /// does not apply (memo off, unkeyed snapshot, or oracle-backed counters
   /// whose outcome depends on more than the key). Lazily (re)sizes the slot
-  /// array when a new database is seen.
+  /// array when a new database is seen; the entries of the previous one are
+  /// dropped, so cores referring to them take them over first.
   [[nodiscard]] std::int32_t* memo_slot(const CounterSnapshot& snap);
 
   RmConfig cfg_;
@@ -211,14 +253,19 @@ class ResourceManager {
   bool memo_on_ = false;
   const workload::SimDb* memo_db_ = nullptr;
   std::vector<std::int32_t> memo_slot_;  ///< key -> entry index, -1 empty
-  std::vector<MemoEntry> memo_entries_;  ///< growing entry pool
+  /// Growing entry pool; a deque so that growth never moves an entry.
+  std::deque<MemoEntry> memo_entries_;
   /// All-ones mask backing the mask-free invoke() overload. std::uint8_t
   /// (not bool) so a std::span can view the storage.
   std::vector<std::uint8_t> all_active_;
   RmWorkspace ws_;
   /// The decision in ws_ is the last call's feasible RM decision, so an
-  /// invoke whose inputs did not change may return it as is.
+  /// invoke whose inputs did not change may return it as is, and one whose
+  /// inputs did need rewrite only the cores they moved.
   bool settings_reusable_ = false;
+  /// Some active core may lack a valid curve (construction, reset()): the
+  /// next invoke visits every core, not only the invoking one.
+  bool scan_all_ = true;
   RmInvokeStats stats_;
 };
 

@@ -125,7 +125,9 @@ class IntervalKernel {
 
   /// One RM invocation on behalf of core k over the current mask. Charges
   /// the RM execution to k's next interval and hands the decided settings
-  /// to every core in the mask. No-op for an Idle-policy run.
+  /// to every core in the mask: the entries the decision rewrote, and those
+  /// of the cores seated since the last invocation. The kernel must be its
+  /// manager's only caller. No-op for an Idle-policy run.
   void invoke(int k);
 
   /// Takes core k out of the RM mask (its app departed).
@@ -160,6 +162,9 @@ class IntervalKernel {
   std::vector<CoreTimeline> cores_;
   std::vector<rm::CounterSnapshot> snapshots_;
   std::vector<std::uint8_t> active_;  ///< RM mask (uint8 so a span can view it)
+  /// Cores seated since the last invocation: their pending setting is the
+  /// baseline, not the manager's last decision.
+  std::vector<int> seated_;
   std::uint64_t rm_invocations_ = 0;
   std::uint64_t rm_ops_ = 0;
 };

@@ -16,10 +16,6 @@ QosEvaluator::QosEvaluator(const workload::SimDb& db, const QosEvalOptions& opti
   QOSRM_CHECK(opt_.current_f_stride >= 1);
 }
 
-QosEvalResult QosEvaluator::evaluate(rm::PerfModelKind model) const {
-  return evaluate_all({model}).front();
-}
-
 std::vector<QosEvalResult> QosEvaluator::evaluate_all(
     const std::vector<rm::PerfModelKind>& models) const {
   const workload::SimDb& db = *db_;

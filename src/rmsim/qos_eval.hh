@@ -46,9 +46,6 @@ class QosEvaluator {
  public:
   QosEvaluator(const workload::SimDb& db, const QosEvalOptions& options = {});
 
-  /// Runs the sweep for one model.
-  [[nodiscard]] QosEvalResult evaluate(rm::PerfModelKind model) const;
-
   /// Runs the sweep for several models (shared precomputation).
   [[nodiscard]] std::vector<QosEvalResult> evaluate_all(
       const std::vector<rm::PerfModelKind>& models) const;

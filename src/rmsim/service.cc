@@ -419,8 +419,6 @@ ServiceEngine::ServiceEngine(const workload::SimDb& db,
     : impl_(std::make_unique<Impl>(db, config, point)) {}
 
 ServiceEngine::~ServiceEngine() = default;
-ServiceEngine::ServiceEngine(ServiceEngine&&) noexcept = default;
-ServiceEngine& ServiceEngine::operator=(ServiceEngine&&) noexcept = default;
 
 void ServiceEngine::reset() { impl_->reset(); }
 

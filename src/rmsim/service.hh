@@ -218,8 +218,6 @@ class ServiceEngine {
   ServiceEngine(const workload::SimDb& db, const ServiceConfig& config,
                 const ServicePoint& point);
   ~ServiceEngine();
-  ServiceEngine(ServiceEngine&&) noexcept;
-  ServiceEngine& operator=(ServiceEngine&&) noexcept;
 
   /// Rewinds to time zero (same trace, cleared metrics and core states).
   /// Allocation-free once the first pass has grown every buffer.

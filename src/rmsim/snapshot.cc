@@ -40,10 +40,11 @@ void make_snapshot_into(const workload::SimDb& db, int app, int phase,
   out.llc_misses = st.misses[static_cast<std::size_t>(w - 1)];
   out.writebacks = st.writebacks(w);
   out.measured_mlp = st.mlp_true(current.c, w);
-  // assign() reuses the capacity of the caller's vectors.
-  out.atd_misses.assign(st.misses.begin(), st.misses.end());
+  // The ATD curves are views of the database's phase statistics, not
+  // copies: a refresh re-points them.
+  out.atd_misses = st.misses;
   for (std::size_t i = 0; i < out.atd_leading_misses.size(); ++i) {
-    out.atd_leading_misses[i].assign(st.lm_atd[i].begin(), st.lm_atd[i].end());
+    out.atd_leading_misses[i] = st.lm_atd[i];
   }
 
   // RAPL-like dynamic power sample from the measured interval. The core

@@ -11,16 +11,17 @@ namespace qosrm::rmsim {
 
 /// Snapshot of (app, phase) executed at `current`. If `oracle_phase` >= 0 the
 /// oracle block is filled with (db, app, oracle_phase) so the perfect model
-/// can look up the upcoming interval (paper Fig. 9).
+/// can look up the upcoming interval (paper Fig. 9). Its ATD curves are
+/// views of `db`'s phase statistics, so the snapshot must not outlive `db`.
 [[nodiscard]] rm::CounterSnapshot make_snapshot(const workload::SimDb& db, int app,
                                                 int phase,
                                                 const workload::Setting& current,
                                                 int oracle_phase = -1);
 
-/// Allocation-free variant: overwrites every field of `out`, reusing its ATD
-/// vector storage. The interval simulator owns one snapshot per core and
-/// refreshes it through this at every boundary, so the steady state copies
-/// counter values without touching the heap. A refresh of the cell `out`
+/// Allocation-free variant: overwrites every field of `out` and points its
+/// ATD curves at `db`'s phase statistics (no curve is copied). The interval
+/// simulator owns one snapshot per core and refreshes it through this at
+/// every boundary, so the steady state copies scalar counter values only. A refresh of the cell `out`
 /// already holds (same database, same interval key, equal `current`) only
 /// restamps `oracle`: every other field would be rewritten with its own
 /// value. A caller that reuses `out` across databases that may share an

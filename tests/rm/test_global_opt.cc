@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -546,6 +548,68 @@ TEST_P(GlobalOptSimdEquivalence, WideLeavesSpanSeveralKernelBlocks) {
 
 INSTANTIATE_TEST_SUITE_P(CoreCounts, GlobalOptSimdEquivalence,
                          ::testing::Values(2, 4, 8, 16));
+
+// The root evaluates only its target cell, four pairs at a time under AVX2
+// with a scalar tail. Two-leaf problems make the root the only combine, so
+// every budget reads the vector root cell directly: row spans from 1 cell
+// (shorter than one vector) to 11, with infinite holes inside them, one or
+// three share rows, and energies drawn from a few integers so that many
+// pairs tie on the minimum. Every budget in and around the reachable range
+// must give the scalar result bit for bit: energy, split and ops.
+TEST(GlobalOptSimdEquivalence, RootCellMatchesScalarOnShortAndHoledSpans) {
+  if (!avx2_available()) GTEST_SKIP() << "AVX2 kernel unavailable";
+  Rng rng(4242);
+  int vector_budgets = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const int num_shares = trial % 2 == 0 ? 1 : 3;
+    const bool ties = trial % 3 == 0;
+    std::vector<EnergyCurve> curves;
+    for (int c = 0; c < 2; ++c) {
+      EnergyCurve cu;
+      cu.min_ways = 1 + static_cast<int>(rng.uniform_u64(2));
+      cu.num_shares = num_shares;
+      const int len = 1 + static_cast<int>(rng.uniform_u64(11));
+      for (int i = 0; i < len * num_shares; ++i) {
+        const bool hole = rng.bernoulli(0.25);
+        const double e = ties ? static_cast<double>(1 + rng.uniform_u64(3))
+                              : rng.uniform(1.0, 50.0);
+        cu.energy.push_back(hole ? kInf : e);
+      }
+      curves.push_back(std::move(cu));
+    }
+    const std::vector<EnergyCurveView> views = views_of(curves);
+    const int w_lo = curves[0].min_ways + curves[1].min_ways;
+    const int w_hi = curves[0].max_ways() + curves[1].max_ways();
+    const int b_lo = curves[0].min_shares + curves[1].min_shares;
+    const int b_hi = curves[0].max_shares() + curves[1].max_shares();
+    vector_budgets += std::min(curves[0].num_ways(), curves[1].num_ways()) >= 4 ? 1 : 0;
+    for (int shares = b_lo - 1; shares <= b_hi + 1; ++shares) {
+      for (int ways = w_lo - 1; ways <= w_hi + 1; ++ways) {
+        const std::string what = "trial=" + std::to_string(trial) +
+                                 " ways=" + std::to_string(ways) +
+                                 " shares=" + std::to_string(shares);
+        GlobalOptWorkspace scalar_ws;
+        GlobalOptResult scalar_out;
+        std::uint64_t scalar_ops = 0;
+        GlobalOptimizer::optimize_into(views, ways, shares, {}, scalar_ws, scalar_out,
+                                       &scalar_ops, simd::Level::Scalar);
+        GlobalOptWorkspace avx2_ws;
+        GlobalOptResult avx2_out;
+        std::uint64_t avx2_ops = 0;
+        GlobalOptimizer::optimize_into(views, ways, shares, {}, avx2_ws, avx2_out,
+                                       &avx2_ops, simd::Level::Avx2);
+        ASSERT_EQ(scalar_out.feasible, avx2_out.feasible) << what;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(scalar_out.total_energy),
+                  std::bit_cast<std::uint64_t>(avx2_out.total_energy))
+            << what;
+        EXPECT_EQ(scalar_out.ways, avx2_out.ways) << what;
+        EXPECT_EQ(scalar_out.shares, avx2_out.shares) << what;
+        EXPECT_EQ(scalar_ops, avx2_ops) << what;
+      }
+    }
+  }
+  EXPECT_GT(vector_budgets, 0);  // some problems reach the 4-lane loop
+}
 
 TEST(GlobalOpt, PrefersFeasibleEvenSplitWhenSymmetric) {
   // Identical strictly convex curves: the even split is optimal.

@@ -300,6 +300,73 @@ TEST(GlobalOptIncremental, CleanCallReusesResultAndChargesFullOps) {
   EXPECT_GT(again_ops, 0u);
 }
 
+// Leaf contract: unflagged leaves are not read. After a first call, views of
+// the clean leaves are replaced by empty spans - which would fail the
+// optimizer's validation and hold no cells to copy - so a call succeeds only
+// if it touches nothing but the flagged leaves and the tree. A budget change
+// with no dirty leaf re-reads only the root; one dirty leaf recombines only
+// its root path; both equal a from-scratch reduction of the real surfaces.
+TEST(GlobalOptIncremental, UnflaggedLeavesAreNotRead) {
+  for (const int num_shares : {1, 3}) {
+    Rng rng(static_cast<std::uint64_t>(num_shares) * 911 + 17);
+    const int cores = 8;
+    std::vector<EnergyCurve> curves;
+    for (int c = 0; c < cores; ++c) {
+      curves.push_back(random_leaf(rng, num_shares, false));
+      curves.back().energy.front() = 1.0;  // every leaf feasible at its lowest
+    }
+    int w_lo = 0, w_hi = 0, b_lo = 0;
+    for (const EnergyCurve& c : curves) {
+      w_lo += c.min_ways;
+      w_hi += c.max_ways();
+      b_lo += c.min_shares;
+    }
+    const int budget = (w_lo + w_hi) / 2;
+    GlobalOptWorkspace ws;
+    GlobalOptResult got;
+    std::vector<std::uint8_t> dirty(static_cast<std::size_t>(cores), 1);
+    GlobalOptimizer::optimize_into(views_of(curves), budget, b_lo, dirty, ws, got);
+    std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
+
+    // Clean views of the clean leaves: no cell behind them.
+    const auto blind = [&](int flagged) {
+      std::vector<EnergyCurveView> views = views_of(curves);
+      for (int c = 0; c < cores; ++c) {
+        if (c != flagged) views[static_cast<std::size_t>(c)].energy = {};
+      }
+      return views;
+    };
+    const auto expect_from_scratch = [&](int ways, const std::string& what) {
+      GlobalOptWorkspace scratch;
+      GlobalOptResult expect;
+      std::uint64_t expect_ops = 0;
+      GlobalOptimizer::optimize_into(views_of(curves), ways, b_lo, {}, scratch, expect,
+                                     &expect_ops);
+      ASSERT_EQ(got.feasible, expect.feasible) << what;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_energy),
+                std::bit_cast<std::uint64_t>(expect.total_energy))
+          << what;
+      EXPECT_EQ(got.ways, expect.ways) << what;
+      EXPECT_EQ(got.shares, expect.shares) << what;
+      EXPECT_EQ(ws.last_ops(), expect_ops) << what;
+    };
+
+    // A new budget, nothing dirty: only the root's target cell moves.
+    std::uint64_t ops = 0;
+    GlobalOptimizer::optimize_into(blind(-1), budget + 1, b_lo, dirty, ws, got, &ops);
+    EXPECT_EQ(ws.last_recombined(), 1);
+    EXPECT_EQ(ops, ws.last_ops());
+    expect_from_scratch(budget + 1, "budget+1 shares=" + std::to_string(num_shares));
+
+    // One dirty leaf: its root path only.
+    curves[5].energy[1] = 0.25;
+    dirty[5] = 1;
+    GlobalOptimizer::optimize_into(blind(5), budget + 1, b_lo, dirty, ws, got);
+    EXPECT_EQ(ws.last_recombined(), ceil_log2(cores));
+    expect_from_scratch(budget + 1, "dirty leaf shares=" + std::to_string(num_shares));
+  }
+}
+
 // Backtracking keeps the allocations of subtrees that were not recombined and
 // are asked for the same target. An infeasible call leaves no allocation to
 // keep, so the calls after it - the original budget again with no dirty

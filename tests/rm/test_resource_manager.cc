@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -409,6 +411,26 @@ TEST(ResourceManagerIncremental, ServiceSequenceMatchesFreshManagerPerCall) {
 // cold state, so settings, feasibility and charged ops must all match at
 // every step.
 
+/// The rewritten-entries contract of one invocation of a long-lived
+/// manager: every core is listed at most once, and every entry not listed
+/// holds what the previous invocation returned for that core.
+void expect_rewritten_covers_changes(const std::vector<Setting>& previous,
+                                     const RmDecision& got, const std::string& what) {
+  std::vector<std::uint8_t> listed(got.settings.size(), 0);
+  for (const int k : got.rewritten) {
+    ASSERT_GE(k, 0) << what;
+    ASSERT_LT(static_cast<std::size_t>(k), listed.size()) << what;
+    EXPECT_EQ(listed[static_cast<std::size_t>(k)], 0) << what << " core " << k;
+    listed[static_cast<std::size_t>(k)] = 1;
+  }
+  if (previous.empty()) return;
+  for (std::size_t k = 0; k < got.settings.size(); ++k) {
+    if (listed[k] == 0) {
+      EXPECT_TRUE(got.settings[k] == previous[k]) << what << " unlisted core " << k;
+    }
+  }
+}
+
 struct WalkStats {
   std::uint64_t invocations = 0;
   std::uint64_t dp_skips = 0;
@@ -446,6 +468,7 @@ WalkStats walk_long_lived_vs_fresh(int cores, int shares, const RmConfig& cfg,
   }
 
   WalkStats walk;
+  std::vector<Setting> previous;
   for (int step = 0; step < steps; ++step) {
     auto k = static_cast<std::size_t>(rng.uniform_u64(n));
     const int event = static_cast<int>(rng.uniform_u64(12));
@@ -486,6 +509,8 @@ WalkStats walk_long_lived_vs_fresh(int cores, int shares, const RmConfig& cfg,
     EXPECT_EQ(got.feasible, want.feasible) << what;
     EXPECT_EQ(got.ops, want.ops) << what;
     EXPECT_TRUE(got.settings == want.settings) << what;
+    expect_rewritten_covers_changes(previous, got, what);
+    previous = got.settings;
     // The invoking core runs the decided setting from its next interval.
     setting[k] = got.settings[k];
   }
@@ -532,6 +557,143 @@ TEST(ResourceManager, LongLivedManagerMatchesFreshManagerAlongAWalk) {
   EXPECT_EQ(pinned.invocations, 200u);
   EXPECT_EQ(pinned.dp_skips, 127u);
   EXPECT_EQ(pinned.nodes_recombined, 303u);
+}
+
+// The same comparison along a walk that also exercises what the invoking
+// core's fast path and the kept views and settings must survive: reset()
+// mid-walk, idle <-> active flips, a departure immediately followed by a
+// re-seat of the same app on the same core (the first invocation after it
+// usually decides the setting the previous tenant had), and snapshots moving
+// between two databases, which makes the memo switch databases while other
+// cores still hold curves from its entries. The second database is the
+// first with every LLC miss count tripled, so its curves differ.
+const workload::SimDb& missier_db(int cores) {
+  static std::map<int, std::unique_ptr<workload::SimDb>> dbs;
+  auto it = dbs.find(cores);
+  if (it == dbs.end()) {
+    const workload::SimDb& base = qosrm::testing::shared_db(cores);
+    std::vector<std::vector<workload::PhaseStats>> stats;
+    for (int app = 0; app < base.suite().size(); ++app) {
+      auto& per_app = stats.emplace_back();
+      for (int ph = 0; ph < base.num_phases(app); ++ph) {
+        workload::PhaseStats& st = per_app.emplace_back(base.stats(app, ph));
+        st.llc_accesses *= 3.0;
+        for (double& m : st.misses) m *= 3.0;
+        for (auto* curves : {&st.lm_true, &st.lm_atd}) {
+          for (std::vector<double>& curve : *curves) {
+            for (double& lm : curve) lm *= 3.0;
+          }
+        }
+      }
+    }
+    it = dbs.emplace(cores, std::make_unique<workload::SimDb>(
+                                base.suite(), base.system(), base.power(),
+                                base.phase_options(), stats))
+             .first;
+  }
+  return *it->second;
+}
+
+void walk_with_resets_reseats_and_db_switches(int cores, const RmConfig& cfg,
+                                              int steps, std::uint64_t seed) {
+  const workload::SimDb* dbs[] = {&qosrm::testing::shared_db(cores),
+                                  &missier_db(cores)};
+  const workload::SimDb& sdb = *dbs[0];
+  const Setting base = workload::baseline_setting(sdb.system());
+  const bool perfect = cfg.model == PerfModelKind::Perfect;
+  ResourceManager live(cfg, sdb.system(), sdb.power());
+  const auto n = static_cast<std::size_t>(cores);
+  std::vector<CounterSnapshot> snaps(n);
+  std::vector<std::uint8_t> active(n, 0);
+  std::vector<int> app(n, 0);
+  std::vector<int> seq_pos(n, 0);
+  std::vector<int> db_of(n, 0);
+  std::vector<Setting> setting(n, base);
+  Rng rng(seed);
+  const auto phase_of = [&](std::size_t k, int pos) {
+    const std::vector<int>& seq = sdb.suite().app(app[k]).phase_sequence;
+    return seq[static_cast<std::size_t>(pos) % seq.size()];
+  };
+  const auto refresh = [&](std::size_t k) {
+    rmsim::make_snapshot_into(*dbs[db_of[k]], app[k], phase_of(k, seq_pos[k]),
+                              setting[k], perfect ? phase_of(k, seq_pos[k] + 1) : -1,
+                              snaps[k]);
+  };
+  const auto seat = [&](std::size_t k, int a) {
+    active[k] = 1;
+    app[k] = a;
+    seq_pos[k] = 0;
+    setting[k] = base;
+    refresh(k);
+  };
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    seat(k, static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(sdb.suite().size()))));
+  }
+
+  std::uint64_t resets = 0, reseats = 0, switches = 0, flips = 0;
+  std::vector<Setting> previous;
+  for (int step = 0; step < steps; ++step) {
+    auto k = static_cast<std::size_t>(rng.uniform_u64(n));
+    const int event = static_cast<int>(rng.uniform_u64(12));
+    if (active[k] == 0) {  // arrival: idle -> active
+      seat(k, static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(sdb.suite().size()))));
+      ++flips;
+    } else if (event == 0) {  // departure: active -> idle
+      active[k] = 0;
+      ++flips;
+      k = static_cast<std::size_t>(std::find(active.begin(), active.end(), 1) -
+                                   active.begin());
+      if (k == n) continue;
+    } else if (event == 1) {  // departure and re-seat of the same app
+      seat(k, app[k]);
+      ++reseats;
+    } else if (event == 2) {  // the core's counters move to the other database
+      db_of[k] = 1 - db_of[k];
+      refresh(k);
+      ++switches;
+    } else if (event == 3) {  // reset() before this invocation
+      live.reset();
+      ++resets;
+    } else if (event <= 6) {  // the next phase
+      ++seq_pos[k];
+      refresh(k);
+    } else if (event <= 8) {  // a fresh snapshot of the same cell
+      refresh(k);
+    }  // else: a re-invocation with unchanged counters
+
+    const RmDecision& got = live.invoke(static_cast<int>(k), snaps, active);
+    ResourceManager fresh(cfg, sdb.system(), sdb.power());
+    const RmDecision& want = fresh.invoke(static_cast<int>(k), snaps, active);
+    const std::string what = std::string(rm_policy_name(cfg.policy)) +
+                             (perfect ? " Perfect " : " Model3 ") +
+                             std::to_string(cores) + "c memo " +
+                             std::to_string(static_cast<int>(cfg.memo)) + " step " +
+                             std::to_string(step) + " event " + std::to_string(event);
+    ASSERT_EQ(got.feasible, want.feasible) << what;
+    EXPECT_EQ(got.ops, want.ops) << what;
+    EXPECT_TRUE(got.settings == want.settings) << what;
+    expect_rewritten_covers_changes(previous, got, what);
+    previous = got.settings;
+    setting[k] = got.settings[k];
+  }
+  EXPECT_GT(resets, 0u);
+  EXPECT_GT(reseats, 0u);
+  EXPECT_GT(switches, 0u);
+  EXPECT_GT(flips, 0u);
+}
+
+TEST(ResourceManagerIncremental, ResetsReseatsAndDatabaseSwitchesMatchFreshManager) {
+  std::uint64_t seed = 90;
+  for (const RmPolicy policy : {RmPolicy::Rm2, RmPolicy::Rm3}) {
+    for (const PerfModelKind model : {PerfModelKind::Model3, PerfModelKind::Perfect}) {
+      for (const RmMemoMode memo : {RmMemoMode::On, RmMemoMode::Off}) {
+        RmConfig cfg = config(policy, model);
+        cfg.memo = memo;
+        walk_with_resets_reseats_and_db_switches(4, cfg, 240, ++seed);
+        walk_with_resets_reseats_and_db_switches(8, cfg, 120, ++seed);
+      }
+    }
+  }
 }
 
 TEST(ResourceManager, PolicyNames) {

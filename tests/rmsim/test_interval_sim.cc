@@ -307,6 +307,35 @@ TEST(IntervalSim, ScratchRebindToAnotherDatabaseRefillsSnapshots) {
   }
 }
 
+// The kernel copies only the decision entries the manager rewrote, plus
+// those of cores seated since the last invocation. A departure followed by
+// a re-seat of the same app resets the core's pending setting to the
+// baseline, and the invocation that follows replays the same cell: the
+// manager hands back its previous decision and rewrites nothing, yet the
+// re-seated core must adopt its decided (non-baseline) setting again.
+TEST(IntervalKernel, ReseatedCoreAdoptsAnUnchangedDecision) {
+  rm::ResourceManager manager(cfg(rm::RmPolicy::Rm3), db().system(), db().power());
+  IntervalKernel kernel;
+  kernel.bind(db(), SimOptions{}, manager);
+  const int apps[] = {db().suite().index_of("mcf"),
+                      db().suite().index_of("libquantum")};
+  for (int k = 0; k < 2; ++k) kernel.seat(k, apps[k]);
+  kernel.invoke(0);
+  const workload::Setting base = workload::baseline_setting(db().system());
+  const workload::Setting decided = kernel.core(1).pending;
+  ASSERT_FALSE(decided == base);  // precondition: a lost reset would show
+
+  kernel.vacate(1);
+  kernel.seat(1, apps[1]);
+  EXPECT_TRUE(kernel.core(1).pending == base);
+  const std::uint64_t replays = manager.stats().cell_replays;
+  const std::uint64_t skips = manager.stats().dp_skips;
+  kernel.invoke(1);
+  EXPECT_EQ(manager.stats().cell_replays, replays + 1);
+  EXPECT_EQ(manager.stats().dp_skips, skips + 1);  // the previous decision
+  EXPECT_TRUE(kernel.core(1).pending == decided);
+}
+
 TEST(IntervalSim, SavingsAgainstSelfIsZero) {
   const IntervalSimulator sim(db());
   const RunResult idle = sim.run(mix2("gcc", "wrf"), cfg(rm::RmPolicy::Idle));

@@ -80,7 +80,7 @@ TEST(QosEval, SingleModelEvaluationMatchesBatch) {
   QosEvalOptions opt;
   opt.current_f_stride = 6;
   const QosEvaluator eval(db(), opt);
-  const QosEvalResult single = eval.evaluate(rm::PerfModelKind::Model2);
+  const QosEvalResult single = eval.evaluate_all({rm::PerfModelKind::Model2}).front();
   EXPECT_NEAR(single.violation_probability, results()[1].violation_probability,
               1e-12);
   EXPECT_NEAR(single.expected_violation, results()[1].expected_violation, 1e-12);

@@ -4,8 +4,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "support/shared_db.hh"
 
@@ -18,7 +18,7 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+bool same_bits(std::span<const double> a, std::span<const double> b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (!same_bits(a[i], b[i])) return false;
