@@ -5,13 +5,13 @@
 //
 // Fig. 7: per model, the probability of QoS violation per interval and the
 // expected value and std-dev of its magnitude (Eq. 6), from running
-// statistics that --bins/--max do not move. Paper: Model3 cuts violation
-// probability by 46% vs Model1 and 32% vs Model2, and expected violation
-// and std-dev by 49% / 26% vs Model2.
+// statistics that --bins/--max do not move.
 //
 // Fig. 8: violation magnitudes as histograms normalized to the largest bin
-// across models. Paper: Model3 has slightly MORE small (~5%) violations but
-// far fewer in total, with a much smaller large-violation tail.
+// across models.
+//
+// The comparison with the paper's numbers is the fig7.* and fig8.* rows of
+// docs/REPRODUCTION.md.
 //
 // Flags: --f-stride=2 --bins=20 --max=0.4 --fig7-csv=PATH --csv=PATH (Fig. 8)
 //        --db-cache=DIR (snapshot directory)
@@ -56,30 +56,8 @@ int main(int argc, char** argv) {
   std::printf("=== Fig. 7: QoS-violation statistics per model ===\n\n");
   rmsim::qos_summary(results).print();
 
-  const auto& m1 = results[0];
-  const auto& m2 = results[1];
-  const auto& m3 = results[2];
-  std::printf("\nModel3 vs Model1: violation probability %+.0f%% (paper: -46%%)\n",
-              (m3.violation_probability / m1.violation_probability - 1.0) * 100.0);
-  std::printf("Model3 vs Model2: violation probability %+.0f%% (paper: -32%%)\n",
-              (m3.violation_probability / m2.violation_probability - 1.0) * 100.0);
-  std::printf("Model3 vs Model2: expected violation    %+.0f%% (paper: -49%%)\n",
-              (m3.expected_violation / m2.expected_violation - 1.0) * 100.0);
-  std::printf("Model3 vs Model2: violation std-dev     %+.0f%% (paper: -26%%)\n",
-              (m3.violation_stddev / m2.violation_stddev - 1.0) * 100.0);
-
   std::printf("\n=== Fig. 8: distribution of QoS violations (normalized) ===\n\n");
   std::fputs(rmsim::qos_histograms(results).c_str(), stdout);
-
-  // Tail comparison: mass of violations above 10%.
-  std::printf("violation mass above 10%% magnitude:\n");
-  for (const auto& r : results) {
-    double tail = 0.0;
-    for (std::size_t b = 0; b < r.histogram.bin_count(); ++b) {
-      if (r.histogram.bin_lo(b) >= 0.10) tail += r.histogram.count(b);
-    }
-    std::printf("  %-7s %.4f\n", rm::perf_model_name(r.model), tail);
-  }
 
   if (args.has("fig7-csv")) {
     std::vector<std::vector<std::string>> rows;

@@ -38,13 +38,15 @@ int main(int argc, char** argv) {
   AsciiTable cache({"Level", "Scope", "Size", "Assoc", "DVFS domain"});
   cache.add_row({"L1-I/L1-D", "private", "32 KB", "4", "core"});
   cache.add_row({"L2", "private", "256 KB", "8", "core"});
+  // The LLC's associativity is the whole way budget, 256 KB per way.
+  constexpr int kWayKb = 256;
   cache.add_row({"L3 (LLC)", "shared",
-                 std::to_string(2 * cores) + " MB",
-                 std::to_string(8 * cores), "global"});
+                 std::to_string(system.total_ways() * kWayKb / 1024) + " MB",
+                 std::to_string(system.total_ways()), "global"});
   cache.print();
-  std::printf("LLC allocation range per core: %d - %d ways (256 KB per way); "
+  std::printf("LLC allocation range per core: %d - %d ways (%d KB per way); "
               "baseline %d ways; total budget %d ways\n",
-              system.llc.min_ways, system.llc.max_ways,
+              system.llc.min_ways, system.llc.max_ways, kWayKb,
               system.llc.ways_per_core_baseline, system.total_ways());
 
   std::printf("\nDRAM: %.0f ns base latency, %.0f nJ per access\n",
@@ -71,7 +73,10 @@ int main(int argc, char** argv) {
                 AsciiTable::num(arch::VfTable::baseline().freq_hz / 1e9, 2) +
                     " GHz / " +
                     AsciiTable::num(arch::VfTable::baseline().voltage, 2) + " V"});
-  dvfs.add_row({"transition cost", "15 us / 3 uJ"});
+  dvfs.add_row({"transition cost",
+                AsciiTable::num(arch::kDvfsTransitionTimeS * 1e6, 0) + " us / " +
+                    AsciiTable::num(arch::kDvfsTransitionEnergyJ * 1e6, 0) +
+                    " uJ"});
   dvfs.print();
 
   std::printf("\nRM interval: %.0fM instructions; QoS alpha = %.2f\n",
