@@ -138,15 +138,6 @@ TEST(MlpAtd, SetSamplingScalesEstimates) {
   EXPECT_DOUBLE_EQ(atd.leading_misses(arch::CoreSize::S, 16), 2.0 * 2.0);
 }
 
-TEST(MlpAtd, StorageBudgetBelowPaperEstimate) {
-  // Paper Section III-E: < 300 bytes per core for the 48-counter extension.
-  MlpAtdConfig cfg;
-  cfg.min_ways = 1;
-  cfg.max_ways = 16;
-  MlpAtd atd(cfg);
-  EXPECT_LE(atd.extension_storage_bits(), 300u * 8u);
-}
-
 TEST(MlpAtd, CounterSaturatesAtConfiguredWidth) {
   MlpAtdConfig cfg = tiny_config();
   cfg.counter_bits = 8;  // max 255

@@ -3,12 +3,14 @@
 //
 // A row gives the paper's value, a tolerance, a hard bound where an earlier
 // test asserted one, the function that recomputes our value and a one-line
-// deviation note. The test fails when a row is outside its tolerance
-// without a note, inside it with a (stale) note, or outside its hard bound,
-// and when the table rendered from kClaims differs from the region between
-// the scorecard markers of docs/REPRODUCTION.md. On that last failure the
-// doc with a fresh table is written into the build tree; copy it over the
-// committed one once the diff reads right.
+// deviation note. A row fails when it is outside its tolerance without a
+// note, inside it with a (stale) note, or outside its hard bound. A row that
+// took over an earlier test's assertions is checked by a gtest of that
+// test's name; Reproduction.Scorecard checks the others, and fails when the
+// table rendered from kClaims differs from the region between the scorecard
+// markers of docs/REPRODUCTION.md. On that last failure the doc with a fresh
+// table is written into the build tree; copy it over the committed one once
+// the diff reads right.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +18,9 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/mlp_atd.hh"
@@ -32,6 +36,7 @@ namespace qosrm {
 namespace {
 
 using rm::RmPolicy;
+using rmsim::QosEvalResult;
 using workload::Category;
 using workload::Scenario;
 
@@ -51,9 +56,11 @@ constexpr Unit kMicroS{1e6, 1, " µs"};
 constexpr Unit kMicroJ{1e6, 1, " µJ"};
 constexpr Unit kBytes{1.0, 0, " B"};
 
-/// Near: |ours - paper| <= tolerance. AtLeast / AtMost: the paper states a
-/// one-sided claim, and ours may fall short of it by at most the tolerance.
-enum class Sense { Near, AtLeast, AtMost };
+/// Near: |ours - paper| <= tolerance. AtMost: the paper states a one-sided
+/// claim, and ours may exceed it by at most the tolerance.
+/// Qualitative: the paper states the claim only in words, so the row has no
+/// paper value or tolerance and its hard bound is the whole check.
+enum class Sense { Near, AtMost, Qualitative };
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -71,8 +78,12 @@ struct Claim {
   double paper;
   double tolerance;
   double (*ours)();
-  const char* note;  ///< why ours is outside the tolerance; "" when inside
+  const char* note = "";  ///< why ours is outside the tolerance
   Bound bound = {};
+  /// The earlier test whose assertions this row took over, as
+  /// "Suite.Name"; the row is checked by a gtest of that name. Rows without
+  /// one are checked by Reproduction.Scorecard.
+  const char* test = nullptr;
 };
 
 // --- Fig. 1 and Table II: the classifier's measured populations ----------
@@ -107,8 +118,11 @@ double pair_prob(Category a, Category b) {
                               [static_cast<std::size_t>(b)];
 }
 
+/// The weight every scenario-weighted mean applies, from Table II's
+/// intended populations.
 double scenario_weight(Scenario s) {
-  return mix_table().scenario_weight[static_cast<std::size_t>(s) - 1];
+  return rmsim::scenario_weights(
+      workload::spec_suite())[static_cast<std::size_t>(s) - 1];
 }
 
 int rm3_effective_mixes() {
@@ -189,11 +203,10 @@ double fig6_mean(Scenario s, RmPolicy p) {
 }
 
 double fig6_weighted_rm3() {
-  std::vector<Scenario> scenarios;
+  const std::vector<Scenario> scenarios = {Scenario::One, Scenario::Two,
+                                           Scenario::Three, Scenario::Four};
   std::vector<double> savings;
-  for (const Scenario s :
-       {Scenario::One, Scenario::Two, Scenario::Three, Scenario::Four}) {
-    scenarios.push_back(s);
+  for (const Scenario s : scenarios) {
     savings.push_back(fig6_mean(s, RmPolicy::Rm3));
   }
   return rmsim::weighted_average_savings(
@@ -217,7 +230,7 @@ double fig6_s4_largest() {
 /// Model1..Model3. Every current VF point contributes the same cases
 /// (Eq. 1's f_i/f cancels the current frequency), so the ratios are the same
 /// at every current_f_stride; 6 keeps the test fast.
-const std::vector<rmsim::QosEvalResult>& fig7() {
+const std::vector<QosEvalResult>& fig7() {
   static const auto r = [] {
     rmsim::QosEvalOptions options;
     options.current_f_stride = 6;
@@ -228,9 +241,12 @@ const std::vector<rmsim::QosEvalResult>& fig7() {
   return r;
 }
 
-double change(double model3, double other) { return model3 / other - 1.0; }
+/// Model3's relative change of `stat` against Model1 (`other` 0) or Model2.
+double change(double QosEvalResult::*stat, std::size_t other) {
+  return fig7()[2].*stat / fig7()[other].*stat - 1.0;
+}
 
-double tail_mass(const rmsim::QosEvalResult& r) {
+double tail_mass(const QosEvalResult& r) {
   double mass = 0.0;
   for (std::size_t b = 0; b < r.histogram.bin_count(); ++b) {
     if (r.histogram.bin_lo(b) >= 0.10) mass += r.histogram.count(b);
@@ -268,127 +284,131 @@ rm::EnforcementCost dvfs_switch() {
 constexpr const char* kStrideNote =
     "model fidelity: equal at f-stride 1, 2 and 6, and ground truth is "
     "Model3's Eq. 1 with exact leading misses";
+constexpr const char* kGridNote =
+    "2 cores, 3 mixes per scenario; the 4-core 24-mix grid of "
+    "tests/data/golden_paper_grid_report.json is closer";
 constexpr const char* kOpsNote =
     "ours grows ~n^2 (every feasible DP pair), the paper's ~25K per core "
     "doubling; ROADMAP item 1 chooses the op count";
 
 const Claim kClaims[] = {
     {"fig1.rm3_mixes", "Fig. 1", "ordered mixes where RM3 is more effective",
-     kCount, Sense::Near, 12, 0, [] { return double(rm3_effective_mixes()); },
-     ""},
+     kCount, Sense::Near, 12, 0, [] { return double(rm3_effective_mixes()); }},
     {"fig1.rm3_probability", "Fig. 1", "their collective probability", kPct1,
      Sense::Near, 0.70, 0.015,
      [] {
        return scenario_weight(Scenario::One) + scenario_weight(Scenario::Three);
-     },
-     ""},
+     }},
     {"fig1.weight_s1", "Fig. 1, §V-A", "scenario 1 weight", kPct1, Sense::Near,
-     0.470, 0.003, [] { return scenario_weight(Scenario::One); }, ""},
+     0.470, 0.003, [] { return scenario_weight(Scenario::One); }, "", {},
+     "Experiment.ScenarioWeightsMatchPaper"},
     {"fig1.weight_s2", "Fig. 1, §V-A", "scenario 2 weight", kPct1, Sense::Near,
-     0.221, 0.003, [] { return scenario_weight(Scenario::Two); }, ""},
+     0.221, 0.003, [] { return scenario_weight(Scenario::Two); }, "", {},
+     "Experiment.ScenarioWeightsMatchPaper"},
     {"fig1.weight_s3", "Fig. 1, §V-A", "scenario 3 weight", kPct1, Sense::Near,
-     0.221, 0.003, [] { return scenario_weight(Scenario::Three); }, ""},
+     0.221, 0.003, [] { return scenario_weight(Scenario::Three); }, "", {},
+     "Experiment.ScenarioWeightsMatchPaper"},
     {"fig1.weight_s4", "Fig. 1, §V-A", "scenario 4 weight", kPct1, Sense::Near,
-     0.088, 0.003, [] { return scenario_weight(Scenario::Four); }, ""},
+     0.088, 0.003, [] { return scenario_weight(Scenario::Four); }, "", {},
+     "Experiment.ScenarioWeightsMatchPaper"},
     {"fig1.p_cipi_cipi", "Fig. 1", "P(CI-PI x CI-PI)", kPct2, Sense::Near,
-     0.088, 0.001, [] { return pair_prob(Category::CI_PI, Category::CI_PI); },
-     ""},
+     0.088, 0.001, [] { return pair_prob(Category::CI_PI, Category::CI_PI); }},
     {"fig1.p_cipi_cips", "Fig. 1", "P(CI-PI x CI-PS)", kPct2, Sense::Near,
-     0.077, 0.001, [] { return pair_prob(Category::CI_PI, Category::CI_PS); },
-     ""},
+     0.077, 0.001, [] { return pair_prob(Category::CI_PI, Category::CI_PS); }},
     {"fig1.p_cipi_csps", "Fig. 1", "P(CI-PI x CS-PS)", kPct2, Sense::Near,
-     0.055, 0.001, [] { return pair_prob(Category::CI_PI, Category::CS_PS); },
-     ""},
+     0.055, 0.001, [] { return pair_prob(Category::CI_PI, Category::CS_PS); }},
     {"fig1.p_cips_cips", "Fig. 1", "P(CI-PS x CI-PS)", kPct2, Sense::Near,
-     0.067, 0.001, [] { return pair_prob(Category::CI_PS, Category::CI_PS); },
-     ""},
+     0.067, 0.001, [] { return pair_prob(Category::CI_PS, Category::CI_PS); }},
     {"fig1.p_csps_csps", "Fig. 1", "P(CS-PS x CS-PS)", kPct2, Sense::Near,
-     0.034, 0.001, [] { return pair_prob(Category::CS_PS, Category::CS_PS); },
-     ""},
+     0.034, 0.001, [] { return pair_prob(Category::CS_PS, Category::CS_PS); }},
     {"table2.agreement", "Table II",
      "apps the classifier puts in their category", kCount, Sense::Near, 27, 0,
-     table2_agreement, ""},
+     table2_agreement, "", {}, "SpecSuite.ClassifierReproducesTableII"},
     {"table2.cs_ps", "Table II", "CS-PS applications", kCount, Sense::Near, 5,
-     0, [] { return double(population(Category::CS_PS)); }, ""},
+     0, [] { return double(population(Category::CS_PS)); }, "", {},
+     "SpecSuite.CategoryHistogramMatchesPaperCounts"},
     {"table2.cs_pi", "Table II", "CS-PI applications", kCount, Sense::Near, 7,
-     0, [] { return double(population(Category::CS_PI)); }, ""},
+     0, [] { return double(population(Category::CS_PI)); }, "", {},
+     "SpecSuite.CategoryHistogramMatchesPaperCounts"},
     {"table2.ci_ps", "Table II", "CI-PS applications", kCount, Sense::Near, 7,
-     0, [] { return double(population(Category::CI_PS)); }, ""},
+     0, [] { return double(population(Category::CI_PS)); }, "", {},
+     "SpecSuite.CategoryHistogramMatchesPaperCounts"},
     {"table2.ci_pi", "Table II", "CI-PI applications", kCount, Sense::Near, 8,
-     0, [] { return double(population(Category::CI_PI)); }, ""},
+     0, [] { return double(population(Category::CI_PI)); }, "", {},
+     "SpecSuite.CategoryHistogramMatchesPaperCounts"},
     {"fig2.s1_rm3_over_rm2", "Fig. 2",
      "scenario 1 (sphinx3+gcc) RM3/RM2 savings", kRatio, Sense::Near, 1.7, 0.2,
      [] { return fig2_s1()[2] / fig2_s1()[1]; },
-     "not traced: RM2 already saves 7.8% here, against RM3's 11.4%"},
+     "not traced; ROADMAP item 4 keeps it open"},
     {"fig2.s3_rm3", "Fig. 2", "scenario 3 (bwaves+GemsFDTD) RM3 savings", kPct1,
-     Sense::Near, 0.11, 0.01, [] { return fig2_s3()[2]; }, ""},
+     Sense::Near, 0.11, 0.01, [] { return fig2_s3()[2]; }},
     {"fig2.s3_rm1_rm2", "Fig. 2", "scenario 3 best of RM1 and RM2 savings",
      kPct1, Sense::Near, 0.0, 0.01,
-     [] { return std::max(fig2_s3()[0], fig2_s3()[1]); }, ""},
+     [] { return std::max(fig2_s3()[0], fig2_s3()[1]); }},
     {"fig6.s1_rm3_over_rm2", "Fig. 2/6", "scenario 1 RM3/RM2 mean savings",
      kRatio, Sense::Near, 1.7, 0.2,
      [] { return fig6_mean(Scenario::One, RmPolicy::Rm3) /
                  fig6_mean(Scenario::One, RmPolicy::Rm2); },
-     "2 cores, 3 mixes per scenario: the 4-core 24-mix golden grid gives 1.53",
-     {.lo = 1.3}},
+     kGridNote, {.lo = 1.3}, "PaperShapes.Scenario1Rm3BeatsRm2Clearly"},
     {"fig6.s1_rm3", "Fig. 6", "scenario 1 RM3 mean savings", kPct1,
-     Sense::AtLeast, 0.0, 0.0,
-     [] { return fig6_mean(Scenario::One, RmPolicy::Rm3); }, "", {.lo = 0.05}},
+     Sense::Qualitative, 0.0, 0.0,
+     [] { return fig6_mean(Scenario::One, RmPolicy::Rm3); }, "", {.lo = 0.05},
+     "PaperShapes.Scenario1Rm3BeatsRm2Clearly"},
     {"fig6.s2_rm3_over_rm2", "Fig. 2/6", "scenario 2 RM3/RM2 mean savings",
      kRatio, Sense::Near, 1.0, 0.25,
      [] { return fig6_mean(Scenario::Two, RmPolicy::Rm3) /
                  fig6_mean(Scenario::Two, RmPolicy::Rm2); },
-     "2 cores, 3 mixes per scenario: the 4-core 24-mix golden grid gives 1.22",
-     {.lo = 0.2, .hi = 1.8}},
+     kGridNote, {.lo = 0.2, .hi = 1.8},
+     "PaperShapes.Scenario2Rm2AndRm3Comparable"},
     {"fig6.s3_rm3", "Fig. 6", "scenario 3 RM3 mean savings", kPct1, Sense::Near,
      0.085, 0.02, [] { return fig6_mean(Scenario::Three, RmPolicy::Rm3); },
-     "2 cores, 3 mixes per scenario: the 4-core 24-mix golden grid gives 7.2%",
-     {.lo = 0.04}},
+     kGridNote, {.lo = 0.04}, "PaperShapes.Scenario3OnlyRm3Effective"},
     {"fig6.s3_rm2", "Fig. 6", "scenario 3 RM2 mean savings", kPct1, Sense::Near,
      0.017, 0.02, [] { return fig6_mean(Scenario::Three, RmPolicy::Rm2); }, "",
-     {.hi = 0.02}},
+     {.hi = 0.02}, "PaperShapes.Scenario3OnlyRm3Effective"},
     {"fig6.s3_rm1", "Fig. 2/6", "scenario 3 RM1 mean savings", kPct1,
      Sense::Near, 0.0, 0.02,
      [] { return fig6_mean(Scenario::Three, RmPolicy::Rm1); }, "",
-     {.hi = 0.02}},
+     {.hi = 0.02}, "PaperShapes.Scenario3OnlyRm3Effective"},
     {"fig6.s3_rm3_minus_rm2", "Fig. 6",
-     "scenario 3 RM3 - RM2 mean savings (paper: 8.5% - 1.7%)", kPct1, Sense::Near, 0.068, 0.02,
+     "scenario 3 RM3 - RM2 mean savings (paper: 8.5% - 1.7%)", kPct1,
+     Sense::Near, 0.068, 0.02,
      [] { return fig6_mean(Scenario::Three, RmPolicy::Rm3) -
                  fig6_mean(Scenario::Three, RmPolicy::Rm2); },
-     "", {.lo = 0.03}},
+     "", {.lo = 0.03}, "PaperShapes.Scenario3OnlyRm3Effective"},
     {"fig6.s4_largest", "Fig. 2/6",
      "scenario 4 largest absolute RM1-3 mean savings", kPct1, Sense::Near, 0.0,
-     0.01, fig6_s4_largest, "", {.hi = 0.02}},
+     0.01, fig6_s4_largest, "", {.hi = 0.02},
+     "PaperShapes.Scenario4NothingWorks"},
     {"fig6.rm1_weakest", "Fig. 6", "max over scenarios of RM1 - RM3 savings",
-     kPct1, Sense::AtMost, 0.0, 0.005, fig6_rm1_over_rm3_max, "", {.hi = 0.01}},
+     kPct1, Sense::Qualitative, 0.0, 0.0, fig6_rm1_over_rm3_max, "",
+     {.hi = 0.01}, "PaperShapes.Rm1WeakestOverall"},
     {"fig6.weighted_rm3", "Fig. 6", "RM3 scenario-weighted mean savings", kPct1,
      Sense::Near, 0.10, 0.02, fig6_weighted_rm3,
-     "2 cores, 3 mixes per scenario: the 4-core 24-mix golden grid gives 8.4%",
-     {.lo = 0.05, .hi = 0.20}},
+     kGridNote, {.lo = 0.05, .hi = 0.20},
+     "PaperShapes.WeightedAverageInPaperBand"},
     {"fig7.p_m3_vs_m1", "Fig. 7", "violation probability, Model3 vs Model1",
      kPct0, Sense::Near, -0.46, 0.10,
-     [] { return change(fig7()[2].violation_probability,
-                        fig7()[0].violation_probability); },
-     kStrideNote, {.hi = -0.15}},
+     [] { return change(&QosEvalResult::violation_probability, 0); },
+     kStrideNote, {.hi = -0.15},
+     "QosEval.Model3BeatsModel1OnViolationProbability"},
     {"fig7.p_m3_vs_m2", "Fig. 7", "violation probability, Model3 vs Model2",
      kPct0, Sense::Near, -0.32, 0.10,
-     [] { return change(fig7()[2].violation_probability,
-                        fig7()[1].violation_probability); },
-     kStrideNote, {.hi = -0.10}},
+     [] { return change(&QosEvalResult::violation_probability, 1); },
+     kStrideNote, {.hi = -0.10},
+     "QosEval.Model3BeatsModel2OnViolationProbability"},
     {"fig7.e_m3_vs_m2", "Fig. 7", "expected violation, Model3 vs Model2", kPct0,
      Sense::Near, -0.49, 0.10,
-     [] { return change(fig7()[2].expected_violation,
-                        fig7()[1].expected_violation); },
-     kStrideNote, {.hi = 0.0}},
+     [] { return change(&QosEvalResult::expected_violation, 1); },
+     kStrideNote, {.hi = 0.0}, "QosEval.Model3ReducesExpectedViolation"},
     {"fig7.sd_m3_vs_m2", "Fig. 7", "violation std-dev, Model3 vs Model2", kPct0,
      Sense::Near, -0.26, 0.10,
-     [] { return change(fig7()[2].violation_stddev,
-                        fig7()[1].violation_stddev); },
+     [] { return change(&QosEvalResult::violation_stddev, 1); },
      kStrideNote},
     {"fig8.tail_m3_over_m2", "Fig. 8",
      "violation mass above 10%, Model3 / Model2", kRatio, Sense::AtMost, 1.0,
      0.0, [] { return tail_mass(fig7()[2]) / tail_mass(fig7()[1]); }, "",
-     {.hi = 1.0}},
+     {.hi = 1.0}, "QosEval.HistogramTailShorterForModel3"},
     {"s3e.rm2_instr_c2", "§III-E", "RM2 instructions per invoke, 2 cores",
      kKilo, Sense::Near, 18e3, 1.8e3,
      [] { return rm_instructions(2, RmPolicy::Rm2); }, kOpsNote},
@@ -408,20 +428,24 @@ const Claim kClaims[] = {
      kKilo, Sense::Near, 100e3, 10e3,
      [] { return rm_instructions(8, RmPolicy::Rm3); }, kOpsNote},
     {"s3e.dvfs_time", "§III-E", "DVFS switch time", kMicroS, Sense::Near, 15e-6,
-     0.0, [] { return dvfs_switch().time_s; }, ""},
+     0.0, [] { return dvfs_switch().time_s; }},
     {"s3e.dvfs_energy", "§III-E", "DVFS switch energy", kMicroJ, Sense::Near,
-     3e-6, 0.0, [] { return dvfs_switch().energy_j; }, ""},
+     3e-6, 0.0, [] { return dvfs_switch().energy_j; }},
     {"s3e.mlp_atd_storage", "§III-E", "MLP-ATD extension storage per core",
      kBytes, Sense::AtMost, 300, 0.0,
      [] { return cache::MlpAtd({}).extension_storage_bits() / 8.0; }, "",
-     {.hi = 300}},
+     {.hi = 300}, "MlpAtd.StorageBudgetBelowPaperEstimate"},
 };
+
+bool within_bound(const Claim& c, double ours) {
+  return c.bound.lo <= ours && ours <= c.bound.hi;
+}
 
 bool within_tolerance(const Claim& c, double ours) {
   switch (c.sense) {
     case Sense::Near: return std::abs(ours - c.paper) <= c.tolerance;
-    case Sense::AtLeast: return ours >= c.paper - c.tolerance;
     case Sense::AtMost: return ours <= c.paper + c.tolerance;
+    case Sense::Qualitative: return within_bound(c, ours);
   }
   return false;
 }
@@ -445,14 +469,60 @@ std::string render_bound(const Claim& c) {
 }
 
 std::string render_row(const Claim& c, double ours) {
-  static constexpr const char* kSense[] = {"", "≥ ", "≤ "};
-  const bool ok = within_tolerance(c, ours);
+  const bool words = c.sense == Sense::Qualitative;
+  const std::string paper =
+      words ? "qualitative"
+            : (c.sense == Sense::AtMost ? "≤ " : "") + fmt(c.unit, c.paper);
+  const std::string tolerance = words ? "" : "±" + fmt(c.unit, c.tolerance);
   return std::string("| `") + c.id + "` | " + c.source + " | " + c.quantity +
-         " | " + kSense[static_cast<int>(c.sense)] + fmt(c.unit, c.paper) +
-         " | " + fmt(c.unit, ours) + " | ±" + fmt(c.unit, c.tolerance) +
-         " | " + render_bound(c) + " | " + (ok ? "reproduced" : "deviates") +
-         " | " + c.note + " |\n";
+         " | " + paper + " | " + fmt(c.unit, ours) + " | " + tolerance +
+         " | " + render_bound(c) + " | " +
+         (within_tolerance(c, ours) ? "reproduced" : "deviates") + " | " +
+         c.note + " |\n";
 }
+
+void check(const Claim& c, double ours) {
+  const bool ok = within_tolerance(c, ours);
+  const bool noted = *c.note != '\0';
+  EXPECT_TRUE(ok || noted)
+      << c.id << ": ours " << fmt(c.unit, ours) << " is outside the "
+      << "tolerance of the paper's " << fmt(c.unit, c.paper)
+      << " and carries no deviation note";
+  EXPECT_FALSE(ok && noted)
+      << c.id << ": ours " << fmt(c.unit, ours)
+      << " is inside the tolerance; its deviation note is stale";
+  EXPECT_TRUE(within_bound(c, ours))
+      << c.id << ": ours " << ours << " breaks the hard bound "
+      << render_bound(c);
+}
+
+/// Checks the rows that took over the assertions of the earlier test
+/// `name`, so a broken claim still fails under the name it always had.
+class FoldedTest : public ::testing::Test {
+ public:
+  explicit FoldedTest(std::string name) : name_(std::move(name)) {}
+  void TestBody() override {
+    for (const Claim& c : kClaims) {
+      if (c.test != nullptr && name_ == c.test) check(c, c.ours());
+    }
+  }
+
+ private:
+  std::string name_;
+};
+
+[[maybe_unused]] const bool kFoldedTestsRegistered = [] {
+  std::set<std::string> names;
+  for (const Claim& c : kClaims) {
+    if (c.test == nullptr || !names.insert(c.test).second) continue;
+    const std::string name = c.test;
+    const std::size_t dot = name.find('.');
+    ::testing::RegisterTest(
+        name.substr(0, dot).c_str(), name.substr(dot + 1).c_str(), nullptr,
+        nullptr, __FILE__, __LINE__, [name] { return new FoldedTest(name); });
+  }
+  return true;
+}();
 
 constexpr const char* kBegin = "<!-- scorecard:begin -->\n";
 constexpr const char* kEnd = "<!-- scorecard:end -->";
@@ -464,18 +534,7 @@ TEST(Reproduction, Scorecard) {
       "|---|---|---|---|---|---|---|---|---|\n";
   for (const Claim& c : kClaims) {
     const double ours = c.ours();
-    const bool ok = within_tolerance(c, ours);
-    const bool noted = *c.note != '\0';
-    EXPECT_TRUE(ok || noted)
-        << c.id << ": ours " << fmt(c.unit, ours) << " is outside the "
-        << "tolerance of the paper's " << fmt(c.unit, c.paper)
-        << " and carries no deviation note";
-    EXPECT_FALSE(ok && noted)
-        << c.id << ": ours " << fmt(c.unit, ours)
-        << " is inside the tolerance; its deviation note is stale";
-    EXPECT_TRUE(c.bound.lo <= ours && ours <= c.bound.hi)
-        << c.id << ": ours " << ours << " breaks the hard bound "
-        << render_bound(c);
+    if (c.test == nullptr) check(c, ours);
     table += render_row(c, ours);
   }
 

@@ -36,14 +36,6 @@ TEST(Experiment, SavingsConsistentWithRuns) {
   EXPECT_DOUBLE_EQ(r.savings, expected);
 }
 
-TEST(Experiment, ScenarioWeightsMatchPaper) {
-  const auto w = scenario_weights(workload::spec_suite());
-  EXPECT_NEAR(w[0], 0.470, 0.003);
-  EXPECT_NEAR(w[1], 0.221, 0.003);
-  EXPECT_NEAR(w[2], 0.221, 0.003);
-  EXPECT_NEAR(w[3], 0.088, 0.003);
-}
-
 TEST(Experiment, WeightedAverageAggregatesPerScenarioFirst) {
   using workload::Scenario;
   const std::vector<Scenario> scenarios = {Scenario::One, Scenario::One,

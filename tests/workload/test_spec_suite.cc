@@ -4,9 +4,6 @@
 
 #include <set>
 
-#include "support/shared_db.hh"
-#include "workload/classify.hh"
-
 namespace qosrm::workload {
 namespace {
 
@@ -68,32 +65,6 @@ TEST(SpecSuite, DeterministicConstruction) {
           b.app(i).phases[static_cast<std::size_t>(ph)].lpki);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// The headline suite property: applying the PAPER'S OWN criteria to the
-// synthetic applications reproduces Table II exactly.
-// ---------------------------------------------------------------------------
-TEST(SpecSuite, ClassifierReproducesTableII) {
-  const workload::SimDb& db = qosrm::testing::shared_db();
-  const auto cls = classify_suite(db);
-  for (int i = 0; i < db.suite().size(); ++i) {
-    EXPECT_EQ(cls[static_cast<std::size_t>(i)].category(),
-              db.suite().intended_category(i))
-        << db.suite().app(i).name << " MPKI@8=" << cls[i].mpki_base
-        << " lo/hi=" << cls[i].mpki_lo << "/" << cls[i].mpki_hi
-        << " MLP S/M/L=" << cls[i].mlp_s << "/" << cls[i].mlp_m << "/"
-        << cls[i].mlp_l;
-  }
-}
-
-TEST(SpecSuite, CategoryHistogramMatchesPaperCounts) {
-  const workload::SimDb& db = qosrm::testing::shared_db();
-  const auto hist = category_histogram(classify_suite(db));
-  EXPECT_EQ(hist[static_cast<std::size_t>(Category::CS_PS)], 5);
-  EXPECT_EQ(hist[static_cast<std::size_t>(Category::CS_PI)], 7);
-  EXPECT_EQ(hist[static_cast<std::size_t>(Category::CI_PS)], 7);
-  EXPECT_EQ(hist[static_cast<std::size_t>(Category::CI_PI)], 8);
 }
 
 }  // namespace
