@@ -180,8 +180,9 @@ BENCHMARK(BM_RmInvokeDirty)
                    {4}})
     ->ArgNames({"policy", "cores", "bw_shares"});
 
-/// Counter-snapshot construction returning a fresh snapshot per call (the
-/// pre-workspace simulator pattern; kept for before/after comparison).
+/// Counter-snapshot construction returning a fresh, filled snapshot per
+/// call: the key stamp plus rm::fill_counters, the work the RM does on a
+/// local run's key-only snapshot.
 void BM_MakeSnapshot(benchmark::State& state) {
   const int cores = static_cast<int>(state.range(0));
   const workload::SimDb& db = bench_db(cores);
@@ -199,8 +200,8 @@ void BM_MakeSnapshot(benchmark::State& state) {
 BENCHMARK(BM_MakeSnapshot)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->ArgNames({"cores"});
 
 /// Counter-snapshot refresh as the simulator performs it at every boundary:
-/// make_snapshot_into() into per-core reusable storage - allocation-free
-/// once the ATD buffers are at capacity.
+/// a key-only make_snapshot_into() into per-core reusable storage (no
+/// counter is filled).
 void BM_MakeSnapshotReuse(benchmark::State& state) {
   const int cores = static_cast<int>(state.range(0));
   const workload::SimDb& db = bench_db(cores);

@@ -6,6 +6,12 @@
 // upcoming interval. (The only exception is the optional `oracle` block,
 // which exists solely to implement the paper's "perfect model" comparison
 // point of Fig. 9.)
+//
+// A snapshot produced from the simulation database names its source cell
+// (database, app, phase, `current`) and its dense key. A key-only refresh
+// (rmsim::make_snapshot_into) stamps just that identity; fill_counters()
+// turns it into the counters, and only readers of more than the key call
+// it: the RM on a memo miss or a baseline refresh, or a model evaluation.
 #ifndef QOSRM_RM_COUNTERS_HH
 #define QOSRM_RM_COUNTERS_HH
 
@@ -50,8 +56,8 @@ struct CounterSnapshot {
 
   /// ATD miss estimates per allocation w (index w-1, w in [1, max]). Like
   /// the leading-miss curves below, a view of the producing database's
-  /// phase statistics (rmsim::make_snapshot_into): the snapshot must not
-  /// outlive that database.
+  /// phase statistics (fill_counters): the snapshot must not outlive that
+  /// database.
   std::span<const double> atd_misses;
   /// MLP-ATD leading-miss estimates per (core size, allocation).
   std::array<std::span<const double>, arch::kNumCoreSizes> atd_leading_misses;
@@ -71,6 +77,13 @@ struct CounterSnapshot {
   std::int64_t memo_key = -1;
   std::int64_t memo_space = 0;                 ///< db.interval_key_space()
   const workload::SimDb* memo_db = nullptr;    ///< producing database
+  /// Source cell in memo_db: the (app, phase) executed at `current`.
+  int app = -1;
+  int phase = -1;
+  /// Set by a key-only refresh: every counter field above (`current` and
+  /// `oracle` excepted) is unset until fill_counters() fills it. Reading
+  /// one before then reads whatever an earlier fill left.
+  bool key_only = false;
 
   [[nodiscard]] int max_ways() const noexcept {
     return static_cast<int>(atd_misses.size());
@@ -78,6 +91,13 @@ struct CounterSnapshot {
   [[nodiscard]] double atd_misses_at(int w) const;
   [[nodiscard]] double atd_leading_at(arch::CoreSize c, int w) const;
 };
+
+/// Fills every counter field of a snapshot that names its source cell
+/// (memo_db, app, phase, current) from that database's ground truth, as the
+/// core's counters would have measured the interval, and clears key_only.
+/// The ATD curves become views of the database's phase statistics, so the
+/// snapshot must not outlive memo_db. Allocation-free.
+void fill_counters(CounterSnapshot& snap);
 
 inline double CounterSnapshot::atd_misses_at(int w) const {
   const int clamped = w < 1 ? 1 : (w > max_ways() ? max_ways() : w);

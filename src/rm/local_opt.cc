@@ -35,6 +35,7 @@ LocalOptResult LocalOptimizer::optimize(const CounterSnapshot& snap,
 void LocalOptimizer::optimize_into(const CounterSnapshot& snap,
                                    LocalOptResult& out,
                                    std::uint64_t* ops) const {
+  QOSRM_CHECK_MSG(!snap.key_only, "local optimization of an unfilled snapshot");
   const arch::SystemConfig& sys = perf_->system();
   out.min_ways = sys.llc.min_ways;
   out.min_shares = sys.bw.min_shares;

@@ -136,6 +136,14 @@ bool same_bits(std::span<const double> a, std::span<const double> b) {
 
 }  // namespace
 
+const CounterSnapshot& ResourceManager::counters(const CounterSnapshot& snap) {
+  if (!snap.key_only) return snap;
+  ws_.counters = snap;
+  fill_counters(ws_.counters);
+  ++stats_.counter_fills;
+  return ws_.counters;
+}
+
 bool ResourceManager::refresh_core(int k, bool fresh, const CounterSnapshot& snap,
                                    std::uint64_t& ops) {
   CoreCache& cache = cached_[static_cast<std::size_t>(k)];
@@ -154,7 +162,8 @@ bool ResourceManager::refresh_core(int k, bool fresh, const CounterSnapshot& sna
   // result - charging exactly the ops a fresh run would have, which keeps
   // the decision (and the modeled RM overhead) bit-identical with the memo
   // on or off. A new cell is computed straight into a new entry, flattened
-  // once. Without a slot the curve goes to the core's own storage.
+  // once. Without a slot the curve goes to the core's own storage. Only
+  // these two local runs read counters beyond the key, so only they fill.
   std::int32_t* slot = memo_slot(snap);  // may move entries into own storage
   const std::vector<double>& old_row = cache.energy();
   bool changed = false;
@@ -164,7 +173,7 @@ bool ResourceManager::refresh_core(int k, bool fresh, const CounterSnapshot& sna
     } else {
       *slot = static_cast<std::int32_t>(memo_entries_.size());
       MemoEntry& entry = memo_entries_.emplace_back();
-      local_.optimize_into(snap, entry.local, &entry.ops);
+      local_.optimize_into(counters(snap), entry.local, &entry.ops);
       (void)flatten_into(entry.local, entry.energy);
       ++stats_.local_runs;
     }
@@ -174,7 +183,7 @@ bool ResourceManager::refresh_core(int k, bool fresh, const CounterSnapshot& sna
     cache.ops = entry.ops;
   } else {
     cache.ops = 0;
-    local_.optimize_into(snap, cache.own, &cache.ops);
+    local_.optimize_into(counters(snap), cache.own, &cache.ops);
     ++stats_.local_runs;
     if (cache.entry == nullptr) {
       changed = flatten_into(cache.own, cache.own_energy);  // old_row is own
@@ -358,7 +367,7 @@ const RmDecision& ResourceManager::invoke_baseline(
     }
     const bool fresh = core == invoking_core;
     if (!fresh && cache.valid) continue;
-    const CounterSnapshot& snap = snapshots[static_cast<std::size_t>(core)];
+    const CounterSnapshot& snap = counters(snapshots[static_cast<std::size_t>(core)]);
     std::uint64_t refresh_ops = 0;
     double* miss_row =
         &bw.miss[static_cast<std::size_t>(core) * static_cast<std::size_t>(n_alloc)];

@@ -24,7 +24,8 @@
 // Work whose inputs did not change is skipped on the host: with the same
 // occupancy and no pending cold start only the invoking core is visited,
 // fresh counters of the evaluation cell a core's curve was computed for
-// replay that curve, a memoized cell is referred to rather than copied, the
+// replay that curve, a memoized cell is referred to rather than copied, a
+// key-only snapshot's counters are filled only where they are read, the
 // global step recombines only the tree nodes above cores whose curve
 // changed bitwise or whose occupancy flipped, only the cores whose inputs or
 // allocation moved have their setting rewritten, and an invocation in which
@@ -100,6 +101,7 @@ struct RmDecision {
 struct RmInvokeStats {
   std::uint64_t invocations = 0;       ///< invoke() calls
   std::uint64_t local_runs = 0;        ///< LocalOptimizer executions
+  std::uint64_t counter_fills = 0;     ///< key-only snapshots filled to read
   std::uint64_t cell_replays = 0;      ///< fresh snapshots of the cached cell
   std::uint64_t memo_hits = 0;         ///< curves served by the outcome memo
   std::uint64_t dp_skips = 0;          ///< global steps that recombined no node
@@ -131,6 +133,9 @@ struct RmWorkspace {
   GlobalOptWorkspace global;
   GlobalOptResult global_result;
   BaselineWorkspace baseline;  ///< UCP / FCP / ClassPart inputs + result
+  /// A key-only snapshot's filled copy, read by one local run or one
+  /// baseline refresh (see ResourceManager::counters).
+  CounterSnapshot counters;
   RmDecision decision;
 };
 
@@ -145,7 +150,9 @@ class ResourceManager {
 
   /// One RM invocation on behalf of `invoking_core`. `snapshots` holds the
   /// most recent counters of every core (the invoking core's entry must be
-  /// fresh). Returns the new system setting. The reference points into the
+  /// fresh); key-only entries are filled in the manager's workspace where
+  /// their counters are read, so each must not outlive its database.
+  /// Returns the new system setting. The reference points into the
   /// manager's workspace and stays valid until the next invoke() (copy it to
   /// keep a decision across boundaries).
   [[nodiscard]] const RmDecision& invoke(
@@ -224,6 +231,12 @@ class ResourceManager {
       return entry != nullptr ? entry->energy : own_energy;
     }
   };
+
+  /// The counters of `snap` for a reader of more than its key: `snap`
+  /// itself unless it is key-only, else its copy in ws_.counters filled
+  /// from its source cell (counted in stats_.counter_fills). The reference
+  /// stays valid until the next call.
+  [[nodiscard]] const CounterSnapshot& counters(const CounterSnapshot& snap);
 
   /// Local step for core k: replays, recalls or recomputes its curve from
   /// its snapshot (charging the ops only when `fresh`), updates its view

@@ -34,17 +34,14 @@ void IntervalKernel::bind(const workload::SimDb& db, const SimOptions& options,
   qos_alpha_ = manager.system().qos_alpha;
   managed_ = manager.config().policy != rm::RmPolicy::Idle;
   perfect_ = manager.config().model == rm::PerfModelKind::Perfect;
-  // A kept snapshot may hold a cell of the previous database, and a new
-  // database can live at the same address: force the next refresh to fill.
-  for (rm::CounterSnapshot& snap : snapshots_) snap.memo_db = nullptr;
   reset();
 }
 
 void IntervalKernel::reset() {
   const auto n = static_cast<std::size_t>(manager_->system().cores);
   cores_.assign(n, CoreTimeline{});
-  // Every snapshot field is overwritten by make_snapshot_into before first
-  // use; resize (not assign) keeps the same-cell refresh of a kept one.
+  // A core's snapshot is stamped by seat() before the manager first reads
+  // it, and the manager fills the counters it reads itself.
   snapshots_.resize(n);
   active_.assign(n, 0);
   seated_.clear();
@@ -87,11 +84,11 @@ void IntervalKernel::freeze(int k, double now_s) {
   st.running = true;
   st.phase = phase_at(st, st.seq_pos);
   st.start_s = now_s;
-  st.end_s = now_s + db_->total_seconds(st.app, st.phase, st.setting) +
-             st.next_overhead.time_s;
-  st.energy_j = db_->total_joules(st.app, st.phase, st.setting) +
-                st.next_overhead.energy_j;
-  st.base_time_s = db_->baseline_time(st.app, st.phase);
+  const workload::IntervalCell cell = db_->interval_cell(st.app, st.phase, st.setting);
+  st.end_s = now_s + cell.total_seconds + st.next_overhead.time_s;
+  st.energy_j = cell.total_joules + st.next_overhead.energy_j;
+  st.base_time_s = cell.baseline_time;
+  st.cell_key = cell.key;
   st.next_overhead = {};
 }
 
@@ -116,8 +113,9 @@ IntervalOutcome IntervalKernel::finish(int k) {
 void IntervalKernel::next_interval(int k) {
   const CoreTimeline& st = cores_[static_cast<std::size_t>(k)];
   if (managed_) {
+    // The finished interval's (phase, setting) is the cell freeze() read.
     make_snapshot_into(*db_, st.app, st.phase, st.setting,
-                       perfect_ ? phase_at(st, st.seq_pos) : -1,
+                       perfect_ ? phase_at(st, st.seq_pos) : -1, st.cell_key,
                        snapshots_[static_cast<std::size_t>(k)]);
     invoke(k);
   }

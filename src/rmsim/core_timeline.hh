@@ -76,6 +76,7 @@ struct CoreTimeline {
   double end_s = 0.0;
   double energy_j = 0.0;
   double base_time_s = 0.0;  ///< baseline-setting time of the same phase
+  std::int64_t cell_key = -1;  ///< interval key of (app, phase, setting)
 };
 
 /// A completed interval as judged by Eq. 3 and Eq. 6.
@@ -108,8 +109,9 @@ class IntervalKernel {
   void seat(int k, int app);
 
   /// Starts core k's next interval at `now_s`: adopts the pending setting
-  /// (charging the transition), then freezes phase, duration, energy and
-  /// baseline time, folding in the accumulated overheads.
+  /// (charging the transition), then freezes phase, duration, energy,
+  /// baseline time and cell key from one cell read, folding in the
+  /// accumulated overheads.
   void freeze(int k, double now_s);
 
   /// Completes core k's running interval: the Eq. 3 check against
@@ -118,9 +120,10 @@ class IntervalKernel {
   /// freeze().
   IntervalOutcome finish(int k);
 
-  /// Interval boundary of an app that continues on core k: fresh counters
-  /// (the Perfect model also sees the upcoming phase), an RM invocation on
-  /// k's behalf, and the next interval frozen at the boundary.
+  /// Interval boundary of an app that continues on core k: a key-only
+  /// counter refresh of the finished interval's cell, reusing the key its
+  /// freeze() read (the Perfect model also sees the upcoming phase), an RM
+  /// invocation on k's behalf, and the next interval frozen at the boundary.
   void next_interval(int k);
 
   /// One RM invocation on behalf of core k over the current mask. Charges

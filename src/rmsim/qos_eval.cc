@@ -51,9 +51,6 @@ std::vector<QosEvalResult> QosEvaluator::evaluate_all(
   }
 
   const int n_apps = db.suite().size();
-  // Reused across the (app, phase, current) sweep; make_snapshot_into keeps
-  // the ATD buffer capacity, so the quadratic loop below stays heap-free.
-  rm::CounterSnapshot snap;
   for (int app = 0; app < n_apps; ++app) {
     const double app_weight = 1.0 / static_cast<double>(n_apps);
     for (int phase = 0; phase < db.num_phases(app); ++phase) {
@@ -84,7 +81,7 @@ std::vector<QosEvalResult> QosEvaluator::evaluate_all(
         // Counters this phase would produce at the current setting. The
         // perfect model is exact by construction and is evaluated in Fig. 9
         // instead, so the oracle ref is not needed here.
-        make_snapshot_into(db, app, phase, settings[cur], -1, snap);
+        const rm::CounterSnapshot snap = make_snapshot(db, app, phase, settings[cur]);
 
         for (std::size_t m = 0; m < models.size(); ++m) {
           const double t_pred_base =

@@ -435,6 +435,10 @@ ServiceMetrics ServiceEngine::run() {
 
 ServiceMetrics ServiceEngine::metrics() const { return impl_->metrics(); }
 
+const rm::RmInvokeStats& ServiceEngine::rm_stats() const {
+  return impl_->manager.stats();
+}
+
 ServiceResult run_service(const workload::SimDb& db, const ServiceGrid& grid,
                           const ServiceConfig& config,
                           const ServiceOptions& options) {

@@ -233,6 +233,10 @@ class ServiceEngine {
   /// Metrics accumulated so far (final once step() returned false).
   [[nodiscard]] ServiceMetrics metrics() const;
 
+  /// Host-side work counters of the engine's resource manager, accumulated
+  /// over the engine's lifetime (reset() keeps them).
+  [[nodiscard]] const rm::RmInvokeStats& rm_stats() const;
+
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;

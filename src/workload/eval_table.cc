@@ -164,6 +164,13 @@ double EvalTable::baseline_time(int app, int phase) const {
   return grid(app, phase).baseline_time_s;
 }
 
+IntervalCell EvalTable::interval_cell(int app, int phase, const Setting& s) const {
+  const PhaseGrid& g = grid(app, phase);
+  const std::size_t i = flat_index(g, s);
+  return {g.total_s[i], g.total_j[i], g.baseline_time_s,
+          g.key_off + static_cast<std::int64_t>(i)};
+}
+
 double EvalTable::app_mpki(int app, int w) const {
   QOSRM_CHECK(app >= 0 && app < static_cast<int>(aggregates_.size()));
   const auto& mpki = aggregates_[static_cast<std::size_t>(app)].mpki;

@@ -51,6 +51,15 @@ struct Setting {
 /// The baseline system setting (M core, 2 GHz, even LLC split).
 [[nodiscard]] Setting baseline_setting(const arch::SystemConfig& system);
 
+/// Everything a started interval reads of its (app, phase, setting) cell,
+/// from one cell index computation (EvalTable::interval_cell).
+struct IntervalCell {
+  double total_seconds = 0.0;  ///< EvalTable::total_seconds
+  double total_joules = 0.0;   ///< EvalTable::total_joules
+  double baseline_time = 0.0;  ///< EvalTable::baseline_time of (app, phase)
+  std::int64_t key = -1;       ///< EvalTable::interval_key
+};
+
 class EvalTable {
  public:
   EvalTable() = default;
@@ -101,6 +110,11 @@ class EvalTable {
 
   /// Interval wall-clock time at the baseline setting (the QoS reference).
   [[nodiscard]] double baseline_time(int app, int phase) const;
+
+  /// total_seconds, total_joules, baseline_time and interval_key of one
+  /// cell, bit for bit, through a single grid lookup and index computation.
+  [[nodiscard]] IntervalCell interval_cell(int app, int phase,
+                                           const Setting& s) const;
 
   /// Weighted-average MPKI of an application at allocation w (phase weights).
   [[nodiscard]] double app_mpki(int app, int w) const;

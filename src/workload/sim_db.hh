@@ -113,6 +113,13 @@ class SimDb {
     return table_.baseline_time(app, phase);
   }
 
+  /// total_seconds, total_joules, baseline_time and interval_key of one
+  /// cell through a single lookup (what a started interval reads).
+  [[nodiscard]] IntervalCell interval_cell(int app, int phase,
+                                           const Setting& s) const {
+    return table_.interval_cell(app, phase, s);
+  }
+
   /// Weighted-average MPKI of an application at allocation w (phase weights).
   [[nodiscard]] double app_mpki(int app, int w) const {
     return table_.app_mpki(app, w);

@@ -242,6 +242,49 @@ TEST(Service, SdfReordersTheQueueUnderOverload) {
   EXPECT_NE(m_fifo.mean_wait_s, m_sdf.mean_wait_s);
 }
 
+// Counters are filled only where something reads them. On a knee-shaped
+// row (4 cores, overloaded, the knee grid's 400 arrivals) an RM2/RM3
+// manager fills exactly once per LocalOptimizer run: a same-cell replay or a
+// memo hit that filled counters would break the equality. A baseline policy
+// fills every core it refreshes, the invoking core at every invocation.
+TEST(Service, CountersAreFilledOnlyForLocalRunsOnAKneeRow) {
+  const workload::SimDb& db = qosrm::testing::shared_db(4);
+  ServiceConfig config;
+  config.arrivals = 400;
+  config.seed = 2020;
+  for (const rm::RmPolicy policy : {rm::RmPolicy::Rm2, rm::RmPolicy::Rm3}) {
+    for (const rm::PerfModelKind model :
+         {rm::PerfModelKind::Model3, rm::PerfModelKind::Perfect}) {
+      config.model = model;
+      ServicePoint point;
+      point.load = 1.5;
+      point.policy = policy;
+      ServiceEngine engine(db, config, point);
+      const ServiceMetrics m = engine.run();
+      const rm::RmInvokeStats& stats = engine.rm_stats();
+      const std::string what = std::string(rm::rm_policy_name(policy)) +
+                               (model == rm::PerfModelKind::Perfect ? " Perfect"
+                                                                    : " Model3");
+      EXPECT_EQ(stats.invocations, m.rm_invocations) << what;
+      EXPECT_GT(stats.local_runs, 0u) << what;
+      EXPECT_EQ(stats.counter_fills, stats.local_runs) << what;
+      if (model == rm::PerfModelKind::Model3) {
+        EXPECT_GT(stats.cell_replays, 0u) << what;
+        EXPECT_GT(stats.memo_hits, 0u) << what;
+        EXPECT_LT(stats.counter_fills * 4, stats.invocations) << what;
+      }
+    }
+  }
+  config.model = rm::PerfModelKind::Model3;
+  ServicePoint ucp;
+  ucp.load = 1.5;
+  ucp.policy = rm::RmPolicy::Ucp;
+  ServiceEngine engine(db, config, ucp);
+  (void)engine.run();
+  EXPECT_EQ(engine.rm_stats().local_runs, 0u);
+  EXPECT_GE(engine.rm_stats().counter_fills, engine.rm_stats().invocations);
+}
+
 TEST(ServiceDeathTest, ParseAdmissionsRejectsBadSpecs) {
   std::vector<AdmissionPolicy> admissions;
   std::string error;

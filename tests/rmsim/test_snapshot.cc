@@ -65,6 +65,9 @@ void expect_bitwise_equal(const rm::CounterSnapshot& a,
   EXPECT_EQ(a.memo_key, b.memo_key) << what;
   EXPECT_EQ(a.memo_space, b.memo_space) << what;
   EXPECT_EQ(a.memo_db, b.memo_db) << what;
+  EXPECT_EQ(a.app, b.app) << what;
+  EXPECT_EQ(a.phase, b.phase) << what;
+  EXPECT_EQ(a.key_only, b.key_only) << what;
 }
 
 TEST(Snapshot, ComponentsSumToTotalTime) {
@@ -155,7 +158,7 @@ TEST(Snapshot, TimesScaleWithCurrentFrequency) {
 }
 
 // Settings whose ways clamp to the same grid cell share an interval key, so
-// the RM memo and the same-cell refresh treat their snapshots as one: every
+// the RM memo and its same-cell replay treat their snapshots as one: every
 // counter (all but `current` itself) must then be the same, bit for bit.
 TEST(Snapshot, SettingsSharingAKeyYieldIdenticalCounters) {
   const int app = db().suite().index_of("mcf");
@@ -173,10 +176,12 @@ TEST(Snapshot, SettingsSharingAKeyYieldIdenticalCounters) {
   EXPECT_TRUE(same_bits(b.llc_misses, db().stats(app, 0).misses.back()));
 }
 
-// An in-place refresh must leave the snapshot exactly as a fresh build
-// would, whether the step repeats the held cell (the no-op path), moves to
-// another setting, changes only `current` within the same key, or changes
-// only the oracle phase the Perfect model looks up.
+// A key-only refresh stamps the cell's identity and nothing else; filled
+// from its source cell, it must equal a fresh build field by field, whether
+// the step repeats the held cell, moves to another setting, changes only
+// `current` within the same key, or changes only the oracle phase the
+// Perfect model looks up. A refresh given the key directly (the interval
+// kernel passes the key its freeze read) stamps the same snapshot.
 TEST(Snapshot, InPlaceRefreshMatchesFreshBuildAlongAWalk) {
   const int app = db().suite().index_of("xalancbmk");
   const int other = db().suite().index_of("libquantum");
@@ -214,12 +219,35 @@ TEST(Snapshot, InPlaceRefreshMatchesFreshBuildAlongAWalk) {
       {app, 1, beyond, -1, "back to the earlier cell"},
   };
   rm::CounterSnapshot snap;
+  rm::CounterSnapshot keyed;
   for (const Step& step : walk) {
     make_snapshot_into(db(), step.app, step.phase, step.current,
                        step.oracle_phase, snap);
     const rm::CounterSnapshot fresh = make_snapshot(
         db(), step.app, step.phase, step.current, step.oracle_phase);
-    expect_bitwise_equal(snap, fresh, /*with_current=*/true, step.what);
+    EXPECT_TRUE(snap.key_only) << step.what;
+    EXPECT_FALSE(fresh.key_only) << step.what;
+    EXPECT_TRUE(snap.current == fresh.current) << step.what;
+    EXPECT_EQ(snap.oracle.db, fresh.oracle.db) << step.what;
+    EXPECT_EQ(snap.oracle.app, fresh.oracle.app) << step.what;
+    EXPECT_EQ(snap.oracle.phase, fresh.oracle.phase) << step.what;
+    EXPECT_EQ(snap.memo_key, db().interval_key(step.app, step.phase, step.current))
+        << step.what;
+    EXPECT_EQ(snap.memo_key, fresh.memo_key) << step.what;
+    EXPECT_EQ(snap.memo_space, fresh.memo_space) << step.what;
+    EXPECT_EQ(snap.memo_db, fresh.memo_db) << step.what;
+    EXPECT_EQ(snap.app, fresh.app) << step.what;
+    EXPECT_EQ(snap.phase, fresh.phase) << step.what;
+
+    rm::CounterSnapshot filled = snap;
+    rm::fill_counters(filled);
+    expect_bitwise_equal(filled, fresh, /*with_current=*/true, step.what);
+
+    make_snapshot_into(db(), step.app, step.phase, step.current,
+                       step.oracle_phase, snap.memo_key, keyed);
+    rm::fill_counters(keyed);
+    expect_bitwise_equal(keyed, fresh, /*with_current=*/true,
+                         std::string(step.what) + " (key given)");
   }
 }
 

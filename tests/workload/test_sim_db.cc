@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -187,6 +188,36 @@ TEST(SimDb, SoaAccessorsMatchStructLookupsOverFullGrid) {
     }
   }
   EXPECT_EQ(mismatches, 0);
+
+  // The one-read cell accessor returns exactly what the four separate
+  // lookups return, bit for bit, over the full grid of a one-share and a
+  // four-share database, ways and shares clamped from both sides included.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const SimDb* cdb : {&d, &qosrm::testing::shared_db(4, 4)}) {
+    const arch::SystemConfig& csys = cdb->system();
+    int cell_mismatches = 0;
+    for (int app = 0; app < cdb->suite().size(); ++app) {
+      for (int ph = 0; ph < cdb->num_phases(app); ++ph) {
+        for (const arch::CoreSize c : arch::kAllCoreSizes) {
+          for (int f = 0; f < arch::VfTable::kNumPoints; ++f) {
+            for (int b = csys.bw.min_shares - 1; b <= csys.bw.max_shares + 1; ++b) {
+              for (int w = 0; w <= csys.llc.max_ways + 2; ++w) {
+                const Setting s{c, f, w, b};
+                const IntervalCell cell = cdb->interval_cell(app, ph, s);
+                if (bits(cell.total_seconds) != bits(cdb->total_seconds(app, ph, s)) ||
+                    bits(cell.total_joules) != bits(cdb->total_joules(app, ph, s)) ||
+                    bits(cell.baseline_time) != bits(cdb->baseline_time(app, ph)) ||
+                    cell.key != cdb->interval_key(app, ph, s)) {
+                  ++cell_mismatches;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(cell_mismatches, 0) << csys.bw.max_shares << " shares";
+  }
 }
 
 // Interval keys are the memo's identity: distinct (app, phase, c, f, clamped
