@@ -2,19 +2,21 @@
 // (Section IV-D.2): over all phases of all applications, all current
 // settings and all target settings, a case violates if the model predicts
 // QoS holds but ground truth says the target is slower than the baseline.
+// The current frequency cancels out of every prediction, so the evaluation
+// visits one current VF point (rmsim/qos_eval.hh) and the mass columns
+// count that point.
 //
 // Fig. 7: per model, the probability of QoS violation per interval and the
-// expected value and std-dev of its magnitude (Eq. 6), from running
-// statistics that --bins/--max do not move.
+// expected value and std-dev of its magnitude (Eq. 6).
 //
-// Fig. 8: violation magnitudes as histograms normalized to the largest bin
-// across models.
+// Fig. 8: violation magnitudes in 20 bins over [0, 0.5), as histograms
+// normalized to the largest bin across models.
 //
 // The comparison with the paper's numbers is the fig7.* and fig8.* rows of
 // docs/REPRODUCTION.md.
 //
-// Flags: --f-stride=2 --bins=20 --max=0.4 --fig7-csv=PATH --csv=PATH (Fig. 8)
-//        --db-cache=DIR (snapshot directory)
+// Flags: --fig7-csv=PATH --csv=PATH (Fig. 8) --db-cache=DIR (snapshot
+//        directory)
 #include <algorithm>
 #include <cstdio>
 
@@ -28,8 +30,7 @@ using namespace qosrm;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  static constexpr const char* kFlags[] = {"f-stride", "bins", "max",
-                                           "fig7-csv", "csv",  "db-cache"};
+  static constexpr const char* kFlags[] = {"fig7-csv", "csv", "db-cache"};
   if (!args.reject_unknown(kFlags)) return 1;
   const std::string fig7_csv = args.get("fig7-csv", "");
   const std::string fig8_csv = args.get("csv", "");
@@ -44,14 +45,9 @@ int main(int argc, char** argv) {
           ? workload::db_cache_path(args.get("db-cache", ""), system.cores)
           : std::string());
 
-  rmsim::QosEvalOptions options;
-  options.current_f_stride = args.get_int32("f-stride", 2);
-  options.histogram_bins = args.get_int32("bins", 20);
-  options.histogram_max = args.get_double("max", 0.4);
-  const rmsim::QosEvaluator evaluator(db, options);
-  const auto results = evaluator.evaluate_all({rm::PerfModelKind::Model1,
-                                               rm::PerfModelKind::Model2,
-                                               rm::PerfModelKind::Model3});
+  const auto results = rmsim::evaluate_qos(
+      db, {rm::PerfModelKind::Model1, rm::PerfModelKind::Model2,
+           rm::PerfModelKind::Model3});
 
   std::printf("=== Fig. 7: QoS-violation statistics per model ===\n\n");
   rmsim::qos_summary(results).print();

@@ -6,7 +6,7 @@
 //      calibrated against the paper's 51K / 73K / 100K instructions for
 //      2/4/8-core systems;
 //   2. enforcing a VF change - 15 us / 3 uJ (Samsung Exynos 4210 numbers);
-//   3. resizing the core - pipeline drain of about ROB/IPC cycles.
+//   3. resizing the core - pipeline drain of ROB/IPC cycles.
 #ifndef QOSRM_RM_OVERHEADS_HH
 #define QOSRM_RM_OVERHEADS_HH
 
@@ -23,6 +23,8 @@ namespace qosrm::rm {
 /// kRmInstrPerOp x ops.
 inline constexpr double kRmInstrBase = 31e3;  ///< bookkeeping, curves
 inline constexpr double kRmInstrPerOp = 19.0;  ///< per optimizer op (calibrated)
+/// IPC the RM code sustains, and the IPC a resize drains the window at.
+inline constexpr double kRmIpc = 2.0;
 
 /// Time/energy cost charged to a core.
 struct EnforcementCost {
@@ -45,17 +47,15 @@ class OverheadModel {
   [[nodiscard]] double rm_instructions(std::uint64_t ops) const noexcept;
 
   /// Cost of executing the RM algorithm on the invoking core at its current
-  /// setting, assuming it sustains `ipc` on the RM code.
+  /// setting, at kRmIpc.
   [[nodiscard]] EnforcementCost rm_execution(std::uint64_t ops,
-                                             const workload::Setting& at,
-                                             double ipc = 2.0) const;
+                                             const workload::Setting& at) const;
 
   /// Cost of switching a core from `from` to `to`: DVFS transition when the
   /// VF point changes, pipeline drain when the size changes. Way-mask
   /// updates are free (a register write).
   [[nodiscard]] EnforcementCost transition(const workload::Setting& from,
-                                           const workload::Setting& to,
-                                           double ipc = 2.0) const;
+                                           const workload::Setting& to) const;
 
  private:
   const power::PowerModel* power_;

@@ -1,7 +1,6 @@
 #include "rmsim/qos_eval.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 
 #include "arch/dvfs.hh"
@@ -10,27 +9,22 @@
 #include "rmsim/snapshot.hh"
 
 namespace qosrm::rmsim {
+namespace {
 
-QosEvaluator::QosEvaluator(const workload::SimDb& db, const QosEvalOptions& options)
-    : db_(&db), opt_(options) {
-  QOSRM_CHECK(opt_.current_f_stride >= 1);
-}
+/// Strict ">" guard on the ground-truth comparison: a target no slower than
+/// the baseline up to rounding is not a violation.
+constexpr double kActualEpsilon = 1e-9;
 
-std::vector<QosEvalResult> QosEvaluator::evaluate_all(
-    const std::vector<rm::PerfModelKind>& models) const {
-  const workload::SimDb& db = *db_;
+}  // namespace
+
+std::vector<QosEvalResult> evaluate_qos(
+    const workload::SimDb& db, const std::vector<rm::PerfModelKind>& models) {
   const arch::SystemConfig& sys = db.system();
   const workload::Setting base = workload::baseline_setting(sys);
 
-  std::vector<QosEvalResult> results;
+  std::vector<QosEvalResult> results(models.size());
   std::vector<WeightedStats> magnitude(models.size());
-  for (const rm::PerfModelKind m : models) {
-    QosEvalResult r;
-    r.model = m;
-    r.histogram = Histogram(0.0, opt_.histogram_max,
-                            static_cast<std::size_t>(opt_.histogram_bins));
-    results.push_back(std::move(r));
-  }
+  for (std::size_t m = 0; m < models.size(); ++m) results[m].model = models[m];
 
   std::vector<rm::PerfModel> perf;
   perf.reserve(models.size());
@@ -40,9 +34,15 @@ std::vector<QosEvalResult> QosEvaluator::evaluate_all(
   // (c, f, w) space at the baseline bandwidth share (the only share in the
   // degenerate config): the bandwidth knob enters the models through the
   // same scaled-latency term as the ground truth, so its accuracy is pinned
-  // by the baseline row.
+  // by the baseline row. Current settings are the (c, w) pairs at the
+  // baseline VF point, since no prediction depends on the current frequency
+  // (see qos_eval.hh).
   std::vector<workload::Setting> settings;
+  std::vector<workload::Setting> currents;
   for (const arch::CoreSize c : arch::kAllCoreSizes) {
+    for (int w = sys.llc.min_ways; w <= sys.llc.max_ways; ++w) {
+      currents.push_back({c, base.f_idx, w, base.b});
+    }
     for (int f = 0; f < arch::VfTable::kNumPoints; ++f) {
       for (int w = sys.llc.min_ways; w <= sys.llc.max_ways; ++w) {
         settings.push_back({c, f, w, base.b});
@@ -76,12 +76,11 @@ std::vector<QosEvalResult> QosEvaluator::evaluate_all(
       QOSRM_CHECK(s == settings.size());
       const double t_act_base = db.total_seconds(app, phase, base);
 
-      for (std::size_t cur = 0; cur < settings.size(); ++cur) {
-        if (settings[cur].f_idx % opt_.current_f_stride != 0) continue;
+      for (const workload::Setting& current : currents) {
         // Counters this phase would produce at the current setting. The
         // perfect model is exact by construction and is evaluated in Fig. 9
         // instead, so the oracle ref is not needed here.
-        const rm::CounterSnapshot snap = make_snapshot(db, app, phase, settings[cur]);
+        const rm::CounterSnapshot snap = make_snapshot(db, app, phase, current);
 
         for (std::size_t m = 0; m < models.size(); ++m) {
           const double t_pred_base =
@@ -90,7 +89,7 @@ std::vector<QosEvalResult> QosEvaluator::evaluate_all(
             const double t_pred = perf[m].predict_time(snap, settings[tgt]);
             if (t_pred > t_pred_base) continue;  // RM would never select it
             results[m].selectable_mass += phase_weight;
-            if (t_act[tgt] > t_act_base * (1.0 + opt_.actual_epsilon)) {
+            if (t_act[tgt] > t_act_base * (1.0 + kActualEpsilon)) {
               results[m].violating_mass += phase_weight;
               const double v = (t_act[tgt] - t_act_base) / t_act_base;  // Eq. 6
               magnitude[m].add(v, phase_weight);

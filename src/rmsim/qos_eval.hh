@@ -8,6 +8,14 @@
 // and the target is selectable by the RM (the paper assumes every current
 // setting and every predicted-OK target is equally likely).
 //
+// No analytical prediction depends on the current frequency: the
+// database's core time scales as 1/f and Eq. 1 multiplies it back by f_i
+// (PerfModel.PredictionsIgnoreTheCurrentFrequency checks this). Every
+// current VF point therefore repeats the same cases, so the sweep visits
+// current settings over (core size, ways) at the baseline VF point only.
+// The probabilities and magnitude statistics are the full sweep's; the
+// masses count one VF point.
+//
 // Reported per model: the violation probability (violating mass over
 // selectable mass), the expected violation magnitude (Eq. 6) and its
 // standard deviation, plus the magnitude histogram of Fig. 8.
@@ -22,16 +30,6 @@
 
 namespace qosrm::rmsim {
 
-struct QosEvalOptions {
-  /// Restrict the current-setting sweep to every n-th VF point (1 = all).
-  /// Predictions scale smoothly with f, so coarser sampling changes nothing
-  /// qualitatively but speeds up exploratory runs.
-  int current_f_stride = 1;
-  double histogram_max = 0.5;  ///< Fig. 8 x-axis upper bound (50% violation)
-  int histogram_bins = 20;
-  double actual_epsilon = 1e-9;  ///< strict ">" comparison guard
-};
-
 struct QosEvalResult {
   rm::PerfModelKind model = rm::PerfModelKind::Model3;
   double violation_probability = 0.0;  ///< P(actual worse | predicted OK)
@@ -39,21 +37,13 @@ struct QosEvalResult {
   double violation_stddev = 0.0;
   double selectable_mass = 0.0;        ///< total weight of predicted-OK cases
   double violating_mass = 0.0;
-  Histogram histogram{0.0, 0.5, 20};
+  Histogram histogram{0.0, 0.5, 20};  ///< Fig. 8: 20 bins over [0, 0.5)
 };
 
-class QosEvaluator {
- public:
-  QosEvaluator(const workload::SimDb& db, const QosEvalOptions& options = {});
-
-  /// Runs the sweep for several models (shared precomputation).
-  [[nodiscard]] std::vector<QosEvalResult> evaluate_all(
-      const std::vector<rm::PerfModelKind>& models) const;
-
- private:
-  const workload::SimDb* db_;
-  QosEvalOptions opt_;
-};
+/// Runs the sweep for several models (shared precomputation), one result
+/// per entry of `models`, in order.
+[[nodiscard]] std::vector<QosEvalResult> evaluate_qos(
+    const workload::SimDb& db, const std::vector<rm::PerfModelKind>& models);
 
 }  // namespace qosrm::rmsim
 

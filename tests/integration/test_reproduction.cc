@@ -227,17 +227,11 @@ double fig6_s4_largest() {
 
 // --- Fig. 7/8: the Section IV-D.2 exhaustive evaluation -------------------
 
-/// Model1..Model3. Every current VF point contributes the same cases
-/// (Eq. 1's f_i/f cancels the current frequency), so the ratios are the same
-/// at every current_f_stride; 6 keeps the test fast.
+/// Model1..Model3.
 const std::vector<QosEvalResult>& fig7() {
-  static const auto r = [] {
-    rmsim::QosEvalOptions options;
-    options.current_f_stride = 6;
-    return rmsim::QosEvaluator(db2(), options)
-        .evaluate_all({rm::PerfModelKind::Model1, rm::PerfModelKind::Model2,
-                       rm::PerfModelKind::Model3});
-  }();
+  static const auto r = rmsim::evaluate_qos(
+      db2(), {rm::PerfModelKind::Model1, rm::PerfModelKind::Model2,
+              rm::PerfModelKind::Model3});
   return r;
 }
 
@@ -281,9 +275,9 @@ rm::EnforcementCost dvfs_switch() {
   return rm::OverheadModel(power).transition(from, to);
 }
 
-constexpr const char* kStrideNote =
-    "model fidelity: equal at f-stride 1, 2 and 6, and ground truth is "
-    "Model3's Eq. 1 with exact leading misses";
+constexpr const char* kFidelityNote =
+    "model fidelity: the current frequency cancels out of every prediction, "
+    "and ground truth is Model3's Eq. 1 with exact leading misses";
 constexpr const char* kGridNote =
     "2 cores, 3 mixes per scenario; the 4-core 24-mix grid of "
     "tests/data/golden_paper_grid_report.json is closer";
@@ -390,21 +384,21 @@ const Claim kClaims[] = {
     {"fig7.p_m3_vs_m1", "Fig. 7", "violation probability, Model3 vs Model1",
      kPct0, Sense::Near, -0.46, 0.10,
      [] { return change(&QosEvalResult::violation_probability, 0); },
-     kStrideNote, {.hi = -0.15},
+     kFidelityNote, {.hi = -0.15},
      "QosEval.Model3BeatsModel1OnViolationProbability"},
     {"fig7.p_m3_vs_m2", "Fig. 7", "violation probability, Model3 vs Model2",
      kPct0, Sense::Near, -0.32, 0.10,
      [] { return change(&QosEvalResult::violation_probability, 1); },
-     kStrideNote, {.hi = -0.10},
+     kFidelityNote, {.hi = -0.10},
      "QosEval.Model3BeatsModel2OnViolationProbability"},
     {"fig7.e_m3_vs_m2", "Fig. 7", "expected violation, Model3 vs Model2", kPct0,
      Sense::Near, -0.49, 0.10,
      [] { return change(&QosEvalResult::expected_violation, 1); },
-     kStrideNote, {.hi = 0.0}, "QosEval.Model3ReducesExpectedViolation"},
+     kFidelityNote, {.hi = 0.0}, "QosEval.Model3ReducesExpectedViolation"},
     {"fig7.sd_m3_vs_m2", "Fig. 7", "violation std-dev, Model3 vs Model2", kPct0,
      Sense::Near, -0.26, 0.10,
      [] { return change(&QosEvalResult::violation_stddev, 1); },
-     kStrideNote},
+     kFidelityNote},
     {"fig8.tail_m3_over_m2", "Fig. 8",
      "violation mass above 10%, Model3 / Model2", kRatio, Sense::AtMost, 1.0,
      0.0, [] { return tail_mass(fig7()[2]) / tail_mass(fig7()[1]); }, "",

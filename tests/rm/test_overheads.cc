@@ -20,7 +20,7 @@ TEST(Overheads, InstructionCountLinearInOps) {
 TEST(Overheads, RmExecutionChargesTimeAndEnergy) {
   const OverheadModel model(pm);
   const Setting base{arch::CoreSize::M, arch::VfTable::kBaselineIndex, 8};
-  const EnforcementCost cost = model.rm_execution(2000, base, 2.0);
+  const EnforcementCost cost = model.rm_execution(2000, base);
   // instructions / (ipc * f).
   EXPECT_NEAR(cost.time_s, model.rm_instructions(2000) / (2.0 * 2e9), 1e-12);
   EXPECT_GT(cost.energy_j, 0.0);
@@ -30,7 +30,7 @@ TEST(Overheads, RmExecutionIsTinyVersusInterval) {
   // Paper: ~0.1% of a 100M-instruction interval for an 8-core system.
   const OverheadModel model(pm);
   const Setting base{arch::CoreSize::M, arch::VfTable::kBaselineIndex, 8};
-  const EnforcementCost cost = model.rm_execution(5000, base, 2.0);
+  const EnforcementCost cost = model.rm_execution(5000, base);
   const double interval_s = 100e6 / 2.0 / 2e9;
   EXPECT_LT(cost.time_s / interval_s, 0.01);
 }
@@ -67,8 +67,8 @@ TEST(Overheads, ResizeDrainsPipeline) {
   const Setting from{arch::CoreSize::L, arch::VfTable::kBaselineIndex, 8};
   Setting to = from;
   to.c = arch::CoreSize::M;
-  const EnforcementCost cost = model.transition(from, to, 2.0);
-  // ROB(L)/IPC cycles at 2 GHz: 256/2/2e9 = 64 ns - "a few hundred cycles".
+  const EnforcementCost cost = model.transition(from, to);
+  // ROB(L)/IPC cycles at 2 GHz: 256/2 = 128 cycles, 64 ns.
   EXPECT_NEAR(cost.time_s, 256.0 / 2.0 / 2e9, 1e-12);
   EXPECT_GT(cost.energy_j, 0.0);
 }
@@ -77,7 +77,7 @@ TEST(Overheads, CombinedTransitionSumsComponents) {
   const OverheadModel model(pm);
   const Setting from{arch::CoreSize::M, arch::VfTable::kBaselineIndex, 8};
   const Setting to{arch::CoreSize::L, 12, 12};
-  const EnforcementCost cost = model.transition(from, to, 2.0);
+  const EnforcementCost cost = model.transition(from, to);
   // DVFS switch plus a 128-entry drain at the old 2 GHz operating point.
   EXPECT_NEAR(cost.time_s, 15e-6 + 128.0 / 2.0 / 2e9, 1e-12);
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "rmsim/snapshot.hh"
 #include "support/shared_db.hh"
 
@@ -130,6 +134,63 @@ TEST(PerfModel, PredictionsExtrapolateAcrossCurrentSettings) {
   const double predicted = m3.predict_time(snap, workload::baseline_setting(sys()));
   const double actual = db().baseline_time(app, 0);
   EXPECT_NEAR(predicted, actual, actual * 0.15);
+}
+
+TEST(PerfModel, PredictionsIgnoreTheCurrentFrequency) {
+  // The database's core time scales as 1/f and Eq. 1 multiplies it back by
+  // f_i, so counters taken at any current VF point predict what those taken
+  // at the baseline point predict. The QoS evaluation (rmsim/qos_eval.cc)
+  // visits the baseline point only and relies on this: the predictions agree
+  // to rounding and no QoS outcome flips.
+  const arch::SystemConfig system = sys();
+  const Setting base = workload::baseline_setting(system);
+  std::vector<Setting> targets;
+  for (const arch::CoreSize c : arch::kAllCoreSizes) {
+    for (int f = 0; f < arch::VfTable::kNumPoints; ++f) {
+      for (int w = system.llc.min_ways; w <= system.llc.max_ways; ++w) {
+        targets.push_back({c, f, w, base.b});
+      }
+    }
+  }
+  double worst = 0.0;
+  long cases = 0;
+  long flips = 0;
+  std::vector<double> at_base(targets.size());
+  for (const PerfModelKind kind :
+       {PerfModelKind::Model1, PerfModelKind::Model2, PerfModelKind::Model3}) {
+    const PerfModel model(kind, system);
+    // One app per category: CS-PS, CI-PS, CS-PI, CI-PI.
+    for (const char* name : {"mcf", "libquantum", "gcc", "povray"}) {
+      const int app = db().suite().index_of(name);
+      for (const arch::CoreSize c : arch::kAllCoreSizes) {
+        for (int w = system.llc.min_ways; w <= system.llc.max_ways; ++w) {
+          const CounterSnapshot snap_b =
+              rmsim::make_snapshot(db(), app, 0, {c, base.f_idx, w, base.b});
+          const double limit_b =
+              model.predict_time(snap_b, base) * system.qos_alpha;
+          for (std::size_t t = 0; t < targets.size(); ++t) {
+            at_base[t] = model.predict_time(snap_b, targets[t]);
+          }
+          for (int f = 0; f < arch::VfTable::kNumPoints; ++f) {
+            if (f == base.f_idx) continue;
+            const CounterSnapshot snap =
+                rmsim::make_snapshot(db(), app, 0, {c, f, w, base.b});
+            const double limit =
+                model.predict_time(snap, base) * system.qos_alpha;
+            for (std::size_t t = 0; t < targets.size(); ++t) {
+              const double pred = model.predict_time(snap, targets[t]);
+              worst = std::max(worst, std::abs(pred - at_base[t]) / at_base[t]);
+              flips += (pred > limit) != (at_base[t] > limit_b);
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 3L * 4 * 3 * 15 * 18 * 855);
+  EXPECT_LE(worst, 1e-14);
+  EXPECT_EQ(flips, 0);
 }
 
 TEST(PerfModel, Names) {

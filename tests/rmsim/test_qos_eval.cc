@@ -9,16 +9,10 @@ namespace {
 
 const workload::SimDb& db() { return qosrm::testing::shared_db(); }
 
-// The full sweep is expensive; share one coarse evaluation across tests.
 const std::vector<QosEvalResult>& results() {
-  static const std::vector<QosEvalResult> r = [] {
-    QosEvalOptions opt;
-    opt.current_f_stride = 6;  // coarse current-frequency sampling
-    const QosEvaluator eval(db(), opt);
-    return eval.evaluate_all({rm::PerfModelKind::Model1,
-                              rm::PerfModelKind::Model2,
-                              rm::PerfModelKind::Model3});
-  }();
+  static const std::vector<QosEvalResult> r =
+      evaluate_qos(db(), {rm::PerfModelKind::Model1, rm::PerfModelKind::Model2,
+                          rm::PerfModelKind::Model3});
   return r;
 }
 
@@ -45,10 +39,8 @@ TEST(QosEval, ViolationMagnitudesWithinHistogramRange) {
 }
 
 TEST(QosEval, SingleModelEvaluationMatchesBatch) {
-  QosEvalOptions opt;
-  opt.current_f_stride = 6;
-  const QosEvaluator eval(db(), opt);
-  const QosEvalResult single = eval.evaluate_all({rm::PerfModelKind::Model2}).front();
+  const QosEvalResult single =
+      evaluate_qos(db(), {rm::PerfModelKind::Model2}).front();
   EXPECT_NEAR(single.violation_probability, results()[1].violation_probability,
               1e-12);
   EXPECT_NEAR(single.expected_violation, results()[1].expected_violation, 1e-12);
