@@ -28,8 +28,8 @@ struct AccuracyResult {
 };
 
 AccuracyResult measure(int index_bits, int sample_period) {
-  arch::SystemConfig system;
-  system.cores = 2;
+  const workload::CharacterizationSystem system =
+      workload::characterization_system(arch::SystemConfig{});
   workload::PhaseStatsOptions options;
   options.mlp_index_bits = index_bits;
   options.atd_sample_period = sample_period;

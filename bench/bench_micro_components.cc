@@ -68,12 +68,13 @@ void BM_OracleLeadingMisses(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleLeadingMisses);
 
-// Cold characterization of one phase (synthesis, recency, oracle, arrival
-// order, MLP-ATD): the per-phase unit of the SimDb build.
+// Cold characterization of one phase (synthesis with its shadow recency,
+// oracle, arrival order, MLP-ATD): the per-phase unit of the SimDb build.
 void BM_CharacterizePhase(benchmark::State& state) {
   const workload::SpecSuite& suite = workload::spec_suite();
   const workload::AppProfile& app = suite.app(suite.index_of("mcf"));
-  const arch::SystemConfig system;
+  const workload::CharacterizationSystem system =
+      workload::characterization_system(arch::SystemConfig{});
   const workload::PhaseStatsOptions options;
   std::int64_t accesses = 0;
   for (auto _ : state) {

@@ -47,7 +47,8 @@ int main() {
   std::printf("=== custom application: in-memory KV store ===\n\n");
   for (const workload::PhaseParams& phase : {lookup_phase, scan_phase}) {
     const workload::PhaseStats stats =
-        characterize_phase(phase, system, {}, /*seed=*/42);
+        characterize_phase(phase, workload::characterization_system(system), {},
+                           /*seed=*/42);
 
     std::printf("phase %s:\n", phase.name.c_str());
     AsciiTable table({"metric", "4w", "8w", "12w", "16w"});

@@ -30,8 +30,9 @@ struct ArrivalParams {
 };
 
 /// Returns the arrival permutation: order[k] = trace position of the k-th
-/// access to reach the LLC. `recency` is the program-order annotation used
-/// to decide which accesses miss at `params.ways`.
+/// access to reach the LLC (ties in program order). `trace` must be in
+/// program order (inst_index never decreases); `recency` is its annotation,
+/// used to decide which accesses miss at `params.ways`.
 [[nodiscard]] std::vector<std::uint32_t> emulate_arrival_order(
     std::span<const LlcAccess> trace, std::span<const std::uint8_t> recency,
     const ArrivalParams& params);

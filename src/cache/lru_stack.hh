@@ -24,6 +24,10 @@ class LruStack {
   /// inserting it and evicting the LRU entry if the stack is full.
   std::uint8_t access(std::uint64_t tag);
 
+  /// Promotes the tag at recency position `pos` (< occupancy()) to MRU and
+  /// returns `pos`: access(tag_at(pos)) without the tag search.
+  std::uint8_t promote(int pos);
+
   /// Resident tag at recency position `pos` (< occupancy()).
   [[nodiscard]] std::uint64_t tag_at(int pos) const;
 

@@ -50,11 +50,12 @@ double Rng::uniform(double lo, double hi) noexcept {
 
 std::uint64_t Rng::uniform_u64(std::uint64_t n) noexcept {
   QOSRM_DCHECK(n > 0);
-  // Lemire-style rejection to avoid modulo bias.
-  const std::uint64_t threshold = (0 - n) % n;
+  // Lemire-style rejection to avoid modulo bias: a draw below the threshold
+  // 2^64 mod n is rejected. The threshold is below n, so only a draw r < n
+  // pays for computing it.
   for (;;) {
     const std::uint64_t r = next();
-    if (r >= threshold) return r % n;
+    if (r >= n || r >= (0 - n) % n) return r % n;
   }
 }
 
@@ -67,31 +68,44 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
 
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
-std::uint64_t Rng::geometric(double p) noexcept {
-  QOSRM_DCHECK(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 0;
-  const double u = uniform();
-  // Inverse CDF; u in [0,1) keeps log argument strictly positive.
-  return static_cast<std::uint64_t>(std::floor(std::log1p(-u) / std::log1p(-p)));
-}
+std::uint64_t Rng::geometric(double p) noexcept { return GeometricDraw(p)(*this); }
 
 std::size_t Rng::weighted_choice(std::span<const double> weights) noexcept {
-  double total = 0.0;
-  for (const double w : weights) {
+  return WeightedDraw(weights)(*this);
+}
+
+GeometricDraw::GeometricDraw(double p) noexcept
+    : certain_(p >= 1.0), log1p_neg_p_(certain_ ? 0.0 : std::log1p(-p)) {
+  QOSRM_DCHECK(p > 0.0 && p <= 1.0);
+}
+
+std::uint64_t GeometricDraw::operator()(Rng& rng) const noexcept {
+  if (certain_) return 0;
+  const double u = rng.uniform();
+  // Inverse CDF; u in [0,1) keeps log argument strictly positive.
+  return static_cast<std::uint64_t>(std::floor(std::log1p(-u) / log1p_neg_p_));
+}
+
+WeightedDraw::WeightedDraw(std::span<const double> weights) noexcept
+    : weights_(weights), total_(0.0) {
+  for (const double w : weights_) {
     QOSRM_DCHECK(w >= 0.0);
-    total += w;
+    total_ += w;
   }
-  QOSRM_DCHECK(total > 0.0);
-  double r = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
+  QOSRM_DCHECK(total_ > 0.0);
+}
+
+std::size_t WeightedDraw::operator()(Rng& rng) const noexcept {
+  double r = rng.uniform() * total_;
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
+    r -= weights_[i];
     if (r < 0.0) return i;
   }
   // Floating-point slack: fall back to the last positive weight.
-  for (std::size_t i = weights.size(); i-- > 0;) {
-    if (weights[i] > 0.0) return i;
+  for (std::size_t i = weights_.size(); i-- > 0;) {
+    if (weights_[i] > 0.0) return i;
   }
-  return weights.size() - 1;
+  return weights_.size() - 1;
 }
 
 }  // namespace qosrm

@@ -55,16 +55,43 @@ class Rng {
   /// Bernoulli draw with probability p of returning true.
   [[nodiscard]] bool bernoulli(double p) noexcept;
 
-  /// Geometric draw: number of failures before first success, success
-  /// probability p in (0, 1]. Mean (1-p)/p.
+  /// One GeometricDraw(p) draw.
   [[nodiscard]] std::uint64_t geometric(double p) noexcept;
 
-  /// Samples an index in [0, weights.size()) proportionally to weights.
-  /// Requires at least one strictly positive weight.
+  /// One WeightedDraw(weights) draw.
   [[nodiscard]] std::size_t weighted_choice(std::span<const double> weights) noexcept;
 
  private:
   std::array<std::uint64_t, 4> s_{};
+};
+
+/// Geometric draws with one success probability p in (0, 1]: the number of
+/// failures before the first success, mean (1-p)/p, by inverse CDF
+/// floor(log1p(-u) / log1p(-p)) with log1p(-p) computed once. With p = 1
+/// every draw is 0 and consumes no random number.
+class GeometricDraw {
+ public:
+  explicit GeometricDraw(double p) noexcept;
+
+  [[nodiscard]] std::uint64_t operator()(Rng& rng) const noexcept;
+
+ private:
+  bool certain_;
+  double log1p_neg_p_;
+};
+
+/// Index draws in [0, weights.size()) proportional to `weights`, whose total
+/// is summed once. Requires at least one strictly positive weight; `weights`
+/// must outlive the object.
+class WeightedDraw {
+ public:
+  explicit WeightedDraw(std::span<const double> weights) noexcept;
+
+  [[nodiscard]] std::size_t operator()(Rng& rng) const noexcept;
+
+ private:
+  std::span<const double> weights_;
+  double total_;
 };
 
 /// Fisher-Yates shuffle using Rng (deterministic across platforms, unlike

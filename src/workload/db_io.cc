@@ -114,7 +114,8 @@ std::uint64_t simdb_fingerprint(const SpecSuite& suite,
   h.add_i64(options.atd_sample_period);
   // The arrival-emulation inputs are derived from the system but keep their
   // own place in the hash: moving them would invalidate every snapshot.
-  const cache::ArrivalParams arrival = arrival_params(system);
+  const cache::ArrivalParams arrival =
+      arrival_params(characterization_system(system));
   h.add_f64(arrival.dispatch_ipc);
   h.add_f64(arrival.mem_latency_cycles);
   h.add_i64(arrival.ways);

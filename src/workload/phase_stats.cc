@@ -5,7 +5,6 @@
 #include "cache/miss_curve.hh"
 #include "cache/mlp_atd.hh"
 #include "cache/mlp_oracle.hh"
-#include "cache/recency.hh"
 #include "common/check.hh"
 
 namespace qosrm::workload {
@@ -56,10 +55,15 @@ arch::MemoryBehaviour PhaseStats::memory_truth(arch::CoreSize c, int w,
   return mem;
 }
 
-cache::ArrivalParams arrival_params(const arch::SystemConfig& system) {
+CharacterizationSystem characterization_system(const arch::SystemConfig& system) {
+  return {system.interval_instructions, system.llc.ways_per_core_baseline,
+          system.mem_latency_s};
+}
+
+cache::ArrivalParams arrival_params(const CharacterizationSystem& system) {
   cache::ArrivalParams arrival;
   arrival.core = arch::kBaselineCoreSize;
-  arrival.ways = system.llc.ways_per_core_baseline;
+  arrival.ways = system.baseline_ways;
   arrival.dispatch_ipc = 2.0;
   arrival.mem_latency_cycles =
       system.mem_latency_s *
@@ -68,10 +72,11 @@ cache::ArrivalParams arrival_params(const arch::SystemConfig& system) {
 }
 
 PhaseStats characterize_phase(const PhaseParams& phase,
-                              const arch::SystemConfig& system,
+                              const CharacterizationSystem& system,
                               const PhaseStatsOptions& options, std::uint64_t seed) {
   const SynthesizedTrace trace = synthesize_trace(phase, options.synth, seed);
   const auto& accesses = trace.accesses;
+  const auto& recency = trace.recency;
   const int max_ways = options.synth.max_ways;
 
   PhaseStats stats;
@@ -84,8 +89,6 @@ PhaseStats characterize_phase(const PhaseParams& phase,
   stats.llc_accesses = static_cast<double>(accesses.size()) * stats.scale;
 
   // 1. Exact program-order recency annotation -> ground-truth miss curve.
-  cache::RecencyProfiler profiler(options.synth.sets, max_ways);
-  const std::vector<std::uint8_t> recency = profiler.annotate(accesses);
   const cache::MissCurve curve = cache::MissCurve::from_recency(recency, max_ways);
   stats.misses.resize(static_cast<std::size_t>(max_ways));
   for (int w = 1; w <= max_ways; ++w) {

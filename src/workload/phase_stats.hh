@@ -2,7 +2,8 @@
 // the cache substrate once and extracts everything the timing/energy models
 // and the resource managers need, for every core size and LLC allocation:
 //
-//   * exact miss curve M(w)                      (RecencyProfiler)
+//   * exact miss curve M(w)                      (the trace synthesizer's
+//                                                 shadow directory)
 //   * ground-truth leading misses LM_true(c, w)  (MlpOracle)
 //   * hardware-estimated LM_atd(c, w)            (MlpAtd over the emulated
 //                                                 out-of-order arrival stream)
@@ -72,16 +73,30 @@ struct PhaseStatsOptions {
   int atd_sample_period = 1;     ///< set sampling inside the hardware models
 };
 
+/// The system values a phase characterization reads. Two systems with equal
+/// values characterize every phase to the same bytes, whatever their core
+/// count or bandwidth partitioning.
+struct CharacterizationSystem {
+  double interval_instructions = 0.0;  ///< SystemConfig::interval_instructions
+  int baseline_ways = 0;               ///< llc.ways_per_core_baseline
+  double mem_latency_s = 0.0;          ///< SystemConfig::mem_latency_s
+
+  bool operator==(const CharacterizationSystem&) const = default;
+};
+
+[[nodiscard]] CharacterizationSystem characterization_system(
+    const arch::SystemConfig& system);
+
 /// Inputs of the out-of-order arrival emulation that feeds the MLP-ATD: the
 /// baseline core at the system's baseline per-core allocation, dispatching
 /// 2 instructions per cycle, with the system's DRAM latency counted in
 /// baseline-clock cycles (130 ns x 2 GHz = 260).
-[[nodiscard]] cache::ArrivalParams arrival_params(const arch::SystemConfig& system);
+[[nodiscard]] cache::ArrivalParams arrival_params(const CharacterizationSystem& system);
 
 /// Characterizes one phase: synthesizes the trace (deterministic in `seed`)
 /// and extracts interval-scaled statistics for the given system.
 [[nodiscard]] PhaseStats characterize_phase(const PhaseParams& phase,
-                                            const arch::SystemConfig& system,
+                                            const CharacterizationSystem& system,
                                             const PhaseStatsOptions& options,
                                             std::uint64_t seed);
 

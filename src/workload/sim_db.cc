@@ -8,30 +8,29 @@
 
 namespace qosrm::workload {
 
-SimDb::SimDb(const SpecSuite& suite, const arch::SystemConfig& system,
-             const power::PowerModel& power, const SimDbOptions& options)
-    : suite_(&suite), system_(system), power_(power), phase_opts_(options.phase) {
-  stats_.resize(static_cast<std::size_t>(suite.size()));
+std::vector<std::vector<PhaseStats>> characterize_suite(
+    const SpecSuite& suite, const CharacterizationSystem& system,
+    const SimDbOptions& options) {
+  std::vector<std::vector<PhaseStats>> stats(static_cast<std::size_t>(suite.size()));
 
   // Flatten (app, phase) pairs for the parallel sweep.
   std::vector<std::pair<int, int>> jobs;
   for (int a = 0; a < suite.size(); ++a) {
     const auto n = static_cast<std::size_t>(suite.app(a).num_phases());
-    stats_[static_cast<std::size_t>(a)].resize(n);
+    stats[static_cast<std::size_t>(a)].resize(n);
     for (std::size_t ph = 0; ph < n; ++ph) {
       jobs.emplace_back(a, static_cast<int>(ph));
     }
   }
 
-  const PhaseStatsOptions phase_opts = options.phase;
   auto run_job = [&](std::size_t j) {
     const auto [a, ph] = jobs[j];
     const AppProfile& app = suite.app(a);
     const std::uint64_t seed =
         app.trace_seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(ph + 1);
-    stats_[static_cast<std::size_t>(a)][static_cast<std::size_t>(ph)] =
-        characterize_phase(app.phases[static_cast<std::size_t>(ph)], system_,
-                           phase_opts, seed);
+    stats[static_cast<std::size_t>(a)][static_cast<std::size_t>(ph)] =
+        characterize_phase(app.phases[static_cast<std::size_t>(ph)], system,
+                           options.phase, seed);
   };
 
   // threads = 1 is serial; otherwise one lane more than a sweep with the
@@ -39,9 +38,13 @@ SimDb::SimDb(const SpecSuite& suite, const arch::SystemConfig& system,
   const std::size_t lanes =
       options.threads == 1 ? 1 : pool_threads(options.threads, jobs.size()) + 1;
   parallel_for(lanes, jobs.size(), run_job);
-
-  table_ = EvalTable(suite, system_, power_, stats_);
+  return stats;
 }
+
+SimDb::SimDb(const SpecSuite& suite, const arch::SystemConfig& system,
+             const power::PowerModel& power, const SimDbOptions& options)
+    : SimDb(suite, system, power, options.phase,
+            characterize_suite(suite, characterization_system(system), options)) {}
 
 SimDb::SimDb(const SpecSuite& suite, const arch::SystemConfig& system,
              const power::PowerModel& power, const PhaseStatsOptions& phase_options,

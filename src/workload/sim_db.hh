@@ -39,10 +39,16 @@ struct SimDbOptions {
   int threads = 0;
 };
 
+/// Characterizes every phase of every suite application, [app][phase]; a
+/// parallel build, bit-identical for any options.threads.
+[[nodiscard]] std::vector<std::vector<PhaseStats>> characterize_suite(
+    const SpecSuite& suite, const CharacterizationSystem& system,
+    const SimDbOptions& options);
+
 class SimDb {
  public:
-  /// Characterizes every phase of every suite application (parallel build),
-  /// then materializes the evaluation table.
+  /// Characterizes the suite (characterize_suite), then materializes the
+  /// evaluation table.
   SimDb(const SpecSuite& suite, const arch::SystemConfig& system,
         const power::PowerModel& power, const SimDbOptions& options = {});
 

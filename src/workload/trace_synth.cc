@@ -1,6 +1,7 @@
 #include "workload/trace_synth.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "cache/lru_stack.hh"
@@ -11,12 +12,11 @@ namespace qosrm::workload {
 
 namespace {
 
-/// Draws a strictly positive instruction gap with the given mean
-/// (geometric + 1, so consecutive loads never share an index).
-std::uint64_t draw_gap(Rng& rng, double mean) {
-  if (mean <= 1.0) return 1;
-  const double p = 1.0 / mean;
-  return 1 + rng.geometric(p);
+/// An instruction gap with the given mean is 1 + a draw of this, so
+/// consecutive loads never share an index; a mean <= 1 always gives a gap
+/// of 1 without consuming a random number.
+GeometricDraw gap_draw(double mean) {
+  return GeometricDraw(mean > 1.0 ? 1.0 / mean : 1.0);
 }
 
 }  // namespace
@@ -43,11 +43,15 @@ SynthesizedTrace synthesize_trace(const PhaseParams& phase,
   const double inter_gap =
       std::max(1.0, burst_budget - intra_gap * (phase.burst_size - 1.0));
 
+  const GeometricDraw inter_gap_draw = gap_draw(inter_gap);
+  const GeometricDraw intra_gap_draw = gap_draw(intra_gap);
+
   // Reuse-position sampling weights: 16 recency positions + cold.
-  std::vector<double> weights(17, 0.0);
+  std::array<double, 17> weights{};
   for (int r = 0; r < 16; ++r) weights[static_cast<std::size_t>(r)] =
       phase.reuse.hit_weight[static_cast<std::size_t>(r)];
   weights[16] = phase.reuse.cold_weight;
+  const WeightedDraw reuse_draw(weights);
 
   // Shadow tag directory: realizes a sampled reuse position exactly by
   // re-touching the tag at that position.
@@ -57,6 +61,7 @@ SynthesizedTrace synthesize_trace(const PhaseParams& phase,
 
   SynthesizedTrace out;
   out.accesses.reserve(n_target);
+  out.recency.reserve(n_target);
 
   std::uint64_t inst = 0;
   std::uint64_t next_tag = 1;  // unique cold tags
@@ -67,7 +72,7 @@ SynthesizedTrace synthesize_trace(const PhaseParams& phase,
                                   std::llround(phase.burst_size)) -
                                   1)));
     for (std::size_t k = 0; k < burst_len && out.accesses.size() < n_target; ++k) {
-      inst += draw_gap(rng, k == 0 ? inter_gap : intra_gap);
+      inst += 1 + (k == 0 ? inter_gap_draw : intra_gap_draw)(rng);
 
       cache::LlcAccess a;
       a.inst_index = inst;
@@ -75,14 +80,15 @@ SynthesizedTrace synthesize_trace(const PhaseParams& phase,
           static_cast<std::uint64_t>(config.sets)));
       a.depends_on_prev = k > 0 && rng.bernoulli(phase.dep_frac);
 
-      const std::size_t pick = rng.weighted_choice(weights);
+      const std::size_t pick = reuse_draw(rng);
       cache::LruStack& stack = shadow[a.set];
       if (pick >= 16 || static_cast<int>(pick) >= stack.occupancy()) {
         a.tag = next_tag++;  // cold / first touch
+        out.recency.push_back(stack.access(a.tag));
       } else {
         a.tag = stack.tag_at(static_cast<int>(pick));
+        out.recency.push_back(stack.promote(static_cast<int>(pick)));
       }
-      stack.access(a.tag);
       out.accesses.push_back(a);
     }
   }

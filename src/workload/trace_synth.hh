@@ -5,7 +5,9 @@
 // chains, and per-access reuse distances drawn from the phase's stack
 // profile. Reuse distances are realized exactly by touching the tag
 // currently at the desired recency position of a shadow LRU directory, so
-// the measured miss curve matches the requested profile by construction.
+// the measured miss curve matches the requested profile by construction. The
+// shadow directory is the exact program-order LRU simulation of the trace,
+// so the generator also returns each access's recency position.
 #ifndef QOSRM_WORKLOAD_TRACE_SYNTH_HH
 #define QOSRM_WORKLOAD_TRACE_SYNTH_HH
 
@@ -27,6 +29,10 @@ struct TraceSynthConfig {
 
 struct SynthesizedTrace {
   std::vector<cache::LlcAccess> accesses;  ///< program order
+  /// Recency position of each access in the shadow directory (sets x
+  /// max_ways LRU stacks), kRecencyMiss for a first touch: what
+  /// cache::RecencyProfiler(sets, max_ways).annotate(accesses) returns.
+  std::vector<std::uint8_t> recency;
   double represented_instructions = 0.0;   ///< actual instruction span
 };
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "cache/recency.hh"
+#include "common/rng.hh"
 
 namespace qosrm::cache {
 namespace {
@@ -90,6 +94,51 @@ TEST(Arrival, PermutationIsComplete) {
     ASSERT_LT(pos, 100u);
     EXPECT_FALSE(seen[pos]);
     seen[pos] = true;
+  }
+}
+
+// Only the delayed loads are sorted and then merged into the on-time ones;
+// the result must equal the plain stable sort by arrival time, ties in
+// program order included. Half-cycle dispatch steps against a whole-cycle
+// latency make equal arrival times common, and a dependence probability
+// near 1 with mostly-missing loads builds chains thousands of loads deep.
+TEST(Arrival, MatchesStableSortReference) {
+  Rng rng(2020);
+  for (const double dep_prob : {0.0, 0.3, 0.9, 0.999, 1.0}) {
+    for (const double miss_prob : {0.0, 0.5, 0.97}) {
+      const std::size_t n = 20000;
+      std::vector<LlcAccess> trace(n);
+      std::vector<std::uint8_t> recency(n);
+      std::uint64_t inst = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        inst += rng.uniform_u64(4);  // repeated indices too
+        trace[i] = {inst, 0, i, i > 0 && rng.bernoulli(dep_prob)};
+        recency[i] = rng.bernoulli(miss_prob) ? kRecencyMiss : 0;
+      }
+      ArrivalParams params;
+      params.mem_latency_cycles = 3.0;
+      params.dispatch_ipc = 2.0;
+      params.ways = 1;
+
+      std::vector<double> arrival(n);
+      double delay = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!trace[i].depends_on_prev) {
+          delay = 0.0;
+        } else if (misses_at(recency[i - 1], params.ways)) {
+          delay += params.mem_latency_cycles;
+        }
+        arrival[i] = static_cast<double>(trace[i].inst_index) / params.dispatch_ipc + delay;
+      }
+      std::vector<std::uint32_t> expected(n);
+      std::iota(expected.begin(), expected.end(), 0u);
+      std::stable_sort(expected.begin(), expected.end(),
+                       [&](std::uint32_t x, std::uint32_t y) {
+                         return arrival[x] < arrival[y];
+                       });
+      EXPECT_EQ(emulate_arrival_order(trace, recency, params), expected)
+          << "dep_prob=" << dep_prob << " miss_prob=" << miss_prob;
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -85,6 +86,36 @@ TEST(Rng, GeometricMeanMatches) {
 TEST(Rng, GeometricWithCertaintyIsZero) {
   Rng rng(23);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.geometric(1.0), 0u);
+}
+
+// The gap draws of the trace synthesizer go through GeometricDraw with
+// log1p(-p) computed once; a draw must equal the plain inverse CDF bit for
+// bit, and p = 1 (what a gap mean <= 1 maps to) must consume nothing.
+TEST(Rng, GeometricDrawIsTheInverseCdfBitForBit) {
+  const double ps[] = {1e-9, 1e-4, 1.0 / 40.0, 0.25, 0.5, 1.0 / 1.5,
+                       0.9, 1.0 - 1e-9, std::nextafter(1.0, 0.0), 1.0};
+  for (const double p : ps) {
+    const GeometricDraw draw(p);
+    Rng rng(41);
+    Rng via_member(41);
+    Rng reference(41);
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t got = draw(rng);
+      EXPECT_EQ(via_member.geometric(p), got) << "p=" << p;
+      if (p >= 1.0) {
+        ASSERT_EQ(got, 0u);
+        continue;
+      }
+      const double u = reference.uniform();
+      const auto expected =
+          static_cast<std::uint64_t>(std::floor(std::log1p(-u) / std::log1p(-p)));
+      ASSERT_EQ(got, expected) << "p=" << p << " draw " << i;
+    }
+    // Same stream position: p = 1 consumed no draw, every other p one each.
+    const std::uint64_t next = reference.next();
+    EXPECT_EQ(rng.next(), next) << "p=" << p;
+    EXPECT_EQ(via_member.next(), next) << "p=" << p;
+  }
 }
 
 TEST(Rng, WeightedChoiceFollowsWeights) {

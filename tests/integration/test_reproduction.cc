@@ -454,12 +454,16 @@ std::string fmt(const Unit& u, double value) {
 
 std::string render_bound(const Claim& c) {
   const Bound& b = c.bound;
+  std::string out;
   if (b.lo > -kInf && b.hi < kInf) {
-    return "[" + fmt(c.unit, b.lo) + ", " + fmt(c.unit, b.hi) + "]";
+    out.append("[").append(fmt(c.unit, b.lo)).append(", ");
+    out.append(fmt(c.unit, b.hi)).append("]");
+  } else if (b.lo > -kInf) {
+    out.append("≥ ").append(fmt(c.unit, b.lo));
+  } else if (b.hi < kInf) {
+    out.append("≤ ").append(fmt(c.unit, b.hi));
   }
-  if (b.lo > -kInf) return "≥ " + fmt(c.unit, b.lo);
-  if (b.hi < kInf) return "≤ " + fmt(c.unit, b.hi);
-  return "";
+  return out;
 }
 
 std::string render_row(const Claim& c, double ours) {

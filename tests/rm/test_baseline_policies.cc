@@ -62,21 +62,17 @@ double brute_force_min(const std::vector<double>& miss, int cores,
                        int min_ways, int max_ways, int total_ways) {
   const int n_alloc = max_ways - min_ways + 1;
   double best = std::numeric_limits<double>::infinity();
+  // Odometer over every per-core allocation in [min_ways, max_ways].
   std::vector<int> ways(static_cast<std::size_t>(cores), min_ways);
-  const auto recurse = [&](auto&& self, int core, int left) -> void {
-    if (core == cores - 1) {
-      if (left < min_ways || left > max_ways) return;
-      ways[static_cast<std::size_t>(core)] = left;
+  for (;;) {
+    if (std::accumulate(ways.begin(), ways.end(), 0) == total_ways) {
       best = std::min(best, total_misses(miss, ways, min_ways, n_alloc));
-      return;
     }
-    for (int w = min_ways; w <= std::min(max_ways, left); ++w) {
-      ways[static_cast<std::size_t>(core)] = w;
-      self(self, core + 1, left - w);
-    }
-  };
-  recurse(recurse, 0, total_ways);
-  return best;
+    std::size_t j = 0;
+    while (j < ways.size() && ways[j] == max_ways) ways[j++] = min_ways;
+    if (j == ways.size()) return best;
+    ++ways[j];
+  }
 }
 
 TEST(UcpPartition, MatchesBruteForceOnConvexCurves) {

@@ -149,8 +149,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2, 3, 5, 8, 16, 33, 64),
                        ::testing::Values(1, 4)),
     [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_b" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "n";
+      name.append(std::to_string(std::get<0>(info.param))).append("_b");
+      return name.append(std::to_string(std::get<1>(info.param)));
     });
 
 // Slot-margin invariant: every slot cell outside a node's current rows is

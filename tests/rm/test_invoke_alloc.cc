@@ -115,8 +115,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{2, 1}, std::pair{4, 1}, std::pair{8, 1},
                       std::pair{16, 1}, std::pair{4, 4}),
     [](const auto& info) {
-      return "c" + std::to_string(info.param.first) + "b" +
-             std::to_string(info.param.second);
+      std::string name = "c";
+      name.append(std::to_string(info.param.first)).append("b");
+      return name.append(std::to_string(info.param.second));
     });
 
 }  // namespace

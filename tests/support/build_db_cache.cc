@@ -5,11 +5,17 @@
 //   build_db_cache DIR CONFIG...     CONFIG = CORES or CORES:BW_SHARES
 //
 // It always characterizes and never loads: every snapshot in DIR is deleted
-// first, so no snapshot outlives the build of the code that wrote it.
+// first, so no snapshot outlives the build of the code that wrote it. The
+// suite is characterized once per distinct CharacterizationSystem, and each
+// configuration's database is built from those stats, which is byte for
+// byte what a cold build of that configuration writes.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "support/shared_db.hh"
 #include "workload/db_io.hh"
@@ -50,6 +56,11 @@ int main(int argc, char** argv) {
     }
   }
   const power::PowerModel power;
+  const workload::SpecSuite& suite = workload::spec_suite();
+  const workload::SimDbOptions options;
+  std::vector<std::pair<workload::CharacterizationSystem,
+                        std::vector<std::vector<workload::PhaseStats>>>>
+      characterized;
   for (int i = 2; i < argc; ++i) {
     int cores = 0;
     int shares = 0;
@@ -57,15 +68,24 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bad config '%s' (want CORES or CORES:BW_SHARES)\n", argv[i]);
       return 2;
     }
-    const workload::SimDb db(workload::spec_suite(),
-                             testing::shared_db_system(cores, shares), power, {});
+    const arch::SystemConfig system = testing::shared_db_system(cores, shares);
+    const workload::CharacterizationSystem inputs =
+        workload::characterization_system(system);
+    auto it = std::find_if(characterized.begin(), characterized.end(),
+                           [&](const auto& entry) { return entry.first == inputs; });
+    if (it == characterized.end()) {
+      characterized.emplace_back(inputs,
+                                 workload::characterize_suite(suite, inputs, options));
+      it = characterized.end() - 1;
+    }
+    const workload::SimDb db(suite, system, power, options.phase, it->second);
     const std::string path = workload::db_cache_path(dir.string(), cores, shares);
     std::string error;
     if (!workload::save_simdb(db, path, &error)) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }
-    std::printf("characterized %s\n", path.c_str());
+    std::printf("wrote %s\n", path.c_str());
   }
   return 0;
 }

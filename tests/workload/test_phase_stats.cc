@@ -28,10 +28,10 @@ PhaseParams chained_phase() {
   return p;
 }
 
-arch::SystemConfig sys2() {
+CharacterizationSystem sys2() {
   arch::SystemConfig s;
   s.cores = 2;
-  return s;
+  return characterization_system(s);
 }
 
 TEST(PhaseStats, CountsScaleToInterval) {

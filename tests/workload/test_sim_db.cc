@@ -326,5 +326,17 @@ TEST(SimDb, CharacterizationDigestMatchesParent) {
   EXPECT_EQ(characterization_digest(fresh), 0xa44ad29ef8204c6cULL);
 }
 
+// The snapshot fixture characterizes once per CharacterizationSystem and
+// builds every shared configuration from those stats. A cold build at a
+// core count and bandwidth partitioning other than the default reads the
+// same three values, so it must characterize to the same bits.
+TEST(SimDb, CharacterizationReadsOnlyItsSystemValues) {
+  const arch::SystemConfig sys = testing::shared_db_system(16, 4);
+  ASSERT_EQ(characterization_system(sys),
+            characterization_system(arch::SystemConfig{}));
+  const SimDb fresh(spec_suite(), sys, power::PowerModel{});
+  EXPECT_EQ(characterization_digest(fresh), 0xa44ad29ef8204c6cULL);
+}
+
 }  // namespace
 }  // namespace qosrm::workload

@@ -4,6 +4,8 @@
 
 #include "cache/miss_curve.hh"
 #include "cache/recency.hh"
+#include "workload/phase_stats.hh"
+#include "workload/spec_suite.hh"
 
 namespace qosrm::workload {
 namespace {
@@ -126,6 +128,22 @@ TEST(TraceSynth, RealizedReusePositionsMatchProfile) {
   EXPECT_NEAR(hits01 / n, 0.5, 0.06);
   // Cold fraction also includes the warm-up transient, so allow extra room.
   EXPECT_NEAR(cold / n, 0.2, 0.08);
+}
+
+// The characterization reads its recency annotation from the synthesizer's
+// shadow directory instead of re-simulating the trace; both must agree on
+// every access of every phase it characterizes.
+TEST(TraceSynth, ShadowRecencyMatchesProfiler) {
+  const TraceSynthConfig cfg = PhaseStatsOptions{}.synth;
+  const SpecSuite& suite = spec_suite();
+  for (int a = 0; a < suite.size(); ++a) {
+    const AppProfile& app = suite.app(a);
+    for (std::size_t ph = 0; ph < app.phases.size(); ++ph) {
+      const auto t = synthesize_trace(app.phases[ph], cfg, app.trace_seed + ph);
+      cache::RecencyProfiler prof(cfg.sets, cfg.max_ways);
+      ASSERT_EQ(t.recency, prof.annotate(t.accesses)) << app.name << " phase " << ph;
+    }
+  }
 }
 
 TEST(TraceSynth, BurstSizeBoundsRunLengths) {
