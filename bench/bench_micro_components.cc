@@ -9,9 +9,9 @@
 //   * global optimization    - min-plus reduction, 2..16 cores
 #include <benchmark/benchmark.h>
 
+#include "cache/lru_stack.hh"
 #include "cache/mlp_atd.hh"
 #include "cache/mlp_oracle.hh"
-#include "cache/recency.hh"
 #include "common/rng.hh"
 #include "rm/global_opt.hh"
 #include "rm/local_opt.hh"
@@ -57,8 +57,10 @@ BENCHMARK(BM_MlpAtdObserve);
 // One pass of the lane kernel: all 3 x 16 (core size, allocation) counts.
 void BM_OracleLeadingMisses(benchmark::State& state) {
   const auto trace = make_trace(1 << 14);
-  cache::RecencyProfiler prof(64, 16);
-  const auto recency = prof.annotate(trace);
+  std::vector<cache::LruStack> sets(64, cache::LruStack(16));
+  std::vector<std::uint8_t> recency;
+  recency.reserve(trace.size());
+  for (const cache::LlcAccess& a : trace) recency.push_back(sets[a.set].access(a.tag));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         cache::MlpOracle::leading_miss_curves(trace, recency, 16));

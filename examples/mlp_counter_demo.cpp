@@ -8,9 +8,9 @@
 #include <cstdio>
 
 #include "cache/arrival.hh"
+#include "cache/lru_stack.hh"
 #include "cache/mlp_atd.hh"
 #include "cache/mlp_oracle.hh"
-#include "cache/recency.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
 
@@ -71,8 +71,10 @@ void heuristic_vs_oracle() {
       trace.push_back({inst, 0, tag++, !burst_start &&
                                             rng.bernoulli(pattern.dep_frac)});
     }
-    cache::RecencyProfiler prof(1, 16);
-    const auto recency = prof.annotate(trace);
+    // Program-order LRU recency of every load in the one 16-way set.
+    cache::LruStack set(16);
+    std::vector<std::uint8_t> recency;
+    for (const cache::LlcAccess& a : trace) recency.push_back(set.access(a.tag));
     const auto order = cache::emulate_arrival_order(trace, recency, {});
 
     cache::MlpAtdConfig cfg;

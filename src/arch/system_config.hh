@@ -25,6 +25,7 @@ struct LlcConfig {
   [[nodiscard]] int num_allocations() const noexcept {
     return max_ways - min_ways + 1;
   }
+  bool operator==(const LlcConfig&) const = default;
 };
 
 /// Memory-bandwidth partition bounds (the CBP companion knob,
@@ -55,6 +56,7 @@ struct BwConfig {
   [[nodiscard]] bool degenerate() const noexcept {
     return shares_per_core_baseline == 1 && min_shares == 1 && max_shares == 1;
   }
+  bool operator==(const BwConfig&) const = default;
 };
 
 /// Effective DRAM-latency multiplier at `b` granted shares: exactly 1.0 at
@@ -85,6 +87,7 @@ struct SystemConfig {
   [[nodiscard]] int total_shares() const noexcept {
     return bw.total_shares(cores);
   }
+  bool operator==(const SystemConfig&) const = default;
 };
 
 /// Maps the CLI-facing `--bw-shares=N` knob (baseline shares per core) onto

@@ -11,6 +11,13 @@ namespace qosrm::cache {
 /// (cold miss or beyond the maximum associativity).
 inline constexpr std::uint8_t kRecencyMiss = 0xFF;
 
+/// True if an access annotated with LRU recency position `recency` misses
+/// under a w-way allocation. By the stack-inclusion property one annotation
+/// answers this for every w: recency >= w (kRecencyMiss = infinity).
+[[nodiscard]] constexpr bool misses_at(std::uint8_t recency, int w) noexcept {
+  return recency == kRecencyMiss || static_cast<int>(recency) >= w;
+}
+
 /// One LLC access of one application, in program order.
 struct LlcAccess {
   /// Cumulative dynamic instruction index of the load (program order).

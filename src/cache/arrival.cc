@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cache/recency.hh"
 #include "common/check.hh"
 
 namespace qosrm::cache {

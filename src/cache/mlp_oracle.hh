@@ -30,8 +30,8 @@ class MlpOracle {
  public:
   /// Leading-miss counts per core size (indexed by core_size_index) and
   /// allocation (element w-1, w in [1, max_ways]), from one pass over
-  /// `trace`. `recency` is the program-order recency annotation of `trace`
-  /// (RecencyProfiler); an access misses at w iff recency >= w. Instruction
+  /// `trace`. `recency` is the program-order LRU recency annotation of
+  /// `trace`; an access misses at w iff recency >= w (misses_at). Instruction
   /// indices must be non-decreasing (program order).
   [[nodiscard]] static std::array<std::vector<double>, arch::kNumCoreSizes>
   leading_miss_curves(std::span<const LlcAccess> trace,

@@ -27,6 +27,7 @@ namespace qosrm::rm {
 struct EnergyModelOptions {
   bool literal_eq4 = false;  ///< use Eq. 4 exactly as printed (no f ratio)
   bool perfect = false;      ///< ground-truth energy via the oracle (Fig. 9)
+  bool operator==(const EnergyModelOptions&) const = default;
 };
 
 class OnlineEnergyModel {

@@ -30,6 +30,7 @@ inline constexpr double kInfeasibleEnergy = std::numeric_limits<double>::infinit
 struct LocalOptOptions {
   bool allow_dvfs = true;    ///< false for RM1
   bool allow_resize = true;  ///< false for RM1/RM2
+  bool operator==(const LocalOptOptions&) const = default;
 };
 
 /// Best feasible core-local choice for one allocation w.

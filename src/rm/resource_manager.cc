@@ -28,11 +28,44 @@ const char* rm_policy_name(RmPolicy policy) noexcept {
   return "?";
 }
 
+namespace {
+
+LocalOptOptions knobs_for(const RmConfig& config) noexcept {
+  if (config.knobs.has_value()) return *config.knobs;
+  LocalOptOptions opt;
+  opt.allow_dvfs = config.policy == RmPolicy::Rm2 || config.policy == RmPolicy::Rm3;
+  opt.allow_resize = config.policy == RmPolicy::Rm3;
+  return opt;
+}
+
+}  // namespace
+
+MemoScope memo_scope(const RmConfig& config, const arch::SystemConfig& system,
+                     const power::PowerModel& offline_power) {
+  return {knobs_for(config), config.model, config.energy, system, &offline_power};
+}
+
+void OutcomeMemo::rescope(const MemoScope& scope) {
+  QOSRM_CHECK_MSG(!lent_, "outcome memo rescoped while a manager holds it");
+  if (scope == scope_) return;
+  scope_ = scope;
+  db_ = nullptr;  // the next lookup sizes the slot array afresh
+  entries_.clear();
+}
+
+OutcomeMemo* rescoped(OutcomeMemo* memo, const RmConfig& config,
+                      const arch::SystemConfig& system,
+                      const power::PowerModel& offline_power) {
+  if (memo != nullptr) memo->rescope(memo_scope(config, system, offline_power));
+  return memo;
+}
+
 ResourceManager::ResourceManager(const RmConfig& config,
                                  const arch::SystemConfig& system,
-                                 const power::PowerModel& offline_power)
+                                 const power::PowerModel& offline_power,
+                                 OutcomeMemo* memo)
     : cfg_(config), system_(system), perf_(config.model, system),
-      energy_(offline_power, config.energy), local_(perf_, energy_, local_options()),
+      energy_(offline_power, config.energy), local_(perf_, energy_, knobs_for(config)),
       cached_(static_cast<std::size_t>(system.cores)),
       all_active_(static_cast<std::size_t>(system.cores), 1) {
   const auto n = static_cast<std::size_t>(system.cores);
@@ -47,7 +80,18 @@ ResourceManager::ResourceManager(const RmConfig& config,
   ws_.rewrite_mark.assign(n, 0);
   ws_.decision.settings.assign(n, workload::baseline_setting(system_));
   ws_.decision.rewritten.reserve(n);
-  memo_on_ = cfg_.memo != RmMemoMode::Off;
+  if (cfg_.memo != RmMemoMode::Off) {
+    const MemoScope scope = memo_scope(cfg_, system_, offline_power);
+    if (memo == nullptr) {
+      memo = &own_memo_.emplace();
+      memo->rescope(scope);
+    }
+    QOSRM_CHECK_MSG(!memo->lent_, "outcome memo lent to two live managers");
+    QOSRM_CHECK_MSG(memo->scope_ == scope,
+                    "outcome memo lent to a manager of another configuration");
+    memo->lent_ = true;
+    memo_ = memo;
+  }
   if (is_baseline_policy(cfg_.policy)) {
     // Size the baseline-policy buffers up front so invoke_baseline's
     // resize() calls are no-ops and the steady-state path stays heap-free.
@@ -66,12 +110,8 @@ ResourceManager::ResourceManager(const RmConfig& config,
   }
 }
 
-LocalOptOptions ResourceManager::local_options() const noexcept {
-  if (cfg_.knobs.has_value()) return *cfg_.knobs;
-  LocalOptOptions opt;
-  opt.allow_dvfs = cfg_.policy == RmPolicy::Rm2 || cfg_.policy == RmPolicy::Rm3;
-  opt.allow_resize = cfg_.policy == RmPolicy::Rm3;
-  return opt;
+ResourceManager::~ResourceManager() {
+  if (memo_ != nullptr) memo_->lent_ = false;
 }
 
 void ResourceManager::reset() {
@@ -80,12 +120,13 @@ void ResourceManager::reset() {
 }
 
 std::int32_t* ResourceManager::memo_slot(const CounterSnapshot& snap) {
-  if (!memo_on_ || snap.memo_key < 0 || snap.oracle.valid()) return nullptr;
-  if (snap.memo_db != memo_db_) {
+  if (memo_ == nullptr || snap.memo_key < 0 || snap.oracle.valid()) return nullptr;
+  OutcomeMemo& memo = *memo_;
+  if (snap.memo_db != memo.db_) {
     // First sight of this database: size the slot array to its dense key
     // space and drop entries memoized against any previous one.
     QOSRM_CHECK(snap.memo_key < snap.memo_space);
-    memo_slot_.assign(static_cast<std::size_t>(snap.memo_space), -1);
+    memo.slot_.assign(static_cast<std::size_t>(snap.memo_space), -1);
     // A core's curve (valid or not: its row is what a cold start compares
     // against) must outlive the entries; the cores referring to one copy it
     // (several cores may share an entry), and their views follow.
@@ -97,13 +138,13 @@ std::int32_t* ResourceManager::memo_slot(const CounterSnapshot& snap) {
       cache.entry = nullptr;
       if (ws_.leaf_active[k] != 0) ws_.views[k].energy = cache.own_energy;
     }
-    memo_entries_.clear();
-    memo_db_ = snap.memo_db;
+    memo.entries_.clear();
+    memo.db_ = snap.memo_db;
   }
-  if (snap.memo_key >= static_cast<std::int64_t>(memo_slot_.size())) {
+  if (snap.memo_key >= static_cast<std::int64_t>(memo.slot_.size())) {
     return nullptr;  // defensively refuse an out-of-range key
   }
-  return &memo_slot_[static_cast<std::size_t>(snap.memo_key)];
+  return &memo.slot_[static_cast<std::size_t>(snap.memo_key)];
 }
 
 const RmDecision& ResourceManager::invoke(
@@ -171,13 +212,13 @@ bool ResourceManager::refresh_core(int k, bool fresh, const CounterSnapshot& sna
     if (*slot >= 0) {
       ++stats_.memo_hits;
     } else {
-      *slot = static_cast<std::int32_t>(memo_entries_.size());
-      MemoEntry& entry = memo_entries_.emplace_back();
+      *slot = static_cast<std::int32_t>(memo_->entries_.size());
+      MemoEntry& entry = memo_->entries_.emplace_back();
       local_.optimize_into(counters(snap), entry.local, &entry.ops);
       (void)flatten_into(entry.local, entry.energy);
       ++stats_.local_runs;
     }
-    MemoEntry& entry = memo_entries_[static_cast<std::size_t>(*slot)];
+    MemoEntry& entry = memo_->entries_[static_cast<std::size_t>(*slot)];
     changed = !same_bits(old_row, entry.energy);
     cache.entry = &entry;
     cache.ops = entry.ops;

@@ -84,6 +84,70 @@ struct RmConfig {
   std::optional<LocalOptOptions> knobs{};
 };
 
+/// What a memoized interval outcome depends on besides its evaluation cell:
+/// the local optimizer's knob set, the performance model, the energy-model
+/// options and offline power model, and the system (its qos_alpha, the Eq. 3
+/// relaxation, included). Managers of equal scope compute bit-identical
+/// local optimizations, op charges included, from the same counters.
+struct MemoScope {
+  LocalOptOptions knobs{};
+  PerfModelKind model = PerfModelKind::Model3;
+  EnergyModelOptions energy{};
+  arch::SystemConfig system{};
+  const power::PowerModel* power = nullptr;
+  bool operator==(const MemoScope&) const = default;
+};
+
+/// The scope of a ResourceManager built from these arguments.
+[[nodiscard]] MemoScope memo_scope(const RmConfig& config,
+                                   const arch::SystemConfig& system,
+                                   const power::PowerModel& offline_power);
+
+/// The interval-outcome memo: per evaluation cell (app, phase, setting) of
+/// one database, the local-optimization result, its flat E*(w, b) row and the
+/// op count its computation charged, so a hit replays a fresh run exactly.
+/// A manager owns one by default; a driver running many managers of one
+/// scope in a row (the rows of a sweep or service grid on one lane) lends
+/// each of them the same memo, so a cell is optimized once per lane. One
+/// manager at a time may hold it, and only under the memo's scope. Entries
+/// never change once stored; the managers' cores refer to them.
+class OutcomeMemo {
+ public:
+  OutcomeMemo() = default;
+  OutcomeMemo(const OutcomeMemo&) = delete;
+  OutcomeMemo& operator=(const OutcomeMemo&) = delete;
+
+  /// Serves `scope` from now on: keeps the entries when they were computed
+  /// under it, else drops them. The memo must not be lent out.
+  void rescope(const MemoScope& scope);
+
+  /// Cells memoized so far.
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+
+ private:
+  friend class ResourceManager;
+
+  struct Entry {
+    LocalOptResult local;
+    std::vector<double> energy;
+    std::uint64_t ops = 0;
+  };
+
+  MemoScope scope_{};
+  bool lent_ = false;  ///< a live manager holds the memo
+  // Flat slot array over the database's dense key space.
+  const workload::SimDb* db_ = nullptr;
+  std::vector<std::int32_t> slot_;  ///< key -> entry index, -1 empty
+  /// Growing entry pool; a deque so that growth never moves an entry.
+  std::deque<Entry> entries_;
+};
+
+/// Rescopes `memo`, when non-null, to the manager these arguments build, and
+/// returns it for that manager to borrow.
+[[nodiscard]] OutcomeMemo* rescoped(OutcomeMemo* memo, const RmConfig& config,
+                                    const arch::SystemConfig& system,
+                                    const power::PowerModel& offline_power);
+
 struct RmDecision {
   std::vector<workload::Setting> settings;  ///< per core
   std::uint64_t ops = 0;  ///< optimizer operations of this invocation
@@ -141,10 +205,15 @@ struct RmWorkspace {
 
 class ResourceManager {
  public:
+  /// With the memo on, the manager borrows `memo` for its lifetime when one
+  /// is given (it must have the manager's scope and no other holder), else
+  /// it owns one.
   ResourceManager(const RmConfig& config, const arch::SystemConfig& system,
-                  const power::PowerModel& offline_power);
-  /// Not copyable: the per-core caches and views point into this manager's
-  /// own memo entries and curve storage.
+                  const power::PowerModel& offline_power,
+                  OutcomeMemo* memo = nullptr);
+  ~ResourceManager();
+  /// Not copyable: the per-core caches and views point into the memo's
+  /// entries and this manager's curve storage.
   ResourceManager(const ResourceManager&) = delete;
   ResourceManager& operator=(const ResourceManager&) = delete;
 
@@ -175,7 +244,7 @@ class ResourceManager {
   void reset();
 
   /// Whether the interval-outcome memo is active for this instance.
-  [[nodiscard]] bool memo_enabled() const noexcept { return memo_on_; }
+  [[nodiscard]] bool memo_enabled() const noexcept { return memo_ != nullptr; }
 
   /// Host-side work counters (read-only; see RmInvokeStats).
   [[nodiscard]] const RmInvokeStats& stats() const noexcept { return stats_; }
@@ -188,8 +257,6 @@ class ResourceManager {
   }
 
  private:
-  [[nodiscard]] LocalOptOptions local_options() const noexcept;
-
   /// Invocation tail for the partitioning-only baselines: refreshes the
   /// invoking core's cached inputs (miss curve, predicted times or class),
   /// runs the policy's partitioner and maps the chosen ways onto baseline
@@ -198,15 +265,7 @@ class ResourceManager {
       int invoking_core, std::span<const CounterSnapshot> snapshots,
       std::span<const std::uint8_t> active);
 
-  /// One memoized interval outcome: the local-optimization result of a
-  /// (app, phase, setting) evaluation cell, its flat E*(w, b) row, and the
-  /// op count a fresh run would have charged (so replays account
-  /// identically). Entries never change once stored; cores refer to them.
-  struct MemoEntry {
-    LocalOptResult local;
-    std::vector<double> energy;
-    std::uint64_t ops = 0;
-  };
+  using MemoEntry = OutcomeMemo::Entry;
 
   /// Per-core curve cache. The curve is either a memo entry's (`entry`) or
   /// the core's own storage (memo off, or oracle-backed counters), and
@@ -262,12 +321,8 @@ class ResourceManager {
   OnlineEnergyModel energy_;
   LocalOptimizer local_;
   std::vector<CoreCache> cached_;  ///< per-core curves
-  // --- interval-outcome memo (flat array over the db's dense key space) ----
-  bool memo_on_ = false;
-  const workload::SimDb* memo_db_ = nullptr;
-  std::vector<std::int32_t> memo_slot_;  ///< key -> entry index, -1 empty
-  /// Growing entry pool; a deque so that growth never moves an entry.
-  std::deque<MemoEntry> memo_entries_;
+  std::optional<OutcomeMemo> own_memo_;  ///< the memo when none is lent
+  OutcomeMemo* memo_ = nullptr;          ///< the memo in use; null when off
   /// All-ones mask backing the mask-free invoke() overload. std::uint8_t
   /// (not bool) so a std::span can view the storage.
   std::vector<std::uint8_t> all_active_;

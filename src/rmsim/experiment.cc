@@ -19,14 +19,14 @@ RunResult run_idle_reference(const IntervalSimulator& sim,
 SavingsResult run_against_idle(const IntervalSimulator& sim,
                                const workload::WorkloadMix& mix,
                                const rm::RmConfig& config, const RunResult& idle,
-                               RunScratch* scratch) {
+                               RunScratch* scratch, rm::OutcomeMemo* memo) {
   SavingsResult result;
   if (config.policy == rm::RmPolicy::Idle) {
     result.run = idle;
     result.run.model = config.model;
     return result;
   }
-  result.run = sim.run(mix, config, {}, scratch);
+  result.run = sim.run(mix, config, {}, scratch, memo);
   result.savings = energy_savings(result.run, idle);
   return result;
 }

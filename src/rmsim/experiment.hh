@@ -27,12 +27,14 @@ struct SavingsResult {
 /// Runs `mix` under `config` and computes savings vs `idle`, the mix's
 /// idle reference under the same simulator. An Idle-policy config reuses
 /// `idle` itself instead of re-simulating the same trajectory; only the
-/// reported model tag differs. Thread-safe for distinct scratches.
+/// reported model tag differs. `scratch` and `memo` are passed to
+/// IntervalSimulator::run. Thread-safe for distinct scratches and memos.
 [[nodiscard]] SavingsResult run_against_idle(const IntervalSimulator& sim,
                                              const workload::WorkloadMix& mix,
                                              const rm::RmConfig& config,
                                              const RunResult& idle,
-                                             RunScratch* scratch = nullptr);
+                                             RunScratch* scratch = nullptr,
+                                             rm::OutcomeMemo* memo = nullptr);
 
 /// A single-thread runner: the idle references it simulates are kept in a
 /// plain map, one per workload name, for the runner's lifetime. The sweep

@@ -38,7 +38,7 @@ IntervalSimulator::IntervalSimulator(const workload::SimDb& db,
 RunResult IntervalSimulator::run(const workload::WorkloadMix& mix,
                                  const rm::RmConfig& rm_config,
                                  const IntervalObserver& observer,
-                                 RunScratch* scratch) const {
+                                 RunScratch* scratch, rm::OutcomeMemo* memo) const {
   const workload::SimDb& db = *db_;
   arch::SystemConfig sys = db.system();
   if (opt_.qos_alpha_override > 0.0) sys.qos_alpha = opt_.qos_alpha_override;
@@ -52,7 +52,8 @@ RunResult IntervalSimulator::run(const workload::WorkloadMix& mix,
                                 sys.interval_instructions);
   }
 
-  rm::ResourceManager manager(rm_config, sys, db.power());
+  rm::ResourceManager manager(rm_config, sys, db.power(),
+                              rm::rescoped(memo, rm_config, sys, db.power()));
 
   RunResult result;
   result.workload = mix.name;
@@ -98,7 +99,6 @@ RunResult IntervalSimulator::run(const workload::WorkloadMix& mix,
                 done.energy_j});
     }
     if (cr.executed_instructions >= bound) {
-      cr.finish_time_s = st.end_s;
       result.wall_time_s = std::max(result.wall_time_s, st.end_s);
       continue;
     }

@@ -26,7 +26,6 @@ struct CoreResult {
   int app = -1;
   double counted_energy_j = 0.0;  ///< core+memory energy up to the bound
   double executed_instructions = 0.0;
-  double finish_time_s = 0.0;
   std::uint64_t intervals = 0;
   std::uint64_t qos_violations = 0;
   double violation_sum = 0.0;  ///< sum of Eq. 6 magnitudes
@@ -66,8 +65,8 @@ using IntervalObserver = std::function<void(const IntervalObservation&)>;
 
 /// Reusable cross-run scratch for IntervalSimulator::run(): the kernel's
 /// per-core state and counter-snapshot buffers survive between runs, so a
-/// thread executing many sweep rows pays the warmup allocations once instead
-/// of once per row. NOT thread-safe - keep one scratch per thread.
+/// lane executing many sweep rows pays the warmup allocations once instead
+/// of once per row. NOT thread-safe - keep one scratch per lane.
 using RunScratch = IntervalKernel;
 
 class IntervalSimulator {
@@ -75,11 +74,15 @@ class IntervalSimulator {
   IntervalSimulator(const workload::SimDb& db, const SimOptions& options = {});
 
   /// Runs `mix` under the given RM configuration. `scratch` (optional) makes
-  /// repeated runs reuse per-core buffers; results are identical either way.
+  /// repeated runs reuse per-core buffers; `memo` (optional) is rescoped to
+  /// the run's RM configuration and lent to its manager, so repeated runs of
+  /// one configuration reuse each other's interval outcomes. Results are
+  /// identical either way.
   [[nodiscard]] RunResult run(const workload::WorkloadMix& mix,
                               const rm::RmConfig& rm_config,
                               const IntervalObserver& observer = {},
-                              RunScratch* scratch = nullptr) const;
+                              RunScratch* scratch = nullptr,
+                              rm::OutcomeMemo* memo = nullptr) const;
 
   [[nodiscard]] const SimOptions& options() const noexcept { return opt_; }
 

@@ -135,11 +135,13 @@ struct ServiceEngine::Impl {
   }
 
   Impl(const workload::SimDb& database, const ServiceConfig& config,
-       const ServicePoint& grid_point)
+       const ServicePoint& grid_point, rm::OutcomeMemo* memo)
       : db(&database), cfg(config), point(grid_point),
         sys(system_for(database, grid_point)),
         manager(rm_config_for(grid_point.policy, config.model), sys,
-                database.power()),
+                database.power(),
+                rm::rescoped(memo, rm_config_for(grid_point.policy, config.model),
+                             sys, database.power())),
         violation_hist(0.0, kHistMaxViolation, kHistBins) {
     QOSRM_CHECK_MSG(cfg.sim.qos_alpha_override == 0.0,
                     "ServiceConfig::sim.qos_alpha_override is not read by the "
@@ -415,8 +417,8 @@ struct ServiceEngine::Impl {
 
 ServiceEngine::ServiceEngine(const workload::SimDb& db,
                              const ServiceConfig& config,
-                             const ServicePoint& point)
-    : impl_(std::make_unique<Impl>(db, config, point)) {}
+                             const ServicePoint& point, rm::OutcomeMemo* memo)
+    : impl_(std::make_unique<Impl>(db, config, point, memo)) {}
 
 ServiceEngine::~ServiceEngine() = default;
 
@@ -454,8 +456,10 @@ ServiceResult run_service(const workload::SimDb& db, const ServiceGrid& grid,
   rows.resize(grid.size());
 
   // Every task writes its own slot, so the result vector is identical for
-  // any thread count.
-  const auto run_point = [&](std::size_t idx) {
+  // any thread count. One outcome memo per lane, owned by this call.
+  const std::size_t lanes = pool_threads(options.threads, rows.size());
+  std::vector<rm::OutcomeMemo> memos(lanes);
+  const auto run_point = [&](std::size_t lane, std::size_t idx) {
     const ServicePoint point = grid.point(idx);
     ServiceRow& row = rows[idx];
     row.pattern = point.pattern;
@@ -464,12 +468,10 @@ ServiceResult run_service(const workload::SimDb& db, const ServiceGrid& grid,
     row.policy = point.policy;
     row.model = config.model;
     row.qos_alpha = point.qos_alpha;
-    ServiceEngine engine(db, config, point);
+    ServiceEngine engine(db, config, point, &memos[lane]);
     row.metrics = engine.run();
   };
-
-  parallel_for(pool_threads(options.threads, rows.size()), rows.size(),
-               run_point);
+  parallel_for(lanes, rows.size(), run_point);
   return result;
 }
 

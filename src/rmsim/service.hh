@@ -215,8 +215,12 @@ struct ServiceResult {
 /// steady-state event).
 class ServiceEngine {
  public:
+  /// `memo` (optional) is rescoped to the point's RM configuration and lent
+  /// to the engine's manager for the engine's lifetime, so engines built one
+  /// after another on it reuse each other's interval outcomes; without one
+  /// the manager owns its memo. The metrics are identical either way.
   ServiceEngine(const workload::SimDb& db, const ServiceConfig& config,
-                const ServicePoint& point);
+                const ServicePoint& point, rm::OutcomeMemo* memo = nullptr);
   ~ServiceEngine();
 
   /// Rewinds to time zero (same trace, cleared metrics and core states).
@@ -246,9 +250,11 @@ struct ServiceOptions {
   int threads = 0;  ///< 0 = hardware concurrency
 };
 
-/// Expands and executes the whole grid on `options.threads` workers (capped
-/// at the row count). Rows land at fixed slots in grid order, so the result
-/// is bit-identical for any thread count.
+/// Expands and executes the whole grid on `options.threads` lanes (capped
+/// at the row count). Each lane lends one outcome memo to the engines of the
+/// rows it runs (rescoped when a row's RM configuration differs from the
+/// previous one's); nothing outlives the call. Rows land at fixed slots in
+/// grid order, so the result is bit-identical for any thread count.
 [[nodiscard]] ServiceResult run_service(const workload::SimDb& db,
                                         const ServiceGrid& grid,
                                         const ServiceConfig& config,

@@ -1,5 +1,6 @@
 #include "rmsim/sweep.hh"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdlib>
@@ -33,30 +34,35 @@ SweepResult SweepRunner::run(const SweepGrid& grid) {
 
   const GridShape shape = grid.shape();
   const std::size_t n_mix = shape.mixes;
+  std::vector<RunResult> idle(grid.qos_alphas.size() * n_mix);
+  const std::size_t idle_lanes = pool_threads(opt_.threads, idle.size());
+  const std::size_t row_lanes = pool_threads(opt_.threads, shape.size());
 
-  // Per-thread simulation scratch: a thread runs many simulations, so the
-  // per-run warmup buffers (core state, counter snapshots) are reused for
-  // the thread's whole lifetime. Results are independent of the reuse.
-  const auto scratch = []() -> RunScratch* {
-    thread_local RunScratch s;
-    return &s;
+  // Per-lane state, owned by this call: a lane runs many simulations, so
+  // the per-run warmup buffers (core state, counter snapshots) are reused
+  // across its rows, and the rows of one RM configuration share the
+  // interval outcomes they compute (the memo is rescoped when a lane's next
+  // row has another configuration; rows are mix-minor, so a configuration's
+  // mixes run back to back). Results are independent of either reuse.
+  struct Lane {
+    RunScratch scratch;
+    rm::OutcomeMemo memo;
   };
+  std::vector<Lane> lanes(std::max(idle_lanes, row_lanes));
 
   // Pass 1: the idle reference of every (alpha, mix), alpha-major. Every
   // index writes its own slot, as in pass 2, so both passes produce the
   // same vectors for any thread count.
-  std::vector<RunResult> idle(grid.qos_alphas.size() * n_mix);
-  parallel_for(pool_threads(opt_.threads, idle.size()), idle.size(),
-               [&](std::size_t i) {
-                 idle[i] = run_idle_reference(sims[i / n_mix],
-                                              grid.mixes[i % n_mix], scratch());
-               });
+  parallel_for(idle_lanes, idle.size(), [&](std::size_t lane, std::size_t i) {
+    idle[i] = run_idle_reference(sims[i / n_mix], grid.mixes[i % n_mix],
+                                 &lanes[lane].scratch);
+  });
 
   // Pass 2: every row against its reference.
   SweepResult out;
   out.rows.resize(shape.size());
   out.idle_computations = idle.size();
-  const auto run_point = [&](std::size_t idx) {
+  const auto run_point = [&](std::size_t lane, std::size_t idx) {
     const GridCell c = shape.cell(idx);
     const workload::WorkloadMix& mix = grid.mixes[c.mix];
     SweepRow& row = out.rows[idx];
@@ -68,10 +74,10 @@ SweepResult SweepRunner::run(const SweepGrid& grid) {
 
     const rm::RmConfig config = rm_config_for(row.policy, row.model);
     row.result = run_against_idle(sims[c.alpha], mix, config,
-                                  idle[c.alpha * n_mix + c.mix], scratch());
+                                  idle[c.alpha * n_mix + c.mix],
+                                  &lanes[lane].scratch, &lanes[lane].memo);
   };
-  parallel_for(pool_threads(opt_.threads, out.rows.size()), out.rows.size(),
-               run_point);
+  parallel_for(row_lanes, out.rows.size(), run_point);
 
   out.aggregates =
       compute_aggregates(out.rows, shape, scenario_weights(db_->suite()));

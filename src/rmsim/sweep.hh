@@ -5,7 +5,8 @@
 // the idle-RM reference of every (qos_alpha, mix), simulated exactly once,
 // then every row against its reference. Each pass writes fixed slots, so
 // the output is byte-identical regardless of thread count, and no shared
-// mutable state or lock is involved.
+// mutable state or lock is involved: what a lane reuses across its rows
+// (kernel scratch, an outcome memo) is the lane's own.
 #ifndef QOSRM_RMSIM_SWEEP_HH
 #define QOSRM_RMSIM_SWEEP_HH
 
@@ -115,8 +116,10 @@ class SweepRunner {
   SweepRunner(const workload::SimDb& db, const SweepOptions& options = {});
 
   /// Expands and executes the grid on `options.threads` lanes (capped at
-  /// each pass's item count). The rows are bit-identical for any thread
-  /// count.
+  /// each pass's item count). Each lane lends one outcome memo to the
+  /// managers of the rows it runs, rescoped when a row's RM configuration
+  /// differs from the previous one's; nothing outlives the call. The rows
+  /// are bit-identical for any thread count.
   [[nodiscard]] SweepResult run(const SweepGrid& grid);
 
  private:

@@ -23,7 +23,7 @@ std::vector<std::vector<PhaseStats>> characterize_suite(
     }
   }
 
-  auto run_job = [&](std::size_t j) {
+  auto run_job = [&](std::size_t /*lane*/, std::size_t j) {
     const auto [a, ph] = jobs[j];
     const AppProfile& app = suite.app(a);
     const std::uint64_t seed =

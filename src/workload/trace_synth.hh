@@ -30,8 +30,9 @@ struct TraceSynthConfig {
 struct SynthesizedTrace {
   std::vector<cache::LlcAccess> accesses;  ///< program order
   /// Recency position of each access in the shadow directory (sets x
-  /// max_ways LRU stacks), kRecencyMiss for a first touch: what
-  /// cache::RecencyProfiler(sets, max_ways).annotate(accesses) returns.
+  /// max_ways LRU stacks), kRecencyMiss for a first touch: the program-order
+  /// LRU recency annotation of `accesses` (tests/support/recency_ref.hh
+  /// computes it from scratch).
   std::vector<std::uint8_t> recency;
   double represented_instructions = 0.0;   ///< actual instruction span
 };

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "cache/recency.hh"
 #include "common/rng.hh"
 
 namespace qosrm::cache {

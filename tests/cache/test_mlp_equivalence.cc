@@ -12,9 +12,9 @@
 
 #include "cache/mlp_atd.hh"
 #include "cache/mlp_oracle.hh"
-#include "cache/recency.hh"
 #include "common/rng.hh"
 #include "support/mlp_ref.hh"
+#include "support/recency_ref.hh"
 
 namespace qosrm::cache {
 namespace {

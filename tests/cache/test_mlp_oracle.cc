@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/recency.hh"
 #include "common/rng.hh"
+#include "support/recency_ref.hh"
 
 namespace qosrm::cache {
 namespace {

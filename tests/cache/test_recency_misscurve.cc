@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "cache/miss_curve.hh"
-#include "cache/recency.hh"
 #include "common/rng.hh"
+#include "support/recency_ref.hh"
 
 namespace qosrm::cache {
 namespace {
@@ -33,16 +33,6 @@ TEST(Recency, AnnotationMatchesManualLru) {
   EXPECT_EQ(recency[2], 1);             // 10 at position 1
   EXPECT_EQ(recency[3], kRecencyMiss);  // 12 cold
   EXPECT_EQ(recency[4], 2);             // 11 behind 12, 10
-}
-
-TEST(Recency, CustomOrderAppliesPermutation) {
-  RecencyProfiler prof(1, 4);
-  std::vector<LlcAccess> trace = {{1, 0, 10, false}, {2, 0, 10, false}};
-  const std::vector<std::uint32_t> order = {1, 0};
-  const auto recency = prof.annotate(trace, order);
-  // Position 1 processed first (cold), then position 0 hits.
-  EXPECT_EQ(recency[1], kRecencyMiss);
-  EXPECT_EQ(recency[0], 0);
 }
 
 TEST(Recency, MissesAtHelper) {

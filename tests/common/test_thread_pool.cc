@@ -14,21 +14,23 @@ namespace {
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(4, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  parallel_for(4, hits.size(),
+               [&](std::size_t, std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelFor, EmptyRangeIsNoop) {
   std::atomic<int> calls{0};
-  parallel_for(4, 0, [&](std::size_t) { calls.fetch_add(1); });
+  parallel_for(4, 0, [&](std::size_t, std::size_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(ParallelFor, OneLaneStaysOnTheCallingThread) {
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::size_t> order;
-  parallel_for(1, 50, [&](std::size_t i) {
+  parallel_for(1, 50, [&](std::size_t lane, std::size_t i) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(lane, 0u);
     order.push_back(i);
   });
   ASSERT_EQ(order.size(), 50u);
@@ -38,12 +40,40 @@ TEST(ParallelFor, OneLaneStaysOnTheCallingThread) {
 TEST(ParallelFor, NeverStartsMoreThreadsThanIndices) {
   std::mutex mu;
   std::set<std::thread::id> ids;
-  parallel_for(8, 3, [&](std::size_t) {
+  parallel_for(8, 3, [&](std::size_t, std::size_t) {
     const std::lock_guard<std::mutex> lock(mu);
     ids.insert(std::this_thread::get_id());
   });
   EXPECT_GE(ids.size(), 1u);
   EXPECT_LE(ids.size(), 3u);
+}
+
+TEST(ParallelFor, EachLaneIsOneThreadBelowTheLaneCount) {
+  // Per-lane state indexed by `lane` needs no lock: every call with one lane
+  // value comes from one thread, and the lane is below the lane count.
+  constexpr std::size_t kLanes = 3;
+  std::mutex mu;
+  std::vector<std::set<std::thread::id>> threads_of(kLanes);
+  std::vector<int> calls_of(kLanes, 0);
+  std::vector<std::atomic<int>> hits(200);
+  parallel_for(kLanes, hits.size(), [&](std::size_t lane, std::size_t i) {
+    ASSERT_LT(lane, kLanes);
+    hits[i].fetch_add(1);
+    const std::lock_guard<std::mutex> lock(mu);
+    threads_of[lane].insert(std::this_thread::get_id());
+    ++calls_of[lane];
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  int total = 0;
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    EXPECT_LE(threads_of[lane].size(), 1u) << "lane " << lane;
+    total += calls_of[lane];
+  }
+  EXPECT_EQ(total, 200);
+  // Lane 0 is the calling thread.
+  if (!threads_of[0].empty()) {
+    EXPECT_EQ(*threads_of[0].begin(), std::this_thread::get_id());
+  }
 }
 
 TEST(PoolThreads, CapsAtTheItemCountAndIsAtLeastOne) {

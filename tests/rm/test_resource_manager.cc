@@ -189,6 +189,13 @@ RmConfig memo_config(RmMemoMode memo) {
   return cfg;
 }
 
+/// RM3 / Model3 with the ground-truth energy option.
+RmConfig rm_perfect_energy() {
+  RmConfig cfg = config(RmPolicy::Rm3);
+  cfg.energy.perfect = true;
+  return cfg;
+}
+
 TEST(ResourceManagerMemo, AutoModeEnablesAtEveryCoreCount) {
   for (const int cores : {2, 4, 8, 16}) {
     arch::SystemConfig system;
@@ -310,6 +317,98 @@ TEST(ResourceManagerMemo, OracleSnapshotsBypassTheMemo) {
     }
     EXPECT_EQ(a.ops, b.ops) << "round " << round;
   }
+}
+
+void expect_decisions_equal(const RmDecision& a, const RmDecision& b) {
+  ASSERT_EQ(a.settings.size(), b.settings.size());
+  for (std::size_t k = 0; k < a.settings.size(); ++k) {
+    EXPECT_TRUE(a.settings[k] == b.settings[k]) << "core " << k;
+  }
+  EXPECT_EQ(a.ops, b.ops);
+  EXPECT_EQ(a.feasible, b.feasible);
+}
+
+TEST(ResourceManagerMemo, LentMemoCarriesOutcomesAcrossManagers) {
+  // Managers of one scope built one after another on one memo: the second
+  // optimizes nothing the first already did, charges the same ops and
+  // decides exactly like a manager with its own memo.
+  const RmConfig cfg = config(RmPolicy::Rm3);
+  const auto snaps = snapshots_for({"mcf", "libquantum"});
+  OutcomeMemo memo;
+  memo.rescope(memo_scope(cfg, db().system(), db().power()));
+  {
+    ResourceManager first(cfg, db().system(), db().power(), &memo);
+    (void)first.invoke(0, snaps);
+    EXPECT_EQ(first.stats().local_runs, 2u);
+  }
+  EXPECT_EQ(memo.size(), 2u);
+  ResourceManager second(cfg, db().system(), db().power(), &memo);
+  ResourceManager own(cfg, db().system(), db().power());
+  expect_decisions_equal(second.invoke(0, snaps), own.invoke(0, snaps));
+  EXPECT_EQ(second.stats().local_runs, 0u);
+  EXPECT_EQ(second.stats().memo_hits, 2u);
+  EXPECT_EQ(own.stats().local_runs, 2u);
+  const auto other = snapshots_for({"xalancbmk", "libquantum"});
+  expect_decisions_equal(second.invoke(0, other), own.invoke(0, other));
+  EXPECT_EQ(second.stats().local_runs, 1u);
+  EXPECT_EQ(memo.size(), 3u);
+}
+
+TEST(ResourceManagerMemo, RescopeKeepsEntriesOnlyUnderTheSameScope) {
+  const RmConfig rm3 = config(RmPolicy::Rm3);
+  const MemoScope scope = memo_scope(rm3, db().system(), db().power());
+  OutcomeMemo memo;
+  memo.rescope(scope);
+  {
+    ResourceManager manager(rm3, db().system(), db().power(), &memo);
+    (void)manager.invoke(0, snapshots_for({"mcf", "libquantum"}));
+  }
+  ASSERT_EQ(memo.size(), 2u);
+  memo.rescope(scope);
+  EXPECT_EQ(memo.size(), 2u);
+  // Every part of the scope separates: the knobs, the model, the energy
+  // options and the system's alpha.
+  MemoScope alpha = scope;
+  alpha.system.qos_alpha = 1.1;
+  for (const MemoScope& next :
+       {memo_scope(config(RmPolicy::Rm2), db().system(), db().power()),
+        memo_scope(config(RmPolicy::Rm3, PerfModelKind::Model2), db().system(),
+                   db().power()),
+        memo_scope(rm_perfect_energy(), db().system(), db().power()), alpha}) {
+    EXPECT_FALSE(next == scope);
+    memo.rescope(scope);
+    {
+      ResourceManager manager(rm3, db().system(), db().power(), &memo);
+      (void)manager.invoke(0, snapshots_for({"mcf", "libquantum"}));
+    }
+    EXPECT_GT(memo.size(), 0u);
+    memo.rescope(next);
+    EXPECT_EQ(memo.size(), 0u);
+  }
+}
+
+TEST(ResourceManagerMemoDeathTest, MismatchedLendIsRefused) {
+  const RmConfig rm3 = config(RmPolicy::Rm3);
+  OutcomeMemo memo;
+  // A memo never scoped, or scoped to another policy or alpha, is refused.
+  EXPECT_DEATH(ResourceManager(rm3, db().system(), db().power(), &memo),
+               "another configuration");
+  memo.rescope(memo_scope(config(RmPolicy::Rm2), db().system(), db().power()));
+  EXPECT_DEATH(ResourceManager(rm3, db().system(), db().power(), &memo),
+               "another configuration");
+  arch::SystemConfig relaxed = db().system();
+  relaxed.qos_alpha = 1.1;
+  memo.rescope(memo_scope(rm3, relaxed, db().power()));
+  EXPECT_DEATH(ResourceManager(rm3, db().system(), db().power(), &memo),
+               "another configuration");
+  // One holder at a time, and no rescope under a holder.
+  memo.rescope(memo_scope(rm3, db().system(), db().power()));
+  const ResourceManager holder(rm3, db().system(), db().power(), &memo);
+  EXPECT_DEATH(ResourceManager(rm3, db().system(), db().power(), &memo),
+               "two live managers");
+  EXPECT_DEATH(memo.rescope(memo_scope(config(RmPolicy::Rm2), db().system(),
+                                       db().power())),
+               "rescoped while a manager holds it");
 }
 
 // ---------------------------------------------------------------------------

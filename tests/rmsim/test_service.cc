@@ -150,6 +150,77 @@ TEST(Service, HugeThreadCountIsCappedAtTheRowCount) {
   expect_rows_equal(a.rows, b.rows);
 }
 
+/// A knee-shaped grid at 4 cores (two patterns, under- to overloaded, all
+/// three admission policies, RM3) with a second alpha, so a lane's memo is
+/// rescoped mid-run, shrunk to a fast arrival count.
+ServiceGrid small_knee_grid() {
+  ServiceGrid grid;
+  grid.patterns = {workload::ArrivalPattern::Poisson,
+                   workload::ArrivalPattern::Bursty};
+  grid.loads = {0.6, 1.2, 2.1};
+  grid.admissions = {AdmissionPolicy::Fifo, AdmissionPolicy::Sdf,
+                     AdmissionPolicy::QosAware};
+  grid.policies = {rm::RmPolicy::Rm3};
+  grid.qos_alphas = {0.0, 1.1};
+  return grid;
+}
+
+ServiceConfig small_knee_config() {
+  ServiceConfig config;
+  config.arrivals = 120;
+  config.seed = 2020;
+  return config;
+}
+
+TEST(Service, LaneMemoRowsMatchStandaloneEngines) {
+  // run_service lends each lane's memo to every engine of the lane; each
+  // row must still be exactly what an engine with its own memo measures,
+  // on one lane and on three (which split the rows unevenly, so the lanes'
+  // memos see different row subsets).
+  const workload::SimDb& db = qosrm::testing::shared_db(4);
+  const ServiceGrid grid = small_knee_grid();
+  const ServiceConfig config = small_knee_config();
+  std::vector<ServiceRow> standalone(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const ServicePoint point = grid.point(i);
+    standalone[i] = {point.pattern, point.load, point.admission, point.policy,
+                     config.model, point.qos_alpha,
+                     ServiceEngine(db, config, point).run()};
+  }
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ServiceOptions options;
+    options.threads = threads;
+    expect_rows_equal(run_service(db, grid, config, options).rows, standalone);
+  }
+}
+
+TEST(Service, EnginesSharingAMemoOptimizeEachCellOnce) {
+  // Engines built one after another on one memo reach the memo as often as
+  // standalone ones, but optimize fewer cells: every cell an earlier engine
+  // of the same configuration optimized is a hit.
+  const workload::SimDb& db = qosrm::testing::shared_db(4);
+  const ServiceGrid grid = small_knee_grid();
+  const ServiceConfig config = small_knee_config();
+  rm::OutcomeMemo memo;
+  rm::RmInvokeStats own, shared;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const ServicePoint point = grid.point(i);
+    ServiceEngine alone(db, config, point);
+    ServiceEngine lent(db, config, point, &memo);
+    std::vector<ServiceRow> a(1), b(1);
+    a[0].metrics = alone.run();
+    b[0].metrics = lent.run();
+    expect_rows_equal(a, b);
+    own.local_runs += alone.rm_stats().local_runs;
+    own.memo_hits += alone.rm_stats().memo_hits;
+    shared.local_runs += lent.rm_stats().local_runs;
+    shared.memo_hits += lent.rm_stats().memo_hits;
+  }
+  EXPECT_EQ(own.local_runs + own.memo_hits, shared.local_runs + shared.memo_hits);
+  EXPECT_LT(2 * shared.local_runs, own.local_runs);
+}
+
 TEST(Service, IdlePolicyNeverInvokesTheRm) {
   const workload::SimDb& db = qosrm::testing::shared_db(2);
   ServicePoint point;

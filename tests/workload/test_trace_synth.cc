@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/miss_curve.hh"
-#include "cache/recency.hh"
+#include "support/recency_ref.hh"
 #include "workload/phase_stats.hh"
 #include "workload/spec_suite.hh"
 
