@@ -45,21 +45,6 @@ MemoScope memo_scope(const RmConfig& config, const arch::SystemConfig& system,
   return {knobs_for(config), config.model, config.energy, system, &offline_power};
 }
 
-void OutcomeMemo::rescope(const MemoScope& scope) {
-  QOSRM_CHECK_MSG(!lent_, "outcome memo rescoped while a manager holds it");
-  if (scope == scope_) return;
-  scope_ = scope;
-  db_ = nullptr;  // the next lookup sizes the slot array afresh
-  entries_.clear();
-}
-
-OutcomeMemo* rescoped(OutcomeMemo* memo, const RmConfig& config,
-                      const arch::SystemConfig& system,
-                      const power::PowerModel& offline_power) {
-  if (memo != nullptr) memo->rescope(memo_scope(config, system, offline_power));
-  return memo;
-}
-
 ResourceManager::ResourceManager(const RmConfig& config,
                                  const arch::SystemConfig& system,
                                  const power::PowerModel& offline_power,
@@ -82,13 +67,13 @@ ResourceManager::ResourceManager(const RmConfig& config,
   ws_.decision.rewritten.reserve(n);
   if (cfg_.memo != RmMemoMode::Off) {
     const MemoScope scope = memo_scope(cfg_, system_, offline_power);
-    if (memo == nullptr) {
-      memo = &own_memo_.emplace();
-      memo->rescope(scope);
-    }
+    if (memo == nullptr) memo = &own_memo_.emplace();
     QOSRM_CHECK_MSG(!memo->lent_, "outcome memo lent to two live managers");
-    QOSRM_CHECK_MSG(memo->scope_ == scope,
-                    "outcome memo lent to a manager of another configuration");
+    if (memo->scope_ != scope) {  // entries of another scope are stale
+      memo->scope_ = scope;
+      memo->db_ = nullptr;
+      memo->entries_.clear();
+    }
     memo->lent_ = true;
     memo_ = memo;
   }
@@ -119,31 +104,16 @@ void ResourceManager::reset() {
   scan_all_ = true;
 }
 
-std::int32_t* ResourceManager::memo_slot(const CounterSnapshot& snap) {
+OutcomeMemo::Entry** ResourceManager::memo_slot(const CounterSnapshot& snap) {
   if (memo_ == nullptr || snap.memo_key < 0 || snap.oracle.valid()) return nullptr;
   OutcomeMemo& memo = *memo_;
-  if (snap.memo_db != memo.db_) {
-    // First sight of this database: size the slot array to its dense key
-    // space and drop entries memoized against any previous one.
-    QOSRM_CHECK(snap.memo_key < snap.memo_space);
-    memo.slot_.assign(static_cast<std::size_t>(snap.memo_space), -1);
-    // A core's curve (valid or not: its row is what a cold start compares
-    // against) must outlive the entries; the cores referring to one copy it
-    // (several cores may share an entry), and their views follow.
-    for (std::size_t k = 0; k < cached_.size(); ++k) {
-      CoreCache& cache = cached_[k];
-      if (cache.entry == nullptr) continue;
-      cache.own = cache.entry->local;
-      cache.own_energy = cache.entry->energy;
-      cache.entry = nullptr;
-      if (ws_.leaf_active[k] != 0) ws_.views[k].energy = cache.own_energy;
-    }
-    memo.entries_.clear();
+  if (memo.db_ == nullptr) {
+    memo.slot_.assign(static_cast<std::size_t>(snap.memo_space), nullptr);
     memo.db_ = snap.memo_db;
   }
-  if (snap.memo_key >= static_cast<std::int64_t>(memo.slot_.size())) {
-    return nullptr;  // defensively refuse an out-of-range key
-  }
+  QOSRM_CHECK_MSG(snap.memo_db == memo.db_, "outcome memo met a second database");
+  QOSRM_CHECK_MSG(snap.memo_key < static_cast<std::int64_t>(memo.slot_.size()),
+                  "memo key outside its database's key space");
   return &memo.slot_[static_cast<std::size_t>(snap.memo_key)];
 }
 
@@ -188,64 +158,52 @@ const CounterSnapshot& ResourceManager::counters(const CounterSnapshot& snap) {
 bool ResourceManager::refresh_core(int k, bool fresh, const CounterSnapshot& snap,
                                    std::uint64_t& ops) {
   CoreCache& cache = cached_[static_cast<std::size_t>(k)];
-  // Same-cell replay: a keyed snapshot's local optimization is a pure
-  // function of its evaluation cell, so fresh counters of the cell the
-  // cached curve came from reproduce that curve (and its row) exactly.
-  // Charge the ops its computation charged; nothing else changes.
-  const bool keyed = snap.memo_key >= 0 && !snap.oracle.valid();
-  if (cache.valid && keyed && snap.memo_key == cache.memo_key &&
-      snap.memo_db == cache.memo_db) {
-    ops += cache.ops;  // only the invoking core reaches here
-    ++stats_.cell_replays;
-    return false;
-  }
-  // Interval-outcome memo: a previously seen cell refers to the stored
-  // result - charging exactly the ops a fresh run would have, which keeps
-  // the decision (and the modeled RM overhead) bit-identical with the memo
-  // on or off. A new cell is computed straight into a new entry, flattened
-  // once. Without a slot the curve goes to the core's own storage. Only
-  // these two local runs read counters beyond the key, so only they fill.
-  std::int32_t* slot = memo_slot(snap);  // may move entries into own storage
-  const std::vector<double>& old_row = cache.energy();
+  // Interval-outcome memo: a keyed snapshot's local optimization is a pure
+  // function of its evaluation cell, so a previously seen cell refers to the
+  // stored result - charging exactly the ops a fresh run would have, which
+  // keeps the decision (and the modeled RM overhead) bit-identical with the
+  // memo on or off. A hit on the entry a valid core already holds (fresh
+  // counters of its cell) changes nothing else. A new cell is computed
+  // straight into a new entry, flattened once. Without a slot the curve is
+  // recomputed into the core's own entry. Only these two local runs read
+  // counters beyond the key, so only they fill.
+  const std::vector<double>& old_row = cache.entry->energy;
   bool changed = false;
-  if (slot != nullptr) {
-    if (*slot >= 0) {
-      ++stats_.memo_hits;
-    } else {
-      *slot = static_cast<std::int32_t>(memo_->entries_.size());
+  if (MemoEntry** slot = memo_slot(snap); slot != nullptr) {
+    if (*slot == nullptr) {
       MemoEntry& entry = memo_->entries_.emplace_back();
+      *slot = &entry;
       local_.optimize_into(counters(snap), entry.local, &entry.ops);
       (void)flatten_into(entry.local, entry.energy);
       ++stats_.local_runs;
-    }
-    MemoEntry& entry = memo_->entries_[static_cast<std::size_t>(*slot)];
-    changed = !same_bits(old_row, entry.energy);
-    cache.entry = &entry;
-    cache.ops = entry.ops;
-  } else {
-    cache.ops = 0;
-    local_.optimize_into(counters(snap), cache.own, &cache.ops);
-    ++stats_.local_runs;
-    if (cache.entry == nullptr) {
-      changed = flatten_into(cache.own, cache.own_energy);  // old_row is own
+    } else if (cache.valid && cache.entry == *slot) {
+      ops += cache.entry->ops;  // only the invoking core reaches here
+      ++stats_.cell_replays;
+      return false;
     } else {
-      (void)flatten_into(cache.own, cache.own_energy);
-      changed = !same_bits(old_row, cache.own_energy);
-      cache.entry = nullptr;
+      ++stats_.memo_hits;
     }
+    cache.entry = *slot;
+    changed = !same_bits(old_row, cache.entry->energy);
+  } else {
+    MemoEntry& own = cache.own;
+    own.ops = 0;
+    local_.optimize_into(counters(snap), own.local, &own.ops);
+    ++stats_.local_runs;
+    const bool own_changed = flatten_into(own.local, own.energy);
+    changed = cache.entry == &own ? own_changed : !same_bits(old_row, own.energy);
+    cache.entry = &own;
   }
-  if (fresh) ops += cache.ops;
+  if (fresh) ops += cache.entry->ops;
   cache.valid = true;
-  cache.memo_key = keyed ? snap.memo_key : -1;
-  cache.memo_db = snap.memo_db;
 
-  const LocalOptResult& local = cache.local();
+  const LocalOptResult& local = cache.entry->local;
   EnergyCurveView& view = ws_.views[static_cast<std::size_t>(k)];
   changed = changed || view.min_ways != local.min_ways ||
             view.min_shares != local.min_shares ||
             view.num_shares != local.num_shares;
-  view = {local.min_ways, std::span<const double>(cache.energy()), local.min_shares,
-          local.num_shares};
+  view = {local.min_ways, std::span<const double>(cache.entry->energy),
+          local.min_shares, local.num_shares};
   if (changed) ws_.leaf_dirty[static_cast<std::size_t>(k)] = 1;
   ws_.touched.push_back(k);
   return true;
@@ -259,7 +217,7 @@ void ResourceManager::rewrite(int k, std::span<const std::uint8_t> active,
     setting = workload::baseline_setting(system_);
   } else {
     const WayChoice& choice =
-        cached_[i].local().at(global.ways[i], global.shares[i]);
+        cached_[i].entry->local.at(global.ways[i], global.shares[i]);
     QOSRM_CHECK_MSG(choice.feasible, "global optimizer chose an infeasible way");
     setting = choice.setting;
   }

@@ -23,15 +23,15 @@
 // GLOBAL optimization, and returns the full system setting {w*, f*, c*}.
 // Work whose inputs did not change is skipped on the host: with the same
 // occupancy and no pending cold start only the invoking core is visited,
-// fresh counters of the evaluation cell a core's curve was computed for
-// replay that curve, a memoized cell is referred to rather than copied, a
-// key-only snapshot's counters are filled only where they are read, the
-// global step recombines only the tree nodes above cores whose curve
-// changed bitwise or whose occupancy flipped, only the cores whose inputs or
-// allocation moved have their setting rewritten, and an invocation in which
-// no core's curve was replaced and no occupancy flipped returns the previous
-// decision as is. The decision and the modeled op charge are exactly those
-// of a from-scratch invocation.
+// each core's curve is one outcome-memo entry (a memoized cell is referred
+// to rather than copied, and fresh counters of the cell whose entry the core
+// already holds change nothing), a key-only snapshot's counters are filled
+// only where they are read, the global step recombines only the tree nodes
+// above cores whose curve changed bitwise or whose occupancy flipped, only
+// the cores whose inputs or allocation moved have their setting rewritten,
+// and an invocation in which no core's curve was replaced and no occupancy
+// flipped returns the previous decision as is. The decision and the modeled
+// op charge are exactly those of a from-scratch invocation.
 #ifndef QOSRM_RM_RESOURCE_MANAGER_HH
 #define QOSRM_RM_RESOURCE_MANAGER_HH
 
@@ -68,9 +68,11 @@ enum class RmPolicy {
 }
 
 /// Interval-outcome memoization policy (see ResourceManager). Auto and On
-/// both enable the memo, at every core count; Off disables it. The memo is
-/// bit-transparent (cached outcomes and op charges are exactly what a fresh
-/// local optimization would produce), so the mode only affects wall time.
+/// both enable the memo, at every core count; Off disables it, and then no
+/// local result is reused: every curve a core needs is recomputed, even for
+/// fresh counters of the cell it already holds. The memo is bit-transparent
+/// (cached outcomes and op charges are exactly what a fresh local
+/// optimization would produce), so the mode only affects wall time.
 enum class RmMemoMode { Auto = 0, On = 1, Off = 2 };
 
 struct RmConfig {
@@ -106,20 +108,19 @@ struct MemoScope {
 /// The interval-outcome memo: per evaluation cell (app, phase, setting) of
 /// one database, the local-optimization result, its flat E*(w, b) row and the
 /// op count its computation charged, so a hit replays a fresh run exactly.
-/// A manager owns one by default; a driver running many managers of one
-/// scope in a row (the rows of a sweep or service grid on one lane) lends
-/// each of them the same memo, so a cell is optimized once per lane. One
-/// manager at a time may hold it, and only under the memo's scope. Entries
-/// never change once stored; the managers' cores refer to them.
+/// A manager owns one by default; a caller running many managers in a row
+/// (the rows of a sweep or service grid on one lane) lends each of them the
+/// same memo, so a cell is optimized once per lane and configuration. One
+/// manager at a time may hold it. A manager whose scope differs from the
+/// last holder's drops the entries (and the database) when it borrows the
+/// memo; nothing else drops them, so the memo serves one database per
+/// scope. Entries never change once stored; the managers' cores refer to
+/// them.
 class OutcomeMemo {
  public:
   OutcomeMemo() = default;
   OutcomeMemo(const OutcomeMemo&) = delete;
   OutcomeMemo& operator=(const OutcomeMemo&) = delete;
-
-  /// Serves `scope` from now on: keeps the entries when they were computed
-  /// under it, else drops them. The memo must not be lent out.
-  void rescope(const MemoScope& scope);
 
   /// Cells memoized so far.
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
@@ -135,18 +136,13 @@ class OutcomeMemo {
 
   MemoScope scope_{};
   bool lent_ = false;  ///< a live manager holds the memo
-  // Flat slot array over the database's dense key space.
+  // Flat slot array over the dense key space of the one database served,
+  // sized by its first keyed snapshot (db_ null until then).
   const workload::SimDb* db_ = nullptr;
-  std::vector<std::int32_t> slot_;  ///< key -> entry index, -1 empty
+  std::vector<Entry*> slot_;  ///< key -> entry, null when not yet computed
   /// Growing entry pool; a deque so that growth never moves an entry.
   std::deque<Entry> entries_;
 };
-
-/// Rescopes `memo`, when non-null, to the manager these arguments build, and
-/// returns it for that manager to borrow.
-[[nodiscard]] OutcomeMemo* rescoped(OutcomeMemo* memo, const RmConfig& config,
-                                    const arch::SystemConfig& system,
-                                    const power::PowerModel& offline_power);
 
 struct RmDecision {
   std::vector<workload::Setting> settings;  ///< per core
@@ -166,8 +162,8 @@ struct RmInvokeStats {
   std::uint64_t invocations = 0;       ///< invoke() calls
   std::uint64_t local_runs = 0;        ///< LocalOptimizer executions
   std::uint64_t counter_fills = 0;     ///< key-only snapshots filled to read
-  std::uint64_t cell_replays = 0;      ///< fresh snapshots of the cached cell
-  std::uint64_t memo_hits = 0;         ///< curves served by the outcome memo
+  std::uint64_t cell_replays = 0;      ///< memo hits on the entry already held
+  std::uint64_t memo_hits = 0;         ///< other curves served by the memo
   std::uint64_t dp_skips = 0;          ///< global steps that recombined no node
   std::uint64_t nodes_recombined = 0;  ///< combine-tree nodes recomputed
 };
@@ -206,8 +202,8 @@ struct RmWorkspace {
 class ResourceManager {
  public:
   /// With the memo on, the manager borrows `memo` for its lifetime when one
-  /// is given (it must have the manager's scope and no other holder), else
-  /// it owns one.
+  /// is given (it must have no other holder; entries of another scope are
+  /// dropped), else it owns one.
   ResourceManager(const RmConfig& config, const arch::SystemConfig& system,
                   const power::PowerModel& offline_power,
                   OutcomeMemo* memo = nullptr);
@@ -239,8 +235,8 @@ class ResourceManager {
 
   /// Drops all cached energy curves (e.g. when the workload changes). The
   /// underlying buffers are kept, so the next boundaries stay allocation-free.
-  /// The interval-outcome memo survives: its entries are keyed by database
-  /// identity and remain valid across workload changes on the same database.
+  /// The interval-outcome memo survives: its entries are keyed by cell and
+  /// remain valid across workload changes on the same database.
   void reset();
 
   /// Whether the interval-outcome memo is active for this instance.
@@ -267,28 +263,15 @@ class ResourceManager {
 
   using MemoEntry = OutcomeMemo::Entry;
 
-  /// Per-core curve cache. The curve is either a memo entry's (`entry`) or
-  /// the core's own storage (memo off, or oracle-backed counters), and
-  /// stays readable after `valid` drops: its row is what a cold start is
-  /// compared against. `memo_key`/`memo_db` name the evaluation cell the
-  /// curve was computed for (memo_key < 0 for unkeyed or oracle-backed
-  /// counters, which never match) and `ops` what that computation charged,
-  /// so a fresh snapshot of the same cell replays the curve.
+  /// Per-core curve cache: the curve is the memo entry `entry` points at,
+  /// or the core's own entry (`own`) for snapshots no memo slot serves (memo
+  /// off, unkeyed or oracle-backed counters). It stays readable after
+  /// `valid` drops: its row is what a cold start is compared against.
+  /// `entry` starts at `own`, so a CoreCache must never be copied.
   struct CoreCache {
     bool valid = false;
-    MemoEntry* entry = nullptr;
-    LocalOptResult own;
-    std::vector<double> own_energy;
-    std::int64_t memo_key = -1;
-    const workload::SimDb* memo_db = nullptr;
-    std::uint64_t ops = 0;
-
-    [[nodiscard]] const LocalOptResult& local() const {
-      return entry != nullptr ? entry->local : own;
-    }
-    [[nodiscard]] const std::vector<double>& energy() const {
-      return entry != nullptr ? entry->energy : own_energy;
-    }
+    MemoEntry own;
+    MemoEntry* entry = &own;
   };
 
   /// The counters of `snap` for a reader of more than its key: `snap`
@@ -297,10 +280,10 @@ class ResourceManager {
   /// stays valid until the next call.
   [[nodiscard]] const CounterSnapshot& counters(const CounterSnapshot& snap);
 
-  /// Local step for core k: replays, recalls or recomputes its curve from
-  /// its snapshot (charging the ops only when `fresh`), updates its view
-  /// and flags its leaf when the row changed. Returns whether the curve was
-  /// replaced.
+  /// Local step for core k: recalls or recomputes its curve from its
+  /// snapshot (charging the ops only when `fresh`), updates its view and
+  /// flags its leaf when the row changed. Returns whether the curve was
+  /// replaced: a valid core's hit on the entry it holds replaces nothing.
   bool refresh_core(int k, bool fresh, const CounterSnapshot& snap,
                     std::uint64_t& ops);
   /// Rewrites core k's setting from the global result and lists it in
@@ -310,10 +293,10 @@ class ResourceManager {
 
   /// Returns the memo slot for this snapshot, or nullptr when memoization
   /// does not apply (memo off, unkeyed snapshot, or oracle-backed counters
-  /// whose outcome depends on more than the key). Lazily (re)sizes the slot
-  /// array when a new database is seen; the entries of the previous one are
-  /// dropped, so cores referring to them take them over first.
-  [[nodiscard]] std::int32_t* memo_slot(const CounterSnapshot& snap);
+  /// whose outcome depends on more than the key). The first keyed snapshot
+  /// sizes the slot array to its database's key space; a snapshot of
+  /// another database, or a key outside that space, fails a QOSRM_CHECK.
+  [[nodiscard]] MemoEntry** memo_slot(const CounterSnapshot& snap);
 
   RmConfig cfg_;
   arch::SystemConfig system_;

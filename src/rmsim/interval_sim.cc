@@ -52,8 +52,7 @@ RunResult IntervalSimulator::run(const workload::WorkloadMix& mix,
                                 sys.interval_instructions);
   }
 
-  rm::ResourceManager manager(rm_config, sys, db.power(),
-                              rm::rescoped(memo, rm_config, sys, db.power()));
+  rm::ResourceManager manager(rm_config, sys, db.power(), memo);
 
   RunResult result;
   result.workload = mix.name;

@@ -74,8 +74,8 @@ class IntervalSimulator {
   IntervalSimulator(const workload::SimDb& db, const SimOptions& options = {});
 
   /// Runs `mix` under the given RM configuration. `scratch` (optional) makes
-  /// repeated runs reuse per-core buffers; `memo` (optional) is rescoped to
-  /// the run's RM configuration and lent to its manager, so repeated runs of
+  /// repeated runs reuse per-core buffers; `memo` (optional) is lent to the
+  /// run's manager, which rescopes it to its RM configuration, so runs of
   /// one configuration reuse each other's interval outcomes. Results are
   /// identical either way.
   [[nodiscard]] RunResult run(const workload::WorkloadMix& mix,

@@ -139,9 +139,7 @@ struct ServiceEngine::Impl {
       : db(&database), cfg(config), point(grid_point),
         sys(system_for(database, grid_point)),
         manager(rm_config_for(grid_point.policy, config.model), sys,
-                database.power(),
-                rm::rescoped(memo, rm_config_for(grid_point.policy, config.model),
-                             sys, database.power())),
+                database.power(), memo),
         violation_hist(0.0, kHistMaxViolation, kHistBins) {
     QOSRM_CHECK_MSG(cfg.sim.qos_alpha_override == 0.0,
                     "ServiceConfig::sim.qos_alpha_override is not read by the "

@@ -215,10 +215,11 @@ struct ServiceResult {
 /// steady-state event).
 class ServiceEngine {
  public:
-  /// `memo` (optional) is rescoped to the point's RM configuration and lent
-  /// to the engine's manager for the engine's lifetime, so engines built one
-  /// after another on it reuse each other's interval outcomes; without one
-  /// the manager owns its memo. The metrics are identical either way.
+  /// `memo` (optional) is lent to the engine's manager for the engine's
+  /// lifetime (the manager rescopes it to the point's RM configuration), so
+  /// engines built one after another on it reuse each other's interval
+  /// outcomes; without one the manager owns its memo. The metrics are
+  /// identical either way.
   ServiceEngine(const workload::SimDb& db, const ServiceConfig& config,
                 const ServicePoint& point, rm::OutcomeMemo* memo = nullptr);
   ~ServiceEngine();

@@ -181,9 +181,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--queue-cap must be >= 1\n");
     return 1;
   }
+  const long long seed = args.get_int("seed", 2020);
+  if (seed < 0) {
+    std::fprintf(stderr, "--seed must be >= 0\n");
+    return 1;
+  }
   rmsim::ServiceConfig config;
   config.arrivals = static_cast<std::size_t>(num_arrivals);
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2020));
+  config.seed = static_cast<std::uint64_t>(seed);
   config.demand_min = demand_min;
   config.demand_max = demand_max;
   config.queue_capacity = static_cast<std::size_t>(queue_cap);

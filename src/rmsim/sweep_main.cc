@@ -155,7 +155,12 @@ int main(int argc, char** argv) {
   workload::WorkloadGenOptions gen;
   gen.cores = cores;
   gen.per_scenario = per_scenario;
-  gen.seed = static_cast<std::uint64_t>(args.get_int("seed", 2020));
+  const long long seed = args.get_int("seed", 2020);
+  if (seed < 0) {
+    std::fprintf(stderr, "--seed must be >= 0\n");
+    return 1;
+  }
+  gen.seed = static_cast<std::uint64_t>(seed);
   grid.mixes = workload::replicate_workloads(
       workload::generate_workloads(suite, gen), replicate);
 

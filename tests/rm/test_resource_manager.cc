@@ -36,6 +36,35 @@ RmConfig config(RmPolicy policy, PerfModelKind model = PerfModelKind::Model3) {
   return cfg;
 }
 
+/// The database of `cores` with every LLC miss count tripled, so its curves
+/// differ from shared_db's.
+const workload::SimDb& missier_db(int cores) {
+  static std::map<int, std::unique_ptr<workload::SimDb>> dbs;
+  auto it = dbs.find(cores);
+  if (it == dbs.end()) {
+    const workload::SimDb& base = qosrm::testing::shared_db(cores);
+    std::vector<std::vector<workload::PhaseStats>> stats;
+    for (int app = 0; app < base.suite().size(); ++app) {
+      auto& per_app = stats.emplace_back();
+      for (int ph = 0; ph < base.num_phases(app); ++ph) {
+        workload::PhaseStats& st = per_app.emplace_back(base.stats(app, ph));
+        st.llc_accesses *= 3.0;
+        for (double& m : st.misses) m *= 3.0;
+        for (auto* curves : {&st.lm_true, &st.lm_atd}) {
+          for (std::vector<double>& curve : *curves) {
+            for (double& lm : curve) lm *= 3.0;
+          }
+        }
+      }
+    }
+    it = dbs.emplace(cores, std::make_unique<workload::SimDb>(
+                                base.suite(), base.system(), base.power(),
+                                base.phase_options(), stats))
+             .first;
+  }
+  return *it->second;
+}
+
 TEST(ResourceManager, IdleKeepsBaselineEverywhere) {
   ResourceManager manager(config(RmPolicy::Idle), db().system(), db().power());
   const auto snaps = snapshots_for({"mcf", "libquantum"});
@@ -335,7 +364,6 @@ TEST(ResourceManagerMemo, LentMemoCarriesOutcomesAcrossManagers) {
   const RmConfig cfg = config(RmPolicy::Rm3);
   const auto snaps = snapshots_for({"mcf", "libquantum"});
   OutcomeMemo memo;
-  memo.rescope(memo_scope(cfg, db().system(), db().power()));
   {
     ResourceManager first(cfg, db().system(), db().power(), &memo);
     (void)first.invoke(0, snaps);
@@ -354,61 +382,107 @@ TEST(ResourceManagerMemo, LentMemoCarriesOutcomesAcrossManagers) {
   EXPECT_EQ(memo.size(), 3u);
 }
 
+TEST(ResourceManagerMemo, MemoOffRecomputesEveryInvoke) {
+  // With the memo off no local result is reused: every re-invocation with an
+  // unchanged keyed snapshot runs LocalOptimizer once more and replays
+  // nothing. A memo-on manager replays the cell its core holds instead, and
+  // both decide and charge the same.
+  ResourceManager plain(memo_config(RmMemoMode::Off), db().system(), db().power());
+  ResourceManager memoized(memo_config(RmMemoMode::On), db().system(), db().power());
+  const auto snaps = snapshots_for({"mcf", "libquantum"});
+  ASSERT_GE(snaps[0].memo_key, 0);
+  ASSERT_GE(snaps[1].memo_key, 0);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    const int core = static_cast<int>(i % 2);
+    expect_decisions_equal(plain.invoke(core, snaps), memoized.invoke(core, snaps));
+    // The first invocation cold-starts both cores.
+    EXPECT_EQ(plain.stats().local_runs, 2 + i) << "invoke " << i;
+    EXPECT_EQ(memoized.stats().local_runs, 2u) << "invoke " << i;
+    EXPECT_EQ(memoized.stats().cell_replays, i) << "invoke " << i;
+  }
+  EXPECT_EQ(plain.stats().cell_replays, 0u);
+  EXPECT_EQ(plain.stats().memo_hits, 0u);
+}
+
 TEST(ResourceManagerMemo, RescopeKeepsEntriesOnlyUnderTheSameScope) {
+  // A lend rescopes the memo: a manager of the last holder's scope keeps its
+  // entries, a manager of any other scope drops them.
   const RmConfig rm3 = config(RmPolicy::Rm3);
   const MemoScope scope = memo_scope(rm3, db().system(), db().power());
+  const auto snaps = snapshots_for({"mcf", "libquantum"});
   OutcomeMemo memo;
-  memo.rescope(scope);
-  {
+  const auto fill = [&] {
     ResourceManager manager(rm3, db().system(), db().power(), &memo);
-    (void)manager.invoke(0, snapshots_for({"mcf", "libquantum"}));
-  }
+    (void)manager.invoke(0, snaps);
+  };
+  fill();
   ASSERT_EQ(memo.size(), 2u);
-  memo.rescope(scope);
-  EXPECT_EQ(memo.size(), 2u);
+  {
+    ResourceManager same(rm3, db().system(), db().power(), &memo);
+    EXPECT_EQ(memo.size(), 2u);
+    (void)same.invoke(0, snaps);
+    EXPECT_EQ(same.stats().local_runs, 0u);
+  }
   // Every part of the scope separates: the knobs, the model, the energy
   // options and the system's alpha.
-  MemoScope alpha = scope;
-  alpha.system.qos_alpha = 1.1;
-  for (const MemoScope& next :
-       {memo_scope(config(RmPolicy::Rm2), db().system(), db().power()),
-        memo_scope(config(RmPolicy::Rm3, PerfModelKind::Model2), db().system(),
-                   db().power()),
-        memo_scope(rm_perfect_energy(), db().system(), db().power()), alpha}) {
-    EXPECT_FALSE(next == scope);
-    memo.rescope(scope);
-    {
-      ResourceManager manager(rm3, db().system(), db().power(), &memo);
-      (void)manager.invoke(0, snapshots_for({"mcf", "libquantum"}));
-    }
+  arch::SystemConfig relaxed = db().system();
+  relaxed.qos_alpha = 1.1;
+  const std::pair<RmConfig, arch::SystemConfig> others[] = {
+      {config(RmPolicy::Rm2), db().system()},
+      {config(RmPolicy::Rm3, PerfModelKind::Model2), db().system()},
+      {rm_perfect_energy(), db().system()},
+      {rm3, relaxed}};
+  for (const auto& [cfg, system] : others) {
+    EXPECT_FALSE(memo_scope(cfg, system, db().power()) == scope);
+    fill();
     EXPECT_GT(memo.size(), 0u);
-    memo.rescope(next);
+    const ResourceManager other(cfg, system, db().power(), &memo);
     EXPECT_EQ(memo.size(), 0u);
   }
 }
 
-TEST(ResourceManagerMemoDeathTest, MismatchedLendIsRefused) {
-  const RmConfig rm3 = config(RmPolicy::Rm3);
+TEST(ResourceManagerMemoDeathTest, SecondLiveHolderIsRefused) {
+  // One holder at a time, whatever its scope.
   OutcomeMemo memo;
-  // A memo never scoped, or scoped to another policy or alpha, is refused.
-  EXPECT_DEATH(ResourceManager(rm3, db().system(), db().power(), &memo),
-               "another configuration");
-  memo.rescope(memo_scope(config(RmPolicy::Rm2), db().system(), db().power()));
-  EXPECT_DEATH(ResourceManager(rm3, db().system(), db().power(), &memo),
-               "another configuration");
-  arch::SystemConfig relaxed = db().system();
-  relaxed.qos_alpha = 1.1;
-  memo.rescope(memo_scope(rm3, relaxed, db().power()));
-  EXPECT_DEATH(ResourceManager(rm3, db().system(), db().power(), &memo),
-               "another configuration");
-  // One holder at a time, and no rescope under a holder.
-  memo.rescope(memo_scope(rm3, db().system(), db().power()));
-  const ResourceManager holder(rm3, db().system(), db().power(), &memo);
-  EXPECT_DEATH(ResourceManager(rm3, db().system(), db().power(), &memo),
+  const ResourceManager holder(config(RmPolicy::Rm3), db().system(), db().power(),
+                               &memo);
+  EXPECT_DEATH(ResourceManager(config(RmPolicy::Rm3), db().system(), db().power(),
+                               &memo),
                "two live managers");
-  EXPECT_DEATH(memo.rescope(memo_scope(config(RmPolicy::Rm2), db().system(),
-                                       db().power())),
-               "rescoped while a manager holds it");
+  EXPECT_DEATH(ResourceManager(config(RmPolicy::Rm2), db().system(), db().power(),
+                               &memo),
+               "two live managers");
+}
+
+TEST(ResourceManagerMemoDeathTest, SecondDatabaseIsRefused) {
+  // A memo serves one database, whether its manager owns it or borrows it
+  // after a manager of the same scope filled it from another database.
+  const std::vector<CounterSnapshot> first = snapshots_for({"mcf", "libquantum"});
+  const workload::SimDb& other_db = missier_db(db().system().cores);
+  const Setting base = workload::baseline_setting(db().system());
+  std::vector<CounterSnapshot> second;
+  for (const char* name : {"mcf", "libquantum"}) {
+    second.push_back(
+        rmsim::make_snapshot(other_db, other_db.suite().index_of(name), 0, base));
+  }
+  ResourceManager owner(config(RmPolicy::Rm3), db().system(), db().power());
+  (void)owner.invoke(0, first);
+  EXPECT_DEATH((void)owner.invoke(0, second), "second database");
+  OutcomeMemo memo;
+  {
+    ResourceManager filler(config(RmPolicy::Rm3), db().system(), db().power(), &memo);
+    (void)filler.invoke(0, first);
+  }
+  ResourceManager borrower(config(RmPolicy::Rm3), db().system(), db().power(), &memo);
+  EXPECT_DEATH((void)borrower.invoke(0, second), "second database");
+}
+
+TEST(ResourceManagerMemoDeathTest, KeyOutsideTheKeySpaceIsRefused) {
+  ResourceManager manager(config(RmPolicy::Rm3), db().system(), db().power());
+  std::vector<CounterSnapshot> snaps = snapshots_for({"mcf", "libquantum"});
+  (void)manager.invoke(0, snaps);
+  snaps[0].memo_key = snaps[0].memo_space;
+  EXPECT_DEATH((void)manager.invoke(0, snaps), "outside its database's key space");
 }
 
 // ---------------------------------------------------------------------------
@@ -494,8 +568,8 @@ void expect_incremental_matches_fresh(int cores, const RmConfig& cfg,
 }
 
 TEST(ResourceManagerIncremental, ServiceSequenceMatchesFreshManagerPerCall) {
-  expect_incremental_matches_fresh(4, config(RmPolicy::Rm3), 11);   // memo off
-  expect_incremental_matches_fresh(8, config(RmPolicy::Rm3), 12);   // memo on
+  expect_incremental_matches_fresh(4, config(RmPolicy::Rm3), 11);
+  expect_incremental_matches_fresh(8, config(RmPolicy::Rm3), 12);
   expect_incremental_matches_fresh(8, config(RmPolicy::Rm2), 13);
   expect_incremental_matches_fresh(4, config(RmPolicy::Rm3, PerfModelKind::Perfect),
                                    14);
@@ -618,8 +692,8 @@ WalkStats walk_long_lived_vs_fresh(int cores, int shares, const RmConfig& cfg,
   walk.dp_skips = stats.dp_skips;
   walk.nodes_recombined = stats.nodes_recombined;
   EXPECT_GT(stats.dp_skips, 0u);
-  if (perfect) {
-    EXPECT_EQ(stats.cell_replays, 0u);  // oracle counters never replay
+  if (perfect || !live.memo_enabled()) {
+    EXPECT_EQ(stats.cell_replays, 0u);  // oracle counters, or nothing reused
   } else {
     EXPECT_GT(stats.cell_replays, 0u);
   }
@@ -662,37 +736,10 @@ TEST(ResourceManager, LongLivedManagerMatchesFreshManagerAlongAWalk) {
 // core's fast path and the kept views and settings must survive: reset()
 // mid-walk, idle <-> active flips, a departure immediately followed by a
 // re-seat of the same app on the same core (the first invocation after it
-// usually decides the setting the previous tenant had), and snapshots moving
-// between two databases, which makes the memo switch databases while other
-// cores still hold curves from its entries. The second database is the
-// first with every LLC miss count tripled, so its curves differ.
-const workload::SimDb& missier_db(int cores) {
-  static std::map<int, std::unique_ptr<workload::SimDb>> dbs;
-  auto it = dbs.find(cores);
-  if (it == dbs.end()) {
-    const workload::SimDb& base = qosrm::testing::shared_db(cores);
-    std::vector<std::vector<workload::PhaseStats>> stats;
-    for (int app = 0; app < base.suite().size(); ++app) {
-      auto& per_app = stats.emplace_back();
-      for (int ph = 0; ph < base.num_phases(app); ++ph) {
-        workload::PhaseStats& st = per_app.emplace_back(base.stats(app, ph));
-        st.llc_accesses *= 3.0;
-        for (double& m : st.misses) m *= 3.0;
-        for (auto* curves : {&st.lm_true, &st.lm_atd}) {
-          for (std::vector<double>& curve : *curves) {
-            for (double& lm : curve) lm *= 3.0;
-          }
-        }
-      }
-    }
-    it = dbs.emplace(cores, std::make_unique<workload::SimDb>(
-                                base.suite(), base.system(), base.power(),
-                                base.phase_options(), stats))
-             .first;
-  }
-  return *it->second;
-}
-
+// usually decides the setting the previous tenant had), and, with the memo
+// off, snapshots moving between two databases (missier_db) while other
+// cores still hold curves computed from the first. A memo serves one
+// database, so the memo-on arm stays on the first.
 void walk_with_resets_reseats_and_db_switches(int cores, const RmConfig& cfg,
                                               int steps, std::uint64_t seed) {
   const workload::SimDb* dbs[] = {&qosrm::testing::shared_db(cores),
@@ -700,6 +747,7 @@ void walk_with_resets_reseats_and_db_switches(int cores, const RmConfig& cfg,
   const workload::SimDb& sdb = *dbs[0];
   const Setting base = workload::baseline_setting(sdb.system());
   const bool perfect = cfg.model == PerfModelKind::Perfect;
+  const bool switches_db = cfg.memo == RmMemoMode::Off;
   ResourceManager live(cfg, sdb.system(), sdb.power());
   const auto n = static_cast<std::size_t>(cores);
   std::vector<CounterSnapshot> snaps(n);
@@ -746,7 +794,7 @@ void walk_with_resets_reseats_and_db_switches(int cores, const RmConfig& cfg,
     } else if (event == 1) {  // departure and re-seat of the same app
       seat(k, app[k]);
       ++reseats;
-    } else if (event == 2) {  // the core's counters move to the other database
+    } else if (event == 2 && switches_db) {  // the counters move database
       db_of[k] = 1 - db_of[k];
       refresh(k);
       ++switches;
@@ -777,7 +825,7 @@ void walk_with_resets_reseats_and_db_switches(int cores, const RmConfig& cfg,
   }
   EXPECT_GT(resets, 0u);
   EXPECT_GT(reseats, 0u);
-  EXPECT_GT(switches, 0u);
+  EXPECT_EQ(switches > 0, switches_db);
   EXPECT_GT(flips, 0u);
 }
 

@@ -53,6 +53,16 @@ TEST_P(BwSharesCli, RejectsGarbageViaStrictIntegerParse) {
 INSTANTIATE_TEST_SUITE_P(Binaries, BwSharesCli,
                          ::testing::Values("sweep_main", "service_main"));
 
+// A negative seed used to wrap to 2^64 - 1 and run (exit 0).
+class SeedCli : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SeedCli, RejectsNegativeSeedWithUsageError) {
+  EXPECT_EQ(run_silenced(GetParam(), "--seed=-1"), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Binaries, SeedCli,
+                         ::testing::Values("sweep_main", "service_main"));
+
 using testing::run_captured;
 
 // Integer flags that do not fit an int are rejected naming the flag instead
