@@ -25,13 +25,20 @@ constexpr int kPad = GlobalOptWorkspace::kPad;
 //
 //   out[k] = min(out[k], min over j of a[j] + b[k - j]),  k in [0, na+nb-1)
 //
-// The forward pass keeps values only - the argmin is recovered during
-// backtracking by an equality re-scan (see extract), so the kernels carry no
-// index lanes. Both kernels visit the pairs of any one output cell in the
-// same order (ascending j, and the caller walks left rows ascending) and
-// update with a strict less, so they leave bitwise-identical energies
-// (pinned by the randomized equivalence tests in rm_test_global_opt). A span
-// may hold infinite holes: a hole adds to +inf and can never win.
+// in MERGE mode (a multi-row node: several row pairs fold into one output
+// row), or out[k] = min over j of a[j] + b[k - j] in STORE mode (a
+// single-row node: one row pair writes the whole span and counts its
+// finite cells). The forward pass keeps values only - the argmin is
+// recovered during backtracking by an equality re-scan (see extract), so
+// the kernels carry no index lanes. Each cell is the minimum of a set of
+// exact IEEE sums, and that minimum is one bit pattern whatever order the
+// kernels visit the set in: no sum is NaN (a NaN sum never wins a strict
+// less or a minpd against its accumulator, so it is never part of the
+// set) and none is -0 (copy_leaf maps -0 leaf cells to +0, and a sum of
+// two non-(-0) values is never -0). So the kernels are free to split and
+// reorder the pairs of a cell and still leave bitwise-identical energies
+// (pinned by the randomized equivalence tests in rm_test_global_opt). A
+// span may hold infinite holes: a hole adds to +inf and can never win.
 
 inline void combine_rows_scalar(const double* a, int na, const double* b, int nb,
                                 double* out) {
@@ -44,6 +51,23 @@ inline void combine_rows_scalar(const double* a, int na, const double* b, int nb
       if (v < o[k]) o[k] = v;
     }
   }
+}
+
+/// Store mode over the output cells [o_lo, o_hi): each cell is written
+/// outright, and the finite ones are counted.
+inline std::uint64_t store_row_scalar(const double* a, int na, const double* b,
+                                      int nb, double* out, int o_lo, int o_hi) {
+  std::uint64_t n = 0;
+  for (int k = o_lo; k < o_hi; ++k) {
+    double best = kInf;
+    for (int j = std::max(0, k - nb + 1); j <= std::min(na - 1, k); ++j) {
+      const double v = a[j] + b[k - j];
+      if (v < best) best = v;
+    }
+    out[k] = best;
+    n += best != kInf ? 1 : 0;
+  }
+  return n;
 }
 
 /// min(best, a[ia] + b[t - ia] for ia in [lo, hi]), ascending ia with a
@@ -74,39 +98,96 @@ inline int find_split_scalar(const double* a, const double* b, int t, int lo,
 constexpr int kBlock = 16;
 static_assert(kPad >= kBlock - 1, "slot margins must cover a kernel block");
 
+/// Left cells a block must reach before combine_rows_avx2 splits them over
+/// two accumulator sets. One set is a dependent minpd chain per accumulator;
+/// a second set halves the chain at the cost of a fold per block, which
+/// slows the short spans of 15-way leaves and pays on the wider ones of the
+/// upper tree levels.
+constexpr int kTwoChainMin = 24;
+
+/// acc[0..3] = min(a[j] + p[0..15], acc[0..3]): one left cell against the
+/// kBlock right cells it pairs with in one block.
+__attribute__((target("avx2"), always_inline)) inline void accumulate(
+    const double* aj, const double* p, __m256d& acc0, __m256d& acc1,
+    __m256d& acc2, __m256d& acc3) {
+  const __m256d va = _mm256_broadcast_sd(aj);
+  acc0 = _mm256_min_pd(_mm256_add_pd(va, _mm256_loadu_pd(p)), acc0);
+  acc1 = _mm256_min_pd(_mm256_add_pd(va, _mm256_loadu_pd(p + 4)), acc1);
+  acc2 = _mm256_min_pd(_mm256_add_pd(va, _mm256_loadu_pd(p + 8)), acc2);
+  acc3 = _mm256_min_pd(_mm256_add_pd(va, _mm256_loadu_pd(p + 12)), acc3);
+}
+
+/// count + one per finite lane of v: a finite lane compares all-ones (-1 as
+/// an int64) against +inf.
+__attribute__((target("avx2"), always_inline)) inline __m256i count_finite_lanes(
+    __m256d v, __m256i count) {
+  const __m256d cmp = _mm256_cmp_pd(v, _mm256_set1_pd(kInf), _CMP_NEQ_UQ);
+  return _mm256_sub_epi64(count, _mm256_castpd_si256(cmp));
+}
+
 /// Output-stationary AVX2 kernel: `b` is a right row's feasible span read in
 /// place in its slot, whose +inf margins make the out-of-span loads
 /// harmless. Each block of kBlock output cells accumulates every left cell
-/// that reaches it in registers, ascending j, and is then folded into `out`
-/// once - no store is reloaded inside the block, and a pair of rows costs
-/// one call. minpd returns its SECOND operand unless the first is strictly
-/// less, so min(v, acc) and min(acc, out) keep the earlier pair on ties
-/// (±0 included) - the scalar strict-less update, bit for bit.
-__attribute__((target("avx2"))) void combine_rows_avx2(const double* a, int na,
-                                                       const double* b, int nb,
-                                                       double* out) {
+/// that reaches it in registers - even and odd left cells in two
+/// accumulator sets once the block reaches kTwoChainMin of them - and is
+/// then written once: no store is reloaded inside the block, and a pair of
+/// rows costs one call. minpd returns its second operand unless the first
+/// is strictly less, so a NaN sum (a hole against an -inf, say) never
+/// enters an accumulator, as in the scalar strict-less update.
+///
+/// The blocks start at o_lo and cover [o_lo, o_hi). kStore (a single-row
+/// node) writes every block whole - each of its cells gets its exact
+/// minimum, since the block visits every left cell that reaches any of
+/// them - and returns the finite cells written. A block's cells past the
+/// output span pair a[j] only with right-margin cells, so they hold +inf;
+/// the last block ends at most kBlock - 1 cells past the span, inside the
+/// output row's margin. Merge mode folds each block into `out` with a
+/// minimum and leaves the cells past the span alone (another row pair may
+/// own them).
+template <bool kStore>
+__attribute__((target("avx2"))) std::uint64_t combine_rows_avx2(
+    const double* a, int na, const double* b, int nb, double* out, int o_lo,
+    int o_hi) {
   const int n_out = na + nb - 1;
   const __m256d inf = _mm256_set1_pd(kInf);
-  for (int o = 0; o < n_out; o += kBlock) {
+  __m256i finite = _mm256_setzero_si256();
+  for (int o = o_lo; o < o_hi; o += kBlock) {
     __m256d acc0 = inf;
     __m256d acc1 = inf;
     __m256d acc2 = inf;
     __m256d acc3 = inf;
-    // Left cells whose pairs reach a cell of this block: the loads below
-    // then read b[o - j .. o - j + kBlock - 1], which lies in
+    // Left cells whose pairs reach a cell of this block: the loads then
+    // read b[o - j .. o - j + kBlock - 1], which lies in
     // [-(kBlock - 1), nb - 1 + kBlock - 1].
     const int j_lo = std::max(0, o - nb + 1);
     const int j_hi = std::min(na - 1, o + kBlock - 1);
-    for (int j = j_lo; j <= j_hi; ++j) {
-      const __m256d va = _mm256_broadcast_sd(a + j);
-      const double* p = b + (o - j);
-      acc0 = _mm256_min_pd(_mm256_add_pd(va, _mm256_loadu_pd(p)), acc0);
-      acc1 = _mm256_min_pd(_mm256_add_pd(va, _mm256_loadu_pd(p + 4)), acc1);
-      acc2 = _mm256_min_pd(_mm256_add_pd(va, _mm256_loadu_pd(p + 8)), acc2);
-      acc3 = _mm256_min_pd(_mm256_add_pd(va, _mm256_loadu_pd(p + 12)), acc3);
+    int j = j_lo;
+    if (j_hi - j_lo + 1 >= kTwoChainMin) {
+      __m256d odd0 = inf;
+      __m256d odd1 = inf;
+      __m256d odd2 = inf;
+      __m256d odd3 = inf;
+      for (; j < j_hi; j += 2) {
+        accumulate(a + j, b + (o - j), acc0, acc1, acc2, acc3);
+        accumulate(a + j + 1, b + (o - j - 1), odd0, odd1, odd2, odd3);
+      }
+      acc0 = _mm256_min_pd(odd0, acc0);
+      acc1 = _mm256_min_pd(odd1, acc1);
+      acc2 = _mm256_min_pd(odd2, acc2);
+      acc3 = _mm256_min_pd(odd3, acc3);
     }
+    for (; j <= j_hi; ++j) accumulate(a + j, b + (o - j), acc0, acc1, acc2, acc3);
     double* dst = out + o;
-    if (n_out - o >= kBlock) {
+    if constexpr (kStore) {
+      _mm256_storeu_pd(dst, acc0);
+      _mm256_storeu_pd(dst + 4, acc1);
+      _mm256_storeu_pd(dst + 8, acc2);
+      _mm256_storeu_pd(dst + 12, acc3);
+      finite = count_finite_lanes(acc0, finite);
+      finite = count_finite_lanes(acc1, finite);
+      finite = count_finite_lanes(acc2, finite);
+      finite = count_finite_lanes(acc3, finite);
+    } else if (n_out - o >= kBlock) {
       _mm256_storeu_pd(dst, _mm256_min_pd(acc0, _mm256_loadu_pd(dst)));
       _mm256_storeu_pd(dst + 4, _mm256_min_pd(acc1, _mm256_loadu_pd(dst + 4)));
       _mm256_storeu_pd(dst + 8, _mm256_min_pd(acc2, _mm256_loadu_pd(dst + 8)));
@@ -122,6 +203,10 @@ __attribute__((target("avx2"))) void combine_rows_avx2(const double* a, int na,
       }
     }
   }
+  if constexpr (!kStore) return 0;
+  alignas(32) std::uint64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), finite);
+  return lanes[0] + lanes[1] + lanes[2] + lanes[3];
 }
 
 /// find_split_scalar four pairs at a time: a[ia..ia+3] against the reversed
@@ -147,10 +232,10 @@ __attribute__((target("avx2"))) int find_split_avx2(const double* a,
 /// root_cell_scalar four pairs at a time: a[ia..ia+3] against the reversed
 /// b[t-ia-3..t-ia] (every load stays inside [lo, hi] and its partner
 /// range), one strict-less minimum per lane, the lanes folded in order and
-/// the tail left to the scalar loop. The sums are the scalar ones, and the
-/// minimum of a NaN-free set is one value whatever the visiting order - up
-/// to the sign of a zero, and no E* cell is -0 (energies are positive, the
-/// idle cell is +0) - so the cell is bit-identical to the scalar scan.
+/// the tail left to the scalar loop. The sums are the scalar ones, and their
+/// minimum is one bit pattern whatever the visiting order (see the kernel
+/// notes above: no NaN enters a minimum and no cell is -0), so the cell is
+/// bit-identical to the scalar scan.
 __attribute__((target("avx2"))) double root_cell_avx2(const double* a,
                                                       const double* b, int t,
                                                       int lo, int hi,
@@ -202,11 +287,23 @@ inline void combine_rows([[maybe_unused]] bool vectorized, const double* a, int 
                          const double* b, int nb, double* out) {
 #ifdef QOSRM_SIMD_HAVE_AVX2
   if (vectorized) {
-    combine_rows_avx2(a, na, b, nb, out);
+    combine_rows_avx2<false>(a, na, b, nb, out, 0, na + nb - 1);
     return;
   }
 #endif
   combine_rows_scalar(a, na, b, nb, out);
+}
+
+/// Store mode: overwrites the output cells [o_lo, o_hi) of [0, na+nb-1) -
+/// under AVX2 up to kBlock - 1 exact cells more (+inf past the span) - and
+/// returns the finite cells written.
+inline std::uint64_t store_row([[maybe_unused]] bool vectorized, const double* a,
+                               int na, const double* b, int nb, double* out,
+                               int o_lo, int o_hi) {
+#ifdef QOSRM_SIMD_HAVE_AVX2
+  if (vectorized) return combine_rows_avx2<true>(a, na, b, nb, out, o_lo, o_hi);
+#endif
+  return store_row_scalar(a, na, b, nb, out, o_lo, o_hi);
 }
 
 inline double root_cell([[maybe_unused]] bool vectorized, const double* a,
@@ -271,6 +368,9 @@ void GlobalOptWorkspace::build_tree(int leaves) {
   pair_ops_.assign(num_nodes(), 0);
   total_ops_ = 0;
   dirty_.assign(num_nodes(), 0);
+  clipped_.assign(num_nodes(), 0);
+  win_first_.assign(num_nodes(), 0);
+  win_last_.assign(num_nodes(), -1);
   marked_.clear();
   placed_.clear();
   target_w_.assign(num_nodes(), -1);
@@ -319,7 +419,9 @@ void GlobalOptWorkspace::copy_leaf(std::size_t i, const double* energy, bool vec
   for (int r = 0; r < b_size_[i]; ++r) {
     const double* src = energy + static_cast<std::size_t>(r) * static_cast<std::size_t>(cols);
     double* dst = row(i, r);
-    std::copy(src, src + cols, dst);
+    // x + 0.0 maps -0 to +0 and keeps every other value, so no cell of the
+    // tree is -0 and the kernels' minima are order-independent.
+    std::transform(src, src + cols, dst, [](double x) { return x + 0.0; });
     std::fill(dst + cols, dst + cols + kPad, kInf);
     int first = 0;
     int last = cols - 1;
@@ -370,10 +472,10 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
     // cell (total_ways, total_shares), so it evaluates just that cell - an
     // O(a+b) scan instead of the O(a*b) row sweep - over the pairs that
     // can reach it: left rows whose right partner row exists, and in each
-    // the ia range whose partner ib lies in the right row's span. The cell
-    // is accumulated over those pairs in the same (iba, ia)-ascending
-    // strict-less order (a skipped pair is infinite and could never win),
-    // so its value is bit-identical to the full sweep's. The charged op
+    // the ia range whose partner ib lies in the right row's span (a skipped
+    // pair is infinite and could never win), so its value is bit-identical
+    // to the full sweep's. A clipped child first computes the cells of that
+    // range it does not hold yet (extend_window). The charged op
     // count stays the full feasible-pair product: ops are the MODEL of the
     // RM's work (paper Section III-E) and must not depend on which cells
     // an implementation can prove dead, exactly as they must not depend on
@@ -388,6 +490,9 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
         const int ibb = target_b - iba;
         const int lo = std::max(a_first[iba], target_w - b_last[ibb]);
         const int hi = std::min(a_last[iba], target_w - b_first[ibb]);
+        if (lo > hi) continue;
+        extend_window(ws, ai, lo, hi, vectorized);
+        extend_window(ws, bi, target_w - hi, target_w - lo, vectorized);
         best = root_cell(vectorized, ws.row(ai, iba), ws.row(bi, ibb), target_w,
                          lo, hi, best);
       }
@@ -396,18 +501,64 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
     return ops;
   }
 
-  // Every other node: reset its rows and margins, fold in every pair of
-  // non-empty (left, right) row spans - left rows ascending, so any output
-  // cell sees its pairs in the scalar (iba, ia) order - then derive the
-  // node's own spans and count from its output. Row r can only be finite
-  // within the union of its pairs' [first_a + first_b, last_a + last_b],
-  // and the two corner cells of each such range are finite sums, so the
-  // union IS the span; one count pass over it gives the holes.
+  int* n_first = ws.span_first_.data() + ws.span_off_[i];
+  int* n_last = ws.span_last_.data() + ws.span_off_[i];
+  ws.clipped_[i] = 0;
+  if (n_b_size == 1) {
+    // A single-row node (both children ways-only) is one row pair: the
+    // store-mode kernel writes the span [fa + fb, la + lb] outright and
+    // counts its finite cells in the same pass, and only the cells outside
+    // the span, up to the end of the margin, are reset to +inf. The two
+    // corner cells are finite sums, so that range IS the span.
+    double* ne = ws.row(i, 0);
+    const int fa = a_first[0];
+    const int la = a_last[0];
+    const int fb = b_first[0];
+    const int lb = b_last[0];
+    if (fa > la || fb > lb) {
+      std::fill(ne, ne + ws.stride(i), kInf);
+      n_first[0] = n_size;
+      n_last[0] = -1;
+      ws.feasible_[i] = 0;
+      return ops;
+    }
+    std::fill(ne, ne + fa + fb, kInf);
+    std::fill(ne + la + lb + 1, ne + ws.stride(i), kInf);
+    n_first[0] = fa + fb;
+    n_last[0] = la + lb;
+    const int n_out = la - fa + lb - fb + 1;
+    // A root child is read only by the root cell and its split scan, at
+    // [t - sibling last, t - sibling first] for the root target t. With
+    // both of its children hole-free (count == span length) every cell of
+    // its span is finite, so its count is the span length and the charged
+    // ops stay exact without computing a cell. Its cells are then computed
+    // only when the root reads them (extend_window): a later read that
+    // needs more extends the recorded window and recombines nothing.
+    if (ws.parent_[i] == ws.root() &&
+        ws.feasible_[ai] == static_cast<std::uint64_t>(la - fa + 1) &&
+        ws.feasible_[bi] == static_cast<std::uint64_t>(lb - fb + 1)) {
+      ws.clipped_[i] = 1;
+      ws.win_first_[i] = n_size;
+      ws.win_last_[i] = -1;
+      ws.feasible_[i] = static_cast<std::uint64_t>(n_out);
+      return ops;
+    }
+    ws.feasible_[i] = store_row(vectorized, ws.row(ai, 0) + fa, la - fa + 1,
+                                ws.row(bi, 0) + fb, lb - fb + 1, ne + fa + fb, 0,
+                                n_out);
+    return ops;
+  }
+
+  // A multi-row node: reset its rows and margins, fold in every pair of
+  // non-empty (left, right) row spans with the merge-mode kernel, then
+  // derive the node's own spans and count from its output. Row r can only
+  // be finite within the union of its pairs' [first_a + first_b,
+  // last_a + last_b], and the two corner cells of each such range are
+  // finite sums, so the union IS the span; one count pass over it gives
+  // the holes.
   const std::size_t n_stride = ws.stride(i);
   double* ne = ws.row(i, 0);
   std::fill(ne, ne + static_cast<std::size_t>(n_b_size) * n_stride, kInf);
-  int* n_first = ws.span_first_.data() + ws.span_off_[i];
-  int* n_last = ws.span_last_.data() + ws.span_off_[i];
   std::fill(n_first, n_first + n_b_size, n_size);
   std::fill(n_last, n_last + n_b_size, -1);
   for (int iba = 0; iba < a_b_size; ++iba) {
@@ -433,6 +584,39 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
   }
   ws.feasible_[i] = feasible;
   return ops;
+}
+
+void GlobalOptimizer::extend_window(GlobalOptWorkspace& ws, std::size_t i, int lo,
+                                    int hi, bool vectorized) {
+  if (ws.clipped_[i] == 0) return;
+  int& first = ws.win_first_[i];
+  int& last = ws.win_last_[i];
+  if (first <= lo && hi <= last) return;
+  const auto ai = static_cast<std::size_t>(ws.left_[i]);
+  const auto bi = static_cast<std::size_t>(ws.right_[i]);
+  const int fa = ws.span_first_[ws.span_off_[ai]];
+  const int la = ws.span_last_[ws.span_off_[ai]];
+  const int fb = ws.span_first_[ws.span_off_[bi]];
+  const int lb = ws.span_last_[ws.span_off_[bi]];
+  // Output cell k of the row pair is node cell fa + fb + k.
+  const auto compute = [&](int from, int to) {
+    store_row(vectorized, ws.row(ai, 0) + fa, la - fa + 1, ws.row(bi, 0) + fb,
+              lb - fb + 1, ws.row(i, 0) + fa + fb, from - fa - fb, to - fa - fb + 1);
+  };
+  if (first > last) {
+    compute(lo, hi);
+    first = lo;
+    last = hi;
+    return;
+  }
+  if (lo < first) {
+    compute(lo, first - 1);
+    first = lo;
+  }
+  if (hi > last) {
+    compute(last + 1, hi);
+    last = hi;
+  }
 }
 
 void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,

@@ -13,9 +13,9 @@
 // interface between the local and global stages is exactly one energy
 // surface per core (the second advantage). The ways-only problem is the
 // degenerate case where every surface has a single share row: the
-// convolution collapses to the paper's 1-D recurrence and the implementation
-// performs bit-identically the same operations in the same order (pinned by
-// the randomized 1-D-oracle equivalence tests).
+// convolution collapses to the paper's 1-D recurrence, with bit-identically
+// the same values and splits (pinned by the randomized 1-D-oracle
+// equivalence tests).
 //
 // The reduction runs over a persistent combine tree in flat, reusable
 // structure-of-arrays buffers (GlobalOptWorkspace): an incremental call
@@ -24,8 +24,10 @@
 // per-interval-boundary invocation path performs no heap allocation once
 // the workspace has warmed up, and the O(n^2 * W) feasible-pair inner loop
 // dispatches to an AVX2 kernel where available (common/simd.hh; the scalar
-// fallback is pinned bit-identical by the randomized equivalence tests).
-// See the README performance section.
+// fallback is pinned bit-identical by the randomized equivalence tests). A
+// single-row node is produced in one kernel pass that stores its span and
+// counts it, and a root child is computed only on the window the root
+// reads. See the README performance section.
 #ifndef QOSRM_RM_GLOBAL_OPT_HH
 #define QOSRM_RM_GLOBAL_OPT_HH
 
@@ -115,6 +117,7 @@ class GlobalOptWorkspace {
 
  private:
   friend class GlobalOptimizer;
+  friend struct GlobalOptWorkspaceProbe;  // read-only view for the tests
 
   // --- node metadata, SoA ----------------------------------------------------
   // A node covers total ways [lo_[i], lo_[i] + size_[i]) and total bandwidth
@@ -124,12 +127,19 @@ class GlobalOptWorkspace {
   // kPad +inf cells precede). The root stores no surface unless it is the
   // only leaf: only its target cell is observable, kept in root_value_.
   //
-  // Slot-margin invariant: every cell of a slot outside its node's rows
-  // [0, size_[i]) - up to the end of its last row's margin - is +inf, so a
-  // kernel may read a row's feasible span kPad cells beyond either end
-  // without a bounds test. Whoever produces a node (the leaf copy or the
-  // combine) rewrites each row AND its margin, because the node's previous
-  // surface may have been wider.
+  // Slot-margin invariant: every cell of a slot outside its node's row
+  // spans - up to the end of its last row's margin - is +inf, so a kernel
+  // may read a row's feasible span kPad cells beyond either end without a
+  // bounds test. Whoever produces a node rewrites each row AND its margin,
+  // because the node's previous surface may have been wider: the leaf copy
+  // writes the row and fills the margin, a multi-row combine fills its
+  // rows and margins before the kernels merge into them, and a single-row
+  // combine stores its span outright and fills only the cells outside it.
+  //
+  // A clipped root child (clipped_[i]) holds valid cells only in its window
+  // [win_first_[i], win_last_[i]]; the rest of its span is stale until the
+  // root reads it (GlobalOptimizer::extend_window). Only the root reads a
+  // root child, and only inside the window it has just extended.
   //
   // Row r of node i is feasible only within w indices
   // [span_first_[span_off_[i] + r], span_last_[...]] (first > last for an
@@ -156,6 +166,12 @@ class GlobalOptWorkspace {
   std::vector<std::uint64_t> feasible_;  ///< finite cells of the surface
   std::vector<std::uint64_t> pair_ops_;  ///< feasible pairs of the combine
   std::vector<std::uint8_t> dirty_;      ///< per-call recombination flags
+  /// 1 for a root child whose cells are computed only on the window
+  /// [win_first_, win_last_] of its single row (first > last: none yet);
+  /// its span and count are exact.
+  std::vector<std::uint8_t> clipped_;
+  std::vector<int> win_first_;
+  std::vector<int> win_last_;
   std::vector<int> marked_;  ///< nodes whose dirty_ flag the last call set
   std::vector<int> placed_;  ///< leaves the last backtracking reached
 
@@ -222,9 +238,10 @@ class GlobalOptimizer {
   /// copied - so their storage may move or hold anything; the exceptions
   /// are the calls that rebuild the tree (the first call, a new leaf count,
   /// or a flagged leaf wider than any before), which read every leaf. The
-  /// prologue therefore costs O(flagged leaves x tree depth). Results are
+  /// prologue therefore costs O(flagged leaves x tree depth). Leaf cells
+  /// are finite or +inf, never NaN (a -0 cell is read as +0). Results are
   /// bit-identical to a from-scratch reduction at every dispatch level (same
-  /// reduction order, same tie-breaking).
+  /// reduction tree, same minima, same tie-breaking).
   ///
   /// `ops` (optional) accumulates DP steps for the RM instruction-overhead
   /// model; one op is one FEASIBLE-pair DP step, i.e. a ((w_a, b_a),
@@ -255,6 +272,10 @@ class GlobalOptimizer {
   static std::uint64_t combine(GlobalOptWorkspace& ws, std::size_t i,
                                int total_ways, int total_shares,
                                bool vectorized);
+  /// Computes the cells of a clipped root child i that the window [lo, hi]
+  /// adds to its computed window (a no-op for any other node).
+  static void extend_window(GlobalOptWorkspace& ws, std::size_t i, int lo, int hi,
+                            bool vectorized);
   /// Reads the root's target cell and backtracks the splits into ws.result_.
   static void extract(GlobalOptWorkspace& ws, int total_ways, int total_shares,
                       bool vectorized);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -609,6 +610,163 @@ TEST(GlobalOptSimdEquivalence, RootCellMatchesScalarOnShortAndHoledSpans) {
     }
   }
   EXPECT_GT(vector_budgets, 0);  // some problems reach the 4-lane loop
+}
+
+// Single-row nodes take the store-mode kernel: it writes a node's span
+// outright, counts the finite cells in the same pass and splits a block's
+// left cells over two accumulator sets once there are enough of them. Leaf
+// 0's feasible span takes every length from 1 to 40, so node (0, 1) and
+// the nodes above it see left spans on both sides of the two-chain
+// threshold and of every block seam; the other leaves mix infinite holes,
+// 1-cell spans, all-+inf rows and hole-free spans. After a from-scratch
+// call at each dispatch level, every node must match the plain reduction
+// (spans, counts, every cell bit for bit, +inf outside the spans), and
+// the outcome and ops must be the reference's at budgets across the
+// reachable range.
+EnergyCurve store_mode_leaf(Rng& rng, int span_len) {
+  EnergyCurve cu;
+  cu.min_ways = 1 + static_cast<int>(rng.uniform_u64(3));
+  const auto value = [&rng] {
+    return rng.bernoulli(0.3) ? static_cast<double>(1 + rng.uniform_u64(4))
+                              : rng.uniform(1.0, 50.0);
+  };
+  if (span_len > 0) {  // exactly span_len cells from first to last feasible
+    const int first = static_cast<int>(rng.uniform_u64(4));
+    cu.energy.assign(static_cast<std::size_t>(first + span_len +
+                                              static_cast<int>(rng.uniform_u64(4))),
+                     kInf);
+    for (int k = 0; k < span_len; ++k) {
+      const bool end = k == 0 || k == span_len - 1;
+      cu.energy[static_cast<std::size_t>(first + k)] =
+          end || !rng.bernoulli(0.15) ? value() : kInf;
+    }
+    return cu;
+  }
+  const int width = 1 + static_cast<int>(rng.uniform_u64(40));
+  cu.energy.assign(static_cast<std::size_t>(width), kInf);
+  switch (rng.uniform_u64(4)) {
+    case 0:  // infinite holes anywhere
+      for (double& e : cu.energy) e = rng.bernoulli(0.2) ? kInf : value();
+      break;
+    case 1:  // a 1-cell span
+      cu.energy[rng.uniform_u64(static_cast<std::uint64_t>(width))] = value();
+      break;
+    case 2:  // all +inf
+      break;
+    default: {  // a hole-free span
+      const int first = static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(width)));
+      const int last = first + static_cast<int>(rng.uniform_u64(
+                                   static_cast<std::uint64_t>(width - first)));
+      for (int w = first; w <= last; ++w) cu.energy[static_cast<std::size_t>(w)] = value();
+    }
+  }
+  return cu;
+}
+
+TEST(GlobalOptStoreMode, NodesMatchThePlainReductionForEveryLeftSpanLength) {
+  Rng rng(90210);
+  int feasible_budgets = 0;
+  for (int span_len = 1; span_len <= 40; ++span_len) {
+    for (const int cores : {2, 3, 4, 5, 8}) {
+      std::vector<EnergyCurve> curves;
+      curves.push_back(store_mode_leaf(rng, span_len));
+      for (int c = 1; c < cores; ++c) curves.push_back(store_mode_leaf(rng, 0));
+      std::uint64_t ref_ops = 0;
+      const std::vector<ref::Node> nodes = ref::reduce_tree(curves, &ref_ops);
+      const std::vector<EnergyCurveView> views = views_of(curves);
+      const int shares = ways_only_shares(views);
+      const int w_lo = nodes.back().lo;
+      const int w_hi = w_lo + nodes.back().size - 1;
+      for (const simd::Level level : {simd::Level::Scalar, simd::Level::Avx2}) {
+        if (level == simd::Level::Avx2 && !avx2_available()) continue;
+        for (int q = 0; q <= 4; ++q) {
+          const int budget = w_lo + (w_hi - w_lo) * q / 4;
+          const std::string what = "span_len=" + std::to_string(span_len) +
+                                   " cores=" + std::to_string(cores) +
+                                   " level=" + simd::level_name(level) +
+                                   " budget=" + std::to_string(budget);
+          GlobalOptWorkspace ws;
+          GlobalOptResult got;
+          std::uint64_t ops = 0;
+          GlobalOptimizer::optimize_into(views, budget, shares, {}, ws, got, &ops, level);
+          EXPECT_EQ(first_node_mismatch(ws, nodes), "") << what;
+          const GlobalOptResult expect = ref::backtrack(nodes, budget, shares);
+          ASSERT_EQ(got.feasible, expect.feasible) << what;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_energy),
+                    std::bit_cast<std::uint64_t>(expect.total_energy))
+              << what;
+          EXPECT_EQ(got.ways, expect.ways) << what;
+          EXPECT_EQ(got.shares, expect.shares) << what;
+          EXPECT_EQ(ops, ref_ops) << what;
+          feasible_budgets += got.feasible ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(feasible_budgets, 0);
+}
+
+// The kernels may visit a cell's pairs in any order because no cell of the
+// tree is -0: the leaf copy maps -0 to +0. Leaves full of +0 and -0 cells
+// (and small integers, so that many pairs tie) must give the same
+// decision, ops and energy bits at both dispatch levels as the same leaves
+// with every -0 written as +0.
+TEST(GlobalOptStoreMode, NegativeZeroCellsDecideAlikeAtBothLevels) {
+  if (!avx2_available()) GTEST_SKIP() << "AVX2 kernel unavailable";
+  Rng rng(2718);
+  int negative_zeros = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    const int cores = std::array{2, 3, 4, 8, 16}[static_cast<std::size_t>(trial % 5)];
+    std::vector<EnergyCurve> curves;
+    std::vector<EnergyCurve> positive;
+    for (int c = 0; c < cores; ++c) {
+      EnergyCurve cu;
+      cu.min_ways = 1 + static_cast<int>(rng.uniform_u64(2));
+      const int width = 4 + static_cast<int>(rng.uniform_u64(37));
+      for (int w = 0; w < width; ++w) {
+        const std::uint64_t kind = rng.uniform_u64(5);
+        cu.energy.push_back(kind == 0   ? -0.0
+                            : kind == 1 ? 0.0
+                            : kind == 2 ? kInf
+                                        : static_cast<double>(kind - 2));
+        negative_zeros += kind == 0 ? 1 : 0;
+      }
+      positive.push_back(cu);
+      for (double& e : positive.back().energy) e = e == 0.0 ? 0.0 : e;
+      curves.push_back(std::move(cu));
+    }
+    const std::vector<EnergyCurveView> views = views_of(curves);
+    const std::vector<EnergyCurveView> positive_views = views_of(positive);
+    const int shares = ways_only_shares(views);
+    int w_lo = 0;
+    int w_hi = 0;
+    for (const EnergyCurve& c : curves) {
+      w_lo += c.min_ways;
+      w_hi += c.max_ways();
+    }
+    for (int budget = w_lo; budget <= w_hi; budget += 1 + (w_hi - w_lo) / 8) {
+      const std::string what =
+          "trial=" + std::to_string(trial) + " budget=" + std::to_string(budget);
+      GlobalOptResult expect;
+      std::uint64_t expect_ops = 0;
+      GlobalOptWorkspace expect_ws;
+      GlobalOptimizer::optimize_into(positive_views, budget, shares, {}, expect_ws, expect,
+                                     &expect_ops, simd::Level::Scalar);
+      for (const simd::Level level : {simd::Level::Scalar, simd::Level::Avx2}) {
+        GlobalOptWorkspace ws;
+        GlobalOptResult got;
+        std::uint64_t ops = 0;
+        GlobalOptimizer::optimize_into(views, budget, shares, {}, ws, got, &ops, level);
+        ASSERT_EQ(got.feasible, expect.feasible) << what;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_energy),
+                  std::bit_cast<std::uint64_t>(expect.total_energy))
+            << what << " level=" << simd::level_name(level);
+        EXPECT_EQ(got.ways, expect.ways) << what;
+        EXPECT_EQ(ops, expect_ops) << what;
+      }
+    }
+  }
+  EXPECT_GT(negative_zeros, 0);
 }
 
 TEST(GlobalOpt, PrefersFeasibleEvenSplitWhenSymmetric) {

@@ -154,18 +154,21 @@ INSTANTIATE_TEST_SUITE_P(
       return name.append(std::to_string(std::get<1>(info.param)));
     });
 
-// Slot-margin invariant: every slot cell outside a node's current rows is
-// +inf, because the AVX2 kernel reads a right child up to kPad cells past
-// either end of a row's feasible span. Each walk changes a few leaves per
-// step so that a node's surface narrows (a wide, cheap surface replaced by a
-// narrow, expensive one: any stale cell left in a margin would undercut the
-// true sums), its feasible spans move, or one of its rows turns
-// all-infeasible and back - and after every step compares EVERY target cell
-// of the root against a from-scratch reduction, so a stale margin cell
-// shows wherever it lands.
-enum class MarginWalk { Narrow, MoveSpan, DeadRow };
+// Slot-margin invariant: every slot cell outside a node's current rows and
+// spans is +inf, because the AVX2 kernel reads a right child up to kPad
+// cells past either end of a row's feasible span. Each walk changes a few
+// leaves per step so that a node's surface narrows (a wide, cheap surface
+// replaced by a narrow, expensive one: any stale cell left in a margin
+// would undercut the true sums), its feasible spans move, its spans shrink
+// from both ends while the rows keep their width (a single-row node
+// resets only the cells outside its span, so a stale cell before the span
+// or in the old, wider tail shows), or one of its rows turns
+// all-infeasible and back. After every step each node must match the plain
+// reduction, margins included, and EVERY target cell of the root must match
+// a from-scratch reduction, so a stale margin cell shows wherever it lands.
+enum class MarginWalk { Narrow, MoveSpan, Shrink, DeadRow };
 
-EnergyCurve margin_leaf(Rng& rng, MarginWalk walk, int num_shares, bool alt) {
+EnergyCurve margin_leaf(Rng& rng, MarginWalk walk, int num_shares, bool alt, int step) {
   EnergyCurve cu;
   cu.min_ways = 1;
   cu.num_shares = num_shares;
@@ -177,6 +180,10 @@ EnergyCurve margin_leaf(Rng& rng, MarginWalk walk, int num_shares, bool alt) {
     lo = 30.0;
   } else if (walk == MarginWalk::Narrow) {
     hi = 2.0;
+  } else if (walk == MarginWalk::Shrink) {
+    // Hole-free spans that lose a cell at each end per step and get dearer.
+    lo = 1.0 + 5.0 * step;
+    hi = lo + 1.0;
   }
   for (int r = 0; r < num_shares; ++r) {
     // MoveSpan: each row is feasible on a random window only.
@@ -186,12 +193,16 @@ EnergyCurve margin_leaf(Rng& rng, MarginWalk walk, int num_shares, bool alt) {
       first = static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(num_ways)));
       last = first + static_cast<int>(rng.uniform_u64(
                          static_cast<std::uint64_t>(num_ways - first)));
+    } else if (walk == MarginWalk::Shrink) {
+      first = std::min(step, (num_ways - 1) / 2);
+      last = num_ways - 1 - first;
     }
     // DeadRow: one row (the leaf's only row when b = 1) all-infeasible.
     const bool dead = walk == MarginWalk::DeadRow && alt &&
                       r == (num_shares == 1 ? 0 : 1);
+    const double holes = walk == MarginWalk::Shrink ? 0.0 : 0.1;
     for (int w = 0; w < num_ways; ++w) {
-      const bool feasible = !dead && w >= first && w <= last && !rng.bernoulli(0.1);
+      const bool feasible = !dead && w >= first && w <= last && !rng.bernoulli(holes);
       cu.energy.push_back(feasible ? rng.uniform(lo, hi) : kInf);
     }
   }
@@ -210,7 +221,7 @@ TEST_P(GlobalOptMargins, EveryTargetMatchesFromScratchBitwise) {
     std::vector<EnergyCurve> curves;
     std::vector<bool> alt(static_cast<std::size_t>(cores), false);
     for (int c = 0; c < cores; ++c) {
-      curves.push_back(margin_leaf(rng, walk, num_shares, false));
+      curves.push_back(margin_leaf(rng, walk, num_shares, false, 0));
     }
     GlobalOptWorkspace incremental;
     std::vector<std::uint8_t> dirty(static_cast<std::size_t>(cores), 1);
@@ -222,7 +233,7 @@ TEST_P(GlobalOptMargins, EveryTargetMatchesFromScratchBitwise) {
           const auto k = static_cast<std::size_t>(c);
           if (!rng.bernoulli(0.5) && !(c == step % cores)) continue;
           alt[k] = !alt[k];
-          curves[k] = margin_leaf(rng, walk, num_shares, alt[k]);
+          curves[k] = margin_leaf(rng, walk, num_shares, alt[k], step);
           dirty[k] = 1;
         }
       }
@@ -234,6 +245,7 @@ TEST_P(GlobalOptMargins, EveryTargetMatchesFromScratchBitwise) {
         b_hi += c.max_shares();
       }
       const std::vector<EnergyCurveView> views = views_of(curves);
+      const std::vector<ref::Node> nodes = ref::reduce_tree(curves);
       for (int total_shares = b_lo; total_shares <= b_hi; ++total_shares) {
         for (int total_ways = w_lo; total_ways <= w_hi; ++total_ways) {
           const std::string what = "level=" + std::string(simd::level_name(level)) +
@@ -250,6 +262,9 @@ TEST_P(GlobalOptMargins, EveryTargetMatchesFromScratchBitwise) {
           GlobalOptimizer::optimize_into(views, total_ways, total_shares, dirty,
                                          incremental, got, &got_ops, level);
           std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
+          if (total_ways == w_lo && total_shares == b_lo) {  // the recombining call
+            ASSERT_EQ(first_node_mismatch(incremental, nodes), "") << what;
+          }
           ASSERT_EQ(got.feasible, expect.feasible) << what;
           ASSERT_EQ(std::bit_cast<std::uint64_t>(got.total_energy),
                     std::bit_cast<std::uint64_t>(expect.total_energy))
@@ -260,6 +275,8 @@ TEST_P(GlobalOptMargins, EveryTargetMatchesFromScratchBitwise) {
           checked_feasible += got.feasible ? 1 : 0;
         }
       }
+      // Every target read: the clipped windows are at their widest.
+      ASSERT_EQ(first_node_mismatch(incremental, nodes), "") << "step=" << step;
     }
     EXPECT_GT(checked_feasible, 0u);  // the walk reached real allocations
   }
@@ -268,11 +285,12 @@ TEST_P(GlobalOptMargins, EveryTargetMatchesFromScratchBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     Walks, GlobalOptMargins,
     ::testing::Combine(::testing::Values(MarginWalk::Narrow, MarginWalk::MoveSpan,
-                                         MarginWalk::DeadRow),
+                                         MarginWalk::Shrink, MarginWalk::DeadRow),
                        ::testing::Values(5, 8), ::testing::Values(1, 4)),
     [](const ::testing::TestParamInfo<std::tuple<MarginWalk, int, int>>& info) {
       const char* walk = std::get<0>(info.param) == MarginWalk::Narrow     ? "narrow"
                          : std::get<0>(info.param) == MarginWalk::MoveSpan ? "move_span"
+                         : std::get<0>(info.param) == MarginWalk::Shrink   ? "shrink"
                                                                           : "dead_row";
       return std::string(walk) + "_n" + std::to_string(std::get<1>(info.param)) +
              "_b" + std::to_string(std::get<2>(info.param));
@@ -436,6 +454,159 @@ TEST(GlobalOptIncremental, InfeasibleCallDoesNotLeakStaleAllocations) {
         EXPECT_EQ(ws.last_ops(), expect_ops) << what;
         std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
       }
+    }
+  }
+}
+
+// A root child whose two children are hole-free is computed only on the
+// window of its row the root reads, [t - sibling last, t - sibling first]
+// for the root target t. The window is recorded, and a later root read that
+// needs more extends it without recombining the child. Four cores: nodes 4
+// = (0, 1) and 5 = (2, 3) are the root's children. The sibling's span first
+// widens past node 4's recorded window (leaf 2 dirty), then the budget
+// moves it again; each call must extend node 4's window, recombine only
+// what is dirty, and match a from-scratch reduction and the plain one.
+EnergyCurve span_leaf(int first, int last) {
+  EnergyCurve cu;
+  cu.min_ways = 1;
+  for (int w = 0; w < 16; ++w) {
+    cu.energy.push_back(w >= first && w <= last ? 10.0 + (w - 7.5) * (w - 7.5) + 0.1 * first
+                                                : kInf);
+  }
+  return cu;
+}
+
+TEST(GlobalOptClippedRoot, SiblingSpanWideningExtendsTheWindow) {
+  for (const simd::Level level : {simd::Level::Scalar, simd::Level::Avx2}) {
+    if (level == simd::Level::Avx2 && !avx2_available()) continue;
+    std::vector<EnergyCurve> curves = {span_leaf(0, 15), span_leaf(0, 15),
+                                       span_leaf(6, 9), span_leaf(6, 9)};
+    GlobalOptWorkspace ws;
+    const GlobalOptWorkspaceProbe probe{ws};
+    std::vector<std::uint8_t> dirty(4, 1);
+    struct Call {
+      int dirty_leaf;  // -1: none
+      int total_ways;
+      int recombined;
+      int window_first;  // node 4's window after the call
+      int window_last;
+    };
+    // The root covers ways [4, 64]; total_ways 34 is root cell t = 30. Node
+    // 5's span is [12, 18], then [6, 24] once leaf 2 is feasible everywhere.
+    const Call calls[] = {{-1, 34, 3, 12, 18}, {2, 34, 2, 6, 24}, {-1, 38, 1, 6, 28}};
+    int step = 0;
+    for (const Call& call : calls) {
+      const std::string what =
+          std::string("level=") + simd::level_name(level) + " call=" + std::to_string(step);
+      if (call.dirty_leaf >= 0) {
+        curves[static_cast<std::size_t>(call.dirty_leaf)] = span_leaf(0, 15);
+        dirty[static_cast<std::size_t>(call.dirty_leaf)] = 1;
+      }
+      const std::vector<EnergyCurveView> views = views_of(curves);
+      GlobalOptResult got;
+      std::uint64_t got_ops = 0;
+      GlobalOptimizer::optimize_into(views, call.total_ways, 4, dirty, ws, got, &got_ops,
+                                     level);
+      std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
+      EXPECT_EQ(ws.last_recombined(), call.recombined) << what;
+      ASSERT_TRUE(probe.clipped(4)) << what;
+      EXPECT_EQ(probe.window_first(4), call.window_first) << what;
+      EXPECT_EQ(probe.window_last(4), call.window_last) << what;
+
+      std::uint64_t ref_ops = 0;
+      const std::vector<ref::Node> nodes = ref::reduce_tree(curves, &ref_ops);
+      EXPECT_EQ(first_node_mismatch(ws, nodes), "") << what;
+      const GlobalOptResult expect = ref::backtrack(nodes, call.total_ways, 4);
+      ASSERT_TRUE(got.feasible) << what;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_energy),
+                std::bit_cast<std::uint64_t>(expect.total_energy))
+          << what;
+      EXPECT_EQ(got.ways, expect.ways) << what;
+      EXPECT_EQ(got_ops, ref_ops) << what;
+      ++step;
+    }
+  }
+}
+
+// Random walks over hole-free leaves (so root children clip), with now and
+// then a leaf with holes or an idle cell (so they stop clipping and start
+// again) or a 3-share surface (so a clipped child's sibling may be
+// multi-row and the root reads the child once per sibling row), one or two
+// dirty leaves per call and a moving budget: every call must match a
+// from-scratch reduction and the plain one node by node.
+TEST(GlobalOptClippedRoot, HoleFreeWalksMatchFromScratch) {
+  for (const int cores : {3, 4, 5, 8, 16}) {
+    for (const simd::Level level : {simd::Level::Scalar, simd::Level::Avx2}) {
+      if (level == simd::Level::Avx2 && !avx2_available()) continue;
+      Rng rng(static_cast<std::uint64_t>(cores) * 4099 + 17);
+      // Never wider than leaf 0's first surface (16 ways, 3 shares), so no
+      // call re-lays the pool out.
+      const auto leaf = [&rng](std::uint64_t kind) {
+        if (kind == 0) return EnergyCurve{1, {0.0}};
+        EnergyCurve cu;
+        cu.min_ways = 1 + static_cast<int>(rng.uniform_u64(2));
+        cu.num_shares = kind == 2 ? 3 : 1;
+        const int width = 16;
+        for (int r = 0; r < cu.num_shares; ++r) {
+          const int first =
+              static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(width)));
+          const int last = first + static_cast<int>(rng.uniform_u64(
+                                       static_cast<std::uint64_t>(width - first)));
+          for (int w = 0; w < width; ++w) {
+            const bool hole = kind == 1 && w > first && w < last && rng.bernoulli(0.3);
+            cu.energy.push_back(w >= first && w <= last && !hole ? rng.uniform(1.0, 50.0)
+                                                                  : kInf);
+          }
+        }
+        return cu;
+      };
+      std::vector<EnergyCurve> curves = {leaf(2)};
+      for (int c = 1; c < cores; ++c) curves.push_back(leaf(rng.uniform_u64(10)));
+      GlobalOptWorkspace ws;
+      const GlobalOptWorkspaceProbe probe{ws};
+      std::vector<std::uint8_t> dirty(static_cast<std::size_t>(cores), 1);
+      int clipped_calls = 0;
+      for (int step = 0; step < 60; ++step) {
+        const std::string what = "cores=" + std::to_string(cores) +
+                                 " level=" + simd::level_name(level) +
+                                 " step=" + std::to_string(step);
+        const int changes = step == 0 ? 0 : static_cast<int>(rng.uniform_u64(3));
+        for (int i = 0; i < changes; ++i) {
+          const auto k = static_cast<std::size_t>(
+              rng.uniform_u64(static_cast<std::uint64_t>(cores)));
+          curves[k] = leaf(rng.uniform_u64(10));
+          dirty[k] = 1;
+        }
+        std::uint64_t ref_ops = 0;
+        const std::vector<ref::Node> nodes = ref::reduce_tree(curves, &ref_ops);
+        const ref::Node& root = nodes.back();
+        const int total_ways =
+            root.lo + static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(root.size)));
+        const int total_shares =
+            root.b_lo +
+            static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(root.b_size)));
+        const std::vector<EnergyCurveView> views = views_of(curves);
+        GlobalOptResult got;
+        std::uint64_t got_ops = 0;
+        GlobalOptimizer::optimize_into(views, total_ways, total_shares, dirty, ws, got,
+                                       &got_ops, level);
+        std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
+        // Node n - 2 is the root's left child.
+        clipped_calls += probe.clipped(probe.num_nodes() - 2) ? 1 : 0;
+        ASSERT_EQ(first_node_mismatch(ws, nodes), "") << what;
+        const GlobalOptResult expect = ref::backtrack(nodes, total_ways, total_shares);
+        ASSERT_EQ(got.feasible, expect.feasible) << what;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_energy),
+                  std::bit_cast<std::uint64_t>(expect.total_energy))
+            << what;
+        EXPECT_EQ(got.ways, expect.ways) << what;
+        EXPECT_EQ(got.shares, expect.shares) << what;
+        EXPECT_EQ(got_ops, ref_ops) << what;
+        if (changes <= 1 && step > 0) {
+          EXPECT_LE(ws.last_recombined(), ceil_log2(cores)) << what;
+        }
+      }
+      EXPECT_GT(clipped_calls, 0) << "cores=" << cores;
     }
   }
 }

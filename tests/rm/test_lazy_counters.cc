@@ -23,6 +23,7 @@
 #include "power/power_model.hh"
 #include "rm/resource_manager.hh"
 #include "rmsim/snapshot.hh"
+#include "support/missier_db.hh"
 #include "workload/sim_db.hh"
 #include "workload/spec_suite.hh"
 
@@ -51,23 +52,7 @@ const SimDb& small_db(int cores, int shares, bool missier) {
     db = std::make_unique<SimDb>(workload::spec_suite(), system, power::PowerModel{},
                                  options);
   } else {
-    const SimDb& base = small_db(cores, shares, false);
-    std::vector<std::vector<workload::PhaseStats>> stats;
-    for (int app = 0; app < base.suite().size(); ++app) {
-      auto& per_app = stats.emplace_back();
-      for (int ph = 0; ph < base.num_phases(app); ++ph) {
-        workload::PhaseStats& st = per_app.emplace_back(base.stats(app, ph));
-        st.llc_accesses *= 3.0;
-        for (double& m : st.misses) m *= 3.0;
-        for (auto* curves : {&st.lm_true, &st.lm_atd}) {
-          for (std::vector<double>& curve : *curves) {
-            for (double& lm : curve) lm *= 3.0;
-          }
-        }
-      }
-    }
-    db = std::make_unique<SimDb>(base.suite(), base.system(), base.power(),
-                                 base.phase_options(), std::move(stats));
+    db = qosrm::testing::missier_db(small_db(cores, shares, false));
   }
   return *dbs.emplace(key, std::move(db)).first->second;
 }

@@ -11,6 +11,7 @@
 
 #include "common/rng.hh"
 #include "rmsim/snapshot.hh"
+#include "support/missier_db.hh"
 #include "support/shared_db.hh"
 
 namespace qosrm::rm {
@@ -36,30 +37,12 @@ RmConfig config(RmPolicy policy, PerfModelKind model = PerfModelKind::Model3) {
   return cfg;
 }
 
-/// The database of `cores` with every LLC miss count tripled, so its curves
-/// differ from shared_db's.
+/// shared_db(cores) with every LLC miss count tripled, so its curves differ.
 const workload::SimDb& missier_db(int cores) {
   static std::map<int, std::unique_ptr<workload::SimDb>> dbs;
   auto it = dbs.find(cores);
   if (it == dbs.end()) {
-    const workload::SimDb& base = qosrm::testing::shared_db(cores);
-    std::vector<std::vector<workload::PhaseStats>> stats;
-    for (int app = 0; app < base.suite().size(); ++app) {
-      auto& per_app = stats.emplace_back();
-      for (int ph = 0; ph < base.num_phases(app); ++ph) {
-        workload::PhaseStats& st = per_app.emplace_back(base.stats(app, ph));
-        st.llc_accesses *= 3.0;
-        for (double& m : st.misses) m *= 3.0;
-        for (auto* curves : {&st.lm_true, &st.lm_atd}) {
-          for (std::vector<double>& curve : *curves) {
-            for (double& lm : curve) lm *= 3.0;
-          }
-        }
-      }
-    }
-    it = dbs.emplace(cores, std::make_unique<workload::SimDb>(
-                                base.suite(), base.system(), base.power(),
-                                base.phase_options(), stats))
+    it = dbs.emplace(cores, qosrm::testing::missier_db(qosrm::testing::shared_db(cores)))
              .first;
   }
   return *it->second;

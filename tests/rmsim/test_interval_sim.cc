@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "rmsim/core_timeline.hh"
+#include "support/missier_db.hh"
 #include "support/shared_db.hh"
 
 namespace qosrm::rmsim {
@@ -250,23 +251,10 @@ TEST(IntervalSim, ScratchRebindToAnotherDatabaseRefillsSnapshots) {
   // refill every snapshot rather than keep the first database's counters as
   // a same-cell refresh. Seating the same apps at the baseline setting
   // revisits exactly the cells the first binding filled.
-  std::vector<std::vector<workload::PhaseStats>> stats;
-  std::vector<std::vector<workload::PhaseStats>> missier;
-  for (int app = 0; app < db().suite().size(); ++app) {
-    auto& per_app = stats.emplace_back();
-    auto& per_app_missier = missier.emplace_back();
-    for (int ph = 0; ph < db().num_phases(app); ++ph) {
-      per_app.push_back(db().stats(app, ph));
-      workload::PhaseStats& st = per_app_missier.emplace_back(db().stats(app, ph));
-      st.llc_accesses *= 3.0;
-      for (double& m : st.misses) m *= 3.0;
-      for (auto* curves : {&st.lm_true, &st.lm_atd}) {
-        for (std::vector<double>& curve : *curves) {
-          for (double& lm : curve) lm *= 3.0;
-        }
-      }
-    }
-  }
+  const std::vector<std::vector<workload::PhaseStats>> stats =
+      qosrm::testing::miss_scaled_stats(db(), 1.0);
+  const std::vector<std::vector<workload::PhaseStats>> missier =
+      qosrm::testing::miss_scaled_stats(db(), 3.0);
   const int apps[] = {db().suite().index_of("mcf"),
                       db().suite().index_of("libquantum")};
 
