@@ -19,6 +19,7 @@
 #define QOSRM_ARCH_CORE_CONFIG_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -54,7 +55,18 @@ struct CoreParams {
 };
 
 /// Returns the Table I parameters of configuration `c`.
-[[nodiscard]] const CoreParams& core_params(CoreSize c) noexcept;
+[[nodiscard]] inline const CoreParams& core_params(CoreSize c) noexcept {
+  // Paper Table I plus energy scaling factors. The EPI/leakage scales are
+  // McPAT-flavoured: upsizing S->M->L grows per-instruction switching energy
+  // sub-linearly with width (wider structures, but shared front-end/caches)
+  // and leakage roughly with active area.
+  static constexpr std::array<CoreParams, kNumCoreSizes> kParams = {{
+      {CoreSize::S, 2, 64, 16, 10, /*epi_scale=*/0.90, /*leak_scale=*/0.74},
+      {CoreSize::M, 4, 128, 64, 32, /*epi_scale=*/1.00, /*leak_scale=*/1.00},
+      {CoreSize::L, 8, 256, 128, 64, /*epi_scale=*/1.13, /*leak_scale=*/1.32},
+  }};
+  return kParams[static_cast<std::size_t>(c)];
+}
 
 }  // namespace qosrm::arch
 

@@ -7,7 +7,10 @@
 #ifndef QOSRM_ARCH_DVFS_HH
 #define QOSRM_ARCH_DVFS_HH
 
+#include <array>
 #include <cstddef>
+
+#include "common/check.hh"
 
 namespace qosrm::arch {
 
@@ -29,15 +32,41 @@ class VfTable {
   static constexpr int kBaselineIndex = 8;
 
   /// Operating point at table index `idx` in [0, kNumPoints).
-  [[nodiscard]] static OperatingPoint point(int idx) noexcept;
+  [[nodiscard]] static constexpr OperatingPoint point(int idx) noexcept {
+    QOSRM_DCHECK(idx >= 0 && idx < kNumPoints);
+    return kPoints[static_cast<std::size_t>(idx)];
+  }
 
-  [[nodiscard]] static double frequency_hz(int idx) noexcept;
-  [[nodiscard]] static double voltage(int idx) noexcept;
+  [[nodiscard]] static constexpr double frequency_hz(int idx) noexcept {
+    return point(idx).freq_hz;
+  }
+  [[nodiscard]] static constexpr double voltage(int idx) noexcept {
+    return point(idx).voltage;
+  }
 
-  [[nodiscard]] static OperatingPoint baseline() noexcept {
+  [[nodiscard]] static constexpr OperatingPoint baseline() noexcept {
     return point(kBaselineIndex);
   }
+
+ private:
+  static const std::array<OperatingPoint, kNumPoints> kPoints;
 };
+
+/// The table, evaluated at compile time: f = kMinFreqHz + idx * kStepHz,
+/// and V linear in f from kMinVolt to kMaxVolt. Compile-time IEEE arithmetic
+/// rounds like run-time arithmetic, so each entry is bit-identical to the
+/// formula evaluated at run time (tests/arch/test_dvfs.cc checks all 19).
+inline constexpr std::array<OperatingPoint, VfTable::kNumPoints> VfTable::kPoints =
+    [] {
+      std::array<OperatingPoint, kNumPoints> points{};
+      const double span_hz = kStepHz * static_cast<double>(kNumPoints - 1);
+      for (int idx = 0; idx < kNumPoints; ++idx) {
+        const double f = kMinFreqHz + kStepHz * static_cast<double>(idx);
+        const double t = (f - kMinFreqHz) / span_hz;
+        points[static_cast<std::size_t>(idx)] = {f, kMinVolt + t * (kMaxVolt - kMinVolt)};
+      }
+      return points;
+    }();
 
 /// DVFS transition overheads (paper Section III-E).
 inline constexpr double kDvfsTransitionTimeS = 15e-6;

@@ -4,18 +4,6 @@
 
 namespace qosrm::power {
 
-double PowerModel::core_dynamic_energy(arch::CoreSize c, double v,
-                                       double instructions,
-                                       double stalled_cycles) const noexcept {
-  QOSRM_DCHECK(v > 0.0);
-  const double scale = arch::core_params(c).epi_scale * v * v;
-  return scale * (p_.epi_joule * instructions + p_.stall_epc_joule * stalled_cycles);
-}
-
-double PowerModel::core_static_power(arch::CoreSize c, double v) const noexcept {
-  return p_.leak_watt * arch::core_params(c).leak_scale * v;
-}
-
 double PowerModel::memory_energy(double accesses) const noexcept {
   return p_.mem_energy_joule * accesses;
 }

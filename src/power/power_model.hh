@@ -20,6 +20,7 @@
 #include "arch/core_config.hh"
 #include "arch/core_model.hh"
 #include "arch/dvfs.hh"
+#include "common/check.hh"
 
 namespace qosrm::power {
 
@@ -53,10 +54,16 @@ class PowerModel {
   /// `stalled_cycles` clocked-but-stalled at core size `c`, voltage `v`.
   [[nodiscard]] double core_dynamic_energy(arch::CoreSize c, double v,
                                            double instructions,
-                                           double stalled_cycles) const noexcept;
+                                           double stalled_cycles) const noexcept {
+    QOSRM_DCHECK(v > 0.0);
+    const double scale = arch::core_params(c).epi_scale * v * v;
+    return scale * (p_.epi_joule * instructions + p_.stall_epc_joule * stalled_cycles);
+  }
 
   /// Leakage power (W) of core size `c` at voltage `v`.
-  [[nodiscard]] double core_static_power(arch::CoreSize c, double v) const noexcept;
+  [[nodiscard]] double core_static_power(arch::CoreSize c, double v) const noexcept {
+    return p_.leak_watt * arch::core_params(c).leak_scale * v;
+  }
 
   /// DRAM energy for `accesses` memory transactions.
   [[nodiscard]] double memory_energy(double accesses) const noexcept;

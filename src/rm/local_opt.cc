@@ -8,14 +8,6 @@
 
 namespace qosrm::rm {
 
-const WayChoice& LocalOptResult::at(int w, int b) const {
-  QOSRM_CHECK(w >= min_ways && w <= max_ways());
-  QOSRM_CHECK(b >= min_shares && b <= max_shares());
-  return choices[static_cast<std::size_t>(b - min_shares) *
-                     static_cast<std::size_t>(num_ways()) +
-                 static_cast<std::size_t>(w - min_ways)];
-}
-
 std::vector<double> LocalOptResult::energy_curve() const {
   std::vector<double> curve;
   curve.reserve(choices.size());

@@ -16,10 +16,12 @@
 #ifndef QOSRM_RM_LOCAL_OPT_HH
 #define QOSRM_RM_LOCAL_OPT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "common/check.hh"
 #include "rm/energy_model.hh"
 #include "rm/perf_model.hh"
 
@@ -57,7 +59,13 @@ struct LocalOptResult {
   [[nodiscard]] int max_shares() const noexcept {
     return min_shares + num_shares - 1;
   }
-  [[nodiscard]] const WayChoice& at(int w, int b) const;
+  [[nodiscard]] const WayChoice& at(int w, int b) const {
+    QOSRM_CHECK(w >= min_ways && w <= max_ways());
+    QOSRM_CHECK(b >= min_shares && b <= max_shares());
+    return choices[static_cast<std::size_t>(b - min_shares) *
+                       static_cast<std::size_t>(num_ways()) +
+                   static_cast<std::size_t>(w - min_ways)];
+  }
   /// Ways-only accessor: the choice at the lowest share (the only share in
   /// the degenerate config).
   [[nodiscard]] const WayChoice& at(int w) const { return at(w, min_shares); }

@@ -26,18 +26,31 @@ namespace qosrm::rmsim {
 /// is computed; a reader of more than the key fills them with
 /// rm::fill_counters (the RM does so in its own workspace, only on the paths
 /// that read counters). The interval simulator owns one snapshot per core
-/// and refreshes it through this at every boundary. `out` must not outlive
-/// `db`.
-void make_snapshot_into(const workload::SimDb& db, int app, int phase,
-                        const workload::Setting& current, int oracle_phase,
-                        rm::CounterSnapshot& out);
-
-/// The same refresh with the cell's key already known: `key` must equal
+/// and refreshes it through this at every boundary. `key` must equal
 /// db.interval_key(app, phase, current), e.g. the key the interval's frozen
-/// cell read returned (workload::SimDb::interval_cell).
-void make_snapshot_into(const workload::SimDb& db, int app, int phase,
-                        const workload::Setting& current, int oracle_phase,
-                        std::int64_t key, rm::CounterSnapshot& out);
+/// cell read returned (workload::SimDb::interval_cell). `out` must not
+/// outlive `db`.
+inline void make_snapshot_into(const workload::SimDb& db, int app, int phase,
+                               const workload::Setting& current, int oracle_phase,
+                               std::int64_t key, rm::CounterSnapshot& out) {
+  out.current = current;
+  out.oracle = oracle_phase >= 0 ? rm::OracleRef{&db, app, oracle_phase}
+                                 : rm::OracleRef{};
+  out.memo_key = key;
+  out.memo_space = db.interval_key_space();
+  out.memo_db = &db;
+  out.app = app;
+  out.phase = phase;
+  out.key_only = true;
+}
+
+/// The same refresh, looking the cell's key up in `db`.
+inline void make_snapshot_into(const workload::SimDb& db, int app, int phase,
+                               const workload::Setting& current, int oracle_phase,
+                               rm::CounterSnapshot& out) {
+  make_snapshot_into(db, app, phase, current, oracle_phase,
+                     db.interval_key(app, phase, current), out);
+}
 
 }  // namespace qosrm::rmsim
 

@@ -20,7 +20,9 @@
 #ifndef QOSRM_WORKLOAD_EVAL_TABLE_HH
 #define QOSRM_WORKLOAD_EVAL_TABLE_HH
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -29,6 +31,7 @@
 #include "arch/core_model.hh"
 #include "arch/dvfs.hh"
 #include "arch/system_config.hh"
+#include "common/check.hh"
 #include "power/power_model.hh"
 #include "workload/phase_stats.hh"
 #include "workload/spec_suite.hh"
@@ -157,6 +160,80 @@ class EvalTable {
   std::vector<AppAggregates> aggregates_;      // [app]
   std::int64_t key_space_ = 0;                 // total cells across all grids
 };
+
+// The cell and row reads run once per simulated interval, so they are
+// defined here, where every caller can inline them.
+
+inline const EvalTable::PhaseGrid& EvalTable::grid(int app, int phase) const {
+  QOSRM_CHECK(app >= 0 && app < static_cast<int>(grids_.size()));
+  const auto& per_app = grids_[static_cast<std::size_t>(app)];
+  QOSRM_CHECK(phase >= 0 && phase < static_cast<int>(per_app.size()));
+  return per_app[static_cast<std::size_t>(phase)];
+}
+
+inline std::size_t EvalTable::flat_index(const PhaseGrid& g, const Setting& s) {
+  // Ways and shares clamp like PhaseStats accessors do; c and f are hard
+  // grid bounds.
+  const int w = std::clamp(s.w, 1, g.max_ways);
+  const int b = std::clamp(s.b, g.min_shares, g.min_shares + g.num_shares - 1);
+  QOSRM_CHECK(s.f_idx >= 0 && s.f_idx < arch::VfTable::kNumPoints);
+  const auto c_idx = static_cast<std::size_t>(arch::core_size_index(s.c));
+  return ((c_idx * static_cast<std::size_t>(arch::VfTable::kNumPoints) +
+           static_cast<std::size_t>(s.f_idx)) *
+              static_cast<std::size_t>(g.num_shares) +
+          static_cast<std::size_t>(b - g.min_shares)) *
+             static_cast<std::size_t>(g.max_ways) +
+         static_cast<std::size_t>(w - 1);
+}
+
+inline std::size_t EvalTable::row_offset(const PhaseGrid& g, arch::CoreSize c,
+                                         int f_idx, int b) {
+  QOSRM_CHECK(f_idx >= 0 && f_idx < arch::VfTable::kNumPoints);
+  const int bc = std::clamp(b, g.min_shares, g.min_shares + g.num_shares - 1);
+  const auto c_idx = static_cast<std::size_t>(arch::core_size_index(c));
+  return ((c_idx * static_cast<std::size_t>(arch::VfTable::kNumPoints) +
+           static_cast<std::size_t>(f_idx)) *
+              static_cast<std::size_t>(g.num_shares) +
+          static_cast<std::size_t>(bc - g.min_shares)) *
+         static_cast<std::size_t>(g.max_ways);
+}
+
+inline double EvalTable::total_seconds(int app, int phase, const Setting& s) const {
+  const PhaseGrid& g = grid(app, phase);
+  return g.total_s[flat_index(g, s)];
+}
+
+inline double EvalTable::total_joules(int app, int phase, const Setting& s) const {
+  const PhaseGrid& g = grid(app, phase);
+  return g.total_j[flat_index(g, s)];
+}
+
+inline std::span<const double> EvalTable::total_seconds_row(int app, int phase,
+                                                            arch::CoreSize c,
+                                                            int f_idx,
+                                                            int b) const {
+  const PhaseGrid& g = grid(app, phase);
+  return {g.total_s.data() + row_offset(g, c, f_idx, b),
+          static_cast<std::size_t>(g.max_ways)};
+}
+
+inline std::int64_t EvalTable::interval_key(int app, int phase,
+                                            const Setting& s) const {
+  const PhaseGrid& g = grid(app, phase);
+  return g.key_off + static_cast<std::int64_t>(flat_index(g, s));
+}
+
+inline double EvalTable::baseline_time(int app, int phase) const {
+  return grid(app, phase).baseline_time_s;
+}
+
+inline IntervalCell EvalTable::interval_cell(int app, int phase,
+                                              const Setting& s) const {
+  const PhaseGrid& g = grid(app, phase);
+  const std::size_t i = flat_index(g, s);
+  return {g.total_s[i], g.total_j[i], g.baseline_time_s,
+          g.key_off + static_cast<std::int64_t>(i)};
+}
 
 }  // namespace qosrm::workload
 

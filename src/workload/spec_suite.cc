@@ -181,11 +181,6 @@ SpecSuite::SpecSuite() {
   }
 }
 
-const AppProfile& SpecSuite::app(int idx) const {
-  QOSRM_CHECK(idx >= 0 && idx < size());
-  return apps_[static_cast<std::size_t>(idx)];
-}
-
 int SpecSuite::index_of(const std::string& name) const {
   for (int i = 0; i < size(); ++i) {
     if (apps_[static_cast<std::size_t>(i)].name == name) return i;

@@ -16,9 +16,11 @@
 #ifndef QOSRM_WORKLOAD_SPEC_SUITE_HH
 #define QOSRM_WORKLOAD_SPEC_SUITE_HH
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
+#include "common/check.hh"
 #include "workload/app_profile.hh"
 
 namespace qosrm::workload {
@@ -37,7 +39,10 @@ class SpecSuite {
 
   [[nodiscard]] const std::vector<AppProfile>& apps() const noexcept { return apps_; }
   [[nodiscard]] int size() const noexcept { return static_cast<int>(apps_.size()); }
-  [[nodiscard]] const AppProfile& app(int idx) const;
+  [[nodiscard]] const AppProfile& app(int idx) const {
+    QOSRM_CHECK(idx >= 0 && idx < size());
+    return apps_[static_cast<std::size_t>(idx)];
+  }
 
   /// Index of the application named `name` (-1 if absent).
   [[nodiscard]] int index_of(const std::string& name) const;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 namespace qosrm::arch {
 namespace {
 
@@ -14,9 +17,37 @@ TEST(Dvfs, TableCoversPaperRange) {
 }
 
 TEST(Dvfs, BaselineIsTwoGigahertzOneVolt) {
-  const OperatingPoint base = VfTable::baseline();
-  EXPECT_DOUBLE_EQ(base.freq_hz, 2.0e9);
-  EXPECT_DOUBLE_EQ(base.voltage, 1.0);
+  static_assert(VfTable::kBaselineIndex == 8);
+  static_assert(VfTable::baseline().freq_hz == 2.0e9);
+  static_assert(VfTable::baseline().voltage == 1.0);
+  const OperatingPoint base = VfTable::point(8);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(base.freq_hz),
+            std::bit_cast<std::uint64_t>(2.0e9));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(base.voltage),
+            std::bit_cast<std::uint64_t>(1.0));
+}
+
+// The table is built at compile time; every point must equal the Table I
+// formula evaluated at run time (volatile inputs, so nothing folds), bit for
+// bit, because the simulation database and every golden were produced by
+// that formula.
+TEST(Dvfs, CompileTimeTableEqualsRunTimeFormulaBitForBit) {
+  volatile double min_f = VfTable::kMinFreqHz;
+  volatile double step = VfTable::kStepHz;
+  volatile double min_v = VfTable::kMinVolt;
+  volatile double max_v = VfTable::kMaxVolt;
+  volatile int num_points = VfTable::kNumPoints;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const double span_hz = step * static_cast<double>(num_points - 1);
+  for (int idx = 0; idx < VfTable::kNumPoints; ++idx) {
+    const double f = min_f + step * static_cast<double>(idx);
+    const double t = (f - min_f) / span_hz;
+    const double v = min_v + t * (max_v - min_v);
+    EXPECT_EQ(bits(VfTable::point(idx).freq_hz), bits(f)) << "index " << idx;
+    EXPECT_EQ(bits(VfTable::point(idx).voltage), bits(v)) << "index " << idx;
+    EXPECT_EQ(bits(VfTable::frequency_hz(idx)), bits(f)) << "index " << idx;
+    EXPECT_EQ(bits(VfTable::voltage(idx)), bits(v)) << "index " << idx;
+  }
 }
 
 TEST(Dvfs, MonotoneFrequencyAndVoltage) {

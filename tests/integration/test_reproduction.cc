@@ -168,46 +168,60 @@ const std::array<double, 3>& fig2_s3() {  // CI-PS x CI-PS
   return s;
 }
 
-// --- Fig. 6: generated two-core suite, three mixes per scenario, Model3 ---
+// --- Fig. 6: Model3 mean savings over a generated suite --------------------
 
 /// Mean savings per scenario (rows) and RM1..RM3 (columns).
-const std::array<std::array<double, 3>, 4>& fig6() {
-  static const auto means = [] {
-    rmsim::ExperimentRunner runner(db2());
-    workload::WorkloadGenOptions gen;
-    gen.cores = 2;
-    gen.per_scenario = 3;
-    std::array<std::array<double, 3>, 4> sum{};
-    std::array<int, 4> count{};
-    for (const auto& mix : generate_workloads(workload::spec_suite(), gen)) {
-      const auto s = static_cast<std::size_t>(mix.scenario) - 1;
-      for (int p = 0; p < 3; ++p) {
-        rm::RmConfig cfg;
-        cfg.policy = static_cast<RmPolicy>(p + 1);
-        cfg.model = rm::PerfModelKind::Model3;
-        sum[s][static_cast<std::size_t>(p)] += runner.run(mix, cfg).savings;
-      }
-      ++count[s];
+using ScenarioMeans = std::array<std::array<double, 3>, 4>;
+
+/// RM1..RM3 (Model3, overheads on) over the suite `generate_workloads`
+/// draws at `cores` with `per_scenario` mixes per scenario.
+ScenarioMeans scenario_means(int cores, int per_scenario) {
+  rmsim::ExperimentRunner runner(testing::shared_db(cores));
+  workload::WorkloadGenOptions gen;
+  gen.cores = cores;
+  gen.per_scenario = per_scenario;
+  ScenarioMeans sum{};
+  std::array<int, 4> count{};
+  for (const auto& mix : generate_workloads(workload::spec_suite(), gen)) {
+    const auto s = static_cast<std::size_t>(mix.scenario) - 1;
+    for (int p = 0; p < 3; ++p) {
+      rm::RmConfig cfg;
+      cfg.policy = static_cast<RmPolicy>(p + 1);
+      cfg.model = rm::PerfModelKind::Model3;
+      sum[s][static_cast<std::size_t>(p)] += runner.run(mix, cfg).savings;
     }
-    for (std::size_t s = 0; s < 4; ++s) {
-      for (double& v : sum[s]) v /= count[s];
-    }
-    return sum;
-  }();
-  return means;
+    ++count[s];
+  }
+  for (std::size_t s = 0; s < 4; ++s) {
+    for (double& v : sum[s]) v /= count[s];
+  }
+  return sum;
 }
 
-double fig6_mean(Scenario s, RmPolicy p) {
-  return fig6()[static_cast<std::size_t>(s) - 1]
-               [static_cast<std::size_t>(p) - 1];
+/// The two-core suite, three mixes per scenario.
+const ScenarioMeans& fig6() {
+  static const ScenarioMeans m = scenario_means(2, 3);
+  return m;
 }
 
-double fig6_weighted_rm3() {
+/// The paper grid: four cores, six mixes per scenario, the shape of
+/// `sweep_main --cores=4 --per-scenario=6` and of
+/// tests/data/golden_paper_grid_report.json.
+const ScenarioMeans& fig6grid() {
+  static const ScenarioMeans m = scenario_means(4, 6);
+  return m;
+}
+
+double fig6_mean(const ScenarioMeans& m, Scenario s, RmPolicy p) {
+  return m[static_cast<std::size_t>(s) - 1][static_cast<std::size_t>(p) - 1];
+}
+
+double fig6_weighted_rm3(const ScenarioMeans& m) {
   const std::vector<Scenario> scenarios = {Scenario::One, Scenario::Two,
                                            Scenario::Three, Scenario::Four};
   std::vector<double> savings;
   for (const Scenario s : scenarios) {
-    savings.push_back(fig6_mean(s, RmPolicy::Rm3));
+    savings.push_back(fig6_mean(m, s, RmPolicy::Rm3));
   }
   return rmsim::weighted_average_savings(
       scenarios, savings, rmsim::scenario_weights(workload::spec_suite()));
@@ -341,34 +355,37 @@ const Claim kClaims[] = {
      [] { return std::max(fig2_s3()[0], fig2_s3()[1]); }},
     {"fig6.s1_rm3_over_rm2", "Fig. 2/6", "scenario 1 RM3/RM2 mean savings",
      kRatio, Sense::Near, 1.7, 0.2,
-     [] { return fig6_mean(Scenario::One, RmPolicy::Rm3) /
-                 fig6_mean(Scenario::One, RmPolicy::Rm2); },
+     [] { return fig6_mean(fig6(), Scenario::One, RmPolicy::Rm3) /
+                 fig6_mean(fig6(), Scenario::One, RmPolicy::Rm2); },
      kGridNote, {.lo = 1.3}, "PaperShapes.Scenario1Rm3BeatsRm2Clearly"},
     {"fig6.s1_rm3", "Fig. 6", "scenario 1 RM3 mean savings", kPct1,
      Sense::Qualitative, 0.0, 0.0,
-     [] { return fig6_mean(Scenario::One, RmPolicy::Rm3); }, "", {.lo = 0.05},
+     [] { return fig6_mean(fig6(), Scenario::One, RmPolicy::Rm3); }, "",
+     {.lo = 0.05},
      "PaperShapes.Scenario1Rm3BeatsRm2Clearly"},
     {"fig6.s2_rm3_over_rm2", "Fig. 2/6", "scenario 2 RM3/RM2 mean savings",
      kRatio, Sense::Near, 1.0, 0.25,
-     [] { return fig6_mean(Scenario::Two, RmPolicy::Rm3) /
-                 fig6_mean(Scenario::Two, RmPolicy::Rm2); },
+     [] { return fig6_mean(fig6(), Scenario::Two, RmPolicy::Rm3) /
+                 fig6_mean(fig6(), Scenario::Two, RmPolicy::Rm2); },
      kGridNote, {.lo = 0.2, .hi = 1.8},
      "PaperShapes.Scenario2Rm2AndRm3Comparable"},
     {"fig6.s3_rm3", "Fig. 6", "scenario 3 RM3 mean savings", kPct1, Sense::Near,
-     0.085, 0.02, [] { return fig6_mean(Scenario::Three, RmPolicy::Rm3); },
+     0.085, 0.02,
+     [] { return fig6_mean(fig6(), Scenario::Three, RmPolicy::Rm3); },
      kGridNote, {.lo = 0.04}, "PaperShapes.Scenario3OnlyRm3Effective"},
     {"fig6.s3_rm2", "Fig. 6", "scenario 3 RM2 mean savings", kPct1, Sense::Near,
-     0.017, 0.02, [] { return fig6_mean(Scenario::Three, RmPolicy::Rm2); }, "",
+     0.017, 0.02,
+     [] { return fig6_mean(fig6(), Scenario::Three, RmPolicy::Rm2); }, "",
      {.hi = 0.02}, "PaperShapes.Scenario3OnlyRm3Effective"},
     {"fig6.s3_rm1", "Fig. 2/6", "scenario 3 RM1 mean savings", kPct1,
      Sense::Near, 0.0, 0.02,
-     [] { return fig6_mean(Scenario::Three, RmPolicy::Rm1); }, "",
+     [] { return fig6_mean(fig6(), Scenario::Three, RmPolicy::Rm1); }, "",
      {.hi = 0.02}, "PaperShapes.Scenario3OnlyRm3Effective"},
     {"fig6.s3_rm3_minus_rm2", "Fig. 6",
      "scenario 3 RM3 - RM2 mean savings (paper: 8.5% - 1.7%)", kPct1,
      Sense::Near, 0.068, 0.02,
-     [] { return fig6_mean(Scenario::Three, RmPolicy::Rm3) -
-                 fig6_mean(Scenario::Three, RmPolicy::Rm2); },
+     [] { return fig6_mean(fig6(), Scenario::Three, RmPolicy::Rm3) -
+                 fig6_mean(fig6(), Scenario::Three, RmPolicy::Rm2); },
      "", {.lo = 0.03}, "PaperShapes.Scenario3OnlyRm3Effective"},
     {"fig6.s4_largest", "Fig. 2/6",
      "scenario 4 largest absolute RM1-3 mean savings", kPct1, Sense::Near, 0.0,
@@ -378,9 +395,25 @@ const Claim kClaims[] = {
      kPct1, Sense::Qualitative, 0.0, 0.0, fig6_rm1_over_rm3_max, "",
      {.hi = 0.01}, "PaperShapes.Rm1WeakestOverall"},
     {"fig6.weighted_rm3", "Fig. 6", "RM3 scenario-weighted mean savings", kPct1,
-     Sense::Near, 0.10, 0.02, fig6_weighted_rm3,
+     Sense::Near, 0.10, 0.02, [] { return fig6_weighted_rm3(fig6()); },
      kGridNote, {.lo = 0.05, .hi = 0.20},
      "PaperShapes.WeightedAverageInPaperBand"},
+    {"fig6grid.s1_rm3_over_rm2", "Fig. 2/6",
+     "paper grid: scenario 1 RM3/RM2 mean savings", kRatio, Sense::Near, 1.7,
+     0.2,
+     [] { return fig6_mean(fig6grid(), Scenario::One, RmPolicy::Rm3) /
+                 fig6_mean(fig6grid(), Scenario::One, RmPolicy::Rm2); }},
+    {"fig6grid.s2_rm3_over_rm2", "Fig. 2/6",
+     "paper grid: scenario 2 RM3/RM2 mean savings", kRatio, Sense::Near, 1.0,
+     0.25,
+     [] { return fig6_mean(fig6grid(), Scenario::Two, RmPolicy::Rm3) /
+                 fig6_mean(fig6grid(), Scenario::Two, RmPolicy::Rm2); }},
+    {"fig6grid.s3_rm3", "Fig. 6", "paper grid: scenario 3 RM3 mean savings",
+     kPct1, Sense::Near, 0.085, 0.02,
+     [] { return fig6_mean(fig6grid(), Scenario::Three, RmPolicy::Rm3); }},
+    {"fig6grid.weighted_rm3", "Fig. 6",
+     "paper grid: RM3 scenario-weighted mean savings", kPct1, Sense::Near, 0.10,
+     0.02, [] { return fig6_weighted_rm3(fig6grid()); }},
     {"fig7.p_m3_vs_m1", "Fig. 7", "violation probability, Model3 vs Model1",
      kPct0, Sense::Near, -0.46, 0.10,
      [] { return change(&QosEvalResult::violation_probability, 0); },

@@ -26,6 +26,21 @@ struct Optimizers {
   OnlineEnergyModel energy{db().power()};
 };
 
+TEST(LocalOptDeathTest, ChoiceOutsideTheSurfaceAborts) {
+  // A 2-share surface over ways [2, 4]: shares [1, 2].
+  LocalOptResult result;
+  result.min_ways = 2;
+  result.min_shares = 1;
+  result.num_shares = 2;
+  result.choices.resize(6);
+  EXPECT_EQ(&result.at(4, 2), &result.choices.back());
+  EXPECT_DEATH((void)result.at(1, 1), "w >= min_ways");
+  EXPECT_DEATH((void)result.at(5, 1), "w <= max_ways\\(\\)");
+  EXPECT_DEATH((void)result.at(2, 0), "b >= min_shares");
+  EXPECT_DEATH((void)result.at(2, 3), "b <= max_shares\\(\\)");
+  EXPECT_DEATH((void)result.at(5), "w <= max_ways\\(\\)");
+}
+
 TEST(LocalOpt, BaselineAllocationAlwaysFeasible) {
   Optimizers o;
   for (const LocalOptOptions opt :

@@ -220,6 +220,32 @@ TEST(SimDb, SoaAccessorsMatchStructLookupsOverFullGrid) {
   }
 }
 
+// The cell and row reads are inline in eval_table.hh; each still aborts on
+// an app, phase or VF index outside the grid (ways and shares clamp).
+TEST(SimDbDeathTest, CellReadOutsideTheGridAborts) {
+  const SimDb& d = db();
+  const int apps = d.suite().size();
+  const int phases = d.num_phases(0);
+  const Setting base = baseline_setting(d.system());
+  Setting f_low = base;
+  f_low.f_idx = -1;
+  Setting f_high = base;
+  f_high.f_idx = arch::VfTable::kNumPoints;
+  EXPECT_DEATH((void)d.interval_cell(apps, 0, base), "app >= 0");
+  EXPECT_DEATH((void)d.interval_cell(-1, 0, base), "app >= 0");
+  EXPECT_DEATH((void)d.interval_cell(0, phases, base), "phase >= 0");
+  EXPECT_DEATH((void)d.interval_cell(0, -1, base), "phase >= 0");
+  EXPECT_DEATH((void)d.interval_cell(0, 0, f_high), "f_idx >= 0");
+  EXPECT_DEATH((void)d.interval_cell(0, 0, f_low), "f_idx >= 0");
+  EXPECT_DEATH((void)d.total_seconds(apps, 0, base), "app >= 0");
+  EXPECT_DEATH((void)d.total_joules(0, phases, base), "phase >= 0");
+  EXPECT_DEATH((void)d.interval_key(0, 0, f_high), "f_idx >= 0");
+  EXPECT_DEATH((void)d.baseline_time(0, phases), "phase >= 0");
+  EXPECT_DEATH((void)d.total_seconds_row(0, 0, arch::CoreSize::M,
+                                         arch::VfTable::kNumPoints),
+               "f_idx >= 0");
+}
+
 // Interval keys are the memo's identity: distinct (app, phase, c, f, clamped
 // w) cells must get distinct dense keys inside [0, interval_key_space()), and
 // way-clamped settings must share the key of the cell they resolve to.

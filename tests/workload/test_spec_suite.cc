@@ -21,6 +21,12 @@ TEST(SpecSuite, NamesUniqueAndLookupWorks) {
   EXPECT_EQ(suite.index_of("milc"), -1);      // excluded by the paper
 }
 
+TEST(SpecSuiteDeathTest, AppOutsideTheSuiteAborts) {
+  const SpecSuite& suite = spec_suite();
+  EXPECT_DEATH((void)suite.app(suite.size()), "idx < size\\(\\)");
+  EXPECT_DEATH((void)suite.app(-1), "idx >= 0");
+}
+
 TEST(SpecSuite, IntendedPopulationsMatchTableII) {
   const SpecSuite& suite = spec_suite();
   EXPECT_EQ(suite.apps_in_category(Category::CS_PS).size(), 5u);
