@@ -372,7 +372,6 @@ void GlobalOptWorkspace::build_tree(int leaves) {
   win_first_.assign(num_nodes(), 0);
   win_last_.assign(num_nodes(), -1);
   marked_.clear();
-  placed_.clear();
   target_w_.assign(num_nodes(), -1);
   target_b_.assign(num_nodes(), -1);
   cap_ways_ = 0;
@@ -635,10 +634,9 @@ void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
 
   const std::size_t n = curves.size();
   if (static_cast<int>(n) != ws.num_leaves()) ws.build_tree(static_cast<int>(n));
-  // Clear the last call's flags (backtracking read them) and outcome lists.
+  // Clear the last call's flags (backtracking read them).
   for (const int i : ws.marked_) ws.dirty_[static_cast<std::size_t>(i)] = 0;
   ws.marked_.clear();
-  ws.placed_.clear();
   ws.last_recombined_ = 0;
 
   // Only flagged leaves are read (see the leaf contract in the header):
@@ -778,7 +776,6 @@ void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
     if (ws.left_[idx] < 0) {  // leaf: node index == core
       out.ways[idx] = total_w;
       out.shares[idx] = total_b;
-      ws.placed_.push_back(static_cast<int>(idx));
       return;
     }
     if (ws.dirty_[idx] == 0 && ws.target_w_[idx] == total_w &&

@@ -105,12 +105,6 @@ class GlobalOptWorkspace {
   /// same budget would charge again.
   [[nodiscard]] std::uint64_t last_ops() const noexcept { return total_ops_; }
 
-  /// Leaves whose allocation the last optimize_into() re-derived, in
-  /// backtracking order. When the last two results are both feasible, every
-  /// leaf not listed kept its (ways, shares) from the call before; a
-  /// feasible result after an infeasible one lists every leaf.
-  [[nodiscard]] std::span<const int> last_placed() const noexcept { return placed_; }
-
   /// +inf cells before a slot's first row and after each of its rows: the
   /// AVX2 kernel reads up to this far outside a right child's feasible span.
   static constexpr int kPad = 15;
@@ -173,7 +167,6 @@ class GlobalOptWorkspace {
   std::vector<int> win_first_;
   std::vector<int> win_last_;
   std::vector<int> marked_;  ///< nodes whose dirty_ flag the last call set
-  std::vector<int> placed_;  ///< leaves the last backtracking reached
 
   // --- dense pools the leaf copies and the combines write -------------------
   std::vector<double> energy_;

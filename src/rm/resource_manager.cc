@@ -61,10 +61,6 @@ ResourceManager::ResourceManager(const RmConfig& config,
                        system_.bw.min_shares, 1});
   ws_.leaf_active.assign(n, 0);
   ws_.leaf_dirty.assign(n, 0);
-  ws_.touched.reserve(2 * n);  // a core may flip and cold-start in one call
-  ws_.rewrite_mark.assign(n, 0);
-  ws_.decision.settings.assign(n, workload::baseline_setting(system_));
-  ws_.decision.rewritten.reserve(n);
   if (cfg_.memo != RmMemoMode::Off) {
     const MemoScope scope = memo_scope(cfg_, system_, offline_power);
     if (memo == nullptr) memo = &own_memo_.emplace();
@@ -205,25 +201,24 @@ bool ResourceManager::refresh_core(int k, bool fresh, const CounterSnapshot& sna
   view = {local.min_ways, std::span<const double>(cache.entry->energy),
           local.min_shares, local.num_shares};
   if (changed) ws_.leaf_dirty[static_cast<std::size_t>(k)] = 1;
-  ws_.touched.push_back(k);
-  return true;
+  return changed;
 }
 
-void ResourceManager::rewrite(int k, std::span<const std::uint8_t> active,
-                              const GlobalOptResult& global) {
-  const auto i = static_cast<std::size_t>(k);
-  workload::Setting& setting = ws_.decision.settings[i];
-  if (active[i] == 0) {
-    setting = workload::baseline_setting(system_);
-  } else {
-    const WayChoice& choice =
-        cached_[i].entry->local.at(global.ways[i], global.shares[i]);
-    QOSRM_CHECK_MSG(choice.feasible, "global optimizer chose an infeasible way");
-    setting = choice.setting;
+workload::Setting ResourceManager::setting(int core) const {
+  QOSRM_CHECK(core >= 0 && core < system_.cores);
+  const auto k = static_cast<std::size_t>(core);
+  const workload::Setting base = workload::baseline_setting(system_);
+  if (!cached_[k].valid || cfg_.policy == RmPolicy::Idle) return base;
+  // Ways-only baseline policies keep every core at its baseline VF, size
+  // and bandwidth share - they have no notion of those knobs.
+  if (is_baseline_policy(cfg_.policy)) {
+    return {base.c, base.f_idx, ws_.baseline.ways[k], base.b};
   }
-  if (ws_.rewrite_mark[i] != 0) return;
-  ws_.rewrite_mark[i] = 1;
-  ws_.decision.rewritten.push_back(k);
+  const GlobalOptResult& global = ws_.global_result;
+  if (!global.feasible) return base;
+  const WayChoice& choice = cached_[k].entry->local.at(global.ways[k], global.shares[k]);
+  QOSRM_CHECK_MSG(choice.feasible, "global optimizer chose an infeasible way");
+  return choice.setting;
 }
 
 const RmDecision& ResourceManager::invoke(
@@ -238,17 +233,9 @@ const RmDecision& ResourceManager::invoke(
   ++stats_.invocations;
   RmDecision& decision = ws_.decision;
   decision.ops = 0;
-  decision.rewritten.clear();
-  // Whether decision.settings still holds the last call's feasible RM
-  // decision; anything but a full feasible pass below leaves it false.
-  const bool settings_reusable = settings_reusable_;
-  settings_reusable_ = false;
-  if (cfg_.policy == RmPolicy::Idle || is_baseline_policy(cfg_.policy)) {
-    decision.feasible = true;
-    decision.settings.assign(static_cast<std::size_t>(system_.cores),
-                             workload::baseline_setting(system_));
-    for (int core = 0; core < system_.cores; ++core) decision.rewritten.push_back(core);
-    if (cfg_.policy == RmPolicy::Idle) return decision;
+  decision.feasible = true;
+  if (cfg_.policy == RmPolicy::Idle) return decision;
+  if (is_baseline_policy(cfg_.policy)) {
     return invoke_baseline(invoking_core, snapshots, active);
   }
 
@@ -264,12 +251,11 @@ const RmDecision& ResourceManager::invoke(
   const bool scan_all =
       scan_all_ || !std::equal(active.begin(), active.end(), ws_.leaf_active.begin());
   scan_all_ = false;
-  ws_.touched.clear();
-  bool inputs_changed = false;  // an occupancy flip or a replaced curve
+  bool dirtied = false;  // some leaf flagged for the global step
   if (!scan_all) {
-    inputs_changed = refresh_core(invoking_core, true,
-                                  snapshots[static_cast<std::size_t>(invoking_core)],
-                                  decision.ops);
+    dirtied = refresh_core(invoking_core, true,
+                           snapshots[static_cast<std::size_t>(invoking_core)],
+                           decision.ops);
   } else {
     for (int core = 0; core < system_.cores; ++core) {
       const auto k = static_cast<std::size_t>(core);
@@ -278,8 +264,7 @@ const RmDecision& ResourceManager::invoke(
       if (ws_.leaf_active[k] != occupied) {
         ws_.leaf_active[k] = occupied;
         ws_.leaf_dirty[k] = 1;
-        inputs_changed = true;
-        ws_.touched.push_back(core);
+        dirtied = true;
         // A core turning active has no valid cache (it was dropped when
         // the core was seen idle), so the cold start below sets its view.
         if (occupied == 0) {
@@ -293,62 +278,38 @@ const RmDecision& ResourceManager::invoke(
       }
       const bool fresh = core == invoking_core;
       if (!fresh && cache.valid) continue;
-      inputs_changed = refresh_core(core, fresh, snapshots[k], decision.ops) ||
-                       inputs_changed;
+      dirtied = refresh_core(core, fresh, snapshots[k], decision.ops) || dirtied;
     }
   }
 
-  // Unchanged decision: every active core kept the very LocalOptResult (so
-  // the same settings table, not merely bitwise-equal energies, which a memo
-  // hit may bring with different settings) and the occupancy is the same,
-  // so no leaf is dirty and the global step would recombine nothing, charge
-  // the tree's cached total and pick the same cells of the same tables.
-  // The last decision is that outcome; hand it back untouched.
-  if (settings_reusable && !inputs_changed) {
+  // No dirty leaf after a feasible global step: the step would recombine
+  // nothing, charge the tree's cached total and keep the allocation that
+  // setting() reads each core's current curve at. A core whose curve was
+  // replaced by a bitwise-equal one is read from its new table.
+  GlobalOptResult& global = ws_.global_result;
+  if (!dirtied && global.feasible) {
     decision.ops += ws_.global.last_ops();
     ++stats_.dp_skips;
-    settings_reusable_ = true;
     return decision;
   }
 
-  GlobalOptResult& global = ws_.global_result;
   GlobalOptimizer::optimize_into(ws_.views, system_.total_ways(),
                                  system_.total_shares(), ws_.leaf_dirty,
                                  ws_.global, global, &decision.ops);
-  for (const int k : ws_.touched) ws_.leaf_dirty[static_cast<std::size_t>(k)] = 0;
+  std::fill(ws_.leaf_dirty.begin(), ws_.leaf_dirty.end(), std::uint8_t{0});
   const int recombined = ws_.global.last_recombined();
   stats_.nodes_recombined += static_cast<std::uint64_t>(recombined);
   if (recombined == 0) ++stats_.dp_skips;
-  if (!global.feasible) {
-    // Should not happen (the baseline allocation is always feasible), but
-    // fall back to the baseline setting defensively.
-    decision.feasible = false;
-    decision.settings.assign(static_cast<std::size_t>(system_.cores),
-                             workload::baseline_setting(system_));
-    for (int core = 0; core < system_.cores; ++core) decision.rewritten.push_back(core);
-    return decision;
-  }
-
-  // Settings: a core's entry can only move when its curve was replaced, its
-  // occupancy flipped or the global step re-placed its leaf; every other
-  // entry still holds the last feasible decision's value. Without one,
-  // every core is rewritten.
-  decision.feasible = true;
-  if (!settings_reusable) {
-    for (int core = 0; core < system_.cores; ++core) rewrite(core, active, global);
-  } else {
-    for (const int k : ws_.touched) rewrite(k, active, global);
-    for (const int k : ws_.global.last_placed()) rewrite(k, active, global);
-  }
-  for (const int k : decision.rewritten) ws_.rewrite_mark[static_cast<std::size_t>(k)] = 0;
-  settings_reusable_ = true;
+  // An infeasible result should not happen (the baseline allocation is
+  // always feasible); setting() then falls back to the baseline defensively.
+  decision.feasible = global.feasible;
   return decision;
 }
 
 const RmDecision& ResourceManager::invoke_baseline(
     int invoking_core, std::span<const CounterSnapshot> snapshots,
     std::span<const std::uint8_t> active) {
-  RmDecision& decision = ws_.decision;  // invoke() reset ops/feasible/settings
+  RmDecision& decision = ws_.decision;  // invoke() reset ops and feasible
   BaselineWorkspace& bw = ws_.baseline;
   const arch::LlcConfig& llc = system_.llc;
   const int n_alloc = llc.num_allocations();
@@ -417,14 +378,6 @@ const RmDecision& ResourceManager::invoke_baseline(
       break;
     default:
       QOSRM_CHECK_MSG(false, "invoke_baseline on a non-baseline policy");
-  }
-
-  for (int core = 0; core < system_.cores; ++core) {
-    if (active[static_cast<std::size_t>(core)] == 0) continue;  // baseline
-    // Ways-only baseline policies keep every core at its baseline bandwidth
-    // share - they have no notion of the CBP knob.
-    decision.settings[static_cast<std::size_t>(core)] = {
-        base.c, base.f_idx, bw.ways[static_cast<std::size_t>(core)], base.b};
   }
   return decision;
 }

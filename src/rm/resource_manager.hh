@@ -20,18 +20,18 @@
 // Invocation (paper Fig. 3): at a core's interval boundary the RM runs the
 // LOCAL optimization for that core from its fresh counters, combines the
 // resulting energy curve with the cached curves of the other cores in the
-// GLOBAL optimization, and returns the full system setting {w*, f*, c*}.
+// GLOBAL optimization, and so decides the full system setting {w*, f*, c*}.
+// The decision is not stored: setting(k) reads core k's entry of it on
+// demand from the core's curve and the global allocation.
 // Work whose inputs did not change is skipped on the host: with the same
 // occupancy and no pending cold start only the invoking core is visited,
 // each core's curve is one outcome-memo entry (a memoized cell is referred
 // to rather than copied, and fresh counters of the cell whose entry the core
 // already holds change nothing), a key-only snapshot's counters are filled
 // only where they are read, the global step recombines only the tree nodes
-// above cores whose curve changed bitwise or whose occupancy flipped, only
-// the cores whose inputs or allocation moved have their setting rewritten,
-// and an invocation in which no core's curve was replaced and no occupancy
-// flipped returns the previous decision as is. The decision and the modeled
-// op charge are exactly those of a from-scratch invocation.
+// above cores whose curve changed bitwise or whose occupancy flipped, and
+// an invocation that dirtied no leaf skips the global step. The decision
+// and the modeled op charge are exactly those of a from-scratch invocation.
 #ifndef QOSRM_RM_RESOURCE_MANAGER_HH
 #define QOSRM_RM_RESOURCE_MANAGER_HH
 
@@ -144,14 +144,11 @@ class OutcomeMemo {
   std::deque<Entry> entries_;
 };
 
+/// What one invocation charged; the settings it decided are read through
+/// ResourceManager::setting.
 struct RmDecision {
-  std::vector<workload::Setting> settings;  ///< per core
   std::uint64_t ops = 0;  ///< optimizer operations of this invocation
   bool feasible = true;   ///< false -> fell back to the baseline setting
-  /// Cores whose settings entry this invocation rewrote, each once; every
-  /// other entry holds what the previous invocation returned for it. An
-  /// entry may be rewritten with its own value.
-  std::vector<int> rewritten;
 };
 
 /// Host-side work counters of one ResourceManager, accumulated over its
@@ -168,8 +165,9 @@ struct RmInvokeStats {
   std::uint64_t nodes_recombined = 0;  ///< combine-tree nodes recomputed
 };
 
-/// Reusable scratch of the invocation path: the global optimizer's views
-/// and persistent combine tree and the decision handed back to the caller.
+/// Reusable scratch of the invocation path: the global optimizer's views,
+/// persistent combine tree and result, and the decision handed back to the
+/// caller.
 /// Owned by the ResourceManager; every buffer keeps its capacity across
 /// boundaries, so steady-state invoke() performs no heap allocation.
 struct RmWorkspace {
@@ -185,11 +183,6 @@ struct RmWorkspace {
   /// last global step.
   std::vector<std::uint8_t> leaf_active;
   std::vector<std::uint8_t> leaf_dirty;
-  /// Cores whose curve was replaced or whose occupancy flipped this call
-  /// (a core that does both is listed twice).
-  std::vector<int> touched;
-  /// Per-core "already in decision.rewritten" marks of this call.
-  std::vector<std::uint8_t> rewrite_mark;
   GlobalOptWorkspace global;
   GlobalOptResult global_result;
   BaselineWorkspace baseline;  ///< UCP / FCP / ClassPart inputs + result
@@ -217,9 +210,9 @@ class ResourceManager {
   /// most recent counters of every core (the invoking core's entry must be
   /// fresh); key-only entries are filled in the manager's workspace where
   /// their counters are read, so each must not outlive its database.
-  /// Returns the new system setting. The reference points into the
-  /// manager's workspace and stays valid until the next invoke() (copy it to
-  /// keep a decision across boundaries).
+  /// Returns the invocation's op charge and feasibility; setting() reads
+  /// the settings it decided. The reference points into the manager's
+  /// workspace and stays valid until the next invoke().
   [[nodiscard]] const RmDecision& invoke(
       int invoking_core, std::span<const CounterSnapshot> snapshots);
 
@@ -232,6 +225,14 @@ class ResourceManager {
   [[nodiscard]] const RmDecision& invoke(
       int invoking_core, std::span<const CounterSnapshot> snapshots,
       std::span<const std::uint8_t> active);
+
+  /// Core k's setting in the last invocation's decision, derived on read:
+  /// the baseline for a core idle in that call (or before any call, or
+  /// since reset()), under the Idle policy, and when the global step was
+  /// infeasible; the baseline (c, f, b) with the partitioned ways under the
+  /// partitioning-only baselines; otherwise the cell of the core's curve at
+  /// its global allocation.
+  [[nodiscard]] workload::Setting setting(int core) const;
 
   /// Drops all cached energy curves (e.g. when the workload changes). The
   /// underlying buffers are kept, so the next boundaries stay allocation-free.
@@ -255,8 +256,9 @@ class ResourceManager {
  private:
   /// Invocation tail for the partitioning-only baselines: refreshes the
   /// invoking core's cached inputs (miss curve, predicted times or class),
-  /// runs the policy's partitioner and maps the chosen ways onto baseline
-  /// (c, f) settings. Mirrors the RM path's caching and op accounting.
+  /// and runs the policy's partitioner into ws_.baseline.ways, which
+  /// setting() maps onto baseline (c, f, b) settings. Mirrors the RM path's
+  /// caching and op accounting.
   [[nodiscard]] const RmDecision& invoke_baseline(
       int invoking_core, std::span<const CounterSnapshot> snapshots,
       std::span<const std::uint8_t> active);
@@ -282,14 +284,11 @@ class ResourceManager {
 
   /// Local step for core k: recalls or recomputes its curve from its
   /// snapshot (charging the ops only when `fresh`), updates its view and
-  /// flags its leaf when the row changed. Returns whether the curve was
-  /// replaced: a valid core's hit on the entry it holds replaces nothing.
+  /// flags its leaf when the row or its shape changed. Returns whether it
+  /// flagged the leaf: a valid core's hit on the entry it holds, or a new
+  /// entry with a bitwise-equal row, leaves it clean.
   bool refresh_core(int k, bool fresh, const CounterSnapshot& snap,
                     std::uint64_t& ops);
-  /// Rewrites core k's setting from the global result and lists it in
-  /// decision.rewritten (once per call).
-  void rewrite(int k, std::span<const std::uint8_t> active,
-               const GlobalOptResult& global);
 
   /// Returns the memo slot for this snapshot, or nullptr when memoization
   /// does not apply (memo off, unkeyed snapshot, or oracle-backed counters
@@ -310,10 +309,6 @@ class ResourceManager {
   /// (not bool) so a std::span can view the storage.
   std::vector<std::uint8_t> all_active_;
   RmWorkspace ws_;
-  /// The decision in ws_ is the last call's feasible RM decision, so an
-  /// invoke whose inputs did not change may return it as is, and one whose
-  /// inputs did need rewrite only the cores they moved.
-  bool settings_reusable_ = false;
   /// Some active core may lack a valid curve (construction, reset()): the
   /// next invoke visits every core, not only the invoking one.
   bool scan_all_ = true;

@@ -1,6 +1,5 @@
 #include "rmsim/core_timeline.hh"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/binary_io.hh"
@@ -44,8 +43,6 @@ void IntervalKernel::reset() {
   // it, and the manager fills the counters it reads itself.
   snapshots_.resize(n);
   active_.assign(n, 0);
-  seated_.clear();
-  seated_.reserve(n);
   rm_invocations_ = 0;
   rm_ops_ = 0;
 }
@@ -62,9 +59,6 @@ void IntervalKernel::seat(int k, int app) {
   st.setting = base_;
   st.pending = base_;
   active_[static_cast<std::size_t>(k)] = 1;
-  if (std::find(seated_.begin(), seated_.end(), k) == seated_.end()) {
-    seated_.push_back(k);
-  }
   if (managed_) {
     const int phase0 = phase_at(st, 0);
     make_snapshot_into(*db_, app, phase0, base_, perfect_ ? phase0 : -1,
@@ -132,16 +126,7 @@ void IntervalKernel::invoke(int k) {
     const rm::OverheadModel overheads(db_->power());
     st.next_overhead += overheads.rm_execution(decision.ops, st.setting);
   }
-  // Every active core's pending setting equals the manager's last decision
-  // for it, except where this decision rewrote the entry or seat() reset
-  // the pending setting since: only those are copied.
-  const auto adopt = [&](int j) {
-    const auto i = static_cast<std::size_t>(j);
-    if (active_[i] != 0) cores_[i].pending = decision.settings[i];
-  };
-  for (const int j : decision.rewritten) adopt(j);
-  for (const int j : seated_) adopt(j);
-  seated_.clear();
+  st.pending = manager_->setting(k);
 }
 
 void IntervalKernel::vacate(int k) { active_[static_cast<std::size_t>(k)] = 0; }

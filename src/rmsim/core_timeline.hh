@@ -127,10 +127,11 @@ class IntervalKernel {
   void next_interval(int k);
 
   /// One RM invocation on behalf of core k over the current mask. Charges
-  /// the RM execution to k's next interval and hands the decided settings
-  /// to every core in the mask: the entries the decision rewrote, and those
-  /// of the cores seated since the last invocation. The kernel must be its
-  /// manager's only caller. No-op for an Idle-policy run.
+  /// the RM execution to k's next interval and makes k's entry of the
+  /// decision (ResourceManager::setting) its pending setting. Every other
+  /// core keeps its pending setting: a managed core freezes only right after
+  /// its own invocation, or at the closed mix's start at the baseline, so no
+  /// other entry would be read. No-op for an Idle-policy run.
   void invoke(int k);
 
   /// Takes core k out of the RM mask (its app departed).
@@ -165,9 +166,6 @@ class IntervalKernel {
   std::vector<CoreTimeline> cores_;
   std::vector<rm::CounterSnapshot> snapshots_;
   std::vector<std::uint8_t> active_;  ///< RM mask (uint8 so a span can view it)
-  /// Cores seated since the last invocation: their pending setting is the
-  /// baseline, not the manager's last decision.
-  std::vector<int> seated_;
   std::uint64_t rm_invocations_ = 0;
   std::uint64_t rm_ops_ = 0;
 };

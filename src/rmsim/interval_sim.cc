@@ -70,7 +70,7 @@ RunResult IntervalSimulator::run(const workload::WorkloadMix& mix,
 
   // The closed mix: every app seated at t = 0, the whole machine in the RM
   // mask for the entire run. A core that reaches the bound simply stops; it
-  // never freezes again, so the settings the RM keeps handing it are unread.
+  // is never invoked or frozen again, but its last curve stays in the DP.
   for (int k = 0; k < sys.cores; ++k) {
     const int app = mix.app_ids[static_cast<std::size_t>(k)];
     result.cores[static_cast<std::size_t>(k)].app = app;

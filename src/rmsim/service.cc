@@ -350,8 +350,10 @@ struct ServiceEngine::Impl {
     }
     for (int j = 0; j < sys.cores; ++j) {
       if (kernel.active(j)) {
-        // Running intervals are frozen; the redistribution reaches each core
-        // at its next boundary via the pending setting.
+        // Running intervals are frozen, and core j's own boundary invoke
+        // supersedes the setting this one decides for it. What it does is
+        // charge the RM execution to j's next interval and bring the
+        // manager's occupancy and combine tree up to date.
         kernel.invoke(j);
         break;
       }

@@ -24,12 +24,14 @@
 #include "rm/resource_manager.hh"
 #include "rmsim/snapshot.hh"
 #include "support/missier_db.hh"
+#include "support/settings_of.hh"
 #include "workload/sim_db.hh"
 #include "workload/spec_suite.hh"
 
 namespace qosrm::rm {
 namespace {
 
+using qosrm::testing::settings_of;
 using workload::Setting;
 using workload::SimDb;
 
@@ -140,9 +142,9 @@ void walk_key_only_vs_filled(int cores, int shares, bool missier, const RmConfig
         name + " step " + std::to_string(step) + " event " + std::to_string(event);
     ASSERT_EQ(got.feasible, want.feasible) << what;
     EXPECT_EQ(got.ops, want.ops) << what;
-    EXPECT_TRUE(got.settings == want.settings) << what;
+    EXPECT_TRUE(settings_of(live) == settings_of(fresh)) << what;
     EXPECT_EQ(fresh.stats().counter_fills, 0u) << what;  // it read filled ones
-    setting[k] = got.settings[k];
+    setting[k] = live.setting(static_cast<int>(k));
   }
   EXPECT_GT(resets, 0u) << name;
   EXPECT_GT(reseats, 0u) << name;

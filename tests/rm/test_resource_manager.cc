@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,11 +13,13 @@
 #include "common/rng.hh"
 #include "rmsim/snapshot.hh"
 #include "support/missier_db.hh"
+#include "support/settings_of.hh"
 #include "support/shared_db.hh"
 
 namespace qosrm::rm {
 namespace {
 
+using qosrm::testing::settings_of;
 using workload::Setting;
 
 const workload::SimDb& db() { return qosrm::testing::shared_db(); }
@@ -53,7 +56,7 @@ TEST(ResourceManager, IdleKeepsBaselineEverywhere) {
   const auto snaps = snapshots_for({"mcf", "libquantum"});
   const RmDecision d = manager.invoke(0, snaps);
   const Setting base = workload::baseline_setting(db().system());
-  for (const Setting& s : d.settings) EXPECT_TRUE(s == base);
+  for (const Setting& s : settings_of(manager)) EXPECT_TRUE(s == base);
   EXPECT_EQ(d.ops, 0u);
 }
 
@@ -61,9 +64,9 @@ TEST(ResourceManager, WayBudgetAlwaysRespected) {
   for (const RmPolicy policy : {RmPolicy::Rm1, RmPolicy::Rm2, RmPolicy::Rm3}) {
     ResourceManager manager(config(policy), db().system(), db().power());
     const auto snaps = snapshots_for({"mcf", "libquantum"});
-    const RmDecision d = manager.invoke(0, snaps);
+    (void)manager.invoke(0, snaps);
     int total = 0;
-    for (const Setting& s : d.settings) total += s.w;
+    for (const Setting& s : settings_of(manager)) total += s.w;
     EXPECT_EQ(total, db().system().total_ways()) << rm_policy_name(policy);
   }
 }
@@ -71,8 +74,8 @@ TEST(ResourceManager, WayBudgetAlwaysRespected) {
 TEST(ResourceManager, Rm1NeverTouchesFrequencyOrSize) {
   ResourceManager manager(config(RmPolicy::Rm1), db().system(), db().power());
   const auto snaps = snapshots_for({"mcf", "bwaves"});
-  const RmDecision d = manager.invoke(1, snaps);
-  for (const Setting& s : d.settings) {
+  (void)manager.invoke(1, snaps);
+  for (const Setting& s : settings_of(manager)) {
     EXPECT_EQ(s.c, arch::kBaselineCoreSize);
     EXPECT_EQ(s.f_idx, arch::VfTable::kBaselineIndex);
   }
@@ -81,9 +84,9 @@ TEST(ResourceManager, Rm1NeverTouchesFrequencyOrSize) {
 TEST(ResourceManager, Rm2AdjustsFrequencyNotSize) {
   ResourceManager manager(config(RmPolicy::Rm2), db().system(), db().power());
   const auto snaps = snapshots_for({"mcf", "libquantum"});
-  const RmDecision d = manager.invoke(0, snaps);
+  (void)manager.invoke(0, snaps);
   bool any_f_change = false;
-  for (const Setting& s : d.settings) {
+  for (const Setting& s : settings_of(manager)) {
     EXPECT_EQ(s.c, arch::kBaselineCoreSize);
     any_f_change |= s.f_idx != arch::VfTable::kBaselineIndex;
   }
@@ -93,9 +96,9 @@ TEST(ResourceManager, Rm2AdjustsFrequencyNotSize) {
 TEST(ResourceManager, Rm3CanResizeCores) {
   ResourceManager manager(config(RmPolicy::Rm3), db().system(), db().power());
   const auto snaps = snapshots_for({"libquantum", "bwaves"});
-  const RmDecision d = manager.invoke(0, snaps);
+  (void)manager.invoke(0, snaps);
   bool any_resize = false;
-  for (const Setting& s : d.settings) {
+  for (const Setting& s : settings_of(manager)) {
     any_resize |= s.c != arch::kBaselineCoreSize;
   }
   EXPECT_TRUE(any_resize);
@@ -105,17 +108,18 @@ TEST(ResourceManager, CacheSensitiveAppGainsWaysFromInsensitiveOne) {
   ResourceManager manager(config(RmPolicy::Rm3), db().system(), db().power());
   // mcf is cache-sensitive; bwaves is streaming (flat miss curve).
   const auto snaps = snapshots_for({"mcf", "bwaves"});
-  const RmDecision d = manager.invoke(0, snaps);
-  EXPECT_GT(d.settings[0].w, d.settings[1].w);
+  (void)manager.invoke(0, snaps);
+  EXPECT_GT(manager.setting(0).w, manager.setting(1).w);
 }
 
 TEST(ResourceManager, DecisionsSatisfyPredictedQos) {
   ResourceManager manager(config(RmPolicy::Rm3), db().system(), db().power());
   const auto snaps = snapshots_for({"mcf", "xalancbmk"});
-  const RmDecision d = manager.invoke(0, snaps);
+  (void)manager.invoke(0, snaps);
   const PerfModel& perf = manager.perf_model();
   for (std::size_t k = 0; k < snaps.size(); ++k) {
-    EXPECT_TRUE(perf.qos_ok(snaps[k], d.settings[k])) << "core " << k;
+    EXPECT_TRUE(perf.qos_ok(snaps[k], manager.setting(static_cast<int>(k))))
+        << "core " << k;
   }
 }
 
@@ -123,14 +127,15 @@ TEST(ResourceManager, CachedCurvesReusedAcrossInvocations) {
   ResourceManager manager(config(RmPolicy::Rm3), db().system(), db().power());
   const auto snaps = snapshots_for({"mcf", "libquantum"});
   const RmDecision first = manager.invoke(0, snaps);
+  const std::vector<Setting> first_settings = settings_of(manager);
   // Second invocation on core 1: core 0's cached curve is reused, so total
   // ops are lower than a cold start that computes curves for both cores.
   const RmDecision second = manager.invoke(1, snaps);
   EXPECT_GT(first.ops, 0u);
   EXPECT_GT(second.ops, 0u);
   // Decisions stay consistent (same counters -> same curves -> same split).
-  EXPECT_EQ(first.settings[0].w + first.settings[1].w,
-            second.settings[0].w + second.settings[1].w);
+  EXPECT_EQ(first_settings[0].w + first_settings[1].w,
+            manager.setting(0).w + manager.setting(1).w);
 }
 
 TEST(ResourceManager, ResetForcesCurveRebuild) {
@@ -138,9 +143,9 @@ TEST(ResourceManager, ResetForcesCurveRebuild) {
   const auto snaps = snapshots_for({"mcf", "libquantum"});
   (void)manager.invoke(0, snaps);
   manager.reset();
-  const RmDecision d = manager.invoke(0, snaps);
+  (void)manager.invoke(0, snaps);
   int total = 0;
-  for (const Setting& s : d.settings) total += s.w;
+  for (const Setting& s : settings_of(manager)) total += s.w;
   EXPECT_EQ(total, db().system().total_ways());
 }
 
@@ -158,11 +163,7 @@ TEST(ResourceManager, RepeatedInvokeDoesNotLeakWorkspaceState) {
   for (std::size_t step = 0; step < seq.size(); ++step) {
     const RmDecision da = a.invoke(seq[step].first, *seq[step].second);
     const RmDecision db_ = b.invoke(seq[step].first, *seq[step].second);
-    ASSERT_EQ(da.settings.size(), db_.settings.size()) << "step " << step;
-    for (std::size_t k = 0; k < da.settings.size(); ++k) {
-      EXPECT_TRUE(da.settings[k] == db_.settings[k])
-          << "step " << step << " core " << k;
-    }
+    EXPECT_TRUE(settings_of(a) == settings_of(b)) << "step " << step;
     EXPECT_EQ(da.ops, db_.ops) << "step " << step;
     EXPECT_EQ(da.feasible, db_.feasible) << "step " << step;
   }
@@ -182,11 +183,58 @@ TEST(ResourceManager, ResetPlusReuseMatchesFreshManager) {
   const auto snaps = snapshots_for({"mcf", "libquantum"});
   const RmDecision a = seasoned.invoke(0, snaps);
   const RmDecision b = fresh.invoke(0, snaps);
-  ASSERT_EQ(a.settings.size(), b.settings.size());
-  for (std::size_t k = 0; k < a.settings.size(); ++k) {
-    EXPECT_TRUE(a.settings[k] == b.settings[k]) << "core " << k;
-  }
+  EXPECT_TRUE(settings_of(seasoned) == settings_of(fresh));
   EXPECT_EQ(a.ops, b.ops);
+}
+
+TEST(ResourceManager, SettingReadsTheLastDecision) {
+  const Setting base = workload::baseline_setting(db().system());
+  const auto snaps = snapshots_for({"mcf", "libquantum"});
+
+  // The baseline before any invocation, and for a core idle in the last one.
+  ResourceManager rm3(config(RmPolicy::Rm3), db().system(), db().power());
+  for (const Setting& s : settings_of(rm3)) EXPECT_TRUE(s == base);
+  (void)rm3.invoke(0, snaps);
+  ASSERT_FALSE(rm3.setting(1) == base);  // precondition: a managed setting
+  const std::uint8_t only_core0[] = {1, 0};
+  (void)rm3.invoke(0, snaps, only_core0);
+  EXPECT_TRUE(rm3.setting(1) == base);
+
+  // The baseline under the Idle policy.
+  ResourceManager idle(config(RmPolicy::Idle), db().system(), db().power());
+  (void)idle.invoke(0, snaps);
+  for (const Setting& s : settings_of(idle)) EXPECT_TRUE(s == base);
+
+  // The partitioning-only baselines move the ways alone, within the budget.
+  for (const RmPolicy policy : {RmPolicy::Ucp, RmPolicy::Fcp, RmPolicy::ClassPart}) {
+    ResourceManager manager(config(policy), db().system(), db().power());
+    (void)manager.invoke(1, snaps);
+    int total = 0;
+    for (const Setting& s : settings_of(manager)) {
+      EXPECT_EQ(s.c, base.c) << rm_policy_name(policy);
+      EXPECT_EQ(s.f_idx, base.f_idx) << rm_policy_name(policy);
+      EXPECT_EQ(s.b, base.b) << rm_policy_name(policy);
+      total += s.w;
+    }
+    EXPECT_EQ(total, db().system().total_ways()) << rm_policy_name(policy);
+  }
+
+  // reset() drops every curve, so nothing is decided until the next
+  // invocation; the same snapshots then bring back bitwise-equal curves, the
+  // global step is skipped, and every core reads what a fresh manager decides.
+  ResourceManager live(config(RmPolicy::Rm3), db().system(), db().power());
+  (void)live.invoke(0, snaps);
+  live.reset();
+  for (const Setting& s : settings_of(live)) EXPECT_TRUE(s == base);
+  const std::uint64_t skips = live.stats().dp_skips;
+  const std::uint64_t recombined = live.stats().nodes_recombined;
+  const RmDecision got = live.invoke(0, snaps);
+  EXPECT_EQ(live.stats().dp_skips, skips + 1);
+  EXPECT_EQ(live.stats().nodes_recombined, recombined);
+  ResourceManager fresh(config(RmPolicy::Rm3), db().system(), db().power());
+  const RmDecision want = fresh.invoke(0, snaps);
+  EXPECT_TRUE(settings_of(live) == settings_of(fresh));
+  EXPECT_EQ(got.ops, want.ops);
 }
 
 // ---------------------------------------------------------------------------
@@ -252,11 +300,7 @@ TEST(ResourceManagerMemo, ReplayedOutcomesAreBitIdenticalToRecomputation) {
     }
     const RmDecision a = memoized.invoke(seq[step].first, *seq[step].second);
     const RmDecision b = plain.invoke(seq[step].first, *seq[step].second);
-    ASSERT_EQ(a.settings.size(), b.settings.size()) << "step " << step;
-    for (std::size_t k = 0; k < a.settings.size(); ++k) {
-      EXPECT_TRUE(a.settings[k] == b.settings[k])
-          << "step " << step << " core " << k;
-    }
+    EXPECT_TRUE(settings_of(memoized) == settings_of(plain)) << "step " << step;
     EXPECT_EQ(a.ops, b.ops) << "step " << step;
     EXPECT_EQ(a.feasible, b.feasible) << "step " << step;
   }
@@ -286,11 +330,7 @@ TEST(ResourceManagerMemo, SnapshotRefreshNeverServesStaleOutcome) {
     rmsim::make_snapshot_into(db(), apps[round % 3], 0, base, -1, snaps[0]);
     const RmDecision a = memoized.invoke(0, snaps);
     const RmDecision b = plain.invoke(0, snaps);
-    ASSERT_EQ(a.settings.size(), b.settings.size()) << "round " << round;
-    for (std::size_t k = 0; k < a.settings.size(); ++k) {
-      EXPECT_TRUE(a.settings[k] == b.settings[k])
-          << "round " << round << " core " << k;
-    }
+    EXPECT_TRUE(settings_of(memoized) == settings_of(plain)) << "round " << round;
     EXPECT_EQ(a.ops, b.ops) << "round " << round;
   }
 }
@@ -323,21 +363,19 @@ TEST(ResourceManagerMemo, OracleSnapshotsBypassTheMemo) {
                               round % 2, base, (round + 1) % 2, snaps[1]);
     const RmDecision a = memoized.invoke(round % 2, snaps);
     const RmDecision b = plain.invoke(round % 2, snaps);
-    for (std::size_t k = 0; k < a.settings.size(); ++k) {
-      EXPECT_TRUE(a.settings[k] == b.settings[k])
-          << "round " << round << " core " << k;
-    }
+    EXPECT_TRUE(settings_of(memoized) == settings_of(plain)) << "round " << round;
     EXPECT_EQ(a.ops, b.ops) << "round " << round;
   }
 }
 
-void expect_decisions_equal(const RmDecision& a, const RmDecision& b) {
-  ASSERT_EQ(a.settings.size(), b.settings.size());
-  for (std::size_t k = 0; k < a.settings.size(); ++k) {
-    EXPECT_TRUE(a.settings[k] == b.settings[k]) << "core " << k;
-  }
-  EXPECT_EQ(a.ops, b.ops);
-  EXPECT_EQ(a.feasible, b.feasible);
+/// Invokes both managers on behalf of `core` and expects one decision.
+void expect_same_decision(ResourceManager& a, ResourceManager& b, int core,
+                          std::span<const CounterSnapshot> snaps) {
+  const RmDecision da = a.invoke(core, snaps);
+  const RmDecision db_ = b.invoke(core, snaps);
+  EXPECT_TRUE(settings_of(a) == settings_of(b));
+  EXPECT_EQ(da.ops, db_.ops);
+  EXPECT_EQ(da.feasible, db_.feasible);
 }
 
 TEST(ResourceManagerMemo, LentMemoCarriesOutcomesAcrossManagers) {
@@ -355,12 +393,12 @@ TEST(ResourceManagerMemo, LentMemoCarriesOutcomesAcrossManagers) {
   EXPECT_EQ(memo.size(), 2u);
   ResourceManager second(cfg, db().system(), db().power(), &memo);
   ResourceManager own(cfg, db().system(), db().power());
-  expect_decisions_equal(second.invoke(0, snaps), own.invoke(0, snaps));
+  expect_same_decision(second, own, 0, snaps);
   EXPECT_EQ(second.stats().local_runs, 0u);
   EXPECT_EQ(second.stats().memo_hits, 2u);
   EXPECT_EQ(own.stats().local_runs, 2u);
   const auto other = snapshots_for({"xalancbmk", "libquantum"});
-  expect_decisions_equal(second.invoke(0, other), own.invoke(0, other));
+  expect_same_decision(second, own, 0, other);
   EXPECT_EQ(second.stats().local_runs, 1u);
   EXPECT_EQ(memo.size(), 3u);
 }
@@ -377,7 +415,7 @@ TEST(ResourceManagerMemo, MemoOffRecomputesEveryInvoke) {
   ASSERT_GE(snaps[1].memo_key, 0);
   for (std::uint64_t i = 0; i < 4; ++i) {
     const int core = static_cast<int>(i % 2);
-    expect_decisions_equal(plain.invoke(core, snaps), memoized.invoke(core, snaps));
+    expect_same_decision(plain, memoized, core, snaps);
     // The first invocation cold-starts both cores.
     EXPECT_EQ(plain.stats().local_runs, 2 + i) << "invoke " << i;
     EXPECT_EQ(memoized.stats().local_runs, 2u) << "invoke " << i;
@@ -522,7 +560,7 @@ void expect_incremental_matches_fresh(int cores, const RmConfig& cfg,
           std::find(active.begin(), active.end(), 1) - active.begin());
       if (invoker == active.size()) continue;
     }
-    const RmDecision got = incremental.invoke(static_cast<int>(invoker), snaps, active);
+    const RmDecision& got = incremental.invoke(static_cast<int>(invoker), snaps, active);
     ++invoked;
     ResourceManager fresh(cfg, sdb.system(), sdb.power());
     const RmDecision& want = fresh.invoke(static_cast<int>(invoker), snaps, active);
@@ -530,11 +568,9 @@ void expect_incremental_matches_fresh(int cores, const RmConfig& cfg,
                              std::to_string(step);
     ASSERT_EQ(got.feasible, want.feasible) << what;
     EXPECT_EQ(got.ops, want.ops) << what;
-    for (std::size_t c = 0; c < got.settings.size(); ++c) {
-      EXPECT_TRUE(got.settings[c] == want.settings[c]) << what << " core " << c;
-    }
+    EXPECT_TRUE(settings_of(incremental) == settings_of(fresh)) << what;
     // The invoking core runs the decided setting next interval.
-    setting[invoker] = got.settings[invoker];
+    setting[invoker] = incremental.setting(static_cast<int>(invoker));
   }
 
   const RmInvokeStats& stats = incremental.stats();
@@ -559,33 +595,14 @@ TEST(ResourceManagerIncremental, ServiceSequenceMatchesFreshManagerPerCall) {
 }
 
 // ---------------------------------------------------------------------------
-// Unchanged decision. When no core's curve is replaced (only same-cell
-// replays or untouched caches) and no occupancy flips, a long-lived manager
-// hands back its previous decision. Along a walk in which only the invoking
-// core's counters change between invocations, a fresh manager invoked once
-// on the same snapshots sees exactly the long-lived manager's inputs from a
-// cold state, so settings, feasibility and charged ops must all match at
-// every step.
-
-/// The rewritten-entries contract of one invocation of a long-lived
-/// manager: every core is listed at most once, and every entry not listed
-/// holds what the previous invocation returned for that core.
-void expect_rewritten_covers_changes(const std::vector<Setting>& previous,
-                                     const RmDecision& got, const std::string& what) {
-  std::vector<std::uint8_t> listed(got.settings.size(), 0);
-  for (const int k : got.rewritten) {
-    ASSERT_GE(k, 0) << what;
-    ASSERT_LT(static_cast<std::size_t>(k), listed.size()) << what;
-    EXPECT_EQ(listed[static_cast<std::size_t>(k)], 0) << what << " core " << k;
-    listed[static_cast<std::size_t>(k)] = 1;
-  }
-  if (previous.empty()) return;
-  for (std::size_t k = 0; k < got.settings.size(); ++k) {
-    if (listed[k] == 0) {
-      EXPECT_TRUE(got.settings[k] == previous[k]) << what << " unlisted core " << k;
-    }
-  }
-}
+// Unchanged decision. When no leaf is dirty (only same-cell replays,
+// untouched caches or bitwise-equal curves) and no occupancy flips, a
+// long-lived manager skips the global step and reads every core's setting
+// at the kept allocation. Along a walk in which only the invoking core's
+// counters change between invocations, a fresh manager invoked once on the
+// same snapshots sees exactly the long-lived manager's inputs from a cold
+// state, so settings, feasibility and charged ops must all match at every
+// step.
 
 struct WalkStats {
   std::uint64_t invocations = 0;
@@ -624,7 +641,6 @@ WalkStats walk_long_lived_vs_fresh(int cores, int shares, const RmConfig& cfg,
   }
 
   WalkStats walk;
-  std::vector<Setting> previous;
   for (int step = 0; step < steps; ++step) {
     auto k = static_cast<std::size_t>(rng.uniform_u64(n));
     const int event = static_cast<int>(rng.uniform_u64(12));
@@ -664,11 +680,9 @@ WalkStats walk_long_lived_vs_fresh(int cores, int shares, const RmConfig& cfg,
                              " step " + std::to_string(step);
     EXPECT_EQ(got.feasible, want.feasible) << what;
     EXPECT_EQ(got.ops, want.ops) << what;
-    EXPECT_TRUE(got.settings == want.settings) << what;
-    expect_rewritten_covers_changes(previous, got, what);
-    previous = got.settings;
+    EXPECT_TRUE(settings_of(live) == settings_of(fresh)) << what;
     // The invoking core runs the decided setting from its next interval.
-    setting[k] = got.settings[k];
+    setting[k] = live.setting(static_cast<int>(k));
   }
   const RmInvokeStats& stats = live.stats();
   walk.invocations = stats.invocations;
@@ -716,7 +730,7 @@ TEST(ResourceManager, LongLivedManagerMatchesFreshManagerAlongAWalk) {
 }
 
 // The same comparison along a walk that also exercises what the invoking
-// core's fast path and the kept views and settings must survive: reset()
+// core's fast path and the kept views and allocation must survive: reset()
 // mid-walk, idle <-> active flips, a departure immediately followed by a
 // re-seat of the same app on the same core (the first invocation after it
 // usually decides the setting the previous tenant had), and, with the memo
@@ -761,7 +775,6 @@ void walk_with_resets_reseats_and_db_switches(int cores, const RmConfig& cfg,
   }
 
   std::uint64_t resets = 0, reseats = 0, switches = 0, flips = 0;
-  std::vector<Setting> previous;
   for (int step = 0; step < steps; ++step) {
     auto k = static_cast<std::size_t>(rng.uniform_u64(n));
     const int event = static_cast<int>(rng.uniform_u64(12));
@@ -801,10 +814,8 @@ void walk_with_resets_reseats_and_db_switches(int cores, const RmConfig& cfg,
                              std::to_string(step) + " event " + std::to_string(event);
     ASSERT_EQ(got.feasible, want.feasible) << what;
     EXPECT_EQ(got.ops, want.ops) << what;
-    EXPECT_TRUE(got.settings == want.settings) << what;
-    expect_rewritten_covers_changes(previous, got, what);
-    previous = got.settings;
-    setting[k] = got.settings[k];
+    EXPECT_TRUE(settings_of(live) == settings_of(fresh)) << what;
+    setting[k] = live.setting(static_cast<int>(k));
   }
   EXPECT_GT(resets, 0u);
   EXPECT_GT(reseats, 0u);

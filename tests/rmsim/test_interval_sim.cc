@@ -9,6 +9,7 @@
 
 #include "rmsim/core_timeline.hh"
 #include "support/missier_db.hh"
+#include "support/settings_of.hh"
 #include "support/shared_db.hh"
 
 namespace qosrm::rmsim {
@@ -260,7 +261,7 @@ TEST(IntervalSim, ScratchRebindToAnotherDatabaseRefillsSnapshots) {
 
   struct Decision {
     std::uint64_t ops = 0;
-    workload::Setting settings[2];
+    std::vector<workload::Setting> settings;
   };
   // Seats both apps, invokes the RM once for core 0, reads the decision.
   const auto decide = [&](IntervalKernel& kernel, const workload::SimDb& sdb) {
@@ -268,7 +269,8 @@ TEST(IntervalSim, ScratchRebindToAnotherDatabaseRefillsSnapshots) {
     kernel.bind(sdb, SimOptions{}, manager);
     for (int k = 0; k < 2; ++k) kernel.seat(k, apps[k]);
     kernel.invoke(0);
-    return Decision{kernel.rm_ops(), {kernel.core(0).pending, kernel.core(1).pending}};
+    EXPECT_TRUE(kernel.core(0).pending == manager.setting(0));
+    return Decision{kernel.rm_ops(), qosrm::testing::settings_of(manager)};
   };
 
   std::optional<workload::SimDb> slot;
@@ -285,22 +287,17 @@ TEST(IntervalSim, ScratchRebindToAnotherDatabaseRefillsSnapshots) {
   const Decision on_second = decide(fresh_second, *slot);
   // Precondition: the two databases lead to different decisions, so stale
   // counters would show.
-  ASSERT_FALSE(on_first.ops == on_second.ops &&
-               on_first.settings[0] == on_second.settings[0] &&
-               on_first.settings[1] == on_second.settings[1]);
+  ASSERT_FALSE(on_first.ops == on_second.ops && on_first.settings == on_second.settings);
   const Decision rebound = decide(reused, *slot);
   EXPECT_EQ(rebound.ops, on_second.ops);
-  for (int k = 0; k < 2; ++k) {
-    EXPECT_TRUE(rebound.settings[k] == on_second.settings[k]) << "core " << k;
-  }
+  EXPECT_TRUE(rebound.settings == on_second.settings);
 }
 
-// The kernel copies only the decision entries the manager rewrote, plus
-// those of cores seated since the last invocation. A departure followed by
-// a re-seat of the same app resets the core's pending setting to the
-// baseline, and the invocation that follows replays the same cell: the
-// manager hands back its previous decision and rewrites nothing, yet the
-// re-seated core must adopt its decided (non-baseline) setting again.
+// An invocation hands its decision to the invoking core alone. A departure
+// followed by a re-seat of the same app resets the core's pending setting
+// to the baseline, and the invocation that follows replays the same cell:
+// the manager skips the global step, yet the re-seated core must adopt its
+// decided (non-baseline) setting again.
 TEST(IntervalKernel, ReseatedCoreAdoptsAnUnchangedDecision) {
   rm::ResourceManager manager(cfg(rm::RmPolicy::Rm3), db().system(), db().power());
   IntervalKernel kernel;
@@ -310,8 +307,9 @@ TEST(IntervalKernel, ReseatedCoreAdoptsAnUnchangedDecision) {
   for (int k = 0; k < 2; ++k) kernel.seat(k, apps[k]);
   kernel.invoke(0);
   const workload::Setting base = workload::baseline_setting(db().system());
-  const workload::Setting decided = kernel.core(1).pending;
-  ASSERT_FALSE(decided == base);  // precondition: a lost reset would show
+  EXPECT_TRUE(kernel.core(1).pending == base);  // invoke(0) writes core 0 only
+  const workload::Setting decided = manager.setting(1);
+  ASSERT_FALSE(decided == base);  // precondition: a lost adoption would show
 
   kernel.vacate(1);
   kernel.seat(1, apps[1]);
@@ -320,7 +318,7 @@ TEST(IntervalKernel, ReseatedCoreAdoptsAnUnchangedDecision) {
   const std::uint64_t skips = manager.stats().dp_skips;
   kernel.invoke(1);
   EXPECT_EQ(manager.stats().cell_replays, replays + 1);
-  EXPECT_EQ(manager.stats().dp_skips, skips + 1);  // the previous decision
+  EXPECT_EQ(manager.stats().dp_skips, skips + 1);  // the kept allocation
   EXPECT_TRUE(kernel.core(1).pending == decided);
 }
 
