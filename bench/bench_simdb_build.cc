@@ -1,7 +1,8 @@
 // Micro-benchmark for the simulation-database build path: cold trace-driven
 // characterization vs restore from a binary snapshot (workload/db_io.hh).
 // Every --db-cache run of the CLIs, bench and slow test suite takes the
-// snapshot path, so this tracks the speedup in the perf trajectory.
+// snapshot path, so this tracks the speedup in the perf trajectory. It also
+// prints the lane width the leading-miss kernels ran at (simd::lane_width).
 //
 // Flags: --cores=2  --threads=0  --loads=5  --path=bench_simdb.qosdb
 //        --keep (leave the snapshot file behind)
@@ -12,6 +13,7 @@
 #include <string>
 
 #include "common/cli.hh"
+#include "common/simd.hh"
 #include "workload/db_io.hh"
 #include "workload/sim_db.hh"
 #include "workload/spec_suite.hh"
@@ -50,6 +52,7 @@ int main(int argc, char** argv) {
   const workload::SimDb db(suite, system, power, options);
   const double build_s = secs_since(t_build);
   std::printf("cold characterization: %8.1f ms\n", build_s * 1e3);
+  std::printf("leading-miss lanes:    %8d\n", simd::lane_width());
 
   std::string error;
   const auto t_save = Clock::now();

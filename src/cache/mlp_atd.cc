@@ -1,3 +1,9 @@
+// The W = 16 instantiation returns 64-byte vectors from always_inline
+// helpers compiled without AVX-512F; GCC's -Wpsabi note about that ABI
+// concerns no real call and is reported at the end of the instantiation,
+// outside any push/pop region, so it is off for the whole file.
+#pragma GCC diagnostic ignored "-Wpsabi"
+
 #include "cache/mlp_atd.hh"
 
 #include <algorithm>
@@ -18,77 +24,122 @@ MlpAtd::MlpAtd(const MlpAtdConfig& config) : cfg_(config) {
   sampled_sets_.reserve(static_cast<std::size_t>(sampled));
   for (int i = 0; i < sampled; ++i) sampled_sets_.emplace_back(cfg_.max_ways);
 
-  const int lanes = arch::kNumCoreSizes * cfg_.num_allocations();
-  const std::size_t blocks = lane_blocks(static_cast<std::size_t>(lanes));
-  ways_.assign(blocks, splat(kNeverMissWays));
-  rob_.assign(blocks, splat(0));
+  const auto lanes =
+      static_cast<std::size_t>(arch::kNumCoreSizes * cfg_.num_allocations());
+  ways_ = lane_array(lanes, kNeverMissWays);
+  rob_ = lane_array(lanes, 0);
   for (int w = cfg_.min_ways; w <= cfg_.max_ways; ++w) {
     for (int c_idx = 0; c_idx < arch::kNumCoreSizes; ++c_idx) {
       const std::size_t k = lane(c_idx, w);
-      ways_[k / kLaneWidth][k % kLaneWidth] = static_cast<std::uint32_t>(w);
-      rob_[k / kLaneWidth][k % kLaneWidth] =
+      ways_[k] = static_cast<std::uint32_t>(w);
+      rob_[k] =
           static_cast<std::uint32_t>(arch::core_params(arch::kAllCoreSizes[c_idx]).rob);
     }
   }
-  lm_count_.assign(blocks, splat(0));
-  last_lm_index_.assign(blocks, splat(0));
-  last_ov_dist_.assign(blocks, splat(0));
-  has_lm_.assign(blocks, splat(0));
+  lm_count_ = lane_array(lanes, 0);
+  last_lm_index_ = lane_array(lanes, 0);
+  last_ov_dist_ = lane_array(lanes, 0);
+  has_lm_ = lane_array(lanes, 0);
 }
 
-void MlpAtd::observe(const LlcAccess& access) {
-  QOSRM_DCHECK(access.set < static_cast<std::uint32_t>(cfg_.sets));
-  if (access.set % static_cast<std::uint32_t>(cfg_.sample_period) != 0) return;
-
-  const std::uint32_t set_idx =
-      access.set / static_cast<std::uint32_t>(cfg_.sample_period);
-  const std::uint8_t pos = sampled_sets_[set_idx].access(access.tag);
-
+template <int W>
+[[gnu::always_inline]] inline void MlpAtd::observe_lanes(
+    std::span<const LlcAccess> accesses, std::span<const std::uint32_t> order) {
+  const auto period = static_cast<std::uint32_t>(cfg_.sample_period);
   // The instruction index is transmitted quantized: the low index_bits of the
   // dynamic instruction count (paper: 10 bits = a 1024-instruction window,
   // 4x the largest ROB).
-  const std::uint32_t index_mask =
-      static_cast<std::uint32_t>(cfg_.index_window() - 1);
-  const U32x4 q = splat(static_cast<std::uint32_t>(access.inst_index) & index_mask);
-  const U32x4 r = splat(pos);
-  const U32x4 mask = splat(index_mask);
-  const U32x4 count_max = splat(static_cast<std::uint32_t>(cfg_.counter_max()));
+  const auto index_mask = static_cast<std::uint32_t>(cfg_.index_window() - 1);
+  const U32xW<W> mask = splat<W>(index_mask);
+  const U32xW<W> count_max = splat<W>(static_cast<std::uint32_t>(cfg_.counter_max()));
+  const std::uint32_t* const ways = ways_.data();
+  const std::uint32_t* const rob = rob_.data();
+  std::uint32_t* const lm_count = lm_count_.data();
+  std::uint32_t* const last_lm_index = last_lm_index_.data();
+  std::uint32_t* const last_ov_dist = last_ov_dist_.data();
+  std::uint32_t* const has_lm = has_lm_.data();
 
-  // Lanes that hit leave their counter untouched, so only the missing
-  // prefix of the w-major lanes is walked.
-  const std::size_t touched = lane_blocks(missing_prefix_lanes(
-      pos, cfg_.min_ways, cfg_.max_ways, arch::kNumCoreSizes));
-  for (std::size_t b = 0; b < touched; ++b) {
-    // Predicted to miss at allocation w <=> recency position >= w.
-    const U32x4 miss = ~lt_small(r, ways_[b]);
-    // Distance in the quantized index space (wraps modulo the window).
-    const U32x4 dist = (q - last_lm_index_[b]) & mask;
-    // Overlapped: an LM is on record, the distance is inside the ROB window
-    // and it grows past the previous OV distance (in-order arrival). The
-    // last test also rejects dist == 0 (aliased), as last_ov_dist >= 0. A
-    // first miss, a miss beyond the ROB and an out-of-order arrival (a
-    // likely dependency on the last LM) all lead.
-    const U32x4 overlapped = miss & has_lm_[b] & lt(dist, rob_[b]) &
-                             lt(last_ov_dist_[b], dist);
-    const U32x4 leading = miss & ~overlapped;
-    lm_count_[b] -= leading & lt(lm_count_[b], count_max);  // saturating +1
-    last_lm_index_[b] = select(leading, q, last_lm_index_[b]);
-    has_lm_[b] |= leading;
-    last_ov_dist_[b] = select(overlapped, dist, last_ov_dist_[b] & ~leading);
+  for (const std::uint32_t i : order) {
+    QOSRM_DCHECK(i < accesses.size());
+    const LlcAccess& access = accesses[i];
+    QOSRM_DCHECK(access.set < static_cast<std::uint32_t>(cfg_.sets));
+    // Every set is sampled at period 1, which spares the division.
+    std::uint32_t set_idx = access.set;
+    if (period != 1) {
+      if (set_idx % period != 0) continue;
+      set_idx /= period;
+    }
+    const std::uint8_t pos = sampled_sets_[set_idx].access(access.tag);
+
+    const U32xW<W> q =
+        splat<W>(static_cast<std::uint32_t>(access.inst_index) & index_mask);
+    const U32xW<W> r = splat<W>(pos);
+    // Lanes that hit leave their counter untouched, so only the missing
+    // prefix of the w-major lanes is walked.
+    const std::size_t touched = lane_blocks<W>(missing_prefix_lanes(
+                                    pos, cfg_.min_ways, cfg_.max_ways,
+                                    arch::kNumCoreSizes)) *
+                                W;
+    for (std::size_t l = 0; l < touched; l += W) {
+      // Predicted to miss at allocation w <=> recency position >= w.
+      const U32xW<W> miss = ~lt_small<W>(r, load<W>(ways + l));
+      // Distance in the quantized index space (wraps modulo the window).
+      const U32xW<W> last_lm = load<W>(last_lm_index + l);
+      const U32xW<W> dist = (q - last_lm) & mask;
+      // Overlapped: an LM is on record, the distance is inside the ROB
+      // window and it grows past the previous OV distance (in-order
+      // arrival). The last test also rejects dist == 0 (aliased), as
+      // last_ov_dist >= 0. A first miss, a miss beyond the ROB and an
+      // out-of-order arrival (a likely dependency on the last LM) all lead.
+      const U32xW<W> had_lm = load<W>(has_lm + l);
+      const U32xW<W> last_ov = load<W>(last_ov_dist + l);
+      const U32xW<W> overlapped =
+          miss & had_lm & lt<W>(dist, load<W>(rob + l)) & lt<W>(last_ov, dist);
+      const U32xW<W> leading = miss & ~overlapped;
+      const U32xW<W> count = load<W>(lm_count + l);
+      // Saturating +1: a leading lane below the maximum subtracts all-ones.
+      store<W>(lm_count + l, count - (leading & lt<W>(count, count_max)));
+      store<W>(last_lm_index + l, select<W>(leading, q, last_lm));
+      store<W>(has_lm + l, had_lm | leading);
+      store<W>(last_ov_dist + l, select<W>(overlapped, dist, last_ov & ~leading));
+    }
   }
+}
+
+#ifdef QOSRM_SIMD_HAVE_AVX2
+__attribute__((target("avx512f"))) void MlpAtd::observe_lanes_wide(
+    std::span<const LlcAccess> accesses, std::span<const std::uint32_t> order) {
+  observe_lanes<simd::kWideLanes>(accesses, order);
+}
+#endif
+
+void MlpAtd::observe(const LlcAccess& access) {
+  const std::uint32_t only = 0;
+  observe_lanes<simd::kNarrowLanes>({&access, 1}, {&only, 1});
+}
+
+void MlpAtd::observe_in_order(std::span<const LlcAccess> accesses,
+                              std::span<const std::uint32_t> order, int lane_width) {
+  QOSRM_CHECK_MSG(simd::lane_width_available(lane_width),
+                  "lane width not compiled or not supported by this CPU");
+#ifdef QOSRM_SIMD_HAVE_AVX2
+  if (lane_width == simd::kWideLanes) {
+    observe_lanes_wide(accesses, order);
+    return;
+  }
+#endif
+  observe_lanes<simd::kNarrowLanes>(accesses, order);
 }
 
 double MlpAtd::leading_misses(arch::CoreSize c, int w) const {
   QOSRM_CHECK(w >= cfg_.min_ways && w <= cfg_.max_ways);
   const std::size_t k = lane(arch::core_size_index(c), w);
-  return static_cast<double>(lm_count_[k / kLaneWidth][k % kLaneWidth]) *
-         static_cast<double>(cfg_.sample_period);
+  return static_cast<double>(lm_count_[k]) * static_cast<double>(cfg_.sample_period);
 }
 
 void MlpAtd::reset_counters() {
-  for (std::vector<U32x4>* regs :
-       {&lm_count_, &last_lm_index_, &last_ov_dist_, &has_lm_}) {
-    std::fill(regs->begin(), regs->end(), splat(0));
+  for (LaneArray* regs : {&lm_count_, &last_lm_index_, &last_ov_dist_, &has_lm_}) {
+    std::fill(regs->begin(), regs->end(), 0u);
   }
 }
 

@@ -18,17 +18,21 @@
 // The structure embeds its own (possibly sampled) tag directory so the
 // miss-at-w predicate is produced exactly the way the hardware would. The
 // per-(c, w) counter registers are 32-bit lanes (cache/lanes.hh) that every
-// access updates branch-free, which bounds counter_bits to [8, 32].
+// access updates branch-free, which bounds counter_bits to [8, 32]. The lane
+// state is width-independent: observe_in_order() walks it in blocks of
+// simd::lane_width() lanes, observe() in 4-lane blocks, to the same counts.
 #ifndef QOSRM_CACHE_MLP_ATD_HH
 #define QOSRM_CACHE_MLP_ATD_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arch/core_config.hh"
 #include "cache/access.hh"
 #include "cache/lanes.hh"
 #include "cache/lru_stack.hh"
+#include "common/simd.hh"
 
 namespace qosrm::cache {
 
@@ -61,6 +65,13 @@ class MlpAtd {
   /// tag directory and all (c, w) leading-miss counters.
   void observe(const LlcAccess& access);
 
+  /// observe(accesses[order[0]]), observe(accesses[order[1]]), ... in one
+  /// call, at `lane_width` lanes per block (4 or 16, see
+  /// simd::lane_width_available), which changes no count.
+  void observe_in_order(std::span<const LlcAccess> accesses,
+                        std::span<const std::uint32_t> order,
+                        int lane_width = simd::lane_width());
+
   /// Leading-miss count estimated for core size `c` and allocation `w`,
   /// scaled by the set-sampling period.
   [[nodiscard]] double leading_misses(arch::CoreSize c, int w) const;
@@ -79,18 +90,27 @@ class MlpAtd {
  private:
   [[nodiscard]] std::size_t lane(int c_idx, int w) const noexcept;
 
+  /// The observe_in_order() loop at W lanes per block.
+  template <int W>
+  void observe_lanes(std::span<const LlcAccess> accesses,
+                     std::span<const std::uint32_t> order);
+  /// observe_lanes<16>, compiled for AVX-512F (only where the wide kernels
+  /// are compiled; see common/simd.hh).
+  void observe_lanes_wide(std::span<const LlcAccess> accesses,
+                          std::span<const std::uint32_t> order);
+
   MlpAtdConfig cfg_;
   std::vector<LruStack> sampled_sets_;
-  // Lane k = (w - min_ways) * kNumCoreSizes + c_idx, padded to whole blocks
-  // with never-missing lanes. Constants:
-  std::vector<U32x4> ways_;  // allocation w of the lane
-  std::vector<U32x4> rob_;   // ROB size of the lane's core
+  // Lane k = (w - min_ways) * kNumCoreSizes + c_idx, padded to whole wide
+  // blocks with never-missing lanes. Constants:
+  LaneArray ways_;  // allocation w of the lane
+  LaneArray rob_;   // ROB size of the lane's core
   // Per-lane registers (the paper's Fig. 4 state). last_ov_dist == 0 means
   // no overlapped miss since the last LM; has_lm lanes are all-ones or zero.
-  std::vector<U32x4> lm_count_;
-  std::vector<U32x4> last_lm_index_;
-  std::vector<U32x4> last_ov_dist_;
-  std::vector<U32x4> has_lm_;
+  LaneArray lm_count_;
+  LaneArray last_lm_index_;
+  LaneArray last_ov_dist_;
+  LaneArray has_lm_;
 };
 
 }  // namespace qosrm::cache

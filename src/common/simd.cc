@@ -28,4 +28,23 @@ const char* level_name(Level level) noexcept {
   return level == Level::Avx2 ? "avx2" : "scalar";
 }
 
+bool avx512f_supported() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avx512f") != 0;
+#else
+  return false;
+#endif
+}
+
+bool lane_width_available(int width) noexcept {
+  return width == kNarrowLanes ||
+         (width == kWideLanes && avx2_compiled() && avx512f_supported());
+}
+
+int lane_width() noexcept {
+  static const int width =
+      lane_width_available(kWideLanes) ? kWideLanes : kNarrowLanes;
+  return width;
+}
+
 }  // namespace qosrm::simd

@@ -73,7 +73,8 @@ cache::ArrivalParams arrival_params(const CharacterizationSystem& system) {
 
 PhaseStats characterize_phase(const PhaseParams& phase,
                               const CharacterizationSystem& system,
-                              const PhaseStatsOptions& options, std::uint64_t seed) {
+                              const PhaseStatsOptions& options, std::uint64_t seed,
+                              int lane_width) {
   const SynthesizedTrace trace = synthesize_trace(phase, options.synth, seed);
   const auto& accesses = trace.accesses;
   const auto& recency = trace.recency;
@@ -96,7 +97,8 @@ PhaseStats characterize_phase(const PhaseParams& phase,
   }
 
   // 2. Oracle leading misses per core size and allocation (ground truth).
-  stats.lm_true = cache::MlpOracle::leading_miss_curves(accesses, recency, max_ways);
+  stats.lm_true = cache::MlpOracle::leading_miss_curves(accesses, recency, max_ways,
+                                                      lane_width);
   for (std::vector<double>& lm : stats.lm_true) {
     for (double& v : lm) v *= stats.scale;
   }
@@ -113,7 +115,7 @@ PhaseStats characterize_phase(const PhaseParams& phase,
   atd_cfg.sample_period = options.atd_sample_period;
   atd_cfg.index_bits = options.mlp_index_bits;
   cache::MlpAtd mlp_atd(atd_cfg);
-  for (const std::uint32_t pos : order) mlp_atd.observe(accesses[pos]);
+  mlp_atd.observe_in_order(accesses, order, lane_width);
 
   for (int c_idx = 0; c_idx < arch::kNumCoreSizes; ++c_idx) {
     const arch::CoreSize c = arch::kAllCoreSizes[c_idx];

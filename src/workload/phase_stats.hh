@@ -21,6 +21,7 @@
 #include "arch/core_model.hh"
 #include "arch/system_config.hh"
 #include "cache/arrival.hh"
+#include "common/simd.hh"
 #include "workload/app_profile.hh"
 #include "workload/trace_synth.hh"
 
@@ -94,11 +95,14 @@ struct CharacterizationSystem {
 [[nodiscard]] cache::ArrivalParams arrival_params(const CharacterizationSystem& system);
 
 /// Characterizes one phase: synthesizes the trace (deterministic in `seed`)
-/// and extracts interval-scaled statistics for the given system.
+/// and extracts interval-scaled statistics for the given system. The
+/// leading-miss kernels run at `lane_width` lanes per block, which changes
+/// no bit of the result.
 [[nodiscard]] PhaseStats characterize_phase(const PhaseParams& phase,
                                             const CharacterizationSystem& system,
                                             const PhaseStatsOptions& options,
-                                            std::uint64_t seed);
+                                            std::uint64_t seed,
+                                            int lane_width = simd::lane_width());
 
 }  // namespace qosrm::workload
 

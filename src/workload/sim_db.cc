@@ -10,7 +10,7 @@ namespace qosrm::workload {
 
 std::vector<std::vector<PhaseStats>> characterize_suite(
     const SpecSuite& suite, const CharacterizationSystem& system,
-    const SimDbOptions& options) {
+    const SimDbOptions& options, int lane_width) {
   std::vector<std::vector<PhaseStats>> stats(static_cast<std::size_t>(suite.size()));
 
   // Flatten (app, phase) pairs for the parallel sweep.
@@ -30,7 +30,7 @@ std::vector<std::vector<PhaseStats>> characterize_suite(
         app.trace_seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(ph + 1);
     stats[static_cast<std::size_t>(a)][static_cast<std::size_t>(ph)] =
         characterize_phase(app.phases[static_cast<std::size_t>(ph)], system,
-                           options.phase, seed);
+                           options.phase, seed, lane_width);
   };
 
   // threads = 1 is serial; otherwise one lane more than a sweep with the

@@ -40,10 +40,11 @@ struct SimDbOptions {
 };
 
 /// Characterizes every phase of every suite application, [app][phase]; a
-/// parallel build, bit-identical for any options.threads.
+/// parallel build, bit-identical for any options.threads and lane width
+/// (characterize_phase).
 [[nodiscard]] std::vector<std::vector<PhaseStats>> characterize_suite(
     const SpecSuite& suite, const CharacterizationSystem& system,
-    const SimDbOptions& options);
+    const SimDbOptions& options, int lane_width = simd::lane_width());
 
 class SimDb {
  public:

@@ -4,20 +4,38 @@
 // with dependency chains, cold misses, gaps of 2^30+ instructions, indices
 // crossing 2^32, and every MLP-ATD configuration axis (set sampling, index
 // width, saturating counters, min_ways > 1, mid-stream counter resets).
+// Every case runs at each lane width: `Suite.Case` at the narrow width,
+// which every build runs, and `SuiteWide.Case` at 16 lanes, skipped where
+// the wide kernels are not compiled or the CPU lacks AVX-512F.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cache/mlp_atd.hh"
 #include "cache/mlp_oracle.hh"
 #include "common/rng.hh"
+#include "common/simd.hh"
 #include "support/mlp_ref.hh"
 #include "support/recency_ref.hh"
 
 namespace qosrm::cache {
 namespace {
+
+/// Defines `suite.name` (narrow lanes) and `suite##Wide.name` (wide lanes)
+/// over one body that reads its width from `lane_width`.
+#define LANE_WIDTH_TEST(suite, name)                                      \
+  void suite##_##name(int lane_width);                                    \
+  TEST(suite, name) { suite##_##name(simd::kNarrowLanes); }               \
+  TEST(suite##Wide, name) {                                               \
+    if (!simd::lane_width_available(simd::kWideLanes)) {                  \
+      GTEST_SKIP() << "16-lane kernels not compiled or not supported";    \
+    }                                                                     \
+    suite##_##name(simd::kWideLanes);                                     \
+  }                                                                       \
+  void suite##_##name(int lane_width)
 
 struct TraceShape {
   std::uint64_t start = 0;   ///< first instruction index
@@ -74,10 +92,11 @@ std::vector<std::uint32_t> jittered_order(Rng& rng, std::size_t n) {
 }
 
 void expect_oracle_matches_reference(const std::vector<LlcAccess>& trace,
-                                     int sets, int max_ways) {
+                                     int sets, int max_ways, int lane_width) {
   RecencyProfiler profiler(sets, max_ways);
   const std::vector<std::uint8_t> recency = profiler.annotate(trace);
-  const auto curves = MlpOracle::leading_miss_curves(trace, recency, max_ways);
+  const auto curves =
+      MlpOracle::leading_miss_curves(trace, recency, max_ways, lane_width);
   for (const arch::CoreSize c : arch::kAllCoreSizes) {
     const auto& curve = curves[static_cast<std::size_t>(arch::core_size_index(c))];
     ASSERT_EQ(curve.size(), static_cast<std::size_t>(max_ways));
@@ -89,7 +108,7 @@ void expect_oracle_matches_reference(const std::vector<LlcAccess>& trace,
   }
 }
 
-TEST(MlpOracleEquivalence, MatchesPerAllocationWalkOnRandomTraces) {
+LANE_WIDTH_TEST(MlpOracleEquivalence, MatchesPerAllocationWalkOnRandomTraces) {
   for (const int max_ways : {1, 5, 16, 20}) {
     for (const std::uint64_t seed : {1, 2, 3}) {
       SCOPED_TRACE(::testing::Message() << "max_ways=" << max_ways << " seed=" << seed);
@@ -99,12 +118,12 @@ TEST(MlpOracleEquivalence, MatchesPerAllocationWalkOnRandomTraces) {
       // Seed 3 packs misses densely enough to fill every LSQ.
       if (seed == 3) shape.max_gap = 6;
       expect_oracle_matches_reference(random_trace(rng, 3000, 4, max_ways, shape), 4,
-                                      max_ways);
+                                      max_ways, lane_width);
     }
   }
 }
 
-TEST(MlpOracleEquivalence, ExactAcrossHugeGapsAndThe32BitBoundary) {
+LANE_WIDTH_TEST(MlpOracleEquivalence, ExactAcrossHugeGapsAndThe32BitBoundary) {
   for (const int max_ways : {1, 5, 16, 20}) {
     SCOPED_TRACE(::testing::Message() << "max_ways=" << max_ways);
     Rng rng(77 + static_cast<std::uint64_t>(max_ways));
@@ -112,11 +131,11 @@ TEST(MlpOracleEquivalence, ExactAcrossHugeGapsAndThe32BitBoundary) {
     shape.start = (1ULL << 32) - 5000;  // crosses 2^32 within the first gaps
     shape.huge_gaps = true;             // drives the clock through rebases
     expect_oracle_matches_reference(random_trace(rng, 4000, 2, max_ways, shape), 2,
-                                    max_ways);
+                                    max_ways, lane_width);
   }
 }
 
-TEST(MlpOracleEquivalence, DistancesPast2To32NeverAlias) {
+LANE_WIDTH_TEST(MlpOracleEquivalence, DistancesPast2To32NeverAlias) {
   // A leading miss, then a miss 2^32 + 10 instructions later: in one step,
   // and after four hits 2^30 instructions apart. The distance is far beyond
   // every ROB; a 32-bit distance (truncated indices or steps, or a wrapping
@@ -133,7 +152,7 @@ TEST(MlpOracleEquivalence, DistancesPast2To32NeverAlias) {
   for (const std::vector<LlcAccess>& trace : traces) {
     std::vector<std::uint8_t> recency(trace.size(), 0);
     recency.front() = recency.back() = kRecencyMiss;
-    const auto curves = MlpOracle::leading_miss_curves(trace, recency, 4);
+    const auto curves = MlpOracle::leading_miss_curves(trace, recency, 4, lane_width);
     for (const arch::CoreSize c : arch::kAllCoreSizes) {
       for (int w = 1; w <= 4; ++w) {
         EXPECT_EQ(ref_oracle_leading_misses(trace, recency, c, w), 2.0);
@@ -146,29 +165,30 @@ TEST(MlpOracleEquivalence, DistancesPast2To32NeverAlias) {
   }
 }
 
-TEST(MlpOracleEquivalence, AllColdDependencyChains) {
+LANE_WIDTH_TEST(MlpOracleEquivalence, AllColdDependencyChains) {
   Rng rng(5);
   TraceShape shape;
   shape.cold_prob = 1.0;
   shape.chain_prob = 0.5;
-  expect_oracle_matches_reference(random_trace(rng, 2000, 1, 16, shape), 1, 16);
+  expect_oracle_matches_reference(random_trace(rng, 2000, 1, 16, shape), 1, 16,
+                                  lane_width);
 }
 
-TEST(MlpOracleEquivalence, PointQueryIsOneCurveEntry) {
+LANE_WIDTH_TEST(MlpOracleEquivalence, PointQueryIsOneCurveEntry) {
   Rng rng(9);
   const auto trace = random_trace(rng, 1500, 4, 16, TraceShape{});
   RecencyProfiler profiler(4, 16);
   const auto recency = profiler.annotate(trace);
   for (const arch::CoreSize c : arch::kAllCoreSizes) {
     for (const int w : {1, 7, 16}) {
-      EXPECT_EQ(MlpOracle::leading_misses(trace, recency, c, w),
+      EXPECT_EQ(MlpOracle::leading_misses(trace, recency, c, w, lane_width),
                 ref_oracle_leading_misses(trace, recency, c, w));
     }
   }
 }
 
-TEST(MlpOracleEquivalence, EmptyTraceHasNoLeadingMisses) {
-  const auto curves = MlpOracle::leading_miss_curves({}, {}, 4);
+LANE_WIDTH_TEST(MlpOracleEquivalence, EmptyTraceHasNoLeadingMisses) {
+  const auto curves = MlpOracle::leading_miss_curves({}, {}, 4, lane_width);
   for (const auto& curve : curves) {
     EXPECT_EQ(curve, std::vector<double>(4, 0.0));
   }
@@ -186,34 +206,42 @@ void expect_atd_matches_reference(const MlpAtd& atd, const RefMlpAtd& ref,
 
 /// Feeds one jittered arrival stream to both implementations, comparing
 /// every counter at a third of the way, at a mid-stream reset_counters()
-/// and at the end.
+/// and at the end. The first and last thirds go through observe_in_order()
+/// at `lane_width`, the middle one access by access through observe(), so
+/// the lane state also carries over between widths.
 void check_atd_config(const MlpAtdConfig& cfg, std::uint64_t seed,
-                      const TraceShape& shape) {
+                      const TraceShape& shape, int lane_width) {
   SCOPED_TRACE(::testing::Message()
                << "max_ways=" << cfg.max_ways << " min_ways=" << cfg.min_ways
                << " sample_period=" << cfg.sample_period
                << " index_bits=" << cfg.index_bits
-               << " counter_bits=" << cfg.counter_bits << " seed=" << seed);
+               << " counter_bits=" << cfg.counter_bits << " seed=" << seed
+               << " lane_width=" << lane_width);
   Rng rng(seed);
   const auto trace = random_trace(rng, 3000, cfg.sets, cfg.max_ways, shape);
   const auto order = jittered_order(rng, trace.size());
+  const std::size_t third = order.size() / 3 + 1;
+  const std::size_t two_thirds = 2 * order.size() / 3 + 1;
   MlpAtd atd(cfg);
   RefMlpAtd ref(cfg);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    atd.observe(trace[order[i]]);
-    ref.observe(trace[order[i]]);
-    if (i == order.size() / 3) {
-      expect_atd_matches_reference(atd, ref, cfg);
-    } else if (i == 2 * order.size() / 3) {
-      expect_atd_matches_reference(atd, ref, cfg);
-      atd.reset_counters();
-      ref.reset_counters();
-    }
-  }
+  const auto ref_observe = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) ref.observe(trace[order[i]]);
+  };
+
+  atd.observe_in_order(trace, std::span(order).first(third), lane_width);
+  ref_observe(0, third);
+  expect_atd_matches_reference(atd, ref, cfg);
+  for (std::size_t i = third; i < two_thirds; ++i) atd.observe(trace[order[i]]);
+  ref_observe(third, two_thirds);
+  expect_atd_matches_reference(atd, ref, cfg);
+  atd.reset_counters();
+  ref.reset_counters();
+  atd.observe_in_order(trace, std::span(order).subspan(two_thirds), lane_width);
+  ref_observe(two_thirds, order.size());
   expect_atd_matches_reference(atd, ref, cfg);
 }
 
-TEST(MlpAtdEquivalence, MatchesCounterReferenceAcrossConfigurations) {
+LANE_WIDTH_TEST(MlpAtdEquivalence, MatchesCounterReferenceAcrossConfigurations) {
   std::uint64_t seed = 100;
   for (const int max_ways : {1, 5, 16, 20}) {
     for (const int min_ways : {1, 3}) {
@@ -226,14 +254,14 @@ TEST(MlpAtdEquivalence, MatchesCounterReferenceAcrossConfigurations) {
           cfg.min_ways = min_ways;
           cfg.sample_period = sample_period;
           cfg.index_bits = index_bits;
-          check_atd_config(cfg, ++seed, TraceShape{});
+          check_atd_config(cfg, ++seed, TraceShape{}, lane_width);
         }
       }
     }
   }
 }
 
-TEST(MlpAtdEquivalence, SaturatingNarrowCounters) {
+LANE_WIDTH_TEST(MlpAtdEquivalence, SaturatingNarrowCounters) {
   // 3000 mostly-cold accesses far apart: every miss leads, so an 8-bit
   // counter saturates at 255 long before the stream ends.
   TraceShape shape;
@@ -243,11 +271,11 @@ TEST(MlpAtdEquivalence, SaturatingNarrowCounters) {
     MlpAtdConfig cfg;
     cfg.sets = 2;
     cfg.counter_bits = counter_bits;
-    check_atd_config(cfg, 7, shape);
+    check_atd_config(cfg, 7, shape, lane_width);
   }
 }
 
-TEST(MlpAtdEquivalence, IndicesCrossing32BitsAtEveryIndexWidth) {
+LANE_WIDTH_TEST(MlpAtdEquivalence, IndicesCrossing32BitsAtEveryIndexWidth) {
   TraceShape shape;
   shape.start = (1ULL << 32) - 5000;
   shape.huge_gaps = true;
@@ -256,7 +284,7 @@ TEST(MlpAtdEquivalence, IndicesCrossing32BitsAtEveryIndexWidth) {
     cfg.sets = 4;
     cfg.max_ways = 16;
     cfg.index_bits = index_bits;
-    check_atd_config(cfg, 11, shape);
+    check_atd_config(cfg, 11, shape, lane_width);
   }
 }
 

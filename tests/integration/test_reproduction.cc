@@ -28,6 +28,8 @@
 #include "rm/overheads.hh"
 #include "rmsim/experiment.hh"
 #include "rmsim/qos_eval.hh"
+#include "rmsim/report.hh"
+#include "rmsim/sweep.hh"
 #include "support/shared_db.hh"
 #include "support/slurp.hh"
 #include "workload/classify.hh"
@@ -239,6 +241,49 @@ double fig6_s4_largest() {
   return largest;
 }
 
+// --- Closed loop on the paper grid: violations and Fig. 9 oracle gaps -----
+
+/// The figure report of the paper grid (the golden_paper_grid_report.json
+/// sweep at alpha 1): RM1..RM3 under Model3 and the Perfect oracle,
+/// overheads on.
+const rmsim::FigureReport& grid_report() {
+  static const rmsim::FigureReport r = [] {
+    workload::WorkloadGenOptions gen;
+    gen.cores = 4;
+    gen.per_scenario = 6;
+    rmsim::SweepGrid grid;
+    grid.mixes = generate_workloads(workload::spec_suite(), gen);
+    grid.policies = {RmPolicy::Rm1, RmPolicy::Rm2, RmPolicy::Rm3};
+    grid.models = {rm::PerfModelKind::Model3, rm::PerfModelKind::Perfect};
+    grid.qos_alphas = {1.0};
+    const rmsim::SweepResult result = rmsim::SweepRunner(testing::shared_db(4)).run(grid);
+    return rmsim::build_figure_report(result.rows, grid.shape(), /*fingerprint=*/0,
+                                      rmsim::scenario_weights(workload::spec_suite()));
+  }();
+  return r;
+}
+
+/// `policy` under Model3: its closed-loop violation rate, the uniform mean
+/// of the per-mix rates (the aggregate CSV's mean_violation_rate).
+double grid_violation_rate(RmPolicy policy) {
+  for (const rmsim::Fig7Entry& e : grid_report().fig7) {
+    if (e.policy == policy && e.model == rm::PerfModelKind::Model3) {
+      return e.mean_violation_rate;
+    }
+  }
+  ADD_FAILURE() << "no Model3 fig7 entry for " << rm::rm_policy_name(policy);
+  return kInf;
+}
+
+/// `policy`'s Fig. 9 gap: Perfect minus Model3 scenario-weighted savings.
+double grid_oracle_gap(RmPolicy policy) {
+  for (const rmsim::Fig9Entry& e : grid_report().fig9) {
+    if (e.policy == policy) return e.weighted_gap;
+  }
+  ADD_FAILURE() << "no fig9 entry for " << rm::rm_policy_name(policy);
+  return kInf;
+}
+
 // --- Fig. 7/8: the Section IV-D.2 exhaustive evaluation -------------------
 
 /// Model1..Model3.
@@ -414,6 +459,30 @@ const Claim kClaims[] = {
     {"fig6grid.weighted_rm3", "Fig. 6",
      "paper grid: RM3 scenario-weighted mean savings", kPct1, Sense::Near, 0.10,
      0.02, [] { return fig6_weighted_rm3(fig6grid()); }},
+    {"grid.rm1_violation_rate", "Eq. 3",
+     "paper grid: RM1 closed-loop violation rate, Model3", kPct1,
+     Sense::Qualitative, 0.0, 0.0,
+     [] { return grid_violation_rate(RmPolicy::Rm1); }, "", {.lo = 0.0, .hi = 0.01}},
+    {"grid.rm2_violation_rate", "Eq. 3",
+     "paper grid: RM2 closed-loop violation rate, Model3", kPct1,
+     Sense::Qualitative, 0.0, 0.0,
+     [] { return grid_violation_rate(RmPolicy::Rm2); }, "", {.lo = 0.0, .hi = 0.06}},
+    {"grid.rm3_violation_rate", "Eq. 3",
+     "paper grid: RM3 closed-loop violation rate, Model3", kPct1,
+     Sense::Qualitative, 0.0, 0.0,
+     [] { return grid_violation_rate(RmPolicy::Rm3); }, "", {.lo = 0.0, .hi = 0.13}},
+    {"fig9grid.rm1_gap", "Fig. 9",
+     "paper grid: RM1 weighted savings, Perfect - Model3", kPct2,
+     Sense::Qualitative, 0.0, 0.0, [] { return grid_oracle_gap(RmPolicy::Rm1); }, "",
+     {.lo = -0.01, .hi = 0.01}},
+    {"fig9grid.rm2_gap", "Fig. 9",
+     "paper grid: RM2 weighted savings, Perfect - Model3", kPct2,
+     Sense::Qualitative, 0.0, 0.0, [] { return grid_oracle_gap(RmPolicy::Rm2); }, "",
+     {.lo = -0.01, .hi = 0.01}},
+    {"fig9grid.rm3_gap", "Fig. 9",
+     "paper grid: RM3 weighted savings, Perfect - Model3", kPct2,
+     Sense::Qualitative, 0.0, 0.0, [] { return grid_oracle_gap(RmPolicy::Rm3); }, "",
+     {.lo = -0.01, .hi = 0.01}},
     {"fig7.p_m3_vs_m1", "Fig. 7", "violation probability, Model3 vs Model1",
      kPct0, Sense::Near, -0.46, 0.10,
      [] { return change(&QosEvalResult::violation_probability, 0); },

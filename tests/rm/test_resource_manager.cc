@@ -575,6 +575,16 @@ void expect_incremental_matches_fresh(int cores, const RmConfig& cfg,
 
   const RmInvokeStats& stats = incremental.stats();
   EXPECT_EQ(stats.invocations, invoked);
+  if (is_baseline_policy(cfg.policy)) {
+    // The partitioning classics keep per-core rows but run no local or
+    // global step, so nothing is skipped, replayed or recombined.
+    EXPECT_EQ(stats.local_runs, 0u);
+    EXPECT_EQ(stats.dp_skips, 0u);
+    EXPECT_EQ(stats.nodes_recombined, 0u);
+    EXPECT_EQ(stats.cell_replays, 0u);
+    EXPECT_EQ(stats.memo_hits, 0u);
+    return;
+  }
   EXPECT_GT(stats.dp_skips, 0u);
   EXPECT_LT(stats.nodes_recombined,
             stats.invocations * static_cast<std::uint64_t>(cores - 1));
@@ -592,6 +602,16 @@ TEST(ResourceManagerIncremental, ServiceSequenceMatchesFreshManagerPerCall) {
   expect_incremental_matches_fresh(8, config(RmPolicy::Rm2), 13);
   expect_incremental_matches_fresh(4, config(RmPolicy::Rm3, PerfModelKind::Perfect),
                                    14);
+  // RM1 and the partitioning classics, which cache their per-core rows in
+  // the baseline workspace instead of the local/global caches.
+  expect_incremental_matches_fresh(4, config(RmPolicy::Rm1), 15);
+  expect_incremental_matches_fresh(8, config(RmPolicy::Rm1), 16);
+  std::uint64_t seed = 16;
+  for (const RmPolicy policy : {RmPolicy::Ucp, RmPolicy::Fcp, RmPolicy::ClassPart}) {
+    expect_incremental_matches_fresh(4, config(policy), ++seed);
+    expect_incremental_matches_fresh(8, config(policy), ++seed);
+    expect_incremental_matches_fresh(4, config(policy, PerfModelKind::Perfect), ++seed);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -736,7 +756,8 @@ TEST(ResourceManager, LongLivedManagerMatchesFreshManagerAlongAWalk) {
 // usually decides the setting the previous tenant had), and, with the memo
 // off, snapshots moving between two databases (missier_db) while other
 // cores still hold curves computed from the first. A memo serves one
-// database, so the memo-on arm stays on the first.
+// database, so the memo-on arm stays on the first. RM1 and the partitioning
+// classics (whose per-core rows live in the baseline workspace) walk too.
 void walk_with_resets_reseats_and_db_switches(int cores, const RmConfig& cfg,
                                               int steps, std::uint64_t seed) {
   const workload::SimDb* dbs[] = {&qosrm::testing::shared_db(cores),
@@ -825,7 +846,8 @@ void walk_with_resets_reseats_and_db_switches(int cores, const RmConfig& cfg,
 
 TEST(ResourceManagerIncremental, ResetsReseatsAndDatabaseSwitchesMatchFreshManager) {
   std::uint64_t seed = 90;
-  for (const RmPolicy policy : {RmPolicy::Rm2, RmPolicy::Rm3}) {
+  for (const RmPolicy policy : {RmPolicy::Rm1, RmPolicy::Rm2, RmPolicy::Rm3,
+                                RmPolicy::Ucp, RmPolicy::Fcp, RmPolicy::ClassPart}) {
     for (const PerfModelKind model : {PerfModelKind::Model3, PerfModelKind::Perfect}) {
       for (const RmMemoMode memo : {RmMemoMode::On, RmMemoMode::Off}) {
         RmConfig cfg = config(policy, model);

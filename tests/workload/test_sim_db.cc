@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/binary_io.hh"
+#include "common/simd.hh"
 #include "support/shared_db.hh"
 
 namespace qosrm::workload {
@@ -350,6 +351,28 @@ TEST(SimDb, SerialBuildMatchesParallelBuild) {
 TEST(SimDb, CharacterizationDigestMatchesParent) {
   const SimDb fresh(spec_suite(), arch::SystemConfig{}, power::PowerModel{});
   EXPECT_EQ(characterization_digest(fresh), 0xa44ad29ef8204c6cULL);
+}
+
+// The same digest from a cold characterization at an explicit lane width
+// of the leading-miss kernels: the width changes no bit.
+void expect_digest_at_lane_width(int lane_width) {
+  const arch::SystemConfig sys;
+  const SimDbOptions options;
+  const SimDb fresh(spec_suite(), sys, power::PowerModel{}, options.phase,
+                    characterize_suite(spec_suite(), characterization_system(sys),
+                                       options, lane_width));
+  EXPECT_EQ(characterization_digest(fresh), 0xa44ad29ef8204c6cULL);
+}
+
+TEST(SimDb, CharacterizationDigestMatchesParentAtNarrowLanes) {
+  expect_digest_at_lane_width(simd::kNarrowLanes);
+}
+
+TEST(SimDb, CharacterizationDigestMatchesParentAtWideLanes) {
+  if (!simd::lane_width_available(simd::kWideLanes)) {
+    GTEST_SKIP() << "16-lane kernels not compiled or not supported";
+  }
+  expect_digest_at_lane_width(simd::kWideLanes);
 }
 
 // The snapshot fixture characterizes once per CharacterizationSystem and
