@@ -20,13 +20,19 @@
 
 using namespace qosrm;
 
+constexpr CliFlag kFlags[] = {
+    {"cores", CliFlag::kInt, "N", "4", {}, "cores per generated workload"},
+    {"per-scenario", CliFlag::kInt, "N", "3", {},
+     "workload mixes per scenario"},
+    {"csv", CliFlag::kText, "PATH", "", {},
+     "per-mix savings of every knob set as CSV (optional)"},
+};
+
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
-  static constexpr const char* kFlags[] = {"cores", "per-scenario", "csv"};
-  if (!args.reject_unknown(kFlags)) return 1;
-  const int cores = args.get_int32("cores", 4);
-  const int per_scenario = args.get_int32("per-scenario", 3);
-  const std::string csv_path = args.get("csv", "");
+  const CliArgs args(argc, argv, kFlags);
+  const int cores = args.get_int32("cores");
+  const int per_scenario = args.get_int32("per-scenario");
+  const std::string csv_path = args.get("csv");
   if (!probe_outputs({{"csv", csv_path}})) return 1;
 
   arch::SystemConfig system;

@@ -68,7 +68,7 @@ AccuracyResult measure(int index_bits, int sample_period) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!CliArgs(argc, argv).reject_unknown({})) return 1;
+  (void)CliArgs(argc, argv, {});
   std::printf("=== Ablation: MLP-ATD accuracy vs oracle ===\n\n");
 
   std::printf("Sensitivity to the instruction-index width (sampling off):\n");

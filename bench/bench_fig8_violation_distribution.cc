@@ -14,9 +14,6 @@
 //
 // The comparison with the paper's numbers is the fig7.* and fig8.* rows of
 // docs/REPRODUCTION.md.
-//
-// Flags: --fig7-csv=PATH --csv=PATH (Fig. 8) --db-cache=DIR (snapshot
-//        directory)
 #include <algorithm>
 #include <cstdio>
 
@@ -28,12 +25,19 @@
 
 using namespace qosrm;
 
+constexpr CliFlag kFlags[] = {
+    {"fig7-csv", CliFlag::kText, "PATH", "", {},
+     "Fig. 7 violation statistics per model as CSV (optional)"},
+    {"csv", CliFlag::kText, "PATH", "", {},
+     "Fig. 8 violation histograms as CSV (optional)"},
+    {"db-cache", CliFlag::kText, "DIR", "", {},
+     "simulation-database snapshot directory (optional)"},
+};
+
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
-  static constexpr const char* kFlags[] = {"fig7-csv", "csv", "db-cache"};
-  if (!args.reject_unknown(kFlags)) return 1;
-  const std::string fig7_csv = args.get("fig7-csv", "");
-  const std::string fig8_csv = args.get("csv", "");
+  const CliArgs args(argc, argv, kFlags);
+  const std::string fig7_csv = args.get("fig7-csv");
+  const std::string fig8_csv = args.get("csv");
   if (!probe_outputs({{"fig7-csv", fig7_csv}, {"csv", fig8_csv}})) return 1;
 
   arch::SystemConfig system;
@@ -42,7 +46,7 @@ int main(int argc, char** argv) {
   const workload::SimDb db = workload::warm_simdb(
       workload::spec_suite(), system, power, {},
       args.has("db-cache")
-          ? workload::db_cache_path(args.get("db-cache", ""), system.cores)
+          ? workload::db_cache_path(args.get("db-cache"), system.cores)
           : std::string());
 
   const auto results = rmsim::evaluate_qos(

@@ -3,9 +3,6 @@
 // Every --db-cache run of the CLIs, bench and slow test suite takes the
 // snapshot path, so this tracks the speedup in the perf trajectory. It also
 // prints the lane width the leading-miss kernels ran at (simd::lane_width).
-//
-// Flags: --cores=2  --threads=0  --loads=5  --path=bench_simdb.qosdb
-//        --keep (leave the snapshot file behind)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -23,6 +20,17 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
+constexpr CliFlag kFlags[] = {
+    {"cores", CliFlag::kInt, "N", "2", {}, "cores of the characterized system"},
+    {"loads", CliFlag::kInt, "N", "5", {}, "timed snapshot loads"},
+    {"path", CliFlag::kText, "PATH", "bench_simdb.qosdb", {},
+     "where the snapshot is written"},
+    {"threads", CliFlag::kInt, "N", "0", {},
+     "lanes of the cold build; 0 = hardware concurrency"},
+    {"keep", CliFlag::kBool, "", "false", {},
+     "leave the snapshot file behind"},
+};
+
 double secs_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -30,20 +38,17 @@ double secs_since(Clock::time_point t0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv, {"keep"});
-  static constexpr const char* kFlags[] = {"cores", "loads", "path", "threads",
-                                           "keep"};
-  if (!args.reject_unknown(kFlags)) return 1;
-  const int cores = args.get_int32("cores", 2);
-  const int loads = args.get_int32("loads", 5);
-  const std::string path = args.get("path", "bench_simdb.qosdb");
+  const CliArgs args(argc, argv, kFlags);
+  const int cores = args.get_int32("cores");
+  const int loads = args.get_int32("loads");
+  const std::string path = args.get("path");
 
   arch::SystemConfig system;
   system.cores = cores;
   const power::PowerModel power;
   const workload::SpecSuite& suite = workload::spec_suite();
   workload::SimDbOptions options;
-  options.threads = args.get_int32("threads", 0);
+  options.threads = args.get_int32("threads");
 
   std::printf("=== SimDb build vs snapshot load (%d apps, %d cores) ===\n\n",
               suite.size(), cores);
@@ -78,6 +83,6 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nspeedup (build / best load): %.0fx\n", build_s / best_load_s);
-  if (!args.get_bool("keep", false)) std::remove(path.c_str());
+  if (!args.get_bool("keep")) std::remove(path.c_str());
   return 0;
 }

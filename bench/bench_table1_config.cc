@@ -11,11 +11,12 @@
 
 using namespace qosrm;
 
+constexpr CliFlag kFlags[] = {
+    {"cores", CliFlag::kInt, "N", "4", {}, "cores of the described system"},
+};
+
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
-  static constexpr const char* kFlags[] = {"cores"};
-  if (!args.reject_unknown(kFlags)) return 1;
-  const int cores = args.get_int32("cores", 4);
+  const int cores = CliArgs(argc, argv, kFlags).get_int32("cores");
   arch::SystemConfig system;
   system.cores = cores;
 

@@ -17,7 +17,7 @@
 using namespace qosrm;
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
+  (void)CliArgs(argc, argv, {});
 
   arch::SystemConfig system;
   system.cores = 4;

@@ -17,11 +17,18 @@
 
 using namespace qosrm;
 
+constexpr CliFlag kFlags[] = {
+    {"app", CliFlag::kText, "NAME", "mcf", {}, "application on core 0"},
+    {"partner", CliFlag::kText, "NAME", "libquantum", {},
+     "application on core 1"},
+    {"intervals", CliFlag::kInt, "N", "48", {}, "intervals of core 0 shown"},
+};
+
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
-  const std::string app_name = args.get("app", "mcf");
-  const std::string partner_name = args.get("partner", "libquantum");
-  const auto max_rows = args.get_int("intervals", 48);
+  const CliArgs args(argc, argv, kFlags);
+  const std::string app_name = args.get("app");
+  const std::string partner_name = args.get("partner");
+  const auto max_rows = args.get_int("intervals");
 
   arch::SystemConfig system;
   system.cores = 2;

@@ -13,10 +13,18 @@
 
 using namespace qosrm;
 
+constexpr CliFlag kFlags[] = {
+    {"app1", CliFlag::kText, "NAME", "mcf", {}, "application on core 0"},
+    {"app2", CliFlag::kText, "NAME", "libquantum", {},
+     "application on core 1"},
+    {"trace", CliFlag::kInt, "N", "0", {},
+     "print the first N interval decisions of each policy"},
+};
+
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
-  const std::string app1 = args.get("app1", "mcf");
-  const std::string app2 = args.get("app2", "libquantum");
+  const CliArgs args(argc, argv, kFlags);
+  const std::string app1 = args.get("app1");
+  const std::string app2 = args.get("app2");
 
   // 1. The application suite and a 2-core system (paper Table I).
   const workload::SpecSuite& suite = workload::spec_suite();
@@ -48,7 +56,7 @@ int main(int argc, char** argv) {
   mix.app_ids = {suite.index_of(app1), suite.index_of(app2)};
 
   rmsim::ExperimentRunner runner(db);
-  const auto trace_limit = args.get_int("trace", 0);
+  const auto trace_limit = args.get_int("trace");
   for (const rm::RmPolicy policy :
        {rm::RmPolicy::Rm1, rm::RmPolicy::Rm2, rm::RmPolicy::Rm3}) {
     rm::RmConfig config;

@@ -18,6 +18,10 @@ using namespace qosrm;
 
 namespace {
 
+constexpr CliFlag kFlags[] = {
+    {"app", CliFlag::kText, "NAME", "mcf", {}, "application to dissect"},
+};
+
 void print_characterization(const workload::SimDb& db, int app) {
   const workload::AppClassification cls = workload::classify_app(db, app);
   std::printf("category: %s\n", workload::category_name(cls.category()));
@@ -77,8 +81,7 @@ void print_local_curves(const workload::SimDb& db, int app) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
-  const std::string name = args.get("app", "mcf");
+  const std::string name = CliArgs(argc, argv, kFlags).get("app");
 
   const workload::SpecSuite& suite = workload::spec_suite();
   const int app = suite.index_of(name);

@@ -1,72 +1,77 @@
-// Tiny command-line flag parser shared by bench binaries and examples.
+// Command-line flags, declared once per binary as a table of CliFlag: its
+// name, value kind, default, integer lower bound and help line. CliArgs
+// parses argv against the table (see its constructor) and reads an absent
+// flag as its default, through the same strict parser as a given value.
 //
-// Supports --name=value and --name value forms plus bare --flag booleans.
-// Unrecognized arguments are retained (google-benchmark binaries pass their
-// own flags through); strict binaries reject them with reject_unknown().
-// A bare --flag has no value: only get_bool reads it (as true); a string or
-// number read of it is a usage error (stderr names the flag, exit 1), so a
-// path flag given without its path can never write a file named "true".
+// Flags take --name=value or --name value form; a switch (no placeholder,
+// and --help) never takes the next argument. A bare --flag has no value:
+// only get_bool reads it (as true); a string or number read of it exits 1
+// naming the flag, so a path flag given without its path can never write a
+// file named "true".
 #ifndef QOSRM_COMMON_CLI_HH
 #define QOSRM_COMMON_CLI_HH
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace qosrm {
 
+struct CliFlag {
+  /// Read by get, get_int/get_int32, get_double and get_bool.
+  enum Kind { kText, kInt, kReal, kBool };
+
+  const char* name;         ///< without the leading "--"
+  Kind kind;
+  const char* placeholder;  ///< "N", "PATH", ...; "" makes a switch
+  const char* fallback;     ///< the value an absent flag reads as
+  std::optional<std::int64_t> min;  ///< integer lower bound
+  /// One line. `code` spans are kept in docs/CLI.md and stripped in --help.
+  const char* help;
+};
+
 class CliArgs {
  public:
-  /// `boolean_flags` declares flags that never take a value from the next
-  /// argument: `--keep out/` then keeps `out/` as a positional instead of
-  /// silently consuming it as the value of `--keep` (the `=` form still
-  /// assigns, so `--keep=false` works). Undeclared flags keep the historic
-  /// greedy behavior for `--name value`.
-  CliArgs(int argc, char** argv,
-          std::initializer_list<const char*> boolean_flags = {});
+  /// Parses argv against `flags`, which must outlive this object. --help
+  /// prints the table and exits 0; an undeclared flag or a positional
+  /// argument exits 1 naming it. Every default is read first, so a default
+  /// that fails its own flag's checks fails every run.
+  CliArgs(int argc, char** argv, std::span<const CliFlag> flags);
 
+  /// Whether the flag was given (a default does not count).
   [[nodiscard]] bool has(const std::string& name) const;
-  /// The flag's value, or `fallback` when absent; a bare --name exits 1.
-  [[nodiscard]] std::string get(const std::string& name,
-                                const std::string& fallback) const;
-  /// Numeric accessors parse strictly: a present value that is empty, has
-  /// trailing garbage or overflows aborts with a diagnostic naming the flag
-  /// (--threads=abc must fail loudly, never silently run with 0 threads).
-  [[nodiscard]] std::int64_t get_int(const std::string& name,
-                                     std::int64_t fallback) const;
+  /// The flag's value, or its default; a bare --name exits 1.
+  [[nodiscard]] std::string get(const std::string& name) const;
+  /// Numeric accessors parse strictly: a value that is empty, has trailing
+  /// garbage or overflows aborts with a diagnostic naming the flag
+  /// (--threads=abc must fail loudly, never silently run with 0 threads). An
+  /// integer below the flag's bound exits 1 naming flag, bound and value.
+  [[nodiscard]] std::int64_t get_int(const std::string& name) const;
   /// get_int for an `int` flag: a value outside int's range aborts with a
   /// diagnostic naming the flag instead of wrapping (--cores=4294967298
   /// must not run a 2-core system).
-  [[nodiscard]] int get_int32(const std::string& name, int fallback) const;
-  [[nodiscard]] double get_double(const std::string& name, double fallback) const;
+  [[nodiscard]] int get_int32(const std::string& name) const;
+  [[nodiscard]] double get_double(const std::string& name) const;
   /// Accepts true/1/yes and false/0/no, and a bare --name as true; any other
   /// value aborts naming the flag (--overheads=ture must not silently run
   /// with overheads off).
-  [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
-
-  /// Strict-binary validation: false (after printing a diagnostic to
-  /// stderr) when a passed --flag is not in `known` or a positional argument
-  /// is present. A typo'd flag name must fail loudly, never silently run
-  /// with defaults labeled as if the request had been honored.
-  [[nodiscard]] bool reject_unknown(std::span<const char* const> known) const;
-
-  /// Arguments that did not look like --key[=value] flags, in order.
-  [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
-    return positional_;
-  }
+  [[nodiscard]] bool get_bool(const std::string& name) const;
 
  private:
-  /// The value of `name`, or null when absent; exits 1 (a usage error
-  /// naming the flag) for a bare --name, which has no value to read.
-  [[nodiscard]] const std::string* value_of(const std::string& name) const;
+  /// The declared flag `name`; aborts when it is undeclared or of another
+  /// kind.
+  [[nodiscard]] const CliFlag& declared(const std::string& name,
+                                        CliFlag::Kind kind) const;
+  /// The given value or the default. A bare --name reads as "true" for a
+  /// bool flag and exits 1 (a usage error naming the flag) for any other.
+  [[nodiscard]] std::string value_of(const CliFlag& flag) const;
 
+  std::span<const CliFlag> flags_;
   /// nullopt for a bare --name.
   std::map<std::string, std::optional<std::string>> values_;
-  std::vector<std::string> positional_;
 };
 
 /// A file a binary writes for an output flag: `--<flag>=<path>`.

@@ -11,7 +11,8 @@ namespace qosrm::rmsim {
 
 std::optional<CliDb> prepare_cli_db(const CliArgs& args,
                                     const std::vector<OutputFlag>& outputs,
-                                    int cores, int bw_shares, int threads) {
+                                    int cores) {
+  const int bw_shares = args.get_int32("bw-shares");
   // Each probe touches only the uniquely named temp sibling the later atomic
   // commit will use, NEVER the target itself: an interrupted or failed run
   // must not leave an empty decoy CSV/report, and an existing file stays
@@ -22,7 +23,7 @@ std::optional<CliDb> prepare_cli_db(const CliArgs& args,
   // bad path fails here instead of after the multi-second database build.
   std::string error;
   const std::optional<workload::DbCache> db_cache = workload::resolve_db_cache(
-      args.get("db-cache", ""), cores, bw_shares, &error);
+      args.get("db-cache"), cores, bw_shares, &error);
   if (!db_cache.has_value()) {
     std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
     return std::nullopt;
@@ -42,7 +43,7 @@ std::optional<CliDb> prepare_cli_db(const CliArgs& args,
                 cores);
   }
   workload::SimDbOptions db_options;
-  db_options.threads = threads;
+  db_options.threads = args.get_int32("threads");
   std::optional<workload::SimDb> db = workload::load_or_build_simdb(
       *db_cache, suite, system, power, db_options, &error);
   if (!db.has_value()) {

@@ -20,11 +20,10 @@ struct CliDb {
 /// Probes `outputs` (common/cli.hh probe_outputs) and resolves --db-cache
 /// before any expensive work, so a bad path fails in milliseconds; then
 /// loads or characterizes the database of the spec suite on `cores` cores
-/// with `bw_shares` bandwidth shares per core (`threads` lanes for a cold
+/// with --bw-shares bandwidth shares per core (--threads lanes for a cold
 /// build). nullopt after printing a diagnostic naming the flag to stderr.
 [[nodiscard]] std::optional<CliDb> prepare_cli_db(
-    const CliArgs& args, const std::vector<OutputFlag>& outputs, int cores,
-    int bw_shares, int threads);
+    const CliArgs& args, const std::vector<OutputFlag>& outputs, int cores);
 
 }  // namespace qosrm::rmsim
 

@@ -39,52 +39,6 @@ namespace workload = qosrm::workload;
 namespace rmsim = qosrm::rmsim;
 using Clock = std::chrono::steady_clock;
 
-void print_usage() {
-  std::puts(
-      "service_main: open-loop colocation service over the RM simulator\n"
-      "  --cores=N          size of the served core pool (default 16)\n"
-      "  --bw-shares=N      memory-bandwidth shares per core (default 1 =\n"
-      "                     unpartitioned bandwidth; N >= 2 adds the CBP\n"
-      "                     share axis to the optimizer's knob space)\n"
-      "  --arrivals=LIST    comma list of poisson|bursty|diurnal arrival\n"
-      "                     patterns (default poisson)\n"
-      "  --num-arrivals=N   arrivals per grid point (default 5000)\n"
-      "  --loads=LIST       comma list of offered utilizations > 0\n"
-      "                     (default 0.8)\n"
-      "  --admission=LIST   comma list of fifo|sdf|qos-aware admission\n"
-      "                     policies (default fifo); every admission cell of\n"
-      "                     one (pattern, load) faces the identical trace\n"
-      "  --policies=LIST    comma list of idle|rm1|rm2|rm3|ucp|fcp|classpart\n"
-      "                     (default idle,rm1,rm2,rm3)\n"
-      "  --model=NAME       performance model: model1|model2|model3|perfect\n"
-      "                     (exactly one; default model3)\n"
-      "  --alphas=LIST      comma list of QoS alphas; 0 = system default,\n"
-      "                     else a positive normal double (default 0)\n"
-      "  --seed=N           arrival-trace seed (default 2020)\n"
-      "  --demand-min=N     per-app demand lower bound, intervals (default 40)\n"
-      "  --demand-max=N     per-app demand upper bound (default 160)\n"
-      "  --queue-cap=N      admission-queue capacity (default 4096)\n"
-      "  --threads=N        grid parallelism, also the lanes of a cold\n"
-      "                     database build (serial at 1, else N + 1);\n"
-      "                     0 = hardware concurrency\n"
-      "  --rows-csv=PATH    per-run CSV output (default service_rows.csv)\n"
-      "  --report-json=PATH tail-metric report (byte-stable JSON, stamped\n"
-      "                     with the service fingerprint; optional)\n"
-      "  --knee-report=PATH aggregate knee report: folds the load axis into\n"
-      "                     one p99-violation curve per {pattern x admission\n"
-      "                     x policy x alpha} and marks the first load whose\n"
-      "                     p99 crosses the threshold (byte-stable JSON)\n"
-      "  --knee-threshold=X p99 Eq. 6 magnitude counting as past the knee\n"
-      "                     (finite, > 0; default 0.1; requires --knee-report)\n"
-      "  --knee-csv-prefix=P  also write per-pattern knee curves to\n"
-      "                     <P><pattern>.csv (requires --knee-report)\n"
-      "  --db-cache=PATH    simulation-database snapshot: load it when the\n"
-      "                     file exists (a stale/corrupt snapshot is an\n"
-      "                     error), otherwise characterize and save it; a\n"
-      "                     directory selects <dir>/suite-c<cores>.qosdb\n"
-      "                     (same layout as the benches)");
-}
-
 void print_rows(const std::vector<rmsim::ServiceRow>& rows) {
   std::printf("\n%-8s %6s %-9s %-6s %9s %9s %9s %12s %10s %10s\n", "pattern",
               "load", "admission", "policy", "alpha", "viol-rate", "p99-viol",
@@ -147,51 +101,21 @@ bool write_knee_outputs(const std::vector<rmsim::ServiceRow>& rows,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const qosrm::CliArgs args(argc, argv, {"help"});
-  if (args.has("help")) {
-    print_usage();
-    return 0;
-  }
+  const qosrm::CliArgs args(argc, argv, rmsim::cli::kServiceMainFlags);
 
-  if (!args.reject_unknown(rmsim::cli::kServiceMainFlags)) return 1;
-
-  const int cores = args.get_int32("cores", 16);
-  const int bw_shares = args.get_int32("bw-shares", 1);
-  const int threads = args.get_int32("threads", 0);
-  if (bw_shares < 1) {
-    std::fprintf(stderr, "--bw-shares must be >= 1\n");
-    return 1;
-  }
-  const long long num_arrivals = args.get_int("num-arrivals", 5000);
-  const int demand_min = args.get_int32("demand-min", 40);
-  const int demand_max = args.get_int32("demand-max", 160);
-  const long long queue_cap = args.get_int("queue-cap", 4096);
-  if (cores < 1 || threads < 0 || num_arrivals < 1) {
-    std::fprintf(stderr,
-                 "--cores/--num-arrivals must be >= 1 and --threads >= 0\n");
-    return 1;
-  }
-  if (demand_min < 1 || demand_max < demand_min) {
-    std::fprintf(stderr,
-                 "--demand-min must be >= 1 and --demand-max >= "
-                 "--demand-min\n");
-    return 1;
-  }
-  if (queue_cap < 1) {
-    std::fprintf(stderr, "--queue-cap must be >= 1\n");
-    return 1;
-  }
-  const long long seed = args.get_int("seed", 2020);
-  if (seed < 0) {
-    std::fprintf(stderr, "--seed must be >= 0\n");
-    return 1;
-  }
+  const int cores = args.get_int32("cores");
+  const int threads = args.get_int32("threads");
   rmsim::ServiceConfig config;
-  config.arrivals = static_cast<std::size_t>(num_arrivals);
-  config.seed = static_cast<std::uint64_t>(seed);
-  config.demand_min = demand_min;
-  config.demand_max = demand_max;
-  config.queue_capacity = static_cast<std::size_t>(queue_cap);
+  config.arrivals = static_cast<std::size_t>(args.get_int("num-arrivals"));
+  config.demand_min = args.get_int32("demand-min");
+  config.demand_max = args.get_int32("demand-max");
+  if (config.demand_max < config.demand_min) {
+    std::fprintf(stderr, "--demand-max must be >= --demand-min (got %d < %d)\n",
+                 config.demand_max, config.demand_min);
+    return 1;
+  }
+  config.queue_capacity = static_cast<std::size_t>(args.get_int("queue-cap"));
+  config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
   // Parse the grid flags up front: a bad value should fail immediately, not
   // after the multi-second database characterization. A bad list entry is a
@@ -199,18 +123,17 @@ int main(int argc, char** argv) {
   rmsim::ServiceGrid grid;
   std::vector<qosrm::rm::PerfModelKind> models;
   std::string list_error;
-  if (!workload::try_parse_arrival_patterns(args.get("arrivals", "poisson"),
+  if (!workload::try_parse_arrival_patterns(args.get("arrivals"),
                                             &grid.patterns, &list_error) ||
-      !rmsim::try_parse_loads(args.get("loads", "0.8"), &grid.loads,
-                              &list_error) ||
-      !rmsim::try_parse_admissions(args.get("admission", "fifo"),
-                                   &grid.admissions, &list_error) ||
-      !rmsim::try_parse_policies(args.get("policies", "idle,rm1,rm2,rm3"),
-                                 &grid.policies, &list_error) ||
-      !rmsim::try_parse_alphas(args.get("alphas", "0"), &grid.qos_alphas,
+      !rmsim::try_parse_loads(args.get("loads"), &grid.loads, &list_error) ||
+      !rmsim::try_parse_admissions(args.get("admission"), &grid.admissions,
+                                   &list_error) ||
+      !rmsim::try_parse_policies(args.get("policies"), &grid.policies,
+                                 &list_error) ||
+      !rmsim::try_parse_alphas(args.get("alphas"), &grid.qos_alphas,
                                &list_error) ||
-      !rmsim::try_parse_models(args.get("model", "model3"), &models,
-                               &list_error, "model")) {
+      !rmsim::try_parse_models(args.get("model"), &models, &list_error,
+                               "model")) {
     std::fprintf(stderr, "%s\n", list_error.c_str());
     return 1;
   }
@@ -222,12 +145,12 @@ int main(int argc, char** argv) {
   }
   config.model = models.front();
 
-  const std::string rows_csv = args.get("rows-csv", "service_rows.csv");
-  const std::string report_json = args.get("report-json", "");
-  const std::string knee_report = args.get("knee-report", "");
-  const std::string knee_csv_prefix = args.get("knee-csv-prefix", "");
+  const std::string rows_csv = args.get("rows-csv");
+  const std::string report_json = args.get("report-json");
+  const std::string knee_report = args.get("knee-report");
+  const std::string knee_csv_prefix = args.get("knee-csv-prefix");
   const double knee_threshold =
-      args.get_double("knee-threshold", rmsim::kDefaultKneeThreshold);
+      args.get_double("knee-threshold");
   if (knee_report.empty() &&
       (args.has("knee-threshold") || !knee_csv_prefix.empty())) {
     std::fprintf(stderr,
@@ -253,7 +176,7 @@ int main(int argc, char** argv) {
 
   const auto t_db = Clock::now();
   const std::optional<rmsim::CliDb> cli_db =
-      rmsim::prepare_cli_db(args, outputs, cores, bw_shares, threads);
+      rmsim::prepare_cli_db(args, outputs, cores);
   if (!cli_db.has_value()) return 1;
   const workload::SimDb& db = cli_db->db;
 

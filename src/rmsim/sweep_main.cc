@@ -30,44 +30,6 @@ namespace workload = qosrm::workload;
 namespace rmsim = qosrm::rmsim;
 using Clock = std::chrono::steady_clock;
 
-void print_usage() {
-  std::puts(
-      "sweep_main: sweep RM policies over generated workload mixes\n"
-      "  --cores=N          cores per generated workload, even (default 4)\n"
-      "  --replicate=K      scale every mix to K x its cores by scenario-\n"
-      "                     preserving replication (default 1; e.g.\n"
-      "                     --cores=4 --replicate=2 sweeps 8-core scaled\n"
-      "                     versions of the 4-core paper mixes)\n"
-      "  --bw-shares=N      memory-bandwidth shares per core (default 1 =\n"
-      "                     unpartitioned bandwidth; N >= 2 adds the CBP\n"
-      "                     share axis to the optimizer's knob space)\n"
-      "  --per-scenario=N   workload mixes per scenario (default 1; paper: 6)\n"
-      "  --seed=N           workload-generation seed (default 2020)\n"
-      "  --policies=LIST    comma list of idle|rm1|rm2|rm3|ucp|fcp|classpart\n"
-      "                     (default idle,rm1,rm2,rm3)\n"
-      "  --models=LIST      comma list of model1|model2|model3|perfect\n"
-      "                     (default model3)\n"
-      "  --alphas=LIST      comma list of QoS alphas; 0 = system default,\n"
-      "                     else a positive normal double (default 0)\n"
-      "  --threads=N        sweep parallelism, also the lanes of a cold\n"
-      "                     database build (serial at 1, else N + 1);\n"
-      "                     0 = hardware concurrency\n"
-      "  --rows-csv=PATH    per-run CSV output (default sweep_rows.csv)\n"
-      "  --agg-csv=PATH     per-configuration CSV output (optional)\n"
-      "  --report-json=PATH Fig. 6/7/9 figure report (byte-stable JSON,\n"
-      "                     stamped with the sweep fingerprint; optional)\n"
-      "  --fig6-csv=PATH    Fig. 6 savings aggregates as CSV (optional)\n"
-      "  --fig7-csv=PATH    Fig. 7 violation statistics as CSV (optional)\n"
-      "  --fig9-csv=PATH    Fig. 9 model-vs-oracle deltas as CSV (optional;\n"
-      "                     needs 'perfect' on the model axis)\n"
-      "  --overheads=BOOL   model RM/enforcement overheads (default true)\n"
-      "  --db-cache=PATH    simulation-database snapshot: load it when the\n"
-      "                     file exists (a stale/corrupt snapshot is an\n"
-      "                     error), otherwise characterize and save it; a\n"
-      "                     directory selects <dir>/suite-c<cores>.qosdb\n"
-      "                     (same layout as the benches)");
-}
-
 void print_aggregates(const std::vector<rmsim::SweepAggregate>& aggregates) {
   std::printf("\n%-6s %-8s %9s %14s %12s %14s\n", "policy", "model", "alpha",
               "wtd-savings", "mean-savings", "viol-rate");
@@ -99,34 +61,15 @@ const struct {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const qosrm::CliArgs args(argc, argv, {"help"});
-  if (args.has("help")) {
-    print_usage();
-    return 0;
-  }
+  const qosrm::CliArgs args(argc, argv, rmsim::cli::kSweepMainFlags);
 
-  if (!args.reject_unknown(rmsim::cli::kSweepMainFlags)) return 1;
-
-  const int cores = args.get_int32("cores", 4);
-  const int replicate = args.get_int32("replicate", 1);
-  const int bw_shares = args.get_int32("bw-shares", 1);
-  const int threads = args.get_int32("threads", 0);
-  const int per_scenario = args.get_int32("per-scenario", 1);
-  if (cores < 1 || replicate < 1 || per_scenario < 1 || threads < 0) {
-    std::fprintf(stderr,
-                 "--cores/--replicate/--per-scenario must be >= 1 and "
-                 "--threads >= 0\n");
-    return 1;
-  }
+  const int cores = args.get_int32("cores");
+  const int replicate = args.get_int32("replicate");
+  const int threads = args.get_int32("threads");
   // A generated mix gives each half of its cores one application category
   // (workload/workload_gen.hh), so it needs an even core count.
   if (cores % 2 != 0) {
-    std::fprintf(stderr, "--cores must be even and >= 2 (got %d; see --help)\n",
-                 cores);
-    return 1;
-  }
-  if (bw_shares < 1) {
-    std::fprintf(stderr, "--bw-shares must be >= 1\n");
+    std::fprintf(stderr, "--cores must be even (got %d; see --help)\n", cores);
     return 1;
   }
   // Cores the simulated system actually has (replication scales the 4-core
@@ -137,11 +80,10 @@ int main(int argc, char** argv) {
   // after the multi-second database characterization.
   rmsim::SweepGrid grid;
   std::string list_error;
-  if (!rmsim::try_parse_policies(args.get("policies", "idle,rm1,rm2,rm3"),
-                                 &grid.policies, &list_error) ||
-      !rmsim::try_parse_models(args.get("models", "model3"), &grid.models,
-                               &list_error) ||
-      !rmsim::try_parse_alphas(args.get("alphas", "0"), &grid.qos_alphas,
+  if (!rmsim::try_parse_policies(args.get("policies"), &grid.policies,
+                                 &list_error) ||
+      !rmsim::try_parse_models(args.get("models"), &grid.models, &list_error) ||
+      !rmsim::try_parse_alphas(args.get("alphas"), &grid.qos_alphas,
                                &list_error)) {
     std::fprintf(stderr, "%s\n", list_error.c_str());
     return 1;
@@ -149,36 +91,31 @@ int main(int argc, char** argv) {
 
   rmsim::SweepOptions options;
   options.threads = threads;
-  options.sim.model_overheads = args.get_bool("overheads", true);
+  options.sim.model_overheads = args.get_bool("overheads");
 
   const workload::SpecSuite& suite = workload::spec_suite();
   workload::WorkloadGenOptions gen;
   gen.cores = cores;
-  gen.per_scenario = per_scenario;
-  const long long seed = args.get_int("seed", 2020);
-  if (seed < 0) {
-    std::fprintf(stderr, "--seed must be >= 0\n");
-    return 1;
-  }
-  gen.seed = static_cast<std::uint64_t>(seed);
+  gen.per_scenario = args.get_int32("per-scenario");
+  gen.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   grid.mixes = workload::replicate_workloads(
       workload::generate_workloads(suite, gen), replicate);
 
   // The output paths are probed before the multi-second database build, so
   // a bad path fails there instead of after the sweep.
-  const std::string rows_csv = args.get("rows-csv", "sweep_rows.csv");
-  const std::string agg_csv = args.get("agg-csv", "");
+  const std::string rows_csv = args.get("rows-csv");
+  const std::string agg_csv = args.get("agg-csv");
   std::vector<qosrm::OutputFlag> outputs = {{"rows-csv", rows_csv},
                                             {"agg-csv", agg_csv}};
   bool want_figures = false;
   for (const auto& output : kFigureOutputs) {
-    outputs.push_back({output.flag, args.get(output.flag, "")});
+    outputs.push_back({output.flag, args.get(output.flag)});
     want_figures |= !outputs.back().path.empty();
   }
 
   const auto t_db = Clock::now();
   const std::optional<rmsim::CliDb> cli_db =
-      rmsim::prepare_cli_db(args, outputs, total_cores, bw_shares, threads);
+      rmsim::prepare_cli_db(args, outputs, total_cores);
   if (!cli_db.has_value()) return 1;
   const workload::SimDb& db = cli_db->db;
 
@@ -214,7 +151,7 @@ int main(int argc, char** argv) {
                                         db.phase_options())),
         rmsim::scenario_weights(suite));
     for (const auto& output : kFigureOutputs) {
-      const std::string path = args.get(output.flag, "");
+      const std::string path = args.get(output.flag);
       if (path.empty()) continue;
       if (!qosrm::write_output(output.flag, path, output.text(report))) {
         return 1;

@@ -14,9 +14,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 
 #include "arch/system_config.hh"
+#include "common/cli.hh"
+#include "common/str.hh"
+#include "rmsim/cli_flags.hh"
 #include "rmsim/sweep.hh"
 #include "support/run_binary.hh"
 #include "workload/db_io.hh"
@@ -171,6 +175,42 @@ TEST(UsageCli, ExitsOneNamingTheFlagAndWritesNothing) {
   std::filesystem::current_path(cwd);
   EXPECT_TRUE(std::filesystem::is_empty(dir));
   std::filesystem::remove_all(dir);
+}
+
+// Every lower bound of both CLIs' flag tables: the bound itself passes flag
+// validation - the run then stops at the unwritable --rows-csv, whose probe
+// comes after every flag is read - and one below it exits 1 with one line
+// naming only the flag, the bound and the value (--threads=-1 used to print
+// "--cores/--replicate/--per-scenario must be >= 1 and --threads >= 0").
+TEST(BoundCli, EveryBoundAcceptsItselfAndRejectsOneBelow) {
+  const std::string unwritable = ::testing::TempDir() + "/no_such_dir/rows.csv";
+  const struct {
+    const char* binary;
+    std::span<const CliFlag> flags;
+  } kBinaries[] = {{"sweep_main", cli::kSweepMainFlags},
+                   {"service_main", cli::kServiceMainFlags}};
+  std::size_t bounded = 0;
+  for (const auto& b : kBinaries) {
+    for (const CliFlag& flag : b.flags) {
+      if (!flag.min.has_value()) continue;
+      ++bounded;
+      const long long min = *flag.min;
+      std::string out;
+      EXPECT_EQ(run_captured(b.binary,
+                             format("--%s=%lld --rows-csv=%s", flag.name, min,
+                                    unwritable.c_str()),
+                             out),
+                1);
+      EXPECT_EQ(out.rfind("--rows-csv: ", 0), 0u) << b.binary << " " << out;
+      EXPECT_EQ(
+          run_captured(b.binary, format("--%s=%lld", flag.name, min - 1), out),
+          1);
+      EXPECT_EQ(out, format("--%s must be >= %lld (got %lld)\n", flag.name,
+                            min, min - 1))
+          << b.binary;
+    }
+  }
+  EXPECT_EQ(bounded, 13u);  // 6 in sweep_main, 7 in service_main
 }
 
 // Generated mixes split their cores into two application halves, so an odd
