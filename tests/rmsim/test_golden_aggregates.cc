@@ -12,7 +12,10 @@
        --models=model3,perfect --alphas=1,1.05,1.1 \
        --db-cache=.qosdb-cache --rows-csv=/tmp/paper_rows.csv \
        --agg-csv=tests/data/golden_paper_grid_agg.csv \
-       --report-json=tests/data/golden_paper_grid_report.json
+       --report-json=tests/data/golden_paper_grid_report.json \
+       --fig6-csv=tests/data/golden_paper_grid_fig6.csv \
+       --fig7-csv=tests/data/golden_paper_grid_fig7.csv \
+       --fig9-csv=tests/data/golden_paper_grid_fig9.csv
 */
 #include <gtest/gtest.h>
 
@@ -113,6 +116,31 @@ TEST_F(GoldenAggregates, PaperGridFigureReportMatchesCommittedGolden) {
       << "\nIf the change is intentional, regenerate the golden files (see "
          "the header of this test) and justify the numerical diff in the "
          "same commit.";
+}
+
+TEST_F(GoldenAggregates, PaperGridFigureCsvsMatchCommittedGoldens) {
+  const workload::SimDb& db = testing::shared_db(4);
+  const FigureReport report = build_figure_report(
+      result_->rows, grid_->shape(), fingerprint_, scenario_weights(db.suite()));
+  ASSERT_FALSE(report.fig9.empty());
+
+  const struct {
+    const char* file;
+    std::string text;
+  } outputs[] = {{"golden_paper_grid_fig6.csv", fig6_csv(report)},
+                 {"golden_paper_grid_fig7.csv", fig7_csv(report)},
+                 {"golden_paper_grid_fig9.csv", fig9_csv(report)}};
+  for (const auto& output : outputs) {
+    const std::string golden_path =
+        std::string(QOSRM_TEST_DATA_DIR) + "/" + output.file;
+    const std::string golden = slurp(golden_path);
+    ASSERT_FALSE(golden.empty()) << golden_path;
+    EXPECT_EQ(output.text, golden)
+        << "paper-grid figure CSV drifted from " << golden_path
+        << "\nIf the change is intentional, regenerate the golden files (see "
+           "the header of this test) and justify the numerical diff in the "
+           "same commit.";
+  }
 }
 
 // ---------------------------------------------------------------------------

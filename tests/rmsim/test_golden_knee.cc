@@ -1,5 +1,6 @@
 // Golden gate for the aggregate service knee report: the committed
-// tests/data/golden_service_knee_report.json pins the exact knee curves of
+// tests/data/golden_service_knee_report.json (and the per-pattern CSVs
+// golden_service_knee_<pattern>.csv) pins the exact knee curves of
 // the 4-core admission sweep (poisson+bursty, 6 loads, all three admission
 // policies, RM3, alpha 0, seed 2020, knee threshold 0.095 - the same grid
 // CI's service-smoke knee step runs through the CLI). Future refactors must
@@ -12,7 +13,8 @@
        --arrivals=poisson,bursty --loads=0.6,0.9,1.2,1.5,1.8,2.1 \
        --admission=fifo,sdf,qos-aware --policies=rm3 --alphas=0 \
        --seed=2020 --knee-threshold=0.095 \
-       --knee-report=tests/data/golden_service_knee_report.json
+       --knee-report=tests/data/golden_service_knee_report.json \
+       --knee-csv-prefix=tests/data/golden_service_knee_
 */
 //
 // Builds the full simulation database (tests/support/shared_db.hh), so the
@@ -92,6 +94,17 @@ TEST(GoldenKnee, FourCoreAdmissionSweepMatchesCommittedGolden) {
       << "\nIf the change is intentional, regenerate the golden file (see "
          "the header of this test) and justify the numerical diff in the "
          "same commit.";
+
+  for (const workload::ArrivalPattern pattern : grid.patterns) {
+    const std::string csv_path = std::string(QOSRM_TEST_DATA_DIR) +
+                                 "/golden_service_knee_" +
+                                 workload::arrival_pattern_name(pattern) +
+                                 ".csv";
+    const std::string golden_csv = slurp(csv_path);
+    ASSERT_FALSE(golden_csv.empty()) << csv_path;
+    EXPECT_EQ(knee_curve_csv(report, pattern), golden_csv)
+        << "knee-curve CSV drifted from " << csv_path;
+  }
 }
 
 /// Paper-plus pool scale: the ROADMAP's open item asks for the service

@@ -1,5 +1,6 @@
 // Golden gate for the service report: the committed
-// tests/data/golden_service_report.json pins every metric of the 2-core
+// tests/data/golden_service_report.json (and its CSV twin
+// golden_service_rows.csv) pins every metric of the 2-core
 // service grid (poisson+bursty+diurnal x load 0.7/1.0 x idle/rm3, fifo
 // admission, alpha 0, 400 arrivals, seed 2020 - the same grid CI's
 // service-smoke step runs through the CLI). Future refactors must reproduce
@@ -11,6 +12,7 @@
 //       --arrivals=poisson,bursty,diurnal --loads=0.7,1.0
 //       --policies=idle,rm3 --alphas=0 --seed=2020
 //       --report-json=tests/data/golden_service_report.json
+//       --rows-csv=tests/data/golden_service_rows.csv
 //
 // Builds the full simulation database (tests/support/shared_db.hh), so the
 // binary carries LABELS slow.
@@ -59,6 +61,13 @@ TEST(GoldenService, TwoCoreServiceReportMatchesCommittedGolden) {
       << "\nIf the change is intentional, regenerate the golden file (see "
          "the header of this test) and justify the numerical diff in the "
          "same commit.";
+
+  const std::string rows_path =
+      std::string(QOSRM_TEST_DATA_DIR) + "/golden_service_rows.csv";
+  const std::string golden_rows = slurp(rows_path);
+  ASSERT_FALSE(golden_rows.empty()) << rows_path;
+  EXPECT_EQ(service_rows_csv(result.rows), golden_rows)
+      << "service rows CSV drifted from " << rows_path;
 }
 
 }  // namespace
