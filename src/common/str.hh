@@ -92,6 +92,16 @@ bool parse_name_list_flag(const char* flag, const std::string& spec,
       out, error);
 }
 
+/// The first spelling of `value` in `names`, or "?" for a value it lacks:
+/// an enum's name function reads the table its list-flag parser accepts.
+template <typename T, std::size_t N>
+const char* name_of(const NamedValue<T> (&names)[N], T value) noexcept {
+  for (const NamedValue<T>& n : names) {
+    if (n.value == value) return n.name;
+  }
+  return "?";
+}
+
 }  // namespace qosrm
 
 #endif  // QOSRM_COMMON_STR_HH

@@ -2,10 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <initializer_list>
 #include <limits>
+#include <span>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 #include "common/check.hh"
 #include "common/csv.hh"
+#include "common/file_util.hh"
 #include "common/str.hh"
 #include "rm/perf_model.hh"
 
@@ -13,16 +20,38 @@ namespace qosrm::rmsim {
 
 namespace {
 
-/// Full-precision double formatting so equal reports yield byte-identical
-/// text (same convention as the sweep CSVs).
-std::string fmtd(double v) { return format("%.17g", v); }
+/// One field's value; its alternative is the column's value kind.
+using Cell = std::variant<std::uint64_t, int, double, const char*>;
 
-/// fmtd for a JSON number. JSON has no inf or nan, so a non-finite value
-/// would make the whole report unparseable: abort naming its key instead.
-std::string json_num(const char* key, double v) {
-  QOSRM_CHECK_MSG(std::isfinite(v),
-                  format("non-finite value for JSON key \"%s\"", key).c_str());
-  return fmtd(v);
+template <class R>
+struct Column {
+  const char* name;  ///< CSV header and JSON key
+  Cell (*get)(const R&);
+  const char* json_key = nullptr;  ///< overrides name as the JSON key
+};
+
+/// A column table, or a run of columns only one format carries (not a
+/// deduced context: a record's type comes from the record alone).
+template <class R>
+using Columns = std::type_identity_t<std::span<const Column<R>>>;
+
+template <class R>
+constexpr Column<R> kPolicyColumn = {
+    "policy", [](const R& r) -> Cell { return rm::rm_policy_name(r.policy); }};
+template <class R>
+constexpr Column<R> kModelColumn = {
+    "model", [](const R& r) -> Cell { return rm::perf_model_name(r.model); }};
+template <class R>
+constexpr Column<R> kAlphaColumn = {
+    "qos_alpha", [](const R& r) -> Cell { return r.qos_alpha; }, "alpha"};
+
+/// Full-precision doubles ("%.17g"), so equal records give equal bytes;
+/// integers and names print as themselves.
+std::string csv_cell(const Cell& cell) {
+  if (const double* d = std::get_if<double>(&cell)) return format("%.17g", *d);
+  if (const char* const* s = std::get_if<const char*>(&cell)) return *s;
+  if (const int* i = std::get_if<int>(&cell)) return std::to_string(*i);
+  return std::to_string(std::get<std::uint64_t>(cell));
 }
 
 std::string json_escape(const std::string& s) {
@@ -46,12 +75,267 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-std::string config_prefix(rm::RmPolicy policy, rm::PerfModelKind model,
-                          double alpha) {
-  return format("{\"policy\": \"%s\", \"model\": \"%s\", \"alpha\": %s",
-                rm::rm_policy_name(policy), rm::perf_model_name(model),
-                json_num("alpha", alpha).c_str());
+/// csv_cell as a JSON value: names are quoted and escaped, and since JSON
+/// has no inf or nan, a non-finite number would make the whole report
+/// unparseable, so it aborts naming its key instead.
+std::string json_value(const char* key, const Cell& cell) {
+  if (const double* d = std::get_if<double>(&cell)) {
+    QOSRM_CHECK_MSG(std::isfinite(*d),
+                    format("non-finite value for JSON key \"%s\"", key).c_str());
+  } else if (const char* const* s = std::get_if<const char*>(&cell)) {
+    return "\"" + json_escape(*s) + "\"";
+  }
+  return csv_cell(cell);
 }
+
+template <class R>
+void append_header(std::vector<std::string>* header, Columns<R> columns) {
+  for (const Column<R>& c : columns) header->push_back(c.name);
+}
+
+template <class R>
+void append_cells(std::vector<std::string>* cells, Columns<R> columns,
+                  const R& record) {
+  for (const Column<R>& c : columns) cells->push_back(csv_cell(c.get(record)));
+}
+
+/// One CSV line per record: `columns`, then the CSV-only `extra` ones.
+template <class R>
+std::string csv_text_of(const std::vector<R>& records, Columns<R> columns,
+                        Columns<R> extra = {}) {
+  std::vector<std::string> header;
+  append_header<R>(&header, columns);
+  append_header<R>(&header, extra);
+  std::vector<std::vector<std::string>> rows(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    append_cells<R>(&rows[i], columns, records[i]);
+    append_cells<R>(&rows[i], extra, records[i]);
+  }
+  return csv_text(header, rows);
+}
+
+/// `{"key": value, ...}` over `columns`, then the JSON-only `extra` ones,
+/// then `tail` (pre-rendered `, "key": value` members) before the brace.
+template <class R>
+std::string json_object(const R& record, Columns<R> columns,
+                        Columns<R> extra = {}, const std::string& tail = "") {
+  std::string o = "{";
+  for (const Columns<R> table : {columns, extra}) {
+    for (const Column<R>& c : table) {
+      const char* key = c.json_key != nullptr ? c.json_key : c.name;
+      if (o.size() > 1) o += ", ";
+      o += format("\"%s\": ", key) + json_value(key, c.get(record));
+    }
+  }
+  return o + tail + "}";
+}
+
+/// `[v0, v1, ...]` with element v rendered as to_cell(v) under `key`.
+template <class Range, class ToCell = std::identity>
+std::string json_array(const char* key, const Range& values,
+                       ToCell to_cell = {}) {
+  std::string o = "[";
+  for (const auto& v : values) {
+    if (o.size() > 1) o += ", ";
+    o += json_value(key, to_cell(v));
+  }
+  return o + "]";
+}
+
+/// A list of `n` objects, one per line: object(i) renders the i-th.
+template <class Render>
+std::string json_lines(std::size_t n, Render object) {
+  std::string o = "[\n";
+  for (std::size_t i = 0; i < n; ++i) {
+    o += "    " + object(i) + (i + 1 < n ? ",\n" : "\n");
+  }
+  return o + "  ]";
+}
+
+template <class R>
+std::string json_records(const std::vector<R>& records, Columns<R> columns) {
+  return json_lines(records.size(), [&](std::size_t i) {
+    return json_object(records[i], columns);
+  });
+}
+
+using JsonMember = std::pair<const char*, std::string>;
+
+/// A report document, one member per line: the schema, version and source
+/// fingerprint every report opens with, then `members`.
+std::string json_document(const char* schema, std::uint32_t version,
+                          std::uint64_t fingerprint,
+                          std::initializer_list<JsonMember> members) {
+  std::string o = "{\n";
+  o += format("  \"schema\": \"%s\",\n", schema);
+  o += format("  \"version\": %u,\n", version);
+  o += format("  \"fingerprint\": \"%016llx\"",
+              static_cast<unsigned long long>(fingerprint));
+  for (const JsonMember& m : members) {
+    o += format(",\n  \"%s\": ", m.first) + m.second;
+  }
+  return o + "\n}\n";
+}
+
+/// Plain column accessors: a member (data or const function) of the record,
+/// of a service row's metrics, or of a sweep row's run.
+template <auto M, class R>
+Cell member(const R& r) { return std::invoke(M, r); }
+template <auto M>
+Cell metric(const ServiceRow& r) { return r.metrics.*M; }
+template <auto M>
+Cell run_total(const SweepRow& r) { return std::invoke(M, r.result.run); }
+
+constexpr Column<GridShape> kGridShapeColumns[] = {
+    {"mixes", member<&GridShape::mixes>},
+    {"policies", member<&GridShape::policies>},
+    {"models", member<&GridShape::models>},
+    {"alphas", member<&GridShape::alphas>}};
+
+constexpr Column<ServiceGridShape> kServiceGridShapeColumns[] = {
+    {"patterns", member<&ServiceGridShape::patterns>},
+    {"loads", member<&ServiceGridShape::loads>},
+    {"admissions", member<&ServiceGridShape::admissions>},
+    {"policies", member<&ServiceGridShape::policies>},
+    {"alphas", member<&ServiceGridShape::alphas>}};
+
+constexpr Column<SweepRow> kSweepRowColumns[] = {
+    {"workload", [](const SweepRow& r) -> Cell { return r.workload.c_str(); }},
+    {"scenario",
+     [](const SweepRow& r) -> Cell { return static_cast<int>(r.scenario); }},
+    kPolicyColumn<SweepRow>,
+    kModelColumn<SweepRow>,
+    kAlphaColumn<SweepRow>,
+    {"savings", [](const SweepRow& r) -> Cell { return r.result.savings; }},
+    {"total_energy_j", run_total<&RunResult::total_energy_j>},
+    {"uncore_energy_j", run_total<&RunResult::uncore_energy_j>},
+    {"wall_time_s", run_total<&RunResult::wall_time_s>},
+    {"intervals", run_total<&RunResult::total_intervals>},
+    {"violations", run_total<&RunResult::total_violations>},
+    {"violation_rate", run_total<&RunResult::violation_rate>},
+    {"rm_invocations", run_total<&RunResult::rm_invocations>},
+    {"rm_ops", run_total<&RunResult::rm_ops>}};
+
+constexpr Column<SweepAggregate> kAggregateColumns[] = {
+    kPolicyColumn<SweepAggregate>,
+    kModelColumn<SweepAggregate>,
+    kAlphaColumn<SweepAggregate>,
+    {"weighted_savings", member<&SweepAggregate::weighted_savings>},
+    {"mean_savings", member<&SweepAggregate::mean_savings>},
+    {"mean_violation_rate", member<&SweepAggregate::mean_violation_rate>}};
+
+constexpr Column<Fig6Entry> kFig6Columns[] = {
+    kPolicyColumn<Fig6Entry>,
+    kModelColumn<Fig6Entry>,
+    kAlphaColumn<Fig6Entry>,
+    {"weighted_savings", member<&Fig6Entry::weighted_savings>},
+    {"mean_savings", member<&Fig6Entry::mean_savings>},
+    {"max_savings", member<&Fig6Entry::max_savings>}};
+
+/// The CSV spreads scenario_mean_savings over four columns; the JSON
+/// carries it (and per_mix_savings) as arrays instead.
+template <std::size_t S>
+Cell scenario_mean(const Fig6Entry& e) { return e.scenario_mean_savings[S]; }
+constexpr Column<Fig6Entry> kFig6CsvColumns[] = {
+    {"scenario1_mean", scenario_mean<0>},
+    {"scenario2_mean", scenario_mean<1>},
+    {"scenario3_mean", scenario_mean<2>},
+    {"scenario4_mean", scenario_mean<3>}};
+
+constexpr Column<Fig7Entry> kFig7Columns[] = {
+    kPolicyColumn<Fig7Entry>,
+    kModelColumn<Fig7Entry>,
+    kAlphaColumn<Fig7Entry>,
+    {"intervals", member<&Fig7Entry::intervals>},
+    {"violations", member<&Fig7Entry::violations>},
+    {"violation_rate", member<&Fig7Entry::violation_rate>},
+    {"mean_violation_rate", member<&Fig7Entry::mean_violation_rate>},
+    {"mean_magnitude", member<&Fig7Entry::mean_magnitude>},
+    {"max_magnitude", member<&Fig7Entry::max_magnitude>},
+    {"violating_mixes", member<&Fig7Entry::violating_mixes>}};
+
+constexpr Column<Fig9Entry> kFig9Columns[] = {
+    kPolicyColumn<Fig9Entry>,
+    kModelColumn<Fig9Entry>,
+    kAlphaColumn<Fig9Entry>,
+    {"weighted_savings", member<&Fig9Entry::weighted_savings>},
+    {"oracle_weighted_savings", member<&Fig9Entry::oracle_weighted_savings>},
+    {"weighted_gap", member<&Fig9Entry::weighted_gap>},
+    {"mean_gap", member<&Fig9Entry::mean_gap>},
+    {"violation_rate", member<&Fig9Entry::violation_rate>},
+    {"oracle_violation_rate", member<&Fig9Entry::oracle_violation_rate>}};
+
+template <class R>
+constexpr Column<R> kPatternColumn = {
+    "pattern", [](const R& r) -> Cell {
+      return workload::arrival_pattern_name(r.pattern);
+    }};
+template <class R>
+constexpr Column<R> kAdmissionColumn = {
+    "admission",
+    [](const R& r) -> Cell { return admission_policy_name(r.admission); }};
+
+constexpr Column<ServiceRow> kServiceRowColumns[] = {
+    kPatternColumn<ServiceRow>,
+    {"load", member<&ServiceRow::load>},
+    kAdmissionColumn<ServiceRow>,
+    kPolicyColumn<ServiceRow>,
+    kModelColumn<ServiceRow>,
+    kAlphaColumn<ServiceRow>,
+    {"arrivals", metric<&ServiceMetrics::arrivals>},
+    {"served", metric<&ServiceMetrics::served>},
+    {"rejected", metric<&ServiceMetrics::rejected>},
+    {"qos_rejected", metric<&ServiceMetrics::qos_rejected>},
+    {"intervals", metric<&ServiceMetrics::intervals>},
+    {"violations", metric<&ServiceMetrics::violations>},
+    {"violation_rate", metric<&ServiceMetrics::violation_rate>},
+    {"p50_violation", metric<&ServiceMetrics::p50_violation>},
+    {"p95_violation", metric<&ServiceMetrics::p95_violation>},
+    {"p99_violation", metric<&ServiceMetrics::p99_violation>},
+    {"max_violation", metric<&ServiceMetrics::max_violation>},
+    {"mean_violation", metric<&ServiceMetrics::mean_violation>},
+    {"energy_total_j", metric<&ServiceMetrics::energy_total_j>},
+    {"uncore_energy_j", metric<&ServiceMetrics::uncore_energy_j>},
+    {"energy_per_app_j", metric<&ServiceMetrics::energy_per_app_j>},
+    {"rm_invocations", metric<&ServiceMetrics::rm_invocations>},
+    {"rm_ops", metric<&ServiceMetrics::rm_ops>},
+    {"decisions_per_sec", metric<&ServiceMetrics::decisions_per_sec>},
+    {"occupancy", metric<&ServiceMetrics::occupancy>},
+    {"mean_wait_s", metric<&ServiceMetrics::mean_wait_s>},
+    {"wall_time_s", metric<&ServiceMetrics::wall_time_s>}};
+
+/// A knee curve's configuration: the JSON curve header and the leading
+/// columns of every CSV line of the curve.
+constexpr Column<KneeCurve> kKneeCurveColumns[] = {
+    kPatternColumn<KneeCurve>, kAdmissionColumn<KneeCurve>,
+    kPolicyColumn<KneeCurve>, kModelColumn<KneeCurve>,
+    kAlphaColumn<KneeCurve>};
+
+/// The JSON header states the knee once; the CSV marks its line instead
+/// (kKneePointCsvColumns).
+constexpr Column<KneeCurve> kKneeCurveJsonColumns[] = {
+    {"knee_index", member<&KneeCurve::knee_index>},
+    {"knee_load", member<&KneeCurve::knee_load>}};
+
+/// One load level of a knee curve.
+struct KneePoint {
+  const KneeCurve* curve;
+  std::size_t i;
+};
+
+template <auto M>
+Cell at_load(const KneePoint& p) { return ((*p.curve).*M)[p.i]; }
+constexpr Column<KneePoint> kKneePointColumns[] = {
+    {"load", at_load<&KneeCurve::loads>},
+    {"p99_violation", at_load<&KneeCurve::p99_violation>},
+    {"violation_rate", at_load<&KneeCurve::violation_rate>},
+    {"occupancy", at_load<&KneeCurve::occupancy>},
+    {"rejected_frac", at_load<&KneeCurve::rejected_frac>}};
+
+constexpr Column<KneePoint> kKneePointCsvColumns[] = {
+    {"is_knee", [](const KneePoint& p) -> Cell {
+       return static_cast<int>(p.i) == p.curve->knee_index ? 1 : 0;
+     }}};
 
 }  // namespace
 
@@ -210,111 +494,60 @@ std::vector<SweepAggregate> compute_aggregates(
 }
 
 std::string figure_report_json(const FigureReport& r) {
-  std::string o;
-  o += "{\n";
-  o += "  \"schema\": \"qosrm-figure-report\",\n";
-  o += format("  \"version\": %u,\n", kFigureReportVersion);
-  o += format("  \"fingerprint\": \"%016llx\",\n",
-              static_cast<unsigned long long>(r.fingerprint));
-  o += format(
-      "  \"grid\": {\"mixes\": %zu, \"policies\": %zu, \"models\": %zu, "
-      "\"alphas\": %zu},\n",
-      r.shape.mixes, r.shape.policies, r.shape.models, r.shape.alphas);
-
-  o += "  \"scenario_weights\": [";
-  for (std::size_t s = 0; s < 4; ++s) {
-    if (s > 0) o += ", ";
-    o += json_num("scenario_weights", r.scenario_weights[s]);
-  }
-  o += "],\n";
-
-  o += "  \"workloads\": [\n";
-  for (std::size_t mi = 0; mi < r.workloads.size(); ++mi) {
-    o += format("    {\"name\": \"%s\", \"scenario\": %d}%s\n",
-                json_escape(r.workloads[mi]).c_str(),
-                static_cast<int>(r.scenarios[mi]),
-                mi + 1 < r.workloads.size() ? "," : "");
-  }
-  o += "  ],\n";
-
-  o += "  \"policies\": [";
-  for (std::size_t pi = 0; pi < r.policies.size(); ++pi) {
-    if (pi > 0) o += ", ";
-    o += format("\"%s\"", rm::rm_policy_name(r.policies[pi]));
-  }
-  o += "],\n";
-  o += "  \"models\": [";
-  for (std::size_t ki = 0; ki < r.models.size(); ++ki) {
-    if (ki > 0) o += ", ";
-    o += format("\"%s\"", rm::perf_model_name(r.models[ki]));
-  }
-  o += "],\n";
-  o += "  \"alphas\": [";
-  for (std::size_t ai = 0; ai < r.qos_alphas.size(); ++ai) {
-    if (ai > 0) o += ", ";
-    o += json_num("alphas", r.qos_alphas[ai]);
-  }
-  o += "],\n";
-
-  o += "  \"fig6\": [\n";
-  for (std::size_t i = 0; i < r.fig6.size(); ++i) {
+  const auto workload = [&r](std::size_t i) {
+    return format("{\"name\": \"%s\", \"scenario\": %d}",
+                  json_escape(r.workloads[i]).c_str(),
+                  static_cast<int>(r.scenarios[i]));
+  };
+  const auto fig6 = [&r](std::size_t i) {
     const Fig6Entry& e = r.fig6[i];
-    o += "    " + config_prefix(e.policy, e.model, e.qos_alpha);
-    o += format(", \"weighted_savings\": %s, \"mean_savings\": %s, "
-                "\"max_savings\": %s",
-                json_num("weighted_savings", e.weighted_savings).c_str(),
-                json_num("mean_savings", e.mean_savings).c_str(),
-                json_num("max_savings", e.max_savings).c_str());
-    o += ", \"scenario_mean_savings\": [";
-    for (std::size_t s = 0; s < 4; ++s) {
-      if (s > 0) o += ", ";
-      o += json_num("scenario_mean_savings", e.scenario_mean_savings[s]);
-    }
-    o += "], \"per_mix_savings\": [";
-    for (std::size_t mi = 0; mi < e.per_mix_savings.size(); ++mi) {
-      if (mi > 0) o += ", ";
-      o += json_num("per_mix_savings", e.per_mix_savings[mi]);
-    }
-    o += format("]}%s\n", i + 1 < r.fig6.size() ? "," : "");
-  }
-  o += "  ],\n";
+    return json_object(
+        e, kFig6Columns, {},
+        ", \"scenario_mean_savings\": " +
+            json_array("scenario_mean_savings", e.scenario_mean_savings) +
+            ", \"per_mix_savings\": " +
+            json_array("per_mix_savings", e.per_mix_savings));
+  };
+  return json_document(
+      "qosrm-figure-report", kFigureReportVersion, r.fingerprint,
+      {{"grid", json_object(r.shape, kGridShapeColumns)},
+       {"scenario_weights", json_array("scenario_weights", r.scenario_weights)},
+       {"workloads", json_lines(r.workloads.size(), workload)},
+       {"policies", json_array("policies", r.policies, rm::rm_policy_name)},
+       {"models", json_array("models", r.models, rm::perf_model_name)},
+       {"alphas", json_array("alphas", r.qos_alphas)},
+       {"fig6", json_lines(r.fig6.size(), fig6)},
+       {"fig7", json_records(r.fig7, kFig7Columns)},
+       {"fig9", json_records(r.fig9, kFig9Columns)}});
+}
 
-  o += "  \"fig7\": [\n";
-  for (std::size_t i = 0; i < r.fig7.size(); ++i) {
-    const Fig7Entry& e = r.fig7[i];
-    o += "    " + config_prefix(e.policy, e.model, e.qos_alpha);
-    o += format(", \"intervals\": %llu, \"violations\": %llu, "
-                "\"violation_rate\": %s, \"mean_violation_rate\": %s, "
-                "\"mean_magnitude\": %s, \"max_magnitude\": %s, "
-                "\"violating_mixes\": %zu}%s\n",
-                static_cast<unsigned long long>(e.intervals),
-                static_cast<unsigned long long>(e.violations),
-                json_num("violation_rate", e.violation_rate).c_str(),
-                json_num("mean_violation_rate", e.mean_violation_rate).c_str(),
-                json_num("mean_magnitude", e.mean_magnitude).c_str(),
-                json_num("max_magnitude", e.max_magnitude).c_str(), e.violating_mixes,
-                i + 1 < r.fig7.size() ? "," : "");
-  }
-  o += "  ],\n";
+std::string fig6_csv(const FigureReport& report) {
+  return csv_text_of(report.fig6, kFig6Columns, kFig6CsvColumns);
+}
 
-  o += "  \"fig9\": [\n";
-  for (std::size_t i = 0; i < r.fig9.size(); ++i) {
-    const Fig9Entry& e = r.fig9[i];
-    o += "    " + config_prefix(e.policy, e.model, e.qos_alpha);
-    o += format(", \"weighted_savings\": %s, \"oracle_weighted_savings\": %s, "
-                "\"weighted_gap\": %s, \"mean_gap\": %s, "
-                "\"violation_rate\": %s, \"oracle_violation_rate\": %s}%s\n",
-                json_num("weighted_savings", e.weighted_savings).c_str(),
-                json_num("oracle_weighted_savings", e.oracle_weighted_savings).c_str(),
-                json_num("weighted_gap", e.weighted_gap).c_str(),
-                json_num("mean_gap", e.mean_gap).c_str(),
-                json_num("violation_rate", e.violation_rate).c_str(),
-                json_num("oracle_violation_rate", e.oracle_violation_rate).c_str(),
-                i + 1 < r.fig9.size() ? "," : "");
-  }
-  o += "  ]\n";
-  o += "}\n";
-  return o;
+std::string fig7_csv(const FigureReport& report) {
+  return csv_text_of(report.fig7, kFig7Columns);
+}
+
+std::string fig9_csv(const FigureReport& report) {
+  return csv_text_of(report.fig9, kFig9Columns);
+}
+
+std::string sweep_rows_csv(const SweepResult& result) {
+  return csv_text_of(result.rows, kSweepRowColumns);
+}
+
+std::string aggregates_csv(const SweepResult& result) {
+  return csv_text_of(result.aggregates, kAggregateColumns);
+}
+
+bool write_aggregates_csv(const SweepResult& result, const std::string& path,
+                          std::string* error) {
+  return write_file_atomic(path, aggregates_csv(result), error);
+}
+
+std::string service_rows_csv(const std::vector<ServiceRow>& rows) {
+  return csv_text_of(rows, kServiceRowColumns);
 }
 
 std::string service_report_json(const std::vector<ServiceRow>& rows,
@@ -322,67 +555,10 @@ std::string service_report_json(const std::vector<ServiceRow>& rows,
                                 std::uint64_t fingerprint) {
   QOSRM_CHECK_MSG(rows.size() == shape.size(),
                   "service report row count does not match the grid shape");
-  std::string o;
-  o += "{\n";
-  o += "  \"schema\": \"qosrm-service-report\",\n";
-  o += format("  \"version\": %u,\n", kServiceReportVersion);
-  o += format("  \"fingerprint\": \"%016llx\",\n",
-              static_cast<unsigned long long>(fingerprint));
-  o += format(
-      "  \"grid\": {\"patterns\": %zu, \"loads\": %zu, \"admissions\": %zu, "
-      "\"policies\": %zu, \"alphas\": %zu},\n",
-      shape.patterns, shape.loads, shape.admissions, shape.policies,
-      shape.alphas);
-
-  o += "  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ServiceRow& row = rows[i];
-    const ServiceMetrics& m = row.metrics;
-    o += format("    {\"pattern\": \"%s\", \"load\": %s, "
-                "\"admission\": \"%s\", \"policy\": \"%s\", "
-                "\"model\": \"%s\", \"alpha\": %s",
-                workload::arrival_pattern_name(row.pattern),
-                json_num("load", row.load).c_str(),
-                admission_policy_name(row.admission),
-                rm::rm_policy_name(row.policy), rm::perf_model_name(row.model),
-                json_num("alpha", row.qos_alpha).c_str());
-    o += format(", \"arrivals\": %llu, \"served\": %llu, \"rejected\": %llu, "
-                "\"qos_rejected\": %llu, \"intervals\": %llu, "
-                "\"violations\": %llu",
-                static_cast<unsigned long long>(m.arrivals),
-                static_cast<unsigned long long>(m.served),
-                static_cast<unsigned long long>(m.rejected),
-                static_cast<unsigned long long>(m.qos_rejected),
-                static_cast<unsigned long long>(m.intervals),
-                static_cast<unsigned long long>(m.violations));
-    o += format(", \"violation_rate\": %s, \"p50_violation\": %s, "
-                "\"p95_violation\": %s, \"p99_violation\": %s, "
-                "\"max_violation\": %s, \"mean_violation\": %s",
-                json_num("violation_rate", m.violation_rate).c_str(),
-                json_num("p50_violation", m.p50_violation).c_str(),
-                json_num("p95_violation", m.p95_violation).c_str(),
-                json_num("p99_violation", m.p99_violation).c_str(),
-                json_num("max_violation", m.max_violation).c_str(),
-                json_num("mean_violation", m.mean_violation).c_str());
-    o += format(", \"energy_total_j\": %s, \"uncore_energy_j\": %s, "
-                "\"energy_per_app_j\": %s",
-                json_num("energy_total_j", m.energy_total_j).c_str(),
-                json_num("uncore_energy_j", m.uncore_energy_j).c_str(),
-                json_num("energy_per_app_j", m.energy_per_app_j).c_str());
-    o += format(", \"rm_invocations\": %llu, \"rm_ops\": %llu, "
-                "\"decisions_per_sec\": %s, \"occupancy\": %s, "
-                "\"mean_wait_s\": %s, \"wall_time_s\": %s}%s\n",
-                static_cast<unsigned long long>(m.rm_invocations),
-                static_cast<unsigned long long>(m.rm_ops),
-                json_num("decisions_per_sec", m.decisions_per_sec).c_str(),
-                json_num("occupancy", m.occupancy).c_str(),
-                json_num("mean_wait_s", m.mean_wait_s).c_str(),
-                json_num("wall_time_s", m.wall_time_s).c_str(),
-                i + 1 < rows.size() ? "," : "");
-  }
-  o += "  ]\n";
-  o += "}\n";
-  return o;
+  return json_document(
+      "qosrm-service-report", kServiceReportVersion, fingerprint,
+      {{"grid", json_object(shape, kServiceGridShapeColumns)},
+       {"rows", json_records(rows, kServiceRowColumns)}});
 }
 
 int find_knee_index(const std::vector<double>& values, double threshold) {
@@ -448,114 +624,40 @@ ServiceKneeReport build_service_knee_report(const std::vector<ServiceRow>& rows,
 }
 
 std::string service_knee_report_json(const ServiceKneeReport& r) {
-  std::string o;
-  o += "{\n";
-  o += "  \"schema\": \"qosrm-service-knee-report\",\n";
-  o += format("  \"version\": %u,\n", kServiceKneeReportVersion);
-  o += format("  \"fingerprint\": \"%016llx\",\n",
-              static_cast<unsigned long long>(r.fingerprint));
-  o += format(
-      "  \"grid\": {\"patterns\": %zu, \"loads\": %zu, \"admissions\": %zu, "
-      "\"policies\": %zu, \"alphas\": %zu},\n",
-      r.shape.patterns, r.shape.loads, r.shape.admissions, r.shape.policies,
-      r.shape.alphas);
-  o += format("  \"knee_threshold\": %s,\n",
-              json_num("knee_threshold", r.knee_threshold).c_str());
-
-  o += "  \"curves\": [\n";
-  for (std::size_t i = 0; i < r.curves.size(); ++i) {
+  const auto curve_object = [&r](std::size_t i) {
     const KneeCurve& c = r.curves[i];
-    o += format("    {\"pattern\": \"%s\", \"admission\": \"%s\", "
-                "\"policy\": \"%s\", \"model\": \"%s\", \"alpha\": %s, "
-                "\"knee_index\": %d, \"knee_load\": %s, \"points\": [",
-                workload::arrival_pattern_name(c.pattern),
-                admission_policy_name(c.admission),
-                rm::rm_policy_name(c.policy), rm::perf_model_name(c.model),
-                json_num("alpha", c.qos_alpha).c_str(), c.knee_index,
-                json_num("knee_load", c.knee_load).c_str());
+    std::string points;
     for (std::size_t j = 0; j < c.loads.size(); ++j) {
-      o += format("%s{\"load\": %s, \"p99_violation\": %s, "
-                  "\"violation_rate\": %s, \"occupancy\": %s, "
-                  "\"rejected_frac\": %s}",
-                  j > 0 ? ", " : "", json_num("load", c.loads[j]).c_str(),
-                  json_num("p99_violation", c.p99_violation[j]).c_str(),
-                  json_num("violation_rate", c.violation_rate[j]).c_str(),
-                  json_num("occupancy", c.occupancy[j]).c_str(),
-                  json_num("rejected_frac", c.rejected_frac[j]).c_str());
+      if (j > 0) points += ", ";
+      points += json_object(KneePoint{&c, j}, kKneePointColumns);
     }
-    o += format("]}%s\n", i + 1 < r.curves.size() ? "," : "");
-  }
-  o += "  ]\n";
-  o += "}\n";
-  return o;
+    return json_object(c, kKneeCurveColumns, kKneeCurveJsonColumns,
+                       ", \"points\": [" + points + "]");
+  };
+  return json_document(
+      "qosrm-service-knee-report", kServiceKneeReportVersion, r.fingerprint,
+      {{"grid", json_object(r.shape, kServiceGridShapeColumns)},
+       {"knee_threshold", json_value("knee_threshold", r.knee_threshold)},
+       {"curves", json_lines(r.curves.size(), curve_object)}});
 }
 
 std::string knee_curve_csv(const ServiceKneeReport& report,
                            workload::ArrivalPattern pattern) {
+  std::vector<std::string> header;
+  append_header<KneeCurve>(&header, kKneeCurveColumns);
+  append_header<KneePoint>(&header, kKneePointColumns);
+  append_header<KneePoint>(&header, kKneePointCsvColumns);
   std::vector<std::vector<std::string>> rows;
   for (const KneeCurve& c : report.curves) {
     if (c.pattern != pattern) continue;
     for (std::size_t j = 0; j < c.loads.size(); ++j) {
-      rows.push_back(
-          {workload::arrival_pattern_name(c.pattern),
-           admission_policy_name(c.admission), rm::rm_policy_name(c.policy),
-           rm::perf_model_name(c.model), fmtd(c.qos_alpha), fmtd(c.loads[j]),
-           fmtd(c.p99_violation[j]), fmtd(c.violation_rate[j]),
-           fmtd(c.occupancy[j]), fmtd(c.rejected_frac[j]),
-           std::to_string(static_cast<int>(j) == c.knee_index ? 1 : 0)});
+      std::vector<std::string>& cells = rows.emplace_back();
+      append_cells<KneeCurve>(&cells, kKneeCurveColumns, c);
+      append_cells<KneePoint>(&cells, kKneePointColumns, {&c, j});
+      append_cells<KneePoint>(&cells, kKneePointCsvColumns, {&c, j});
     }
   }
-  return csv_text({"pattern", "admission", "policy", "model", "qos_alpha",
-                   "load", "p99_violation", "violation_rate", "occupancy",
-                   "rejected_frac", "is_knee"},
-                  rows);
-}
-
-std::string fig6_csv(const FigureReport& report) {
-  std::vector<std::vector<std::string>> rows;
-  for (const Fig6Entry& e : report.fig6) {
-    rows.push_back({rm::rm_policy_name(e.policy), rm::perf_model_name(e.model),
-                    fmtd(e.qos_alpha), fmtd(e.weighted_savings),
-                    fmtd(e.mean_savings), fmtd(e.max_savings),
-                    fmtd(e.scenario_mean_savings[0]),
-                    fmtd(e.scenario_mean_savings[1]),
-                    fmtd(e.scenario_mean_savings[2]),
-                    fmtd(e.scenario_mean_savings[3])});
-  }
-  return csv_text({"policy", "model", "qos_alpha", "weighted_savings",
-                   "mean_savings", "max_savings", "scenario1_mean",
-                   "scenario2_mean", "scenario3_mean", "scenario4_mean"},
-                  rows);
-}
-
-std::string fig7_csv(const FigureReport& report) {
-  std::vector<std::vector<std::string>> rows;
-  for (const Fig7Entry& e : report.fig7) {
-    rows.push_back({rm::rm_policy_name(e.policy), rm::perf_model_name(e.model),
-                    fmtd(e.qos_alpha), std::to_string(e.intervals),
-                    std::to_string(e.violations), fmtd(e.violation_rate),
-                    fmtd(e.mean_violation_rate), fmtd(e.mean_magnitude),
-                    fmtd(e.max_magnitude), std::to_string(e.violating_mixes)});
-  }
-  return csv_text({"policy", "model", "qos_alpha", "intervals", "violations",
-                   "violation_rate", "mean_violation_rate", "mean_magnitude",
-                   "max_magnitude", "violating_mixes"},
-                  rows);
-}
-
-std::string fig9_csv(const FigureReport& report) {
-  std::vector<std::vector<std::string>> rows;
-  for (const Fig9Entry& e : report.fig9) {
-    rows.push_back({rm::rm_policy_name(e.policy), rm::perf_model_name(e.model),
-                    fmtd(e.qos_alpha), fmtd(e.weighted_savings),
-                    fmtd(e.oracle_weighted_savings), fmtd(e.weighted_gap),
-                    fmtd(e.mean_gap), fmtd(e.violation_rate),
-                    fmtd(e.oracle_violation_rate)});
-  }
-  return csv_text({"policy", "model", "qos_alpha", "weighted_savings",
-                   "oracle_weighted_savings", "weighted_gap", "mean_gap",
-                   "violation_rate", "oracle_violation_rate"},
-                  rows);
+  return csv_text(header, rows);
 }
 
 std::string scenario_label(workload::Scenario s) {

@@ -1,6 +1,6 @@
-// The figure-report subsystem: turns sweep rows into versioned,
-// byte-stable paper-figure aggregates, plus the paper-style ASCII tables
-// the bench binaries print.
+// Every text output of rmsim: the paper-figure, service and knee reports
+// folded from sweep and service rows, their CSV/JSON renderings and the
+// rows', plus the paper-style ASCII tables the bench binaries print.
 //
 // A FigureReport carries the three headline result sets of the paper:
 //   fig6 - per-scenario and scenario-weighted energy savings vs the idle
@@ -12,10 +12,15 @@
 // Every report embeds the sweep fingerprint of the rows it was built from
 // (see sweep_fingerprint in rmsim/sweep.hh), so an archived report is
 // traceable to the exact grid + simulator options + database identity that
-// produced it. Every output is a pure text function with fixed key order
-// and full-precision ("%.17g") doubles, so equal rows produce byte-identical
-// text regardless of thread count; callers commit it with write_file_atomic
-// (common/file_util.hh), so a failed run never publishes a partial file.
+// produced it.
+//
+// Text outputs. Each output record (SweepRow, SweepAggregate, Fig6Entry,
+// Fig7Entry, Fig9Entry, ServiceRow, a knee curve and its points) has one
+// column table in report.cc fixing its fields and their order, rendered by
+// one CSV and one JSON-object writer with full-precision ("%.17g") doubles:
+// equal rows give byte-identical text for any thread count. Callers commit
+// it with write_file_atomic (common/file_util.hh), so a failed run never
+// publishes a partial file.
 #ifndef QOSRM_RMSIM_REPORT_HH
 #define QOSRM_RMSIM_REPORT_HH
 
@@ -104,6 +109,17 @@ struct FigureReport {
 /// doubles, "\n" line ends): equal reports serialize to equal bytes.
 [[nodiscard]] std::string figure_report_json(const FigureReport& report);
 
+/// One CSV row per grid point.
+[[nodiscard]] std::string sweep_rows_csv(const SweepResult& result);
+
+/// One CSV row per (policy, model, alpha) aggregate.
+[[nodiscard]] std::string aggregates_csv(const SweepResult& result);
+
+/// Commits aggregates_csv(result) to `path`. False + *error naming the path
+/// on failure; the target keeps its previous content.
+bool write_aggregates_csv(const SweepResult& result, const std::string& path,
+                          std::string* error = nullptr);
+
 /// The fig6, fig7 and fig9 sections as CSV text, one row per entry.
 [[nodiscard]] std::string fig6_csv(const FigureReport& report);
 [[nodiscard]] std::string fig7_csv(const FigureReport& report);
@@ -121,6 +137,9 @@ inline constexpr std::uint32_t kServiceReportVersion = 2;
 [[nodiscard]] std::string service_report_json(const std::vector<ServiceRow>& rows,
                                               const ServiceGridShape& shape,
                                               std::uint64_t fingerprint);
+
+/// One CSV row per service grid point.
+[[nodiscard]] std::string service_rows_csv(const std::vector<ServiceRow>& rows);
 
 inline constexpr std::uint32_t kServiceKneeReportVersion = 1;
 

@@ -7,7 +7,6 @@
 
 #include "common/binary_io.hh"
 #include "common/check.hh"
-#include "common/csv.hh"
 #include "common/histogram.hh"
 #include "common/stats.hh"
 #include "common/str.hh"
@@ -18,9 +17,10 @@ namespace qosrm::rmsim {
 
 namespace {
 
-/// Full-precision double formatting so equal results yield byte-identical
-/// CSV text (same convention as sweep.cc).
-std::string fmt(double v) { return format("%.17g", v); }
+constexpr NamedValue<AdmissionPolicy> kAdmissionNames[] = {
+    {"fifo", AdmissionPolicy::Fifo},
+    {"sdf", AdmissionPolicy::Sdf},
+    {"qos-aware", AdmissionPolicy::QosAware}};
 
 /// Violation-magnitude histogram layout. Quantiles interpolate within bins,
 /// so the bin count bounds the quantile resolution (2.0 / 4096).
@@ -43,25 +43,13 @@ struct QueueEntry {
 }  // namespace
 
 const char* admission_policy_name(AdmissionPolicy policy) noexcept {
-  switch (policy) {
-    case AdmissionPolicy::Fifo:
-      return "fifo";
-    case AdmissionPolicy::Sdf:
-      return "sdf";
-    case AdmissionPolicy::QosAware:
-      return "qos-aware";
-  }
-  return "?";
+  return name_of(kAdmissionNames, policy);
 }
 
 bool try_parse_admissions(const std::string& spec,
                           std::vector<AdmissionPolicy>* out,
                           std::string* error) {
-  static constexpr NamedValue<AdmissionPolicy> kNames[] = {
-      {"fifo", AdmissionPolicy::Fifo},
-      {"sdf", AdmissionPolicy::Sdf},
-      {"qos-aware", AdmissionPolicy::QosAware}};
-  return parse_name_list_flag("admission", spec, kNames, out, error);
+  return parse_name_list_flag("admission", spec, kAdmissionNames, out, error);
 }
 
 ServicePoint ServiceGrid::point(std::size_t idx) const {
@@ -511,37 +499,6 @@ std::uint64_t service_fingerprint(const ServiceGrid& grid,
   h.add_f64(kHistMaxViolation);
   h.add_u64(kHistBins);
   return h.digest();
-}
-
-std::string service_rows_csv(const std::vector<ServiceRow>& rows) {
-  std::vector<std::vector<std::string>> cells;
-  cells.reserve(rows.size());
-  for (const ServiceRow& row : rows) {
-    const ServiceMetrics& m = row.metrics;
-    cells.push_back({workload::arrival_pattern_name(row.pattern), fmt(row.load),
-                     admission_policy_name(row.admission),
-                     rm::rm_policy_name(row.policy), rm::perf_model_name(row.model),
-                     fmt(row.qos_alpha), std::to_string(m.arrivals),
-                     std::to_string(m.served), std::to_string(m.rejected),
-                     std::to_string(m.qos_rejected),
-                     std::to_string(m.intervals), std::to_string(m.violations),
-                     fmt(m.violation_rate), fmt(m.p50_violation),
-                     fmt(m.p95_violation), fmt(m.p99_violation),
-                     fmt(m.max_violation), fmt(m.mean_violation),
-                     fmt(m.energy_total_j), fmt(m.uncore_energy_j),
-                     fmt(m.energy_per_app_j), std::to_string(m.rm_invocations),
-                     std::to_string(m.rm_ops), fmt(m.decisions_per_sec),
-                     fmt(m.occupancy), fmt(m.mean_wait_s), fmt(m.wall_time_s)});
-  }
-  return csv_text({"pattern", "load", "admission", "policy", "model",
-                   "qos_alpha", "arrivals", "served", "rejected",
-                   "qos_rejected", "intervals", "violations", "violation_rate",
-                   "p50_violation", "p95_violation", "p99_violation",
-                   "max_violation", "mean_violation", "energy_total_j",
-                   "uncore_energy_j", "energy_per_app_j", "rm_invocations",
-                   "rm_ops", "decisions_per_sec", "occupancy", "mean_wait_s",
-                   "wall_time_s"},
-                  cells);
 }
 
 bool try_parse_loads(const std::string& spec, std::vector<double>* out,

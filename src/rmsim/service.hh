@@ -268,9 +268,7 @@ struct ServiceOptions {
                                                 const ServiceConfig& config,
                                                 std::uint64_t db_fingerprint);
 
-/// One CSV row per grid point (stable columns and %.17g formatting, so equal
-/// results give byte-identical text; commit it with write_file_atomic).
-[[nodiscard]] std::string service_rows_csv(const std::vector<ServiceRow>& rows);
+// Text outputs (service_rows_csv, the reports): see rmsim/report.hh.
 
 /// Parses the --loads value, comma-separated load levels ("0.5,0.8,1.1"):
 /// finite, > 0. Rejects bad entries like try_parse_policies.

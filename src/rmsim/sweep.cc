@@ -7,8 +7,6 @@
 
 #include "common/binary_io.hh"
 #include "common/check.hh"
-#include "common/csv.hh"
-#include "common/file_util.hh"
 #include "common/str.hh"
 #include "common/thread_pool.hh"
 
@@ -111,53 +109,6 @@ std::uint64_t sweep_fingerprint(const SweepGrid& grid, const SimOptions& sim,
   hash_sim_options(h, sim);
   h.add_f64(sim.qos_alpha_override);
   return h.digest();
-}
-
-namespace {
-
-/// Full-precision double formatting so equal results yield byte-identical
-/// CSV text.
-std::string fmt(double v) { return format("%.17g", v); }
-
-}  // namespace
-
-std::string sweep_rows_csv(const SweepResult& result) {
-  std::vector<std::vector<std::string>> rows;
-  rows.reserve(result.rows.size());
-  for (const SweepRow& row : result.rows) {
-    const RunResult& run = row.result.run;
-    rows.push_back({row.workload, std::to_string(static_cast<int>(row.scenario)),
-                    rm::rm_policy_name(row.policy), rm::perf_model_name(row.model),
-                    fmt(row.qos_alpha), fmt(row.result.savings),
-                    fmt(run.total_energy_j()), fmt(run.uncore_energy_j),
-                    fmt(run.wall_time_s), std::to_string(run.total_intervals()),
-                    std::to_string(run.total_violations()),
-                    fmt(run.violation_rate()), std::to_string(run.rm_invocations),
-                    std::to_string(run.rm_ops)});
-  }
-  return csv_text({"workload", "scenario", "policy", "model", "qos_alpha",
-                   "savings", "total_energy_j", "uncore_energy_j", "wall_time_s",
-                   "intervals", "violations", "violation_rate", "rm_invocations",
-                   "rm_ops"},
-                  rows);
-}
-
-std::string aggregates_csv(const SweepResult& result) {
-  std::vector<std::vector<std::string>> rows;
-  rows.reserve(result.aggregates.size());
-  for (const SweepAggregate& agg : result.aggregates) {
-    rows.push_back({rm::rm_policy_name(agg.policy), rm::perf_model_name(agg.model),
-                    fmt(agg.qos_alpha), fmt(agg.weighted_savings),
-                    fmt(agg.mean_savings), fmt(agg.mean_violation_rate)});
-  }
-  return csv_text({"policy", "model", "qos_alpha", "weighted_savings",
-                   "mean_savings", "mean_violation_rate"},
-                  rows);
-}
-
-bool write_aggregates_csv(const SweepResult& result, const std::string& path,
-                          std::string* error) {
-  return write_file_atomic(path, aggregates_csv(result), error);
 }
 
 bool try_parse_policies(const std::string& spec, std::vector<rm::RmPolicy>* out,

@@ -144,20 +144,7 @@ class SweepRunner {
     const std::vector<SweepRow>& rows, const GridShape& shape,
     const std::array<double, 4>& weights);
 
-// Text outputs. Stable column sets and "%.17g" doubles, so equal results give
-// byte-identical text; callers commit it with write_file_atomic
-// (common/file_util.hh), which never leaves a truncated file behind.
-
-/// One CSV row per grid point.
-[[nodiscard]] std::string sweep_rows_csv(const SweepResult& result);
-
-/// One CSV row per (policy, model, alpha) aggregate.
-[[nodiscard]] std::string aggregates_csv(const SweepResult& result);
-
-/// Commits aggregates_csv(result) to `path`. False + *error naming the path
-/// on failure; the target keeps its previous content.
-bool write_aggregates_csv(const SweepResult& result, const std::string& path,
-                          std::string* error = nullptr);
+// Text outputs (sweep_rows_csv, aggregates_csv): see rmsim/report.hh.
 
 // List-flag parsers (common/str.hh parse_list_flag): each returns false,
 // with *error naming the flag and the offending entry, on an unknown or

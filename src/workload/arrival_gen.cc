@@ -10,6 +10,11 @@
 namespace qosrm::workload {
 namespace {
 
+constexpr NamedValue<ArrivalPattern> kPatternNames[] = {
+    {"poisson", ArrivalPattern::Poisson},
+    {"bursty", ArrivalPattern::Bursty},
+    {"diurnal", ArrivalPattern::Diurnal}};
+
 // Pattern shapes.
 constexpr double kBurstMeanLength = 16.0;  ///< mean arrivals per burst
 constexpr double kBurstRateFactor = 4.0;   ///< in-burst rate multiplier
@@ -35,22 +40,13 @@ void validate(const ArrivalGenOptions& o) {
 }  // namespace
 
 const char* arrival_pattern_name(ArrivalPattern pattern) noexcept {
-  switch (pattern) {
-    case ArrivalPattern::Poisson: return "poisson";
-    case ArrivalPattern::Bursty: return "bursty";
-    case ArrivalPattern::Diurnal: return "diurnal";
-  }
-  return "?";
+  return name_of(kPatternNames, pattern);
 }
 
 bool try_parse_arrival_patterns(const std::string& spec,
                                 std::vector<ArrivalPattern>* out,
                                 std::string* error) {
-  static constexpr NamedValue<ArrivalPattern> kNames[] = {
-      {"poisson", ArrivalPattern::Poisson},
-      {"bursty", ArrivalPattern::Bursty},
-      {"diurnal", ArrivalPattern::Diurnal}};
-  return parse_name_list_flag("arrivals", spec, kNames, out, error);
+  return parse_name_list_flag("arrivals", spec, kPatternNames, out, error);
 }
 
 void generate_arrivals_into(const ArrivalGenOptions& options, ArrivalTrace* out) {

@@ -12,6 +12,7 @@
 
 #include <string>
 
+#include "rmsim/report.hh"
 #include "rmsim/sweep.hh"
 #include "support/shared_db.hh"
 #include "support/slurp.hh"

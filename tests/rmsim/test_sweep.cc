@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "rmsim/report.hh"
 #include "support/shared_db.hh"
 #include "workload/db_io.hh"
 #include "workload/workload_gen.hh"
