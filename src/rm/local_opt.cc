@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <span>
 
 #include "common/check.hh"
@@ -10,11 +12,22 @@ namespace qosrm::rm {
 
 std::vector<double> LocalOptResult::energy_curve() const {
   std::vector<double> curve;
-  curve.reserve(choices.size());
-  for (const WayChoice& c : choices) {
-    curve.push_back(c.feasible ? c.energy_j : kInfeasibleEnergy);
-  }
+  (void)energy_curve_into(curve);
   return curve;
+}
+
+bool LocalOptResult::energy_curve_into(std::vector<double>& row) const {
+  const std::size_t cells = choices.size();
+  bool changed = row.size() != cells;
+  row.resize(cells);
+  for (std::size_t i = 0; i < cells; ++i) {
+    const WayChoice& c = choices[i];
+    const double e = c.feasible ? c.energy_j : kInfeasibleEnergy;
+    changed = changed ||
+              std::bit_cast<std::uint64_t>(e) != std::bit_cast<std::uint64_t>(row[i]);
+    row[i] = e;
+  }
+  return changed;
 }
 
 LocalOptResult LocalOptimizer::optimize(const CounterSnapshot& snap,

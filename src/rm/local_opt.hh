@@ -73,6 +73,9 @@ struct LocalOptResult {
   /// E*(w, b) for the global optimizer, in the surface's flat layout
   /// (kInfeasibleEnergy where QoS fails).
   [[nodiscard]] std::vector<double> energy_curve() const;
+  /// Writes energy_curve() into `row`, reusing its storage; returns whether
+  /// the row changed bitwise (its length included).
+  bool energy_curve_into(std::vector<double>& row) const;
 };
 
 class LocalOptimizer {

@@ -1,7 +1,6 @@
 #include "rm/resource_manager.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "common/check.hh"
@@ -120,22 +119,6 @@ const RmDecision& ResourceManager::invoke(
 
 namespace {
 
-/// Writes `local`'s flat E*(w, b) row into `row`; returns whether the row
-/// changed bitwise (its length included).
-bool flatten_into(const LocalOptResult& local, std::vector<double>& row) {
-  const std::size_t cells = local.choices.size();
-  bool changed = row.size() != cells;
-  row.resize(cells);
-  for (std::size_t i = 0; i < cells; ++i) {
-    const WayChoice& c = local.choices[i];
-    const double e = c.feasible ? c.energy_j : kInfeasibleEnergy;
-    changed = changed ||
-              std::bit_cast<std::uint64_t>(e) != std::bit_cast<std::uint64_t>(row[i]);
-    row[i] = e;
-  }
-  return changed;
-}
-
 bool same_bits(std::span<const double> a, std::span<const double> b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
@@ -170,7 +153,7 @@ bool ResourceManager::refresh_core(int k, bool fresh, const CounterSnapshot& sna
       MemoEntry& entry = memo_->entries_.emplace_back();
       *slot = &entry;
       local_.optimize_into(counters(snap), entry.local, &entry.ops);
-      (void)flatten_into(entry.local, entry.energy);
+      (void)entry.local.energy_curve_into(entry.energy);
       ++stats_.local_runs;
     } else if (cache.valid && cache.entry == *slot) {
       ops += cache.entry->ops;  // only the invoking core reaches here
@@ -186,7 +169,7 @@ bool ResourceManager::refresh_core(int k, bool fresh, const CounterSnapshot& sna
     own.ops = 0;
     local_.optimize_into(counters(snap), own.local, &own.ops);
     ++stats_.local_runs;
-    const bool own_changed = flatten_into(own.local, own.energy);
+    const bool own_changed = own.local.energy_curve_into(own.energy);
     changed = cache.entry == &own ? own_changed : !same_bits(old_row, own.energy);
     cache.entry = &own;
   }
