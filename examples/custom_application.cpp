@@ -12,13 +12,16 @@
 
 #include "arch/core_model.hh"
 #include "arch/dvfs.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "power/power_model.hh"
 #include "workload/phase_stats.hh"
 
 using namespace qosrm;
 
-int main() {
+int main(int argc, char** argv) {
+  (void)CliArgs(argc, argv, {});
+
   // A hypothetical in-memory key-value store: large hot set (cache
   // sensitive around 10 ways), bursty independent lookups (high MLP
   // headroom), moderate ILP.

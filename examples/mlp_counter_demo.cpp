@@ -11,6 +11,7 @@
 #include "cache/lru_stack.hh"
 #include "cache/mlp_atd.hh"
 #include "cache/mlp_oracle.hh"
+#include "common/cli.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
 
@@ -103,7 +104,8 @@ void heuristic_vs_oracle() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  (void)CliArgs(argc, argv, {});
   figure4_walkthrough();
   heuristic_vs_oracle();
   return 0;
