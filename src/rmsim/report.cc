@@ -30,8 +30,8 @@ struct Column {
   const char* json_key = nullptr;  ///< overrides name as the JSON key
 };
 
-/// A column table, or a run of columns only one format carries (not a
-/// deduced context: a record's type comes from the record alone).
+/// A column table, or a run of columns only one format carries; not a
+/// deduced context, so a record's type comes from the record alone.
 template <class R>
 using Columns = std::type_identity_t<std::span<const Column<R>>>;
 
@@ -124,7 +124,8 @@ std::string json_object(const R& record, Columns<R> columns,
     for (const Column<R>& c : table) {
       const char* key = c.json_key != nullptr ? c.json_key : c.name;
       if (o.size() > 1) o += ", ";
-      o += format("\"%s\": ", key) + json_value(key, c.get(record));
+      o.append("\"").append(key).append("\": ");
+      o += json_value(key, c.get(record));
     }
   }
   return o + tail + "}";
