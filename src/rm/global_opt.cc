@@ -1,6 +1,7 @@
 #include "rm/global_opt.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -79,6 +80,30 @@ inline double root_cell_scalar(const double* a, const double* b, int t, int lo,
     best = v < best ? v : best;
   }
   return best;
+}
+
+/// What a leaf row's copy pass finds: its feasible span [first, last]
+/// ([cols, -1] for an all-infeasible row) and its finite cells.
+struct RowSpan {
+  int first;
+  int last;
+  std::uint64_t finite;
+};
+
+/// Copies src[0, cols) to dst as x + 0.0, which maps -0 to +0 and keeps
+/// every other value, so no cell of the tree is -0 and the kernels' minima
+/// are order-independent; finds the row's span and count on the way.
+inline RowSpan copy_row_scalar(const double* src, int cols, double* dst) {
+  RowSpan span{cols, -1, 0};
+  for (int k = 0; k < cols; ++k) {
+    const double x = src[k] + 0.0;
+    dst[k] = x;
+    if (x == kInf) continue;
+    if (span.first == cols) span.first = k;
+    span.last = k;
+    ++span.finite;
+  }
+  return span;
 }
 
 /// First ia in [lo, hi] with a[ia] + b[t - ia] == value, or -1.
@@ -256,6 +281,35 @@ __attribute__((target("avx2"))) double root_cell_avx2(const double* a,
   return root_cell_scalar(a, b, t, ia, hi, best);
 }
 
+/// copy_row_scalar four cells at a time: one movemask of the finite lanes
+/// per group gives the count and both ends of the span; the tail is scalar.
+__attribute__((target("avx2"))) RowSpan copy_row_avx2(const double* src, int cols,
+                                                      double* dst) {
+  const __m256d inf = _mm256_set1_pd(kInf);
+  const __m256d zero = _mm256_setzero_pd();
+  RowSpan span{cols, -1, 0};
+  int k = 0;
+  for (; k + 4 <= cols; k += 4) {
+    const __m256d v = _mm256_add_pd(_mm256_loadu_pd(src + k), zero);
+    _mm256_storeu_pd(dst + k, v);
+    const auto finite =
+        static_cast<unsigned>(_mm256_movemask_pd(_mm256_cmp_pd(v, inf, _CMP_NEQ_UQ)));
+    if (finite == 0) continue;
+    if (span.first == cols) span.first = k + std::countr_zero(finite);
+    span.last = k + 31 - std::countl_zero(finite);
+    span.finite += static_cast<std::uint64_t>(std::popcount(finite));
+  }
+  for (; k < cols; ++k) {
+    const double x = src[k] + 0.0;
+    dst[k] = x;
+    if (x == kInf) continue;
+    if (span.first == cols) span.first = k;
+    span.last = k;
+    ++span.finite;
+  }
+  return span;
+}
+
 /// count_finite four cells at a time. A row's cells past its span and its
 /// margin are +inf, so the last group may run up to 3 cells past `hi`.
 __attribute__((target("avx2"))) std::uint64_t count_finite_avx2(const double* row,
@@ -281,6 +335,14 @@ inline std::uint64_t count_finite([[maybe_unused]] bool vectorized, const double
   std::uint64_t n = 0;
   for (int k = lo; k <= hi; ++k) n += row[k] != kInf ? 1 : 0;
   return n;
+}
+
+inline RowSpan copy_row([[maybe_unused]] bool vectorized, const double* src, int cols,
+                        double* dst) {
+#ifdef QOSRM_SIMD_HAVE_AVX2
+  if (vectorized) return copy_row_avx2(src, cols, dst);
+#endif
+  return copy_row_scalar(src, cols, dst);
 }
 
 inline void combine_rows([[maybe_unused]] bool vectorized, const double* a, int na,
@@ -367,11 +429,10 @@ void GlobalOptWorkspace::build_tree(int leaves) {
   feasible_.assign(num_nodes(), 0);
   pair_ops_.assign(num_nodes(), 0);
   total_ops_ = 0;
-  dirty_.assign(num_nodes(), 0);
   clipped_.assign(num_nodes(), 0);
   win_first_.assign(num_nodes(), 0);
   win_last_.assign(num_nodes(), -1);
-  marked_.clear();
+  marks_.assign((num_nodes() + 63) / 64, 0);
   target_w_.assign(num_nodes(), -1);
   target_b_.assign(num_nodes(), -1);
   cap_ways_ = 0;
@@ -416,21 +477,23 @@ void GlobalOptWorkspace::copy_leaf(std::size_t i, const double* energy, bool vec
   const int cols = size_[i];
   std::uint64_t feasible = 0;
   for (int r = 0; r < b_size_[i]; ++r) {
-    const double* src = energy + static_cast<std::size_t>(r) * static_cast<std::size_t>(cols);
     double* dst = row(i, r);
-    // x + 0.0 maps -0 to +0 and keeps every other value, so no cell of the
-    // tree is -0 and the kernels' minima are order-independent.
-    std::transform(src, src + cols, dst, [](double x) { return x + 0.0; });
+    const RowSpan span = copy_row(
+        vectorized, energy + static_cast<std::size_t>(r) * static_cast<std::size_t>(cols),
+        cols, dst);
     std::fill(dst + cols, dst + cols + kPad, kInf);
-    int first = 0;
-    int last = cols - 1;
-    while (first <= last && src[first] == kInf) ++first;
-    while (last >= first && src[last] == kInf) --last;
-    span_first_[span_off_[i] + static_cast<std::size_t>(r)] = first;
-    span_last_[span_off_[i] + static_cast<std::size_t>(r)] = last;
-    feasible += count_finite(vectorized, dst, first, last);
+    span_first_[span_off_[i] + static_cast<std::size_t>(r)] = span.first;
+    span_last_[span_off_[i] + static_cast<std::size_t>(r)] = span.last;
+    feasible += span.finite;
   }
   feasible_[i] = feasible;
+}
+
+void GlobalOptWorkspace::mark_path(std::size_t i) noexcept {
+  for (int j = static_cast<int>(i); j >= 0 && !marked(static_cast<std::size_t>(j));
+       j = parent_[static_cast<std::size_t>(j)]) {
+    marks_[static_cast<std::size_t>(j) / 64] |= std::uint64_t{1} << (j % 64);
+  }
 }
 
 void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
@@ -441,6 +504,27 @@ void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
   int total_shares = 0;
   for (const EnergyCurveView& c : curves) total_shares += c.min_shares;
   optimize_into(curves, total_ways, total_shares, {}, ws, out, ops);
+}
+
+void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
+                                    int total_ways, int total_shares,
+                                    std::span<const std::uint8_t> dirty,
+                                    GlobalOptWorkspace& ws, GlobalOptResult& out,
+                                    std::uint64_t* ops, simd::Level level) {
+  QOSRM_CHECK(dirty.empty() || dirty.size() == curves.size());
+  // An empty span flags every leaf, which the tree reads whole anyway when
+  // it holds no complete reduction.
+  if (dirty.empty()) ws.valid_ = false;
+  ws.flagged_.clear();
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    if (dirty[i] != 0) ws.flagged_.push_back(static_cast<int>(i));
+  }
+  const GlobalOptResult& r =
+      optimize(curves, total_ways, total_shares, ws.flagged_, ws, ops, level);
+  out.feasible = r.feasible;
+  out.total_energy = r.total_energy;
+  out.ways.assign(r.ways.begin(), r.ways.end());
+  out.shares.assign(r.shares.begin(), r.shares.end());
 }
 
 std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
@@ -618,14 +702,12 @@ void GlobalOptimizer::extend_window(GlobalOptWorkspace& ws, std::size_t i, int l
   }
 }
 
-void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
-                                    int total_ways, int total_shares,
-                                    std::span<const std::uint8_t> dirty,
-                                    GlobalOptWorkspace& ws,
-                                    GlobalOptResult& out, std::uint64_t* ops,
-                                    simd::Level level) {
+const GlobalOptResult& GlobalOptimizer::optimize(std::span<const EnergyCurveView> curves,
+                                                 int total_ways, int total_shares,
+                                                 std::span<const int> flagged,
+                                                 GlobalOptWorkspace& ws,
+                                                 std::uint64_t* ops, simd::Level level) {
   QOSRM_CHECK(!curves.empty());
-  QOSRM_CHECK(dirty.empty() || dirty.size() == curves.size());
   const bool vectorized = level == simd::Level::Avx2;
 #ifndef QOSRM_SIMD_HAVE_AVX2
   QOSRM_CHECK_MSG(!vectorized,
@@ -634,90 +716,86 @@ void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
 
   const std::size_t n = curves.size();
   if (static_cast<int>(n) != ws.num_leaves()) ws.build_tree(static_cast<int>(n));
-  // Clear the last call's flags (backtracking read them).
-  for (const int i : ws.marked_) ws.dirty_[static_cast<std::size_t>(i)] = 0;
-  ws.marked_.clear();
   ws.last_recombined_ = 0;
 
   // Only flagged leaves are read (see the leaf contract in the header):
-  // every leaf when the caller passes no flags or the tree holds no
-  // complete reduction, or when a flagged leaf is wider than the pool slots
-  // and the re-layout moves every slot.
-  bool all = dirty.empty() || !ws.valid_;
+  // every leaf when the tree holds no complete reduction, or when a flagged
+  // leaf is wider than the pool slots and the re-layout moves every slot.
+  // Validating a leaf records its shape; every leaf validated is copied.
+  bool all = !ws.valid_;
   int max_ways = 0;
   int max_shares = 0;
   const auto validate = [&](std::size_t i) {
     const EnergyCurveView& c = curves[i];
     QOSRM_CHECK(!c.energy.empty());
     QOSRM_CHECK(c.num_shares >= 1);
-    QOSRM_CHECK(static_cast<int>(c.energy.size()) % c.num_shares == 0);
-    max_ways = std::max(max_ways, c.num_ways());
+    QOSRM_CHECK(c.num_shares == 1 || static_cast<int>(c.energy.size()) % c.num_shares == 0);
+    const int ways = c.num_ways();
+    ws.lo_[i] = c.min_ways;
+    ws.size_[i] = ways;
+    ws.b_lo_[i] = c.min_shares;
+    ws.b_size_[i] = c.num_shares;
+    max_ways = std::max(max_ways, ways);
     max_shares = std::max(max_shares, c.num_shares);
   };
-  for (std::size_t i = 0; i < n; ++i) {
-    if (all || dirty[i] != 0) validate(i);
+  const auto validate_all = [&] {
+    for (std::size_t i = 0; i < n; ++i) validate(i);
+  };
+  if (all) {
+    validate_all();
+  } else {
+    for (const int leaf : flagged) {
+      QOSRM_CHECK(leaf >= 0 && static_cast<std::size_t>(leaf) < n);
+      validate(static_cast<std::size_t>(leaf));
+    }
   }
   if (max_ways > ws.cap_ways_ || max_shares > ws.cap_shares_) {
     ws.layout(std::max(max_ways, ws.cap_ways_), std::max(max_shares, ws.cap_shares_));
-    if (!all) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (dirty[i] == 0) validate(i);
-      }
-      all = true;
-    }
+    if (!all) validate_all();
+    all = true;
   }
 
-  // Copy each flagged leaf into its slot and mark it and its ancestors
-  // through the parent index, up to the first ancestor already marked; the
+  // Copy each flagged leaf into its slot and mark it and its ancestors; the
   // marks are what this call recombines and what backtracking re-splits.
-  const auto mark = [&ws](std::size_t i) {
-    for (int j = static_cast<int>(i);
-         j >= 0 && ws.dirty_[static_cast<std::size_t>(j)] == 0;
-         j = ws.parent_[static_cast<std::size_t>(j)]) {
-      ws.dirty_[static_cast<std::size_t>(j)] = 1;
-      ws.marked_.push_back(j);
-    }
+  const auto load = [&](std::size_t i) {
+    if (ws.marked(i)) return;  // a repeated flag
+    ws.copy_leaf(i, curves[i].energy.data(), vectorized);
+    ws.mark_path(i);
   };
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!all && dirty[i] == 0) continue;
-    const EnergyCurveView& c = curves[i];
-    ws.lo_[i] = c.min_ways;
-    ws.size_[i] = c.num_ways();
-    ws.b_lo_[i] = c.min_shares;
-    ws.b_size_[i] = c.num_shares;
-    ws.copy_leaf(i, c.energy.data(), vectorized);
-    mark(i);
+  if (all) {
+    for (std::size_t i = 0; i < n; ++i) load(i);
+  } else {
+    for (const int leaf : flagged) load(static_cast<std::size_t>(leaf));
   }
   const auto root = static_cast<std::size_t>(ws.root());
   // A new budget only moves the root's target cell.
   if (total_ways != ws.total_ways_ || total_shares != ws.total_shares_) {
-    mark(root);
+    ws.mark_path(root);
     ws.total_ways_ = total_ways;
     ws.total_shares_ = total_shares;
   }
 
-  if (ws.dirty_[root] != 0) {
-    // Recombine the marked interior nodes bottom-up (children precede their
-    // parent in node order), keeping the charged total current, then
-    // re-derive the result.
-    std::sort(ws.marked_.begin(), ws.marked_.end());
-    for (const int node : ws.marked_) {
-      const auto i = static_cast<std::size_t>(node);
-      if (i < n) continue;  // a leaf
-      ws.total_ops_ -= ws.pair_ops_[i];
-      ws.pair_ops_[i] = combine(ws, i, total_ways, total_shares, vectorized);
-      ws.total_ops_ += ws.pair_ops_[i];
-      ++ws.last_recombined_;
+  if (ws.marked(root)) {
+    // Recombine the marked interior nodes bottom-up - in node order, in
+    // which children precede their parent, read off the mark bits in
+    // ascending order - keeping the charged total current, then re-derive
+    // the result.
+    for (std::size_t word = n / 64; word < ws.marks_.size(); ++word) {
+      for (std::uint64_t bits = ws.marks_[word]; bits != 0; bits &= bits - 1) {
+        const std::size_t i = word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        if (i < n) continue;  // a leaf
+        ws.total_ops_ -= ws.pair_ops_[i];
+        ws.pair_ops_[i] = combine(ws, i, total_ways, total_shares, vectorized);
+        ws.total_ops_ += ws.pair_ops_[i];
+        ++ws.last_recombined_;
+      }
     }
     extract(ws, total_ways, total_shares, vectorized);
     ws.valid_ = true;
+    for (std::uint64_t& word : ws.marks_) word = 0;
   }
   if (ops != nullptr) *ops += ws.total_ops_;
-  const GlobalOptResult& r = ws.result_;
-  out.feasible = r.feasible;
-  out.total_energy = r.total_energy;
-  out.ways.assign(r.ways.begin(), r.ways.end());
-  out.shares.assign(r.shares.begin(), r.shares.end());
+  return ws.result_;
 }
 
 void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
@@ -752,36 +830,54 @@ void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
     ws.forget_targets();
   }
 
-  // Backtrack the argmin splits down the reduction (depth is log2(cores), so
-  // plain recursion over node indices needs no scratch). The forward pass
-  // stores no argmin lanes; each split is recovered here by re-scanning the
-  // left child's cells in the same storage order (b-row-major, ascending w -
-  // the order the forward kernels visit pairs for any fixed output cell) for
-  // the first pair whose sum reproduces the node's finite value bit-for-bit
-  // (an infeasible cell sums to +inf, so it never matches). The strict-less
+  // Backtrack the argmin splits down the reduction, a depth-first walk over
+  // an explicit stack of the nodes to re-split. The forward pass stores no
+  // argmin lanes; each split is recovered here by re-scanning the left
+  // child's cells in the same storage order (b-row-major, ascending w - the
+  // order the forward kernels visit pairs for any fixed output cell) for the
+  // first pair whose sum reproduces the node's finite value bit-for-bit (an
+  // infeasible cell sums to +inf, so it never matches). The strict-less
   // forward sweep keeps the FIRST pair attaining the final minimum, and the
   // sums are the same IEEE double additions, so the recovered split is
   // identical to a recorded one. Like the root cell, the scan covers only
   // the pairs the children's spans let reach the target.
   //
-  // A node this call did not recombine has the surface it had when it last
-  // split; asked for the same target, it splits the same way all the way
-  // down, so the leaf allocations below it in `out` are already right and
-  // the scan skips the whole subtree. Cost: one span scan per node on a
-  // dirty leaf's root path (or whose target moved) - versus an index blend
-  // in every kernel step.
-  const auto backtrack = [&ws, &out, vectorized](auto&& self, std::size_t idx,
-                                                 int total_w, int total_b,
-                                                 double value) -> void {
-    if (ws.left_[idx] < 0) {  // leaf: node index == core
-      out.ways[idx] = total_w;
-      out.shares[idx] = total_b;
-      return;
+  // A node this call did not recombine (unmarked) has the surface it had
+  // when it last split; asked for the same target, it splits the same way
+  // all the way down, so the leaf allocations below it in `out` are already
+  // right and the walk never enters it. So only the marked nodes and the
+  // nodes whose target moved are re-split - one span scan each, versus an
+  // index blend in every kernel step - and a split writes a leaf child's
+  // allocation directly.
+  struct Split {
+    std::size_t node;
+    int w;
+    int b;
+    double value;
+  };
+  // Each pop pushes at most two children, so the stack never holds more
+  // than the tree height plus one splits, and the height of a tree over
+  // fewer than 2^31 leaves is at most 31.
+  std::array<Split, 64> stack;
+  std::size_t top = 0;
+  const auto visit = [&](std::size_t node, int w, int b, double value) {
+    if (ws.left_[node] < 0) {  // leaf: node index == core
+      out.ways[node] = w;
+      out.shares[node] = b;
+    } else if (ws.marked(node) || ws.target_w_[node] != w || ws.target_b_[node] != b) {
+      QOSRM_DCHECK(top < stack.size());
+      stack[top++] = {node, w, b, value};
     }
-    if (ws.dirty_[idx] == 0 && ws.target_w_[idx] == total_w &&
-        ws.target_b_[idx] == total_b) {
-      return;
-    }
+  };
+  visit(root, total_ways, total_shares, e);
+  while (top > 0) {
+    // Field by field: a whole-struct copy would load wider than the stores
+    // that wrote it and stall on store forwarding.
+    --top;
+    const std::size_t idx = stack[top].node;
+    const int total_w = stack[top].w;
+    const int total_b = stack[top].b;
+    const double value = stack[top].value;
     ws.target_w_[idx] = total_w;
     ws.target_b_[idx] = total_b;
     const auto ai = static_cast<std::size_t>(ws.left_[idx]);
@@ -793,6 +889,7 @@ void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
     const int rel_w = total_w - ws.lo_[idx];
     const int rel_b = total_b - ws.b_lo_[idx];
     const int iba_hi = std::min(ws.b_size_[ai] - 1, rel_b);
+    bool split = false;
     for (int iba = std::max(0, rel_b - (ws.b_size_[bi] - 1)); iba <= iba_hi; ++iba) {
       const int ibb = rel_b - iba;
       const int lo = std::max(a_first[iba], rel_w - b_last[ibb]);
@@ -804,15 +901,13 @@ void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
       if (ia < 0) continue;
       const int wl = ws.lo_[ai] + ia;
       const int bl = ws.b_lo_[ai] + iba;
-      const double ea = a[ia];
-      const double eb = b[rel_w - ia];
-      self(self, ai, wl, bl, ea);
-      self(self, bi, total_w - wl, total_b - bl, eb);
-      return;
+      visit(bi, total_w - wl, total_b - bl, b[rel_w - ia]);
+      visit(ai, wl, bl, a[ia]);
+      split = true;
+      break;
     }
-    QOSRM_CHECK_MSG(false, "backtracking through an infeasible entry");
-  };
-  backtrack(backtrack, root, total_ways, total_shares, e);
+    QOSRM_CHECK_MSG(split, "backtracking through an infeasible entry");
+  }
 }
 
 }  // namespace qosrm::rm

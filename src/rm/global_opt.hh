@@ -52,8 +52,11 @@ struct EnergyCurveView {
   int min_shares = 1;
   int num_shares = 1;
 
+  /// A single-share surface (the common ways-only case) takes no division.
   [[nodiscard]] int num_ways() const noexcept {
-    return num_shares > 0 ? static_cast<int>(energy.size()) / num_shares : 0;
+    const auto cells = static_cast<int>(energy.size());
+    if (num_shares == 1) return cells;
+    return num_shares > 0 ? cells / num_shares : 0;
   }
   [[nodiscard]] int max_ways() const noexcept { return min_ways + num_ways() - 1; }
   [[nodiscard]] int max_shares() const noexcept {
@@ -80,30 +83,40 @@ struct GlobalOptResult {
 /// of its caller surface, an interior node its combined surface. Each node
 /// also caches what its parent's combine needs to know about it - the
 /// feasible span of every b-row and its feasible-cell count - computed once
-/// when the node is produced. A leaf whose surface or shape changed - an
-/// idle core becoming active, say - therefore only invalidates its
-/// ancestors, found through a parent index: an incremental optimize_into()
-/// recopies that leaf and recombines log2(n) nodes instead of n-1, keeps
-/// the charged op total by difference, and a call with no dirty leaf reuses
-/// the previous result outright. The combined surfaces are pure
-/// functions of the leaves below them, so the result and op count are
-/// bit-identical to a from-scratch reduction.
+/// when the node is produced (a leaf's in the pass that copies it). A leaf
+/// whose surface or shape changed - an idle core becoming active, say -
+/// therefore only invalidates its ancestors: an incremental call walks each
+/// flagged leaf's parent chain, marking the nodes in a bitset up to the
+/// first ancestor already marked, and recombines the marked nodes in node
+/// order (ascending bits), log2(n) nodes instead of n-1. Nothing in that
+/// path visits every leaf. The charged op total is kept by difference, and a
+/// call with no flagged leaf reuses the previous result outright. The
+/// combined surfaces are pure functions of the leaves below them, so the
+/// result and op count are bit-identical to a from-scratch reduction.
+///
+/// The workspace owns the result: GlobalOptimizer::optimize() returns a
+/// reference to it, valid until the next call on the workspace, so a caller
+/// that keeps the workspace (the ResourceManager) reads the allocation in
+/// place; the optimize_into() overloads copy it out.
 ///
 /// Every container keeps its capacity across calls, so a workspace that has
-/// seen a problem shape once makes optimize_into() allocation-free. Not
+/// seen a problem shape once makes every call allocation-free. Not
 /// thread-safe; use one workspace per thread.
 class GlobalOptWorkspace {
  public:
   GlobalOptWorkspace() = default;
 
-  /// Interior nodes the last optimize_into() recombined: n-1 from scratch,
-  /// 0 when no leaf was dirty.
+  /// Interior nodes the last call recombined: n-1 from scratch, 0 when no
+  /// leaf was dirty.
   [[nodiscard]] int last_recombined() const noexcept { return last_recombined_; }
 
-  /// Feasible-pair ops of the reduction the tree holds: what the last
-  /// optimize_into() charged, and what a call with no dirty leaf and the
-  /// same budget would charge again.
+  /// Feasible-pair ops of the reduction the tree holds: what the last call
+  /// charged, and what a call with no dirty leaf and the same budget would
+  /// charge again.
   [[nodiscard]] std::uint64_t last_ops() const noexcept { return total_ops_; }
+
+  /// The last call's outcome (infeasible before any call).
+  [[nodiscard]] const GlobalOptResult& result() const noexcept { return result_; }
 
   /// +inf cells before a slot's first row and after each of its rows: the
   /// AVX2 kernel reads up to this far outside a right child's feasible span.
@@ -159,14 +172,18 @@ class GlobalOptWorkspace {
   std::vector<std::size_t> span_off_;
   std::vector<std::uint64_t> feasible_;  ///< finite cells of the surface
   std::vector<std::uint64_t> pair_ops_;  ///< feasible pairs of the combine
-  std::vector<std::uint8_t> dirty_;      ///< per-call recombination flags
   /// 1 for a root child whose cells are computed only on the window
   /// [win_first_, win_last_] of its single row (first > last: none yet);
   /// its span and count are exact.
   std::vector<std::uint8_t> clipped_;
   std::vector<int> win_first_;
   std::vector<int> win_last_;
-  std::vector<int> marked_;  ///< nodes whose dirty_ flag the last call set
+  /// Per-call marks, one bit per node (bit i of word i / 64): the flagged
+  /// leaves and their ancestors, which the call recombines and backtracking
+  /// re-splits. All zero between calls.
+  std::vector<std::uint64_t> marks_;
+  /// The flagged leaves of an optimize_into() call, as optimize() reads them.
+  std::vector<int> flagged_;
 
   // --- dense pools the leaf copies and the combines write -------------------
   std::vector<double> energy_;
@@ -202,8 +219,14 @@ class GlobalOptWorkspace {
   void layout(int ways, int shares);
   /// Forgets every node's backtracking target.
   void forget_targets();
-  /// Copies leaf i's caller surface into its slot and caches its spans.
+  /// Copies leaf i's caller surface into its slot and caches its spans and
+  /// finite count, all in one pass over each row.
   void copy_leaf(std::size_t i, const double* energy, bool vectorized);
+  [[nodiscard]] bool marked(std::size_t i) const noexcept {
+    return (marks_[i / 64] >> (i % 64) & 1U) != 0;
+  }
+  /// Marks node i and its ancestors up to the first one already marked.
+  void mark_path(std::size_t i) noexcept;
   /// Row stride of node i's surface: its row length plus the margin.
   [[nodiscard]] std::size_t stride(std::size_t i) const noexcept {
     return static_cast<std::size_t>(size_[i]) + kPad;
@@ -219,11 +242,11 @@ class GlobalOptWorkspace {
 
 class GlobalOptimizer {
  public:
-  /// The pairwise reduction over the persistent tree in `ws`, writing the
-  /// outcome into `out` and reusing the storage of both. Only the ancestors
-  /// of leaves with dirty[i] != 0 are recombined, and with no dirty leaf the
-  /// last result is reused (a new budget re-reads only the root); an EMPTY
-  /// `dirty` marks every leaf dirty (a from-scratch reduction).
+  /// The pairwise reduction over the persistent tree in `ws`; returns the
+  /// workspace's result (GlobalOptWorkspace::result()). Only the ancestors
+  /// of the `flagged` leaves (indices into `curves`, in any order, repeats
+  /// allowed) are recombined, and with no flagged leaf the last result is
+  /// reused (a new budget re-reads only the root).
   ///
   /// Leaf contract: a leaf whose surface OR shape (min_ways, number of
   /// ways, min_shares, num_shares) changed since the last call on `ws` MUST
@@ -231,10 +254,10 @@ class GlobalOptimizer {
   /// copied - so their storage may move or hold anything; the exceptions
   /// are the calls that rebuild the tree (the first call, a new leaf count,
   /// or a flagged leaf wider than any before), which read every leaf. The
-  /// prologue therefore costs O(flagged leaves x tree depth). Leaf cells
-  /// are finite or +inf, never NaN (a -0 cell is read as +0). Results are
-  /// bit-identical to a from-scratch reduction at every dispatch level (same
-  /// reduction tree, same minima, same tie-breaking).
+  /// call therefore costs O(flagged leaves x tree depth) besides its
+  /// combines. Leaf cells are finite or +inf, never NaN (a -0 cell is read
+  /// as +0). Results are bit-identical to a from-scratch reduction at every
+  /// dispatch level (same reduction tree, same minima, same tie-breaking).
   ///
   /// `ops` (optional) accumulates DP steps for the RM instruction-overhead
   /// model; one op is one FEASIBLE-pair DP step, i.e. a ((w_a, b_a),
@@ -245,6 +268,16 @@ class GlobalOptimizer {
   /// a vectorized lane batch charges exactly the feasible pairs it covers,
   /// so the modeled RM overhead (and the golden CSVs) never depends on the
   /// vector width. Requesting Avx2 when the kernel is unavailable aborts.
+  static const GlobalOptResult& optimize(std::span<const EnergyCurveView> curves,
+                                         int total_ways, int total_shares,
+                                         std::span<const int> flagged,
+                                         GlobalOptWorkspace& ws,
+                                         std::uint64_t* ops = nullptr,
+                                         simd::Level level = simd::active_level());
+
+  /// optimize() with the leaves flagged by dirty[i] != 0, the result copied
+  /// into `out` (reusing its storage); an EMPTY `dirty` flags every leaf (a
+  /// from-scratch reduction).
   static void optimize_into(std::span<const EnergyCurveView> curves,
                             int total_ways, int total_shares,
                             std::span<const std::uint8_t> dirty,

@@ -1,6 +1,6 @@
 #include "rm/resource_manager.hh"
 
-#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/check.hh"
@@ -59,7 +59,7 @@ ResourceManager::ResourceManager(const RmConfig& config,
   ws_.views.assign(n, {system_.llc.min_ways, std::span<const double>(ws_.idle_energy),
                        system_.bw.min_shares, 1});
   ws_.leaf_active.assign(n, 0);
-  ws_.leaf_dirty.assign(n, 0);
+  ws_.flagged.reserve(n);
   if (cfg_.memo != RmMemoMode::Off) {
     const MemoScope scope = memo_scope(cfg_, system_, offline_power);
     if (memo == nullptr) memo = &own_memo_.emplace();
@@ -119,9 +119,44 @@ const RmDecision& ResourceManager::invoke(
 
 namespace {
 
+/// Whether two rows are bitwise equal; rows of different phases usually
+/// differ in their first cells, so an inline scan beats a library call.
 bool same_bits(std::span<const double> a, std::span<const double> b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Whether the `Word`-sized chunks at a and b are equal (a fixed-size
+/// memcpy is a register load, not a library call).
+template <typename Word>
+bool same_word(const std::uint8_t* a, const std::uint8_t* b) {
+  Word x = 0;
+  Word y = 0;
+  std::memcpy(&x, a, sizeof x);
+  std::memcpy(&y, b, sizeof y);
+  return x == y;
+}
+
+/// Whether two occupancy masks of n cores match, compared eight cores at a
+/// time, then four, then one.
+bool same_mask(const std::uint8_t* a, const std::uint8_t* b, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    if (!same_word<std::uint64_t>(a + i, b + i)) return false;
+  }
+  if (i + 4 <= n) {
+    if (!same_word<std::uint32_t>(a + i, b + i)) return false;
+    i += 4;
+  }
+  for (; i < n; ++i) {
+    if (a[i] != b[i]) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -183,25 +218,29 @@ bool ResourceManager::refresh_core(int k, bool fresh, const CounterSnapshot& sna
             view.num_shares != local.num_shares;
   view = {local.min_ways, std::span<const double>(cache.entry->energy),
           local.min_shares, local.num_shares};
-  if (changed) ws_.leaf_dirty[static_cast<std::size_t>(k)] = 1;
   return changed;
 }
 
 workload::Setting ResourceManager::setting(int core) const {
   QOSRM_CHECK(core >= 0 && core < system_.cores);
   const auto k = static_cast<std::size_t>(core);
+  const bool managed = cached_[k].valid && cfg_.policy != RmPolicy::Idle;
+  const GlobalOptResult& global = ws_.global.result();
+  // The RM variants' common case reads the cell of the core's curve at its
+  // global allocation and builds no baseline.
+  if (managed && !is_baseline_policy(cfg_.policy) && global.feasible) {
+    const WayChoice& choice =
+        cached_[k].entry->local.at(global.ways[k], global.shares[k]);
+    QOSRM_CHECK_MSG(choice.feasible, "global optimizer chose an infeasible way");
+    return choice.setting;
+  }
   const workload::Setting base = workload::baseline_setting(system_);
-  if (!cached_[k].valid || cfg_.policy == RmPolicy::Idle) return base;
   // Ways-only baseline policies keep every core at its baseline VF, size
   // and bandwidth share - they have no notion of those knobs.
-  if (is_baseline_policy(cfg_.policy)) {
+  if (managed && is_baseline_policy(cfg_.policy)) {
     return {base.c, base.f_idx, ws_.baseline.ways[k], base.b};
   }
-  const GlobalOptResult& global = ws_.global_result;
-  if (!global.feasible) return base;
-  const WayChoice& choice = cached_[k].entry->local.at(global.ways[k], global.shares[k]);
-  QOSRM_CHECK_MSG(choice.feasible, "global optimizer chose an infeasible way");
-  return choice.setting;
+  return base;
 }
 
 const RmDecision& ResourceManager::invoke(
@@ -232,22 +271,23 @@ const RmDecision& ResourceManager::invoke(
   // every other core's cache is valid and its leaf unchanged, so only the
   // invoking core is visited.
   const bool scan_all =
-      scan_all_ || !std::equal(active.begin(), active.end(), ws_.leaf_active.begin());
+      scan_all_ || !same_mask(active.data(), ws_.leaf_active.data(), active.size());
   scan_all_ = false;
-  bool dirtied = false;  // some leaf flagged for the global step
+  std::vector<int>& flagged = ws_.flagged;  // leaves for the global step
   if (!scan_all) {
-    dirtied = refresh_core(invoking_core, true,
-                           snapshots[static_cast<std::size_t>(invoking_core)],
-                           decision.ops);
+    if (refresh_core(invoking_core, true,
+                     snapshots[static_cast<std::size_t>(invoking_core)], decision.ops)) {
+      flagged.push_back(invoking_core);
+    }
   } else {
     for (int core = 0; core < system_.cores; ++core) {
       const auto k = static_cast<std::size_t>(core);
       CoreCache& cache = cached_[k];
       const std::uint8_t occupied = active[k] != 0 ? 1 : 0;
+      bool flag = false;
       if (ws_.leaf_active[k] != occupied) {
         ws_.leaf_active[k] = occupied;
-        ws_.leaf_dirty[k] = 1;
-        dirtied = true;
+        flag = true;
         // A core turning active has no valid cache (it was dropped when
         // the core was seen idle), so the cold start below sets its view.
         if (occupied == 0) {
@@ -257,29 +297,27 @@ const RmDecision& ResourceManager::invoke(
       }
       if (occupied == 0) {
         cache.valid = false;
-        continue;
+      } else if (const bool fresh = core == invoking_core; fresh || !cache.valid) {
+        flag = refresh_core(core, fresh, snapshots[k], decision.ops) || flag;
       }
-      const bool fresh = core == invoking_core;
-      if (!fresh && cache.valid) continue;
-      dirtied = refresh_core(core, fresh, snapshots[k], decision.ops) || dirtied;
+      if (flag) flagged.push_back(core);
     }
   }
 
-  // No dirty leaf after a feasible global step: the step would recombine
+  // No flagged leaf after a feasible global step: the step would recombine
   // nothing, charge the tree's cached total and keep the allocation that
   // setting() reads each core's current curve at. A core whose curve was
   // replaced by a bitwise-equal one is read from its new table.
-  GlobalOptResult& global = ws_.global_result;
-  if (!dirtied && global.feasible) {
+  if (flagged.empty() && ws_.global.result().feasible) {
     decision.ops += ws_.global.last_ops();
     ++stats_.dp_skips;
     return decision;
   }
 
-  GlobalOptimizer::optimize_into(ws_.views, system_.total_ways(),
-                                 system_.total_shares(), ws_.leaf_dirty,
-                                 ws_.global, global, &decision.ops);
-  std::fill(ws_.leaf_dirty.begin(), ws_.leaf_dirty.end(), std::uint8_t{0});
+  const GlobalOptResult& global =
+      GlobalOptimizer::optimize(ws_.views, system_.total_ways(), system_.total_shares(),
+                                flagged, ws_.global, &decision.ops);
+  flagged.clear();
   const int recombined = ws_.global.last_recombined();
   stats_.nodes_recombined += static_cast<std::uint64_t>(recombined);
   if (recombined == 0) ++stats_.dp_skips;

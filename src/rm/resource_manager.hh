@@ -179,12 +179,14 @@ struct RmWorkspace {
   /// to llc.min_ways in the global optimization without contributing energy.
   std::vector<double> idle_energy;
   /// Per-core global-tree leaf state: whether the leaf currently holds the
-  /// core's curve (1) or the idle cell (0), and whether it changed since the
-  /// last global step.
+  /// core's curve (1) or the idle cell (0).
   std::vector<std::uint8_t> leaf_active;
-  std::vector<std::uint8_t> leaf_dirty;
+  /// The leaves flagged for the next global step (each at most once), in
+  /// storage reserved for every core.
+  std::vector<int> flagged;
+  /// The persistent combine tree; its result() is the last global step's
+  /// allocation, read in place.
   GlobalOptWorkspace global;
-  GlobalOptResult global_result;
   BaselineWorkspace baseline;  ///< UCP / FCP / ClassPart inputs + result
   /// A key-only snapshot's filled copy, read by one local run or one
   /// baseline refresh (see ResourceManager::counters).
@@ -283,9 +285,9 @@ class ResourceManager {
   [[nodiscard]] const CounterSnapshot& counters(const CounterSnapshot& snap);
 
   /// Local step for core k: recalls or recomputes its curve from its
-  /// snapshot (charging the ops only when `fresh`), updates its view and
-  /// flags its leaf when the row or its shape changed. Returns whether it
-  /// flagged the leaf: a valid core's hit on the entry it holds, or a new
+  /// snapshot (charging the ops only when `fresh`) and updates its view.
+  /// Returns whether the row or its shape changed, i.e. whether the caller
+  /// must flag the leaf: a valid core's hit on the entry it holds, or a new
   /// entry with a bitwise-equal row, leaves it clean.
   bool refresh_core(int k, bool fresh, const CounterSnapshot& snap,
                     std::uint64_t& ops);
