@@ -536,6 +536,7 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
   const int b_b_size = ws.b_size_[bi];
   const int n_size = ws.size_[ai] + ws.size_[bi] - 1;
   const int n_b_size = a_b_size + b_b_size - 1;
+  const bool was_single_row = ws.b_size_[i] == 1 && ws.size_[i] == n_size;
   ws.lo_[i] = ws.lo_[ai] + ws.lo_[bi];
   ws.size_[i] = n_size;
   ws.b_lo_[i] = ws.b_lo_[ai] + ws.b_lo_[bi];
@@ -591,7 +592,8 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
     // A single-row node (both children ways-only) is one row pair: the
     // store-mode kernel writes the span [fa + fb, la + lb] outright and
     // counts its finite cells in the same pass, and only the cells outside
-    // the span, up to the end of the margin, are reset to +inf. The two
+    // the span, up to the end of the margin, are reset to +inf - unless the
+    // node keeps its row length and span, when they still are. The two
     // corner cells are finite sums, so that range IS the span.
     double* ne = ws.row(i, 0);
     const int fa = a_first[0];
@@ -605,10 +607,12 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
       ws.feasible_[i] = 0;
       return ops;
     }
-    std::fill(ne, ne + fa + fb, kInf);
-    std::fill(ne + la + lb + 1, ne + ws.stride(i), kInf);
-    n_first[0] = fa + fb;
-    n_last[0] = la + lb;
+    if (!was_single_row || n_first[0] != fa + fb || n_last[0] != la + lb) {
+      std::fill(ne, ne + fa + fb, kInf);
+      std::fill(ne + la + lb + 1, ne + ws.stride(i), kInf);
+      n_first[0] = fa + fb;
+      n_last[0] = la + lb;
+    }
     const int n_out = la - fa + lb - fb + 1;
     // A root child is read only by the root cell and its split scan, at
     // [t - sibling last, t - sibling first] for the root target t. With
