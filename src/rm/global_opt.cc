@@ -1,7 +1,6 @@
 #include "rm/global_opt.hh"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -536,7 +535,6 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
   const int b_b_size = ws.b_size_[bi];
   const int n_size = ws.size_[ai] + ws.size_[bi] - 1;
   const int n_b_size = a_b_size + b_b_size - 1;
-  const bool was_single_row = ws.b_size_[i] == 1 && ws.size_[i] == n_size;
   ws.lo_[i] = ws.lo_[ai] + ws.lo_[bi];
   ws.size_[i] = n_size;
   ws.b_lo_[i] = ws.b_lo_[ai] + ws.b_lo_[bi];
@@ -592,8 +590,7 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
     // A single-row node (both children ways-only) is one row pair: the
     // store-mode kernel writes the span [fa + fb, la + lb] outright and
     // counts its finite cells in the same pass, and only the cells outside
-    // the span, up to the end of the margin, are reset to +inf - unless the
-    // node keeps its row length and span, when they still are. The two
+    // the span, up to the end of the margin, are reset to +inf. The two
     // corner cells are finite sums, so that range IS the span.
     double* ne = ws.row(i, 0);
     const int fa = a_first[0];
@@ -607,12 +604,10 @@ std::uint64_t GlobalOptimizer::combine(GlobalOptWorkspace& ws, std::size_t i,
       ws.feasible_[i] = 0;
       return ops;
     }
-    if (!was_single_row || n_first[0] != fa + fb || n_last[0] != la + lb) {
-      std::fill(ne, ne + fa + fb, kInf);
-      std::fill(ne + la + lb + 1, ne + ws.stride(i), kInf);
-      n_first[0] = fa + fb;
-      n_last[0] = la + lb;
-    }
+    std::fill(ne, ne + fa + fb, kInf);
+    std::fill(ne + la + lb + 1, ne + ws.stride(i), kInf);
+    n_first[0] = fa + fb;
+    n_last[0] = la + lb;
     const int n_out = la - fa + lb - fb + 1;
     // A root child is read only by the root cell and its split scan, at
     // [t - sibling last, t - sibling first] for the root target t. With
@@ -733,7 +728,7 @@ const GlobalOptResult& GlobalOptimizer::optimize(std::span<const EnergyCurveView
     const EnergyCurveView& c = curves[i];
     QOSRM_CHECK(!c.energy.empty());
     QOSRM_CHECK(c.num_shares >= 1);
-    QOSRM_CHECK(c.num_shares == 1 || static_cast<int>(c.energy.size()) % c.num_shares == 0);
+    QOSRM_CHECK(static_cast<int>(c.energy.size()) % c.num_shares == 0);
     const int ways = c.num_ways();
     ws.lo_[i] = c.min_ways;
     ws.size_[i] = ways;
@@ -834,13 +829,13 @@ void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
     ws.forget_targets();
   }
 
-  // Backtrack the argmin splits down the reduction, a depth-first walk over
-  // an explicit stack of the nodes to re-split. The forward pass stores no
-  // argmin lanes; each split is recovered here by re-scanning the left
-  // child's cells in the same storage order (b-row-major, ascending w - the
-  // order the forward kernels visit pairs for any fixed output cell) for the
-  // first pair whose sum reproduces the node's finite value bit-for-bit (an
-  // infeasible cell sums to +inf, so it never matches). The strict-less
+  // Backtrack the argmin splits down the reduction (depth is log2(cores), so
+  // plain recursion over node indices needs no scratch). The forward pass
+  // stores no argmin lanes; each split is recovered here by re-scanning the
+  // left child's cells in the same storage order (b-row-major, ascending w -
+  // the order the forward kernels visit pairs for any fixed output cell) for
+  // the first pair whose sum reproduces the node's finite value bit-for-bit
+  // (an infeasible cell sums to +inf, so it never matches). The strict-less
   // forward sweep keeps the FIRST pair attaining the final minimum, and the
   // sums are the same IEEE double additions, so the recovered split is
   // identical to a recorded one. Like the root cell, the scan covers only
@@ -849,39 +844,20 @@ void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
   // A node this call did not recombine (unmarked) has the surface it had
   // when it last split; asked for the same target, it splits the same way
   // all the way down, so the leaf allocations below it in `out` are already
-  // right and the walk never enters it. So only the marked nodes and the
-  // nodes whose target moved are re-split - one span scan each, versus an
-  // index blend in every kernel step - and a split writes a leaf child's
-  // allocation directly.
-  struct Split {
-    std::size_t node;
-    int w;
-    int b;
-    double value;
-  };
-  // Each pop pushes at most two children, so the stack never holds more
-  // than the tree height plus one splits, and the height of a tree over
-  // fewer than 2^31 leaves is at most 31.
-  std::array<Split, 64> stack;
-  std::size_t top = 0;
-  const auto visit = [&](std::size_t node, int w, int b, double value) {
-    if (ws.left_[node] < 0) {  // leaf: node index == core
-      out.ways[node] = w;
-      out.shares[node] = b;
-    } else if (ws.marked(node) || ws.target_w_[node] != w || ws.target_b_[node] != b) {
-      QOSRM_DCHECK(top < stack.size());
-      stack[top++] = {node, w, b, value};
+  // right and the scan skips the whole subtree. Cost: one span scan per node
+  // on a flagged leaf's root path (or whose target moved) - versus an index
+  // blend in every kernel step.
+  const auto backtrack = [&ws, &out, vectorized](auto&& self, std::size_t idx,
+                                                 int total_w, int total_b,
+                                                 double value) -> void {
+    if (ws.left_[idx] < 0) {  // leaf: node index == core
+      out.ways[idx] = total_w;
+      out.shares[idx] = total_b;
+      return;
     }
-  };
-  visit(root, total_ways, total_shares, e);
-  while (top > 0) {
-    // Field by field: a whole-struct copy would load wider than the stores
-    // that wrote it and stall on store forwarding.
-    --top;
-    const std::size_t idx = stack[top].node;
-    const int total_w = stack[top].w;
-    const int total_b = stack[top].b;
-    const double value = stack[top].value;
+    if (!ws.marked(idx) && ws.target_w_[idx] == total_w && ws.target_b_[idx] == total_b) {
+      return;
+    }
     ws.target_w_[idx] = total_w;
     ws.target_b_[idx] = total_b;
     const auto ai = static_cast<std::size_t>(ws.left_[idx]);
@@ -893,7 +869,6 @@ void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
     const int rel_w = total_w - ws.lo_[idx];
     const int rel_b = total_b - ws.b_lo_[idx];
     const int iba_hi = std::min(ws.b_size_[ai] - 1, rel_b);
-    bool split = false;
     for (int iba = std::max(0, rel_b - (ws.b_size_[bi] - 1)); iba <= iba_hi; ++iba) {
       const int ibb = rel_b - iba;
       const int lo = std::max(a_first[iba], rel_w - b_last[ibb]);
@@ -905,13 +880,15 @@ void GlobalOptimizer::extract(GlobalOptWorkspace& ws, int total_ways,
       if (ia < 0) continue;
       const int wl = ws.lo_[ai] + ia;
       const int bl = ws.b_lo_[ai] + iba;
-      visit(bi, total_w - wl, total_b - bl, b[rel_w - ia]);
-      visit(ai, wl, bl, a[ia]);
-      split = true;
-      break;
+      const double ea = a[ia];
+      const double eb = b[rel_w - ia];
+      self(self, ai, wl, bl, ea);
+      self(self, bi, total_w - wl, total_b - bl, eb);
+      return;
     }
-    QOSRM_CHECK_MSG(split, "backtracking through an infeasible entry");
-  }
+    QOSRM_CHECK_MSG(false, "backtracking through an infeasible entry");
+  };
+  backtrack(backtrack, root, total_ways, total_shares, e);
 }
 
 }  // namespace qosrm::rm

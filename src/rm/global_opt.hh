@@ -52,11 +52,8 @@ struct EnergyCurveView {
   int min_shares = 1;
   int num_shares = 1;
 
-  /// A single-share surface (the common ways-only case) takes no division.
   [[nodiscard]] int num_ways() const noexcept {
-    const auto cells = static_cast<int>(energy.size());
-    if (num_shares == 1) return cells;
-    return num_shares > 0 ? cells / num_shares : 0;
+    return num_shares > 0 ? static_cast<int>(energy.size()) / num_shares : 0;
   }
   [[nodiscard]] int max_ways() const noexcept { return min_ways + num_ways() - 1; }
   [[nodiscard]] int max_shares() const noexcept {

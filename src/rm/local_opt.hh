@@ -52,11 +52,8 @@ struct LocalOptResult {
   /// pre-CBP curve layout) in the degenerate single-share config.
   std::vector<WayChoice> choices;
 
-  /// A single-share surface (the common ways-only case) takes no division.
   [[nodiscard]] int num_ways() const noexcept {
-    const auto cells = static_cast<int>(choices.size());
-    if (num_shares == 1) return cells;
-    return num_shares > 0 ? cells / num_shares : 0;
+    return num_shares > 0 ? static_cast<int>(choices.size()) / num_shares : 0;
   }
   [[nodiscard]] int max_ways() const noexcept { return min_ways + num_ways() - 1; }
   [[nodiscard]] int max_shares() const noexcept {

@@ -1,6 +1,5 @@
 #include "rm/resource_manager.hh"
 
-#include <bit>
 #include <cstring>
 
 #include "common/check.hh"
@@ -119,16 +118,9 @@ const RmDecision& ResourceManager::invoke(
 
 namespace {
 
-/// Whether two rows are bitwise equal; rows of different phases usually
-/// differ in their first cells, so an inline scan beats a library call.
 bool same_bits(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i])) {
-      return false;
-    }
-  }
-  return true;
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 /// Whether the `Word`-sized chunks at a and b are equal (a fixed-size
