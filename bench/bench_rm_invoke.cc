@@ -133,11 +133,13 @@ BENCHMARK(BM_RmInvoke)
                    {4}})
     ->ArgNames({"policy", "cores", "bw_shares"});
 
-/// The dirty-leaf path: like BM_RmInvoke, but every invocation first swaps
-/// the invoking core's counters between two phases of its app, so each call
-/// recomputes (or, with the memo, replays) that core's curve and recombines
-/// its root path in the global tree. BM_RmInvoke re-invokes unchanged
-/// counters and so measures the clean path (same-cell replay, no DP).
+/// The dirty-leaf path: like BM_RmInvoke, but every invocation first
+/// re-stamps the invoking core's snapshot, key-only, with the other of two
+/// phases of its app (as IntervalKernel::next_interval does at a phase
+/// change), so each call recomputes (or, with the memo, replays) that core's
+/// curve and recombines its root path in the global tree. BM_RmInvoke
+/// re-invokes unchanged counters and so measures the clean path (same-cell
+/// replay, no DP).
 void BM_RmInvokeDirty(benchmark::State& state) {
   const auto policy = static_cast<rm::RmPolicy>(state.range(0));
   const int cores = static_cast<int>(state.range(1));
@@ -148,12 +150,23 @@ void BM_RmInvokeDirty(benchmark::State& state) {
   cfg.model = rm::PerfModelKind::Model3;
   rm::ResourceManager manager(cfg, db.system(), db.power());
   auto snaps = bench_snapshots(db, cores);
-  auto alt = bench_snapshots(db, cores, 1);
+  const workload::Setting base = workload::baseline_setting(db.system());
+  // The phase each core's snapshot alternates with phase 0 (0 for a
+  // one-phase app, whose core then stays clean).
+  std::vector<int> alt_phase;
+  for (const rm::CounterSnapshot& snap : snaps) {
+    alt_phase.push_back(std::min(1, db.num_phases(snap.app) - 1));
+  }
+  const auto restamp = [&](int k) {
+    rm::CounterSnapshot& snap = snaps[static_cast<std::size_t>(k)];
+    const int phase = snap.phase == 0 ? alt_phase[static_cast<std::size_t>(k)] : 0;
+    rmsim::make_snapshot_into(db, snap.app, phase, base, -1, snap);
+  };
   // Two warm-up laps visit both cells of every core, so the interval-outcome
   // memo and every buffer are populated before measurement.
   for (int lap = 0; lap < 2; ++lap) {
     for (int k = 0; k < cores; ++k) {
-      std::swap(snaps[static_cast<std::size_t>(k)], alt[static_cast<std::size_t>(k)]);
+      restamp(k);
       benchmark::DoNotOptimize(manager.invoke(k, snaps));
     }
   }
@@ -161,9 +174,9 @@ void BM_RmInvokeDirty(benchmark::State& state) {
   int core = 0;
   const std::uint64_t before = qosrm::testing::allocation_count();
   for (auto _ : state) {
-    std::swap(snaps[static_cast<std::size_t>(core)], alt[static_cast<std::size_t>(core)]);
+    restamp(core);
     benchmark::DoNotOptimize(manager.invoke(core, snaps));
-    core = (core + 1) % cores;
+    if (++core == cores) core = 0;
   }
   report_allocs(state, before);
 }

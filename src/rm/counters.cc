@@ -37,16 +37,14 @@ void fill_counters(CounterSnapshot& snap) {
     snap.atd_leading_misses[i] = st.lm_atd[i];
   }
 
-  // RAPL-like dynamic power sample from the measured interval. The core
-  // energy is SimDb::energy's call on the timing already built above.
-  const arch::OperatingPoint vf = arch::VfTable::point(current.f_idx);
+  // RAPL-like dynamic power sample from the measured interval, on the
+  // timing already built above.
   const double core_j =
-      db.power()
-          .interval_energy(current.c, vf, timing, st.interval_instructions,
-                           st.dram_accesses(w))
-          .core_j();
-  snap.power_sample = power::sample_interval(db.power(), current.c, vf, core_j,
-                                             timing.total_seconds);
+      db.energy(snap.app, snap.phase, current, timing).core_j();
+  snap.power_sample =
+      power::sample_interval(db.power(), current.c,
+                             arch::VfTable::point(current.f_idx), core_j,
+                             timing.total_seconds);
   snap.key_only = false;
 }
 

@@ -101,7 +101,7 @@ void LocalOptimizer::optimize_into(const CounterSnapshot& snap,
 
   // The sweep runs size-outer / share / allocation-inner so the per-(c, w)
   // memory term walks each ATD curve contiguously and the perfect model
-  // reads whole oracle rows of the evaluation table. out.choices accumulates
+  // reads whole oracle rows of the database. out.choices accumulates
   // the per-(w, b) best directly; for a fixed cell the candidates still
   // arrive in ascending size order with the same strict-less tie-breaking,
   // so the outcome (and the op count) is bit-identical to the former

@@ -228,7 +228,7 @@ std::optional<SimDb> load_simdb(const SpecSuite& suite,
     stats[a].reserve(phases);
     for (std::uint32_t ph = 0; ph < phases; ++ph) {
       PhaseStats st = read_phase_stats(r);
-      // Shape-check before the stats reach EvalTable/PhaseStats indexing:
+      // Shape-check before the stats reach SimDb's grid fill:
       // the trailing checksum only proves the file matches itself, not that
       // an external writer produced well-formed arrays.
       const auto ways = static_cast<std::size_t>(options.synth.max_ways);

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "support/global_opt_ref.hh"
+
 namespace qosrm::simd {
 namespace {
 
-bool avx2_available() { return avx2_compiled() && avx2_supported(); }
+using rm::avx2_available;
 
 TEST(SimdResolve, Avx2AcceptedWhenAvailable) {
   if (!avx2_available()) {

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
-#include <memory>
 #include <string>
 
 #include "common/rng.hh"
@@ -22,100 +21,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 EnergyCurve curve(int min_ways, std::vector<double> energy) {
   return {min_ways, std::move(energy)};
-}
-
-// ---------------------------------------------------------------------------
-// Reference implementation: the pre-workspace reduction over a tree of
-// heap-allocated nodes, kept verbatim (minus ops counting) as an equivalence
-// oracle for the flat-buffer rewrite. Same pair order, same strict-less
-// tie-breaking, same arithmetic - the results must match bit for bit.
-struct TreeNode {
-  int lo = 0;
-  std::vector<double> energy;
-  std::vector<int> left_ways;
-  int first_core = 0;
-  int last_core = 0;
-  std::unique_ptr<TreeNode> left;
-  std::unique_ptr<TreeNode> right;
-
-  [[nodiscard]] int hi() const noexcept {
-    return lo + static_cast<int>(energy.size()) - 1;
-  }
-};
-
-std::unique_ptr<TreeNode> tree_leaf(const EnergyCurve& curve, int core) {
-  auto node = std::make_unique<TreeNode>();
-  node->lo = curve.min_ways;
-  node->energy = curve.energy;
-  node->first_core = core;
-  node->last_core = core;
-  return node;
-}
-
-std::unique_ptr<TreeNode> tree_combine(std::unique_ptr<TreeNode> a,
-                                       std::unique_ptr<TreeNode> b) {
-  auto node = std::make_unique<TreeNode>();
-  node->lo = a->lo + b->lo;
-  const int hi = a->hi() + b->hi();
-  const auto size = static_cast<std::size_t>(hi - node->lo + 1);
-  node->energy.assign(size, kInf);
-  node->left_ways.assign(size, -1);
-  node->first_core = a->first_core;
-  node->last_core = b->last_core;
-  for (int wa = a->lo; wa <= a->hi(); ++wa) {
-    const double ea = a->energy[static_cast<std::size_t>(wa - a->lo)];
-    if (std::isinf(ea)) continue;
-    for (int wb = b->lo; wb <= b->hi(); ++wb) {
-      const double eb = b->energy[static_cast<std::size_t>(wb - b->lo)];
-      if (std::isinf(eb)) continue;
-      const std::size_t idx = static_cast<std::size_t>(wa + wb - node->lo);
-      if (ea + eb < node->energy[idx]) {
-        node->energy[idx] = ea + eb;
-        node->left_ways[idx] = wa;
-      }
-    }
-  }
-  node->left = std::move(a);
-  node->right = std::move(b);
-  return node;
-}
-
-void tree_backtrack(const TreeNode& node, int total, std::vector<int>& ways) {
-  if (!node.left) {
-    ways[static_cast<std::size_t>(node.first_core)] = total;
-    return;
-  }
-  const int wl = node.left_ways[static_cast<std::size_t>(total - node.lo)];
-  ASSERT_GE(wl, 0);
-  tree_backtrack(*node.left, wl, ways);
-  tree_backtrack(*node.right, total - wl, ways);
-}
-
-GlobalOptResult tree_optimize(std::span<const EnergyCurve> curves,
-                              int total_ways) {
-  std::vector<std::unique_ptr<TreeNode>> level;
-  level.reserve(curves.size());
-  for (std::size_t i = 0; i < curves.size(); ++i) {
-    level.push_back(tree_leaf(curves[i], static_cast<int>(i)));
-  }
-  while (level.size() > 1) {
-    std::vector<std::unique_ptr<TreeNode>> next;
-    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-      next.push_back(tree_combine(std::move(level[i]), std::move(level[i + 1])));
-    }
-    if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
-    level = std::move(next);
-  }
-  const TreeNode& root = *level.front();
-  GlobalOptResult result;
-  if (total_ways < root.lo || total_ways > root.hi()) return result;
-  const double e = root.energy[static_cast<std::size_t>(total_ways - root.lo)];
-  if (std::isinf(e)) return result;
-  result.feasible = true;
-  result.total_energy = e;
-  result.ways.assign(curves.size(), 0);
-  tree_backtrack(root, total_ways, result.ways);
-  return result;
 }
 
 std::vector<EnergyCurve> random_curves(Rng& rng, int cores) {
@@ -274,7 +179,7 @@ TEST(GlobalOptEquivalence, FlatBufferMatchesTreeAndBruteForceOnRandomCurves) {
                          static_cast<std::uint64_t>(sum_hi - sum_lo + 3)));
 
     const GlobalOptResult fast = ref::optimize(curves, budget);
-    const GlobalOptResult tree = tree_optimize(curves, budget);
+    const GlobalOptResult tree = ref::tree_optimize(curves, budget);
     ASSERT_EQ(fast.feasible, tree.feasible) << "trial " << trial;
     if (fast.feasible) {
       EXPECT_EQ(fast.total_energy, tree.total_energy) << "trial " << trial;
@@ -377,10 +282,6 @@ TEST(GlobalOpt, OpsCountSymmetricUnderOperandSwap) {
 // shapes. Runs through the explicit-level optimize_into overload; on hosts
 // without AVX2 the vector half is skipped (the scalar-vs-tree and
 // scalar-vs-brute-force tests above still pin the fallback).
-
-bool avx2_available() {
-  return simd::avx2_compiled() && simd::avx2_supported();
-}
 
 void expect_levels_bitwise_equal(const std::vector<EnergyCurve>& curves,
                                  int budget, const char* what) {

@@ -2,10 +2,10 @@
 // pinned three ways:
 //
 //   1. DEGENERACY - with every surface a single share row, the 2-D reduction
-//      must reproduce the pre-CBP 1-D optimizer bit for bit. The oracle below
-//      is the pre-workspace tree reduction kept verbatim (the same oracle the
-//      flat-buffer rewrite was pinned against), so any drift in values, tie
-//      breaking or pair order fails here.
+//      must reproduce the pre-CBP 1-D optimizer bit for bit. The oracle is
+//      ref::tree_optimize, the pre-workspace tree reduction kept verbatim
+//      (the same oracle the flat-buffer rewrite is pinned against), so any
+//      drift in values, tie breaking or pair order fails here.
 //   2. CORRECTNESS - on genuinely 2-D random surfaces the reduction must
 //      agree with exhaustive search over all (ways, shares) splits.
 //   3. DISPATCH - the AVX2 kernel must match the scalar fallback bit for bit
@@ -18,7 +18,6 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
-#include <memory>
 #include <string>
 
 #include "common/rng.hh"
@@ -28,99 +27,6 @@ namespace qosrm::rm {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// ---------------------------------------------------------------------------
-// Verbatim pre-refactor 1-D oracle (heap-allocated tree reduction, strict-less
-// tie-breaking, ascending-wa pair order). Deliberately NOT shared with the
-// production code or the other test file: it is the frozen reference.
-struct TreeNode {
-  int lo = 0;
-  std::vector<double> energy;
-  std::vector<int> left_ways;
-  int first_core = 0;
-  int last_core = 0;
-  std::unique_ptr<TreeNode> left;
-  std::unique_ptr<TreeNode> right;
-
-  [[nodiscard]] int hi() const noexcept {
-    return lo + static_cast<int>(energy.size()) - 1;
-  }
-};
-
-std::unique_ptr<TreeNode> tree_leaf(const EnergyCurve& curve, int core) {
-  auto node = std::make_unique<TreeNode>();
-  node->lo = curve.min_ways;
-  node->energy = curve.energy;
-  node->first_core = core;
-  node->last_core = core;
-  return node;
-}
-
-std::unique_ptr<TreeNode> tree_combine(std::unique_ptr<TreeNode> a,
-                                       std::unique_ptr<TreeNode> b) {
-  auto node = std::make_unique<TreeNode>();
-  node->lo = a->lo + b->lo;
-  const int hi = a->hi() + b->hi();
-  const auto size = static_cast<std::size_t>(hi - node->lo + 1);
-  node->energy.assign(size, kInf);
-  node->left_ways.assign(size, -1);
-  node->first_core = a->first_core;
-  node->last_core = b->last_core;
-  for (int wa = a->lo; wa <= a->hi(); ++wa) {
-    const double ea = a->energy[static_cast<std::size_t>(wa - a->lo)];
-    if (std::isinf(ea)) continue;
-    for (int wb = b->lo; wb <= b->hi(); ++wb) {
-      const double eb = b->energy[static_cast<std::size_t>(wb - b->lo)];
-      if (std::isinf(eb)) continue;
-      const std::size_t idx = static_cast<std::size_t>(wa + wb - node->lo);
-      if (ea + eb < node->energy[idx]) {
-        node->energy[idx] = ea + eb;
-        node->left_ways[idx] = wa;
-      }
-    }
-  }
-  node->left = std::move(a);
-  node->right = std::move(b);
-  return node;
-}
-
-void tree_backtrack(const TreeNode& node, int total, std::vector<int>& ways) {
-  if (!node.left) {
-    ways[static_cast<std::size_t>(node.first_core)] = total;
-    return;
-  }
-  const int wl = node.left_ways[static_cast<std::size_t>(total - node.lo)];
-  ASSERT_GE(wl, 0);
-  tree_backtrack(*node.left, wl, ways);
-  tree_backtrack(*node.right, total - wl, ways);
-}
-
-GlobalOptResult tree_optimize(std::span<const EnergyCurve> curves,
-                              int total_ways) {
-  std::vector<std::unique_ptr<TreeNode>> level;
-  level.reserve(curves.size());
-  for (std::size_t i = 0; i < curves.size(); ++i) {
-    level.push_back(tree_leaf(curves[i], static_cast<int>(i)));
-  }
-  while (level.size() > 1) {
-    std::vector<std::unique_ptr<TreeNode>> next;
-    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-      next.push_back(tree_combine(std::move(level[i]), std::move(level[i + 1])));
-    }
-    if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
-    level = std::move(next);
-  }
-  const TreeNode& root = *level.front();
-  GlobalOptResult result;
-  if (total_ways < root.lo || total_ways > root.hi()) return result;
-  const double e = root.energy[static_cast<std::size_t>(total_ways - root.lo)];
-  if (std::isinf(e)) return result;
-  result.feasible = true;
-  result.total_energy = e;
-  result.ways.assign(curves.size(), 0);
-  tree_backtrack(root, total_ways, result.ways);
-  return result;
-}
 
 // ---------------------------------------------------------------------------
 // Generators and helpers.
@@ -154,10 +60,6 @@ double attained_energy(const std::vector<EnergyCurve>& curves,
   return total;
 }
 
-bool avx2_available() {
-  return simd::avx2_compiled() && simd::avx2_supported();
-}
-
 // ---------------------------------------------------------------------------
 // 1. Degeneracy: single-share surfaces through the 2-D entry points must be
 //    the 1-D optimizer, bit for bit, at every dispatch level.
@@ -187,7 +89,7 @@ TEST_P(GlobalOpt2dDegenerate, SingleShareRowMatchesOneDOracleBitwise) {
         sum_lo - 1 + static_cast<int>(rng.uniform_u64(
                          static_cast<std::uint64_t>(sum_hi - sum_lo + 3)));
 
-    const GlobalOptResult oracle = tree_optimize(curves, budget);
+    const GlobalOptResult oracle = ref::tree_optimize(curves, budget);
     const std::vector<EnergyCurveView> views = views_of(curves);
     for (const simd::Level level : {simd::Level::Scalar, simd::Level::Avx2}) {
       if (level == simd::Level::Avx2 && !avx2_available()) continue;

@@ -25,8 +25,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-bool avx2_available() { return simd::avx2_compiled() && simd::avx2_supported(); }
-
 /// One leaf of the evolving problem: an active surface or the idle cell.
 EnergyCurve random_leaf(Rng& rng, int num_shares, bool idle) {
   EnergyCurve cu;

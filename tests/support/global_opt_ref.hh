@@ -1,8 +1,9 @@
 // Test-side companions of rm/global_opt: an owning energy surface, a
 // one-shot optimizer over such surfaces (a throwaway workspace, every leaf
 // dirty), the references the randomized suites check the pairwise
-// reduction against (a plain node-by-node reduction and an exhaustive
-// search), and a read-only probe of a workspace's per-node caches.
+// reduction against (a plain node-by-node reduction, the frozen
+// pre-workspace tree reduction and an exhaustive search), a read-only probe
+// of a workspace's per-node caches, and the AVX2 availability probe.
 #ifndef QOSRM_TESTS_SUPPORT_GLOBAL_OPT_REF_HH
 #define QOSRM_TESTS_SUPPORT_GLOBAL_OPT_REF_HH
 
@@ -11,11 +12,14 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hh"
+#include "common/simd.hh"
 #include "rm/global_opt.hh"
 
 namespace qosrm::rm {
@@ -269,7 +273,103 @@ inline GlobalOptResult brute_force(std::span<const EnergyCurve> curves,
   return brute_force(curves, total_ways, ways_only_shares(views_of(curves)));
 }
 
+// The pre-workspace 1-D reduction over a tree of heap-allocated nodes, kept
+// verbatim (minus ops counting) as the frozen equivalence oracle of the
+// flat-buffer rewrite. Same pair order, same strict-less tie-breaking, same
+// arithmetic - the results must match bit for bit.
+struct TreeNode {
+  int lo = 0;
+  std::vector<double> energy;
+  std::vector<int> left_ways;
+  int first_core = 0;
+  int last_core = 0;
+  std::unique_ptr<TreeNode> left;
+  std::unique_ptr<TreeNode> right;
+
+  [[nodiscard]] int hi() const noexcept {
+    return lo + static_cast<int>(energy.size()) - 1;
+  }
+};
+
+inline std::unique_ptr<TreeNode> tree_leaf(const EnergyCurve& curve, int core) {
+  auto node = std::make_unique<TreeNode>();
+  node->lo = curve.min_ways;
+  node->energy = curve.energy;
+  node->first_core = core;
+  node->last_core = core;
+  return node;
+}
+
+inline std::unique_ptr<TreeNode> tree_combine(std::unique_ptr<TreeNode> a,
+                                              std::unique_ptr<TreeNode> b) {
+  auto node = std::make_unique<TreeNode>();
+  node->lo = a->lo + b->lo;
+  const int hi = a->hi() + b->hi();
+  const auto size = static_cast<std::size_t>(hi - node->lo + 1);
+  node->energy.assign(size, std::numeric_limits<double>::infinity());
+  node->left_ways.assign(size, -1);
+  node->first_core = a->first_core;
+  node->last_core = b->last_core;
+  for (int wa = a->lo; wa <= a->hi(); ++wa) {
+    const double ea = a->energy[static_cast<std::size_t>(wa - a->lo)];
+    if (std::isinf(ea)) continue;
+    for (int wb = b->lo; wb <= b->hi(); ++wb) {
+      const double eb = b->energy[static_cast<std::size_t>(wb - b->lo)];
+      if (std::isinf(eb)) continue;
+      const std::size_t idx = static_cast<std::size_t>(wa + wb - node->lo);
+      if (ea + eb < node->energy[idx]) {
+        node->energy[idx] = ea + eb;
+        node->left_ways[idx] = wa;
+      }
+    }
+  }
+  node->left = std::move(a);
+  node->right = std::move(b);
+  return node;
+}
+
+inline void tree_backtrack(const TreeNode& node, int total, std::vector<int>& ways) {
+  if (!node.left) {
+    ways[static_cast<std::size_t>(node.first_core)] = total;
+    return;
+  }
+  const int wl = node.left_ways[static_cast<std::size_t>(total - node.lo)];
+  QOSRM_CHECK(wl >= 0);
+  tree_backtrack(*node.left, wl, ways);
+  tree_backtrack(*node.right, total - wl, ways);
+}
+
+inline GlobalOptResult tree_optimize(std::span<const EnergyCurve> curves,
+                                     int total_ways) {
+  std::vector<std::unique_ptr<TreeNode>> level;
+  level.reserve(curves.size());
+  for (std::size_t i = 0; i < curves.size(); ++i) {
+    level.push_back(tree_leaf(curves[i], static_cast<int>(i)));
+  }
+  while (level.size() > 1) {
+    std::vector<std::unique_ptr<TreeNode>> next;
+    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
+      next.push_back(tree_combine(std::move(level[i]), std::move(level[i + 1])));
+    }
+    if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
+    level = std::move(next);
+  }
+  const TreeNode& root = *level.front();
+  GlobalOptResult result;
+  if (total_ways < root.lo || total_ways > root.hi()) return result;
+  const double e = root.energy[static_cast<std::size_t>(total_ways - root.lo)];
+  if (std::isinf(e)) return result;
+  result.feasible = true;
+  result.total_energy = e;
+  result.ways.assign(curves.size(), 0);
+  tree_backtrack(root, total_ways, result.ways);
+  return result;
+}
+
 }  // namespace ref
+
+/// Whether the AVX2 kernels are compiled in and the CPU runs them.
+inline bool avx2_available() { return simd::avx2_compiled() && simd::avx2_supported(); }
 
 /// Read-only view of a workspace's per-node caches, for the tests that
 /// check them against ref::reduce_tree.

@@ -229,7 +229,7 @@ TEST(DbIo, RejectsFlippedPayloadBit) {
 
 // A snapshot whose trailing checksum is internally consistent but whose
 // phase arrays have the wrong shape (e.g. produced by a buggy external
-// writer) must be rejected with an error, not abort inside EvalTable.
+// writer) must be rejected with an error, not abort inside the grid fill.
 TEST(DbIo, RejectsShapeInvalidButChecksumConsistentFile) {
   const SimDb& db = shared_db();
   std::string error;

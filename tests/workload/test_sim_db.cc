@@ -221,7 +221,7 @@ TEST(SimDb, SoaAccessorsMatchStructLookupsOverFullGrid) {
   }
 }
 
-// The cell and row reads are inline in eval_table.hh; each still aborts on
+// The cell and row reads are inline in sim_db.hh; each still aborts on
 // an app, phase or VF index outside the grid (ways and shares clamp).
 TEST(SimDbDeathTest, CellReadOutsideTheGridAborts) {
   const SimDb& d = db();
